@@ -1708,18 +1708,10 @@ func sweepE19Detection() []benchRow {
 	}
 	work := trace.HighFlowWorkload{Flows: chunk / 2, Rounds: 30, Gap: time.Microsecond}.Events(sim.Epoch)
 	next := 0
-	var last time.Time
 	feed := func(n int) {
 		for i := 0; i < n; i++ {
-			e := work[next]
+			sm.Feed(work[next])
 			next++
-			if e.Time.After(last) {
-				sm.Tick(e.Time)
-				last = e.Time
-			}
-			if err := sm.Submit(e); err != nil {
-				panic(err)
-			}
 		}
 	}
 	tick := func() {

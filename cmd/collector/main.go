@@ -13,149 +13,75 @@
 //	collector -listen :9190 -catalog firewall-basic
 //	collector -listen :9190 -props net.properties -shards 8 -metrics-addr :9090
 //
-// The process serves until SIGINT, printing violations as they fire
-// (or as NDJSON with -json), then prints an exit report: engine stats,
-// per-datapath wire accounting, and the degradation ledger.
+// The process serves until SIGINT/SIGTERM (or for -hold), printing
+// violations as they fire, then drains — waiting up to -drain-timeout for
+// in-flight exporter batches to quiesce — and prints an exit report:
+// engine stats, per-datapath wire accounting, and the degradation ledger.
 //
-// Batching is negotiated switch-side: exporters seal adaptively
-// against a latency SLO (switchmon -export defaults: -batch-slo 250µs,
-// -batch-max 256), so the collector sees per-event frames under
-// trickle traffic and full batches under bursts. The pooled ingest
-// path here decodes either shape without per-event allocation.
-//
-// With -metrics-addr the collector also serves POST/DELETE /properties
-// for live install/remove; every change is fenced across the sharded
-// engine and pushed to connected lifecycle-capable exporters as a
-// PropertySetUpdate frame, so switch and collector converge on one
-// property set. On SIGINT/SIGTERM the collector drains: it waits up to
-// -drain-timeout for in-flight exporter batches to quiesce before
-// closing, then prints the exit soundness report.
+// The process is assembled by internal/daemon, which it shares with
+// cmd/switchmon and cmd/fleetagg; what is written here is what only the
+// collector has: the exporter listener, the property-set broadcast that
+// keeps connected switches converged on the installed set, -aggregate
+// forwarding of admin operations to the fleet tier, and the fleet-member
+// endpoints that tier drives. docs/OBSERVABILITY.md documents every flag
+// and endpoint; -h lists the flags.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"os"
-	"os/signal"
 	"strings"
 	"sync"
-	"syscall"
 	"time"
 
 	"switchmon/internal/collector"
 	"switchmon/internal/core"
+	"switchmon/internal/daemon"
 	"switchmon/internal/dsl"
 	"switchmon/internal/federation"
-	"switchmon/internal/obs"
-	"switchmon/internal/obs/export"
-	"switchmon/internal/obs/histdb"
-	"switchmon/internal/obs/slo"
-	"switchmon/internal/obs/tracer"
 	"switchmon/internal/property"
 	"switchmon/internal/wire"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "collector:", err)
-		os.Exit(1)
-	}
+func main() { daemon.Main("collector", run) }
+
+// options is the collector's flag surface: the shared daemon flags,
+// reworded where a central engine shifts their meaning, plus -aggregate.
+type options struct {
+	daemon.Flags
+	aggregate string
+}
+
+func (o *options) register(fs *flag.FlagSet) {
+	o.Shards, o.Listen = 4, ":9190"
+	o.RegisterEngine(fs)
+	o.RegisterHistory(fs)
+	o.RegisterListen(fs)
+	fs.Lookup("catalog").Usage = "comma-separated built-in property names (switchmon -list)"
+	fs.Lookup("shards").Usage = "shard count for the central engine"
+	fs.Lookup("hold").Usage = "serve this long, then exit (0 = until SIGINT/SIGTERM)"
+	fs.Lookup("drain-timeout").Usage = "after SIGINT/SIGTERM: how long to wait for in-flight exporter batches to quiesce before closing"
+	fs.Lookup("trace-sample").Usage = "negotiate end-to-end tracing with exporters and sample every Nth event of untraced streams (0 = off); completed spans served at /trace"
+	fs.StringVar(&o.aggregate, "aggregate", "", "fleet aggregation-tier base URL; /properties admin ops are forwarded there so install/remove on this collector applies fleet-wide in one order")
 }
 
 func run() error {
-	var (
-		listen    = flag.String("listen", ":9190", "TCP address to accept exporter connections on")
-		propsFile = flag.String("props", "", "DSL file with property definitions")
-		catalog   = flag.String("catalog", "", "comma-separated built-in property names (switchmon -list)")
-		provLevel = flag.String("provenance", "limited", "provenance level: none, limited, full")
-		shards    = flag.Int("shards", 4, "shard count for the central engine")
-		hold      = flag.Duration("hold", 0, "serve this long, then exit (0 = until SIGINT/SIGTERM)")
-		drainTO   = flag.Duration("drain-timeout", 5*time.Second, "after SIGINT/SIGTERM: how long to wait for in-flight exporter batches to quiesce before closing")
-
-		tenantQuotas = flag.String("tenant-quotas", "", "per-tenant quotas as tenant=maxInstances[:maxQueued], comma-separated; breaches shed that tenant's events into the soundness ledger")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, /violations, /trace, /state, /query, /alerts, /buildinfo, /debug/pprof on this address")
-		sampleEvery = flag.Duration("sample-every", time.Second, "with -metrics-addr: cadence of the in-process metrics-history sampler behind /query")
-		historySpan = flag.Duration("history", 10*time.Minute, "with -metrics-addr: how far back the metrics-history ring reaches")
-		jsonOut     = flag.Bool("json", false, "emit violations as one JSON object per line")
-		ringSize    = flag.Int("violation-ring", 256, "violation trace records retained for /violations")
-
-		traceSample = flag.Uint64("trace-sample", 0, "negotiate end-to-end tracing with exporters and sample every Nth event of untraced streams (0 = off); completed spans served at /trace")
-		traceRing   = flag.Int("trace-ring", 0, "completed tracing spans retained for /trace (0 = default 2048)")
-
-		aggregate = flag.String("aggregate", "", "fleet aggregation-tier base URL; /properties admin ops are forwarded there so install/remove on this collector applies fleet-wide in one order")
-
-		stateTopK      = flag.Int("state-topk", 32, "heavy-hitter sketch capacity per property for /state top_keys (0 = sketch off)")
-		stateSample    = flag.Uint64("state-sample", 8, "sample 1 in N instance filings into the heavy-hitter sketch (1 = every filing)")
-		stateWatermark = flag.Int64("state-watermark", 0, "per-property live-instance count that raises the state_pressure warning metric (0 = off)")
-	)
-	var sloRules slo.RuleList
-	flag.Var(&sloRules, "slo", "extra SLO rule as name:series-glob:threshold:fast-window (repeatable; slow window is 10x fast; built-in rules are always evaluated)")
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
 
-	cfg := core.Config{}
-	switch *provLevel {
-	case "none":
-		cfg.Provenance = core.ProvNone
-	case "limited":
-		cfg.Provenance = core.ProvLimited
-	case "full":
-		cfg.Provenance = core.ProvFull
-	default:
-		return fmt.Errorf("unknown provenance level %q", *provLevel)
-	}
-	if *shards <= 0 {
+	if o.Shards <= 0 {
 		return fmt.Errorf("-shards must be positive")
 	}
-
-	var (
-		reg  *obs.Registry
-		ring *obs.Ring
-	)
-	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		ring = obs.NewRing(*ringSize)
+	cfg, err := o.EngineConfig(os.Stdout)
+	if err != nil {
+		return err
 	}
-
-	// Nil tracer = tracing off everywhere downstream (nil-receiver safe).
-	var tr *tracer.Tracer
-	if *traceSample > 0 {
-		tr = tracer.New(tracer.Config{SampleN: *traceSample, Ring: *traceRing, Metrics: reg})
-	}
-
-	enc := json.NewEncoder(os.Stdout)
-	var vmu sync.Mutex // shard goroutines report concurrently
-	violations := 0
-	cfg.OnViolation = func(v *core.Violation) {
-		vmu.Lock()
-		defer vmu.Unlock()
-		violations++
-		if *jsonOut {
-			_ = enc.Encode(v.TraceRecord())
-			return
-		}
-		fmt.Println(v)
-	}
-	cfg.Metrics = reg
-	cfg.Violations = ring
-	cfg.Tracer = tr
-	cfg.StateTopK = *stateTopK
-	cfg.StateSample = *stateSample
-	cfg.StateWatermark = *stateWatermark
-	if *tenantQuotas != "" {
-		quotas, err := core.ParseTenantQuotas(*tenantQuotas)
-		if err != nil {
-			return err
-		}
-		cfg.TenantQuotas = quotas
-	}
-
-	sm := core.NewShardedMonitor(*shards, cfg)
+	sm := core.NewShardedMonitor(o.Shards, cfg)
 	defer sm.Close()
 
 	// propObjs keeps the installed property objects so lifecycle pushes
@@ -172,48 +98,21 @@ func run() error {
 		propMu.Unlock()
 		return nil
 	}
-
-	installed := 0
-	if *catalog != "" {
-		for _, name := range strings.Split(*catalog, ",") {
-			name = strings.TrimSpace(name)
-			p := property.CatalogByName(property.DefaultParams(), name)
-			if p == nil {
-				return fmt.Errorf("unknown catalogue property %q (use switchmon -list)", name)
-			}
-			if err := install(p); err != nil {
-				return err
-			}
-			installed++
-		}
+	installed, err := o.LoadProperties(install)
+	if err != nil {
+		return err
 	}
-	if *propsFile != "" {
-		src, err := os.ReadFile(*propsFile)
-		if err != nil {
-			return err
-		}
-		props, err := dsl.ParseAll(string(src))
-		if err != nil {
-			return err
-		}
-		for _, p := range props {
-			if err := install(p); err != nil {
-				return err
-			}
-			installed++
-		}
-	}
-	if installed == 0 && *metricsAddr == "" {
+	if len(installed) == 0 && o.MetricsAddr == "" {
 		return fmt.Errorf("no properties installed (use -catalog and/or -props, or -metrics-addr for live POST /properties)")
 	}
 
-	col, err := collector.New(collector.Config{Addr: *listen, Metrics: reg, Tracer: tr}, sm)
+	col, err := collector.New(collector.Config{Addr: o.Listen, Metrics: cfg.Metrics, Tracer: cfg.Tracer}, sm)
 	if err != nil {
 		return err
 	}
 	col.Serve()
 	fmt.Fprintf(os.Stderr, "collector: accepting exporters on %s (%d properties, %d shards)\n",
-		col.Addr(), installed, *shards)
+		col.Addr(), len(installed), o.Shards)
 
 	// broadcast pushes the current property set (epoch, names, tenants,
 	// and the full DSL source) to every lifecycle-capable exporter; the
@@ -238,105 +137,61 @@ func run() error {
 	}
 	broadcast()
 
-	var srv *http.Server
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
+	installLocal := func(src, tenant string) error {
+		if err := daemon.InstallSource(src, tenant, install); err != nil {
 			return err
 		}
-		// Self-monitoring: a history ring samples the registry behind
-		// /query, and the SLO engine rides its tick hook behind /alerts.
-		hist := histdb.New(histdb.Config{Registry: reg, SampleEvery: *sampleEvery, Retention: *historySpan})
-		alerts := slo.New(slo.Config{DB: hist, Rules: append(slo.BuiltinRules(), sloRules...), Registry: reg})
-		hist.Start()
-		defer hist.Close()
-		health := func() (bool, any) {
-			marks := sm.Ledger().Snapshot()
-			return len(marks) == 0, marks
+		broadcast()
+		return nil
+	}
+	removeLocal := func(name string) error {
+		if err := sm.RemoveProperty(name); err != nil {
+			return err
 		}
-		installLocal := func(src, tenant string) error {
-			props, err := dsl.ParseAll(src)
-			if err != nil {
-				return err
+		propMu.Lock()
+		delete(propObjs, name)
+		propMu.Unlock()
+		broadcast()
+		return nil
+	}
+	mc := daemon.MuxConfig(cfg, sm)
+	mc.Properties.Install, mc.Properties.Remove = installLocal, removeLocal
+	if o.aggregate != "" {
+		// Public admin ops route through the aggregation tier so they
+		// apply on every fleet member in one serialized order; the tier
+		// applies them back here through the local-only
+		// /fleet/properties endpoint.
+		propsURL := strings.TrimRight(o.aggregate, "/") + "/properties"
+		mc.Properties.Install = func(src, tenant string) error {
+			u := propsURL
+			if tenant != "" {
+				u += "?tenant=" + url.QueryEscape(tenant)
 			}
-			if len(props) == 0 {
-				return fmt.Errorf("no properties in body")
-			}
-			for _, p := range props {
-				p.Tenant = tenant
-				if err := install(p); err != nil {
-					return err
-				}
-			}
-			broadcast()
-			return nil
+			return forward(http.MethodPost, u, src)
 		}
-		removeLocal := func(name string) error {
-			if err := sm.RemoveProperty(name); err != nil {
-				return err
-			}
-			propMu.Lock()
-			delete(propObjs, name)
-			propMu.Unlock()
-			broadcast()
-			return nil
+		mc.Properties.Remove = func(name string) error {
+			return forward(http.MethodDelete, propsURL+"?name="+url.QueryEscape(name), "")
 		}
-		// With -aggregate, public admin ops route through the
-		// aggregation tier so they apply on every fleet member in one
-		// serialized order; the tier applies them back here through the
-		// local-only /fleet/properties endpoint.
-		installPublic, removePublic := installLocal, removeLocal
-		if *aggregate != "" {
-			installPublic = func(src, tenant string) error {
-				return forwardInstall(*aggregate, src, tenant)
-			}
-			removePublic = func(name string) error {
-				return forwardRemove(*aggregate, name)
-			}
-		}
-		mux := export.NewMux(export.MuxConfig{
-			Registry: reg, Ring: ring, Health: health, Tracer: tr,
-			History: hist, Alerts: alerts,
-			State: func() any { return sm.StateReport() },
-			Properties: &export.PropertiesConfig{
-				List: func() any {
-					return struct {
-						Epoch      uint64   `json:"epoch"`
-						Properties []string `json:"properties"`
-					}{sm.Epoch(), sm.Properties()}
-				},
-				Install: installPublic,
-				Remove:  removePublic,
-			},
-		})
+	}
+	srv, err := o.Serve(mc, func(mux *http.ServeMux) {
 		federation.RegisterMemberEndpoints(mux, federation.MemberEndpoints{
 			BroadcastFleet: col.BroadcastFleetConfig,
 			InstallLocal:   installLocal,
 			RemoveLocal:    removeLocal,
 		})
-		srv = &http.Server{Handler: mux}
-		go func() { _ = srv.Serve(ln) }()
-		fmt.Fprintf(os.Stderr, "metrics: serving on http://%s/metrics\n", ln.Addr())
+	})
+	if err != nil {
+		return err
 	}
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	if *hold > 0 {
-		select {
-		case <-time.After(*hold):
-		case s := <-sig:
-			fmt.Fprintf(os.Stderr, "collector: %s, draining\n", s)
-		}
-	} else {
-		s := <-sig
+	if s := daemon.Wait(o.Hold); s != nil {
 		fmt.Fprintf(os.Stderr, "collector: %s, draining\n", s)
 	}
-	signal.Stop(sig)
 
 	// Graceful drain: connected exporters keep shipping until their
 	// queues empty; wait for ingest to quiesce (two consecutive idle
 	// polls) or the -drain-timeout deadline, whichever first.
-	deadline := time.Now().Add(*drainTO)
+	deadline := time.Now().Add(o.DrainTimeout)
 	prev := col.Stats()
 	idle := 0
 	for time.Now().Before(deadline) && idle < 2 {
@@ -350,55 +205,26 @@ func run() error {
 		prev = cur
 	}
 	col.Close()
-	if srv != nil {
-		_ = srv.Close()
-	}
+	srv.Close()
 
-	// Fire deadline monitors still pending at shutdown before reporting.
-	sm.Drain()
 	st := sm.Stats()
 	cs := col.Stats()
-	fmt.Printf("\nevents=%d instances_created=%d advanced=%d discharged=%d expired=%d violations=%d\n",
-		st.Events, st.Created, st.Advanced, st.Discharged, st.Expired, st.Violations)
+	daemon.ReportSummary(os.Stdout, st)
 	fmt.Printf("wire: datapaths=%d batches=%d events=%d bytes=%d gaps=%d deduped=%d reconnects=%d\n",
 		cs.Datapaths, cs.Batches, cs.Events, cs.Bytes, cs.GapEvents, cs.Deduped, cs.Reconnects)
-	if marks := sm.Ledger().Snapshot(); len(marks) > 0 {
-		fmt.Printf("degradation ledger: %d unsound\n", len(marks))
-		for _, m := range marks {
-			fmt.Printf("  %-26s %-14s since %s lost=%d %s\n",
-				m.Property, m.Reason, m.SinceTime.Format(time.RFC3339), m.Events, m.Detail)
-		}
-	}
+	daemon.ReportLedger(os.Stdout, sm, st, false)
 	return nil
 }
 
-// forwardInstall relays a property install to the aggregation tier,
+// forward relays a /properties admin operation to the aggregation tier,
 // which fans it out to every fleet member (including this one) in the
 // single fleet-wide lifecycle order.
-func forwardInstall(aggURL, src, tenant string) error {
-	u := strings.TrimRight(aggURL, "/") + "/properties"
-	if tenant != "" {
-		u += "?tenant=" + url.QueryEscape(tenant)
-	}
-	resp, err := http.Post(u, "text/plain", strings.NewReader(src))
-	if err != nil {
-		return fmt.Errorf("aggregate forward: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("aggregate forward: %s: %s", resp.Status, strings.TrimSpace(string(body)))
-	}
-	return nil
-}
-
-// forwardRemove relays a property remove to the aggregation tier.
-func forwardRemove(aggURL, name string) error {
-	u := strings.TrimRight(aggURL, "/") + "/properties?name=" + url.QueryEscape(name)
-	req, err := http.NewRequest(http.MethodDelete, u, nil)
+func forward(method, target, body string) error {
+	req, err := http.NewRequest(method, target, strings.NewReader(body))
 	if err != nil {
 		return err
 	}
+	req.Header.Set("Content-Type", "text/plain")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("aggregate forward: %w", err)

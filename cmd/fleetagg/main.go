@@ -21,37 +21,32 @@
 // /fleet (GET membership, POST a new member set).
 //
 // The aggregator also self-monitors: a background sampler scrapes the
-// fleet every -sample-every into an in-process history ring (/query),
-// and the SLO engine evaluates burn-rate rules over the merged fleet
-// series (/alerts) — including the built-in reachability rule, so a
-// member going dark is itself an alert. /violations forwards ?since
-// and ?limit to every member, with repeated ?cursor=<addr>=<seq>
-// params overriding since per member.
+// fleet into an in-process history ring (/query), and the SLO engine
+// evaluates burn-rate rules over the merged fleet series (/alerts) —
+// including the built-in reachability rule, so a member going dark is
+// itself an alert. /violations forwards ?since and ?limit to every
+// member, with repeated ?cursor=<addr>=<seq> params overriding since per
+// member.
+//
+// The listener, sampler, SLO engine and signal wait come from
+// internal/daemon, shared with cmd/switchmon and cmd/collector; what is
+// written here is the member list and the aggregator.
+// docs/OBSERVABILITY.md documents every flag and endpoint.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
+	"switchmon/internal/daemon"
 	"switchmon/internal/federation"
-	"switchmon/internal/obs/histdb"
-	"switchmon/internal/obs/slo"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "fleetagg:", err)
-		os.Exit(1)
-	}
-}
+func main() { daemon.Main("fleetagg", run) }
 
 func parseMembers(spec string) ([]federation.AggMember, error) {
 	var out []federation.AggMember
@@ -80,50 +75,58 @@ func parseMembers(spec string) ([]federation.AggMember, error) {
 	return out, nil
 }
 
+// options is fleetagg's flag surface: -listen and the self-monitoring
+// flags from the shared set, reworded for a tier whose history is fleet
+// scrapes, plus the fleet's own.
+type options struct {
+	daemon.Flags
+	members string
+	epoch   uint64
+	timeout time.Duration
+}
+
+func (o *options) register(fs *flag.FlagSet) {
+	o.Listen = ":9090"
+	o.RegisterListen(fs)
+	o.RegisterHistory(fs)
+	fs.Lookup("listen").Usage = "serve the fleet endpoints on this address"
+	fs.Lookup("sample-every").Usage = "cadence of the fleet-history sampler behind /query (each tick scrapes every member)"
+	fs.Lookup("history").Usage = "how far back the fleet metrics-history ring reaches"
+	fs.Lookup("slo").Usage = "extra fleet SLO rule as name:series-glob:threshold:fast-window (repeatable; slow window is 10x fast; built-in rules are always evaluated)"
+	fs.StringVar(&o.members, "members", "", "comma-separated exporterAddr=adminURL[=weight] collector entries")
+	fs.Uint64Var(&o.epoch, "epoch", 0, "initial fleet-config epoch (membership changes increment it)")
+	fs.DurationVar(&o.timeout, "timeout", 3*time.Second, "per-member scrape/admin call timeout")
+}
+
 func run() error {
-	var (
-		listen      = flag.String("listen", ":9090", "serve the fleet endpoints on this address")
-		members     = flag.String("members", "", "comma-separated exporterAddr=adminURL[=weight] collector entries")
-		epoch       = flag.Uint64("epoch", 0, "initial fleet-config epoch (membership changes increment it)")
-		timeout     = flag.Duration("timeout", 3*time.Second, "per-member scrape/admin call timeout")
-		sampleEvery = flag.Duration("sample-every", time.Second, "cadence of the fleet-history sampler behind /query (each tick scrapes every member)")
-		historySpan = flag.Duration("history", 10*time.Minute, "how far back the fleet metrics-history ring reaches")
-	)
-	var sloRules slo.RuleList
-	flag.Var(&sloRules, "slo", "extra fleet SLO rule as name:series-glob:threshold:fast-window (repeatable; slow window is 10x fast; built-in rules are always evaluated)")
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
-	if *members == "" {
+	if o.members == "" {
 		return fmt.Errorf("-members is required")
 	}
-	ms, err := parseMembers(*members)
+	ms, err := parseMembers(o.members)
 	if err != nil {
 		return err
 	}
 	agg, err := federation.NewAggregator(federation.AggConfig{
-		Members: ms, Epoch: *epoch, Timeout: *timeout,
+		Members: ms, Epoch: o.epoch, Timeout: o.timeout,
 	})
 	if err != nil {
 		return err
 	}
-	// Self-monitoring in Source mode: each sampler tick scrapes the
+	// Self-monitoring in snapshot mode: each sampler tick scrapes the
 	// fleet and records the merged snapshot, so /query serves fleet
 	// history and the SLO engine alerts on it (member reachability
 	// included) with no per-member configuration.
-	hist := histdb.New(histdb.Config{Source: agg.FleetSnapshot, SampleEvery: *sampleEvery, Retention: *historySpan})
-	alerts := slo.New(slo.Config{DB: hist, Rules: append(slo.BuiltinRules(), sloRules...)})
-	agg.AttachSelfMonitor(hist, alerts)
-	hist.Start()
-	defer hist.Close()
-	ln, err := net.Listen("tcp", *listen)
+	srv, err := o.NewServer(o.Listen, nil, agg.FleetSnapshot)
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: agg.Mux()}
-	go func() { _ = srv.Serve(ln) }()
-	fmt.Fprintf(os.Stderr, "fleetagg: serving fleet endpoints on http://%s/metrics (%d members)\n", ln.Addr(), len(ms))
+	agg.AttachSelfMonitor(srv.History, srv.Alerts)
+	srv.Start(agg.Mux())
+	fmt.Fprintf(os.Stderr, "fleetagg: serving fleet endpoints on http://%s/metrics (%d members)\n", srv.Addr(), len(ms))
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
+	daemon.Wait(0)
 	return srv.Close()
 }

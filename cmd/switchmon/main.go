@@ -12,34 +12,12 @@
 //	switchmon -demo firewall -export 127.0.0.1:9190
 //	switchmon -list
 //
-// Properties come from the built-in catalogue (-catalog, comma-separated
-// names) and/or a DSL file (-props). The monitor's provenance level and
-// processing mode are configurable.
-//
-// With -metrics-addr the process serves a live introspection endpoint
-// (/metrics in Prometheus text or ?format=json, /healthz, /violations
-// with full provenance traces, /state with per-property state-cost
-// accounting and heavy-hitter keys, /buildinfo, /debug/pprof) and stays
-// up after the run: until SIGINT by default, or for -hold duration.
-// With -json, violations stream to stdout as one JSON object per line
-// instead of the human-readable rendering. /violations and /trace
-// accept ?since=<seq> and ?limit=N for incremental reads.
-//
-// State accounting runs always (a few atomic adds per instance
-// lifecycle); -state-topk sets the heavy-hitter sketch capacity behind
-// /state's top_keys, -state-sample its 1-in-N filing sample rate, and
-// -state-watermark the per-property live-instance count that raises the
-// switchmon_state_pressure early-warning metric (0 = off).
-//
-// With -export the process acts as the switch-side half of the
-// distributed monitoring fabric: every event is also shipped over TCP
-// to a central collector (cmd/collector) as sequenced wire batches,
-// with at-least-once delivery and wire-loss accounting in the exit
-// report. -export-dpid sets the datapath id announced to the collector.
-// Batch sealing is adaptive: -batch-slo sets the target seal latency
-// (default 250µs) and -batch-max the size clamp (default 256); the
-// exporter grows batches toward the clamp under bursts and collapses
-// to per-event shipping under trickle traffic.
+// The process is assembled by internal/daemon, which it shares with
+// cmd/collector and cmd/fleetagg; what is written here is what only a
+// switch has: the trace/demo feed, the fault injector, and the -export /
+// -collectors shipping of its event stream to the central fabric.
+// docs/OBSERVABILITY.md documents every flag and endpoint; -h lists the
+// flags.
 //
 // -fault injects deterministic faults into the run (internal/fault);
 // every injected loss lands in the soundness ledger, which the exit
@@ -57,32 +35,23 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
-	"net/http"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"switchmon/internal/apps"
 	"switchmon/internal/core"
+	"switchmon/internal/daemon"
 	"switchmon/internal/dataplane"
 	"switchmon/internal/dsl"
 	"switchmon/internal/exporter"
 	"switchmon/internal/fault"
 	"switchmon/internal/federation"
 	"switchmon/internal/obs"
-	"switchmon/internal/obs/export"
-	"switchmon/internal/obs/histdb"
-	"switchmon/internal/obs/slo"
-	"switchmon/internal/obs/statesize"
 	"switchmon/internal/obs/tracer"
 	"switchmon/internal/packet"
 	"switchmon/internal/property"
@@ -91,277 +60,88 @@ import (
 	"switchmon/internal/wire"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "switchmon:", err)
-		os.Exit(1)
-	}
+func main() { daemon.Main("switchmon", run) }
+
+// options is switchmon's flag surface: the shared daemon flags plus the
+// ones only a switch has.
+type options struct {
+	daemon.Flags
+	trace, demo, record, mode, fault string
+	export, collectors, partition    string
+	list                             bool
+	exportDPID                       uint64
+	batchSLO                         time.Duration
+	batchMax                         int
 }
 
-// engine abstracts the driving loop over the inline Monitor and the
-// sharded multi-core engine: install properties, feed events, settle,
-// read aggregate stats.
-type engine interface {
-	AddProperty(p *property.Property) error
-	// RemoveProperty removes an installed property live; Properties
-	// lists the installed names; Epoch is the lifecycle generation.
-	RemoveProperty(name string) error
-	Properties() []string
-	Epoch() uint64
-	HandleEvent(e core.Event)
-	// Flush settles everything fed so far (split-mode queue, shard
-	// channels) without advancing time.
-	Flush()
-	// Drain flushes and then advances the clock an hour past the last
-	// event, firing outstanding deadline monitors.
-	Drain()
-	Stats() core.Stats
-	// Ledger snapshots the per-property soundness marks (empty when every
-	// verdict is still complete).
-	Ledger() []core.UnsoundMark
-	// MarkFeedLoss records events lost upstream of the engine, marking
-	// every property unsound.
-	MarkFeedLoss(at time.Time, n uint64, detail string)
-	// StateReport snapshots per-property state-cost accounting (live
-	// instances, bytes, timers, heavy-hitter keys) for /state.
-	StateReport() statesize.Report
+func (o *options) register(fs *flag.FlagSet) {
+	o.RegisterEngine(fs)
+	o.RegisterHistory(fs)
+	fs.StringVar(&o.trace, "trace", "", "event trace file to replay")
+	fs.StringVar(&o.demo, "demo", "", "run a built-in scenario: firewall, arp, knocking")
+	fs.StringVar(&o.record, "record", "", "record the demo's event stream to this trace file")
+	fs.StringVar(&o.mode, "mode", "inline", "processing mode: inline, split")
+	fs.BoolVar(&o.list, "list", false, "list built-in catalogue properties and exit")
+	fs.StringVar(&o.fault, "fault", "", "inject deterministic faults: drop=F,dup=F,reorder=F,delay=DUR,seed=N,panic-shard=S@N,stall-shard=S@N,stall=DUR")
+	fs.StringVar(&o.export, "export", "", "also ship the event stream to a central collector at this address (cmd/collector)")
+	fs.StringVar(&o.collectors, "collectors", "", "comma-separated collector endpoints for federated export: events fan out across the fleet by partition key, each endpoint with its own sequence space, queue, and replay (replaces -export)")
+	fs.StringVar(&o.partition, "partition", "dpid", "with -collectors: fleet partition key — dpid (whole switch on one collector) or identity (property-identity key derived from the installed set; requires -catalog/-props)")
+	fs.Uint64Var(&o.exportDPID, "export-dpid", 1, "datapath id announced to the collector by -export")
+	fs.DurationVar(&o.batchSLO, "batch-slo", 250*time.Microsecond, "with -export: target batch-seal latency; the exporter adapts its batch size to fill within this budget")
+	fs.IntVar(&o.batchMax, "batch-max", 256, "with -export: upper clamp on the adaptive batch size")
 }
-
-// inlineEngine drives a single-threaded Monitor on the shared scheduler.
-// A mutex serializes the feed loop against the /properties admin
-// endpoint (and property-set updates applied from the exporter's reader
-// goroutine) — the Monitor itself is single-threaded by contract.
-type inlineEngine struct {
-	mu    sync.Mutex
-	mon   *core.Monitor
-	sched *sim.Scheduler
-}
-
-func (ie *inlineEngine) AddProperty(p *property.Property) error {
-	ie.mu.Lock()
-	defer ie.mu.Unlock()
-	return ie.mon.AddProperty(p)
-}
-func (ie *inlineEngine) RemoveProperty(name string) error {
-	ie.mu.Lock()
-	defer ie.mu.Unlock()
-	return ie.mon.RemoveProperty(name)
-}
-func (ie *inlineEngine) Properties() []string {
-	ie.mu.Lock()
-	defer ie.mu.Unlock()
-	return ie.mon.Properties()
-}
-func (ie *inlineEngine) Epoch() uint64 { return ie.mon.Epoch() }
-func (ie *inlineEngine) HandleEvent(e core.Event) {
-	ie.mu.Lock()
-	ie.mon.HandleEvent(e)
-	ie.mu.Unlock()
-}
-func (ie *inlineEngine) Flush() {
-	ie.mu.Lock()
-	ie.mon.Flush()
-	ie.mu.Unlock()
-}
-func (ie *inlineEngine) Drain() {
-	ie.mu.Lock()
-	defer ie.mu.Unlock()
-	ie.mon.Flush()
-	ie.sched.RunFor(time.Hour)
-}
-func (ie *inlineEngine) Stats() core.Stats {
-	ie.mu.Lock()
-	defer ie.mu.Unlock()
-	return ie.mon.Stats()
-}
-func (ie *inlineEngine) Ledger() []core.UnsoundMark { return ie.mon.Ledger().Snapshot() }
-func (ie *inlineEngine) MarkFeedLoss(at time.Time, n uint64, detail string) {
-	ie.mu.Lock()
-	ie.mon.MarkFeedLoss(at, n, detail)
-	ie.mu.Unlock()
-}
-func (ie *inlineEngine) StateReport() statesize.Report { return ie.mon.StateReport() }
-
-// shardedEngine drives a ShardedMonitor, keeping shard clocks tracking
-// the event stream with non-blocking Ticks (the backend-adapter idiom).
-// Flush additionally pulls shard clocks up to the shared scheduler's
-// now, so demo scenarios that RunFor past the last event still fire the
-// monitor-side deadlines an inline engine would have fired.
-type shardedEngine struct {
-	sm    *core.ShardedMonitor
-	sched *sim.Scheduler
-	last  time.Time
-}
-
-func (se *shardedEngine) AddProperty(p *property.Property) error { return se.sm.AddProperty(p) }
-func (se *shardedEngine) RemoveProperty(name string) error       { return se.sm.RemoveProperty(name) }
-func (se *shardedEngine) Properties() []string                   { return se.sm.Properties() }
-func (se *shardedEngine) Epoch() uint64                          { return se.sm.Epoch() }
-func (se *shardedEngine) HandleEvent(e core.Event) {
-	if e.Time.After(se.last) {
-		se.sm.Tick(e.Time)
-		se.last = e.Time
-	}
-	se.sm.Submit(e)
-}
-func (se *shardedEngine) Flush() {
-	if now := se.sched.Now(); now.After(se.last) {
-		se.last = now
-	}
-	se.sm.AdvanceTo(se.last)
-}
-func (se *shardedEngine) Drain() {
-	se.Flush()
-	se.sm.AdvanceTo(se.last.Add(time.Hour))
-}
-func (se *shardedEngine) Stats() core.Stats          { return se.sm.Stats() }
-func (se *shardedEngine) Ledger() []core.UnsoundMark { return se.sm.Ledger().Snapshot() }
-func (se *shardedEngine) MarkFeedLoss(at time.Time, n uint64, detail string) {
-	se.sm.MarkFeedLoss(at, n, detail)
-}
-func (se *shardedEngine) StateReport() statesize.Report { return se.sm.StateReport() }
 
 func run() error {
-	var (
-		traceFile = flag.String("trace", "", "event trace file to replay")
-		propsFile = flag.String("props", "", "DSL file with property definitions")
-		catalog   = flag.String("catalog", "", "comma-separated built-in property names")
-		demo      = flag.String("demo", "", "run a built-in scenario: firewall, arp, knocking")
-		record    = flag.String("record", "", "record the demo's event stream to this trace file")
-		provLevel = flag.String("provenance", "limited", "provenance level: none, limited, full")
-		mode      = flag.String("mode", "inline", "processing mode: inline, split")
-		shards    = flag.Int("shards", 0, "run the sharded multi-core engine with this many shards (0 = single engine)")
-		list      = flag.Bool("list", false, "list built-in catalogue properties and exit")
-
-		faultSpec = flag.String("fault", "", "inject deterministic faults: drop=F,dup=F,reorder=F,delay=DUR,seed=N,panic-shard=S@N,stall-shard=S@N,stall=DUR")
-
-		exportAddr = flag.String("export", "", "also ship the event stream to a central collector at this address (cmd/collector)")
-		collectors = flag.String("collectors", "", "comma-separated collector endpoints for federated export: events fan out across the fleet by partition key, each endpoint with its own sequence space, queue, and replay (replaces -export)")
-		partition  = flag.String("partition", "dpid", "with -collectors: fleet partition key — dpid (whole switch on one collector) or identity (property-identity key derived from the installed set; requires -catalog/-props)")
-		exportDPID = flag.Uint64("export-dpid", 1, "datapath id announced to the collector by -export")
-		batchSLO   = flag.Duration("batch-slo", 250*time.Microsecond, "with -export: target batch-seal latency; the exporter adapts its batch size to fill within this budget")
-		batchMax   = flag.Int("batch-max", 256, "with -export: upper clamp on the adaptive batch size")
-		drainTO    = flag.Duration("drain-timeout", 5*time.Second, "with -export: how long the exit drain waits for unacked batches before abandoning them")
-
-		tenantQuotas = flag.String("tenant-quotas", "", "per-tenant quotas as tenant=maxInstances[:maxQueued], comma-separated; breaches shed that tenant's events into the soundness ledger")
-
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /healthz, /violations, /trace, /state, /query, /alerts, /buildinfo, /debug/pprof on this address")
-		sampleEvery = flag.Duration("sample-every", time.Second, "with -metrics-addr: cadence of the in-process metrics-history sampler behind /query")
-		historySpan = flag.Duration("history", 10*time.Minute, "with -metrics-addr: how far back the metrics-history ring reaches")
-		hold        = flag.Duration("hold", 0, "with -metrics-addr: keep serving this long after the run (0 = until SIGINT)")
-		jsonOut     = flag.Bool("json", false, "emit violations as one JSON object per line")
-		ringSize    = flag.Int("violation-ring", 256, "violation trace records retained for /violations")
-
-		traceSample = flag.Uint64("trace-sample", 0, "stamp every Nth event with end-to-end stage marks (0 = tracing off); completed spans served at /trace")
-		traceRing   = flag.Int("trace-ring", 0, "completed tracing spans retained for /trace (0 = default 2048)")
-
-		stateTopK      = flag.Int("state-topk", 32, "heavy-hitter sketch capacity per property for /state top_keys (0 = sketch off)")
-		stateSample    = flag.Uint64("state-sample", 8, "sample 1 in N instance filings into the heavy-hitter sketch (1 = every filing)")
-		stateWatermark = flag.Int64("state-watermark", 0, "per-property live-instance count that raises the state_pressure warning metric (0 = off)")
-	)
-	var sloRules slo.RuleList
-	flag.Var(&sloRules, "slo", "extra SLO rule as name:series-glob:threshold:fast-window (repeatable; slow window is 10x fast; built-in rules are always evaluated)")
+	var o options
+	o.register(flag.CommandLine)
 	flag.Parse()
 
-	if *list {
+	if o.list {
 		for _, e := range property.Catalog(property.DefaultParams()) {
 			fmt.Printf("%-26s %-18s %s\n", e.Prop.Name, "("+e.Group+")", e.Prop.Description)
 		}
 		return nil
 	}
 
-	spec, err := fault.ParseSpec(*faultSpec)
+	spec, err := fault.ParseSpec(o.fault)
 	if err != nil {
 		return err
 	}
-	if (spec.PanicShard >= 0 || spec.StallShard >= 0) && *shards <= 0 {
+	if (spec.PanicShard >= 0 || spec.StallShard >= 0) && o.Shards <= 0 {
 		return fmt.Errorf("-fault %s: panic-shard/stall-shard need -shards", spec)
 	}
-	if spec.NeedsBuffer() && *traceFile == "" {
+	if spec.NeedsBuffer() && o.trace == "" {
 		return fmt.Errorf("-fault %s: reorder/delay need the buffered -trace path", spec)
 	}
 
-	cfg := core.Config{}
-	switch *provLevel {
-	case "none":
-		cfg.Provenance = core.ProvNone
-	case "limited":
-		cfg.Provenance = core.ProvLimited
-	case "full":
-		cfg.Provenance = core.ProvFull
-	default:
-		return fmt.Errorf("unknown provenance level %q", *provLevel)
+	cfg, err := o.EngineConfig(os.Stdout)
+	if err != nil {
+		return err
 	}
-	switch *mode {
+	switch o.mode {
 	case "inline":
 		cfg.Mode = core.Inline
 	case "split":
 		cfg.Mode = core.Split
 	default:
-		return fmt.Errorf("unknown mode %q", *mode)
+		return fmt.Errorf("unknown mode %q", o.mode)
 	}
-
-	// Telemetry: the registry and violation ring exist whenever anything
-	// consumes them — the introspection endpoint or the NDJSON stream.
-	var (
-		reg  *obs.Registry
-		ring *obs.Ring
-	)
-	if *metricsAddr != "" {
-		reg = obs.NewRegistry()
-		ring = obs.NewRing(*ringSize)
-	}
-
-	// The tracer exists only when sampling is on; everywhere else a nil
-	// *tracer.Tracer is the documented off switch (nil-receiver safe).
-	var tr *tracer.Tracer
-	if *traceSample > 0 {
-		tr = tracer.New(tracer.Config{SampleN: *traceSample, Ring: *traceRing, Metrics: reg})
-	}
+	reg, tr := cfg.Metrics, cfg.Tracer
 
 	sched := sim.NewScheduler()
-	violations := 0
-	enc := json.NewEncoder(os.Stdout)
-	var vmu sync.Mutex // sharded engines report violations from shard goroutines
-	cfg.OnViolation = func(v *core.Violation) {
-		vmu.Lock()
-		defer vmu.Unlock()
-		violations++
-		if *jsonOut {
-			// One object per line: the TraceRecord shape /violations
-			// serves, carrying whatever provenance the level retained.
-			_ = enc.Encode(v.TraceRecord())
-			return
-		}
-		fmt.Println(v)
-	}
-	cfg.Metrics = reg
-	cfg.Violations = ring
-	cfg.Tracer = tr
-	cfg.StateTopK = *stateTopK
-	cfg.StateSample = *stateSample
-	cfg.StateWatermark = *stateWatermark
-	if *tenantQuotas != "" {
-		quotas, err := core.ParseTenantQuotas(*tenantQuotas)
-		if err != nil {
-			return err
-		}
-		cfg.TenantQuotas = quotas
-	}
-
-	var mon engine
-	if *shards > 0 {
+	var mon core.Engine
+	if o.Shards > 0 {
 		if cfg.Mode != core.Inline {
-			return fmt.Errorf("-shards is incompatible with -mode %s", *mode)
+			return fmt.Errorf("-shards is incompatible with -mode %s", o.mode)
 		}
-		sm := core.NewShardedMonitor(*shards, cfg)
+		sm := core.NewShardedMonitor(o.Shards, cfg)
 		defer sm.Close()
 		if err := fault.ArmShardFaults(sm, spec); err != nil {
 			return err
 		}
-		mon = &shardedEngine{sm: sm, sched: sched}
+		mon = sm
 	} else {
-		mon = &inlineEngine{mon: core.NewMonitor(sched, cfg), sched: sched}
+		mon = core.NewMonitor(sched, cfg)
 	}
 
 	// The exporter, when -export is set, receives a copy of every event
@@ -373,67 +153,64 @@ func run() error {
 	// it after the property set is known, before any traffic flows.
 	var partKey atomic.Value // func(*core.Event) uint64
 	partKey.Store(core.PartitionByDPID)
-	feed := mon.HandleEvent
-	if *exportAddr != "" && *collectors != "" {
+	feed := mon.Feed
+	if o.export != "" && o.collectors != "" {
 		return fmt.Errorf("-collectors replaces -export; pass one or the other")
 	}
-	if *exportAddr != "" || *collectors != "" {
-		if *batchSLO <= 0 {
-			return fmt.Errorf("-batch-slo %v: the seal-latency budget must be positive", *batchSLO)
+	if o.export != "" || o.collectors != "" {
+		if o.batchSLO <= 0 {
+			return fmt.Errorf("-batch-slo %v: the seal-latency budget must be positive", o.batchSLO)
 		}
-		if *batchMax < 1 {
-			return fmt.Errorf("-batch-max %d: the batch-size clamp must be at least 1", *batchMax)
+		if o.batchMax < 1 {
+			return fmt.Errorf("-batch-max %d: the batch-size clamp must be at least 1", o.batchMax)
 		}
 	}
+	// Both shipping modes build their exporters from this template. The
+	// collector pushes its property set on lifecycle connections;
+	// converge the local engine onto it so switch and collector evaluate
+	// the same set.
+	xcfg := exporter.Config{
+		TargetSealLatency: o.batchSLO, BatchSizeMax: o.batchMax,
+		OnPropertySet: func(u *wire.PropertySetUpdate) { applyPropertySet(mon, u) },
+	}
+	var publish func(core.Event)
+	connect := func() {}
 	switch {
-	case *exportAddr != "":
-		exp, err = exporter.New(exporter.Config{
-			Addr: *exportAddr, DPID: *exportDPID,
-			TargetSealLatency: *batchSLO, BatchSizeMax: *batchMax,
-			Metrics: reg, Tracer: tr,
-			// The collector pushes its property set on lifecycle
-			// connections; converge the local engine onto it so switch
-			// and collector evaluate the same set.
-			OnPropertySet: func(u *wire.PropertySetUpdate) { applyPropertySet(mon, u) },
-		})
-		if err != nil {
+	case o.export != "":
+		xcfg.Addr, xcfg.DPID, xcfg.Metrics, xcfg.Tracer = o.export, o.exportDPID, reg, tr
+		if exp, err = exporter.New(xcfg); err != nil {
 			return err
 		}
-		exp.Start()
-		feed = func(e core.Event) {
-			mon.HandleEvent(e)
-			exp.Publish(e)
-		}
-	case *collectors != "":
+		publish, connect = exp.Publish, exp.Start
+	case o.collectors != "":
 		var members []federation.Member
-		for _, a := range strings.Split(*collectors, ",") {
+		for _, a := range strings.Split(o.collectors, ",") {
 			if a = strings.TrimSpace(a); a != "" {
 				members = append(members, federation.Member{Addr: a})
 			}
 		}
 		fed, err = federation.NewRouter(federation.Config{
-			Members: members, DPID: *exportDPID, DrainTimeout: *drainTO,
+			Members: members, DPID: o.exportDPID, DrainTimeout: o.DrainTimeout,
 			PartitionKey: func(e *core.Event) uint64 {
 				return partKey.Load().(func(*core.Event) uint64)(e)
 			},
-			// Every collector endpoint gets its own exporter built from
-			// this template: per-route sequence spaces keep the
-			// collector-side gap accounting exact across partition moves.
-			// The per-route registries stay nil — N routes would collide
-			// on the same dpid-labeled series; fleet metrics live on the
-			// collectors and the aggregation tier.
-			Exporter: exporter.Config{
-				TargetSealLatency: *batchSLO, BatchSizeMax: *batchMax,
-				OnPropertySet: func(u *wire.PropertySetUpdate) { applyPropertySet(mon, u) },
-			},
+			// Every collector endpoint gets its own exporter: per-route
+			// sequence spaces keep the collector-side gap accounting exact
+			// across partition moves. The per-route registries stay nil —
+			// N routes would collide on the same dpid-labeled series;
+			// fleet metrics live on the collectors and the aggregation
+			// tier.
+			Exporter: xcfg,
 		})
 		if err != nil {
 			return err
 		}
-		fed.Start()
+		publish, connect = fed.Publish, fed.Start
+	}
+	if publish != nil {
 		feed = func(e core.Event) {
-			mon.HandleEvent(e)
-			fed.Publish(e)
+			mon.Feed(e)
+			publish(e)
 		}
 	}
 
@@ -446,90 +223,15 @@ func run() error {
 		inj.OnDrop = func(e core.Event) { mon.MarkFeedLoss(e.Time, 1, "injected drop (-fault)") }
 	}
 
-	var srv *http.Server
-	if *metricsAddr != "" {
-		ln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			return err
-		}
-		// Self-monitoring: a history ring samples the registry behind
-		// /query, and the SLO engine rides its tick hook behind /alerts.
-		hist := histdb.New(histdb.Config{Registry: reg, SampleEvery: *sampleEvery, Retention: *historySpan})
-		alerts := slo.New(slo.Config{DB: hist, Rules: append(slo.BuiltinRules(), sloRules...), Registry: reg})
-		hist.Start()
-		defer hist.Close()
-		// /healthz degrades whenever the soundness ledger is non-empty,
-		// serving the per-property unsound-since marks as the detail.
-		health := func() (bool, any) {
-			marks := mon.Ledger()
-			return len(marks) == 0, marks
-		}
-		srv = &http.Server{Handler: export.NewMux(export.MuxConfig{
-			Registry: reg, Ring: ring, Health: health, Tracer: tr,
-			History: hist, Alerts: alerts,
-			State: func() any { return mon.StateReport() },
-			Properties: &export.PropertiesConfig{
-				List: func() any {
-					return struct {
-						Epoch      uint64   `json:"epoch"`
-						Properties []string `json:"properties"`
-					}{mon.Epoch(), mon.Properties()}
-				},
-				Install: func(src, tenant string) error {
-					props, err := dsl.ParseAll(src)
-					if err != nil {
-						return err
-					}
-					if len(props) == 0 {
-						return fmt.Errorf("no properties in body")
-					}
-					for _, p := range props {
-						p.Tenant = tenant
-						if err := mon.AddProperty(p); err != nil {
-							return err
-						}
-					}
-					return nil
-				},
-				Remove: mon.RemoveProperty,
-			},
-		})}
-		go func() { _ = srv.Serve(ln) }()
-		fmt.Fprintf(os.Stderr, "metrics: serving on http://%s/metrics\n", ln.Addr())
+	srv, err := o.Serve(daemon.MuxConfig(cfg, mon), nil)
+	if err != nil {
+		return err
 	}
+	defer srv.Close()
 
-	var installed []string
-	var installedProps []*property.Property
-	if *catalog != "" {
-		for _, name := range strings.Split(*catalog, ",") {
-			name = strings.TrimSpace(name)
-			p := property.CatalogByName(property.DefaultParams(), name)
-			if p == nil {
-				return fmt.Errorf("unknown catalogue property %q (use -list)", name)
-			}
-			if err := mon.AddProperty(p); err != nil {
-				return err
-			}
-			installed = append(installed, name)
-			installedProps = append(installedProps, p)
-		}
-	}
-	if *propsFile != "" {
-		src, err := os.ReadFile(*propsFile)
-		if err != nil {
-			return err
-		}
-		props, err := dsl.ParseAll(string(src))
-		if err != nil {
-			return err
-		}
-		for _, p := range props {
-			if err := mon.AddProperty(p); err != nil {
-				return err
-			}
-			installed = append(installed, p.Name)
-			installedProps = append(installedProps, p)
-		}
+	installed, err := o.LoadProperties(mon.AddProperty)
+	if err != nil {
+		return err
 	}
 
 	// With a federated fleet, pin the partition key now that the
@@ -538,13 +240,13 @@ func run() error {
 	// collectors can silently miss violations), identity keying is
 	// derived from it.
 	if fed != nil {
-		switch *partition {
+		switch o.partition {
 		case "dpid":
-			if err := core.ValidateDPIDPartition(installedProps); err != nil {
+			if err := core.ValidateDPIDPartition(installed); err != nil {
 				fmt.Fprintf(os.Stderr, "federation: warning: %v\n", err)
 			}
 		case "identity":
-			f, err := core.IdentityPartitionFunc(installedProps)
+			f, err := core.IdentityPartitionFunc(installed)
 			if err != nil {
 				return fmt.Errorf("-partition identity: %w", err)
 			}
@@ -555,30 +257,38 @@ func run() error {
 				return k
 			})
 		default:
-			return fmt.Errorf("unknown -partition %q (dpid or identity)", *partition)
+			return fmt.Errorf("unknown -partition %q (dpid or identity)", o.partition)
 		}
 	}
 
-	switch {
-	case *demo != "":
-		if len(installed) == 0 {
-			if err := installDemoDefaults(mon, *demo); err != nil {
-				return err
-			}
+	if o.demo != "" && len(installed) == 0 {
+		if o.Catalog = demoCatalog[o.demo]; o.Catalog == "" {
+			return fmt.Errorf("unknown demo %q (want firewall, arp, knocking)", o.demo)
 		}
+		if _, err := o.LoadProperties(mon.AddProperty); err != nil {
+			return err
+		}
+	}
+	// The shippers connect only now. A collector pushes its property set
+	// at the handshake, and converging onto it (applyPropertySet) has to
+	// find the startup set installed, not race its installation.
+	connect()
+
+	switch {
+	case o.demo != "":
 		var rec *trace.Recorder
-		if *record != "" {
+		if o.record != "" {
 			rec = &trace.Recorder{}
 		}
 		handle := feed
 		if inj != nil {
 			handle = inj.Wrap(handle)
 		}
-		if err := runDemo(sched, mon, handle, rec, reg, tr, *demo); err != nil {
+		if err := runDemo(sched, mon, handle, rec, reg, tr, o.demo); err != nil {
 			return err
 		}
 		if rec != nil {
-			f, err := os.Create(*record)
+			f, err := os.Create(o.record)
 			if err != nil {
 				return err
 			}
@@ -589,13 +299,13 @@ func run() error {
 			if err := f.Close(); err != nil {
 				return err
 			}
-			fmt.Printf("recorded %d events to %s\n", len(rec.Events), *record)
+			fmt.Printf("recorded %d events to %s\n", len(rec.Events), o.record)
 		}
-	case *traceFile != "":
+	case o.trace != "":
 		if len(installed) == 0 {
 			return fmt.Errorf("no properties installed (use -catalog and/or -props)")
 		}
-		f, err := os.Open(*traceFile)
+		f, err := os.Open(o.trace)
 		if err != nil {
 			return err
 		}
@@ -621,30 +331,28 @@ func run() error {
 			}
 		}
 		trace.Replay(sched, events, sink)
-		mon.Drain()
+		// Fire the deadline monitors still outstanding an hour past the
+		// last event.
+		mon.AdvanceTo(sched.Now().Add(time.Hour))
 	default:
 		return fmt.Errorf("nothing to do: pass -trace, -demo, or -list")
 	}
 
 	st := mon.Stats()
-	fmt.Printf("\nevents=%d instances_created=%d advanced=%d discharged=%d expired=%d violations=%d\n",
-		st.Events, st.Created, st.Advanced, st.Discharged, st.Expired, st.Violations)
+	daemon.ReportSummary(os.Stdout, st)
 	if exp != nil {
 		exp.Flush()
-		abandoned := exp.Close(*drainTO)
+		abandoned := exp.Close(o.DrainTimeout)
 		es := exp.Stats()
 		fmt.Printf("export: collector=%s dpid=%d events=%d batches_acked=%d bytes=%d reconnects=%d shed=%d abandoned=%d\n",
-			*exportAddr, *exportDPID, es.Published, es.BatchesAcked, es.BytesSent, es.Reconnects, es.ShedEvents, abandoned)
-		for _, m := range exp.Ledger().Snapshot() {
-			fmt.Printf("  export loss: %-14s since %s lost=%d %s\n",
-				m.Reason, m.SinceTime.Format(time.RFC3339), m.Events, m.Detail)
-		}
+			o.export, o.exportDPID, es.Published, es.BatchesAcked, es.BytesSent, es.Reconnects, es.ShedEvents, abandoned)
+		reportExportLoss(exp.Ledger().Snapshot())
 	}
 	if fed != nil {
 		fed.Flush()
 		// Stats are read after Close: the drain is what lands the final
 		// acks, so a pre-Close snapshot undercounts batches and bytes.
-		abandoned := fed.Close(*drainTO)
+		abandoned := fed.Close(o.DrainTimeout)
 		routeStats := fed.RouteStats()
 		fs := fed.Stats()
 		fmt.Printf("federation: collectors=%d epoch=%d reroutes=%d events=%d replayed=%d batches_acked=%d bytes=%d reconnects=%d shed=%d abandoned=%d\n",
@@ -659,51 +367,42 @@ func run() error {
 			fmt.Printf("  route %-21s events=%d batches_acked=%d bytes=%d reconnects=%d shed=%d\n",
 				addr, es.Published, es.BatchesAcked, es.BytesSent, es.Reconnects, es.ShedEvents)
 		}
-		for _, m := range fed.Ledger() {
-			fmt.Printf("  export loss: %-14s since %s lost=%d %s\n",
-				m.Reason, m.SinceTime.Format(time.RFC3339), m.Events, m.Detail)
-		}
+		reportExportLoss(fed.Ledger())
 	}
 	if inj != nil {
 		is := inj.Stats()
 		fmt.Printf("fault: spec=%s injected dropped=%d duplicated=%d reordered=%d delayed=%d\n",
 			spec, is.Dropped, is.Duplicated, is.Reordered, is.Delayed)
 	}
-	if marks := mon.Ledger(); len(marks) > 0 {
-		fmt.Printf("degradation ledger: %d propert%s unsound (shed=%d quarantined=%d)\n",
-			len(marks), pluralYIes(len(marks)), st.ShedEvents, st.QuarantinedProperties)
-		for _, m := range marks {
-			fmt.Printf("  %-26s %-14s since seq=%d (%s) lost=%d %s\n",
-				m.Property, m.Reason, m.SinceSeq, m.SinceTime.Format(time.RFC3339), m.Events, m.Detail)
-		}
-	}
+	daemon.ReportLedger(os.Stdout, mon, st, true)
 
 	if srv != nil {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		if *hold > 0 {
-			fmt.Fprintf(os.Stderr, "metrics: holding for %s\n", *hold)
-			select {
-			case <-time.After(*hold):
-			case s := <-sig:
-				fmt.Fprintf(os.Stderr, "metrics: %s, draining\n", s)
-			}
+		if o.Hold > 0 {
+			fmt.Fprintf(os.Stderr, "metrics: holding for %s\n", o.Hold)
 		} else {
 			fmt.Fprintln(os.Stderr, "metrics: run complete, serving until SIGINT/SIGTERM")
-			s := <-sig
+		}
+		if s := daemon.Wait(o.Hold); s != nil {
 			fmt.Fprintf(os.Stderr, "metrics: %s, draining\n", s)
 		}
-		signal.Stop(sig)
-		_ = srv.Close()
 	}
 	return nil
+}
+
+// reportExportLoss prints the exporter-side ledger: what this process
+// knows it failed to ship.
+func reportExportLoss(marks []core.UnsoundMark) {
+	for _, m := range marks {
+		fmt.Printf("  export loss: %-14s since %s lost=%d %s\n",
+			m.Reason, m.SinceTime.Format(time.RFC3339), m.Events, m.Detail)
+	}
 }
 
 // applyPropertySet converges the local engine onto a collector-pushed
 // property set: install properties we lack (compiled from the update's
 // DSL source), remove properties the collector dropped. Failures are
 // logged, not fatal — the engine keeps running on its previous set.
-func applyPropertySet(mon engine, u *wire.PropertySetUpdate) {
+func applyPropertySet(mon core.Engine, u *wire.PropertySetUpdate) {
 	want := make(map[string]string, len(u.Props)) // name -> tenant
 	for _, pm := range u.Props {
 		want[pm.Name] = pm.Tenant
@@ -739,40 +438,19 @@ func applyPropertySet(mon engine, u *wire.PropertySetUpdate) {
 	}
 }
 
-// installDemoDefaults installs the properties each demo scenario needs.
-func installDemoDefaults(mon engine, demo string) error {
-	var names []string
-	switch demo {
-	case "firewall":
-		names = []string{"firewall-basic", "firewall-until-close"}
-	case "arp":
-		names = []string{"arp-proxy-reply", "arp-known-not-forwarded"}
-	case "knocking":
-		names = []string{"knock-intervening", "knock-valid-sequence"}
-	default:
-		return fmt.Errorf("unknown demo %q (want firewall, arp, knocking)", demo)
-	}
-	for _, n := range names {
-		if err := mon.AddProperty(property.CatalogByName(property.DefaultParams(), n)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pluralYIes picks the y/ies suffix for "property"/"properties".
-func pluralYIes(n int) string {
-	if n == 1 {
-		return "y"
-	}
-	return "ies"
+// demoCatalog is the -catalog each demo scenario runs under when the
+// command line installs no properties of its own.
+var demoCatalog = map[string]string{
+	"firewall": "firewall-basic,firewall-until-close",
+	"arp":      "arp-proxy-reply,arp-known-not-forwarded",
+	"knocking": "knock-intervening,knock-valid-sequence",
 }
 
 // runDemo executes a built-in faulty scenario against the monitor,
 // optionally recording the event stream and registering the demo
 // switch's dataplane counters. handle is the event sink — usually
-// mon.HandleEvent, possibly wrapped by a fault injector.
-func runDemo(sched *sim.Scheduler, mon engine, handle func(core.Event), rec *trace.Recorder, reg *obs.Registry, tr *tracer.Tracer, demo string) error {
+// mon.Feed, possibly wrapped by a fault injector.
+func runDemo(sched *sim.Scheduler, mon core.Engine, handle func(core.Event), rec *trace.Recorder, reg *obs.Registry, tr *tracer.Tracer, demo string) error {
 	macA := packet.MustMAC("02:00:00:00:00:0a")
 	macB := packet.MustMAC("02:00:00:00:00:0b")
 	ipA := packet.MustIPv4("10.0.0.1")
@@ -810,6 +488,9 @@ func runDemo(sched *sim.Scheduler, mon engine, handle func(core.Event), rec *tra
 	default:
 		return fmt.Errorf("unknown demo %q", demo)
 	}
-	mon.Flush()
+	// Settle what was fed and pull the engine's clock up to the
+	// scheduler's, so a scenario that ran past its last event has fired
+	// the deadlines due by now.
+	mon.AdvanceTo(sched.Now())
 	return nil
 }

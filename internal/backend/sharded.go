@@ -2,7 +2,6 @@ package backend
 
 import (
 	"runtime"
-	"time"
 
 	"switchmon/internal/core"
 	"switchmon/internal/obs"
@@ -17,16 +16,15 @@ import (
 // engines, the answer to Sec. 3.3's worry that per-instance cost grows
 // with the live population: the population divides by the core count.
 //
-// The adapter keeps shard virtual clocks tracking the event stream with
-// non-blocking Ticks; the read-side accessors (Violations, state cost)
-// barrier internally, so the Backend contract — read after feed — holds
-// without the caller knowing about shards.
+// The engine's Feed keeps shard virtual clocks tracking the event stream;
+// the read-side accessors (Violations, state cost) barrier internally, so
+// the Backend contract — read after feed — holds without the caller
+// knowing about shards.
 type ShardedVaranus struct {
 	caps   Capabilities
 	sm     *core.ShardedMonitor
 	nViol  uint64
 	stages int
-	last   time.Time
 }
 
 // DefaultShards picks the shard count for NewShardedVaranus: GOMAXPROCS
@@ -120,13 +118,7 @@ func (sv *ShardedVaranus) AddProperty(p *property.Property) error {
 
 // HandleEvent implements Backend: full visibility, so every event is
 // routed. Monotone event timestamps pull the shard clocks forward.
-func (sv *ShardedVaranus) HandleEvent(e core.Event) {
-	if e.Time.After(sv.last) {
-		sv.sm.Tick(e.Time)
-		sv.last = e.Time
-	}
-	sv.sm.Submit(e)
-}
+func (sv *ShardedVaranus) HandleEvent(e core.Event) { sv.sm.Feed(e) }
 
 // Violations implements Backend (with an internal barrier: the count
 // covers everything fed so far).

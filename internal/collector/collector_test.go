@@ -287,3 +287,70 @@ func TestHelloBeyondExpectationMarksLoss(t *testing.T) {
 		t.Fatalf("loss = %+v", losses[0])
 	}
 }
+
+// slowSink is recSink behind a per-batch delay: the collector acks a
+// batch only after the sink has taken it, so the exporter's queue stays
+// full and its seals park for room.
+type slowSink struct {
+	recSink
+	delay time.Duration
+}
+
+func (s *slowSink) SubmitBatch(evs []core.Event, release func()) error {
+	time.Sleep(s.delay)
+	return s.recSink.SubmitBatch(evs, release)
+}
+
+// TestBlockedSealsKeepSequenceOrder is the regression for seals
+// overtaking each other at a full ShedBlock queue: an age seal that has
+// detached its batch parks for room, the publisher fills and seals the
+// next batch behind it, and whichever wakes first enqueues first — a later
+// FirstSeq sent ahead of an earlier one reads at the collector as a gap
+// (the earlier events declared lost) followed by a replay (the same
+// events dropped as duplicates). The schedule puts two seals at the queue
+// on every cycle: the one-batch queue stays full for the 5 ms the sink
+// holds each batch, the publisher trickles three events per millisecond
+// so its partial batch ages out (1 ms) and the flusher parks with it, and
+// the publisher then fills the next batch of eight and parks behind.
+func TestBlockedSealsKeepSequenceOrder(t *testing.T) {
+	sink := &slowSink{delay: 5 * time.Millisecond}
+	c := startCollector(t, sink)
+	x, err := exporter.New(exporter.Config{
+		Addr: c.Addr().String(), DPID: 1,
+		BatchSize: 8, MaxBatchAge: time.Millisecond, QueueBatches: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x.Start()
+	const n = 600
+	for i := 1; i <= n; i++ {
+		x.Publish(ev(0, i))
+		if i%3 == 0 {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	x.Flush()
+	if abandoned := x.Close(10 * time.Second); abandoned != 0 {
+		t.Fatalf("abandoned %d events", abandoned)
+	}
+	waitFor(t, "every batch applied or declared lost", func() bool {
+		st := c.Stats()
+		return st.Events+st.GapEvents >= n
+	})
+	if st := c.Stats(); st.GapEvents != 0 || st.Deduped != 0 {
+		t.Fatalf("collector booked gaps=%d deduped=%d; blocked seals were enqueued out of sequence order", st.GapEvents, st.Deduped)
+	}
+	evs, losses := sink.snapshot()
+	if len(losses) != 0 {
+		t.Fatalf("sink saw %d loss marks, want none: %+v", len(losses), losses)
+	}
+	if len(evs) != n {
+		t.Fatalf("sink saw %d events, want %d", len(evs), n)
+	}
+	for i, e := range evs {
+		if e.InPort != uint64(i+1) {
+			t.Fatalf("event %d is publish #%d: the sink did not see every sequence once, in order", i+1, e.InPort)
+		}
+	}
+}

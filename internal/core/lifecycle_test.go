@@ -188,10 +188,7 @@ func TestQuarantinedRemovalClearsRoutingBit(t *testing.T) {
 
 	evs := superviseStream(300, 3)
 	for i := range evs {
-		if err := sm.Submit(evs[i]); err != nil {
-			t.Fatal(err)
-		}
-		sm.Tick(evs[i].Time)
+		sm.Feed(evs[i])
 	}
 	sm.Barrier()
 	if sm.Quarantined() == 0 {
@@ -220,10 +217,7 @@ func TestQuarantinedRemovalClearsRoutingBit(t *testing.T) {
 	last := evs[len(evs)-1].Time
 	for i := range evs2 {
 		evs2[i].Time = last.Add(time.Second).Add(evs2[i].Time.Sub(sim.Epoch))
-		if err := sm.Submit(evs2[i]); err != nil {
-			t.Fatal(err)
-		}
-		sm.Tick(evs2[i].Time)
+		sm.Feed(evs2[i])
 	}
 	sm.AdvanceTo(evs2[len(evs2)-1].Time.Add(time.Hour))
 	if got := sm.Quarantined(); got != 0 {

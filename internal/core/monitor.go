@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -95,12 +96,6 @@ type Config struct {
 	// Shedding marks every affected property unsound in the Ledger. Only
 	// the ShardedMonitor reads it.
 	ShedPolicy ShedPolicy
-	// DisableSupervision turns off shard panic recovery: a panic in a
-	// property step kills the shard goroutine and the process, exactly
-	// the pre-supervision behavior. It exists so the crash-regression
-	// test can demonstrate what supervision prevents. Only the
-	// ShardedMonitor reads it.
-	DisableSupervision bool
 	// StateTopK sets the capacity of the per-property heavy-hitter
 	// sketch behind StateReport ("which keys hold the most monitor
 	// state"); 0 disables the sketch. Accounting itself (live counts,
@@ -285,6 +280,12 @@ type evictRef struct {
 // how a switch pipeline stage would execute. ShardedMonitor scales it
 // across cores by running N of these over disjoint identity partitions.
 type Monitor struct {
+	// mu serialises the Engine entry points a daemon's admin endpoint
+	// can race — the lifecycle operations, Properties, MarkLoss — against
+	// its feed goroutine's Feed and AdvanceTo. HandleEvent and Flush, the
+	// single-threaded entry points the dataplane, the shards and the
+	// benchmarks drive, never take it.
+	mu      sync.Mutex
 	sched   *sim.Scheduler
 	cfg     Config
 	props   []*compiledProp
@@ -411,6 +412,8 @@ func (m *Monitor) MarkFeedLoss(at time.Time, n uint64, detail string) {
 // it to record sequence-number gaps as wire loss rather than injected
 // loss, keeping the two degradation paths distinguishable in /healthz.
 func (m *Monitor) MarkLoss(reason UnsoundReason, at time.Time, n uint64, detail string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for _, cp := range m.props {
 		if cp == nil {
 			continue
@@ -430,6 +433,12 @@ func (m *Monitor) AddProperty(p *property.Property) error { return m.InstallProp
 // install never mark it. Installing a name that is already installed is
 // an error (RemoveProperty it first, or use ReplaceProperty).
 func (m *Monitor) InstallProperty(p *property.Property) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.installLocked(p)
+}
+
+func (m *Monitor) installLocked(p *property.Property) error {
 	if m.propIndex(p.Name) >= 0 {
 		return fmt.Errorf("core: property %q already installed", p.Name)
 	}
@@ -453,6 +462,12 @@ func (m *Monitor) InstallProperty(p *property.Property) error {
 // degradation history is part of the record. The slot is tombstoned for
 // reuse by the next install.
 func (m *Monitor) RemoveProperty(name string) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.removeLocked(name)
+}
+
+func (m *Monitor) removeLocked(name string) error {
 	idx := m.propIndex(name)
 	if idx < 0 {
 		return fmt.Errorf("core: property %q not installed", name)
@@ -469,12 +484,14 @@ func (m *Monitor) RemoveProperty(name string) error {
 // compile: remove (when installed) then install. The ledger records the
 // reinstall — verdicts are sound from the new install point only.
 func (m *Monitor) ReplaceProperty(p *property.Property) error {
-	if idx := m.propIndex(p.Name); idx >= 0 {
-		if err := m.RemoveProperty(p.Name); err != nil {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.propIndex(p.Name) >= 0 {
+		if err := m.removeLocked(p.Name); err != nil {
 			return err
 		}
 	}
-	return m.InstallProperty(p)
+	return m.installLocked(p)
 }
 
 // Epoch reports the property-set lifecycle epoch (see Stats.LifecycleEpoch).
@@ -568,6 +585,8 @@ func (m *Monitor) removeLocal(idx int, uninstallTracker bool) {
 
 // Properties returns the names of installed properties.
 func (m *Monitor) Properties() []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	names := make([]string, 0, len(m.props))
 	for _, cp := range m.props {
 		if cp != nil {
@@ -651,6 +670,27 @@ func (m *Monitor) HandleEvent(e Event) {
 		return
 	}
 	m.apply(&e)
+}
+
+// Feed implements Engine: the inline driver's RunUntil-then-handle step.
+// Called from inside a scheduler task (a trace replay, a dataplane
+// observer) the clock is already at e.Time and only the handle runs.
+func (m *Monitor) Feed(e Event) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e.Time.After(m.sched.Now()) {
+		m.sched.RunUntil(e.Time)
+	}
+	m.HandleEvent(e)
+}
+
+// AdvanceTo implements Engine: apply the split-mode queue, then run the
+// scheduler up to t.
+func (m *Monitor) AdvanceTo(t time.Time) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.Flush()
+	m.sched.RunUntil(t)
 }
 
 // Flush applies all queued events (Split mode). It reports how many were

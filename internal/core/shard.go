@@ -200,8 +200,7 @@ type shard struct {
 // routing bit is cleared and its live instances are purged on every
 // shard), the quarantine is recorded in the soundness Ledger, and the
 // shard keeps draining its queue — every other property keeps
-// monitoring. Config.DisableSupervision restores the old crash-the-
-// process behavior for regression demonstration.
+// monitoring.
 //
 // Config caveats: Mode and SplitFlushLimit are ignored — shards always
 // apply events inline, the per-shard queues being the split (bounded by
@@ -634,27 +633,20 @@ func (sm *ShardedMonitor) start() {
 
 // worker drains one shard's queue: applies event batches in FIFO order,
 // advances the shard's virtual clock on request, and acknowledges
-// barriers. It owns the shard's Monitor exclusively. Under supervision
-// (the default) every unit of work is panic-protected: a recovered panic
-// quarantines the property it was attributed to and the worker keeps
-// going — this is the "restart" in shard supervision, the goroutine
-// itself never dies.
+// barriers. It owns the shard's Monitor exclusively. Every unit of work
+// is panic-protected: a recovered panic quarantines the property it was
+// attributed to and the worker keeps going — this is the "restart" in
+// shard supervision, the goroutine itself never dies.
 func (sm *ShardedMonitor) worker(s *shard) {
 	defer sm.wg.Done()
-	supervised := !sm.cfg.DisableSupervision
-	var onPanic func(prop int, cause any)
-	if supervised {
-		onPanic = func(prop int, cause any) { sm.quarantine(s, prop, cause) }
-	}
+	onPanic := func(prop int, cause any) { sm.quarantine(s, prop, cause) }
 	for {
 		ctl := <-s.ch
-		if supervised {
-			// Adopt quarantines published by other shards before touching
-			// state: the batch may still carry mask bits for a property
-			// another shard just quarantined.
-			if q := sm.quarMask.Load(); q&^s.mon.quarantined != 0 {
-				s.mon.quarantineLocal(q &^ s.mon.quarantined)
-			}
+		// Adopt quarantines published by other shards before touching
+		// state: the batch may still carry mask bits for a property
+		// another shard just quarantined.
+		if q := sm.quarMask.Load(); q&^s.mon.quarantined != 0 {
+			s.mon.quarantineLocal(q &^ s.mon.quarantined)
 		}
 		for i := range ctl.batch {
 			msg := &ctl.batch[i]
@@ -670,17 +662,9 @@ func (sm *ShardedMonitor) worker(s *shard) {
 			// Lagging streams (another switch behind this one) regress in
 			// event time and leave the clock untouched.
 			if ev.Time.After(s.sched.Now()) {
-				if supervised {
-					sm.runShardUntil(s, ev.Time)
-				} else {
-					s.sched.RunUntil(ev.Time)
-				}
+				sm.runShardUntil(s, ev.Time)
 			}
-			if supervised {
-				s.mon.applyRoutedSupervised(ev, msg.matchMask, msg.createMask, onPanic)
-			} else {
-				s.mon.applyRouted(ev, msg.matchMask, msg.createMask)
-			}
+			s.mon.applyRouted(ev, msg.matchMask, msg.createMask, onPanic)
 			if sp := ev.Trace; sp != nil && sm.cfg.Tracer != nil && sp.Release() {
 				sp.Stamp(tracer.StageVerdict)
 				sm.cfg.Tracer.Finish(sp)
@@ -708,11 +692,7 @@ func (sm *ShardedMonitor) worker(s *shard) {
 			ctl.apply(s.mon)
 		}
 		if !ctl.runUntil.IsZero() {
-			if supervised {
-				sm.runShardUntil(s, ctl.runUntil)
-			} else {
-				s.sched.RunUntil(ctl.runUntil)
-			}
+			sm.runShardUntil(s, ctl.runUntil)
 		}
 		if ctl.ack != nil {
 			ctl.ack.Done()
@@ -787,6 +767,20 @@ func (sm *ShardedMonitor) quarantine(s *shard, pi int, cause any) {
 	}
 }
 
+// Feed implements Engine: a Tick when event time moves past the last
+// clock advance, then a Submit. An event fed after Close is dropped.
+func (sm *ShardedMonitor) Feed(e Event) {
+	sm.routerMu.Lock()
+	defer sm.routerMu.Unlock()
+	if sm.closed {
+		return
+	}
+	if e.Time.After(sm.lastTick) {
+		sm.tickLocked(e.Time)
+	}
+	sm.routeLocked(&e, nil, 0)
+}
+
 // Submit routes one event to the shards it can affect and enqueues it.
 // Events that no property can act on are dropped at the router, as are
 // routes to quarantined properties. After Close, Submit reports
@@ -794,10 +788,6 @@ func (sm *ShardedMonitor) quarantine(s *shard, pi int, cause any) {
 func (sm *ShardedMonitor) Submit(e Event) error {
 	sm.routerMu.Lock()
 	defer sm.routerMu.Unlock()
-	return sm.submitLocked(e)
-}
-
-func (sm *ShardedMonitor) submitLocked(e Event) error {
 	if sm.closed {
 		return ErrClosed
 	}
@@ -1142,15 +1132,20 @@ func (sm *ShardedMonitor) AdvanceTo(t time.Time) {
 
 // Tick is the non-blocking AdvanceTo: it queues a clock advance to t
 // behind everything already submitted and returns without waiting. Event
-// sources that stamp monotone times (the backend adapter, replayed
-// traces) use it to keep shard clocks tracking the stream without a
-// barrier per event.
+// sources whose batches span many timestamps (the collector) use it to
+// keep shard clocks tracking the stream without a barrier per batch.
 func (sm *ShardedMonitor) Tick(t time.Time) {
 	sm.routerMu.Lock()
 	defer sm.routerMu.Unlock()
 	if sm.closed {
 		return
 	}
+	sm.tickLocked(t)
+}
+
+// tickLocked queues the clock advance. Caller holds routerMu and has
+// checked closed.
+func (sm *ShardedMonitor) tickLocked(t time.Time) {
 	sm.start()
 	if t.After(sm.lastTick) {
 		sm.lastTick = t
@@ -1286,39 +1281,13 @@ func (sm *ShardedMonitor) SelfCheck() error {
 // bits allow suppression seeding and stage >= 1 matching, createMask bits
 // allow stage-zero creation. The full apply is applyRouted with all bits
 // set; the router's static analysis guarantees the cleared bits could not
-// have acted at this shard.
-func (m *Monitor) applyRouted(e *Event, matchMask, createMask uint64) {
-	var start time.Time
-	if m.mx != nil {
-		start = time.Now()
-	}
-	m.stats.events.Add(1)
-	m.seq++
-	seq := m.seq
-	for pi, cp := range m.props {
-		bit := uint64(1) << uint(pi)
-		if cp == nil || (matchMask|createMask)&bit == 0 || m.quarantined&bit != 0 {
-			continue // nil cp: tombstone with a stale mask bit from a remove in flight
-		}
-		m.curProp = pi
-		if m.stepProbe != nil {
-			m.stepProbe(pi, seq)
-		}
-		m.stepProp(pi, cp, e, seq, matchMask&bit != 0, createMask&bit != 0)
-	}
-	if m.mx != nil {
-		m.mx.events.Inc()
-		m.mx.eventNs.Observe(uint64(time.Since(start)))
-	}
-}
-
-// applyRoutedSupervised is applyRouted with per-property panic recovery:
-// a panic during property pi's step (including one raised by a fault
-// probe) is reported to onPanic — which is expected to quarantine pi —
-// and the remaining properties are stepped as if nothing happened. The
-// event and latency accounting happen exactly once regardless of how
-// many properties fail.
-func (m *Monitor) applyRoutedSupervised(e *Event, matchMask, createMask uint64, onPanic func(prop int, cause any)) {
+// have acted at this shard. Each property's step is panic-protected: a
+// panic during property pi's step (including one raised by a fault probe)
+// is reported to onPanic — which is expected to quarantine pi — and the
+// remaining properties are stepped as if nothing happened. The event and
+// latency accounting happen exactly once regardless of how many
+// properties fail.
+func (m *Monitor) applyRouted(e *Event, matchMask, createMask uint64, onPanic func(prop int, cause any)) {
 	var start time.Time
 	if m.mx != nil {
 		start = time.Now()

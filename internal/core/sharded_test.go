@@ -59,6 +59,12 @@ func TestShardPlanAnalysis(t *testing.T) {
 // and requires identical violation multisets, identical aggregate Stats,
 // and clean invariants on both. This is the correctness argument for the
 // sharded engine: identity-hash routing must be invisible semantically.
+//
+// The same stream also runs through the Engine surface — the one a daemon
+// drives — into a second inline Monitor and a ShardedMonitor(2), with an
+// install, a remove and a replace landing mid-stream on both. Whatever a
+// daemon can observe through Engine must then agree: the verdict multiset,
+// Properties, Epoch and the ledger's marks.
 func driveDifferential(t *testing.T, shards int, seed int64, props []*property.Property) {
 	t.Helper()
 	sched := sim.NewScheduler()
@@ -80,6 +86,22 @@ func driveDifferential(t *testing.T, shards int, seed int64, props []*property.P
 		}
 	}
 
+	var engInlineViols, engShardedViols []string
+	es := NewShardedMonitor(2, Config{OnViolation: record(&engShardedViols)})
+	defer es.Close()
+	engines := []Engine{NewMonitor(sim.NewScheduler(), Config{OnViolation: record(&engInlineViols)}), es}
+	onEngines := func(op func(Engine) error) {
+		t.Helper()
+		for _, eng := range engines {
+			if err := op(eng); err != nil {
+				t.Fatalf("%T: %v", eng, err)
+			}
+		}
+	}
+	for _, p := range props {
+		onEngines(func(eng Engine) error { return eng.AddProperty(p) })
+	}
+
 	rng := sim.NewRand(seed)
 	macs := []packet.MAC{macA, macB, packet.MustMAC("02:00:00:00:00:0c")}
 	ips := []packet.IPv4{ipA, ipB, ipC, packet.MustIPv4("203.0.113.7")}
@@ -89,11 +111,22 @@ func driveDifferential(t *testing.T, shards int, seed int64, props []*property.P
 	feed := func(e Event) {
 		mi.HandleEvent(e)
 		sm.Submit(e)
+		for _, eng := range engines {
+			eng.Feed(e)
+		}
 	}
 
 	for i := 0; i < 400; i++ {
 		sched.RunFor(time.Duration(rng.Intn(500)) * time.Millisecond)
 		sm.AdvanceTo(sched.Now())
+		switch i {
+		case 100:
+			onEngines(func(eng Engine) error { return eng.AddProperty(catalogProp(t, "firewall-basic")) })
+		case 200:
+			onEngines(func(eng Engine) error { return eng.RemoveProperty(props[1].Name) })
+		case 300:
+			onEngines(func(eng Engine) error { return eng.ReplaceProperty(catalogProp(t, props[0].Name)) })
+		}
 		var p *packet.Packet
 		switch rng.Intn(3) {
 		case 0:
@@ -128,24 +161,47 @@ func driveDifferential(t *testing.T, shards int, seed int64, props []*property.P
 	}
 	sched.RunFor(time.Minute) // let stragglers time out
 	sm.AdvanceTo(sched.Now())
+	onEngines(func(eng Engine) error { eng.AdvanceTo(sched.Now()); return nil })
 
 	if is, ss := mi.Stats(), sm.Stats(); is != ss {
 		t.Fatalf("stats diverge:\ninline:  %+v\nsharded: %+v", is, ss)
 	}
-	count := map[string]int{}
-	for _, s := range inlineViols {
-		count[s]++
-	}
-	for _, s := range shardedViols {
-		count[s]--
-		if count[s] < 0 {
-			t.Fatalf("sharded engine produced extra violation %s", s)
+	sameMultiset := func(what string, inline, sharded []string) {
+		t.Helper()
+		count := map[string]int{}
+		for _, s := range inline {
+			count[s]++
+		}
+		for _, s := range sharded {
+			count[s]--
+			if count[s] < 0 {
+				t.Fatalf("%s: sharded engine produced extra violation %s", what, s)
+			}
+		}
+		for s, n := range count {
+			if n != 0 {
+				t.Fatalf("%s: violation multiset mismatch at %s (%+d)", what, s, n)
+			}
 		}
 	}
-	for s, n := range count {
-		if n != 0 {
-			t.Fatalf("violation multiset mismatch at %s (%+d)", s, n)
-		}
+	sameMultiset("static set", inlineViols, shardedViols)
+	sameMultiset("Engine surface with lifecycle", engInlineViols, engShardedViols)
+	ei := engines[0]
+	if a, b := fmt.Sprint(ei.Properties()), fmt.Sprint(es.Properties()); a != b {
+		t.Fatalf("Engine.Properties diverge: inline %s, sharded %s", a, b)
+	}
+	if a, b := ei.Epoch(), es.Epoch(); a != b || a == 0 {
+		t.Fatalf("Engine.Epoch: inline %d, sharded %d, want equal and live", a, b)
+	}
+	if a, b := ei.Stats(), es.Stats(); a != b {
+		t.Fatalf("Engine.Stats diverge:\ninline:  %+v\nsharded: %+v", a, b)
+	}
+	marks := ei.Ledger().Snapshot()
+	if len(marks) != 1 || marks[0].Reason != UnsoundReinstalled {
+		t.Fatalf("inline ledger after the replace = %+v, want one reinstalled mark", marks)
+	}
+	if a, b := fmt.Sprintf("%+v", marks), fmt.Sprintf("%+v", es.Ledger().Snapshot()); a != b {
+		t.Fatalf("Engine.Ledger diverges:\ninline:  %s\nsharded: %s", a, b)
 	}
 	if mi.ActiveInstances() != sm.ActiveInstances() {
 		t.Fatalf("live instances differ: inline=%d sharded=%d",

@@ -2,8 +2,6 @@ package core
 
 import (
 	"errors"
-	"os"
-	"os/exec"
 	"strings"
 	"sync"
 	"testing"
@@ -56,49 +54,6 @@ func superviseStream(flows, returns int) []Event {
 	return evs
 }
 
-// TestShardPanicKillsProcessWithoutSupervision demonstrates the
-// pre-supervision failure mode this PR exists to remove: with
-// DisableSupervision a panic in one property's step on one shard kills
-// the whole process. The test re-executes itself as a child process
-// (the only way to observe a process death) and expects the child to
-// die with the panic on stderr.
-func TestShardPanicKillsProcessWithoutSupervision(t *testing.T) {
-	if os.Getenv("SWITCHMON_CRASH_PROBE") == "1" {
-		sm := NewShardedMonitor(2, Config{DisableSupervision: true})
-		if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), "firewall-basic")); err != nil {
-			t.Fatal(err)
-		}
-		if err := sm.SetShardProbe(0, func(prop int, seq uint64) {
-			if seq == 3 {
-				panic("injected step panic (unsupervised)")
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-		evs := superviseStream(100, 2)
-		for i := range evs {
-			_ = sm.Submit(evs[i])
-		}
-		sm.Barrier()
-		// Unreachable when the panic propagates; exiting 0 would tell the
-		// parent that the process survived.
-		os.Exit(0)
-	}
-	cmd := exec.Command(os.Args[0], "-test.run=TestShardPanicKillsProcessWithoutSupervision$", "-test.v")
-	cmd.Env = append(os.Environ(), "SWITCHMON_CRASH_PROBE=1")
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("unsupervised shard panic did not kill the process; child output:\n%s", out)
-	}
-	var ee *exec.ExitError
-	if !errors.As(err, &ee) {
-		t.Fatalf("child failed to run at all: %v", err)
-	}
-	if !strings.Contains(string(out), "injected step panic (unsupervised)") {
-		t.Fatalf("child died, but not from the injected panic:\n%s", out)
-	}
-}
-
 // The differential quarantine gate (acceptance criterion): inject a
 // panic into one property on one shard; the process must survive, the
 // panicking property must be quarantined and flagged unsound, and every
@@ -123,10 +78,7 @@ func TestShardPanicQuarantinesOnlyThatProperty(t *testing.T) {
 		}
 	}
 	for i := range evs {
-		if evs[i].Time.After(sched.Now()) {
-			sched.RunUntil(evs[i].Time)
-		}
-		mi.HandleEvent(evs[i])
+		mi.Feed(evs[i])
 	}
 	sched.RunFor(time.Hour)
 
@@ -152,10 +104,7 @@ func TestShardPanicQuarantinesOnlyThatProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range evs {
-		if err := sm.Submit(evs[i]); err != nil {
-			t.Fatal(err)
-		}
-		sm.Tick(evs[i].Time)
+		sm.Feed(evs[i])
 	}
 	sm.AdvanceTo(evs[len(evs)-1].Time.Add(time.Hour))
 

@@ -231,10 +231,7 @@ func TestLifecycleDifferential(t *testing.T) {
 
 	feed := func(from, to int) {
 		for i := from; i < to; i++ {
-			if err := sm.Submit(evs[i]); err != nil {
-				t.Fatal(err)
-			}
-			sm.Tick(evs[i].Time)
+			sm.Feed(evs[i])
 		}
 	}
 	feed(0, third)

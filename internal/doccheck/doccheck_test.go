@@ -12,31 +12,54 @@ import (
 	"testing"
 )
 
-// libraryPackages are the directories whose exported API must be fully
-// documented (cmd mains and examples are exempt: their doc is the package
-// comment).
-var libraryPackages = []string{
-	"sim", "packet", "property", "dsl", "core",
-	"dataplane", "backend", "varanus", "apps", "netsim", "trace", "tables",
-	"obs", "obs/export", "obs/statesize", "obs/histdb", "obs/slo",
-	"wire", "exporter", "collector",
+// libraryPackages walks internal/ for the directories whose exported API
+// must be fully documented: every package with non-test Go in it, except
+// the integration tests' helpers and this package (cmd mains and examples
+// are exempt: their doc is the package comment).
+func libraryPackages(t *testing.T, root string) []string {
+	var dirs []string
+	err := filepath.WalkDir(filepath.Join(root, "internal"), func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == "integration" || name == "doccheck" || name == "testdata" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if dir := filepath.Dir(path); isSourceFile(d.Name()) && (len(dirs) == 0 || dirs[len(dirs)-1] != dir) {
+			dirs = append(dirs, dir)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// isSourceFile reports whether name is non-test Go source.
+func isSourceFile(name string) bool {
+	return strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go")
 }
 
 func TestEveryExportedIdentifierIsDocumented(t *testing.T) {
-	root := "../.."
-	for _, pkg := range libraryPackages {
-		dir := filepath.Join(root, "internal", pkg)
+	dirs := libraryPackages(t, "../..")
+	if len(dirs) < 20 {
+		t.Fatalf("walk found only %d library packages: %v", len(dirs), dirs)
+	}
+	for _, dir := range dirs {
 		fset := token.NewFileSet()
 		entries, err := os.ReadDir(dir)
 		if err != nil {
-			t.Fatalf("%s: %v", pkg, err)
+			t.Fatal(err)
 		}
 		for _, entry := range entries {
-			name := entry.Name()
-			if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			if !isSourceFile(entry.Name()) {
 				continue
 			}
-			path := filepath.Join(dir, name)
+			path := filepath.Join(dir, entry.Name())
 			file, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
 			if err != nil {
 				t.Fatalf("parse %s: %v", path, err)

@@ -225,6 +225,7 @@ type Exporter struct {
 
 	mu           sync.Mutex
 	space        sync.Cond // queue has room (ShedBlock waiters)
+	sealParked   bool      // a seal holding a detached batch waits on space; see sealLocked
 	pending      []core.Event
 	pendingFirst uint64
 	pendingBorn  time.Time
@@ -425,6 +426,16 @@ func (x *Exporter) Flush() {
 // the shed policy on overflow, and — in adaptive mode — retunes the
 // batch-size target for the next batch. Caller holds mu.
 func (x *Exporter) sealLocked(reason sealReason) {
+	// One blocked seal at a time. A seal that parks for queue room (below)
+	// has detached its batch and dropped mu; a second seal — the
+	// publisher's next size seal, the age flusher — parked behind it with
+	// a later batch could be woken first and enqueue a later FirstSeq
+	// ahead of an earlier one, which the collector books as a gap and then
+	// drops as a replay. Later seals therefore wait here, with their events
+	// still in pending, until the parked one is through.
+	for x.sealParked && !x.closed {
+		x.space.Wait()
+	}
 	if len(x.pending) == 0 {
 		return
 	}
@@ -470,7 +481,10 @@ func (x *Exporter) sealLocked(reason sealReason) {
 				return
 			}
 		default: // core.ShedBlock
+			x.sealParked = true
 			x.space.Wait()
+			x.sealParked = false
+			x.space.Broadcast() // release the seals held back above
 		}
 	}
 	if x.closed && len(x.queue) >= x.cfg.QueueBatches {

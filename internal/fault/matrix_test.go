@@ -279,10 +279,7 @@ func churnOutcome(t *testing.T, seed int64) ([]byte, []string) {
 				t.Fatal(err)
 			}
 		}
-		if err := sm.Submit(evs[i]); err != nil {
-			t.Fatal(err)
-		}
-		sm.Tick(evs[i].Time)
+		sm.Feed(evs[i])
 	}
 	sm.AdvanceTo(evs[len(evs)-1].Time.Add(time.Hour))
 	if got := sm.Epoch(); got != 2 {

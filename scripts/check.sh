@@ -72,12 +72,14 @@ go test -fuzz FuzzWireRoundTrip -fuzztime 10s -run '^$' ./internal/wire/
 echo "==> trace block fuzz smoke (10s)"
 go test -fuzz FuzzTraceBlockRoundTrip -fuzztime 10s -run '^$' ./internal/wire/
 
-# Introspection-surface smoke: start a real switchmon with the full
-# observability surface on and hit every endpoint the mux serves,
-# failing on any non-200 or malformed body. Catches wiring regressions
-# (a flag that stops reaching the mux, an endpoint panicking on a live
-# engine) that unit tests against hand-built MuxConfigs cannot.
-echo "==> endpoint smoke (live switchmon, every introspection endpoint)"
+# Introspection-surface smoke: start a real collector, a switchmon with
+# the full observability surface on exporting to it, and a fleetagg over
+# it; hit every endpoint each serves, failing on any non-200 or malformed
+# body; then SIGTERM each and require exit 0 within -drain-timeout.
+# Catches wiring regressions (a flag that stops reaching the mux, an
+# endpoint panicking on a live engine, a shutdown that hangs) that unit
+# tests against hand-built MuxConfigs cannot.
+echo "==> endpoint smoke (live switchmon + collector + fleetagg, every endpoint, clean SIGTERM exit)"
 go run ./scripts/endpointsmoke
 
 echo "OK"

@@ -1,11 +1,15 @@
-// Command endpointsmoke is check.sh's introspection-surface gate: it
-// builds cmd/switchmon, starts it with every observability feature on
-// (-metrics-addr, tracing, state accounting), hits every endpoint the
-// mux serves, and fails on any non-200 status or malformed body. The
-// point is end-to-end wiring — a flag that stops reaching the mux, an
-// endpoint that panics on a live engine, or a JSON shape regression
-// all surface here, where unit tests against a hand-built MuxConfig
-// would keep passing.
+// Command endpointsmoke is check.sh's introspection-surface gate. All
+// three daemons are wired by internal/daemon, so it brings all three up
+// as real processes: a collector; a switchmon with every observability
+// feature on (-metrics-addr, tracing, state accounting) exporting its
+// demo run to that collector; and a fleetagg over the collector. It hits
+// every endpoint each one serves, failing on any non-200 status or
+// malformed body, then sends each process SIGTERM and fails unless it
+// exits 0 within -drain-timeout. The point is end-to-end wiring — a flag
+// that stops reaching the mux, an endpoint that panics on a live engine,
+// a JSON shape regression, or a shutdown path that hangs all surface
+// here, where unit tests against a hand-built MuxConfig would keep
+// passing.
 //
 // Usage: go run ./scripts/endpointsmoke (from the repository root)
 package main
@@ -20,8 +24,13 @@ import (
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"time"
 )
+
+// drainTimeout is passed as -drain-timeout and bounds each process's
+// exit after SIGTERM.
+const drainTimeout = 5 * time.Second
 
 func main() {
 	if err := run(); err != nil {
@@ -31,24 +40,141 @@ func main() {
 	fmt.Println("endpointsmoke: all endpoints OK")
 }
 
+// proc is one daemon under test and the scanner over its stderr.
+type proc struct {
+	name   string
+	cmd    *exec.Cmd
+	stderr *bufio.Scanner
+}
+
+// start launches bin with args, stdout discarded.
+func start(bin string, args ...string) (*proc, error) {
+	p := &proc{name: filepath.Base(bin), cmd: exec.Command(bin, args...)}
+	p.cmd.Stdout = io.Discard
+	stderr, err := p.cmd.StderrPipe()
+	if err != nil {
+		return nil, err
+	}
+	p.stderr = bufio.NewScanner(stderr)
+	if err := p.cmd.Start(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// after scans stderr for the first line containing marker and returns
+// the whitespace-delimited token that follows it — how each daemon
+// announces the address an ephemeral port resolved to.
+func (p *proc) after(marker string) (string, error) {
+	for p.stderr.Scan() {
+		_, rest, ok := strings.Cut(p.stderr.Text(), marker)
+		if f := strings.Fields(rest); ok && len(f) > 0 {
+			return f[0], nil
+		}
+	}
+	return "", fmt.Errorf("%s: no %q line on stderr (daemon failed to start?): %v", p.name, marker, p.stderr.Err())
+}
+
+// stop sends SIGTERM and requires a clean exit within drainTimeout.
+func (p *proc) stop() error {
+	exited := make(chan error, 1)
+	go func() {
+		for p.stderr.Scan() { // Wait needs the pipe drained to EOF
+		}
+		exited <- p.cmd.Wait()
+	}()
+	if err := p.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return fmt.Errorf("%s: SIGTERM: %w", p.name, err)
+	}
+	select {
+	case err := <-exited:
+		if err != nil {
+			return fmt.Errorf("%s: exit after SIGTERM: %w", p.name, err)
+		}
+		return nil
+	case <-time.After(drainTimeout + time.Second):
+		return fmt.Errorf("%s: still running %s after SIGTERM", p.name, drainTimeout)
+	}
+}
+
+// muxChecks are the endpoints export.NewMux serves on switchmon and the
+// collector alike, with the body kind check validates.
+var muxChecks = [][2]string{
+	{"/metrics", "text"},
+	{"/metrics?format=json", "json"},
+	{"/healthz", "text"}, // "ok" when sound, a JSON degradation report otherwise
+	{"/violations", "json"},
+	{"/violations?since=0&limit=2", "json"},
+	{"/trace", "ndjson"},
+	{"/trace?limit=3", "ndjson"},
+	{"/state", "json"},
+	{"/query?series=*", "json"},
+	{"/query?series=switchmon_*_total&step=100ms", "json"},
+	{"/alerts", "json"},
+	{"/alerts?since=0&limit=4", "json"},
+	{"/buildinfo", "json"},
+	{"/debug/pprof/cmdline", "text"},
+}
+
+func checkAll(client *http.Client, who, base string, checks [][2]string) error {
+	for _, c := range checks {
+		if err := check(client, base+c[0], c[1]); err != nil {
+			return fmt.Errorf("%s: GET %s: %w", who, c[0], err)
+		}
+	}
+	return nil
+}
+
 func run() error {
 	dir, err := os.MkdirTemp("", "endpointsmoke")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	bin := filepath.Join(dir, "switchmon")
-	build := exec.Command("go", "build", "-o", bin, "./cmd/switchmon")
+	build := exec.Command("go", "build", "-o", dir+string(filepath.Separator), "./cmd/switchmon", "./cmd/collector", "./cmd/fleetagg")
 	build.Stderr = os.Stderr
 	if err := build.Run(); err != nil {
-		return fmt.Errorf("building switchmon: %w", err)
+		return fmt.Errorf("building the daemons: %w", err)
 	}
+	var procs []*proc
+	defer func() {
+		for _, p := range procs {
+			_ = p.cmd.Process.Kill() // no-op for the ones stop already reaped
+		}
+	}()
+	launch := func(name string, args ...string) (*proc, error) {
+		p, err := start(filepath.Join(dir, name), args...)
+		if err == nil {
+			procs = append(procs, p)
+		}
+		return p, err
+	}
+	grace := "-drain-timeout=" + drainTimeout.String()
+
+	// The collector carries the firewall demo's own two properties, so
+	// the set it pushes to switchmon's exporter converges to a no-op.
+	col, err := launch("collector",
+		"-listen", "127.0.0.1:0", "-catalog", "firewall-basic,firewall-until-close", "-shards", "2",
+		"-metrics-addr", "127.0.0.1:0", "-trace-sample", "1", "-sample-every", "50ms", grace)
+	if err != nil {
+		return err
+	}
+	exportAddr, err := col.after("accepting exporters on ")
+	if err != nil {
+		return err
+	}
+	colBase, err := col.after("metrics: serving on ")
+	if err != nil {
+		return err
+	}
+	colBase = strings.TrimSuffix(colBase, "/metrics")
 
 	// A demo run with the whole observability surface on: metrics mux
 	// on an ephemeral port, every event traced, every filing sketched,
 	// and a watermark low enough that the demo raises state pressure.
-	// -hold keeps the mux serving after the demo completes.
-	cmd := exec.Command(bin,
+	// -hold keeps the mux serving after the demo completes; -export
+	// ships the run to the collector above.
+	sw, err := launch("switchmon",
 		"-demo", "firewall",
 		"-metrics-addr", "127.0.0.1:0",
 		"-hold", "1m",
@@ -56,59 +182,95 @@ func run() error {
 		"-sample-every", "50ms", // fast cadence so /query has points within the smoke's patience
 		"-slo", "smoke-extra:switchmon_monitor_events_total:1e12:1m",
 		"-state-topk", "8", "-state-sample", "1", "-state-watermark", "1",
-		"-json",
+		"-json", "-export", exportAddr, grace,
 	)
-	cmd.Stdout = io.Discard
-	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		return err
 	}
-	if err := cmd.Start(); err != nil {
+	base, err := sw.after("metrics: serving on ")
+	if err != nil {
 		return err
 	}
-	defer func() {
-		_ = cmd.Process.Kill()
-		_ = cmd.Wait()
-	}()
+	base = strings.TrimSuffix(base, "/metrics")
 
-	base, err := readServingAddr(stderr)
+	agg, err := launch("fleetagg",
+		"-listen", "127.0.0.1:0", "-members", exportAddr+"="+colBase, "-sample-every", "50ms")
 	if err != nil {
 		return err
 	}
-	go io.Copy(io.Discard, stderr) // keep the pipe drained
+	aggBase, err := agg.after("serving fleet endpoints on ")
+	if err != nil {
+		return err
+	}
+	aggBase = strings.TrimSuffix(aggBase, "/metrics")
 
 	client := &http.Client{Timeout: 5 * time.Second}
-	checks := []struct {
-		path string
-		kind string // "json", "ndjson", "text"
-	}{
-		{"/metrics", "text"},
-		{"/metrics?format=json", "json"},
-		{"/healthz", "text"}, // "ok" when sound, a JSON degradation report otherwise
-		{"/violations", "json"},
-		{"/violations?since=0&limit=2", "json"},
-		{"/trace", "ndjson"},
-		{"/trace?limit=3", "ndjson"},
-		{"/state", "json"},
-		{"/query?series=*", "json"},
-		{"/query?series=switchmon_*_total&step=100ms", "json"},
-		{"/alerts", "json"},
-		{"/alerts?since=0&limit=4", "json"},
-		{"/buildinfo", "json"},
-		{"/debug/pprof/cmdline", "text"},
-	}
-	for _, c := range checks {
-		if err := check(client, base+c.path, c.kind); err != nil {
-			return fmt.Errorf("GET %s: %w", c.path, err)
-		}
+	if err := checkAll(client, "switchmon", base, muxChecks); err != nil {
+		return err
 	}
 	if err := selfMonitoring(client, base); err != nil {
 		return err
 	}
+	if err := switchmonContent(client, base); err != nil {
+		return err
+	}
+	if err := properties(client, base, "/properties"); err != nil {
+		return err
+	}
 
-	// Spot-check content, not just shape: the metric families the PR
-	// contract names must be present, and /state must report the demo's
-	// installed properties with the pressure watermark tripped.
+	if err := checkAll(client, "collector", colBase, muxChecks); err != nil {
+		return err
+	}
+	if err := collectorFleet(client, colBase, exportAddr); err != nil {
+		return err
+	}
+	if err := checkAll(client, "fleetagg", aggBase, [][2]string{
+		{"/metrics", "text"}, {"/healthz", "text"}, {"/query?series=*", "json"},
+		{"/alerts", "json"}, {"/properties", "json"},
+	}); err != nil {
+		return err
+	}
+
+	for _, p := range []*proc{sw, agg, col} {
+		if err := p.stop(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// collectorFleet covers what only the collector's mux has: the exporter
+// connection switchmon made must show in the per-datapath series, and the
+// fleet-member endpoints the aggregation tier drives must relay a fleet
+// config and run a local install/remove cycle.
+func collectorFleet(client *http.Client, base, exportAddr string) error {
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		body, err := get(client, base+"/metrics")
+		if err != nil {
+			return fmt.Errorf("collector: GET /metrics: %w", err)
+		}
+		if strings.Contains(string(body), `switchmon_collector_events_total{dpid="1"}`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("collector: /metrics shows no events from switchmon's -export connection after 10s")
+		}
+		time.Sleep(100 * time.Millisecond)
+	}
+	fleet := fmt.Sprintf(`{"Epoch":1,"Members":[{"Addr":%q,"Weight":1000}]}`, exportAddr)
+	if status, body, err := do(client, http.MethodPost, base+"/fleet", fleet); err != nil {
+		return fmt.Errorf("collector: POST /fleet: %w", err)
+	} else if status != http.StatusOK {
+		return fmt.Errorf("collector: POST /fleet: status %d, want 200: %s", status, body)
+	}
+	return properties(client, base, "/fleet/properties")
+}
+
+// switchmonContent spot-checks content, not just shape: the metric
+// families the PR contract names must be present, and /state must report
+// the demo's installed properties with the accounting having seen them.
+func switchmonContent(client *http.Client, base string) error {
 	body, err := get(client, base+"/metrics")
 	if err != nil {
 		return err
@@ -152,7 +314,7 @@ func run() error {
 			return fmt.Errorf("/state: property %s has no top_keys despite -state-sample 1", p.Property)
 		}
 	}
-	return properties(client, base)
+	return nil
 }
 
 // selfMonitoring exercises the /query and /alerts surface beyond bare
@@ -250,12 +412,13 @@ func selfMonitoring(client *http.Client, base string) error {
 	return nil
 }
 
-// properties drives the /properties admin endpoint through one full
-// lifecycle against the live engine: list, install a probe property
-// from DSL source, confirm it appears with a bumped epoch, remove it,
-// and confirm the 4xx paths (malformed DSL, unknown name) reject
-// without disturbing the installed set.
-func properties(client *http.Client, base string) error {
+// properties drives an admin endpoint — /properties, or the collector's
+// apply-locally /fleet/properties — through one full lifecycle against
+// the live engine: list, install a probe property from DSL source,
+// confirm it appears with a bumped epoch, remove it, and confirm the 4xx
+// paths (malformed DSL, unknown name) reject without disturbing the
+// installed set. GET /properties is the listing for both.
+func properties(client *http.Client, base, admin string) error {
 	list := func() (epoch uint64, names []string, err error) {
 		body, err := get(client, base+"/properties")
 		if err != nil {
@@ -290,7 +453,7 @@ func properties(client *http.Client, base string) error {
     match icmp.id == $ID
   }
 }`
-	if status, body, err := do(client, http.MethodPost, base+"/properties?tenant=smoke", src); err != nil {
+	if status, body, err := do(client, http.MethodPost, base+admin+"?tenant=smoke", src); err != nil {
 		return fmt.Errorf("POST /properties: %w", err)
 	} else if status != http.StatusCreated {
 		return fmt.Errorf("POST /properties: status %d, want 201: %s", status, body)
@@ -308,18 +471,18 @@ func properties(client *http.Client, base string) error {
 
 	// The 4xx paths must reject without side effects: malformed DSL is
 	// 400, removing an unknown name is 404.
-	if status, _, err := do(client, http.MethodPost, base+"/properties", `property "broken" {`); err != nil {
+	if status, _, err := do(client, http.MethodPost, base+admin, `property "broken" {`); err != nil {
 		return fmt.Errorf("POST bad DSL: %w", err)
 	} else if status != http.StatusBadRequest {
 		return fmt.Errorf("POST bad DSL: status %d, want 400", status)
 	}
-	if status, _, err := do(client, http.MethodDelete, base+"/properties?name=no-such-property", ""); err != nil {
+	if status, _, err := do(client, http.MethodDelete, base+admin+"?name=no-such-property", ""); err != nil {
 		return fmt.Errorf("DELETE unknown: %w", err)
 	} else if status != http.StatusNotFound {
 		return fmt.Errorf("DELETE unknown: status %d, want 404", status)
 	}
 
-	if status, body, err := do(client, http.MethodDelete, base+"/properties?name="+probe, ""); err != nil {
+	if status, body, err := do(client, http.MethodDelete, base+admin+"?name="+probe, ""); err != nil {
 		return fmt.Errorf("DELETE /properties: %w", err)
 	} else if status != http.StatusOK {
 		return fmt.Errorf("DELETE /properties: status %d, want 200: %s", status, body)
@@ -367,26 +530,6 @@ func do(client *http.Client, method, url, body string) (int, string, error) {
 		return 0, "", err
 	}
 	return resp.StatusCode, string(b), nil
-}
-
-// readServingAddr scans the daemon's stderr for the "metrics: serving
-// on http://ADDR/metrics" line and returns the http://ADDR base.
-func readServingAddr(stderr io.Reader) (string, error) {
-	sc := bufio.NewScanner(stderr)
-	deadline := time.Now().Add(30 * time.Second)
-	for sc.Scan() {
-		line := sc.Text()
-		if i := strings.Index(line, "http://"); strings.Contains(line, "metrics: serving on") && i >= 0 {
-			return strings.TrimSuffix(strings.TrimSpace(line[i:]), "/metrics"), nil
-		}
-		if time.Now().After(deadline) {
-			break
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return "", err
-	}
-	return "", fmt.Errorf("no serving line on stderr (daemon failed to start?)")
 }
 
 func get(client *http.Client, url string) ([]byte, error) {
