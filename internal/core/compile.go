@@ -1,124 +1,218 @@
 package core
 
 import (
+	"fmt"
+
 	"switchmon/internal/packet"
 	"switchmon/internal/property"
 )
 
+// cpred is a predicate with its variable operand resolved to a row slot,
+// so evaluating it hashes no variable name.
+type cpred struct {
+	property.Pred
+	// slot is Arg.Var's slot when the operand is a variable.
+	slot int
+}
+
+// cbind captures an event field into a slot.
+type cbind struct {
+	slot  int
+	field packet.Field
+}
+
 // compiledStage precomputes per-stage matching machinery.
 type compiledStage struct {
-	st *property.Stage
-	// eqVarPreds are the top-level equality-against-variable predicates,
-	// the handles the instance index hangs on (Feature 8).
-	eqVarPreds []property.Pred
-	// indexGroups are the index key schemas: one group when the top-level
-	// predicates pin variables, otherwise one per AnyOf alternative (each
-	// alternative must pin at least one variable, or the stage falls back
-	// to scanning). An instance is filed under one key per group; an
-	// event's candidates are the union of the groups' lookups.
-	indexGroups [][]property.Pred
+	st    *property.Stage
+	preds []cpred
+	anyOf [][]cpred
+	binds []cbind
+	// indexGroups are the index key schemas (Feature 8): one group of the
+	// top-level equality-against-variable predicates when there are any,
+	// otherwise one per AnyOf alternative (each alternative must pin at
+	// least one variable, or the stage falls back to scanning). An instance
+	// is filed under one key per group; an event's candidates are the union
+	// of the groups' lookups.
+	indexGroups [][]cpred
 	// pidIndex indexes by the concrete PacketID of the same-packet
 	// constraint when no value keys are available — identity (Feature 5)
 	// is itself a perfect instance key.
 	pidIndex bool
+	// samePacketWord is the row word holding the PacketID this stage's
+	// event must share (SamePacketAs), ownPacketWord the word this stage's
+	// own matched PacketID is kept in because a later stage refers to it;
+	// -1 when there is none.
+	samePacketWord int
+	ownPacketWord  int
 	// guardIdx compiles the stage's obligation guards with their own
 	// equality-on-variable key schemas, so the guard pass is indexed too.
 	guardIdx []guardIndex
 	// stickyGuards are the stage's permanent-discharge guards, with the
 	// field each pinned variable is synthesized from.
 	stickyGuards []stickyGuard
+	// idWords are the row words that identify an instance waiting at this
+	// stage: the slots of every variable bound by earlier stages, then the
+	// identity PacketIDs of earlier stages. The dedup signature hashes
+	// them and a signature hit is confirmed by comparing them.
+	idWords []uint8
+	// nbound is how many variables earlier stages have bound: slots are
+	// assigned in first-binding order, so those are slots [0, nbound).
+	nbound int
+	// windowSlot is WindowVar's slot.
+	windowSlot int
 }
 
 // guardIndex is one compiled obligation guard plus its index keys.
 type guardIndex struct {
-	guard property.Guard
+	class  property.EventClass
+	sticky bool
+	preds  []cpred
 	// eq are the guard's equality-against-variable predicates; empty
 	// means the guard pass must scan the whole bucket.
-	eq []property.Pred
+	eq []cpred
 }
 
 // stickyGuard is a compiled permanent-discharge guard.
 type stickyGuard struct {
-	guard property.Guard
-	// varFields maps each pinned variable to the event field carrying its
-	// value (validated to cover every bound variable).
-	varFields map[property.Var]packet.Field
+	class property.EventClass
+	// pins give, for each pinned variable, its slot and the event field
+	// carrying its value (validated to cover every bound variable).
+	pins []cbind
 	// rest are the guard's non-pinning predicates, checked literally.
-	rest []property.Pred
+	rest []cpred
 }
 
 // compiledProp is a property prepared for execution.
 type compiledProp struct {
 	prop   *property.Property
 	stages []compiledStage
-	// identityStages marks stage indexes referenced by any SamePacketAs:
-	// their matched PacketIDs are part of instance identity.
-	identityStages map[int]bool
+	// vars lists the property's variables in slot order.
+	vars []property.Var
 	// plan is the static sharding analysis: whether the property's index
 	// groups yield a stable shard key, and from which event fields that
 	// key is computed at each addressing path.
 	plan shardPlan
 }
 
-// compile validates and prepares a property.
+// compile validates and prepares a property: every variable gets a row
+// slot, every stage a later same-packet constraint refers to gets a row
+// word for its PacketID, and every predicate is rewritten against them.
 func compile(p *property.Property) (*compiledProp, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	cp := &compiledProp{prop: p, identityStages: map[int]bool{}}
+	cp := &compiledProp{prop: p, vars: p.Vars()}
+	slotOf := make(map[property.Var]int, len(cp.vars))
+	for i, v := range cp.vars {
+		slotOf[v] = i
+	}
+	packetWord := make([]int, len(p.Stages))
+	words := len(cp.vars)
+	for i := range packetWord {
+		packetWord[i] = -1
+	}
 	for i := range p.Stages {
-		st := &p.Stages[i]
-		cs := compiledStage{st: st}
-		for _, pr := range st.Preds {
-			if pr.Op == property.OpEq && pr.Arg.IsVar() {
-				cs.eqVarPreds = append(cs.eqVarPreds, pr)
+		if ref := p.Stages[i].SamePacketAs; ref >= 0 && packetWord[ref] < 0 {
+			packetWord[ref] = words
+			words++
+		}
+	}
+	if len(p.Stages) > maxStages {
+		return nil, fmt.Errorf("core: property %s has %d stages; an instance row counts up to %d", p.Name, len(p.Stages), maxStages)
+	}
+	if words > rowWords {
+		return nil, fmt.Errorf("core: property %s needs %d state words (%d variables, %d packet identities); an instance row holds %d",
+			p.Name, words, len(cp.vars), words-len(cp.vars), rowWords)
+	}
+	resolve := func(preds []property.Pred) []cpred {
+		out := make([]cpred, len(preds))
+		for i, pr := range preds {
+			out[i] = cpred{Pred: pr}
+			if pr.Arg.IsVar() {
+				out[i].slot = slotOf[pr.Arg.Var]
 			}
 		}
-		if len(cs.eqVarPreds) > 0 {
-			cs.indexGroups = [][]property.Pred{cs.eqVarPreds}
-		} else if len(st.AnyOf) > 0 {
-			groups := make([][]property.Pred, 0, len(st.AnyOf))
-			complete := true
-			for _, g := range st.AnyOf {
-				var eq []property.Pred
-				for _, pr := range g {
-					if pr.Op == property.OpEq && pr.Arg.IsVar() {
-						eq = append(eq, pr)
-					}
-				}
+		return out
+	}
+	eqVar := func(preds []cpred) []cpred {
+		var eq []cpred
+		for _, pr := range preds {
+			if pr.Op == property.OpEq && pr.Arg.IsVar() {
+				eq = append(eq, pr)
+			}
+		}
+		return eq
+	}
+	nbound := 0
+	for i := range p.Stages {
+		st := &p.Stages[i]
+		cs := compiledStage{
+			st: st, preds: resolve(st.Preds), nbound: nbound,
+			samePacketWord: -1, ownPacketWord: packetWord[i],
+		}
+		for w := 0; w < nbound; w++ {
+			cs.idWords = append(cs.idWords, uint8(w))
+		}
+		for j := 0; j < i; j++ {
+			if packetWord[j] >= 0 {
+				cs.idWords = append(cs.idWords, uint8(packetWord[j]))
+			}
+		}
+		if st.SamePacketAs >= 0 {
+			cs.samePacketWord = packetWord[st.SamePacketAs]
+		}
+		if st.WindowVar != "" {
+			cs.windowSlot = slotOf[st.WindowVar]
+		}
+		for _, g := range st.AnyOf {
+			cs.anyOf = append(cs.anyOf, resolve(g))
+		}
+		for _, b := range st.Binds {
+			cs.binds = append(cs.binds, cbind{slot: slotOf[b.Var], field: b.Field})
+			if slotOf[b.Var] == nbound {
+				nbound++
+			}
+		}
+		if eq := eqVar(cs.preds); len(eq) > 0 {
+			cs.indexGroups = [][]cpred{eq}
+		} else if len(cs.anyOf) > 0 {
+			groups := make([][]cpred, 0, len(cs.anyOf))
+			for _, g := range cs.anyOf {
+				eq := eqVar(g)
 				if len(eq) == 0 {
-					complete = false
+					groups = nil
 					break
 				}
 				groups = append(groups, eq)
 			}
-			if complete {
-				cs.indexGroups = groups
-			}
+			cs.indexGroups = groups
+		}
+		if len(cs.indexGroups) > rowKeys {
+			cs.indexGroups = nil
 		}
 		if len(cs.indexGroups) == 0 && st.SamePacketAs >= 0 {
 			cs.pidIndex = true
 		}
+		nkeys := len(cs.indexGroups)
+		if cs.pidIndex {
+			nkeys = 1
+		}
 		for _, g := range st.Until {
-			gi := guardIndex{guard: g}
-			for _, pr := range g.Preds {
-				if pr.Op == property.OpEq && pr.Arg.IsVar() {
-					gi.eq = append(gi.eq, pr)
-				}
+			preds := resolve(g.Preds)
+			gi := guardIndex{class: g.Class, sticky: g.Sticky, preds: preds}
+			// A row has room for rowKeys keys; guards past that scan.
+			if eq := eqVar(preds); len(eq) > 0 && nkeys < rowKeys {
+				gi.eq = eq
+				nkeys++
 			}
 			cs.guardIdx = append(cs.guardIdx, gi)
-		}
-		if st.SamePacketAs >= 0 {
-			cp.identityStages[st.SamePacketAs] = true
-		}
-		for _, g := range st.Until {
 			if !g.Sticky {
 				continue
 			}
-			sg := stickyGuard{guard: g, varFields: map[property.Var]packet.Field{}}
-			for _, pr := range g.Preds {
+			sg := stickyGuard{class: g.Class}
+			for _, pr := range preds {
 				if pr.Op == property.OpEq && pr.Arg.IsVar() {
-					sg.varFields[pr.Arg.Var] = pr.Field
+					sg.pins = append(sg.pins, cbind{slot: pr.slot, field: pr.Field})
 				} else {
 					sg.rest = append(sg.rest, pr)
 				}
@@ -148,28 +242,40 @@ func classMatches(c property.EventClass, e *Event) bool {
 	}
 }
 
-// bindings is an instance's variable environment.
-type bindings map[property.Var]packet.Value
+// env is the variable environment predicates evaluate against: the row
+// whose slots hold the bindings (nil at stage zero, where nothing is
+// bound yet) and the store its string slots index into.
+type env struct {
+	r *row
+	s *store
+}
 
 // resolveOperand evaluates a predicate's right-hand side against the
-// current event and the instance environment.
-func resolveOperand(o property.Operand, e *Event, env bindings) (packet.Value, bool) {
-	switch o.Kind {
+// current event and the instance environment. Validate guarantees a
+// variable is bound before any stage that reads it.
+func resolveOperand(pr *cpred, e *Event, en env) (packet.Value, bool) {
+	switch pr.Arg.Kind {
 	case property.OperandVar:
-		v, ok := env[o.Var]
-		return v, ok
+		return en.s.value(en.r, pr.slot), true
 	case property.OperandHash:
-		return hashOperand(o.Hash, e)
+		return hashOperand(pr.Arg.Hash, e)
 	default:
-		return o.Lit, true
+		return pr.Arg.Lit, true
 	}
 }
+
+// hashScratch is how many field values hashOperand gathers on the stack.
+const hashScratch = 8
 
 // hashOperand computes the symmetric hash of the spec fields on the
 // current event. The values are sorted before mixing, so any permutation
 // of the same value multiset (e.g. a flow and its reverse) hashes alike.
 func hashOperand(h *property.HashSpec, e *Event) (packet.Value, bool) {
-	vals := make([]packet.Value, 0, len(h.Fields))
+	var scratch [hashScratch]packet.Value
+	vals := scratch[:0]
+	if len(h.Fields) > hashScratch {
+		vals = make([]packet.Value, 0, len(h.Fields))
+	}
 	for _, f := range h.Fields {
 		v, ok := e.Field(f)
 		if !ok {
@@ -177,16 +283,16 @@ func hashOperand(h *property.HashSpec, e *Event) (packet.Value, bool) {
 		}
 		vals = append(vals, v)
 	}
-	return packet.Num(h.Base + packet.HashValues(vals)%h.Mod), true
+	return packet.Num(h.Base + packet.HashSorted(vals)%h.Mod), true
 }
 
 // predHolds evaluates one predicate.
-func predHolds(pr property.Pred, e *Event, env bindings) bool {
+func predHolds(pr *cpred, e *Event, en env) bool {
 	fv, ok := e.Field(pr.Field)
 	if !ok {
 		return false
 	}
-	arg, ok := resolveOperand(pr.Arg, e, env)
+	arg, ok := resolveOperand(pr, e, en)
 	if !ok {
 		return false
 	}
@@ -194,9 +300,9 @@ func predHolds(pr property.Pred, e *Event, env bindings) bool {
 }
 
 // predsHold evaluates a conjunction.
-func predsHold(preds []property.Pred, e *Event, env bindings) bool {
-	for _, pr := range preds {
-		if !predHolds(pr, e, env) {
+func predsHold(preds []cpred, e *Event, en env) bool {
+	for i := range preds {
+		if !predHolds(&preds[i], e, en) {
 			return false
 		}
 	}
@@ -205,28 +311,25 @@ func predsHold(preds []property.Pred, e *Event, env bindings) bool {
 
 // stagePatternMatches reports whether the event fits the stage's pattern:
 // class, packet identity, all top-level predicates, at least one AnyOf
-// group (if present), and availability of every bind field. packets is the
-// instance's matched-packet record (nil at stage zero).
-func stagePatternMatches(cs *compiledStage, e *Event, env bindings, packets []PacketID) bool {
+// group (if present), and availability of every bind field. en.r is the
+// waiting instance (nil at stage zero).
+func stagePatternMatches(cs *compiledStage, e *Event, en env) bool {
 	st := cs.st
 	if !classMatches(st.Class, e) {
 		return false
 	}
-	if st.SamePacketAs >= 0 {
-		if packets == nil || st.SamePacketAs >= len(packets) {
-			return false
-		}
-		if e.PacketID == 0 || packets[st.SamePacketAs] != e.PacketID {
+	if cs.samePacketWord >= 0 {
+		if en.r == nil || e.PacketID == 0 || PacketID(en.r.w[cs.samePacketWord]) != e.PacketID {
 			return false
 		}
 	}
-	if !predsHold(st.Preds, e, env) {
+	if !predsHold(cs.preds, e, en) {
 		return false
 	}
-	if len(st.AnyOf) > 0 {
+	if len(cs.anyOf) > 0 {
 		matched := false
-		for _, g := range st.AnyOf {
-			if predsHold(g, e, env) {
+		for _, g := range cs.anyOf {
+			if predsHold(g, e, en) {
 				matched = true
 				break
 			}
@@ -235,8 +338,8 @@ func stagePatternMatches(cs *compiledStage, e *Event, env bindings, packets []Pa
 			return false
 		}
 	}
-	for _, b := range st.Binds {
-		if _, ok := e.Field(b.Field); !ok {
+	for _, b := range cs.binds {
+		if _, ok := e.Field(b.field); !ok {
 			return false
 		}
 	}
@@ -245,19 +348,19 @@ func stagePatternMatches(cs *compiledStage, e *Event, env bindings, packets []Pa
 
 // guardMatches reports whether the event discharges an instance via the
 // given obligation guard (Feature 4).
-func guardMatches(g property.Guard, e *Event, env bindings) bool {
-	return classMatches(g.Class, e) && predsHold(g.Preds, e, env)
+func guardMatches(g *guardIndex, e *Event, en env) bool {
+	return classMatches(g.class, e) && predsHold(g.preds, e, en)
 }
 
 // The index keys, dedup signatures, and shard routes below are all
 // fixed-size 64-bit FNV-1a hashes instead of composite strings: building a
 // string key costs one or more heap allocations per event, and the hot
-// path (indexed steady state) must run allocation-free. Hash keys trade
-// the strings' injectivity for a 2^-64 collision probability per pair,
-// which is negligible against the instance populations this engine
-// targets; the byte stream fed to the hash still carries type and length
-// tags so the adversarial delimiter cases (quick_test.go) cannot collide
-// by construction.
+// path (indexed steady state) must run allocation-free. A hash is never
+// trusted as identity — header fields are the sender's to choose — so a
+// signature hit is confirmed on the values (bucket.findSig) and a key hit
+// by the stage's predicates; the byte stream fed to the hash still
+// carries type and length tags so the adversarial delimiter cases
+// (quick_test.go) cannot collide by construction.
 const (
 	fnvOffset uint64 = 14695981039346656037
 	fnvPrime  uint64 = 1099511628211
@@ -352,69 +455,18 @@ func eventIndexKeys(cs *compiledStage, e *Event, keys []uint64) []uint64 {
 		return append(keys, pidKey(e.PacketID))
 	}
 	for gi, group := range cs.indexGroups {
-		h := groupKeyBase(gi)
-		ok := true
-		for _, pr := range group {
-			v, present := e.Field(pr.Field)
-			if !present {
-				ok = false
-				break
-			}
-			h = fnvValue(h, v)
-		}
-		if ok {
+		if h, ok := eventKey(groupKeyBase(gi), group, e); ok {
 			keys = append(keys, h)
 		}
 	}
 	return keys
 }
 
-// instanceIndexKeys computes the keys under which a waiting instance is
-// filed — one per index group (or the identity PacketID for pid-indexed
-// stages), plus one per keyed obligation guard — appending to keys (the
-// instance's reusable key slice).
-func instanceIndexKeys(cs *compiledStage, env bindings, packets []PacketID, keys []uint64) []uint64 {
-	if cs.pidIndex {
-		if pid := packets[cs.st.SamePacketAs]; pid != 0 {
-			keys = append(keys, pidKey(pid))
-		}
-	} else {
-		for gi, group := range cs.indexGroups {
-			if h, ok := envKey(groupKeyBase(gi), group, env); ok {
-				keys = append(keys, h)
-			}
-		}
-	}
-	for ui := range cs.guardIdx {
-		g := &cs.guardIdx[ui]
-		if len(g.eq) == 0 {
-			continue
-		}
-		if h, ok := envKey(guardKeyBase(ui), g.eq, env); ok {
-			keys = append(keys, h)
-		}
-	}
-	return keys
-}
-
-// envKey folds each predicate's variable value from the environment into
-// the seeded hash state.
-func envKey(h uint64, preds []property.Pred, env bindings) (uint64, bool) {
-	for _, pr := range preds {
-		v, present := env[pr.Arg.Var]
-		if !present {
-			return 0, false
-		}
-		h = fnvValue(h, v)
-	}
-	return h, true
-}
-
-// guardEventKey computes the key an event must hit for a keyed guard.
-func guardEventKey(gi int, g *guardIndex, e *Event) (uint64, bool) {
-	h := guardKeyBase(gi)
-	for _, pr := range g.eq {
-		v, ok := e.Field(pr.Field)
+// eventKey folds each predicate's field value from the event into the
+// seeded hash state.
+func eventKey(h uint64, preds []cpred, e *Event) (uint64, bool) {
+	for i := range preds {
+		v, ok := e.Field(preds[i].Field)
 		if !ok {
 			return 0, false
 		}
@@ -423,30 +475,54 @@ func guardEventKey(gi int, g *guardIndex, e *Event) (uint64, bool) {
 	return h, true
 }
 
-// signature builds the instance-identity hash used for deduplication:
-// stage, bindings, and the packet IDs of identity-relevant stages. The
-// binding environment is folded order-invariantly (each entry hashed on
-// its own, entry hashes summed) so no sorted key slice is allocated; a
-// map has no duplicate keys, so the sum is a faithful multiset hash, and
-// mix64 on each entry keeps the terms from cancelling (see mix64). The
-// result is never zero: zero is the "no signature" sentinel on instances.
-func (cp *compiledProp) signature(stage int, env bindings, packets []PacketID) uint64 {
-	var envSum uint64
-	for v, val := range env {
-		h := fnvString(fnvOffset, string(v))
-		h = fnvByte(h, '=')
-		envSum += mix64(fnvValue(h, val))
-	}
-	sig := fnvU64(fnvByte(fnvOffset, '@'), uint64(stage))
-	sig = fnvU64(sig, uint64(len(env)))
-	sig = fnvU64(sig, envSum)
-	for si := range cp.stages {
-		if cp.identityStages[si] && si < len(packets) && si < stage {
-			sig = fnvByte(sig, '#')
-			sig = fnvU64(sig, uint64(si))
-			sig = fnvU64(sig, uint64(packets[si]))
+// instanceIndexKeys computes the keys under which a waiting instance is
+// filed — one per index group (or the identity PacketID for pid-indexed
+// stages), plus one per keyed obligation guard — appending to keys.
+// compile bounds the count by rowKeys.
+func instanceIndexKeys(cs *compiledStage, en env, keys []uint64) []uint64 {
+	if cs.pidIndex {
+		if pid := PacketID(en.r.w[cs.samePacketWord]); pid != 0 {
+			keys = append(keys, pidKey(pid))
+		}
+	} else {
+		for gi, group := range cs.indexGroups {
+			keys = append(keys, envKey(groupKeyBase(gi), group, en))
 		}
 	}
+	for ui := range cs.guardIdx {
+		if g := &cs.guardIdx[ui]; len(g.eq) > 0 {
+			keys = append(keys, envKey(guardKeyBase(ui), g.eq, en))
+		}
+	}
+	return keys
+}
+
+// envKey folds each predicate's variable value from the environment into
+// the seeded hash state.
+func envKey(h uint64, preds []cpred, en env) uint64 {
+	for i := range preds {
+		h = fnvValue(h, en.s.value(en.r, preds[i].slot))
+	}
+	return h
+}
+
+// identityHash folds the given row words, in order, into the seeded hash
+// state. Slots have a fixed order, so no order-invariant sum is needed.
+func identityHash(h uint64, en env, words []uint8) uint64 {
+	for _, w := range words {
+		h = fnvValue(h, en.s.value(en.r, int(w)))
+	}
+	return h
+}
+
+// signature builds the instance-identity hash used for deduplication:
+// the stage and its identity words (bound variables, then the PacketIDs
+// of identity-relevant earlier stages). It is a hint, not identity — the
+// bucket confirms a hit by comparing the words — and never zero: zero is
+// the "no signature" sentinel on rows.
+func (cp *compiledProp) signature(stage int, en env) uint64 {
+	sig := fnvU64(fnvByte(fnvOffset, '@'), uint64(stage))
+	sig = identityHash(sig, en, cp.stages[stage].idWords)
 	if sig == 0 {
 		sig = 1
 	}
@@ -533,7 +609,7 @@ func analyzeSharding(cp *compiledProp) shardPlan {
 		}
 		for gi := range cs.guardIdx {
 			g := &cs.guardIdx[gi]
-			if g.guard.Sticky {
+			if g.sticky {
 				continue // handled below via the synthesized environment
 			}
 			if len(g.eq) == 0 {
@@ -549,8 +625,8 @@ func analyzeSharding(cp *compiledProp) shardPlan {
 		}
 		for _, sg := range cs.stickyGuards {
 			pins := map[property.Var]packet.Field{}
-			for v, f := range sg.varFields {
-				pins[v] = f
+			for _, pin := range sg.pins {
+				pins[cp.vars[pin.slot]] = pin.field
 			}
 			paths = append(paths, path{pins: pins})
 		}

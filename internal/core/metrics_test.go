@@ -119,6 +119,7 @@ func TestShardedPropertyCountersMatchInline(t *testing.T) {
 // enabling -metrics-addr must not change the engine's allocation
 // behavior on the indexed fast path.
 func TestSteadyStateAllocationBudgetWithTelemetry(t *testing.T) {
+	skipAllocGateUnderRace(t)
 	sched := sim.NewScheduler()
 	reg := obs.NewRegistry()
 	ring := obs.NewRing(64)

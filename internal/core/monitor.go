@@ -214,65 +214,13 @@ type Stats struct {
 	LifecycleEpoch uint64
 }
 
-// instance is one partially completed violation pattern (Feature 8's
-// "instances"). Instances are pooled: terminally dead ones return to the
-// monitor's free list and are recycled by createInstance under a fresh id.
-type instance struct {
-	id      uint64
-	propIdx int
-	cp      *compiledProp
-	// stage is the observation the instance is waiting to satisfy.
-	stage   int
-	binds   bindings
-	packets []PacketID
-	history []ProvRecord
-	timer   *sim.Timer
-	// count and seen track progress of a counting stage (MinCount > 1);
-	// both reset when the instance enters a new stage.
-	count int
-	seen  map[packet.Value]bool
-	// deadlineNegative records what the pending timer means: advance
-	// (negative observation) or expire (window).
-	deadlineNegative bool
-	lastEventSeq     uint64
-	// lastCandSeq dedups an instance reachable through several index keys
-	// of the same event without building a union set.
-	lastCandSeq uint64
-	idxKeys     []uint64
-	sig         uint64
-	filed       bool
-	// acctBytes is the approximate resident cost charged to state
-	// accounting when the instance was filed; remove returns exactly
-	// this much, so the bytes gauge converges under churn.
-	acctBytes int64
-}
-
-// bucket holds the instances of one property waiting at one stage.
-type bucket struct {
-	all   map[uint64]*instance
-	keyed map[uint64]map[uint64]*instance
-	bySig map[uint64]*instance
-	// suppressed holds instance signatures permanently discharged by
-	// sticky guards; entering instances with these signatures are dropped.
-	suppressed map[uint64]bool
-}
-
-func newBucket() *bucket {
-	return &bucket{
-		all:        map[uint64]*instance{},
-		keyed:      map[uint64]map[uint64]*instance{},
-		bySig:      map[uint64]*instance{},
-		suppressed: map[uint64]bool{},
-	}
-}
-
-// evictRef is one entry in the MaxInstances FIFO. Instances are pooled,
-// so the queue pins the id the reference was filed under: a recycled
-// instance carries a fresh id and fails the check, which keeps a stale
-// reference from evicting the new incarnation.
+// evictRef is one entry in the MaxInstances FIFO. Rows are recycled, so
+// the queue pins the incarnation the reference was filed under: a
+// recycled row carries a later one and fails the check, which keeps a
+// stale reference from evicting the new instance.
 type evictRef struct {
-	inst *instance
-	id   uint64
+	row uint32
+	inc uint32
 }
 
 // Monitor is the property-monitoring engine. It is single-threaded by
@@ -285,12 +233,15 @@ type Monitor struct {
 	// its feed goroutine's Feed and AdvanceTo. HandleEvent and Flush, the
 	// single-threaded entry points the dataplane, the shards and the
 	// benchmarks drive, never take it.
-	mu      sync.Mutex
-	sched   *sim.Scheduler
-	cfg     Config
-	props   []*compiledProp
-	buckets map[int][]*bucket // propIdx -> per-stage buckets
-	nextID  uint64
+	mu    sync.Mutex
+	sched *sim.Scheduler
+	cfg   Config
+	props []*compiledProp
+	// buckets holds, per propIdx, one bucket per stage; st is the row
+	// slab the buckets index and dl the stages' deadline queues.
+	buckets [][]bucket
+	st      store
+	dl      deadlineSet
 	seq     uint64
 	pending []Event
 	// pendingN mirrors len(pending) atomically so PendingEvents (and
@@ -306,17 +257,14 @@ type Monitor struct {
 	// eviction; entries may be stale (already removed or recycled).
 	evictQueue []evictRef
 	live       int
-	// freeList recycles terminally dead instances (pooling: the hot path
-	// must not allocate).
-	freeList []*instance
 	// instScratch and keyScratch are per-monitor scratch buffers for
 	// matchStage's candidate collection; taken and restored around use so
 	// re-entrant HandleEvent calls from an OnViolation callback fall back
 	// to allocating instead of corrupting the in-use buffer.
-	instScratch []*instance
+	instScratch []uint32
 	keyScratch  []uint64
-	// envScratch is reused by seedSuppressions for synthesized identities.
-	envScratch bindings
+	// envRow is the row seedSuppressions synthesizes identities in.
+	envRow row
 	// ledger is the soundness record (always non-nil; shared across
 	// shards under a ShardedMonitor).
 	ledger *Ledger
@@ -365,7 +313,9 @@ func NewMonitor(sched *sim.Scheduler, cfg Config) *Monitor {
 // ledger means own ledger, nil tracker means own single-shard tracker
 // unless accounting is disabled.
 func newMonitorWithLedger(sched *sim.Scheduler, cfg Config, led *Ledger, st *statesize.Tracker, shardIdx int) *Monitor {
-	m := &Monitor{sched: sched, cfg: cfg, buckets: map[int][]*bucket{}, curProp: -1}
+	m := &Monitor{sched: sched, cfg: cfg, curProp: -1}
+	m.dl.m = m
+	sched.AddSource(&m.dl)
 	if cfg.Metrics != nil {
 		m.mx = newMonitorMetrics(cfg.Metrics, cfg.MetricsLabels)
 	}
@@ -527,16 +477,23 @@ func (m *Monitor) installLocal(p *property.Property) (int, error) {
 	}
 	if idx < 0 {
 		idx = len(m.props)
+		if idx > int(^uint16(0)) {
+			return -1, fmt.Errorf("core: too many properties (%d)", idx)
+		}
 		m.props = append(m.props, nil)
+		m.buckets = append(m.buckets, nil)
 		m.pmx = append(m.pmx, propMetrics{})
 		m.sx = append(m.sx, nil)
 		m.tcell = append(m.tcell, nil)
 		m.tcap = append(m.tcap, 0)
 	}
 	m.props[idx] = cp
-	bs := make([]*bucket, len(cp.stages))
-	for i := range bs {
-		bs[i] = newBucket()
+	bs := make([]bucket, len(cp.stages))
+	for si := 1; si < len(bs); si++ {
+		if cp.stages[si].st.Window > 0 {
+			bs[si].dq = new(deadlineQueue)
+			m.dl.queues = append(m.dl.queues, bs[si].dq)
+		}
 	}
 	m.buckets[idx] = bs
 	if m.cfg.Metrics != nil {
@@ -573,7 +530,8 @@ func (m *Monitor) removeLocal(idx int, uninstallTracker bool) {
 		m.quarantined &^= uint64(1) << uint(idx)
 	}
 	m.props[idx] = nil
-	delete(m.buckets, idx)
+	m.dl.drop(m.buckets[idx])
+	m.buckets[idx] = nil
 	m.pmx[idx] = propMetrics{}
 	if m.state != nil && uninstallTracker {
 		m.state.Uninstall(idx)
@@ -613,8 +571,8 @@ func (m *Monitor) Stats() Stats {
 func (m *Monitor) ActiveInstances() int {
 	n := 0
 	for _, bs := range m.buckets {
-		for _, b := range bs {
-			n += len(b.all)
+		for i := range bs {
+			n += bs[i].n
 		}
 	}
 	return n
@@ -755,17 +713,15 @@ func (m *Monitor) stepProp(pi int, cp *compiledProp, e *Event, seq uint64, match
 		// advanced by this event is not advanced again, then consider
 		// creating a fresh instance at stage 0.
 		for si := len(cp.stages) - 1; si >= 1; si-- {
-			b := bs[si]
-			if len(b.all) == 0 {
+			b := &bs[si]
+			if b.n == 0 {
 				continue
 			}
-			cs := &cp.stages[si]
-			m.matchStage(pi, si, cs, b, e, seq)
+			m.matchStage(pi, &cp.stages[si], b, e, seq)
 		}
 	}
 	if create {
-		cs0 := &cp.stages[0]
-		if stagePatternMatches(cs0, e, nil, nil) {
+		if stagePatternMatches(&cp.stages[0], e, env{}) {
 			m.createInstance(pi, cp, e, seq)
 		}
 	}
@@ -774,8 +730,8 @@ func (m *Monitor) stepProp(pi int, cp *compiledProp, e *Event, seq uint64, match
 // quarantineLocal stops stepping the masked properties and purges their
 // live instances from this monitor, canceling their timers. Purging
 // (rather than freezing) matters after a panic: the interrupted step may
-// have left a property's instances half-advanced, and a stopped timer
-// is the guarantee that no scheduler callback resurrects them.
+// have left a property's instances half-advanced, and a cancelled
+// deadline is the guarantee that no scheduler callback resurrects them.
 func (m *Monitor) quarantineLocal(bits uint64) {
 	m.quarantined |= bits
 	for pi, cp := range m.props {
@@ -787,21 +743,24 @@ func (m *Monitor) quarantineLocal(bits uint64) {
 }
 
 // purgeProp removes every live instance of property pi, canceling its
-// timers and refunding its accounting — the shared teardown of
-// quarantine and removal.
+// deadlines and refunding its accounting — the shared teardown of
+// quarantine and removal. A step that panicked may also have left a row
+// of the property in flight (unfiled, not yet released); those are swept
+// back to the free chain so the slab stays fully accounted for.
 func (m *Monitor) purgeProp(pi int) {
-	for _, b := range m.buckets[pi] {
-		if len(b.all) == 0 {
-			continue
+	bs := m.buckets[pi]
+	for si := range bs {
+		b := &bs[si]
+		for b.head != 0 {
+			id := b.head
+			r := m.st.at(id)
+			m.remove(id, r)
+			m.release(id, r)
 		}
-		// Collect first: remove mutates the maps being iterated.
-		doomed := make([]*instance, 0, len(b.all))
-		for _, inst := range b.all {
-			doomed = append(doomed, inst)
-		}
-		for _, inst := range doomed {
-			m.remove(inst)
-			m.release(inst)
+	}
+	for id := uint32(1); id <= m.st.n; id++ {
+		if r := m.st.at(id); r.state == rowInFlight && int(r.prop) == pi {
+			m.release(id, r)
 		}
 	}
 }
@@ -811,54 +770,50 @@ func (m *Monitor) Quarantined() uint64 { return m.quarantined }
 
 // matchStage advances, discharges, or leaves alone the instances waiting
 // at one stage for one event. The candidate set is the union of the index
-// groups' keyed lookups — merge-iterated with a sequence-number dedup
-// rather than materialized into a set — or the whole bucket when the
-// stage has no index schema (or indexing is disabled).
-func (m *Monitor) matchStage(pi, si int, cs *compiledStage, b *bucket, e *Event, seq uint64) {
+// groups' key chains — walked with a sequence-number dedup rather than
+// materialized into a set — or the whole bucket when the stage has no
+// index schema (or indexing is disabled).
+func (m *Monitor) matchStage(pi int, cs *compiledStage, b *bucket, e *Event, seq uint64) {
 	st := cs.st
+	s := &m.st
 	// Pass 1: pattern matches. For positive stages a match advances; for
 	// negative stages the awaited event arrived in time, so the instance
 	// is discharged without violation. Matches are collected first (into a
-	// scratch buffer) and acted on after, since acting mutates the maps
-	// being iterated.
+	// scratch buffer) and acted on after, since acting refiles the rows
+	// being walked.
 	acted := m.instScratch[:0]
 	m.instScratch = nil
-	if m.cfg.DisableIndex || (len(cs.indexGroups) == 0 && !cs.pidIndex) {
-		for _, inst := range b.all {
-			if inst.lastEventSeq == seq {
-				continue
-			}
-			if stagePatternMatches(cs, e, inst.binds, inst.packets) {
-				acted = append(acted, inst)
-			}
-		}
-	} else {
-		keys := m.keyScratch[:0]
-		m.keyScratch = nil
+	keys := m.keyScratch[:0]
+	m.keyScratch = nil
+	walks := 1 // the whole bucket
+	scan := m.cfg.DisableIndex || (len(cs.indexGroups) == 0 && !cs.pidIndex)
+	if !scan {
 		keys = eventIndexKeys(cs, e, keys)
-		for _, k := range keys {
-			for _, inst := range b.keyed[k] {
-				if inst.lastCandSeq == seq {
-					continue // already considered under another key
-				}
-				inst.lastCandSeq = seq
-				if inst.lastEventSeq == seq {
-					continue
-				}
-				if stagePatternMatches(cs, e, inst.binds, inst.packets) {
-					acted = append(acted, inst)
+		walks = len(keys)
+	}
+	for i := 0; i < walks; i++ {
+		w := walk{all: scan}
+		if !scan {
+			w.key = keys[i]
+		}
+		for id := b.first(w); id != 0; {
+			r := s.at(id)
+			// lastCandSeq: already considered under another key.
+			if r.lastCandSeq != seq {
+				r.lastCandSeq = seq
+				if r.lastEventSeq != seq && stagePatternMatches(cs, e, env{r, s}) {
+					acted = append(acted, id)
 				}
 			}
+			id = r.after(w)
 		}
-		m.keyScratch = keys[:0]
 	}
-	for _, inst := range acted {
-		inst.lastEventSeq = seq
+	m.keyScratch = keys[:0]
+	for _, id := range acted {
+		r := s.at(id)
+		r.lastEventSeq = seq
 		if st.Negative {
-			m.remove(inst)
-			m.stats.discharged.Add(1)
-			m.pmx[pi].discharged.Inc()
-			m.release(inst)
+			m.discharge(pi, id, r)
 			continue
 		}
 		if st.MinCount > 1 {
@@ -866,190 +821,185 @@ func (m *Monitor) matchStage(pi, si int, cs *compiledStage, b *bucket, e *Event,
 			// the threshold is reached, then advance.
 			if st.CountDistinct != 0 {
 				v, ok := e.Field(st.CountDistinct)
-				if !ok || inst.seen[v] {
+				if !ok {
 					continue
 				}
-				if inst.seen == nil {
-					inst.seen = map[packet.Value]bool{}
+				seen := s.seen.at(id)
+				if (*seen)[v] {
+					continue
 				}
-				inst.seen[v] = true
+				if *seen == nil {
+					*seen = map[packet.Value]bool{}
+				}
+				(*seen)[v] = true
 			}
-			inst.count++
-			if inst.count < st.MinCount {
+			r.count++
+			if int(r.count) < st.MinCount {
 				continue
 			}
 		}
-		m.advance(inst, e)
+		m.advance(id, r, e)
 	}
 	// Pass 2: obligation guards (Feature 4). Each guard has its own index
 	// keys; guards without equality-on-variable predicates fall back to a
 	// bucket scan. The acted buffer is done, so it doubles as the
 	// discharge buffer.
-	if len(cs.guardIdx) == 0 {
-		m.instScratch = acted[:0]
-		return
-	}
 	discharged := acted[:0]
 	for gi := range cs.guardIdx {
 		g := &cs.guardIdx[gi]
-		if !classMatches(g.guard.Class, e) {
+		if !classMatches(g.class, e) {
 			continue
 		}
-		cands := b.all
+		w := walk{all: true}
 		if !m.cfg.DisableIndex && len(g.eq) > 0 {
-			key, ok := guardEventKey(gi, g, e)
+			key, ok := eventKey(guardKeyBase(gi), g.eq, e)
 			if !ok {
 				continue
 			}
-			cands = b.keyed[key]
+			w = walk{key: key}
 		}
-		for _, inst := range cands {
-			if inst.lastEventSeq == seq {
-				continue
+		for id := b.first(w); id != 0; {
+			r := s.at(id)
+			if r.lastEventSeq != seq && guardMatches(g, e, env{r, s}) {
+				r.lastEventSeq = seq
+				discharged = append(discharged, id)
 			}
-			if guardMatches(g.guard, e, inst.binds) {
-				inst.lastEventSeq = seq
-				discharged = append(discharged, inst)
-			}
+			id = r.after(w)
 		}
 	}
-	for _, inst := range discharged {
-		m.remove(inst)
-		m.stats.discharged.Add(1)
-		m.pmx[pi].discharged.Inc()
-		m.release(inst)
+	for _, id := range discharged {
+		m.discharge(pi, id, s.at(id))
 	}
 	m.instScratch = discharged[:0]
 }
 
-// createInstance starts a new instance from a stage-0 match, recycling a
-// pooled instance when one is free.
+// discharge removes an instance whose obligation was met: a guard
+// matched, or a negative observation saw its awaited event.
+func (m *Monitor) discharge(pi int, id uint32, r *row) {
+	m.remove(id, r)
+	m.stats.discharged.Add(1)
+	m.pmx[pi].discharged.Inc()
+	m.release(id, r)
+}
+
+// createInstance starts a new instance from a stage-0 match in a fresh or
+// recycled row.
 func (m *Monitor) createInstance(pi int, cp *compiledProp, e *Event, seq uint64) {
-	var inst *instance
-	if n := len(m.freeList); n > 0 {
-		inst = m.freeList[n-1]
-		m.freeList[n-1] = nil
-		m.freeList = m.freeList[:n-1]
+	id, r, recycled := m.st.alloc()
+	if recycled {
 		m.state.PoolGet(m.shardIdx)
-	} else {
-		inst = &instance{binds: bindings{}}
 	}
-	m.nextID++
-	inst.id = m.nextID
-	inst.propIdx = pi
-	inst.cp = cp
-	inst.stage = 0
-	inst.lastEventSeq = seq
-	inst.lastCandSeq = seq
-	if cap(inst.packets) >= len(cp.stages) {
-		inst.packets = inst.packets[:len(cp.stages)]
-		clear(inst.packets)
-	} else {
-		inst.packets = make([]PacketID, len(cp.stages))
-	}
+	r.prop = uint16(pi)
+	r.stage = 0
+	r.lastEventSeq = seq
+	r.lastCandSeq = seq
+	r.w = [rowWords]uint64{}
 	m.stats.created.Add(1)
-	m.advance(inst, e)
+	m.advance(id, r, e)
 }
 
 // release returns a terminally dead instance (violated, discharged,
-// expired, evicted, suppressed, or deduped away) to the free list. The
-// caller must have unfiled it first; remove stops the timer, so no
-// scheduler callback can touch a recycled instance, and createInstance
-// reissues a fresh id, which is what invalidates stale evictRefs.
-func (m *Monitor) release(inst *instance) {
-	inst.cp = nil
-	inst.timer = nil
-	inst.history = inst.history[:0]
-	inst.count = 0
-	inst.seen = nil
-	inst.deadlineNegative = false
-	clear(inst.binds)
-	m.freeList = append(m.freeList, inst)
+// expired, evicted, suppressed, or deduped away) to the slab's free
+// chain. The caller must have unfiled it first; remove cancels the
+// deadline, so nothing scheduled can touch a recycled row, and alloc
+// starts a new incarnation, which is what invalidates stale evictRefs.
+func (m *Monitor) release(id uint32, r *row) {
+	m.st.release(id, r)
 	m.state.PoolPut(m.shardIdx)
 }
 
 // advance applies the event's bindings and moves the instance forward,
 // reporting a violation if the pattern is complete.
-func (m *Monitor) advance(inst *instance, e *Event) {
-	cs := &inst.cp.stages[inst.stage]
-	m.pmx[inst.propIdx].matches.Inc()
-	if inst.stage > 0 {
-		m.remove(inst) // leaves timers canceled and indexes clean
+func (m *Monitor) advance(id uint32, r *row, e *Event) {
+	cp := m.props[r.prop]
+	cs := &cp.stages[r.stage]
+	m.pmx[r.prop].matches.Inc()
+	if r.stage > 0 {
+		m.remove(id, r) // leaves deadlines canceled and indexes clean
 		m.stats.advanced.Add(1)
 	}
-	for _, bd := range cs.st.Binds {
-		v, ok := e.Field(bd.Field)
+	for _, bd := range cs.binds {
+		v, ok := e.Field(bd.field)
 		if !ok {
 			// stagePatternMatches checked availability; this is a bug
 			// guard, not a runtime path.
-			panic(fmt.Sprintf("core: bind field %v unavailable after match", bd.Field))
+			panic(fmt.Sprintf("core: bind field %v unavailable after match", bd.field))
 		}
-		inst.binds[bd.Var] = v
+		m.st.setValue(r, bd.slot, v)
 	}
-	inst.packets[inst.stage] = e.PacketID
+	if cs.ownPacketWord >= 0 {
+		r.w[cs.ownPacketWord] = uint64(e.PacketID)
+	}
 	if m.cfg.Provenance == ProvFull {
-		inst.history = append(inst.history, ProvRecord{
-			Stage: inst.stage,
+		h := m.st.hist.at(id)
+		*h = append(*h, ProvRecord{
+			Stage: int(r.stage),
 			Label: cs.st.Label,
 			Time:  e.Time,
 			Event: e.Summary(),
 		})
 	}
-	inst.stage++
-	inst.count = 0
-	inst.seen = nil
-	if inst.stage == len(inst.cp.stages) {
-		m.violate(inst, e.Time, e.Summary())
-		m.release(inst)
+	if m.nextStage(id, r, cp) {
+		m.violate(id, r, cp, e.Time, e.Summary())
+		m.release(id, r)
 		return
 	}
-	m.enter(inst)
+	m.enter(id, r, cp)
+}
+
+// nextStage moves an unfiled row to its next stage, resetting the
+// counting state, and reports whether that completed the pattern.
+func (m *Monitor) nextStage(id uint32, r *row, cp *compiledProp) (complete bool) {
+	r.stage++
+	r.count = 0
+	if int(id) < len(m.st.seen) {
+		m.st.seen[id] = nil
+	}
+	return int(r.stage) == len(cp.stages)
 }
 
 // advanceByTimeout is the Feature 7 path: a negative observation's
 // deadline fired with no discharging event, which *advances* the instance.
-func (m *Monitor) advanceByTimeout(inst *instance) {
-	m.curProp = inst.propIdx // attribution if a supervisor recovers a panic below
-	cs := &inst.cp.stages[inst.stage]
-	m.remove(inst)
+func (m *Monitor) advanceByTimeout(id uint32, r *row) {
+	cp := m.props[r.prop]
+	cs := &cp.stages[r.stage]
+	m.remove(id, r)
 	m.stats.advanced.Add(1)
-	m.pmx[inst.propIdx].timeouts.Inc()
+	m.pmx[r.prop].timeouts.Inc()
 	now := m.sched.Now()
 	if m.cfg.Provenance == ProvFull {
-		inst.history = append(inst.history, ProvRecord{
-			Stage: inst.stage,
+		h := m.st.hist.at(id)
+		*h = append(*h, ProvRecord{
+			Stage: int(r.stage),
 			Label: cs.st.Label,
 			Time:  now,
 			Event: "timeout",
 		})
 	}
-	inst.stage++
-	inst.count = 0
-	inst.seen = nil
-	trigger := fmt.Sprintf("timeout: no event matched %q within the window", cs.st.Label)
-	if inst.stage == len(inst.cp.stages) {
-		m.violate(inst, now, trigger)
-		m.release(inst)
+	if m.nextStage(id, r, cp) {
+		m.violate(id, r, cp, now, fmt.Sprintf("timeout: no event matched %q within the window", cs.st.Label))
+		m.release(id, r)
 		return
 	}
-	m.enter(inst)
+	m.enter(id, r, cp)
 }
 
 // enter files the instance under its pending stage, handling dedup /
 // refresh and arming deadlines. Instances turned away (suppressed or
-// deduplicated) are dead and return to the pool.
-func (m *Monitor) enter(inst *instance) {
-	cs := &inst.cp.stages[inst.stage]
-	b := m.buckets[inst.propIdx][inst.stage]
-	sig := inst.cp.signature(inst.stage, inst.binds, inst.packets)
+// deduplicated) are dead and return to the free chain.
+func (m *Monitor) enter(id uint32, r *row, cp *compiledProp) {
+	cs := &cp.stages[r.stage]
+	b := &m.buckets[r.prop][r.stage]
+	en := env{r, &m.st}
+	sig := cp.signature(int(r.stage), en)
 	if b.suppressed[sig] {
 		m.stats.suppressed.Add(1)
-		m.release(inst)
+		m.release(id, r)
 		return
 	}
-	if exist, ok := b.bySig[sig]; ok {
+	if exID := b.findSig(&m.st, sig, r, cs.idWords); exID != 0 {
 		// An identical instance is already waiting. For a windowed
-		// positive stage the new observation refreshes the timer
+		// positive stage the new observation refreshes the deadline
 		// (Feature 3); for a negative stage the original deadline is
 		// preserved (Feature 7's non-refresh rule). Counting stages also
 		// keep their original deadline: their window is a measurement
@@ -1058,27 +1008,27 @@ func (m *Monitor) enter(inst *instance) {
 		// with gaps under T".
 		m.stats.deduped.Add(1)
 		if !cs.st.Negative && cs.st.MinCount <= 1 {
-			if d, ok := m.windowOf(cs, exist.binds); ok {
-				if exist.timer != nil {
-					exist.timer.Stop()
+			exist := m.st.at(exID)
+			if d, ok := m.windowOf(cs, exist); ok {
+				if exist.flags&rowArmed != 0 {
+					m.disarm(exID, exist, b)
 				}
-				ex := exist
-				exist.timer = m.sched.After(d, func() { m.expire(ex) })
+				m.arm(exID, exist, cs, b, d)
 				m.stats.refreshed.Add(1)
 			}
 		}
-		m.release(inst)
+		m.release(id, r)
 		return
 	}
 	// Per-tenant instance cap: a tenant at its cap has the new instance
 	// rejected and its own properties marked unsound (quota) — neighbors
 	// never pay. Untenanted properties carry a nil cell: one pointer test.
-	if c := m.tcell[inst.propIdx]; c != nil {
-		if cap := m.tcap[inst.propIdx]; cap > 0 && c.Instances() >= cap {
+	if c := m.tcell[r.prop]; c != nil {
+		if cap := m.tcap[r.prop]; cap > 0 && c.Instances() >= cap {
 			c.Shed(1)
-			m.ledger.Mark(inst.cp.prop.Name, UnsoundQuota, m.seq, m.sched.Now(), 1, "tenant instance cap reached")
+			m.ledger.Mark(cp.prop.Name, UnsoundQuota, m.seq, m.sched.Now(), 1, "tenant instance cap reached")
 			m.ledger.recordLost(UnsoundQuota, 1)
-			m.release(inst)
+			m.release(id, r)
 			return
 		}
 		c.FileInstance()
@@ -1089,152 +1039,104 @@ func (m *Monitor) enter(inst *instance) {
 		}
 		// The FIFO is only maintained under a cap; an unbounded monitor
 		// must not accumulate queue entries forever.
-		m.evictQueue = append(m.evictQueue, evictRef{inst: inst, id: inst.id})
+		m.evictQueue = append(m.evictQueue, evictRef{row: id, inc: r.inc})
 	}
-	inst.sig = sig
-	inst.filed = true
+	var kb [rowKeys]uint64
+	b.file(&m.st, id, sig, instanceIndexKeys(cs, en, kb[:0]))
 	m.live++
 	if m.mx != nil {
 		m.mx.occupancy.Add(1)
 	}
-	if h := m.sx[inst.propIdx]; h != nil {
-		inst.acctBytes = approxInstanceBytes(inst)
+	if h := m.sx[r.prop]; h != nil {
 		var fk uint64
 		if h.Sketching() {
-			fk = flowKey(inst.binds)
+			fk = flowKey(en, cs.nbound)
 		}
-		h.File(fk, inst.acctBytes)
+		h.File(fk, m.filedBytes(id, r, cs))
 	}
-	b.bySig[sig] = inst
-	b.all[inst.id] = inst
-	inst.idxKeys = instanceIndexKeys(cs, inst.binds, inst.packets, inst.idxKeys[:0])
-	for _, key := range inst.idxKeys {
-		sub := b.keyed[key]
-		if sub == nil {
-			sub = map[uint64]*instance{}
-			b.keyed[key] = sub
-		}
-		sub[inst.id] = inst
+	if d, ok := m.windowOf(cs, r); ok {
+		m.arm(id, r, cs, b, d)
+		m.sx[r.prop].ArmTimer()
 	}
-	if d, ok := m.windowOf(cs, inst.binds); ok {
-		in := inst
-		if cs.st.Negative {
-			inst.deadlineNegative = true
-			inst.timer = m.sched.After(d, func() { m.advanceByTimeout(in) })
-		} else {
-			inst.deadlineNegative = false
-			inst.timer = m.sched.After(d, func() { m.expire(in) })
-		}
-		m.sx[inst.propIdx].ArmTimer()
-	}
-}
-
-// windowOf resolves a stage's window, static or variable.
-func (m *Monitor) windowOf(cs *compiledStage, env bindings) (time.Duration, bool) {
-	if cs.st.Window > 0 {
-		return cs.st.Window, true
-	}
-	if cs.st.WindowVar != "" {
-		v, ok := env[cs.st.WindowVar]
-		if !ok || v.IsStr() {
-			return 0, false
-		}
-		return time.Duration(v.Uint64()) * time.Second, true
-	}
-	return 0, false
 }
 
 // expire removes an instance whose positive-stage window lapsed: the
 // monitored obligation no longer applies (Feature 3).
-func (m *Monitor) expire(inst *instance) {
-	m.curProp = inst.propIdx // attribution if a supervisor recovers a panic below
-	m.remove(inst)
+func (m *Monitor) expire(id uint32, r *row) {
+	pi := r.prop
+	m.remove(id, r)
 	m.stats.expired.Add(1)
-	m.pmx[inst.propIdx].expired.Inc()
-	m.pmx[inst.propIdx].timeouts.Inc()
-	m.release(inst)
+	m.pmx[pi].expired.Inc()
+	m.pmx[pi].timeouts.Inc()
+	m.release(id, r)
 }
 
 // remove unfiles the instance and cancels its deadline. The instance may
 // live on (a stage advance re-enters it); terminal callers release it to
-// the pool separately.
-func (m *Monitor) remove(inst *instance) {
-	if inst.timer != nil {
-		inst.timer.Stop()
-		inst.timer = nil
-		m.sx[inst.propIdx].DisarmTimer()
+// the free chain separately.
+func (m *Monitor) remove(id uint32, r *row) {
+	b := &m.buckets[r.prop][r.stage]
+	if r.flags&rowArmed != 0 {
+		m.disarm(id, r, b)
+		m.sx[r.prop].DisarmTimer()
 	}
-	if inst.filed {
-		inst.filed = false
-		m.live--
-		if m.mx != nil {
-			m.mx.occupancy.Add(-1)
-		}
-		m.sx[inst.propIdx].Unfile(inst.acctBytes)
-		if c := m.tcell[inst.propIdx]; c != nil {
-			c.UnfileInstance()
-		}
+	if r.state != rowFiled {
+		return
 	}
-	b := m.buckets[inst.propIdx][inst.stage]
-	delete(b.all, inst.id)
-	if inst.sig != 0 {
-		if b.bySig[inst.sig] == inst {
-			delete(b.bySig, inst.sig)
-		}
-		inst.sig = 0
+	bytes := m.filedBytes(id, r, &m.props[r.prop].stages[r.stage])
+	b.unfile(&m.st, id)
+	m.live--
+	if m.mx != nil {
+		m.mx.occupancy.Add(-1)
 	}
-	for _, key := range inst.idxKeys {
-		if sub := b.keyed[key]; sub != nil {
-			delete(sub, inst.id)
-			if len(sub) == 0 {
-				delete(b.keyed, key)
-			}
-		}
+	m.sx[r.prop].Unfile(bytes)
+	if c := m.tcell[r.prop]; c != nil {
+		c.UnfileInstance()
 	}
-	inst.idxKeys = inst.idxKeys[:0]
 }
 
 // seedSuppressions applies sticky guards (permanent discharge): any event
 // matching one marks the synthesized instance identity as suppressed and
 // removes a live instance with that identity.
-func (m *Monitor) seedSuppressions(cp *compiledProp, bs []*bucket, e *Event) {
+func (m *Monitor) seedSuppressions(cp *compiledProp, bs []bucket, e *Event) {
 	for si := range cp.stages {
 		cs := &cp.stages[si]
-		if len(cs.stickyGuards) == 0 {
-			continue
-		}
-		for _, sg := range cs.stickyGuards {
-			if !classMatches(sg.guard.Class, e) {
+		for gi := range cs.stickyGuards {
+			sg := &cs.stickyGuards[gi]
+			if !classMatches(sg.class, e) {
 				continue
 			}
-			if m.envScratch == nil {
-				m.envScratch = bindings{}
-			}
-			env := m.envScratch
-			clear(env)
-			ok := true
-			for v, f := range sg.varFields {
-				val, present := e.Field(f)
-				if !present {
-					ok = false
-					break
-				}
-				env[v] = val
-			}
-			if !ok || !predsHold(sg.rest, e, env) {
-				continue
-			}
-			sig := cp.signature(si, env, nil)
-			b := bs[si]
-			if !b.suppressed[sig] {
-				b.suppressed[sig] = true
-			}
-			if inst, live := b.bySig[sig]; live {
-				m.remove(inst)
-				m.stats.suppressed.Add(1)
-				m.release(inst)
-			}
+			m.suppress(cp, si, sg, &bs[si], e)
 		}
+	}
+}
+
+// suppress synthesizes, in the scratch row, the identity a sticky guard's
+// event pins, and retires it from stage si for good.
+func (m *Monitor) suppress(cp *compiledProp, si int, sg *stickyGuard, b *bucket, e *Event) {
+	q := &m.envRow
+	en := env{q, &m.st}
+	defer m.st.clearStrings(q)
+	for _, pin := range sg.pins {
+		val, present := e.Field(pin.field)
+		if !present {
+			return
+		}
+		m.st.setValue(q, pin.slot, val)
+	}
+	if !predsHold(sg.rest, e, en) {
+		return
+	}
+	sig := cp.signature(si, en)
+	if b.suppressed == nil {
+		b.suppressed = map[uint64]bool{}
+	}
+	b.suppressed[sig] = true
+	if id := b.findSig(&m.st, sig, q, cp.stages[si].idWords); id != 0 {
+		r := m.st.at(id)
+		m.remove(id, r)
+		m.stats.suppressed.Add(1)
+		m.release(id, r)
 	}
 }
 
@@ -1242,14 +1144,14 @@ func (m *Monitor) seedSuppressions(cp *compiledProp, bs []*bucket, e *Event) {
 func (m *Monitor) evictOldest() {
 	for len(m.evictQueue) > 0 {
 		ref := m.evictQueue[0]
-		m.evictQueue[0] = evictRef{}
 		m.evictQueue = m.evictQueue[1:]
-		if ref.inst.id != ref.id || !ref.inst.filed {
+		r := m.st.at(ref.row)
+		if r.inc != ref.inc || r.state != rowFiled {
 			continue // stale entry: already advanced, removed, or recycled
 		}
-		m.remove(ref.inst)
+		m.remove(ref.row, r)
 		m.stats.evicted.Add(1)
-		m.release(ref.inst)
+		m.release(ref.row, r)
 		return
 	}
 }
@@ -1257,25 +1159,27 @@ func (m *Monitor) evictOldest() {
 // violate emits a report: counters always, then a trace record into the
 // configured ring and the user callback, each carrying as much
 // provenance as the configured level allows.
-func (m *Monitor) violate(inst *instance, at time.Time, trigger string) {
+func (m *Monitor) violate(id uint32, r *row, cp *compiledProp, at time.Time, trigger string) {
 	m.stats.violations.Add(1)
-	m.pmx[inst.propIdx].violations.Inc()
+	m.pmx[r.prop].violations.Inc()
 	if m.cfg.OnViolation == nil && m.cfg.Violations == nil {
 		return
 	}
 	v := &Violation{
-		Property: inst.cp.prop.Name,
+		Property: cp.prop.Name,
 		Time:     at,
 		Trigger:  trigger,
 	}
 	if m.cfg.Provenance >= ProvLimited {
-		v.Bindings = make(map[property.Var]packet.Value, len(inst.binds))
-		for k, val := range inst.binds {
-			v.Bindings[k] = val
+		// A completed pattern has passed every stage, so every variable
+		// is bound.
+		v.Bindings = make(map[property.Var]packet.Value, len(cp.vars))
+		for slot, name := range cp.vars {
+			v.Bindings[name] = m.st.value(r, slot)
 		}
 	}
 	if m.cfg.Provenance == ProvFull {
-		v.History = append([]ProvRecord(nil), inst.history...)
+		v.History = append([]ProvRecord(nil), (*m.st.hist.at(id))...)
 	}
 	if m.cfg.Violations != nil {
 		m.cfg.Violations.Record(v.TraceRecord())

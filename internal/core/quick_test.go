@@ -9,6 +9,7 @@ import (
 
 	"switchmon/internal/packet"
 	"switchmon/internal/property"
+	"switchmon/internal/raceon"
 	"switchmon/internal/sim"
 )
 
@@ -64,6 +65,23 @@ func TestHashValuesDelimiterSafety(t *testing.T) {
 	}
 }
 
+// rowEnv builds a detached row holding the given variable values and the
+// per-stage matched PacketIDs, the way advance would have left it.
+func rowEnv(cp *compiledProp, binds map[property.Var]packet.Value, packets []PacketID) env {
+	en := env{r: &row{}, s: &store{}}
+	for slot, v := range cp.vars {
+		if val, ok := binds[v]; ok {
+			en.s.setValue(en.r, slot, val)
+		}
+	}
+	for si, pid := range packets {
+		if w := cp.stages[si].ownPacketWord; w >= 0 {
+			en.r.w[w] = uint64(pid)
+		}
+	}
+	return en
+}
+
 // Regression: the order-invariant signature sums per-entry hashes, and
 // raw FNV terms cancel under summation on correlated inputs — flows
 // (10.0.0.f, 203.0.0.f) collapsed to a quarter of their key space before
@@ -79,8 +97,8 @@ func TestSignatureCorrelatedBindingsDistinct(t *testing.T) {
 	sigs := make(map[uint64]int, 8192)
 	routes := make(map[uint64]int, 8192)
 	for f := 0; f < 8192; f++ {
-		env := bindings{"A": packet.Num(uint64(0x0a000000 + f)), "B": packet.Num(uint64(0xcb000000 + f))}
-		sig := cp.signature(1, env, pk)
+		env := map[property.Var]packet.Value{"A": packet.Num(uint64(0x0a000000 + f)), "B": packet.Num(uint64(0xcb000000 + f))}
+		sig := cp.signature(1, rowEnv(cp, env, pk))
 		if prev, dup := sigs[sig]; dup {
 			t.Fatalf("flows %d and %d share signature %#x", prev, f, sig)
 		}
@@ -104,23 +122,23 @@ func TestSignatureSeparatesComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	envA := bindings{"A": packet.Num(1), "B": packet.Num(2)}
-	envB := bindings{"A": packet.Num(1), "B": packet.Num(3)}
+	envA := map[property.Var]packet.Value{"A": packet.Num(1), "B": packet.Num(2)}
+	envB := map[property.Var]packet.Value{"A": packet.Num(1), "B": packet.Num(3)}
 	pk1 := []PacketID{7, 0, 0, 0}
 	pk2 := []PacketID{8, 0, 0, 0}
-	if cp.signature(1, envA, pk1) == cp.signature(1, envB, pk1) {
+	if cp.signature(1, rowEnv(cp, envA, pk1)) == cp.signature(1, rowEnv(cp, envB, pk1)) {
 		t.Error("signature ignores bindings")
 	}
-	if cp.signature(1, envA, pk1) == cp.signature(2, envA, pk1) {
+	if cp.signature(1, rowEnv(cp, envA, pk1)) == cp.signature(2, rowEnv(cp, envA, pk1)) {
 		t.Error("signature ignores stage")
 	}
 	// Stage 0 is identity-relevant for nat-reverse (stage 1 references it).
-	if cp.signature(1, envA, pk1) == cp.signature(1, envA, pk2) {
+	if cp.signature(1, rowEnv(cp, envA, pk1)) == cp.signature(1, rowEnv(cp, envA, pk2)) {
 		t.Error("signature ignores identity packets")
 	}
 	// Identity packets of *future* stages must not contribute.
 	pk3 := []PacketID{7, 0, 9, 0}
-	if cp.signature(1, envA, pk1) != cp.signature(1, envA, pk3) {
+	if cp.signature(1, rowEnv(cp, envA, pk1)) != cp.signature(1, rowEnv(cp, envA, pk3)) {
 		t.Error("signature leaks future-stage packets")
 	}
 }
@@ -245,6 +263,7 @@ func TestShardedMatchesInlineOnRandomStream(t *testing.T) {
 // path runs allocation-free; the budget of 2 leaves slack for future
 // bookkeeping without letting string keys or union maps sneak back in.
 func TestSteadyStateAllocationBudget(t *testing.T) {
+	skipAllocGateUnderRace(t)
 	sched := sim.NewScheduler()
 	mon := NewMonitor(sched, Config{})
 	if err := mon.AddProperty(property.CatalogByName(property.DefaultParams(), "firewall-basic")); err != nil {
@@ -265,16 +284,78 @@ func TestSteadyStateAllocationBudget(t *testing.T) {
 		events = append(events, Event{Kind: KindEgress, Time: sched.Now(), PacketID: pid,
 			Packet: ret, InPort: 2, OutPort: 1})
 	}
-	// Warm the scratch buffers before measuring.
+	if avg := steadyStateAllocs(mon, events); avg > 2 {
+		t.Fatalf("steady-state path allocates %.1f/event, budget is 2", avg)
+	}
+}
+
+// skipAllocGateUnderRace skips an allocation gate in a -race build: the
+// detector's own allocations are not the engine's.
+func skipAllocGateUnderRace(t *testing.T) {
+	t.Helper()
+	if raceon.Enabled {
+		t.Skip("the race detector allocates; allocation gates run without -race")
+	}
+}
+
+// steadyStateAllocs replays events once to warm the scratch buffers, then
+// reports allocations per event over a thousand more.
+func steadyStateAllocs(mon *Monitor, events []Event) float64 {
 	for i := range events {
 		mon.HandleEvent(events[i])
 	}
 	i := 0
-	avg := testing.AllocsPerRun(1000, func() {
+	return testing.AllocsPerRun(1000, func() {
 		mon.HandleEvent(events[i%len(events)])
 		i++
 	})
-	if avg > 2 {
-		t.Fatalf("steady-state path allocates %.1f/event, budget is 2", avg)
+}
+
+// The hash operand is inside the zero-alloc discipline too: lb-hashed's
+// steady state — both directions of established flows leaving on the
+// port the symmetric flow hash selects, each egress probing both index
+// groups and evaluating out_port != hash(flow...) — allocates nothing.
+func TestHashOperandSteadyStateZeroAlloc(t *testing.T) {
+	skipAllocGateUnderRace(t)
+	sched := sim.NewScheduler()
+	mon := NewMonitor(sched, Config{OnViolation: func(v *Violation) { t.Errorf("unexpected %v", v) }})
+	if err := mon.AddProperty(property.CatalogByName(property.DefaultParams(), "lb-hashed")); err != nil {
+		t.Fatal(err)
+	}
+	var spec *property.HashSpec
+	for _, pr := range mon.props[0].stages[1].anyOf[0] {
+		if pr.Arg.Kind == property.OperandHash {
+			spec = pr.Arg.Hash
+		}
+	}
+	const flows = 256
+	var pid PacketID
+	events := make([]Event, 0, 2*flows)
+	for f := 0; f < flows; f++ {
+		src := packet.IPv4FromUint32(0x0a000000 | uint32(f))
+		dst := packet.IPv4FromUint32(0xcb007100 | uint32(f))
+		syn := packet.NewTCP(macA, macB, src, dst, uint16(10000+f), 80, packet.FlagSYN, nil)
+		pid++
+		mon.HandleEvent(Event{Kind: KindArrival, Time: sched.Now(), PacketID: pid, Packet: syn,
+			InPort: property.DefaultParams().InternalPort})
+		for _, p := range []*packet.Packet{
+			packet.NewTCP(macA, macB, src, dst, uint16(10000+f), 80, packet.FlagACK, nil),
+			packet.NewTCP(macB, macA, dst, src, 80, uint16(10000+f), packet.FlagACK, nil),
+		} {
+			pid++
+			ev := Event{Kind: KindEgress, Time: sched.Now(), PacketID: pid, Packet: p, InPort: 1}
+			port, ok := hashOperand(spec, &ev)
+			if !ok {
+				t.Fatal("hash operand unavailable on a TCP egress")
+			}
+			ev.OutPort = port.Uint64()
+			events = append(events, ev)
+		}
+	}
+	if mon.ActiveInstances() != flows {
+		t.Fatalf("%d instances waiting, want %d", mon.ActiveInstances(), flows)
+	}
+	if avg := steadyStateAllocs(mon, events); avg != 0 {
+		t.Fatalf("lb-hashed steady state allocates %.2f/event, want 0", avg)
 	}
 }

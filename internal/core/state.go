@@ -6,53 +6,54 @@ package core
 // in internal/obs/statesize; this file is the part that knows what an
 // instance is.
 
-import "switchmon/internal/obs/statesize"
+import (
+	"unsafe"
 
-const (
-	// instanceBaseBytes approximates an instance's fixed overhead: the
-	// struct itself plus the bindings map header and bucket/index map
-	// entries it occupies while filed. A calibration constant, not a
-	// measurement — comparable across properties, stable across runs.
-	instanceBaseBytes = 256
-	// Per-element costs of an instance's variable-size parts: one
-	// bindings map entry (key + value + bucket overhead), one PacketID
-	// slot, one index key, one provenance record (strings dominate).
-	bindEntryBytes  = 48
-	packetSlotBytes = 8
-	idxKeyBytes     = 8
-	provRecordBytes = 96
+	"switchmon/internal/obs/statesize"
 )
 
-// approxInstanceBytes estimates the resident cost of a filed instance.
-// Called once per filing (off the dedup fast path); remove credits back
-// exactly what was charged, via instance.acctBytes.
-func approxInstanceBytes(inst *instance) int64 {
-	n := int64(instanceBaseBytes)
-	n += int64(len(inst.binds)) * bindEntryBytes
-	n += int64(cap(inst.packets)) * packetSlotBytes
-	n += int64(cap(inst.idxKeys)) * idxKeyBytes
-	n += int64(len(inst.history)) * provRecordBytes
+// What a filed instance occupies, from the layout itself: its row, its
+// entry in the stage's signature table, one entry in the key table per
+// key, and — at a windowed stage — its deadline-queue entry. Tables run
+// between 3/8 and 3/4 full (they double at 3/4) and a deadline queue is
+// allowed as many dead entries as live ones before it compacts, so an
+// occupied table slot or queue entry is charged at twice its size.
+const (
+	rowBytes        = int64(unsafe.Sizeof(row{}))
+	tableEntryBytes = 2 * int64(unsafe.Sizeof(tabEnt{}))
+	deadlineBytes   = 2 * int64(unsafe.Sizeof(deadline{}))
+	provRecordBytes = int64(unsafe.Sizeof(ProvRecord{})) + 64 // the record plus its event summary string
+)
+
+// filedBytes estimates the resident cost of an instance filed (or about
+// to be unfiled) at stage cs. Every input is fixed while the row is
+// filed, so remove refunds exactly what enter charged and the bytes
+// gauge converges under churn.
+func (m *Monitor) filedBytes(id uint32, r *row, cs *compiledStage) int64 {
+	n := rowBytes + (1+int64(r.nkeys))*tableEntryBytes
+	if cs.st.Window > 0 || cs.st.WindowVar != "" {
+		n += deadlineBytes
+	}
+	if int(id) < len(m.st.hist) {
+		n += int64(len(m.st.hist[id])) * provRecordBytes
+	}
 	return n
 }
 
-// flowKey hashes an instance's bindings into the key the heavy-hitter
-// sketch attributes state to. It is the bindings half of compiledProp's
-// signature — the same per-binding FNV-1a + mix64 terms, summed for
-// order invariance — but with no stage tag, so one flow keeps one key
-// as its instances advance stages and its filings aggregate instead of
-// splintering per stage.
-func flowKey(env bindings) uint64 {
-	var sum uint64
-	for v, val := range env {
-		h := fnvString(fnvOffset, string(v))
-		h = fnvByte(h, '=')
-		h = fnvValue(h, val)
-		sum += mix64(h)
+// flowKey hashes an instance's bound variables (slots [0, nbound)) into
+// the key the heavy-hitter sketch attributes state to. It is the
+// variables half of compiledProp's signature with no stage tag and no
+// packet identities, so one flow keeps one key across the stages that
+// bind nothing new and its filings aggregate instead of splintering.
+func flowKey(en env, nbound int) uint64 {
+	h := fnvOffset
+	for i := 0; i < nbound; i++ {
+		h = fnvValue(h, en.s.value(en.r, i))
 	}
-	if sum == 0 {
-		sum = 1
+	if h = mix64(h); h == 0 {
+		h = 1
 	}
-	return sum
+	return h
 }
 
 // StateReport snapshots the monitor's state-cost accounting and

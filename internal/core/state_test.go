@@ -1,11 +1,13 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"switchmon/internal/packet"
 	"switchmon/internal/property"
+	"switchmon/internal/raceon"
 	"switchmon/internal/sim"
 )
 
@@ -26,11 +28,16 @@ func fwOpen(sched *sim.Scheduler, pid *PacketID, f int) Event {
 // stay within TestSteadyStateAllocationBudget's budget with full
 // accounting — sketch, sampling, and watermark — enabled.
 //
-// Part 2: the filing path (open -> window expiry -> reopen churn, where
-// accounting charges bytes, hashes the flow key, feeds the sketch, and
-// tracks timers) must allocate exactly as much as the same churn with
-// accounting disabled: the baseline's timer allocation is all there is.
+// Part 2: instance churn allocates nothing once warm, with accounting on
+// and off: neither the filing path (open -> window expiry -> reopen on
+// firewall-timeout, where accounting charges bytes, hashes the flow key,
+// feeds the sketch and tracks the deadline) nor the discharge path
+// (request -> reply on ping-reply-within, which arms a negative
+// observation's deadline and cancels it). Rows come off the free chain,
+// tables and deadline queues are at size, and a deadline is a queue
+// entry, not a timer and a closure.
 func TestStateAccountingZeroAlloc(t *testing.T) {
+	skipAllocGateUnderRace(t)
 	// Part 1: steady state, accounting on.
 	sched := sim.NewScheduler()
 	mon := NewMonitor(sched, Config{StateTopK: 32, StateSample: 1, StateWatermark: 1 << 20})
@@ -64,30 +71,59 @@ func TestStateAccountingZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state path with accounting allocates %.1f/event, budget is 2", avg)
 	}
 
-	// Part 2: filing churn, accounting on vs off. One run = open a flow
-	// (files an instance, arms its window timer) then advance past the
-	// window (expires it back to the pool). The only allocation either
-	// way is the scheduler's timer; accounting must add none.
-	churn := func(cfg Config) float64 {
-		sched := sim.NewScheduler()
-		mon := NewMonitor(sched, cfg)
-		if err := mon.AddProperty(property.CatalogByName(property.DefaultParams(), "firewall-timeout")); err != nil {
-			t.Fatal(err)
-		}
+	// Part 2: churn, accounting on and off.
+	expiry := func(sched *sim.Scheduler, mon *Monitor) func() {
 		var pid PacketID
-		cycle := func() {
-			mon.HandleEvent(fwOpen(sched, &pid, 7))
+		open := fwOpen(sched, &pid, 7)
+		return func() {
+			open.PacketID++
+			open.Time = sched.Now()
+			mon.HandleEvent(open)
 			sched.RunFor(property.DefaultParams().FirewallWindow + time.Second)
 		}
-		for i := 0; i < 32; i++ {
-			cycle() // warm the pool, maps, and sketch slot
-		}
-		return testing.AllocsPerRun(1000, cycle)
 	}
-	off := churn(Config{DisableStateAccounting: true})
-	on := churn(Config{StateTopK: 32, StateSample: 1, StateWatermark: 1 << 20})
-	if on > off {
-		t.Fatalf("filing churn allocates %.2f/cycle with accounting vs %.2f without; accounting must add 0", on, off)
+	discharge := func(sched *sim.Scheduler, mon *Monitor) func() {
+		src, dst := packet.IPv4FromUint32(0x0a000007), packet.IPv4FromUint32(0xcb007107)
+		request := packet.NewICMPEcho(macA, macB, src, dst, 7, 1, false)
+		reply := packet.NewICMPEcho(macB, macA, dst, src, 7, 1, true)
+		var pid PacketID
+		return func() {
+			pid += 2
+			mon.HandleEvent(Event{Kind: KindArrival, Time: sched.Now(), PacketID: pid - 1, Packet: request, InPort: 1})
+			mon.HandleEvent(Event{Kind: KindEgress, Time: sched.Now(), PacketID: pid, Packet: reply, InPort: 2, OutPort: 1})
+			sched.RunFor(time.Millisecond)
+		}
+	}
+	for _, tc := range []struct {
+		name, prop string
+		cycle      func(*sim.Scheduler, *Monitor) func()
+		stat       func(Stats) uint64
+	}{
+		{"window expiry", "firewall-timeout", expiry, func(s Stats) uint64 { return s.Expired }},
+		{"reply discharge", "ping-reply-within", discharge, func(s Stats) uint64 { return s.Discharged }},
+	} {
+		for _, cfg := range []Config{
+			{DisableStateAccounting: true},
+			{StateTopK: 32, StateSample: 1, StateWatermark: 1 << 20},
+		} {
+			sched := sim.NewScheduler()
+			mon := NewMonitor(sched, cfg)
+			if err := mon.AddProperty(property.CatalogByName(property.DefaultParams(), tc.prop)); err != nil {
+				t.Fatal(err)
+			}
+			cycle := tc.cycle(sched, mon)
+			for i := 0; i < 32; i++ {
+				cycle() // warm the free chain, tables, deadline queue and sketch slot
+			}
+			avg := testing.AllocsPerRun(1000, cycle)
+			if got := tc.stat(mon.Stats()); got < 1000 || mon.ActiveInstances() != 0 {
+				t.Fatalf("%s: cycle is not churning (counter %d, %d instances live)", tc.name, got, mon.ActiveInstances())
+			}
+			if avg != 0 {
+				t.Fatalf("%s churn allocates %.2f/cycle (accounting off: %v), want 0",
+					tc.name, avg, cfg.DisableStateAccounting)
+			}
+		}
 	}
 }
 
@@ -287,18 +323,73 @@ func TestShardedStateReport(t *testing.T) {
 // (the key hashes bindings only, unlike the stage-tagged dedup
 // signature), so a flow's filings aggregate under one key.
 func TestFlowKeyStableAcrossStages(t *testing.T) {
-	env := bindings{"A": packet.Num(0x0a000001), "B": packet.Num(0xcb007101)}
-	k1 := flowKey(env)
-	// Same bindings, different insertion order: order-invariant.
-	env2 := bindings{"B": packet.Num(0xcb007101), "A": packet.Num(0x0a000001)}
-	if k2 := flowKey(env2); k2 != k1 {
-		t.Fatalf("flow key depends on binding order: %#x vs %#x", k1, k2)
+	cp, err := compile(property.CatalogByName(property.DefaultParams(), "firewall-basic"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	env3 := bindings{"A": packet.Num(0x0a000002), "B": packet.Num(0xcb007101)}
-	if k3 := flowKey(env3); k3 == k1 {
+	key := func(a, b uint64, pk []PacketID) uint64 {
+		en := rowEnv(cp, map[property.Var]packet.Value{"A": packet.Num(a), "B": packet.Num(b)}, pk)
+		return flowKey(en, len(cp.vars))
+	}
+	k1 := key(0x0a000001, 0xcb007101, []PacketID{1, 0})
+	// Same bindings, other matched packets: the key hashes variables only.
+	if k2 := key(0x0a000001, 0xcb007101, []PacketID{9, 4}); k2 != k1 {
+		t.Fatalf("flow key depends on packet identity: %#x vs %#x", k1, k2)
+	}
+	if k3 := key(0x0a000002, 0xcb007101, nil); k3 == k1 {
 		t.Fatalf("distinct bindings collided: %#x", k1)
 	}
-	if flowKey(bindings{}) == 0 {
+	if flowKey(env{r: &row{}, s: &store{}}, 0) == 0 {
 		t.Fatal("empty bindings must map to the nonzero sentinel")
 	}
+}
+
+// TestApproxBytesTracksHeap pins /state's approx_bytes to what the
+// layout really holds: a 20 000-instance population left behind by
+// churn (every request a new identity, half of them answered and their
+// rows, table slots and deadline entries recycled or left stale) must
+// be reported within a quarter of the heap it actually occupies.
+func TestApproxBytesTracksHeap(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector's shadow allocations are not instance state")
+	}
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	sched := sim.NewScheduler()
+	mon := NewMonitor(sched, Config{})
+	if err := mon.AddProperty(property.CatalogByName(property.DefaultParams(), "ping-reply-within")); err != nil {
+		t.Fatal(err)
+	}
+	before := heap()
+	const live = 20000
+	var pid PacketID
+	for i := 0; i < 2*live; i++ {
+		src := packet.IPv4FromUint32(0x0a000000 + uint32(i))
+		dst := packet.IPv4FromUint32(0xcb007101)
+		pid++
+		mon.HandleEvent(Event{Kind: KindArrival, Time: sched.Now(), PacketID: pid, InPort: 1,
+			Packet: packet.NewICMPEcho(macA, macB, src, dst, uint16(i), 1, false)})
+		if i%2 == 1 {
+			pid++
+			mon.HandleEvent(Event{Kind: KindEgress, Time: sched.Now(), PacketID: pid, InPort: 2, OutPort: 1,
+				Packet: packet.NewICMPEcho(macB, macA, dst, src, uint16(i), 1, true)})
+		}
+	}
+	held := heap() - before
+	if mon.ActiveInstances() != live {
+		t.Fatalf("%d instances live, want %d", mon.ActiveInstances(), live)
+	}
+	reported := mon.StateReport().Properties[0].Bytes
+	if ratio := float64(reported) / float64(held); ratio < 0.75 || ratio > 1.25 {
+		t.Fatalf("approx_bytes %d for %d instances, heap grew %d: ratio %.2f outside 0.75..1.25",
+			reported, live, held, ratio)
+	}
+	t.Logf("approx_bytes %d, heap delta %d (%.0f B and %.0f B an instance)",
+		reported, held, float64(reported)/live, float64(held)/live)
+	runtime.KeepAlive(mon)
 }

@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Endpoint is one side of a conversation: an IPv4 address plus L4 port.
 // It is comparable and map-key friendly.
@@ -79,15 +76,25 @@ func (f Flow) Hash() uint64 {
 // hash-based network functions, so that "the port selected by the flow
 // hash" means the same thing to the app and to the property checking it.
 func HashValues(vals []Value) uint64 {
-	sorted := append([]Value(nil), vals...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	return HashSorted(append([]Value(nil), vals...))
+}
+
+// HashSorted is HashValues for a caller that owns vals: it sorts the
+// slice in place (an insertion sort — hash specs name a handful of
+// fields) and allocates nothing.
+func HashSorted(vals []Value) uint64 {
+	for i := 1; i < len(vals); i++ {
+		for j := i; j > 0 && vals[j].Less(vals[j-1]); j-- {
+			vals[j], vals[j-1] = vals[j-1], vals[j]
+		}
+	}
 	const prime = 1099511628211
 	sum := uint64(fnvOffset)
 	mix := func(b byte) {
 		sum ^= uint64(b)
 		sum *= prime
 	}
-	for _, v := range sorted {
+	for _, v := range vals {
 		if v.IsStr() {
 			s := v.Text()
 			for i := 0; i < len(s); i++ {

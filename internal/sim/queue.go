@@ -51,6 +51,27 @@ func (t *Timer) Stop() bool {
 	return true
 }
 
+// Source is a queue of deadlines its owner keeps outside the scheduler's
+// heap — the monitor's per-stage FIFO window queues, which are sorted by
+// construction and need neither a heap slot nor a closure per deadline.
+// The scheduler merges every registered source with its own heap under
+// the one (time, seq) key: the owner draws seq from NextSeq at the moment
+// it arms a deadline, exactly where it would have called After, so a
+// deadline fires in the position the equivalent task would have held —
+// ties against tasks and against other sources included.
+type Source interface {
+	// Next reports the key of the source's earliest live deadline; ok is
+	// false when it has none.
+	Next() (at time.Time, seq uint64, ok bool)
+	// Fire removes that deadline from the source, then runs it. The
+	// scheduler calls it directly after a Next that reported ok, with the
+	// clock already at the deadline. Removing first matters: a deadline
+	// that panics is consumed, as a popped task is.
+	Fire()
+	// Pending counts the source's live deadlines.
+	Pending() int
+}
+
 // Scheduler combines a VirtualClock with an ordered task queue. Running the
 // scheduler advances virtual time to each task's deadline and executes the
 // task; tasks may schedule further tasks. All execution is single-threaded
@@ -60,9 +81,10 @@ func (t *Timer) Stop() bool {
 // repository is single-threaded by design (determinism beats parallelism
 // for reproducing semantics).
 type Scheduler struct {
-	clock *VirtualClock
-	queue itemHeap
-	seq   uint64
+	clock   *VirtualClock
+	queue   itemHeap
+	sources []Source
+	seq     uint64
 }
 
 // NewScheduler returns a Scheduler driving a fresh VirtualClock at Epoch.
@@ -76,14 +98,25 @@ func (s *Scheduler) Clock() *VirtualClock { return s.clock }
 // Now returns the scheduler's current virtual time.
 func (s *Scheduler) Now() time.Time { return s.clock.Now() }
 
+// AddSource registers a deadline source; its deadlines run interleaved
+// with the scheduler's own tasks from the next Step on.
+func (s *Scheduler) AddSource(src Source) { s.sources = append(s.sources, src) }
+
+// NextSeq draws the tiebreak sequence number for a deadline a Source is
+// arming now — the number At would have given a task scheduled here.
+func (s *Scheduler) NextSeq() uint64 {
+	seq := s.seq
+	s.seq++
+	return seq
+}
+
 // At schedules task to run at the absolute virtual time t. Scheduling in
 // the past runs the task at the current time (it is clamped, not dropped).
 func (s *Scheduler) At(t time.Time, task Task) *Timer {
 	if now := s.clock.Now(); t.Before(now) {
 		t = now
 	}
-	it := &scheduledItem{at: t, seq: s.seq, task: task}
-	s.seq++
+	it := &scheduledItem{at: t, seq: s.NextSeq(), task: task}
 	heap.Push(&s.queue, it)
 	return &Timer{item: it}
 }
@@ -93,7 +126,8 @@ func (s *Scheduler) After(d time.Duration, task Task) *Timer {
 	return s.At(s.clock.Now().Add(d), task)
 }
 
-// Pending reports the number of live (non-canceled) tasks in the queue.
+// Pending reports the number of live (non-canceled) tasks in the queue
+// plus the live deadlines of every source.
 func (s *Scheduler) Pending() int {
 	n := 0
 	for _, it := range s.queue {
@@ -101,22 +135,56 @@ func (s *Scheduler) Pending() int {
 			n++
 		}
 	}
+	for _, src := range s.sources {
+		n += src.Pending()
+	}
 	return n
 }
 
-// Step runs the single earliest pending task, advancing the clock to its
-// deadline. It reports whether a task ran.
+// Step runs the single earliest pending task or source deadline,
+// advancing the clock to its time. It reports whether anything ran.
 func (s *Scheduler) Step() bool {
+	at, src, ok := s.earliest()
+	if !ok {
+		return false
+	}
+	s.fire(at, src)
+	return true
+}
+
+// earliest finds the smallest (time, seq) key among the heap's live head
+// and the sources' heads; src is nil when the heap holds it. Canceled
+// heap heads are discarded on the way.
+func (s *Scheduler) earliest() (at time.Time, src Source, ok bool) {
+	var seq uint64
 	for s.queue.Len() > 0 {
-		it := heap.Pop(&s.queue).(*scheduledItem)
-		if it.canceled {
+		it := s.queue[0]
+		if !it.canceled {
+			at, seq, ok = it.at, it.seq, true
+			break
+		}
+		heap.Pop(&s.queue)
+	}
+	for _, c := range s.sources {
+		cat, cseq, cok := c.Next()
+		if !cok {
 			continue
 		}
-		s.clock.Set(it.at)
-		it.task()
-		return true
+		if !ok || cat.Before(at) || (cat.Equal(at) && cseq < seq) {
+			at, seq, src, ok = cat, cseq, c, true
+		}
 	}
-	return false
+	return at, src, ok
+}
+
+// fire runs what earliest just reported.
+func (s *Scheduler) fire(at time.Time, src Source) {
+	s.clock.Set(at)
+	if src != nil {
+		src.Fire()
+		return
+	}
+	heap.Pop(&s.queue).(*scheduledItem).task()
 }
 
 // Run executes tasks until the queue is empty. The steps limit guards
@@ -137,13 +205,12 @@ func (s *Scheduler) Run(steps int) (executed int, limited bool) {
 func (s *Scheduler) RunUntil(t time.Time) int {
 	executed := 0
 	for {
-		next, ok := s.peek()
-		if !ok || next.After(t) {
+		at, src, ok := s.earliest()
+		if !ok || at.After(t) {
 			break
 		}
-		if s.Step() {
-			executed++
-		}
+		s.fire(at, src)
+		executed++
 	}
 	if t.After(s.clock.Now()) {
 		s.clock.Set(t)
@@ -154,16 +221,4 @@ func (s *Scheduler) RunUntil(t time.Time) int {
 // RunFor is RunUntil relative to the current virtual time.
 func (s *Scheduler) RunFor(d time.Duration) int {
 	return s.RunUntil(s.clock.Now().Add(d))
-}
-
-// peek reports the deadline of the earliest live task.
-func (s *Scheduler) peek() (time.Time, bool) {
-	for s.queue.Len() > 0 {
-		it := s.queue[0]
-		if !it.canceled {
-			return it.at, true
-		}
-		heap.Pop(&s.queue)
-	}
-	return time.Time{}, false
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -223,5 +225,157 @@ func TestSchedulerOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fifoSource is a minimal Source: deadlines all one window after arming,
+// so appended in firing order; cancel marks an entry dead.
+type fifoSource struct {
+	s      *Scheduler
+	window time.Duration
+	items  []*fifoEntry
+	live   int
+}
+
+type fifoEntry struct {
+	at   time.Time
+	seq  uint64
+	run  func()
+	dead bool
+}
+
+func (f *fifoSource) arm(run func()) *fifoEntry {
+	e := &fifoEntry{at: f.s.Now().Add(f.window), seq: f.s.NextSeq(), run: run}
+	f.items = append(f.items, e)
+	f.live++
+	return e
+}
+
+func (f *fifoSource) cancel(e *fifoEntry) {
+	if !e.dead {
+		e.dead = true
+		f.live--
+	}
+}
+
+func (f *fifoSource) Next() (time.Time, uint64, bool) {
+	for len(f.items) > 0 && f.items[0].dead {
+		f.items = f.items[1:]
+	}
+	if len(f.items) == 0 {
+		return time.Time{}, 0, false
+	}
+	return f.items[0].at, f.items[0].seq, true
+}
+
+func (f *fifoSource) Fire() {
+	e := f.items[0]
+	f.items = f.items[1:]
+	e.dead = true
+	f.live--
+	e.run()
+}
+
+func (f *fifoSource) Pending() int { return f.live }
+
+// orderRig runs one random schedule. With sources on, windowed arms go
+// through fifoSources; with sources off the same arms are plain After
+// tasks — the reference a Source must be indistinguishable from.
+type orderRig struct {
+	s       *Scheduler
+	sources bool
+	windows []time.Duration
+	srcs    []*fifoSource
+	cancels map[int]func()
+	log     []string
+	nextID  int
+	rng     *rand.Rand
+}
+
+func (r *orderRig) addWindow(w time.Duration) {
+	r.windows = append(r.windows, w)
+	if r.sources {
+		src := &fifoSource{s: r.s, window: w}
+		r.srcs = append(r.srcs, src)
+		r.s.AddSource(src)
+	}
+}
+
+// fired logs a firing and, one time in four, schedules more work from
+// inside the callback.
+func (r *orderRig) fired(kind string, id int) {
+	r.log = append(r.log, fmt.Sprintf("%s#%d@%v", kind, id, r.s.Now().Sub(Epoch)))
+	if r.rng.Intn(4) == 0 {
+		r.schedule()
+	}
+}
+
+// schedule adds one task or one windowed arm.
+func (r *orderRig) schedule() {
+	id := r.nextID
+	r.nextID++
+	if r.rng.Intn(2) == 0 {
+		// Delays in whole milliseconds up to the windows: ties are common.
+		t := r.s.After(time.Duration(r.rng.Intn(4))*time.Millisecond, func() { r.fired("task", id) })
+		r.cancels[id] = func() { t.Stop() }
+		return
+	}
+	k := r.rng.Intn(len(r.windows))
+	run := func() { r.fired("arm", id) }
+	if r.sources {
+		e := r.srcs[k].arm(run)
+		r.cancels[id] = func() { r.srcs[k].cancel(e) }
+	} else {
+		t := r.s.After(r.windows[k], run)
+		r.cancels[id] = func() { t.Stop() }
+	}
+}
+
+func (r *orderRig) run(steps int) {
+	for i := 0; i < steps; i++ {
+		switch n := r.rng.Intn(20); {
+		case n < 10:
+			r.schedule()
+		case n < 13 && r.nextID > 0:
+			// Cancel — or, half the time, refresh: cancel and arm again.
+			id := r.rng.Intn(r.nextID)
+			r.cancels[id]()
+			if r.rng.Intn(2) == 0 {
+				r.schedule()
+			}
+		case n == 13 && len(r.windows) < 6:
+			r.addWindow(time.Duration(1+r.rng.Intn(3)) * time.Millisecond)
+		case n < 17:
+			r.s.RunFor(time.Duration(r.rng.Intn(3)) * time.Millisecond)
+		case n < 19:
+			r.s.Step()
+		default:
+			r.log = append(r.log, fmt.Sprintf("pending=%d", r.s.Pending()))
+		}
+	}
+	r.s.Run(1 << 20)
+}
+
+// Random schedules mixing tasks and source deadlines — equal timestamps,
+// cancels, refreshes, sources added mid-run, work scheduled from inside
+// callbacks — fire in exactly the order, and report the same Pending,
+// as the same schedule expressed through After alone.
+func TestSourceDeadlinesFireInTaskOrder(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		var logs [2][]string
+		for i, sources := range []bool{false, true} {
+			r := &orderRig{s: NewScheduler(), sources: sources, cancels: map[int]func(){}, rng: rand.New(rand.NewSource(seed))}
+			r.addWindow(2 * time.Millisecond)
+			r.run(400)
+			logs[i] = r.log
+		}
+		for i := range logs[0] {
+			if i >= len(logs[1]) || logs[0][i] != logs[1][i] {
+				t.Fatalf("seed %d: line %d: After alone logged %s; sources logged %v", seed, i, logs[0][i], logs[1][min(i, len(logs[1])):min(i+1, len(logs[1]))])
+			}
+		}
+		if len(logs[1]) != len(logs[0]) {
+			t.Fatalf("seed %d: sources logged %d extra lines", seed, len(logs[1])-len(logs[0]))
+		}
 	}
 }

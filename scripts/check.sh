@@ -26,16 +26,18 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/..."
-go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/...
+echo "==> go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/sim/..."
+go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/sim/...
 
 # Telemetry overhead gate: recording on the hot path must stay
 # allocation-free, with and without a registry attached. These run
-# -count=1 so a cached pass can't mask a regression.
+# -count=1 so a cached pass can't mask a regression. (The allocation
+# gates skip themselves under -race, where the detector allocates; this
+# block is where they are enforced.)
 echo "==> zero-alloc telemetry gates"
 go test -count=1 -run 'TestHotPathZeroAlloc' ./internal/obs/
 go test -count=1 -run 'TestUnsampledPathZeroAlloc' ./internal/obs/tracer/
-go test -count=1 -run 'TestSteadyStateAllocationBudget' ./internal/core/
+go test -count=1 -run 'TestSteadyStateAllocationBudget|TestHashOperandSteadyStateZeroAlloc' ./internal/core/
 
 # Sampler gate (E19): a steady-state metrics-history sample tick
 # (counters, gauges, and histogram quantile derivation) must not
@@ -44,10 +46,12 @@ go test -count=1 -run 'TestSteadyStateAllocationBudget' ./internal/core/
 echo "==> zero-alloc metrics-history sampler gate"
 go test -count=1 -run 'TestSamplerTickZeroAlloc' ./internal/obs/histdb/
 
-# State-accounting gate (E16): the per-property state observatory —
-# live/bytes/timer accounting plus the heavy-hitter sketch — must stay
-# allocation-free on the steady state and under instance churn.
-echo "==> zero-alloc state-accounting gate"
+# State-accounting and churn gate (E16): the per-property state
+# observatory — live/bytes/timer accounting plus the heavy-hitter sketch —
+# must stay allocation-free on the steady state, and instance churn
+# (open -> window expiry -> reopen, request -> reply discharge) must
+# allocate nothing at all, with accounting on or off.
+echo "==> zero-alloc state-accounting and churn gate"
 go test -count=1 -run 'TestStateAccountingZeroAlloc' ./internal/core/
 
 # Zero-copy ingest gate: moving one event from wire bytes into the
