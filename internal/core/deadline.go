@@ -182,16 +182,26 @@ func (m *Monitor) disarm(id uint32, r *row, b *bucket) {
 
 // fireDeadline runs a deadline that just came due (its queue entry is
 // already popped, its timer already spent): a negative observation's
-// advances the instance, a window's expires it.
+// advances the instance, a window's expires it. Every window expiry and
+// negative-observation timeout comes through here, whoever drives the
+// scheduler — Feed, a shard worker, the dataplane — so this is where the
+// timer path is supervised: a panic below (a user violation callback,
+// typically) quarantines the row's property and the scheduler, which
+// popped the task before running it, carries on with the next.
 func (m *Monitor) fireDeadline(id uint32) {
 	r := m.st.at(id)
+	pi := int(r.prop)
+	defer func() {
+		if cause := recover(); cause != nil {
+			m.quarantine(pi, cause)
+		}
+	}()
 	advances := r.flags&rowDeadlineAdvances != 0
 	r.flags &^= rowArmed | rowDeadlineAdvances
 	if int(id) < len(m.st.varTimers) {
 		m.st.varTimers[id] = nil
 	}
-	m.curProp = int(r.prop) // attribution if a supervisor recovers a panic below
-	m.sx[r.prop].DisarmTimer()
+	m.sx[pi].DisarmTimer()
 	if advances {
 		m.advanceByTimeout(id, r)
 	} else {

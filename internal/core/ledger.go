@@ -186,12 +186,32 @@ func (l *Ledger) instrument(reg *obs.Registry, labels []obs.Label) {
 // its verdicts owe nothing for them. Safe from any goroutine.
 func (l *Ledger) Mark(prop string, reason UnsoundReason, seq uint64, at time.Time, n uint64, detail string) {
 	l.mu.Lock()
-	if rec := l.installs[prop]; rec != nil && !rec.At.IsZero() && at.Before(rec.At) {
-		l.mu.Unlock()
-		return
+	defer l.mu.Unlock()
+	if rec := l.installs[prop]; rec == nil || !rec.predates(at) {
+		l.markLocked(prop, reason, seq, at, n, detail)
 	}
-	l.markLocked(prop, reason, seq, at, n, detail)
+}
+
+// markInstalled records a loss no property can be excused from — feed
+// loss, wire loss, a split-mode overflow: every installed property is
+// marked as by Mark (the install watermark still excuses a property
+// installed after the loss), then the reason's aggregate counts the n
+// events once, however many properties they could have affected.
+func (l *Ledger) markInstalled(reason UnsoundReason, seq uint64, at time.Time, n uint64, detail string) {
+	l.mu.Lock()
+	for prop, rec := range l.installs {
+		if !rec.removed && !rec.predates(at) {
+			l.markLocked(prop, reason, seq, at, n, detail)
+		}
+	}
 	l.mu.Unlock()
+	l.recordLost(reason, n)
+}
+
+// predates reports whether a loss at the given time came before the
+// record's install-point watermark.
+func (rec *InstallRecord) predates(at time.Time) bool {
+	return !rec.At.IsZero() && at.Before(rec.At)
 }
 
 func (l *Ledger) markLocked(prop string, reason UnsoundReason, seq uint64, at time.Time, n uint64, detail string) {

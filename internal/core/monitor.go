@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -228,12 +227,10 @@ type evictRef struct {
 // how a switch pipeline stage would execute. ShardedMonitor scales it
 // across cores by running N of these over disjoint identity partitions.
 type Monitor struct {
-	// mu serialises the Engine entry points a daemon's admin endpoint
-	// can race — the lifecycle operations, Properties, MarkLoss — against
-	// its feed goroutine's Feed and AdvanceTo. HandleEvent and Flush, the
-	// single-threaded entry points the dataplane, the shards and the
-	// benchmarks drive, never take it.
-	mu    sync.Mutex
+	// propSet is the property lifecycle and the engine-wide ledger, state
+	// tracker and quarantine mask. A ShardedMonitor's shards share the
+	// router's three and never run their own lifecycle.
+	propSet
 	sched *sim.Scheduler
 	cfg   Config
 	props []*compiledProp
@@ -265,15 +262,10 @@ type Monitor struct {
 	keyScratch  []uint64
 	// envRow is the row seedSuppressions synthesizes identities in.
 	envRow row
-	// ledger is the soundness record (always non-nil; shared across
-	// shards under a ShardedMonitor).
-	ledger *Ledger
-	// state is the state-cost accounting store (shared across shards
-	// under a ShardedMonitor; nil when accounting is disabled), shardIdx
-	// is this monitor's cell in it, and sx holds the per-property
-	// hot-path handles, indexed by propIdx (nil entries when disabled —
-	// every accounting method is nil-receiver safe).
-	state    *statesize.Tracker
+	// shardIdx is this monitor's cell in the state tracker and the shard
+	// number its quarantine marks name (0 for an inline engine); sx holds
+	// the per-property hot-path accounting handles, indexed by propIdx
+	// (nil entries when accounting is disabled).
 	shardIdx int
 	sx       []*statesize.Handle
 	// tcell and tcap are the per-property tenant quota hooks, indexed by
@@ -282,19 +274,11 @@ type Monitor struct {
 	// (0 = uncapped). The hot path pays one nil check per filing.
 	tcell []*statesize.TenantCell
 	tcap  []int64
-	// epoch is the property-set lifecycle epoch: 0 for the startup set,
-	// bumped by every live Install/Remove/Replace. Atomic so Stats can
-	// read it from any goroutine.
-	epoch atomic.Uint64
 	// quarantined is the bitmask of properties this monitor no longer
-	// steps (panicked and purged). Only the first 64 properties are
-	// mask-addressable; an inline monitor with more properties simply
-	// cannot quarantine the rest, which is fine — quarantine is driven by
-	// the ShardedMonitor, whose property count is capped at 64.
+	// steps (panicked and purged here): the engine-wide mask as of this
+	// monitor's last look at it, kept as a plain word so the step loop
+	// pays no atomic load. Only the first 64 slots are mask-addressable.
 	quarantined uint64
-	// curProp is the property currently being stepped (-1 outside a
-	// step), the attribution a supervisor reads after recovering a panic.
-	curProp int
 	// stepProbe, when non-nil, runs at the start of every property step
 	// with (propIdx, applied-event seq). It is the fault-injection hook:
 	// a probe that panics simulates a bug in that property's step and is
@@ -302,184 +286,55 @@ type Monitor struct {
 	stepProbe func(prop int, seq uint64)
 }
 
+// maxInlineProperties bounds a Monitor's property table: a row names its
+// property in 16 bits.
+const maxInlineProperties = 1 << 16
+
 // NewMonitor creates a monitor driven by the given scheduler's clock.
 func NewMonitor(sched *sim.Scheduler, cfg Config) *Monitor {
-	return newMonitorWithLedger(sched, cfg, nil, nil, 0)
+	return newMonitor(sched, cfg, nil, 0)
 }
 
-// newMonitorWithLedger is NewMonitor with a caller-supplied ledger and
-// state tracker (the ShardedMonitor shares one of each across its
-// shards, identifying this shard's accounting cell by shardIdx); nil
-// ledger means own ledger, nil tracker means own single-shard tracker
-// unless accounting is disabled.
-func newMonitorWithLedger(sched *sim.Scheduler, cfg Config, led *Ledger, st *statesize.Tracker, shardIdx int) *Monitor {
-	m := &Monitor{sched: sched, cfg: cfg, curProp: -1}
+// newMonitor is NewMonitor for either role: a nil engine makes a
+// standalone inline engine with its own ledger, tracker and quarantine
+// mask; otherwise the monitor is shard shardIdx of the ShardedMonitor
+// that owns engine, and shares those three.
+func newMonitor(sched *sim.Scheduler, cfg Config, engine *propSet, shardIdx int) *Monitor {
+	m := &Monitor{sched: sched, cfg: cfg, shardIdx: shardIdx}
 	m.dl.m = m
 	sched.AddSource(&m.dl)
 	if cfg.Metrics != nil {
 		m.mx = newMonitorMetrics(cfg.Metrics, cfg.MetricsLabels)
 	}
-	if led == nil {
-		led = newLedger()
-		led.instrument(cfg.Metrics, cfg.MetricsLabels)
+	if engine == nil {
+		m.propSet.setup(m, cfg, 1, maxInlineProperties)
+	} else {
+		m.ledger, m.state, m.quar = engine.ledger, engine.state, engine.quar
 	}
-	m.ledger = led
-	// Tenant quotas are enforced through the tracker's tenant cells, so
-	// configuring quotas forces accounting on even when benchmarking asked
-	// for it off.
-	if st == nil && (!cfg.DisableStateAccounting || len(cfg.TenantQuotas) > 0) {
-		st = statesize.NewTracker(statesize.Config{
-			Shards:    1,
-			TopK:      cfg.StateTopK,
-			SampleN:   cfg.StateSample,
-			Watermark: cfg.StateWatermark,
-			Metrics:   cfg.Metrics,
-		})
-		shardIdx = 0
-	}
-	m.state = st
-	m.shardIdx = shardIdx
 	return m
 }
-
-// Ledger returns the monitor's soundness ledger. Safe to read (Snapshot,
-// Sound) from any goroutine.
-func (m *Monitor) Ledger() *Ledger { return m.ledger }
 
 // SetStepProbe installs a fault-injection probe called at the start of
 // every property step. Install before feeding events.
 func (m *Monitor) SetStepProbe(fn func(prop int, seq uint64)) { m.stepProbe = fn }
 
-// MarkFeedLoss records that n events were lost upstream of the monitor
-// (a lossy link or OOB channel, an injected drop): every installed
-// property is marked unsound, because any of them might have needed the
-// lost events. at is the stream time of the loss; detail is free text.
-func (m *Monitor) MarkFeedLoss(at time.Time, n uint64, detail string) {
-	m.MarkLoss(UnsoundInjectedLoss, at, n, detail)
+// admits implements propHost: an inline engine never refuses.
+func (m *Monitor) admits() error { return nil }
+
+// position implements propHost: the applied-event count, live once an
+// event has been applied or queued, and the scheduler's clock.
+func (m *Monitor) position() (seq uint64, live bool, now time.Time) {
+	return m.seq, m.seq > 0 || len(m.pending) > 0, m.sched.Now()
 }
 
-// MarkLoss is MarkFeedLoss with an explicit reason — the collector uses
-// it to record sequence-number gaps as wire loss rather than injected
-// loss, keeping the two degradation paths distinguishable in /healthz.
-func (m *Monitor) MarkLoss(reason UnsoundReason, at time.Time, n uint64, detail string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, cp := range m.props {
-		if cp == nil {
-			continue
-		}
-		m.ledger.Mark(cp.prop.Name, reason, m.seq, at, n, detail)
-	}
-	m.ledger.recordLost(reason, n)
-}
-
-// AddProperty compiles and installs a property. It is InstallProperty
-// under its historical name; both work on a live monitor.
-func (m *Monitor) AddProperty(p *property.Property) error { return m.InstallProperty(p) }
-
-// InstallProperty compiles and installs a property on the (possibly
-// live) monitor. The property is sound from here: its install-point
-// watermark is stamped into the ledger, so losses that predate the
-// install never mark it. Installing a name that is already installed is
-// an error (RemoveProperty it first, or use ReplaceProperty).
-func (m *Monitor) InstallProperty(p *property.Property) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.installLocked(p)
-}
-
-func (m *Monitor) installLocked(p *property.Property) error {
-	if m.propIndex(p.Name) >= 0 {
-		return fmt.Errorf("core: property %q already installed", p.Name)
-	}
-	if _, err := m.installLocal(p); err != nil {
-		return err
-	}
-	live := m.seq > 0 || len(m.pending) > 0
-	var at time.Time
-	if live {
-		at = m.sched.Now()
-		m.epoch.Add(1)
-	}
-	m.ledger.RecordInstall(p.Name, p.Tenant, m.epoch.Load(), m.seq, at)
-	return nil
-}
-
-// RemoveProperty uninstalls the named property: its live instances are
-// purged, pending timers canceled, pooled accounting refunded, and its
-// quarantine bit (if any) cleared so a later install into the reused
-// slot starts clean. The property's unsound marks survive removal —
-// degradation history is part of the record. The slot is tombstoned for
-// reuse by the next install.
-func (m *Monitor) RemoveProperty(name string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.removeLocked(name)
-}
-
-func (m *Monitor) removeLocked(name string) error {
-	idx := m.propIndex(name)
-	if idx < 0 {
-		return fmt.Errorf("core: property %q not installed", name)
-	}
-	m.removeLocal(idx, true)
-	if m.seq > 0 || len(m.pending) > 0 {
-		m.epoch.Add(1)
-	}
-	m.ledger.RecordRemove(name)
-	return nil
-}
-
-// ReplaceProperty atomically swaps the named property for a fresh
-// compile: remove (when installed) then install. The ledger records the
-// reinstall — verdicts are sound from the new install point only.
-func (m *Monitor) ReplaceProperty(p *property.Property) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.propIndex(p.Name) >= 0 {
-		if err := m.removeLocked(p.Name); err != nil {
-			return err
-		}
-	}
-	return m.installLocked(p)
-}
-
-// Epoch reports the property-set lifecycle epoch (see Stats.LifecycleEpoch).
-func (m *Monitor) Epoch() uint64 { return m.epoch.Load() }
-
-// propIndex finds the slot holding the named property, or -1.
-func (m *Monitor) propIndex(name string) int {
-	for i, cp := range m.props {
-		if cp != nil && cp.prop.Name == name {
-			return i
-		}
-	}
-	return -1
-}
-
-// installLocal compiles p into the first free slot (a tombstone left by
-// a removal, else a fresh append) and wires its buckets, metrics, and
-// accounting handles. It does not touch the ledger — engine-level
-// wrappers (InstallProperty here, the ShardedMonitor's lifecycle ops)
-// own install records, so N shards sharing one ledger record one
-// install, not N.
-func (m *Monitor) installLocal(p *property.Property) (int, error) {
-	cp, err := compile(p)
-	if err != nil {
-		return -1, err
-	}
-	idx := -1
-	for i, slot := range m.props {
-		if slot == nil {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		idx = len(m.props)
-		if idx > int(^uint16(0)) {
-			return -1, fmt.Errorf("core: too many properties (%d)", idx)
-		}
+// place implements propHost, and is what a ShardedMonitor's router runs
+// on each shard: it makes cp resident at slot — a tombstone left by evict,
+// or the next fresh slot — wiring its buckets, deadline queues, metrics
+// and accounting handles. The engine's propSet chose the slot, compiled
+// cp and registered the slot with the state tracker; it owns the ledger's
+// install record too, so N shards sharing one ledger record one install.
+func (m *Monitor) place(slot int, cp *compiledProp) {
+	if slot == len(m.props) {
 		m.props = append(m.props, nil)
 		m.buckets = append(m.buckets, nil)
 		m.pmx = append(m.pmx, propMetrics{})
@@ -487,7 +342,8 @@ func (m *Monitor) installLocal(p *property.Property) (int, error) {
 		m.tcell = append(m.tcell, nil)
 		m.tcap = append(m.tcap, 0)
 	}
-	m.props[idx] = cp
+	p := cp.prop
+	m.props[slot] = cp
 	bs := make([]bucket, len(cp.stages))
 	for si := 1; si < len(bs); si++ {
 		if cp.stages[si].st.Window > 0 {
@@ -495,63 +351,33 @@ func (m *Monitor) installLocal(p *property.Property) (int, error) {
 			m.dl.queues = append(m.dl.queues, bs[si].dq)
 		}
 	}
-	m.buckets[idx] = bs
+	m.buckets[slot] = bs
 	if m.cfg.Metrics != nil {
-		m.pmx[idx] = newPropMetrics(m.cfg.Metrics, p.Name)
-	} else {
-		m.pmx[idx] = propMetrics{}
+		m.pmx[slot] = newPropMetrics(m.cfg.Metrics, p.Name)
 	}
 	if m.state != nil {
-		m.state.InstallTenant(idx, p.Name, p.Tenant)
-		m.sx[idx] = m.state.Handle(idx, m.shardIdx)
+		m.sx[slot] = m.state.Handle(slot, m.shardIdx)
 		if p.Tenant != "" {
-			m.tcell[idx] = m.state.Tenant(p.Tenant)
-			m.tcap[idx] = m.cfg.TenantQuotas[p.Tenant].MaxInstances
-		} else {
-			m.tcell[idx] = nil
-			m.tcap[idx] = 0
-		}
-	} else {
-		m.sx[idx] = nil
-		m.tcell[idx] = nil
-		m.tcap[idx] = 0
-	}
-	return idx, nil
-}
-
-// removeLocal purges slot idx's instances and timers, clears its local
-// quarantine bit, and tombstones the slot. uninstallTracker retires the
-// slot in the shared accounting tracker too — true for an inline
-// monitor, false for a shard (the ShardedMonitor's router retires the
-// tracker slot once, after every shard has purged).
-func (m *Monitor) removeLocal(idx int, uninstallTracker bool) {
-	m.purgeProp(idx)
-	if idx < maxShardedProperties {
-		m.quarantined &^= uint64(1) << uint(idx)
-	}
-	m.props[idx] = nil
-	m.dl.drop(m.buckets[idx])
-	m.buckets[idx] = nil
-	m.pmx[idx] = propMetrics{}
-	if m.state != nil && uninstallTracker {
-		m.state.Uninstall(idx)
-	}
-	m.sx[idx] = nil
-	m.tcell[idx] = nil
-	m.tcap[idx] = 0
-}
-
-// Properties returns the names of installed properties.
-func (m *Monitor) Properties() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	names := make([]string, 0, len(m.props))
-	for _, cp := range m.props {
-		if cp != nil {
-			names = append(names, cp.prop.Name)
+			m.tcell[slot] = m.state.Tenant(p.Tenant)
+			m.tcap[slot] = m.cfg.TenantQuotas[p.Tenant].MaxInstances
 		}
 	}
-	return names
+}
+
+// evict implements propHost (and is run on each shard by the router): it
+// purges the slot's instances and timers, clears its local quarantine bit
+// and tombstones it; every per-slot entry returns to its zero value, which
+// is what place expects to find.
+func (m *Monitor) evict(slot int) {
+	m.purgeProp(slot)
+	m.quarantined &^= uint64(1) << uint(slot)
+	m.props[slot] = nil
+	m.dl.drop(m.buckets[slot])
+	m.buckets[slot] = nil
+	m.pmx[slot] = propMetrics{}
+	m.sx[slot] = nil
+	m.tcell[slot] = nil
+	m.tcap[slot] = 0
 }
 
 // Stats returns a snapshot of the activity counters. The snapshot is
@@ -614,20 +440,14 @@ func (m *Monitor) HandleEvent(e Event) {
 			// property's verdicts are incomplete from here on: record the
 			// loss in the soundness ledger (overflow is off the steady-state
 			// path, so the ledger cost is paid only when already degraded).
-			for _, cp := range m.props {
-				if cp == nil {
-					continue
-				}
-				m.ledger.Mark(cp.prop.Name, UnsoundSplitOverflow, m.seq, e.Time, uint64(drop), "split-mode queue overflow")
-			}
-			m.ledger.recordLost(UnsoundSplitOverflow, uint64(drop))
+			m.ledger.markInstalled(UnsoundSplitOverflow, m.seq, e.Time, uint64(drop), "split-mode queue overflow")
 			m.pending = append(m.pending[:0], m.pending[drop:]...)
 		}
 		m.pending = append(m.pending, e)
 		m.setPending(len(m.pending))
 		return
 	}
-	m.apply(&e)
+	m.apply(&e, allProps, allProps)
 }
 
 // Feed implements Engine: the inline driver's RunUntil-then-handle step.
@@ -656,7 +476,7 @@ func (m *Monitor) AdvanceTo(t time.Time) {
 func (m *Monitor) Flush() int {
 	n := len(m.pending)
 	for i := range m.pending {
-		m.apply(&m.pending[i])
+		m.apply(&m.pending[i], allProps, allProps)
 	}
 	m.pending = m.pending[:0]
 	if n > 0 {
@@ -665,8 +485,16 @@ func (m *Monitor) Flush() int {
 	return n
 }
 
-// apply runs one event through every property.
-func (m *Monitor) apply(e *Event) {
+// allProps is the routing mask of an event no router restricted.
+const allProps = ^uint64(0)
+
+// apply runs one event through the properties its routing masks select:
+// matchMask bits allow suppression seeding and stage >= 1 matching,
+// createMask bits allow stage-zero creation. An inline engine passes
+// allProps for both; a ShardedMonitor's router clears the bits its static
+// analysis proves could not act at this shard. The event and latency
+// accounting happen exactly once, however many properties fail.
+func (m *Monitor) apply(e *Event, matchMask, createMask uint64) {
 	var start time.Time
 	if m.mx != nil {
 		start = time.Now()
@@ -676,20 +504,7 @@ func (m *Monitor) apply(e *Event) {
 	}
 	m.stats.events.Add(1)
 	m.seq++
-	seq := m.seq
-	for pi, cp := range m.props {
-		if cp == nil {
-			continue // tombstone: slot freed by RemoveProperty
-		}
-		if m.quarantined != 0 && pi < maxShardedProperties && m.quarantined&(uint64(1)<<uint(pi)) != 0 {
-			continue
-		}
-		m.curProp = pi
-		if m.stepProbe != nil {
-			m.stepProbe(pi, seq)
-		}
-		m.stepProp(pi, cp, e, seq, true, true)
-	}
+	m.stepProps(0, e, m.seq, matchMask, createMask)
 	if m.mx != nil {
 		m.mx.events.Inc()
 		m.mx.eventNs.Observe(uint64(time.Since(start)))
@@ -700,10 +515,47 @@ func (m *Monitor) apply(e *Event) {
 	}
 }
 
+// stepProps is the engine's one per-property loop: it steps slots
+// [from, len) under supervision. A panic in property pi's step —
+// including one raised by a fault probe or by a user violation callback
+// — quarantines pi and the loop resumes at pi+1, so the remaining
+// properties are stepped as if nothing happened. Routing and quarantine
+// masks are one word: slots past it (an inline engine takes more than 64
+// properties) are stepped unconditionally.
+func (m *Monitor) stepProps(from int, e *Event, seq, matchMask, createMask uint64) {
+	pi := from
+	defer func() {
+		if cause := recover(); cause != nil {
+			m.quarantine(pi, cause)
+			m.stepProps(pi+1, e, seq, matchMask, createMask)
+		}
+	}()
+	// The table is read once, as a range would read it: an install from
+	// inside a step (a violation callback's) cannot move it under the loop.
+	for props := m.props; pi < len(props); pi++ {
+		cp := props[pi]
+		if cp == nil {
+			continue // tombstone: slot freed by RemoveProperty
+		}
+		match, create := true, true
+		if pi < maxShardedProperties {
+			bit := uint64(1) << uint(pi)
+			match, create = matchMask&bit != 0, createMask&bit != 0
+			if m.quarantined&bit != 0 || !(match || create) {
+				continue
+			}
+		}
+		if m.stepProbe != nil {
+			m.stepProbe(pi, seq)
+		}
+		m.stepProp(pi, cp, e, seq, match, create)
+	}
+}
+
 // stepProp runs one event through one property: suppression seeding and
 // stage >= 1 matching when match is set, stage-zero creation when create
 // is set. It is the unit of blast radius for supervision — a panic in
-// here is attributed to property pi via curProp and quarantines only pi.
+// here quarantines only pi.
 func (m *Monitor) stepProp(pi int, cp *compiledProp, e *Event, seq uint64, match, create bool) {
 	m.pmx[pi].events.Inc()
 	bs := m.buckets[pi]
@@ -727,6 +579,38 @@ func (m *Monitor) stepProp(pi int, cp *compiledProp, e *Event, seq uint64, match
 	}
 }
 
+// quarantine is the supervisor's one action, taken by whichever monitor
+// recovers a panic attributed to property pi: publish pi in the
+// engine-wide mask (the router stops routing to it, the other shards
+// adopt it at their next unit of work), purge it here, and — first
+// publisher only, so concurrent recoveries on several shards converge on
+// one mark — record it in the ledger. A panic in a slot the mask cannot
+// address is re-raised: nothing could stop the property being stepped
+// again, and masking the panic would hide the bug.
+func (m *Monitor) quarantine(pi int, cause any) {
+	if pi >= maxShardedProperties {
+		panic(cause)
+	}
+	bit := uint64(1) << uint(pi)
+	first := updateMask(m.quar, bit, 0)
+	// The name comes from this monitor's own table: a router may be
+	// changing its name table for an unrelated lifecycle operation.
+	name := m.props[pi].prop.Name
+	m.quarantineLocal(bit)
+	if first {
+		m.ledger.Mark(name, UnsoundQuarantine, m.seq, m.sched.Now(), 0,
+			fmt.Sprintf("panic on shard %d: %v", m.shardIdx, cause))
+	}
+}
+
+// adoptQuarantines purges the properties another shard of the engine has
+// quarantined since this monitor last looked.
+func (m *Monitor) adoptQuarantines() {
+	if q := m.quar.Load() &^ m.quarantined; q != 0 {
+		m.quarantineLocal(q)
+	}
+}
+
 // quarantineLocal stops stepping the masked properties and purges their
 // live instances from this monitor, canceling their timers. Purging
 // (rather than freezing) matters after a panic: the interrupted step may
@@ -735,10 +619,9 @@ func (m *Monitor) stepProp(pi int, cp *compiledProp, e *Event, seq uint64, match
 func (m *Monitor) quarantineLocal(bits uint64) {
 	m.quarantined |= bits
 	for pi, cp := range m.props {
-		if cp == nil || pi >= maxShardedProperties || bits&(uint64(1)<<uint(pi)) == 0 {
-			continue
+		if cp != nil && bits&(uint64(1)<<uint(pi)) != 0 {
+			m.purgeProp(pi)
 		}
-		m.purgeProp(pi)
 	}
 }
 
@@ -764,9 +647,6 @@ func (m *Monitor) purgeProp(pi int) {
 		}
 	}
 }
-
-// Quarantined reports the bitmask of quarantined properties.
-func (m *Monitor) Quarantined() uint64 { return m.quarantined }
 
 // matchStage advances, discharges, or leaves alone the instances waiting
 // at one stage for one event. The candidate set is the union of the index

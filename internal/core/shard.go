@@ -12,7 +12,6 @@ import (
 	"switchmon/internal/obs"
 	"switchmon/internal/obs/statesize"
 	"switchmon/internal/obs/tracer"
-	"switchmon/internal/property"
 	"switchmon/internal/sim"
 )
 
@@ -162,12 +161,10 @@ type tenantQueue struct {
 	cell    *statesize.TenantCell
 }
 
-// shard is one partition: a single-threaded Monitor with its own
+// shard is one partition: a single-threaded Monitor on its own
 // deterministic scheduler, fed in FIFO order by its own goroutine.
 // pending is the router-side batch under construction (router-owned).
 type shard struct {
-	idx     int
-	sched   *sim.Scheduler
 	mon     *Monitor
 	ch      chan shardCtl
 	pending []shardMsg
@@ -179,28 +176,31 @@ type shard struct {
 // ShardedMonitor scales the single-threaded Monitor across cores: N
 // shards each own a disjoint identity-hash partition of the instance
 // population and run on their own goroutine over a buffered event queue.
-// The router (Submit) computes, per property, which shards an event can
-// possibly affect — using the compile-time shardPlan — and delivers it
-// only there. Properties whose addressing paths do not pin a stable
-// stage-zero identity (wandering identities, packet-identity stages,
-// scan stages or guards) are monitored entirely on the catch-all shard 0,
-// preserving exact single-engine semantics at the cost of parallelism.
+// It is a router over N Monitors and owns only what that takes — routing,
+// the queues, the fences and back-pressure. The router (Submit) computes,
+// per property, which shards an event can possibly affect — using the
+// compile-time shardPlan — and delivers it only there. Properties whose
+// addressing paths do not pin a stable stage-zero identity (wandering
+// identities, packet-identity stages, scan stages or guards) are
+// monitored entirely on the catch-all shard 0, preserving exact
+// single-engine semantics at the cost of parallelism.
 //
 // The router side (Submit, SubmitBatch, Barrier, AdvanceTo, Drain, Close,
-// and the aggregate accessors) is serialized by an internal mutex, so
-// Close is safe to call concurrently with Submit (Submit returns
-// ErrClosed afterwards); for deterministic event ordering the router
-// should still be driven from one goroutine. The shards run concurrently
-// underneath. Shard goroutines start lazily on the first Submit, so
-// constructing a ShardedMonitor (for capability probing, say) spawns
+// the lifecycle operations and the aggregate accessors) is serialized by
+// the embedded propSet's lock, so Close is safe to call concurrently with
+// Submit (Submit returns ErrClosed afterwards); for deterministic event
+// ordering the router should still be driven from one goroutine. The
+// shards run concurrently underneath. Shard goroutines start lazily on
+// the first Submit or barrier, so constructing a ShardedMonitor and
+// installing properties on it (for capability probing, say) spawns
 // nothing.
 //
-// Shard goroutines are supervised: a panic inside a property's step is
-// recovered, the offending property is quarantined engine-wide (its
-// routing bit is cleared and its live instances are purged on every
-// shard), the quarantine is recorded in the soundness Ledger, and the
-// shard keeps draining its queue — every other property keeps
-// monitoring.
+// Supervision is the Monitor's: a panic inside a property's step or timer
+// is recovered by the shard that hit it, the property is quarantined
+// engine-wide through the shared mask (the router stops routing to it and
+// every other shard purges it at its next unit of work), the quarantine
+// is recorded in the soundness Ledger, and the shard keeps draining its
+// queue — every other property keeps monitoring.
 //
 // Config caveats: Mode and SplitFlushLimit are ignored — shards always
 // apply events inline, the per-shard queues being the split (bounded by
@@ -211,11 +211,14 @@ type shard struct {
 // serialized by an internal mutex but arrive in nondeterministic
 // cross-shard order; order-sensitive consumers should compare multisets.
 type ShardedMonitor struct {
+	// propSet is the property lifecycle, the engine-wide ledger, state
+	// tracker and quarantine mask (each shared with every shard's Monitor)
+	// and, as its mu, the router lock.
+	propSet
 	cfg    Config
 	shards []*shard
-	plans  []shardPlan
-	// names are the installed property names by index (for ledger marks).
-	names     []string
+	// plans holds each slot's routing plan (zero for a tombstone).
+	plans     [maxShardedProperties]shardPlan
 	submitted uint64
 	// matchScratch/createScratch are the per-event, per-shard routing
 	// mask accumulators (router-owned, zeroed after each event).
@@ -229,24 +232,7 @@ type ShardedMonitor struct {
 	// fell back to shard 0, the numerator of the catch-all ratio.
 	smx         *shardedMetrics
 	hasCatchall bool
-	// ledger is the engine-wide soundness record, shared with every
-	// shard's Monitor.
-	ledger *Ledger
-	// state is the engine-wide state-cost accounting store, shared with
-	// every shard's Monitor the same way (nil when accounting is
-	// disabled). Each shard updates its own cell, so the hot path never
-	// contends; StateReport reads it live, without a barrier.
-	state *statesize.Tracker
-	// quarMask is the engine-wide quarantine bitmask: set by whichever
-	// shard recovers the panic, read by the router (to stop routing) and
-	// by every worker (to purge its local instances). The only cross-
-	// goroutine monitor state, hence atomic.
-	quarMask atomic.Uint64
-	violMu   sync.Mutex
-	// epoch counts live property-set changes (install/remove after the
-	// first Submit). Readable without the router lock — /healthz and
-	// /state poll it while the engine runs.
-	epoch atomic.Uint64
+	violMu      sync.Mutex
 	// lastTick is the high-water virtual time the router has told the
 	// shards about (Tick/AdvanceTo), used as the install-point watermark
 	// for live installs. Router-owned.
@@ -260,15 +246,11 @@ type ShardedMonitor struct {
 	quotaByName map[string]*tenantQueue
 	tenantOf    [maxShardedProperties]*tenantQueue
 	quotaBits   uint64
-	// barrierWG is the reusable ack group for barrier-family operations
-	// (Barrier, AdvanceTo, Drain, Stats). A field rather than a local:
-	// a local WaitGroup escapes through the shardCtl channel send and
-	// costs one heap allocation per barrier. Guarded by routerMu.
+	// barrierWG is the reusable ack group of the fence. A field rather
+	// than a local: a local WaitGroup escapes through the shardCtl channel
+	// send and costs one heap allocation per barrier. Guarded by mu.
 	barrierWG sync.WaitGroup
 
-	// routerMu serializes the router-side entry points so Close is safe
-	// against a racing Submit.
-	routerMu  sync.Mutex
 	startOnce sync.Once
 	started   bool
 	closed    bool
@@ -295,25 +277,10 @@ func NewShardedMonitor(shards int, cfg Config) *ShardedMonitor {
 		// worker per shard, so a worker's Put always finds room and the
 		// steady state allocates no new buffers.
 		freeBatches: make(chan []shardMsg, shards*(qlen+2)),
-		ledger:      newLedger(),
 	}
-	sm.ledger.instrument(cfg.Metrics, cfg.MetricsLabels)
+	sm.propSet.setup(sm, cfg, shards, maxShardedProperties)
 	if cfg.Metrics != nil {
 		sm.smx = newShardedMetrics(cfg.Metrics, cfg.MetricsLabels)
-	}
-	if !cfg.DisableStateAccounting || len(cfg.TenantQuotas) > 0 {
-		// Per-property accounting series deliberately carry no shard
-		// label (like propMetrics), so the tracker gets the engine-level
-		// labels only. Tenant quotas need the tracker's tenant cells, so
-		// they force it on.
-		sm.state = statesize.NewTracker(statesize.Config{
-			Shards:    shards,
-			TopK:      cfg.StateTopK,
-			SampleN:   cfg.StateSample,
-			Watermark: cfg.StateWatermark,
-			Metrics:   cfg.Metrics,
-			Labels:    cfg.MetricsLabels,
-		})
 	}
 	if len(cfg.TenantQuotas) > 0 {
 		sm.quotaByName = make(map[string]*tenantQueue, len(cfg.TenantQuotas))
@@ -326,6 +293,9 @@ func NewShardedMonitor(shards int, cfg Config) *ShardedMonitor {
 	shardCfg := cfg
 	shardCfg.Mode = Inline
 	shardCfg.SplitFlushLimit = 0
+	// A span fans out to several shards and only its last copy's verdict
+	// completes it, so the worker — not each shard's apply — owns it.
+	shardCfg.Tracer = nil
 	if cfg.OnViolation != nil {
 		user := cfg.OnViolation
 		shardCfg.OnViolation = func(v *Violation) {
@@ -335,12 +305,7 @@ func NewShardedMonitor(shards int, cfg Config) *ShardedMonitor {
 		}
 	}
 	for i := 0; i < shards; i++ {
-		sched := sim.NewScheduler()
-		s := &shard{
-			idx:   i,
-			sched: sched,
-			ch:    make(chan shardCtl, qlen),
-		}
+		s := &shard{ch: make(chan shardCtl, qlen)}
 		cfgI := shardCfg
 		if cfg.Metrics != nil {
 			// Engine-level series get a shard label; the per-property
@@ -352,7 +317,7 @@ func NewShardedMonitor(shards int, cfg Config) *ShardedMonitor {
 				"Batches queued on the shard's channel at the last flush.",
 				cfgI.MetricsLabels...)
 		}
-		s.mon = newMonitorWithLedger(sched, cfgI, sm.ledger, sm.state, i)
+		s.mon = newMonitor(sim.NewScheduler(), cfgI, &sm.propSet, i)
 		sm.shards = append(sm.shards, s)
 	}
 	return sm
@@ -361,241 +326,96 @@ func NewShardedMonitor(shards int, cfg Config) *ShardedMonitor {
 // Shards reports the shard count.
 func (sm *ShardedMonitor) Shards() int { return len(sm.shards) }
 
-// Ledger returns the engine-wide soundness ledger. Safe to read from any
-// goroutine without a barrier — it is what /healthz polls live.
-func (sm *ShardedMonitor) Ledger() *Ledger { return sm.ledger }
-
-// StateReport snapshots the engine's state-cost accounting (per
-// property, per shard, with heavy-hitter keys) and cross-references each
-// property against quarantine and the soundness ledger. Deliberately
-// barrier-free — it is what /state polls while shards run — so totals
-// are per-field consistent, not a frozen transaction; exact agreement
-// with ActiveInstances holds once the engine quiesces.
-func (sm *ShardedMonitor) StateReport() statesize.Report {
-	r := sm.state.Report()
-	annotateReport(&r, sm.quarMask.Load(), sm.ledger)
-	return r
-}
-
-// AddProperty compiles and installs a property on every shard. Kept as
-// the historical name; since the lifecycle work it is InstallProperty
-// and works on a live engine too.
-func (sm *ShardedMonitor) AddProperty(p *property.Property) error {
-	return sm.InstallProperty(p)
-}
-
-// InstallProperty compiles and installs a property on every shard,
-// before or after the first Submit. A live install is epoch-fenced:
-// the install order rides every shard's FIFO queue, so each in-flight
-// event observes one consistent property set — either entirely before
-// or entirely after the install — and routing for the new property only
-// opens once every shard has acknowledged it. The install point (seq +
-// virtual time) is recorded in the ledger; loss marks that predate it
-// do not make the new property unsound.
-func (sm *ShardedMonitor) InstallProperty(p *property.Property) error {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
+// admits implements propHost: a closed engine takes no lifecycle
+// operations.
+func (sm *ShardedMonitor) admits() error {
 	if sm.closed {
 		return ErrClosed
 	}
-	return sm.installLocked(p)
+	return nil
 }
 
-func (sm *ShardedMonitor) installLocked(p *property.Property) error {
-	for _, n := range sm.names {
-		if n == p.Name {
-			return fmt.Errorf("core: property %q already installed", p.Name)
-		}
-	}
-	cp, err := compile(p) // validate router-side before touching any shard
-	if err != nil {
-		return err
-	}
-	plan := cp.plan
+// position implements propHost: the router's submission count, live once
+// an event has been submitted, and the clock high-water mark the router
+// has told the shards about.
+func (sm *ShardedMonitor) position() (seq uint64, live bool, now time.Time) {
+	return sm.submitted, sm.submitted > 0, sm.lastTick
+}
+
+// place implements propHost. A live install is epoch-fenced: the install
+// order rides every shard's FIFO queue, so each in-flight event observes
+// one consistent property set — either entirely before or entirely after
+// the install — and routing for the new property opens only here, once
+// every shard has acknowledged it.
+func (sm *ShardedMonitor) place(slot int, cp *compiledProp) {
+	sm.onShards(func(m *Monitor) { m.place(slot, cp) })
+	sm.plans[slot] = cp.plan
 	if sm.cfg.DisableIndex {
 		// Routing is derived from the index paths; without them every
 		// property is catch-all.
-		plan = shardPlan{}
+		sm.plans[slot] = shardPlan{}
 	}
-	// Reserve a slot: the first tombstone, else append. Shard monitors
-	// pick their slot independently (installLocal takes the first nil
-	// props entry) but necessarily agree with the router: every lifecycle
-	// op is applied to all shards through the same fenced sequence, so
-	// router tombstones and shard tombstones coincide.
-	idx := -1
-	for i, n := range sm.names {
-		if n == "" {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		if len(sm.names) >= maxShardedProperties {
-			return fmt.Errorf("core: ShardedMonitor supports at most %d properties", maxShardedProperties)
-		}
-		idx = len(sm.names)
-		sm.names = append(sm.names, "")
-		sm.plans = append(sm.plans, shardPlan{})
-	}
-	if sm.started {
-		sm.fenceApply(func(m *Monitor) { _, _ = m.installLocal(p) })
-	} else {
-		for _, s := range sm.shards {
-			if _, err := s.mon.installLocal(p); err != nil {
-				return err
-			}
-		}
-	}
-	// Only now — with the property resident on every shard — open routing.
-	sm.plans[idx] = plan
-	sm.names[idx] = p.Name
-	if !plan.shardable {
+	if !sm.plans[slot].shardable {
 		sm.hasCatchall = true
 	}
-	if tq := sm.quotaByName[p.Tenant]; tq != nil {
-		sm.tenantOf[idx] = tq
-		sm.quotaBits |= uint64(1) << uint(idx)
+	if tq := sm.quotaByName[cp.prop.Tenant]; tq != nil {
+		sm.tenantOf[slot] = tq
+		sm.quotaBits |= uint64(1) << uint(slot)
 	}
-	at := time.Time{}
-	if sm.started && sm.submitted > 0 {
-		// A live install gets the router's clock high-water mark as its
-		// soundness watermark; bootstrap installs keep the zero time so
-		// they are accountable for the whole run.
-		at = sm.lastTick
-		sm.epoch.Add(1)
-	}
-	sm.ledger.RecordInstall(p.Name, p.Tenant, sm.epoch.Load(), sm.submitted, at)
-	return nil
 }
 
-// RemoveProperty removes a property from every shard, live. Routing is
-// closed first, then a fence rides every shard's FIFO queue purging the
-// property's instances, pooled state, and pending timers — events
-// already in flight still apply to it before the fence; nothing after
-// does. The slot (and its routing bit) is reusable by a later install;
-// the ledger keeps the property's marks and records the removal.
-func (sm *ShardedMonitor) RemoveProperty(name string) error {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
-	if sm.closed {
-		return ErrClosed
-	}
-	return sm.removeLocked(name)
-}
-
-func (sm *ShardedMonitor) removeLocked(name string) error {
-	idx := -1
-	for i, n := range sm.names {
-		if n == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("core: property %q not installed", name)
-	}
-	bit := uint64(1) << uint(idx)
-	// Close routing before anything else: no new deliveries carry the bit.
-	sm.names[idx] = ""
-	sm.plans[idx] = shardPlan{}
+// evict implements propHost. The propSet has already closed routing (the
+// slot is a tombstone, so no new delivery carries its bit); a fence then
+// rides every shard's FIFO queue purging the property's instances, pooled
+// state and pending timers — events already in flight still apply to it
+// before the fence, nothing after does.
+func (sm *ShardedMonitor) evict(slot int) {
+	sm.plans[slot] = shardPlan{}
 	sm.hasCatchall = false
-	for i := range sm.plans {
-		if sm.names[i] != "" && !sm.plans[i].shardable {
+	for i, name := range sm.names {
+		if name != "" && !sm.plans[i].shardable {
 			sm.hasCatchall = true
-			break
 		}
 	}
-	if tq := sm.tenantOf[idx]; tq != nil {
-		sm.tenantOf[idx] = nil
-		sm.quotaBits &^= bit
+	if sm.tenantOf[slot] != nil {
+		sm.tenantOf[slot] = nil
+		sm.quotaBits &^= uint64(1) << uint(slot)
 	}
-	// Clear the engine-wide quarantine bit before the fence so no worker
-	// re-adopts it onto the (about to be freed) slot, and again after —
-	// a shard may still publish a quarantine for the property while
-	// draining its pre-fence queue.
-	sm.clearQuarBit(bit)
+	sm.onShards(func(m *Monitor) { m.evict(slot) })
+}
+
+// onShards runs fn against every shard's Monitor at one point in the
+// event order: behind a fence once the workers run, directly before —
+// installing on an engine that has not started spawns nothing.
+func (sm *ShardedMonitor) onShards(fn func(*Monitor)) {
 	if sm.started {
-		sm.fenceApply(func(m *Monitor) { m.removeLocal(idx, false) })
-	} else {
-		for _, s := range sm.shards {
-			s.mon.removeLocal(idx, false)
-		}
+		sm.fence(shardCtl{apply: fn})
+		return
 	}
-	sm.clearQuarBit(bit)
-	// Retire the shared tracker slot exactly once, after every shard has
-	// stopped touching it.
-	sm.state.Uninstall(idx)
-	if sm.started && sm.submitted > 0 {
-		sm.epoch.Add(1)
+	for _, s := range sm.shards {
+		fn(s.mon)
 	}
-	sm.ledger.RecordRemove(name)
-	return nil
 }
 
-// ReplaceProperty atomically (from the event stream's point of view)
-// swaps the named property for a new compilation: remove + install under
-// one router critical section. The ledger marks the property reinstalled
-// — verdicts are sound from the new install point only.
-func (sm *ShardedMonitor) ReplaceProperty(p *property.Property) error {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
-	if sm.closed {
-		return ErrClosed
-	}
-	for _, n := range sm.names {
-		if n == p.Name {
-			if err := sm.removeLocked(p.Name); err != nil {
-				return err
-			}
-			break
-		}
-	}
-	return sm.installLocked(p)
-}
-
-// Epoch reports the live property-set generation — bumped by every
-// install or remove after the first Submit. Safe from any goroutine.
-func (sm *ShardedMonitor) Epoch() uint64 { return sm.epoch.Load() }
-
-// Properties lists the currently installed property names (tombstoned
-// slots omitted), in slot order.
-func (sm *ShardedMonitor) Properties() []string {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
-	out := make([]string, 0, len(sm.names))
-	for _, n := range sm.names {
-		if n != "" {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// fenceApply pushes fn through every shard's FIFO queue and waits for
-// all shards to execute it: events routed before the fence are applied
-// before fn runs, events routed after it see its effects. Caller holds
-// routerMu with the engine started.
-func (sm *ShardedMonitor) fenceApply(fn func(*Monitor)) {
-	sm.barrierWG.Add(len(sm.shards))
+// post flushes every shard's pending batch and queues ctl behind it.
+func (sm *ShardedMonitor) post(ctl shardCtl) {
 	for _, s := range sm.shards {
 		sm.flushShard(s)
-		s.ch <- shardCtl{apply: fn, ack: &sm.barrierWG}
+		s.ch <- ctl
 	}
-	sm.barrierWG.Wait()
 }
 
-// clearQuarBit clears one property's engine-wide quarantine bit (CAS
-// loop; the mask is contended by recovering shards).
-func (sm *ShardedMonitor) clearQuarBit(bit uint64) {
-	for {
-		old := sm.quarMask.Load()
-		if old&bit == 0 {
-			return
-		}
-		if sm.quarMask.CompareAndSwap(old, old&^bit) {
-			return
-		}
-	}
+// fence is the engine's one barrier: ctl rides every shard's FIFO queue
+// and the call returns when every shard has executed it, so everything
+// routed before the fence has been applied and everything routed after
+// sees its effects. An empty ctl is Barrier, a clock advance AdvanceTo, an
+// apply a lifecycle operation. Caller holds mu with the engine not closed.
+func (sm *ShardedMonitor) fence(ctl shardCtl) {
+	sm.start()
+	ctl.ack = &sm.barrierWG
+	sm.barrierWG.Add(len(sm.shards))
+	sm.post(ctl)
+	sm.barrierWG.Wait()
 }
 
 // Shardable reports whether the i-th installed property got a stable
@@ -608,8 +428,8 @@ func (sm *ShardedMonitor) Shardable(i int) bool { return sm.plans[i].shardable }
 // like a bug in the property's step would. Must be called before the
 // first Submit.
 func (sm *ShardedMonitor) SetShardProbe(shard int, fn func(prop int, seq uint64)) error {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
 	if sm.started {
 		return fmt.Errorf("core: SetShardProbe after first Submit")
 	}
@@ -633,21 +453,19 @@ func (sm *ShardedMonitor) start() {
 
 // worker drains one shard's queue: applies event batches in FIFO order,
 // advances the shard's virtual clock on request, and acknowledges
-// barriers. It owns the shard's Monitor exclusively. Every unit of work
-// is panic-protected: a recovered panic quarantines the property it was
-// attributed to and the worker keeps going — this is the "restart" in
-// shard supervision, the goroutine itself never dies.
+// barriers. It owns the shard's Monitor exclusively. The Monitor
+// supervises itself — its step loop and its timer entry each recover a
+// property's panic and quarantine the property — so the goroutine never
+// dies and needs no recovery of its own.
 func (sm *ShardedMonitor) worker(s *shard) {
 	defer sm.wg.Done()
-	onPanic := func(prop int, cause any) { sm.quarantine(s, prop, cause) }
+	sched := s.mon.sched
 	for {
 		ctl := <-s.ch
 		// Adopt quarantines published by other shards before touching
 		// state: the batch may still carry mask bits for a property
 		// another shard just quarantined.
-		if q := sm.quarMask.Load(); q&^s.mon.quarantined != 0 {
-			s.mon.quarantineLocal(q &^ s.mon.quarantined)
-		}
+		s.mon.adoptQuarantines()
 		for i := range ctl.batch {
 			msg := &ctl.batch[i]
 			ev := msg.event()
@@ -661,10 +479,10 @@ func (sm *ShardedMonitor) worker(s *shard) {
 			// post-batch tick expires it before its evidence can arrive.
 			// Lagging streams (another switch behind this one) regress in
 			// event time and leave the clock untouched.
-			if ev.Time.After(s.sched.Now()) {
-				sm.runShardUntil(s, ev.Time)
+			if ev.Time.After(sched.Now()) {
+				sched.RunUntil(ev.Time)
 			}
-			s.mon.applyRouted(ev, msg.matchMask, msg.createMask, onPanic)
+			s.mon.apply(ev, msg.matchMask, msg.createMask)
 			if sp := ev.Trace; sp != nil && sm.cfg.Tracer != nil && sp.Release() {
 				sp.Stamp(tracer.StageVerdict)
 				sm.cfg.Tracer.Finish(sp)
@@ -692,7 +510,7 @@ func (sm *ShardedMonitor) worker(s *shard) {
 			ctl.apply(s.mon)
 		}
 		if !ctl.runUntil.IsZero() {
-			sm.runShardUntil(s, ctl.runUntil)
+			sched.RunUntil(ctl.runUntil)
 		}
 		if ctl.ack != nil {
 			ctl.ack.Done()
@@ -703,75 +521,11 @@ func (sm *ShardedMonitor) worker(s *shard) {
 	}
 }
 
-// runShardUntil is Scheduler.RunUntil under supervision: a panic in a
-// timer callback (window expiry, negative-observation advance, a user
-// violation callback) is recovered and attributed via Monitor.curProp,
-// the property quarantined, and the run resumed — the scheduler pops a
-// task before executing it, so the panicking task is consumed and the
-// remaining queue is intact. A panic with no attribution is re-raised:
-// it did not come from a property step, and masking it would hide an
-// engine bug.
-func (sm *ShardedMonitor) runShardUntil(s *shard, t time.Time) {
-	for {
-		done := func() (completed bool) {
-			defer func() {
-				if r := recover(); r != nil {
-					pi := s.mon.curProp
-					if pi < 0 {
-						panic(r)
-					}
-					sm.quarantine(s, pi, r)
-					completed = false
-				}
-			}()
-			s.mon.curProp = -1
-			s.sched.RunUntil(t)
-			return true
-		}()
-		if done {
-			return
-		}
-	}
-}
-
-// quarantine publishes property pi's quarantine engine-wide, purges it
-// from the recovering shard, and records it in the ledger (first
-// publisher only — concurrent recoveries on several shards converge on
-// one mark).
-func (sm *ShardedMonitor) quarantine(s *shard, pi int, cause any) {
-	bit := uint64(1) << uint(pi)
-	first := false
-	for {
-		old := sm.quarMask.Load()
-		if old&bit != 0 {
-			break
-		}
-		if sm.quarMask.CompareAndSwap(old, old|bit) {
-			first = true
-			break
-		}
-	}
-	s.mon.quarantineLocal(bit)
-	if first {
-		// Read the name from the worker-owned monitor, not sm.names —
-		// the router may be mutating the name table for an unrelated
-		// lifecycle op right now.
-		name := ""
-		if cp := s.mon.props[pi]; cp != nil {
-			name = cp.prop.Name
-		}
-		if name != "" {
-			sm.ledger.Mark(name, UnsoundQuarantine, s.mon.seq, s.sched.Now(), 0,
-				fmt.Sprintf("panic on shard %d: %v", s.idx, cause))
-		}
-	}
-}
-
 // Feed implements Engine: a Tick when event time moves past the last
 // clock advance, then a Submit. An event fed after Close is dropped.
 func (sm *ShardedMonitor) Feed(e Event) {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
 	if sm.closed {
 		return
 	}
@@ -786,8 +540,8 @@ func (sm *ShardedMonitor) Feed(e Event) {
 // routes to quarantined properties. After Close, Submit reports
 // ErrClosed instead of enqueueing.
 func (sm *ShardedMonitor) Submit(e Event) error {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
 	if sm.closed {
 		return ErrClosed
 	}
@@ -814,20 +568,20 @@ func (sm *ShardedMonitor) flushPendingLocked() {
 // routeLocked computes the per-shard routing masks for one event and
 // enqueues it: by value when ref is nil, as a (ref, idx) borrow
 // otherwise — the borrowed form takes one additional hold on ref per
-// delivering shard. Caller holds routerMu and has checked closed.
+// delivering shard. Caller holds mu and has checked closed.
 func (sm *ShardedMonitor) routeLocked(e *Event, ref *batchRef, idx int32) {
 	sm.start()
 	sm.submitted++
 	n := uint64(len(sm.shards))
-	quar := sm.quarMask.Load()
+	quar := sm.quar.Load()
 	mm, cm := sm.matchScratch, sm.createScratch
 	quotaShed := false
-	for pi := range sm.plans {
+	for pi, name := range sm.names {
 		bit := uint64(1) << uint(pi)
 		if quar&bit != 0 {
 			continue // quarantined: the property sees no further events
 		}
-		if sm.names[pi] == "" {
+		if name == "" {
 			continue // tombstone: slot freed by RemoveProperty
 		}
 		if sm.quotaBits&bit != 0 {
@@ -836,7 +590,7 @@ func (sm *ShardedMonitor) routeLocked(e *Event, ref *batchRef, idx int32) {
 				// delivery for this tenant's property only — other
 				// tenants' verdicts stay exact — and account for it.
 				tq.cell.Shed(1)
-				sm.ledger.Mark(sm.names[pi], UnsoundQuota, sm.submitted, e.Time, 1,
+				sm.ledger.Mark(name, UnsoundQuota, sm.submitted, e.Time, 1,
 					"tenant queue share exhausted")
 				quotaShed = true
 				continue
@@ -933,8 +687,8 @@ func (sm *ShardedMonitor) routeLocked(e *Event, ref *batchRef, idx int32) {
 // events are copied into the shard queues and evs is the caller's
 // again on return.
 func (sm *ShardedMonitor) SubmitBatch(evs []Event, release func()) error {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
 	if sm.closed {
 		if release != nil {
 			release()
@@ -1012,7 +766,7 @@ func (sm *ShardedMonitor) flushShard(s *shard) {
 				}
 				if old.apply != nil {
 					// Lifecycle fences must never be shed. (Like acks they
-					// cannot actually be queued here — fenceApply holds the
+					// cannot actually be queued here — the fence holds the
 					// router lock — but losing one would corrupt the
 					// property set.)
 					if prev := ctl.apply; prev != nil {
@@ -1087,25 +841,22 @@ func (sm *ShardedMonitor) shed(batch []shardMsg) {
 }
 
 // Barrier flushes all pending batches and blocks until every shard has
-// applied everything submitted before the call. After Barrier (and before
-// the next Submit) the aggregate accessors read a consistent snapshot.
+// applied everything submitted before the call.
 func (sm *ShardedMonitor) Barrier() {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
-	sm.barrierLocked()
+	sm.quiesce()
+	sm.mu.Unlock()
 }
 
-func (sm *ShardedMonitor) barrierLocked() {
-	if sm.closed {
-		return
+// quiesce takes the router lock and settles every shard behind a fence
+// (a closed engine is already settled). It returns with the lock held:
+// until the caller unlocks, nothing is routed and no worker is running,
+// so shard state and the router's own counters can be read without
+// racing a feeding goroutine.
+func (sm *ShardedMonitor) quiesce() {
+	sm.mu.Lock()
+	if !sm.closed {
+		sm.fence(shardCtl{})
 	}
-	sm.start()
-	sm.barrierWG.Add(len(sm.shards))
-	for _, s := range sm.shards {
-		sm.flushShard(s)
-		s.ch <- shardCtl{ack: &sm.barrierWG}
-	}
-	sm.barrierWG.Wait()
 }
 
 // AdvanceTo advances every shard's virtual clock to t — after applying
@@ -1113,21 +864,15 @@ func (sm *ShardedMonitor) barrierLocked() {
 // deadlines). It blocks until all shards reach t, mirroring a
 // single-engine driver calling Scheduler.RunUntil.
 func (sm *ShardedMonitor) AdvanceTo(t time.Time) {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
 	if sm.closed {
 		return
 	}
-	sm.start()
 	if t.After(sm.lastTick) {
 		sm.lastTick = t
 	}
-	sm.barrierWG.Add(len(sm.shards))
-	for _, s := range sm.shards {
-		sm.flushShard(s)
-		s.ch <- shardCtl{runUntil: t, ack: &sm.barrierWG}
-	}
-	sm.barrierWG.Wait()
+	sm.fence(shardCtl{runUntil: t})
 }
 
 // Tick is the non-blocking AdvanceTo: it queues a clock advance to t
@@ -1135,32 +880,30 @@ func (sm *ShardedMonitor) AdvanceTo(t time.Time) {
 // sources whose batches span many timestamps (the collector) use it to
 // keep shard clocks tracking the stream without a barrier per batch.
 func (sm *ShardedMonitor) Tick(t time.Time) {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
 	if sm.closed {
 		return
 	}
 	sm.tickLocked(t)
 }
 
-// tickLocked queues the clock advance. Caller holds routerMu and has
-// checked closed.
+// tickLocked queues the clock advance. Caller holds mu and has checked
+// closed.
 func (sm *ShardedMonitor) tickLocked(t time.Time) {
 	sm.start()
 	if t.After(sm.lastTick) {
 		sm.lastTick = t
 	}
-	for _, s := range sm.shards {
-		sm.flushShard(s)
-		s.ch <- shardCtl{runUntil: t}
-	}
+	sm.post(shardCtl{runUntil: t})
 }
 
 // Drain is Barrier plus a report: it returns the total number of events
 // applied across shards (>= submitted when events fan out to several
 // shards, less when events were unroutable).
 func (sm *ShardedMonitor) Drain() uint64 {
-	sm.Barrier()
+	sm.quiesce()
+	defer sm.mu.Unlock()
 	var n uint64
 	for _, s := range sm.shards {
 		n += s.mon.stats.events.Load()
@@ -1173,8 +916,8 @@ func (sm *ShardedMonitor) Drain() uint64 {
 // Submit, which reports ErrClosed once the close has begun. The
 // aggregate accessors remain usable after Close.
 func (sm *ShardedMonitor) Close() {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
+	sm.mu.Lock()
+	defer sm.mu.Unlock()
 	if sm.closed {
 		return
 	}
@@ -1182,21 +925,18 @@ func (sm *ShardedMonitor) Close() {
 	if !sm.started {
 		return // no goroutines were ever spawned
 	}
-	for _, s := range sm.shards {
-		sm.flushShard(s)
-		s.ch <- shardCtl{stop: true}
-	}
+	sm.post(shardCtl{stop: true})
 	sm.wg.Wait()
 }
 
-// Stats aggregates shard counters (after an implicit Barrier). Events is
-// the router-side submission count, so a sharded and a single-threaded
-// run over the same trace report identical Stats; per-shard applied
-// counts are available from ShardStats. ShedEvents and
-// QuarantinedProperties come from the shared ledger, counted once (not
-// per shard).
+// Stats aggregates shard counters behind a barrier. Events is the
+// router-side submission count, so a sharded and a single-threaded run
+// over the same trace report identical Stats; per-shard applied counts
+// are available from ShardStats. ShedEvents and QuarantinedProperties
+// come from the shared ledger, counted once (not per shard).
 func (sm *ShardedMonitor) Stats() Stats {
-	sm.Barrier()
+	sm.quiesce()
+	defer sm.mu.Unlock()
 	var agg Stats
 	for _, s := range sm.shards {
 		st := s.mon.stats.snapshot()
@@ -1217,32 +957,11 @@ func (sm *ShardedMonitor) Stats() Stats {
 	return agg
 }
 
-// MarkFeedLoss records that n events were lost upstream of the router:
-// every installed property is marked unsound in the shared ledger.
-func (sm *ShardedMonitor) MarkFeedLoss(at time.Time, n uint64, detail string) {
-	sm.MarkLoss(UnsoundInjectedLoss, at, n, detail)
-}
-
-// MarkLoss is MarkFeedLoss with an explicit reason. The collector calls
-// it with UnsoundWireLoss when per-datapath sequence numbers reveal a
-// gap, so network-induced degradation stays distinguishable from
-// locally injected loss.
-func (sm *ShardedMonitor) MarkLoss(reason UnsoundReason, at time.Time, n uint64, detail string) {
-	sm.routerMu.Lock()
-	defer sm.routerMu.Unlock()
-	for _, name := range sm.names {
-		if name == "" {
-			continue // tombstoned slot
-		}
-		sm.ledger.Mark(name, reason, sm.submitted, at, n, detail)
-	}
-	sm.ledger.recordLost(reason, n)
-}
-
-// ShardStats returns each shard's raw counters (after an implicit
-// Barrier) — the load-balance view used by the E8 experiment.
+// ShardStats returns each shard's raw counters behind a barrier — the
+// load-balance view used by the E8 experiment.
 func (sm *ShardedMonitor) ShardStats() []Stats {
-	sm.Barrier()
+	sm.quiesce()
+	defer sm.mu.Unlock()
 	out := make([]Stats, len(sm.shards))
 	for i, s := range sm.shards {
 		out[i] = s.mon.stats.snapshot()
@@ -1250,10 +969,11 @@ func (sm *ShardedMonitor) ShardStats() []Stats {
 	return out
 }
 
-// ActiveInstances reports the live instance population across shards
-// (after an implicit Barrier).
+// ActiveInstances reports the live instance population across shards,
+// behind a barrier.
 func (sm *ShardedMonitor) ActiveInstances() int {
-	sm.Barrier()
+	sm.quiesce()
+	defer sm.mu.Unlock()
 	n := 0
 	for _, s := range sm.shards {
 		n += s.mon.ActiveInstances()
@@ -1261,78 +981,14 @@ func (sm *ShardedMonitor) ActiveInstances() int {
 	return n
 }
 
-// Quarantined reports the engine-wide quarantine bitmask. Safe from any
-// goroutine.
-func (sm *ShardedMonitor) Quarantined() uint64 { return sm.quarMask.Load() }
-
-// SelfCheck runs every shard's invariant check (after an implicit
-// Barrier).
+// SelfCheck runs every shard's invariant check behind a barrier.
 func (sm *ShardedMonitor) SelfCheck() error {
-	sm.Barrier()
+	sm.quiesce()
+	defer sm.mu.Unlock()
 	for i, s := range sm.shards {
 		if err := s.mon.SelfCheck(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
 	return nil
-}
-
-// applyRouted is apply restricted by per-property routing masks: matchMask
-// bits allow suppression seeding and stage >= 1 matching, createMask bits
-// allow stage-zero creation. The full apply is applyRouted with all bits
-// set; the router's static analysis guarantees the cleared bits could not
-// have acted at this shard. Each property's step is panic-protected: a
-// panic during property pi's step (including one raised by a fault probe)
-// is reported to onPanic — which is expected to quarantine pi — and the
-// remaining properties are stepped as if nothing happened. The event and
-// latency accounting happen exactly once regardless of how many
-// properties fail.
-func (m *Monitor) applyRouted(e *Event, matchMask, createMask uint64, onPanic func(prop int, cause any)) {
-	var start time.Time
-	if m.mx != nil {
-		start = time.Now()
-	}
-	m.stats.events.Add(1)
-	m.seq++
-	seq := m.seq
-	from := 0
-	for from < len(m.props) {
-		failed, cause, ok := m.stepPropsProtected(e, seq, matchMask, createMask, from)
-		if ok {
-			break
-		}
-		onPanic(failed, cause)
-		from = failed + 1
-	}
-	if m.mx != nil {
-		m.mx.events.Inc()
-		m.mx.eventNs.Observe(uint64(time.Since(start)))
-	}
-}
-
-// stepPropsProtected steps properties [from, len) under a recover. On a
-// panic it reports the failing property (read from curProp, which every
-// step sets before doing work) and the panic value; ok means the whole
-// range completed.
-func (m *Monitor) stepPropsProtected(e *Event, seq uint64, matchMask, createMask uint64, from int) (failed int, cause any, ok bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			failed = m.curProp
-			cause = r
-			ok = false
-		}
-	}()
-	for pi := from; pi < len(m.props); pi++ {
-		cp := m.props[pi]
-		bit := uint64(1) << uint(pi)
-		if cp == nil || (matchMask|createMask)&bit == 0 || m.quarantined&bit != 0 {
-			continue
-		}
-		m.curProp = pi
-		if m.stepProbe != nil {
-			m.stepProbe(pi, seq)
-		}
-		m.stepProp(pi, cp, e, seq, matchMask&bit != 0, createMask&bit != 0)
-	}
-	return -1, nil, true
 }

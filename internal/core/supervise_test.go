@@ -55,10 +55,11 @@ func superviseStream(flows, returns int) []Event {
 }
 
 // The differential quarantine gate (acceptance criterion): inject a
-// panic into one property on one shard; the process must survive, the
-// panicking property must be quarantined and flagged unsound, and every
-// other property's violation count must be identical to an inline
-// engine's on the same trace.
+// panic into one property — on one shard of a sharded engine, or on the
+// inline Monitor itself; the process must survive, the panicking property
+// must be quarantined and flagged unsound, and every other property's
+// violation count must be identical to an unprobed inline engine's on
+// the same trace.
 func TestShardPanicQuarantinesOnlyThatProperty(t *testing.T) {
 	props := []*property.Property{
 		property.CatalogByName(property.DefaultParams(), "firewall-basic"),
@@ -82,105 +83,134 @@ func TestShardPanicQuarantinesOnlyThatProperty(t *testing.T) {
 	}
 	sched.RunFor(time.Hour)
 
-	// Sharded run with an injected panic in the victim property.
-	shardedCounts := map[string]int{}
-	var mu sync.Mutex
-	sm := NewShardedMonitor(4, Config{OnViolation: func(v *Violation) {
-		mu.Lock()
-		shardedCounts[v.Property]++
-		mu.Unlock()
-	}})
-	defer sm.Close()
-	for _, p := range props {
-		if err := sm.AddProperty(p); err != nil {
-			t.Fatal(err)
+	forEachEngine(t, func(t *testing.T, row engineRow) {
+		// The same run with an injected panic in the victim property.
+		r := newRig(t, row, Config{}, props...)
+		r.probe(2, func(prop int, seq uint64) {
+			if prop == victim {
+				panic("injected step panic (supervised)")
+			}
+		})
+		for i := range evs {
+			r.feed(evs[i])
 		}
-	}
-	if err := sm.SetShardProbe(2, func(prop int, seq uint64) {
-		if prop == victim {
-			panic("injected step panic (supervised)")
-		}
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := range evs {
-		sm.Feed(evs[i])
-	}
-	sm.AdvanceTo(evs[len(evs)-1].Time.Add(time.Hour))
+		r.advance(time.Hour)
 
-	// The process survived (we are here). The victim must be quarantined
-	// and flagged unsound with the panic attributed.
-	st := sm.Stats()
-	if st.QuarantinedProperties != 1 {
-		t.Fatalf("QuarantinedProperties=%d want 1", st.QuarantinedProperties)
-	}
-	if sm.Quarantined() != uint64(1)<<victim {
-		t.Fatalf("quarantine mask=%b want bit %d", sm.Quarantined(), victim)
-	}
-	marks := sm.Ledger().Snapshot()
-	if len(marks) != 1 || marks[0].Property != props[victim].Name || marks[0].Reason != UnsoundQuarantine {
-		t.Fatalf("ledger marks=%+v want one quarantine mark for %s", marks, props[victim].Name)
-	}
-	if !strings.Contains(marks[0].Detail, "injected step panic") {
-		t.Fatalf("mark detail %q does not carry the panic", marks[0].Detail)
-	}
-	// Differential gate: every surviving property agrees with inline.
-	// nat-reverse legitimately sees zero violations on a firewall-shaped
-	// stream (it rides along as the catch-all/shard-0 property), so the
-	// non-vacuity requirement is on the gate as a whole, not per property.
-	nonVacuous := false
-	for i, p := range props {
-		if i == victim {
-			continue
+		// The process survived (we are here). The victim must be quarantined
+		// and flagged unsound with the panic attributed.
+		st := r.eng.Stats()
+		if st.QuarantinedProperties != 1 {
+			t.Fatalf("QuarantinedProperties=%d want 1", st.QuarantinedProperties)
 		}
-		if inlineCounts[p.Name] != shardedCounts[p.Name] {
-			t.Errorf("%s: inline=%d sharded=%d violations", p.Name, inlineCounts[p.Name], shardedCounts[p.Name])
+		if r.eng.Quarantined() != uint64(1)<<victim {
+			t.Fatalf("quarantine mask=%b want bit %d", r.eng.Quarantined(), victim)
 		}
-		if inlineCounts[p.Name] > 0 {
-			nonVacuous = true
+		marks := r.eng.Ledger().Snapshot()
+		if len(marks) != 1 || marks[0].Property != props[victim].Name || marks[0].Reason != UnsoundQuarantine {
+			t.Fatalf("ledger marks=%+v want one quarantine mark for %s", marks, props[victim].Name)
 		}
-	}
-	if !nonVacuous {
-		t.Error("no surviving property found violations; the gate is vacuous")
-	}
-	if err := sm.SelfCheck(); err != nil {
-		t.Fatalf("post-quarantine invariants: %v", err)
-	}
+		if !strings.Contains(marks[0].Detail, "injected step panic") || !strings.HasPrefix(marks[0].Detail, "panic on shard ") {
+			t.Fatalf("mark detail %q does not carry the shard and the panic", marks[0].Detail)
+		}
+		// Differential gate: every surviving property agrees with inline.
+		// nat-reverse legitimately sees zero violations on a firewall-shaped
+		// stream (it rides along as the catch-all/shard-0 property), so the
+		// non-vacuity requirement is on the gate as a whole, not per property.
+		nonVacuous := false
+		for i, p := range props {
+			if i == victim {
+				continue
+			}
+			if got := r.violations(p.Name); inlineCounts[p.Name] != got {
+				t.Errorf("%s: inline=%d probed=%d violations", p.Name, inlineCounts[p.Name], got)
+			}
+			if inlineCounts[p.Name] > 0 {
+				nonVacuous = true
+			}
+		}
+		if !nonVacuous {
+			t.Error("no surviving property found violations; the gate is vacuous")
+		}
+		if err := r.eng.SelfCheck(); err != nil {
+			t.Fatalf("post-quarantine invariants: %v", err)
+		}
+	})
 }
 
-// A panic inside a timer callback — here the user violation callback,
-// fired by ping-reply-within's UnlessWithin deadline expiring with no
-// reply — is recovered by the RunUntil supervisor and attributed to the
-// right property. This exercises the timer path (advanceByTimeout),
-// which runs under Scheduler.RunUntil rather than batch application.
-func TestTimerPanicIsSupervised(t *testing.T) {
-	sm := NewShardedMonitor(2, Config{OnViolation: func(v *Violation) {
-		if v.Property == "ping-reply-within" {
-			panic("violation callback exploded")
-		}
-	}})
-	defer sm.Close()
-	if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), "ping-reply-within")); err != nil {
-		t.Fatal(err)
-	}
-	// Echo requests that never get a reply: each one violates when its
-	// window deadline fires during AdvanceTo.
+// echoRequests is n echo requests that never get a reply: under
+// ping-reply-within each one violates when its window deadline fires.
+func echoRequests(n int) []Event {
 	now := sim.Epoch
 	var evs []Event
-	for i := 0; i < 20; i++ {
+	for i := 0; i < n; i++ {
 		src := packet.IPv4FromUint32(0x0a000000 + uint32(i))
 		dst := packet.IPv4FromUint32(0xcb000000 + uint32(i))
 		req := packet.NewICMPEcho(macA, macB, src, dst, uint16(i+1), 1, false)
 		now = now.Add(time.Millisecond)
 		evs = append(evs, Event{Kind: KindArrival, Time: now, PacketID: PacketID(i + 1), Packet: req, InPort: 1})
 	}
-	if err := sm.SubmitBatch(evs, nil); err != nil {
-		t.Fatal(err)
+	return evs
+}
+
+// pingPanics is a violation callback that explodes for ping-reply-within.
+func pingPanics(v *Violation) {
+	if v.Property == "ping-reply-within" {
+		panic("violation callback exploded")
 	}
-	sm.AdvanceTo(now.Add(24 * time.Hour))
-	marks := sm.Ledger().Snapshot()
+}
+
+// wantPingQuarantined requires exactly the timer-panic outcome: one
+// quarantine mark, on ping-reply-within, and a store with no row leaked.
+func wantPingQuarantined(t *testing.T, eng contractEngine) {
+	t.Helper()
+	marks := eng.Ledger().Snapshot()
 	if len(marks) != 1 || marks[0].Reason != UnsoundQuarantine || marks[0].Property != "ping-reply-within" {
 		t.Fatalf("expected ping-reply-within quarantined from a timer panic, got %+v", marks)
+	}
+	if got := eng.ActiveInstances(); got != 0 {
+		t.Fatalf("quarantined property still holds %d instances", got)
+	}
+	if err := eng.SelfCheck(); err != nil {
+		t.Fatalf("post-quarantine invariants: %v", err)
+	}
+}
+
+// A panic inside a timer callback — here the user violation callback,
+// fired by ping-reply-within's UnlessWithin deadline expiring with no
+// reply — is recovered where the deadline fires and attributed to the
+// right property. This exercises the timer path (advanceByTimeout),
+// which runs under Scheduler.RunUntil rather than event application.
+func TestTimerPanicIsSupervised(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, row engineRow) {
+		r := newRig(t, row, Config{OnViolation: pingPanics},
+			property.CatalogByName(property.DefaultParams(), "ping-reply-within"))
+		for _, e := range echoRequests(20) {
+			r.feed(e)
+		}
+		r.advance(24 * time.Hour)
+		wantPingQuarantined(t, r.eng)
+	})
+}
+
+// The same panic when the monitor does not drive the scheduler its
+// deadlines ride on — the dataplane's, the bench's: the test runs the
+// scheduler itself, so no engine entry point is on the stack when the
+// deadline fires and only fireDeadline's own recovery stands between the
+// callback's panic and the process.
+func TestTimerPanicOnForeignSchedulerIsSupervised(t *testing.T) {
+	sched := sim.NewScheduler()
+	mon := NewMonitor(sched, Config{OnViolation: pingPanics})
+	if err := mon.AddProperty(property.CatalogByName(property.DefaultParams(), "ping-reply-within")); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range echoRequests(20) {
+		sched.RunUntil(e.Time)
+		mon.HandleEvent(e)
+	}
+	sched.RunFor(24 * time.Hour)
+	wantPingQuarantined(t, mon)
+	if st := mon.Stats(); st.QuarantinedProperties != 1 || st.Violations != 1 {
+		t.Fatalf("stats %+v: want one quarantined property and the one violation that panicked", st)
 	}
 }
 

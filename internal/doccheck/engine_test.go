@@ -1,0 +1,143 @@
+package doccheck
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestEngineWrittenOnce is to internal/core what TestEachFlagRegisteredOnce
+// is to the daemons: the step loop, supervision, the property lifecycle
+// and the tracker's slot retirement each exist in one place, shared by
+// Monitor and ShardedMonitor, and this scan fails when a second copy
+// appears — a second function that recovers panics on behalf of a shard, a
+// second ledger install record, a second compile per install, a field that
+// gives ShardedMonitor a property table of its own, or one of the
+// identifiers the merge deleted.
+func TestEngineWrittenOnce(t *testing.T) {
+	const dir = "../../internal/core"
+	fset := token.NewFileSet()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// calls maps a called name ("compile", ".RecordInstall") to its call
+	// sites; recovers lists the functions containing a recover() call.
+	calls := map[string][]string{}
+	var recovers []string
+	deleted := map[string]bool{
+		"applyRouted": true, "stepPropsProtected": true, "runShardUntil": true,
+		"fenceApply": true, "installLocal": true, "removeLocal": true,
+	}
+	files := 0
+	for _, ent := range entries {
+		if ent.IsDir() || !isSourceFile(ent.Name()) {
+			continue
+		}
+		files++
+		file, err := parser.ParseFile(fset, filepath.Join(dir, ent.Name()), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := func(n ast.Node) string {
+			pos := fset.Position(n.Pos())
+			return ent.Name() + ":" + strconv.Itoa(pos.Line)
+		}
+		for _, decl := range file.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				fn := d.Name.Name
+				if d.Recv != nil && len(d.Recv.List) == 1 {
+					fn = recvName(d.Recv.List[0].Type) + "." + fn
+				}
+				recovered := false
+				ast.Inspect(d, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					switch f := call.Fun.(type) {
+					case *ast.Ident:
+						if f.Name == "recover" {
+							recovered = true
+						}
+						calls[f.Name] = append(calls[f.Name], at(call))
+					case *ast.SelectorExpr:
+						calls["."+f.Sel.Name] = append(calls["."+f.Sel.Name], at(call))
+					}
+					return true
+				})
+				if recovered {
+					recovers = append(recovers, fn)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					ts, ok := spec.(*ast.TypeSpec)
+					if !ok || ts.Name.Name != "ShardedMonitor" {
+						continue
+					}
+					for _, f := range ts.Type.(*ast.StructType).Fields.List {
+						for _, name := range f.Names {
+							switch name.Name {
+							case "names", "epoch", "ledger":
+								t.Errorf("%s: ShardedMonitor declares its own %q; the property table, epoch and ledger are propSet's", at(name), name.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && deleted[id.Name] {
+				t.Errorf("%s: %s is back; it was merged into the one engine core", at(id), id.Name)
+			}
+			return true
+		})
+	}
+	if files < 10 {
+		t.Fatalf("scan found only %d source files under %s", files, dir)
+	}
+
+	sort.Strings(recovers)
+	if len(recovers) != 2 {
+		t.Errorf("recover() appears in %d functions, want 2 (the step loop and the timer entry): %v", len(recovers), recovers)
+	}
+	for _, fn := range recovers {
+		if !strings.HasPrefix(fn, "Monitor.") {
+			t.Errorf("%s recovers a panic; supervision is the Monitor's", fn)
+		}
+	}
+	for _, name := range []string{".RecordInstall", ".RecordRemove", ".Uninstall", ".InstallTenant"} {
+		if sites := calls[name]; len(sites) != 1 {
+			t.Errorf("%s has %d call sites, want 1 (the propSet's): %v", name, len(sites), sites)
+		}
+	}
+	// One compile per install, engine-wide; partition.go's fleet-level
+	// analysis compiles on its own account.
+	var compiles []string
+	for _, site := range calls["compile"] {
+		if !strings.HasPrefix(site, "partition.go:") {
+			compiles = append(compiles, site)
+		}
+	}
+	if len(compiles) != 1 {
+		t.Errorf("compile( has %d call sites outside partition.go, want 1 (the install path): %v", len(compiles), compiles)
+	}
+}
+
+// recvName names a method receiver's type, pointer or not.
+func recvName(expr ast.Expr) string {
+	if star, ok := expr.(*ast.StarExpr); ok {
+		expr = star.X
+	}
+	if id, ok := expr.(*ast.Ident); ok {
+		return id.Name
+	}
+	return "?"
+}

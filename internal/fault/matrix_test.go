@@ -71,19 +71,35 @@ func TestFaultMatrix(t *testing.T) {
 // matrixPanicShard injects a panic into one shard (the shard index and
 // fault point vary with the seed) and checks that the engine survives,
 // quarantines exactly one property, and still detects violations for
-// the surviving properties.
+// the surviving properties. Supervision is the Monitor's, not the
+// router's, so the cell then gives an inline Monitor the same stream and
+// the same fault — a panic in the same property at the same event count —
+// and requires the same outcome: one quarantine under the same ledger
+// reason, and the surviving property's verdicts equal on both engines.
 func matrixPanicShard(t *testing.T, seed int64) {
 	shards := 4
 	spec, err := ParseSpec(fmt.Sprintf("panic-shard=%d@%d,seed=%d", seed%int64(shards), 10+seed*7, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sm := core.NewShardedMonitor(shards, core.Config{})
+	var mu sync.Mutex
+	shardedCounts, inlineCounts := map[string]int{}, map[string]int{}
+	count := func(into map[string]int) func(*core.Violation) {
+		return func(v *core.Violation) {
+			mu.Lock()
+			into[v.Property]++
+			mu.Unlock()
+		}
+	}
+	sm := core.NewShardedMonitor(shards, core.Config{OnViolation: count(shardedCounts)})
 	defer sm.Close()
+	mon := core.NewMonitor(sim.NewScheduler(), core.Config{OnViolation: count(inlineCounts)})
 	props := []string{"firewall-basic", "firewall-until-close"}
 	for _, name := range props {
-		if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), name)); err != nil {
-			t.Fatal(err)
+		for _, eng := range []core.Engine{sm, mon} {
+			if err := eng.AddProperty(property.CatalogByName(property.DefaultParams(), name)); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	if err := ArmShardFaults(sm, spec); err != nil {
@@ -92,10 +108,11 @@ func matrixPanicShard(t *testing.T, seed int64) {
 	evs := trace.FirewallWorkload{
 		Flows: 400, ReturnsPerFlow: 3, ViolationEvery: 10, Gap: time.Millisecond,
 	}.Events(sim.Epoch)
+	end := evs[len(evs)-1].Time.Add(time.Hour)
 	if err := sm.SubmitBatch(evs, nil); err != nil {
 		t.Fatal(err)
 	}
-	sm.AdvanceTo(evs[len(evs)-1].Time.Add(time.Hour))
+	sm.AdvanceTo(end)
 	st := sm.Stats()
 	if st.QuarantinedProperties != 1 {
 		t.Fatalf("QuarantinedProperties=%d want 1 (marks: %+v)", st.QuarantinedProperties, sm.Ledger().Snapshot())
@@ -108,6 +125,42 @@ func matrixPanicShard(t *testing.T, seed int64) {
 	}
 	if err := sm.SelfCheck(); err != nil {
 		t.Fatalf("post-quarantine invariants: %v", err)
+	}
+
+	shardedMarks := sm.Ledger().Snapshot()
+	victim := shardedMarks[0].Property
+	fired := false
+	mon.SetStepProbe(func(prop int, seq uint64) {
+		if !fired && props[prop] == victim && seq >= spec.PanicAt {
+			fired = true
+			panic(fmt.Sprintf("fault: injected panic at inline event %d", seq))
+		}
+	})
+	for i := range evs {
+		mon.Feed(evs[i])
+	}
+	mon.AdvanceTo(end)
+	if got := mon.Stats().QuarantinedProperties; got != 1 {
+		t.Fatalf("inline QuarantinedProperties=%d want 1 (marks: %+v)", got, mon.Ledger().Snapshot())
+	}
+	inlineMarks := mon.Ledger().Snapshot()
+	if len(shardedMarks) != 1 || len(inlineMarks) != 1 ||
+		inlineMarks[0].Property != victim || inlineMarks[0].Reason != shardedMarks[0].Reason {
+		t.Fatalf("ledgers disagree: sharded %+v, inline %+v", shardedMarks, inlineMarks)
+	}
+	if err := mon.SelfCheck(); err != nil {
+		t.Fatalf("inline post-quarantine invariants: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, name := range props {
+		if name == victim {
+			continue
+		}
+		if shardedCounts[name] == 0 || shardedCounts[name] != inlineCounts[name] {
+			t.Fatalf("surviving %s: sharded found %d violations, inline %d; want equal and non-zero",
+				name, shardedCounts[name], inlineCounts[name])
+		}
 	}
 }
 
