@@ -30,7 +30,11 @@
 //	delay=DUR         jitter timestamps by uniform [0,DUR) (-trace only)
 //	seed=N            PRNG seed; same seed+spec = same run
 //	panic-shard=S@N   panic shard S at its Nth event (needs -shards)
-//	stall-shard=S@N   stall shard S at its Nth event (needs -shards)
+//	stall-shard=S@N   stall shard S at its Nth event (needs -shards; with
+//	                  two or more shards the router outruns the stalled
+//	                  worker and its bounded queue fills, with -shards 1
+//	                  the feeder is the shard, so the feeder stalls and
+//	                  nothing is shed)
 //	stall=DUR         stall duration (default 10ms)
 package main
 

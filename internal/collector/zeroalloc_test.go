@@ -2,6 +2,7 @@ package collector
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"testing"
 	"time"
@@ -20,15 +21,24 @@ import (
 // SubmitBatch, shard dispatch, property evaluation — performs zero heap
 // allocations. It drives applyBatch directly (no TCP) so the
 // measurement is deterministic, but the code under test is exactly the
-// serveConn ingest path.
+// serveConn ingest path. Two rows, one per execution model: four shards
+// (router, queues, borrowed references released by the last worker) and
+// one (run to completion on the reader's goroutine, where the verdict
+// exists and the arena is back in the pool when SubmitBatch returns).
 func TestCollectorIngestZeroAlloc(t *testing.T) {
 	if raceon.Enabled {
 		t.Skip("the race detector allocates; allocation gates run without -race")
 	}
+	for _, shards := range []int{4, 1} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { ingestZeroAlloc(t, shards) })
+	}
+}
+
+func ingestZeroAlloc(t *testing.T, shards int) {
 	macA := packet.MAC{0x02, 0, 0, 0, 0, 0x0a}
 	macB := packet.MAC{0x02, 0, 0, 0, 0, 0x0b}
 
-	sm := core.NewShardedMonitor(4, core.Config{})
+	sm := core.NewShardedMonitor(shards, core.Config{})
 	defer sm.Close()
 	fw := property.CatalogByName(property.DefaultParams(), "firewall-basic")
 	if err := sm.AddProperty(fw); err != nil {
@@ -103,14 +113,19 @@ func TestCollectorIngestZeroAlloc(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := c.applyBatch(1, dp, f.(*wire.Batch), 0, recvNs); !ok {
+			b := f.(*wire.Batch)
+			if _, ok := c.applyBatch(1, dp, b, 0, recvNs); !ok {
 				t.Fatal("applyBatch refused the batch")
+			}
+			if shards == 1 && b.Events != nil {
+				// Release clears the header: the borrow must be over.
+				t.Fatal("one shard: the batch's arena was not released by the time SubmitBatch returned")
 			}
 		}
 		// Let the shards drain, as they would between bursts on a real
 		// link: that is what returns the borrowed arenas and batch
 		// buffers to their pools, making the next burst recycle instead
-		// of allocate.
+		// of allocate. (One shard has nothing left to drain.)
 		sm.Barrier()
 	}
 
@@ -121,11 +136,16 @@ func TestCollectorIngestZeroAlloc(t *testing.T) {
 	}
 	sm.Drain()
 
+	applied := sm.Stats().Events
 	avg := testing.AllocsPerRun(10, runOnce)
 	perEvent := avg / float64(len(returns))
 	t.Logf("ingest: %.2f allocs/run over %d events (%.4f/event)", avg, len(returns), perEvent)
 	if avg != 0 {
 		t.Fatalf("collector ingest allocates %.2f/run (%.4f/event) in steady state, want 0", avg, perEvent)
+	}
+	// AllocsPerRun(10, …) is one warm-up run plus ten measured.
+	if got := sm.Stats().Events - applied; got != 11*uint64(len(returns)) {
+		t.Fatalf("engine took in %d events over the measured runs, want %d", got, 11*len(returns))
 	}
 	if err := sm.SelfCheck(); err != nil {
 		t.Fatal(err)

@@ -48,7 +48,12 @@ type Config struct {
 	Mode       Mode
 	Provenance ProvLevel
 	// OnViolation receives each violation report; nil means violations
-	// are only counted.
+	// are only counted. It runs where the engine applies events, as do
+	// timer-driven reports: on the feeding goroutine with the engine's
+	// admin lock held under Monitor.Feed and a one-shard ShardedMonitor
+	// (in verdict order), on a shard's goroutine, one call at a time, with
+	// two or more shards. On every engine a callback that calls back into
+	// the engine — Feed, Stats, a lifecycle operation — can deadlock.
 	OnViolation func(*Violation)
 	// DisableIndex forces full scans of the instance store instead of
 	// keyed lookups. It exists for differential testing (indexed and
@@ -86,14 +91,16 @@ type Config struct {
 	// ring's mutex, but only on the rare violation path.
 	Violations *obs.Ring
 	// ShardQueueLen bounds each shard's control queue, in batches of up
-	// to shardBatchSize events each; 0 means the default (64). Only the
-	// ShardedMonitor reads it.
+	// to shardBatchSize events each; 0 means the default (64). Only a
+	// ShardedMonitor of two or more shards reads it: one shard applies on
+	// its caller's goroutine and queues nothing.
 	ShardQueueLen int
 	// ShedPolicy decides what happens when a shard's queue is full at
 	// flush time: block the router (default, the pre-robustness
 	// behavior), shed the newest batch, or shed the oldest queued batch.
 	// Shedding marks every affected property unsound in the Ledger. Only
-	// the ShardedMonitor reads it.
+	// a ShardedMonitor of two or more shards reads it: one shard has no
+	// queue to fill, so it never sheds and its caller is the back-pressure.
 	ShedPolicy ShedPolicy
 	// StateTopK sets the capacity of the per-property heavy-hitter
 	// sketch behind StateReport ("which keys hold the most monitor
@@ -122,7 +129,7 @@ type Config struct {
 	// TenantQuotas caps resource use per tenant (property.Property.Tenant).
 	// A tenant at its instance cap has new instances rejected — recorded
 	// as that tenant's quota marks in the ledger, never the neighbors' —
-	// and a tenant over its queue share (sharded engine) stops receiving
+	// and a tenant over its queue share (two or more shards) stops receiving
 	// routed events until its backlog drains. Properties with no tenant,
 	// or a tenant absent from this map, are unquotaed.
 	TenantQuotas map[string]TenantQuota
@@ -134,7 +141,8 @@ type TenantQuota struct {
 	// properties engine-wide; 0 = unlimited.
 	MaxInstances int64
 	// MaxQueued caps the tenant's queued per-shard messages at the
-	// sharded engine's router; 0 = unlimited. Inline engines ignore it.
+	// sharded engine's router; 0 = unlimited. Inline engines ignore it,
+	// as does a one-shard ShardedMonitor, which queues nothing.
 	MaxQueued int64
 }
 

@@ -141,10 +141,10 @@ type shardCtl struct {
 	runUntil time.Time
 	ack      *sync.WaitGroup
 	stop     bool
-	// apply, when non-nil, runs on the worker goroutine against the
-	// shard's Monitor after the batch (if any) — the lifecycle fence:
-	// because the queue is FIFO, events routed before the fence see the
-	// old property set and events routed after see the new one.
+	// apply, when non-nil, runs against the shard's Monitor after the
+	// batch (if any), on whichever goroutine runs the shard — the lifecycle
+	// fence: because the queue is FIFO, events routed before the fence see
+	// the old property set and events routed after see the new one.
 	apply func(*Monitor)
 }
 
@@ -162,8 +162,9 @@ type tenantQueue struct {
 }
 
 // shard is one partition: a single-threaded Monitor on its own
-// deterministic scheduler, fed in FIFO order by its own goroutine.
-// pending is the router-side batch under construction (router-owned).
+// deterministic scheduler. With N >= 2 it is fed in FIFO order by its own
+// goroutine through ch, and pending is the router-side batch under
+// construction (router-owned); a one-shard engine uses neither.
 type shard struct {
 	mon     *Monitor
 	ch      chan shardCtl
@@ -173,43 +174,52 @@ type shard struct {
 	depth *obs.Gauge
 }
 
-// ShardedMonitor scales the single-threaded Monitor across cores: N
-// shards each own a disjoint identity-hash partition of the instance
-// population and run on their own goroutine over a buffered event queue.
-// It is a router over N Monitors and owns only what that takes — routing,
-// the queues, the fences and back-pressure. The router (Submit) computes,
-// per property, which shards an event can possibly affect — using the
-// compile-time shardPlan — and delivers it only there. Properties whose
-// addressing paths do not pin a stable stage-zero identity (wandering
-// identities, packet-identity stages, scan stages or guards) are
-// monitored entirely on the catch-all shard 0, preserving exact
-// single-engine semantics at the cost of parallelism.
+// ShardedMonitor scales the single-threaded Monitor across cores: a router
+// over N Monitors, each owning a disjoint identity-hash partition of the
+// instance population, that owns only what routing takes — the queues, the
+// fences and back-pressure. The shard count alone picks the execution model.
+//
+// One shard is run to completion: Feed, Submit and SubmitBatch apply each
+// event on the caller's goroutine, under the router lock, straight off the
+// caller's slice, before they return — no worker, no queue, no per-event
+// copy, no route hash. Tick and AdvanceTo run the clock directly, a fence is
+// a direct call, Barrier is the lock, Close has nothing to wait for, and
+// verdicts come in the inline Monitor's order. The feeder is the
+// back-pressure: nothing is queued, so nothing is ever shed.
+//
+// Two or more shards is router plus queues, one goroutine per shard. The
+// router (Submit) computes, per property, which shards an event can
+// possibly affect — using the compile-time shardPlan — and delivers it
+// only there. Properties whose addressing paths do not pin a stable
+// stage-zero identity (wandering identities, packet-identity stages, scan
+// stages or guards) are monitored entirely on the catch-all shard 0,
+// preserving exact single-engine semantics at the cost of parallelism.
+// Shard goroutines start lazily on the first Submit or barrier, so
+// constructing a ShardedMonitor and installing properties on it (for
+// capability probing, say) spawns nothing.
 //
 // The router side (Submit, SubmitBatch, Barrier, AdvanceTo, Drain, Close,
 // the lifecycle operations and the aggregate accessors) is serialized by
 // the embedded propSet's lock, so Close is safe to call concurrently with
 // Submit (Submit returns ErrClosed afterwards); for deterministic event
-// ordering the router should still be driven from one goroutine. The
-// shards run concurrently underneath. Shard goroutines start lazily on
-// the first Submit or barrier, so constructing a ShardedMonitor and
-// installing properties on it (for capability probing, say) spawns
-// nothing.
+// ordering the router should still be driven from one goroutine.
 //
 // Supervision is the Monitor's: a panic inside a property's step or timer
 // is recovered by the shard that hit it, the property is quarantined
 // engine-wide through the shared mask (the router stops routing to it and
 // every other shard purges it at its next unit of work), the quarantine
-// is recorded in the soundness Ledger, and the shard keeps draining its
-// queue — every other property keeps monitoring.
+// is recorded in the soundness Ledger, and the shard keeps going — every
+// other property keeps monitoring.
 //
 // Config caveats: Mode and SplitFlushLimit are ignored — shards always
 // apply events inline, the per-shard queues being the split (bounded by
 // ShardQueueLen with ShedPolicy deciding overflow behavior).
 // MaxInstances applies per shard, not globally. DisableIndex disables
 // the routing analysis too (all properties become catch-all), since
-// routing is derived from the same index paths. Violation callbacks are
-// serialized by an internal mutex but arrive in nondeterministic
-// cross-shard order; order-sensitive consumers should compare multisets.
+// routing is derived from the same index paths. With N >= 2, violation
+// callbacks are serialized by an internal mutex but arrive in
+// nondeterministic cross-shard order; order-sensitive consumers should
+// compare multisets (Config.OnViolation has the callback contract).
 type ShardedMonitor struct {
 	// propSet is the property lifecycle, the engine-wide ledger, state
 	// tracker and quarantine mask (each shared with every shard's Monitor)
@@ -296,7 +306,9 @@ func NewShardedMonitor(shards int, cfg Config) *ShardedMonitor {
 	// A span fans out to several shards and only its last copy's verdict
 	// completes it, so the worker — not each shard's apply — owns it.
 	shardCfg.Tracer = nil
-	if cfg.OnViolation != nil {
+	if cfg.OnViolation != nil && shards > 1 {
+		// Workers report concurrently; one shard reports under the router
+		// lock, already serialized.
 		user := cfg.OnViolation
 		shardCfg.OnViolation = func(v *Violation) {
 			sm.violMu.Lock()
@@ -397,8 +409,13 @@ func (sm *ShardedMonitor) onShards(fn func(*Monitor)) {
 	}
 }
 
-// post flushes every shard's pending batch and queues ctl behind it.
+// post flushes every shard's pending batch and queues ctl behind it; with
+// one shard, whose goroutine is the caller's, ctl executes here instead.
 func (sm *ShardedMonitor) post(ctl shardCtl) {
+	if len(sm.shards) == 1 {
+		sm.exec(sm.shards[0], ctl)
+		return
+	}
 	for _, s := range sm.shards {
 		sm.flushShard(s)
 		s.ch <- ctl
@@ -440,10 +457,13 @@ func (sm *ShardedMonitor) SetShardProbe(shard int, fn func(prop int, seq uint64)
 	return nil
 }
 
-// start launches the shard goroutines (idempotent).
+// start launches the shard goroutines (idempotent); one shard has none.
 func (sm *ShardedMonitor) start() {
 	sm.startOnce.Do(func() {
 		sm.started = true
+		if len(sm.shards) == 1 {
+			return
+		}
 		sm.wg.Add(len(sm.shards))
 		for _, s := range sm.shards {
 			go sm.worker(s)
@@ -451,73 +471,83 @@ func (sm *ShardedMonitor) start() {
 	})
 }
 
-// worker drains one shard's queue: applies event batches in FIFO order,
-// advances the shard's virtual clock on request, and acknowledges
-// barriers. It owns the shard's Monitor exclusively. The Monitor
-// supervises itself — its step loop and its timer entry each recover a
-// property's panic and quarantine the property — so the goroutine never
-// dies and needs no recovery of its own.
+// worker drains one shard's queue in FIFO order. It owns the shard's
+// Monitor exclusively. The Monitor supervises itself — its step loop and
+// its timer entry each recover a property's panic and quarantine the
+// property — so the goroutine never dies and needs no recovery of its own.
 func (sm *ShardedMonitor) worker(s *shard) {
 	defer sm.wg.Done()
-	sched := s.mon.sched
 	for {
 		ctl := <-s.ch
-		// Adopt quarantines published by other shards before touching
-		// state: the batch may still carry mask bits for a property
-		// another shard just quarantined.
-		s.mon.adoptQuarantines()
-		for i := range ctl.batch {
-			msg := &ctl.batch[i]
-			ev := msg.event()
-			if sp := ev.Trace; sp != nil && sm.cfg.Tracer != nil {
-				sp.Stamp(tracer.StageShardDispatch)
-			}
-			// Run the shard's clock up to the event's time before applying
-			// it — the inline driver's RunUntil-then-handle discipline.
-			// Without this, an instance armed right after a quiet stretch
-			// anchors its window deadline at the stale clock and the
-			// post-batch tick expires it before its evidence can arrive.
-			// Lagging streams (another switch behind this one) regress in
-			// event time and leave the clock untouched.
-			if ev.Time.After(sched.Now()) {
-				sched.RunUntil(ev.Time)
-			}
-			s.mon.apply(ev, msg.matchMask, msg.createMask)
-			if sp := ev.Trace; sp != nil && sm.cfg.Tracer != nil && sp.Release() {
-				sp.Stamp(tracer.StageVerdict)
-				sm.cfg.Tracer.Finish(sp)
-			}
-			if msg.ref != nil {
-				// This shard's hold on the borrowed slab: the event must
-				// not be touched past this point.
-				msg.ref.unref()
-			}
-			if msg.tq != nil {
-				// Settle the tenant's queue-share charge taken at route
-				// time: the message has been applied.
-				msg.tq.pending.Add(-1)
-			}
-		}
-		if ctl.batch != nil {
-			select {
-			case sm.freeBatches <- ctl.batch[:0]:
-			default: // pool full; let the GC have it
-			}
-		}
-		if ctl.apply != nil {
-			// Lifecycle fence: mutate this shard's property set at a point
-			// totally ordered against the event stream (FIFO queue).
-			ctl.apply(s.mon)
-		}
-		if !ctl.runUntil.IsZero() {
-			sched.RunUntil(ctl.runUntil)
-		}
-		if ctl.ack != nil {
-			ctl.ack.Done()
-		}
+		sm.exec(s, ctl)
 		if ctl.stop {
 			return
 		}
+	}
+}
+
+// exec executes one shardCtl on its shard: the batch, then the lifecycle
+// fence, the clock advance and the acknowledgment it carries. The worker
+// calls it per unit off the queue; a one-shard router calls it from post,
+// batchless — its events are stepped straight off the caller's slice.
+func (sm *ShardedMonitor) exec(s *shard, ctl shardCtl) {
+	// Adopt quarantines published by other shards before touching state:
+	// the batch may still carry mask bits for a property another shard
+	// just quarantined.
+	s.mon.adoptQuarantines()
+	for i := range ctl.batch {
+		msg := &ctl.batch[i]
+		sm.step(s.mon, msg.event(), msg.matchMask, msg.createMask)
+		if msg.ref != nil {
+			// This shard's hold on the borrowed slab: the event must
+			// not be touched past this point.
+			msg.ref.unref()
+		}
+		if msg.tq != nil {
+			// Settle the tenant's queue-share charge taken at route
+			// time: the message has been applied.
+			msg.tq.pending.Add(-1)
+		}
+	}
+	if ctl.batch != nil {
+		select {
+		case sm.freeBatches <- ctl.batch[:0]:
+		default: // pool full; let the GC have it
+		}
+	}
+	if ctl.apply != nil {
+		// Lifecycle fence: mutate this shard's property set at a point
+		// totally ordered against the event stream.
+		ctl.apply(s.mon)
+	}
+	if !ctl.runUntil.IsZero() {
+		s.mon.sched.RunUntil(ctl.runUntil)
+	}
+	if ctl.ack != nil {
+		ctl.ack.Done()
+	}
+}
+
+// step runs one event to completion on one shard: stamp the span, run the
+// clock up to the event, apply it under the routing masks, and finish the
+// span if this was its last delivery.
+func (sm *ShardedMonitor) step(mon *Monitor, ev *Event, matchMask, createMask uint64) {
+	if sp := ev.Trace; sp != nil && sm.cfg.Tracer != nil {
+		sp.Stamp(tracer.StageShardDispatch)
+	}
+	// Run the clock up to the event's time before applying it — the inline
+	// driver's RunUntil-then-handle discipline. Without this, an instance
+	// armed right after a quiet stretch anchors its window deadline at the
+	// stale clock and the next tick expires it before its evidence can
+	// arrive. Lagging streams (another switch behind this one) regress in
+	// event time and leave the clock untouched.
+	if ev.Time.After(mon.sched.Now()) {
+		mon.sched.RunUntil(ev.Time)
+	}
+	mon.apply(ev, matchMask, createMask)
+	if sp := ev.Trace; sp != nil && sm.cfg.Tracer != nil && sp.Release() {
+		sp.Stamp(tracer.StageVerdict)
+		sm.cfg.Tracer.Finish(sp)
 	}
 }
 
@@ -532,21 +562,53 @@ func (sm *ShardedMonitor) Feed(e Event) {
 	if e.Time.After(sm.lastTick) {
 		sm.tickLocked(e.Time)
 	}
-	sm.routeLocked(&e, nil, 0)
+	sm.submitLocked(&e)
 }
 
-// Submit routes one event to the shards it can affect and enqueues it.
-// Events that no property can act on are dropped at the router, as are
-// routes to quarantined properties. After Close, Submit reports
-// ErrClosed instead of enqueueing.
+// Submit routes one event to the shards it can affect and enqueues it; a
+// one-shard engine applies it before returning. Events that no property
+// can act on are dropped at the router, as are routes to quarantined
+// properties. After Close, Submit reports ErrClosed instead of enqueueing.
 func (sm *ShardedMonitor) Submit(e Event) error {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
 	if sm.closed {
 		return ErrClosed
 	}
-	sm.routeLocked(&e, nil, 0)
+	sm.submitLocked(&e)
 	return nil
+}
+
+// submitLocked takes one event in by the path the shard count selects.
+// Caller holds mu and has checked closed.
+func (sm *ShardedMonitor) submitLocked(e *Event) {
+	if len(sm.shards) == 1 {
+		sm.inlineLocked([]Event{*e})
+		return
+	}
+	sm.routeLocked(e, nil, 0)
+}
+
+// inlineLocked is the one-shard route (see the type comment): events are
+// stepped straight off the caller's slice and every one is delivered —
+// nothing is hashed, copied, queued or shed — the Monitor's step loop
+// skipping tombstoned and quarantined slots as it does inline. Caller
+// holds mu and has checked closed.
+func (sm *ShardedMonitor) inlineLocked(evs []Event) {
+	sm.start()
+	n := uint64(len(evs))
+	sm.submitted += n
+	mon := sm.shards[0].mon
+	for i := range evs {
+		sm.step(mon, &evs[i], allProps, allProps)
+	}
+	if sm.smx != nil {
+		sm.smx.events.Add(n)
+		sm.smx.deliveries.Add(n)
+		if sm.hasCatchall {
+			sm.smx.catchall.Add(n)
+		}
+	}
 }
 
 // flushPendingLocked hands every shard's partially-filled pending batch
@@ -685,7 +747,9 @@ func (sm *ShardedMonitor) routeLocked(e *Event, ref *batchRef, idx int32) {
 // fires the arena may be recycled (the engine retains only value
 // copies of what it read — see DESIGN.md §5g). With a nil release,
 // events are copied into the shard queues and evs is the caller's
-// again on return.
+// again on return. A one-shard engine applies every event, borrowed or
+// not, before returning, so the borrow ends inside the call: release runs
+// on the caller's goroutine, under the router lock, before the return.
 func (sm *ShardedMonitor) SubmitBatch(evs []Event, release func()) error {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
@@ -694,6 +758,13 @@ func (sm *ShardedMonitor) SubmitBatch(evs []Event, release func()) error {
 			release()
 		}
 		return ErrClosed
+	}
+	if len(sm.shards) == 1 {
+		sm.inlineLocked(evs)
+		if release != nil {
+			release()
+		}
+		return nil
 	}
 	if release == nil {
 		for i := range evs {
@@ -878,7 +949,8 @@ func (sm *ShardedMonitor) AdvanceTo(t time.Time) {
 // Tick is the non-blocking AdvanceTo: it queues a clock advance to t
 // behind everything already submitted and returns without waiting. Event
 // sources whose batches span many timestamps (the collector) use it to
-// keep shard clocks tracking the stream without a barrier per batch.
+// keep shard clocks tracking the stream without a barrier per batch. (At
+// one shard nothing is queued: the clock runs to t before Tick returns.)
 func (sm *ShardedMonitor) Tick(t time.Time) {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()

@@ -282,12 +282,14 @@ func TestCloseConcurrentWithSubmit(t *testing.T) {
 
 // Shed policies: a stalled shard with a bounded queue must shed instead
 // of blocking forever, count every shed event, and mark the affected
-// properties unsound — while ShedBlock (the default) never sheds.
+// properties unsound — while ShedBlock (the default) never sheds. Two
+// shards: a one-shard engine has no queue to fill — its feeder is the
+// shard, so stalling the shard stalls the feeder and nothing is shed.
 func TestShedPolicies(t *testing.T) {
 	run := func(policy ShedPolicy) Stats {
 		release := make(chan struct{})
 		var once sync.Once
-		sm := NewShardedMonitor(1, Config{
+		sm := NewShardedMonitor(2, Config{
 			ShardQueueLen: 1,
 			ShedPolicy:    policy,
 		})
@@ -295,7 +297,7 @@ func TestShedPolicies(t *testing.T) {
 		if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), "firewall-basic")); err != nil {
 			t.Fatal(err)
 		}
-		// Stall the only shard on its first event so the router outruns it.
+		// Stall shard 0 on its first event so the router outruns it.
 		if err := sm.SetShardProbe(0, func(prop int, seq uint64) {
 			once.Do(func() { <-release })
 		}); err != nil {
@@ -343,7 +345,7 @@ func TestShedPolicies(t *testing.T) {
 	// The shed run must mark the property unsound with the shed reason.
 	release := make(chan struct{})
 	var once sync.Once
-	sm := NewShardedMonitor(1, Config{ShardQueueLen: 1, ShedPolicy: ShedDropOldest})
+	sm := NewShardedMonitor(2, Config{ShardQueueLen: 1, ShedPolicy: ShedDropOldest})
 	defer sm.Close()
 	if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), "firewall-basic")); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,13 @@ import (
 // appears — a second function that recovers panics on behalf of a shard, a
 // second ledger install record, a second compile per install, a field that
 // gives ShardedMonitor a property table of its own, or one of the
-// identifiers the merge deleted.
+// identifiers the merge deleted. The same goes for the execution model:
+// the shard count selects it (one shard runs to completion on its caller's
+// goroutine, two or more are router plus queues), so one function executes
+// a shardCtl, called from the worker and from the one-shard post and
+// nowhere else; the package has one go statement; Monitor.apply gains no
+// call site; and core.Config's fields are pinned, so no option can appear
+// to select a path without this test saying so.
 func TestEngineWrittenOnce(t *testing.T) {
 	const dir = "../../internal/core"
 	fset := token.NewFileSet()
@@ -31,6 +37,14 @@ func TestEngineWrittenOnce(t *testing.T) {
 	// sites; recovers lists the functions containing a recover() call.
 	calls := map[string][]string{}
 	var recovers []string
+	// callers maps a called name to the functions calling it; applyCalls
+	// does so for ".apply" by argument count — one is a shardCtl's fence,
+	// three Monitor.apply; configFields is core.Config's exported field
+	// list, in declaration order.
+	callers := map[string][]string{}
+	applyCalls := map[int][]string{}
+	var configFields []string
+	goStmts := 0
 	deleted := map[string]bool{
 		"applyRouted": true, "stepPropsProtected": true, "runShardUntil": true,
 		"fenceApply": true, "installLocal": true, "removeLocal": true,
@@ -58,6 +72,9 @@ func TestEngineWrittenOnce(t *testing.T) {
 				}
 				recovered := false
 				ast.Inspect(d, func(n ast.Node) bool {
+					if _, ok := n.(*ast.GoStmt); ok {
+						goStmts++
+					}
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
@@ -70,6 +87,10 @@ func TestEngineWrittenOnce(t *testing.T) {
 						calls[f.Name] = append(calls[f.Name], at(call))
 					case *ast.SelectorExpr:
 						calls["."+f.Sel.Name] = append(calls["."+f.Sel.Name], at(call))
+						callers["."+f.Sel.Name] = append(callers["."+f.Sel.Name], fn)
+						if f.Sel.Name == "apply" {
+							applyCalls[len(call.Args)] = append(applyCalls[len(call.Args)], fn)
+						}
 					}
 					return true
 				})
@@ -79,6 +100,15 @@ func TestEngineWrittenOnce(t *testing.T) {
 			case *ast.GenDecl:
 				for _, spec := range d.Specs {
 					ts, ok := spec.(*ast.TypeSpec)
+					if ok && ts.Name.Name == "Config" {
+						for _, f := range ts.Type.(*ast.StructType).Fields.List {
+							for _, name := range f.Names {
+								if name.IsExported() {
+									configFields = append(configFields, name.Name)
+								}
+							}
+						}
+					}
 					if !ok || ts.Name.Name != "ShardedMonitor" {
 						continue
 					}
@@ -128,6 +158,32 @@ func TestEngineWrittenOnce(t *testing.T) {
 	}
 	if len(compiles) != 1 {
 		t.Errorf("compile( has %d call sites outside partition.go, want 1 (the install path): %v", len(compiles), compiles)
+	}
+
+	// One executor of a shardCtl — it adopts quarantines, runs the fence —
+	// reached from the worker (N >= 2) and the one-shard post only.
+	const executor = "ShardedMonitor.exec"
+	for what, fns := range map[string][]string{"adoptQuarantines is called": callers[".adoptQuarantines"], "a shardCtl's fence is run": applyCalls[1]} {
+		if len(fns) != 1 || fns[0] != executor {
+			t.Errorf("%s in %v, want only in %s", what, fns, executor)
+		}
+	}
+	got := append([]string(nil), callers[".exec"]...)
+	sort.Strings(got)
+	if want := []string{"ShardedMonitor.post", "ShardedMonitor.worker"}; strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("%s is called from %v, want %v", executor, got, want)
+	}
+	if goStmts != 1 {
+		t.Errorf("internal/core has %d go statements, want 1 (start, spawning the N >= 2 workers)", goStmts)
+	}
+	// HandleEvent, Flush and the sharded engine's one per-event step.
+	if sites := applyCalls[3]; len(sites) > 3 {
+		t.Errorf("Monitor.apply is called from %v, want at most 3 sites", sites)
+	}
+	wantFields := "Mode Provenance OnViolation DisableIndex SplitFlushLimit MaxInstances Metrics MetricsLabels " +
+		"Violations ShardQueueLen ShedPolicy StateTopK StateSample StateWatermark DisableStateAccounting Tracer TenantQuotas"
+	if got := strings.Join(configFields, " "); got != wantFields {
+		t.Errorf("core.Config's fields changed — a new option needs two callers that want different values, not a path to select:\n got %s\nwant %s", got, wantFields)
 	}
 }
 

@@ -107,7 +107,9 @@ func (sp Spec) String() string {
 //	delay=DUR    jitter timestamps by uniform [0,DUR) and re-sort
 //	seed=N       PRNG seed (default 0)
 //	panic-shard=S@N   panic shard S's property step at its Nth event
-//	stall-shard=S@N   stall shard S at its Nth event
+//	stall-shard=S@N   stall shard S at its Nth event (a one-shard engine
+//	             applies on its feeder's goroutine: the stall stalls the
+//	             feeder instead of filling a queue, and nothing is shed)
 //	stall=DUR    how long a stall lasts (default 10ms)
 //
 // Example: "drop=0.01,dup=0.001,seed=7".

@@ -1,8 +1,10 @@
 #!/bin/sh
 # check.sh — the repository's full verification gate: static analysis,
 # the complete test suite, and the race detector over the concurrent
-# engine (the sharded monitor runs one goroutine per shard, so -race on
-# internal/core is the check that matters most after touching it).
+# engine (the sharded monitor runs one goroutine per shard from two
+# shards up, and at one shard applies on whichever goroutine feeds it
+# while others use the admin surface, so -race on internal/core is the
+# check that matters most after touching it).
 #
 # Usage: ./scripts/check.sh
 set -eu
@@ -56,9 +58,14 @@ go test -count=1 -run 'TestStateAccountingZeroAlloc' ./internal/core/
 
 # Zero-copy ingest gate: moving one event from wire bytes into the
 # sharded engine (pooled decode, borrowed SubmitBatch, shard dispatch)
-# must stay allocation-free in steady state.
-echo "==> zero-alloc collector ingest gate"
-go test -count=1 -run 'TestCollectorIngestZeroAlloc' ./internal/collector/
+# must stay allocation-free in steady state — through the router and
+# queues of a four-shard engine, and run to completion on the reader's
+# goroutine at one shard, where the arena must also be back in its pool
+# when SubmitBatch returns.
+echo "==> zero-alloc collector ingest gate (4 shards: router + queues)"
+go test -count=1 -run 'TestCollectorIngestZeroAlloc/shards=4' ./internal/collector/
+echo "==> zero-alloc collector ingest gate (1 shard: run to completion)"
+go test -count=1 -run 'TestCollectorIngestZeroAlloc/shards=1' ./internal/collector/
 
 # Codec fuzz smoke: a few seconds of coverage-guided input on the packet
 # codec's decode/encode fixed point. Real fuzzing budgets come from
