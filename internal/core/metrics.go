@@ -49,10 +49,10 @@ func (c *statsCell) snapshot() Stats {
 // once at construction so the event path never touches the registry.
 // All handles are nil-safe no-ops when telemetry is disabled, but the
 // struct pointer itself is nil in that case and the hot path checks it
-// once per event, keeping even the time.Now() reads off the free path.
+// once per event, keeping every clock read off the free path.
 type monitorMetrics struct {
-	// events counts applied events; eventNs is the per-event apply
-	// latency histogram (power-of-two nanosecond buckets).
+	// events counts applied events; eventNs is the apply latency
+	// histogram, a weighted one-in-timeGapMean sample of them.
 	events  *obs.Counter
 	eventNs *obs.Histogram
 	// occupancy tracks the live instance population (the instance-table
@@ -84,7 +84,7 @@ type propMetrics struct {
 func newMonitorMetrics(reg *obs.Registry, labels []obs.Label) *monitorMetrics {
 	return &monitorMetrics{
 		events:    reg.Counter("switchmon_monitor_events_total", "Events applied to monitor state.", labels...),
-		eventNs:   reg.Histogram("switchmon_monitor_event_ns", "Per-event monitor processing latency in nanoseconds.", labels...),
+		eventNs:   reg.Histogram("switchmon_monitor_event_ns", "Per-event monitor processing latency in nanoseconds, from a weighted sample of events.", labels...),
 		occupancy: reg.Gauge("switchmon_monitor_instances", "Live (filed) monitor instances.", labels...),
 		pending:   reg.Gauge("switchmon_monitor_pending_events", "Split-mode queued events awaiting Flush.", labels...),
 		dropped:   reg.Counter("switchmon_monitor_dropped_events_total", "Split-mode queue overflow drops.", labels...),

@@ -74,7 +74,7 @@ type Config struct {
 	// bounded state: an evicted instance's violation, if any, is lost.
 	MaxInstances int
 	// Metrics, when non-nil, wires the engine into the telemetry
-	// registry: per-property counters, a per-event latency histogram,
+	// registry: per-property counters, a sampled apply-latency histogram,
 	// and occupancy/queue gauges. Handles are resolved at construction
 	// and install time; the event hot path records through atomic
 	// instruments and stays allocation-free. Nil disables telemetry at
@@ -258,6 +258,9 @@ type Monitor struct {
 	// Config.Metrics is nil); pmx is indexed by propIdx.
 	mx  *monitorMetrics
 	pmx []propMetrics
+	// timeIn counts applied events down to the next timed one, timeGap is
+	// the gap that event closes and timeRng draws the one after (applyTimed).
+	timeIn, timeGap, timeRng uint64
 	// evictQueue holds instances in creation order for MaxInstances
 	// eviction; entries may be stale (already removed or recycled).
 	evictQueue []evictRef
@@ -308,7 +311,8 @@ func NewMonitor(sched *sim.Scheduler, cfg Config) *Monitor {
 // mask; otherwise the monitor is shard shardIdx of the ShardedMonitor
 // that owns engine, and shares those three.
 func newMonitor(sched *sim.Scheduler, cfg Config, engine *propSet, shardIdx int) *Monitor {
-	m := &Monitor{sched: sched, cfg: cfg, shardIdx: shardIdx}
+	m := &Monitor{sched: sched, cfg: cfg, shardIdx: shardIdx,
+		timeIn: 1, timeGap: 1, timeRng: timeSeed + uint64(shardIdx)}
 	m.dl.m = m
 	sched.AddSource(&m.dl)
 	if cfg.Metrics != nil {
@@ -496,31 +500,55 @@ func (m *Monitor) Flush() int {
 // allProps is the routing mask of an event no router restricted.
 const allProps = ^uint64(0)
 
+// timeGapMean is the mean number of applied events per timed one; timeSeed
+// (plus shardIdx) seeds the gap sequence, the same on every run.
+const timeGapMean, timeSeed = 64, 0x9e3779b97f4a7c15
+
 // apply runs one event through the properties its routing masks select:
 // matchMask bits allow suppression seeding and stage >= 1 matching,
 // createMask bits allow stage-zero creation. An inline engine passes
 // allProps for both; a ShardedMonitor's router clears the bits its static
-// analysis proves could not act at this shard. The event and latency
-// accounting happen exactly once, however many properties fail.
+// analysis proves could not act at this shard. The event accounting
+// happens exactly once, however many properties fail; latency is sampled.
 func (m *Monitor) apply(e *Event, matchMask, createMask uint64) {
-	var start time.Time
-	if m.mx != nil {
-		start = time.Now()
-	}
 	if tr := m.cfg.Tracer; tr != nil && e.Trace != nil {
 		e.Trace.Stamp(tracer.StageShardDispatch)
 	}
 	m.stats.events.Add(1)
 	m.seq++
-	m.stepProps(0, e, m.seq, matchMask, createMask)
-	if m.mx != nil {
+	if m.mx == nil {
+		m.stepProps(0, e, m.seq, matchMask, createMask)
+	} else {
+		if m.timeIn--; m.timeIn == 0 {
+			m.applyTimed(e, matchMask, createMask)
+		} else {
+			m.stepProps(0, e, m.seq, matchMask, createMask)
+		}
 		m.mx.events.Inc()
-		m.mx.eventNs.Observe(uint64(time.Since(start)))
 	}
 	if tr := m.cfg.Tracer; tr != nil && e.Trace != nil {
 		e.Trace.Stamp(tracer.StageVerdict)
 		tr.Finish(e.Trace)
 	}
+}
+
+// applyTimed steps the event that closes a gap between wall-clock reads
+// and records its latency with the gap as weight: the histogram's sum
+// estimates total apply time and its count trails the event counter by less
+// than a gap. Gaps are uniform on 1..2*timeGapMean-1 (xorshift64), never a
+// fixed stride — an arrival/egress alternation or a six-slot round would
+// time one event kind for ever — and drawn before the step, since a
+// violation callback may re-enter apply.
+func (m *Monitor) applyTimed(e *Event, matchMask, createMask uint64) {
+	weight := m.timeGap
+	m.timeRng ^= m.timeRng << 13
+	m.timeRng ^= m.timeRng >> 7
+	m.timeRng ^= m.timeRng << 17
+	m.timeGap = 1 + m.timeRng%(2*timeGapMean-1)
+	m.timeIn = m.timeGap
+	start := time.Now()
+	m.stepProps(0, e, m.seq, matchMask, createMask)
+	m.mx.eventNs.ObserveN(uint64(time.Since(start)), weight)
 }
 
 // stepProps is the engine's one per-property loop: it steps slots

@@ -25,7 +25,10 @@ import (
 // a shardCtl, called from the worker and from the one-shard post and
 // nowhere else; the package has one go statement; Monitor.apply gains no
 // call site; and core.Config's fields are pinned, so no option can appear
-// to select a path without this test saying so.
+// to select a path without this test saying so. And for the wall clock:
+// one function reads it, Monitor.applyTimed, which apply calls only when
+// its gap countdown reaches zero — no event pays for a clock read unless
+// the sampler picked it.
 func TestEngineWrittenOnce(t *testing.T) {
 	const dir = "../../internal/core"
 	fset := token.NewFileSet()
@@ -45,6 +48,11 @@ func TestEngineWrittenOnce(t *testing.T) {
 	applyCalls := map[int][]string{}
 	var configFields []string
 	goStmts := 0
+	// clockReads lists the functions calling time.Now or time.Since;
+	// countdownTimed counts the .applyTimed calls inside an if statement
+	// that decrements and tests timeIn.
+	var clockReads []string
+	countdownTimed := 0
 	deleted := map[string]bool{
 		"applyRouted": true, "stepPropsProtected": true, "runShardUntil": true,
 		"fenceApply": true, "installLocal": true, "removeLocal": true,
@@ -75,6 +83,14 @@ func TestEngineWrittenOnce(t *testing.T) {
 					if _, ok := n.(*ast.GoStmt); ok {
 						goStmts++
 					}
+					if ifs, ok := n.(*ast.IfStmt); ok && isCountdown(ifs) {
+						ast.Inspect(ifs.Body, func(n ast.Node) bool {
+							if call, ok := n.(*ast.CallExpr); ok && selName(call.Fun) == "applyTimed" {
+								countdownTimed++
+							}
+							return true
+						})
+					}
 					call, ok := n.(*ast.CallExpr)
 					if !ok {
 						return true
@@ -86,6 +102,9 @@ func TestEngineWrittenOnce(t *testing.T) {
 						}
 						calls[f.Name] = append(calls[f.Name], at(call))
 					case *ast.SelectorExpr:
+						if pkg, ok := f.X.(*ast.Ident); ok && pkg.Name == "time" && (f.Sel.Name == "Now" || f.Sel.Name == "Since") {
+							clockReads = append(clockReads, fn)
+						}
 						calls["."+f.Sel.Name] = append(calls["."+f.Sel.Name], at(call))
 						callers["."+f.Sel.Name] = append(callers["."+f.Sel.Name], fn)
 						if f.Sel.Name == "apply" {
@@ -180,11 +199,43 @@ func TestEngineWrittenOnce(t *testing.T) {
 	if sites := applyCalls[3]; len(sites) > 3 {
 		t.Errorf("Monitor.apply is called from %v, want at most 3 sites", sites)
 	}
+	// One start and one stop, both in the function the countdown guards.
+	const timed = "Monitor.applyTimed"
+	if got := strings.Join(clockReads, " "); got != timed+" "+timed {
+		t.Errorf("time.Now/time.Since are called from [%s], want one of each in %s", got, timed)
+	}
+	if fns := callers[".applyTimed"]; len(fns) != 1 || fns[0] != "Monitor.apply" || countdownTimed != 1 {
+		t.Errorf("%s is called from %v, %d of those calls behind apply's timeIn countdown; want one call, from Monitor.apply, behind it",
+			timed, fns, countdownTimed)
+	}
 	wantFields := "Mode Provenance OnViolation DisableIndex SplitFlushLimit MaxInstances Metrics MetricsLabels " +
 		"Violations ShardQueueLen ShedPolicy StateTopK StateSample StateWatermark DisableStateAccounting Tracer TenantQuotas"
 	if got := strings.Join(configFields, " "); got != wantFields {
 		t.Errorf("core.Config's fields changed — a new option needs two callers that want different values, not a path to select:\n got %s\nwant %s", got, wantFields)
 	}
+}
+
+// isCountdown reports whether ifs is apply's sampling gate: an if whose
+// init decrements a timeIn field and whose condition compares it to zero.
+func isCountdown(ifs *ast.IfStmt) bool {
+	dec, ok := ifs.Init.(*ast.IncDecStmt)
+	if !ok || dec.Tok != token.DEC || selName(dec.X) != "timeIn" {
+		return false
+	}
+	cond, ok := ifs.Cond.(*ast.BinaryExpr)
+	if !ok || cond.Op != token.EQL || selName(cond.X) != "timeIn" {
+		return false
+	}
+	zero, ok := cond.Y.(*ast.BasicLit)
+	return ok && zero.Value == "0"
+}
+
+// selName is the selected name of a selector expression, "" for any other.
+func selName(expr ast.Expr) string {
+	if sel, ok := expr.(*ast.SelectorExpr); ok {
+		return sel.Sel.Name
+	}
+	return ""
 }
 
 // recvName names a method receiver's type, pointer or not.

@@ -60,6 +60,33 @@ func TestPromTextFormat(t *testing.T) {
 	}
 }
 
+// A weighted observation (Histogram.ObserveN, the engine's sampled apply
+// latency) renders as that many observations: cumulative buckets, _sum and
+// _count all carry the weight.
+func TestPromTextWeightedHistogram(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.Histogram("t_event_ns", "Latency.")
+	h.ObserveN(9, 60)   // bucket 4
+	h.ObserveN(300, 40) // bucket 9
+	h.Observe(300)
+	var b strings.Builder
+	if err := PromText(&b, reg.Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	out := b.String()
+	for _, want := range []string{
+		`t_event_ns_bucket{le="15"} 60`,
+		`t_event_ns_bucket{le="511"} 101`,
+		`t_event_ns_bucket{le="+Inf"} 101`,
+		"t_event_ns_sum 12840",
+		"t_event_ns_count 101",
+	} {
+		if !strings.Contains(out, want+"\n") {
+			t.Errorf("missing line %q in:\n%s", want, out)
+		}
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("t_total", "h", obs.L("k", "a\"b\\c\nd")).Inc()

@@ -104,6 +104,44 @@ func TestHistogramDerivedSeries(t *testing.T) {
 	}
 }
 
+// Weighted observations (Histogram.ObserveN) move the derived quantiles
+// by their weight, not by the number of calls: two calls, one standing for
+// 99 events and one for a single slow event, read as TestHistogramDerivedSeries
+// does — and with the weights swapped p50 moves to the slow bucket.
+func TestHistogramWeightedSamples(t *testing.T) {
+	reg := obs.NewRegistry()
+	h := reg.Histogram("switchmon_lat_ns", "")
+	db, clk := newTestDB(t, reg, time.Second, time.Minute)
+
+	db.Tick()
+	clk.advance(time.Second)
+	h.ObserveN(1000, 99)
+	h.ObserveN(1<<20, 1)
+	db.Tick()
+	clk.advance(time.Second)
+	h.ObserveN(1000, 1)
+	h.ObserveN(1<<20, 99)
+	db.Tick()
+
+	for key, want := range map[string][2]float64{
+		"switchmon_lat_ns_p50": {1023, 1<<21 - 1},
+		"switchmon_lat_ns_p99": {1023, 1<<21 - 1},
+		"switchmon_lat_ns_max": {1<<21 - 1, 1<<21 - 1},
+	} {
+		res, err := db.Query(key, 0, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Series) != 1 || len(res.Series[0].Points) != 2 {
+			t.Fatalf("%s: series = %+v, want one series of two points", key, res.Series)
+		}
+		pts := res.Series[0].Points
+		if pts[0].V != want[0] || pts[1].V != want[1] {
+			t.Errorf("%s = %v, %v; want %v, %v", key, pts[0].V, pts[1].V, want[0], want[1])
+		}
+	}
+}
+
 func TestQuerySinceStepAndBadGlob(t *testing.T) {
 	reg := obs.NewRegistry()
 	g := reg.Gauge("g", "")

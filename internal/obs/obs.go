@@ -104,8 +104,9 @@ func (g *Gauge) Value() int64 {
 const histBuckets = 65
 
 // Histogram is a power-of-two-bucket histogram of uint64 observations
-// (latencies in nanoseconds, batch sizes). Observe is wait-free: one
-// bit-length computation and three atomic adds, no allocation.
+// (latencies in nanoseconds, batch sizes). Recording is wait-free: one
+// bit-length computation and three atomic adds per call — per sample, not
+// per event, for a caller that samples (ObserveN) — and no allocation.
 type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
@@ -113,13 +114,17 @@ type Histogram struct {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v uint64) {
+func (h *Histogram) Observe(v uint64) { h.ObserveN(v, 1) }
+
+// ObserveN records n observations of value v — one sample standing for n
+// occurrences: its bucket and the count grow by n, the sum by n*v.
+func (h *Histogram) ObserveN(v, n uint64) {
 	if h == nil {
 		return
 	}
-	h.buckets[bits.Len64(v)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	h.buckets[bits.Len64(v)].Add(n)
+	h.count.Add(n)
+	h.sum.Add(n * v)
 }
 
 // Count reports the number of observations.

@@ -60,6 +60,7 @@ func TestNilSafety(t *testing.T) {
 	g.Add(1)
 	var h *Histogram
 	h.Observe(9)
+	h.ObserveN(9, 3)
 	var ring *Ring
 	ring.Record(TraceRecord{})
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || ring.Total() != 0 {
@@ -93,6 +94,57 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// ObserveN(v, n) is n Observe(v) calls in one: a sampling caller (the
+// engine times one event per gap) records the sample with the number of
+// occurrences it stands for, and Count, Sum, Buckets, the quantiles and
+// the snapshot all read the weighted totals.
+func TestHistogramObserveN(t *testing.T) {
+	var one, weighted, looped Histogram
+	one.Observe(700)
+	weighted.ObserveN(700, 1)
+	if one.Count() != weighted.Count() || one.Sum() != weighted.Sum() || one.Buckets() != weighted.Buckets() {
+		t.Fatal("ObserveN(v, 1) differs from Observe(v)")
+	}
+
+	r := NewRegistry()
+	h := r.Histogram("lat_ns", "l")
+	samples := []struct{ v, n uint64 }{{100, 90}, {5000, 9}, {0, 1}, {1 << 20, 1}, {100, 27}}
+	for _, s := range samples {
+		h.ObserveN(s.v, s.n)
+		for i := uint64(0); i < s.n; i++ {
+			looped.Observe(s.v)
+		}
+	}
+	h.ObserveN(42, 0) // a zero weight records nothing
+	if h.Count() != 128 || h.Count() != looped.Count() {
+		t.Fatalf("count = %d, want 128 (looped %d)", h.Count(), looped.Count())
+	}
+	if want := uint64(117*100 + 9*5000 + 1<<20); h.Sum() != want || looped.Sum() != want {
+		t.Fatalf("sum = %d, want %d (looped %d)", h.Sum(), want, looped.Sum())
+	}
+	b := h.Buckets()
+	if b != looped.Buckets() {
+		t.Fatalf("buckets differ from the looped histogram:\n %v\n %v", b, looped.Buckets())
+	}
+	if b[0] != 1 || b[7] != 117 || b[13] != 9 || b[21] != 1 {
+		t.Fatalf("buckets = %v", b)
+	}
+	// Ranks are over the weighted population: 118 of 128 observations are
+	// <= 127, so p50 and p90 sit there, p99 (rank 127) in the 5000 bucket.
+	for _, c := range []struct {
+		q    float64
+		want uint64
+	}{{0.5, 127}, {0.9, 127}, {0.99, 8191}, {1, 1<<21 - 1}} {
+		if got := HistQuantile(b[:], c.q); got != c.want {
+			t.Errorf("q%.2f = %d, want %d", c.q, got, c.want)
+		}
+	}
+	ser := r.Snapshot().Families[0].Series[0]
+	if ser.Count != 128 || ser.Sum != h.Sum() || len(ser.Buckets) != 22 || ser.Buckets[7] != 117 {
+		t.Fatalf("snapshot = %+v", ser)
+	}
+}
+
 // The hot-path recording operations must not allocate: they run once
 // per event inside the monitor's steady state. check.sh gates on this
 // test by name.
@@ -108,6 +160,7 @@ func TestHotPathZeroAlloc(t *testing.T) {
 		g.Add(1)
 		g.Set(3)
 		h.Observe(v)
+		h.ObserveN(v, 64)
 		v += 1337
 	})
 	if avg != 0 {

@@ -40,6 +40,28 @@ echo "==> zero-alloc telemetry gates"
 go test -count=1 -run 'TestHotPathZeroAlloc' ./internal/obs/
 go test -count=1 -run 'TestUnsampledPathZeroAlloc' ./internal/obs/tracer/
 go test -count=1 -run 'TestSteadyStateAllocationBudget|TestHashOperandSteadyStateZeroAlloc' ./internal/core/
+# ... and must stay off the wall clock: TestEngineWrittenOnce pins
+# time.Now/time.Since in internal/core to the one function Monitor.apply
+# reaches only when its sampling countdown runs out.
+go test -count=1 -run 'TestEngineWrittenOnce' ./internal/doccheck/
+
+# Telemetry budget gate: the steady-state event with the full registry
+# attached against the same event with none (BenchmarkE11TelemetryOverhead),
+# as a ratio so the gate does not care how fast the box is. Five
+# interleaved runs at -cpu 1, best of each side. ROADMAP's target is 8 %;
+# 12 % is what two shared vCPUs can resolve run to run, so that is the
+# limit here (the per-event clock pair this replaced sat at 1.3-1.7).
+echo "==> telemetry budget gate (E11 telemetry on / off <= 1.12)"
+for i in 1 2 3 4 5; do
+  go test -run '^$' -bench 'BenchmarkE11TelemetryOverhead' -benchtime 0.5s -count 1 -cpu 1 .
+done | awk '
+  /metrics=false/ { if (!off || $3 < off) off = $3 }
+  /metrics=true/ { if (!on || $3 < on) on = $3 }
+  END {
+    if (!off || !on) { print "telemetry budget gate: no benchmark rows"; exit 1 }
+    printf "telemetry on %.1f ns/event, off %.1f ns/event, ratio %.3f\n", on, off, on / off
+    if (on / off > 1.12) { print "telemetry budget gate: ratio above 1.12"; exit 1 }
+  }'
 
 # Sampler gate (E19): a steady-state metrics-history sample tick
 # (counters, gauges, and histogram quantile derivation) must not
