@@ -177,7 +177,7 @@ func dialRaw(t *testing.T, addr string, dpid, nextSeq uint64) *rawConn {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	rc := &rawConn{t: t, c: conn, r: wire.NewReader(conn)}
+	rc := &rawConn{t: t, c: conn, r: wire.NewPooledReader(conn)}
 	if _, err := conn.Write(wire.AppendHello(nil, wire.Hello{DPID: dpid, NextSeq: nextSeq})); err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +263,7 @@ func TestReconnectResumeAcrossConnections(t *testing.T) {
 	if _, err := conn.Write(wire.AppendHello(nil, wire.Hello{DPID: 8, NextSeq: 1})); err != nil {
 		t.Fatal(err)
 	}
-	r := wire.NewReader(conn)
+	r := wire.NewPooledReader(conn)
 	f, err := r.Next()
 	if err != nil {
 		t.Fatal(err)

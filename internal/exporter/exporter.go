@@ -771,7 +771,7 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	if _, err := conn.Write(wire.AppendHello(nil, hello)); err != nil {
 		return true
 	}
-	r := wire.NewReader(conn)
+	r := wire.NewPooledReader(conn)
 	f, err := r.Next()
 	if err != nil {
 		return true

@@ -61,7 +61,7 @@ func (s *stubServer) acceptLoop() {
 
 func (s *stubServer) serve(conn net.Conn) {
 	defer conn.Close()
-	r := wire.NewReader(conn)
+	r := wire.NewPooledReader(conn)
 	f, err := r.Next()
 	if err != nil {
 		return

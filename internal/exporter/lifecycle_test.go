@@ -84,7 +84,7 @@ func (s *lifecycleStub) acceptLoop() {
 
 func (s *lifecycleStub) serve(conn net.Conn) {
 	defer conn.Close()
-	r := wire.NewReader(conn)
+	r := wire.NewPooledReader(conn)
 	f, err := r.Next()
 	if err != nil {
 		return

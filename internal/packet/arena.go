@@ -1,7 +1,8 @@
 package packet
 
-// Arena is a slab allocator for decoded packets. One Arena per wire
-// batch amortizes header allocation across every packet in the batch:
+// Arena is a slab allocator for decoded packets, and Arena.Decode is the
+// package's one header descent: Decode is an arena of one. One Arena per
+// wire batch amortizes header allocation across every packet in the batch:
 // each layer struct lands in a typed slab and payload bytes in one
 // shared buffer, so a steady state of same-shaped batches decodes with
 // zero per-packet heap allocations once the slabs have grown to the
@@ -46,6 +47,14 @@ func (a *Arena) Reset() {
 // zero-then-parse order means a half-parsed entry never leaks stale
 // fields from a previous batch.
 func grab[T any](s *[]T) *T {
+	if cap(*s) == 0 {
+		// An empty slab (a fresh arena, such as Decode's arena of one)
+		// starts from a one-element array: the same allocation append
+		// would make, without growslice's cost.
+		one := new([1]T)
+		*s = one[:]
+		return &one[0]
+	}
 	var zero T
 	*s = append(*s, zero)
 	return &(*s)[len(*s)-1]
@@ -62,10 +71,11 @@ func (a *Arena) copyBytes(src []byte) []byte {
 	return a.bytes[n:len(a.bytes):len(a.bytes)]
 }
 
-// Decode is packet.Decode into the arena. The L7 codecs (DHCP, DNS,
-// FTP) still heap-allocate their layers — they are string-heavy, rare,
-// and outside every hot path — but L2–L4 headers and payload bytes all
-// come from the slabs.
+// Decode parses an Ethernet frame into a Packet whose headers and
+// payload bytes live in the arena (packet.Decode is this descent into a
+// fresh arena). The L7 codecs (DHCP, DNS, FTP) still heap-allocate their
+// layers — they are string-heavy, rare, and outside every hot path — but
+// L2–L4 headers and payload bytes all come from the slabs.
 func (a *Arena) Decode(data []byte) (*Packet, error) {
 	p := grab(&a.pkts)
 	eth := grab(&a.eths)

@@ -12,8 +12,8 @@ var (
 	arenaIPB  = IPv4{10, 0, 0, 2}
 )
 
-// arenaSamples covers every L2–L4 shape the arena decoder handles,
-// plus an L7 case that exercises the still-allocating app path.
+// arenaSamples covers every L2–L4 shape the decoder handles, plus L7
+// cases (DHCP, DNS) that exercise the still-allocating app path.
 func arenaSamples(t *testing.T) [][]byte {
 	t.Helper()
 	pkts := []*Packet{
@@ -23,6 +23,9 @@ func arenaSamples(t *testing.T) [][]byte {
 		NewICMPEcho(arenaMACA, arenaMACB, arenaIPA, arenaIPB, 7, 1, false),
 		NewARPRequest(arenaMACA, arenaIPA, arenaIPB),
 		NewDNSQuery(arenaMACA, arenaMACB, arenaIPA, arenaIPB, 5353, 42, "example.com"),
+		NewDHCP(arenaMACA, BroadcastMAC, IPv4{}, IPv4{255, 255, 255, 255}, &DHCPv4{
+			Op: DHCPBootRequest, Xid: 7, MsgType: DHCPDiscover, ClientMAC: arenaMACA,
+		}),
 	}
 	frames := make([][]byte, len(pkts))
 	for i, p := range pkts {
@@ -35,32 +38,45 @@ func arenaSamples(t *testing.T) [][]byte {
 	return frames
 }
 
-// The arena decoder must be observationally identical to the heap
-// decoder, including after the arena is Reset and reused.
-func TestArenaDecodeMatchesHeapDecode(t *testing.T) {
+// A dirty, reused arena must decode exactly as a fresh one: Decode's
+// arena of one is the reference. Dirty means the arena first decoded a
+// batch of frames of every other shape, including a failed decode that
+// left half-parsed entries on the slabs, and was then Reset.
+func TestReusedArenaDecodeMatchesFreshDecode(t *testing.T) {
 	frames := arenaSamples(t)
+	corrupt := append([]byte(nil), frames[0]...)
+	corrupt[len(corrupt)-1] ^= 0xff // bad TCP checksum after L2/L3 parsed
 	var a Arena
-	for round := 0; round < 3; round++ {
+	for i, frame := range frames {
 		a.Reset()
-		for i, frame := range frames {
-			want, err := Decode(frame)
-			if err != nil {
-				t.Fatalf("round %d frame %d: heap decode: %v", round, i, err)
+		for j, other := range frames {
+			if j != i {
+				if _, err := a.Decode(other); err != nil {
+					t.Fatalf("frame %d: dirtying decode %d: %v", i, j, err)
+				}
 			}
-			got, err := a.Decode(frame)
-			if err != nil {
-				t.Fatalf("round %d frame %d: arena decode: %v", round, i, err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d frame %d: arena decode differs:\n got %s\nwant %s",
-					round, i, got.Summary(), want.Summary())
-			}
+		}
+		if _, err := a.Decode(corrupt); err == nil {
+			t.Fatal("corrupt frame decoded")
+		}
+		a.Reset()
+		want, err := Decode(frame)
+		if err != nil {
+			t.Fatalf("frame %d: fresh decode: %v", i, err)
+		}
+		got, err := a.Decode(frame)
+		if err != nil {
+			t.Fatalf("frame %d: reused-arena decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: reused-arena decode differs:\n got %s\nwant %s",
+				i, got.Summary(), want.Summary())
 		}
 	}
 }
 
-// A failed decode must fail identically through the arena, and not
-// poison subsequent decodes.
+// A failed decode must fail identically through a reused arena, and
+// not poison subsequent decodes.
 func TestArenaDecodeErrors(t *testing.T) {
 	var a Arena
 	bad := [][]byte{
@@ -73,10 +89,10 @@ func TestArenaDecodeErrors(t *testing.T) {
 		}(),
 	}
 	for i, frame := range bad {
-		_, heapErr := Decode(frame)
+		_, freshErr := Decode(frame)
 		_, arenaErr := a.Decode(frame)
-		if (heapErr == nil) != (arenaErr == nil) {
-			t.Fatalf("frame %d: heap err %v, arena err %v", i, heapErr, arenaErr)
+		if (freshErr == nil) != (arenaErr == nil) {
+			t.Fatalf("frame %d: fresh err %v, arena err %v", i, freshErr, arenaErr)
 		}
 	}
 	// The arena still decodes cleanly after errors.

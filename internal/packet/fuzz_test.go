@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -15,6 +16,10 @@ import (
 // starts from deep, fully-layered frames rather than flailing at the
 // Ethernet header. scripts/check.sh runs this briefly on every check;
 // go test -fuzz gives it real time.
+//
+// Each input is also decoded into an arena kept across iterations, so
+// the previous input's slabs are dirty; that decode must equal the
+// fresh one, error for error.
 func FuzzCodecRoundTrip(f *testing.F) {
 	macS := MustMAC("02:00:00:00:00:0a")
 	macD := MustMAC("02:00:00:00:00:0b")
@@ -42,8 +47,14 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		f.Add(b)
 	}
 
+	var reused Arena
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
+		reused.Reset()
+		q, qerr := reused.Decode(data)
+		if (err == nil) != (qerr == nil) || (err == nil && !reflect.DeepEqual(p, q)) {
+			t.Fatalf("reused-arena decode differs from fresh decode (fresh err %v, reused err %v)\nbytes: %x", err, qerr, data)
+		}
 		if err != nil {
 			return // rejected input is fine; crashing on it is not
 		}

@@ -42,20 +42,9 @@ func (e *Ethernet) encodeTo(b []byte) []byte {
 	return binary.BigEndian.AppendUint16(b, uint16(e.Type))
 }
 
-// decodeEthernet parses an Ethernet II header, returning the header and its
-// payload.
-func decodeEthernet(data []byte) (*Ethernet, []byte, error) {
-	e := &Ethernet{}
-	rest, err := parseEthernet(e, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e, rest, nil
-}
-
 // parseEthernet decodes an Ethernet II header into a caller-supplied
-// struct, returning the payload. The parse/allocate split lets the
-// arena decoder target slab-backed headers.
+// struct, returning the payload; Arena.Decode supplies the struct from
+// its slab.
 func parseEthernet(e *Ethernet, data []byte) ([]byte, error) {
 	if len(data) < ethernetHeaderLen {
 		return nil, fmt.Errorf("packet: ethernet frame too short (%d bytes)", len(data))
@@ -108,14 +97,6 @@ func (a *ARP) encodeTo(b []byte) []byte {
 	b = append(b, a.TargetMAC[:]...)
 	b = append(b, a.TargetIP[:]...)
 	return b
-}
-
-func decodeARP(data []byte) (*ARP, error) {
-	a := &ARP{}
-	if err := parseARP(a, data); err != nil {
-		return nil, err
-	}
-	return a, nil
 }
 
 func parseARP(a *ARP, data []byte) error {

@@ -72,15 +72,6 @@ func patchIPv4(hdr []byte, payloadLen int) {
 	binary.BigEndian.PutUint16(hdr[10:12], internetChecksum(hdr[:ipv4HeaderLen], 0))
 }
 
-func decodeIPv4(data []byte) (*IPv4Header, []byte, error) {
-	h := &IPv4Header{}
-	payload, err := parseIPv4(h, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return h, payload, nil
-}
-
 func parseIPv4(h *IPv4Header, data []byte) ([]byte, error) {
 	if len(data) < ipv4HeaderLen {
 		return nil, fmt.Errorf("packet: IPv4 header too short (%d bytes)", len(data))
@@ -178,19 +169,8 @@ func (m *ICMPv4) encodeTo(b []byte) []byte {
 	return b
 }
 
-func decodeICMPv4(data []byte) (*ICMPv4, error) {
-	m := &ICMPv4{}
-	if err := parseICMPv4(m, data); err != nil {
-		return nil, err
-	}
-	if m.Payload != nil {
-		m.Payload = append([]byte(nil), m.Payload...)
-	}
-	return m, nil
-}
-
-// parseICMPv4 decodes into m, leaving Payload aliasing data — the
-// caller copies it into whatever storage owns the packet.
+// parseICMPv4 decodes into m, leaving Payload aliasing data —
+// Arena.Decode copies it into the arena's byte slab.
 func parseICMPv4(m *ICMPv4, data []byte) error {
 	if len(data) < icmpHeaderLen {
 		return fmt.Errorf("packet: ICMP message too short (%d bytes)", len(data))

@@ -85,19 +85,8 @@ func (t *TCP) fillChecksum(seg []byte, src, dst IPv4) {
 	binary.BigEndian.PutUint16(seg[16:18], sum)
 }
 
-func decodeTCP(data []byte, src, dst IPv4) (*TCP, error) {
-	t := &TCP{}
-	if err := parseTCP(t, data, src, dst); err != nil {
-		return nil, err
-	}
-	if t.Payload != nil {
-		t.Payload = append([]byte(nil), t.Payload...)
-	}
-	return t, nil
-}
-
-// parseTCP decodes into t, leaving Payload aliasing data — the caller
-// copies it into whatever storage owns the packet.
+// parseTCP decodes into t, leaving Payload aliasing data —
+// Arena.Decode copies it into the arena's byte slab.
 func parseTCP(t *TCP, data []byte, src, dst IPv4) error {
 	if len(data) < tcpHeaderLen {
 		return fmt.Errorf("packet: TCP segment too short (%d bytes)", len(data))
@@ -157,19 +146,8 @@ func (u *UDP) fillChecksum(dg []byte, src, dst IPv4) {
 	binary.BigEndian.PutUint16(dg[6:8], sum)
 }
 
-func decodeUDP(data []byte, src, dst IPv4) (*UDP, error) {
-	u := &UDP{}
-	if err := parseUDP(u, data, src, dst); err != nil {
-		return nil, err
-	}
-	if u.Payload != nil {
-		u.Payload = append([]byte(nil), u.Payload...)
-	}
-	return u, nil
-}
-
-// parseUDP decodes into u, leaving Payload aliasing data — the caller
-// copies it into whatever storage owns the packet.
+// parseUDP decodes into u, leaving Payload aliasing data —
+// Arena.Decode copies it into the arena's byte slab.
 func parseUDP(u *UDP, data []byte, src, dst IPv4) error {
 	if len(data) < udpHeaderLen {
 		return fmt.Errorf("packet: UDP datagram too short (%d bytes)", len(data))

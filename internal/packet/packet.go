@@ -30,60 +30,13 @@ type Packet struct {
 // codecs recognize. An error at any layer fails the whole decode: the
 // simulator never produces half-valid frames, so tolerating them would only
 // mask bugs.
+//
+// Decode is an Arena of one: the descent is Arena.Decode's, into an arena
+// that is never Reset, so the returned packet owns its headers and its copy
+// of the payload.
 func Decode(data []byte) (*Packet, error) {
-	p := &Packet{}
-	eth, rest, err := decodeEthernet(data)
-	if err != nil {
-		return nil, err
-	}
-	p.Eth = eth
-	switch eth.Type {
-	case EtherTypeARP:
-		arp, err := decodeARP(rest)
-		if err != nil {
-			return nil, err
-		}
-		p.ARP = arp
-		return p, nil
-	case EtherTypeIPv4:
-		ip, payload, err := decodeIPv4(rest)
-		if err != nil {
-			return nil, err
-		}
-		p.IPv4 = ip
-		return p, p.decodeTransport(payload)
-	default:
-		p.Payload = append([]byte(nil), rest...)
-		return p, nil
-	}
-}
-
-func (p *Packet) decodeTransport(payload []byte) error {
-	switch p.IPv4.Protocol {
-	case ProtoICMP:
-		icmp, err := decodeICMPv4(payload)
-		if err != nil {
-			return err
-		}
-		p.ICMP = icmp
-	case ProtoTCP:
-		tcp, err := decodeTCP(payload, p.IPv4.Src, p.IPv4.Dst)
-		if err != nil {
-			return err
-		}
-		p.TCP = tcp
-		p.decodeApp(tcp.SrcPort, tcp.DstPort, tcp.Payload)
-	case ProtoUDP:
-		udp, err := decodeUDP(payload, p.IPv4.Src, p.IPv4.Dst)
-		if err != nil {
-			return err
-		}
-		p.UDP = udp
-		p.decodeApp(udp.SrcPort, udp.DstPort, udp.Payload)
-	default:
-		p.Payload = append([]byte(nil), payload...)
-	}
-	return nil
+	var a Arena
+	return a.Decode(data)
 }
 
 // decodeApp attempts L7 decoding by port. Failure is not an error: an

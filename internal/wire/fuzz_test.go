@@ -11,20 +11,14 @@ import (
 
 // FuzzWireRoundTrip is the codec's canonicality contract, the same
 // fixed-point shape as the packet codec's FuzzCodecRoundTrip: any input
-// DecodeFrame accepts must re-encode to bytes that decode to the same
+// Reader.Next accepts must re-encode to bytes that decode to the same
 // frame and re-encode identically. Non-minimal varints in a fuzzed
 // input normalize at the first re-encode; from then on the bytes are a
 // fixed point. This is what lets the collector deduplicate replayed
 // batches and the ledger trust sequence arithmetic: there is exactly
 // one wire form per frame.
 func FuzzWireRoundTrip(f *testing.F) {
-	seed := func(frame any) []byte {
-		enc, err := EncodeFrame(frame)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return enc
-	}
+	seed := func(frame any) []byte { return frameBytes(f, frame) }
 	macS := packet.MustMAC("02:00:00:00:00:0a")
 	macD := packet.MustMAC("02:00:00:00:00:0b")
 	ipS := packet.MustIPv4("10.0.0.1")
@@ -55,26 +49,19 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		f1, n, err := DecodeFrame(data)
+		f1, _, err := nextFrame(data)
 		if err != nil {
 			return // invalid inputs are rejected, not round-tripped
 		}
-		e1, err := EncodeFrame(f1)
-		if err != nil {
-			t.Fatalf("re-encode of decoded frame failed: %v\ninput (%d consumed): %x", err, n, data)
-		}
-		f2, n2, err := DecodeFrame(e1)
+		e1 := frameBytes(t, f1)
+		f2, n2, err := nextFrame(e1)
 		if err != nil {
 			t.Fatalf("decode of re-encoded frame failed: %v\ne1: %x", err, e1)
 		}
 		if n2 != len(e1) {
 			t.Fatalf("re-encoded frame not fully consumed: %d of %d", n2, len(e1))
 		}
-		e2, err := EncodeFrame(f2)
-		if err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(e1, e2) {
+		if e2 := frameBytes(t, f2); !bytes.Equal(e1, e2) {
 			t.Fatalf("encoding not a fixed point\ne1: %x\ne2: %x", e1, e2)
 		}
 	})

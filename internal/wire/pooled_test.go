@@ -5,49 +5,79 @@ import (
 	"io"
 	"reflect"
 	"testing"
+	"time"
+
+	"switchmon/internal/core"
+	"switchmon/internal/packet"
 )
 
-// A pooled Reader must decode batches observationally identically to a
-// plain Reader, and recycling via Release must not corrupt batches
-// decoded afterwards.
-func TestPooledReaderMatchesPlainReader(t *testing.T) {
+// Batches decoded into arenas that earlier batches released must equal
+// the batches that were encoded: a recycled event slab or packet arena
+// leaks nothing from the batch it served before. The batches differ in
+// length and packet shape so each reuse lands on dirty slabs.
+func TestReleasedArenaDecodesMatchEncoded(t *testing.T) {
 	evs := testEvents(t)
+	batches := []*Batch{
+		{FirstSeq: 1, Events: evs},
+		{FirstSeq: 6, Events: []core.Event{evs[4], evs[2]}},
+		{FirstSeq: 8},
+		{FirstSeq: 8, Events: []core.Event{evs[2], evs[0], evs[3], evs[1], evs[4]}},
+		{FirstSeq: 13, Events: evs[:1]},
+	}
 	var stream []byte
-	for i := 0; i < 4; i++ {
-		b := &Batch{FirstSeq: uint64(1 + i*len(evs)), Events: evs}
-		enc, err := EncodeFrame(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stream = append(stream, enc...)
+	for _, b := range batches {
+		stream = append(stream, frameBytes(t, b)...)
 	}
 
-	plain := NewReader(bytes.NewReader(stream))
-	pooled := NewPooledReader(bytes.NewReader(stream))
+	r := NewPooledReader(bytes.NewReader(stream))
 	for i := 0; ; i++ {
-		fw, errW := plain.Next()
-		fp, errP := pooled.Next()
-		if (errW == nil) != (errP == nil) {
-			t.Fatalf("frame %d: plain err %v, pooled err %v", i, errW, errP)
-		}
-		if errW == io.EOF {
+		f, err := r.Next()
+		if err == io.EOF {
+			if i != len(batches) {
+				t.Fatalf("stream ended after %d of %d batches", i, len(batches))
+			}
 			break
 		}
-		if errW != nil {
-			t.Fatalf("frame %d: %v", i, errW)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
 		}
-		bw, bp := fw.(*Batch), fp.(*Batch)
-		if bw.FirstSeq != bp.FirstSeq || !reflect.DeepEqual(bw.Events, bp.Events) {
-			t.Fatalf("frame %d: pooled decode differs from plain decode", i)
+		got, want := f.(*Batch), batches[i]
+		if got.FirstSeq != want.FirstSeq || len(got.Events) != len(want.Events) {
+			t.Fatalf("batch %d: seq %d n %d, want seq %d n %d",
+				i, got.FirstSeq, len(got.Events), want.FirstSeq, len(want.Events))
+		}
+		for k := range want.Events {
+			w := want.Events[k]
+			w.Time = time.Unix(0, w.Time.UnixNano())
+			if w.Packet != nil {
+				w.Packet = reDecode(t, w.Packet)
+			}
+			if !reflect.DeepEqual(got.Events[k], w) {
+				t.Fatalf("batch %d event %d:\n got %+v\nwant %+v", i, k, got.Events[k], w)
+			}
 		}
 		// Release AFTER the comparison: the contract is that the events
 		// are valid until then, and invalid after.
-		bp.Release()
+		got.Release()
 	}
 }
 
+// reDecode is p as it arrives off the wire: encoded, then decoded.
+func reDecode(t *testing.T, p *packet.Packet) *packet.Packet {
+	t.Helper()
+	b, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := packet.Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
 // Release must be a no-op for batches that own their storage, and
-// idempotent for pooled ones.
+// idempotent for decoded ones.
 func TestBatchReleaseSafety(t *testing.T) {
 	owned := &Batch{FirstSeq: 1, Events: testEvents(t)}
 	owned.Release()
@@ -55,10 +85,7 @@ func TestBatchReleaseSafety(t *testing.T) {
 		t.Fatal("Release cleared an owned batch's events")
 	}
 
-	enc, err := EncodeFrame(&Batch{FirstSeq: 1, Events: testEvents(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	enc := frameBytes(t, &Batch{FirstSeq: 1, Events: testEvents(t)})
 	r := NewPooledReader(bytes.NewReader(enc))
 	f, err := r.Next()
 	if err != nil {

@@ -37,11 +37,8 @@ func traceEvents() []core.Event {
 func TestTracedBatchRoundTrip(t *testing.T) {
 	b := &Batch{FirstSeq: 11, Events: traceEvents(), Traced: true,
 		ClockOffsetNs: -12345, ClockDispNs: 678}
-	enc, err := EncodeFrame(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, n, err := DecodeFrame(enc)
+	enc := frameBytes(t, b)
+	dec, n, err := nextFrame(enc)
 	if err != nil || n != len(enc) {
 		t.Fatalf("decode: %v (consumed %d of %d)", err, n, len(enc))
 	}
@@ -52,11 +49,7 @@ func TestTracedBatchRoundTrip(t *testing.T) {
 	if got.ClockOffsetNs != -12345 || got.ClockDispNs != 678 {
 		t.Fatalf("clock = %d/%d", got.ClockOffsetNs, got.ClockDispNs)
 	}
-	re, err := EncodeFrame(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(enc, re) {
+	if re := frameBytes(t, got); !bytes.Equal(enc, re) {
 		t.Fatalf("traced batch not byte-stable\nenc: %x\nre:  %x", enc, re)
 	}
 	// Span adoption: marks survive, flagged remote, non-switch stages
@@ -102,11 +95,7 @@ func TestTracedBatchUnsampled(t *testing.T) {
 			{Kind: core.KindArrival, Time: time.Unix(1, 0), SwitchID: 1, PacketID: 1, InPort: 1},
 		}},
 	} {
-		enc, err := EncodeFrame(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, _, err := DecodeFrame(enc)
+		dec, _, err := nextFrame(frameBytes(t, b))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,13 +153,13 @@ func TestTraceBlockRejects(t *testing.T) {
 		"missing-block":        nil,
 	}
 	for name, block := range cases {
-		if _, _, err := DecodeFrame(buildTraced(t, block)); err == nil {
+		if _, _, err := nextFrame(buildTraced(t, block)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
 	// Control: the same scaffolding with a valid block decodes.
 	ok := append(header(1), entry(0, 1<<tracer.StageEnqueue, 9)...)
-	if _, _, err := DecodeFrame(buildTraced(t, ok)); err != nil {
+	if _, _, err := nextFrame(buildTraced(t, ok)); err != nil {
 		t.Fatalf("control frame rejected: %v", err)
 	}
 }
@@ -180,36 +169,23 @@ func TestTraceBlockRejects(t *testing.T) {
 // spans included. check.sh runs it as a smoke alongside
 // FuzzWireRoundTrip.
 func FuzzTraceBlockRoundTrip(f *testing.F) {
-	seed := func(frame any) []byte {
-		enc, err := EncodeFrame(frame)
-		if err != nil {
-			f.Fatal(err)
-		}
-		return enc
-	}
+	seed := func(frame any) []byte { return frameBytes(f, frame) }
 	f.Add(seed(&Batch{FirstSeq: 11, Events: traceEvents(), Traced: true,
 		ClockOffsetNs: -12345, ClockDispNs: 678}))
 	f.Add(seed(&Batch{FirstSeq: 5, Traced: true}))
 	f.Add(seed(&Batch{FirstSeq: 1, Events: traceEvents(), Traced: true}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		f1, _, err := DecodeFrame(data)
+		f1, _, err := nextFrame(data)
 		if err != nil {
 			return
 		}
-		e1, err := EncodeFrame(f1)
-		if err != nil {
-			t.Fatalf("re-encode of decoded frame failed: %v", err)
-		}
-		f2, n2, err := DecodeFrame(e1)
+		e1 := frameBytes(t, f1)
+		f2, n2, err := nextFrame(e1)
 		if err != nil || n2 != len(e1) {
 			t.Fatalf("decode of re-encoded frame: %v (%d of %d)", err, n2, len(e1))
 		}
-		e2, err := EncodeFrame(f2)
-		if err != nil {
-			t.Fatalf("second re-encode failed: %v", err)
-		}
-		if !bytes.Equal(e1, e2) {
+		if e2 := frameBytes(t, f2); !bytes.Equal(e1, e2) {
 			t.Fatalf("encoding not a fixed point\ne1: %x\ne2: %x", e1, e2)
 		}
 	})

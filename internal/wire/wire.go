@@ -5,7 +5,7 @@
 // the switch and ships events to where the property state lives; this
 // package is the ship.
 //
-// A connection carries five frame types:
+// A connection carries nine frame types:
 //
 //	Hello        exporter → collector: protocol magic+version, the
 //	             exporter's datapath id, and the sequence number of the
@@ -32,6 +32,19 @@
 //	Ack          collector → exporter: cumulative acknowledgment of the
 //	             highest contiguous event sequence applied, optionally
 //	             timestamped for ongoing clock sampling.
+//	PropertySetUpdate
+//	             collector → exporter: the collector's live property
+//	             set, epoch-stamped, at handshake and on every change
+//	             (FeatureLifecycle only).
+//	PropertySetAck
+//	             exporter → collector: the property-set epoch the
+//	             exporter has applied (FeatureLifecycle only).
+//	FleetConfig  collector → exporter: the fleet membership, epoch-
+//	             stamped collector endpoints with routing weights, at
+//	             handshake and on every change (FeatureFleet only).
+//	FleetConfigAck
+//	             exporter → collector: the fleet-config epoch the
+//	             exporter has re-routed onto (FeatureFleet only).
 //
 // Version negotiation is one round: the exporter offers its version and
 // features in Hello, the collector answers with min(offered, own) and
@@ -43,10 +56,12 @@
 // are varints, timestamps are zigzag-encoded UnixNano, and packets ride
 // as length-prefixed frames serialized by the packet codec. Encoding is
 // append-style and allocation-free once the destination buffer has
-// capacity (packets serialize via packet.AppendEncode); decoding is
-// strict — unknown frame types, unknown flag bits, truncated or
-// trailing bytes, and oversized frames are all errors, so a confused
-// peer fails fast instead of feeding garbage to the monitor.
+// capacity (packets serialize via packet.AppendEncode). Decoding goes
+// through Reader.Next, and every decoded batch borrows pooled storage
+// that the caller hands back with Release. Decoding is strict — unknown
+// frame types, unknown flag bits, truncated or trailing bytes, and
+// oversized frames are all errors, so a confused peer fails fast
+// instead of feeding garbage to the monitor.
 package wire
 
 import (
@@ -294,8 +309,8 @@ type Batch struct {
 	ClockOffsetNs int64
 	ClockDispNs   int64
 
-	// arena is the pooled backing store this batch decoded into (pooled
-	// Readers only; nil for batches that own their storage).
+	// arena is the pooled backing store this batch decoded into (nil
+	// for batches the caller built, which own their storage).
 	arena *batchArena
 }
 
@@ -339,11 +354,10 @@ func (ba *batchArena) take(n int) []core.Event {
 	return ba.evs
 }
 
-// Release returns a pooled batch's backing store for reuse. It is a
-// no-op for batches that own their storage (DecodeFrame, a plain
-// NewReader, exporter-built batches), so callers can invoke it
-// unconditionally. After Release, the batch's Events — and every
-// packet they reference — must not be touched.
+// Release returns a decoded batch's backing store for reuse. It is a
+// no-op for batches that own their storage (exporter-built batches),
+// so callers can invoke it unconditionally. After Release, the batch's
+// Events — and every packet they reference — must not be touched.
 func (b *Batch) Release() {
 	ba := b.arena
 	if ba == nil {
@@ -356,7 +370,7 @@ func (b *Batch) Release() {
 }
 
 // ReleaseFunc returns the batch's release callback without allocating:
-// pooled batches reuse a closure bound once per arena, owned batches
+// decoded batches reuse a closure bound once per arena, owned batches
 // return nil (there is nothing to recycle, and a nil release tells
 // borrow-based sinks the events are theirs to keep).
 func (b *Batch) ReleaseFunc() func() {
@@ -605,46 +619,6 @@ func appendEvent(buf []byte, e *core.Event) ([]byte, error) {
 	return buf, nil
 }
 
-// EncodeFrame renders any frame value (Hello, HelloAck, Ack, *Batch) to
-// a fresh buffer — the convenience path for handshakes and tests; hot
-// paths use the Append functions with a reusable buffer.
-func EncodeFrame(frame any) ([]byte, error) {
-	switch f := frame.(type) {
-	case Hello:
-		return AppendHello(nil, f), nil
-	case *Hello:
-		return AppendHello(nil, *f), nil
-	case HelloAck:
-		return AppendHelloAck(nil, f), nil
-	case *HelloAck:
-		return AppendHelloAck(nil, *f), nil
-	case Ack:
-		return AppendAck(nil, f), nil
-	case *Ack:
-		return AppendAck(nil, *f), nil
-	case *Batch:
-		return AppendBatch(nil, f)
-	case PropertySetUpdate:
-		return AppendPropertySetUpdate(nil, &f)
-	case *PropertySetUpdate:
-		return AppendPropertySetUpdate(nil, f)
-	case PropertySetAck:
-		return AppendPropertySetAck(nil, f), nil
-	case *PropertySetAck:
-		return AppendPropertySetAck(nil, *f), nil
-	case FleetConfig:
-		return AppendFleetConfig(nil, &f)
-	case *FleetConfig:
-		return AppendFleetConfig(nil, f)
-	case FleetConfigAck:
-		return AppendFleetConfigAck(nil, f), nil
-	case *FleetConfigAck:
-		return AppendFleetConfigAck(nil, *f), nil
-	default:
-		return nil, fmt.Errorf("wire: cannot encode %T", frame)
-	}
-}
-
 // cursor walks a frame payload with strict varint reads.
 type cursor struct {
 	data []byte
@@ -705,34 +679,11 @@ func (c *cursor) u32() (uint32, error) {
 	return binary.BigEndian.Uint32(b), nil
 }
 
-// DecodeFrame decodes the first complete frame in data, returning the
-// typed frame (Hello, HelloAck, Ack, or *Batch) and the total bytes
-// consumed including the length prefix. io.ErrUnexpectedEOF means data
-// holds only part of a frame — read more and retry.
-func DecodeFrame(data []byte) (any, int, error) {
-	if len(data) < 4 {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	n := binary.BigEndian.Uint32(data[:4])
-	if n > MaxFrameLen {
-		return nil, 0, fmt.Errorf("wire: frame length %d exceeds MaxFrameLen %d", n, MaxFrameLen)
-	}
-	if len(data) < 4+int(n) {
-		return nil, 0, io.ErrUnexpectedEOF
-	}
-	frame, err := decodePayload(data[4:4+int(n)], false)
-	if err != nil {
-		return nil, 0, err
-	}
-	return frame, 4 + int(n), nil
-}
-
 // decodePayload decodes one frame payload (type byte onward). The whole
 // payload must be consumed: trailing bytes are an error, keeping the
-// encoding canonical for the round-trip fuzz target. With pooled set,
-// batch frames decode into pool-backed storage and must be Released by
-// the caller.
-func decodePayload(payload []byte, pooled bool) (any, error) {
+// encoding canonical for the round-trip fuzz target. Batch frames
+// decode into pool-backed storage and must be Released by the caller.
+func decodePayload(payload []byte) (any, error) {
 	c := &cursor{data: payload}
 	tb, err := c.byte()
 	if err != nil {
@@ -745,9 +696,9 @@ func decodePayload(payload []byte, pooled bool) (any, error) {
 	case FrameHelloAck:
 		frame, err = decodeHelloAck(c)
 	case FrameBatch:
-		frame, err = decodeBatch(c, false, pooled)
+		frame, err = decodeBatch(c, false)
 	case FrameTracedBatch:
-		frame, err = decodeBatch(c, true, pooled)
+		frame, err = decodeBatch(c, true)
 	case FrameAck:
 		frame, err = decodeAck(c)
 	case FramePropertySetUpdate:
@@ -955,19 +906,13 @@ func decodeFleetConfigAck(c *cursor) (FleetConfigAck, error) {
 	return a, nil
 }
 
-func decodeBatch(c *cursor, traced, pooled bool) (*Batch, error) {
-	var b *Batch
-	var ba *batchArena
-	if pooled {
-		// The header lives inside the arena too: decoding a pooled frame
-		// performs zero heap allocations in steady state. The header is
-		// recycled with the rest of the arena on Release.
-		ba = batchArenaPool.Get().(*batchArena)
-		b = &ba.b
-		*b = Batch{Traced: traced, arena: ba}
-	} else {
-		b = &Batch{Traced: traced}
-	}
+func decodeBatch(c *cursor, traced bool) (*Batch, error) {
+	// The header lives inside the arena too: decoding a batch frame
+	// performs zero heap allocations in steady state. The header is
+	// recycled with the rest of the arena on Release.
+	ba := batchArenaPool.Get().(*batchArena)
+	b := &ba.b
+	*b = Batch{Traced: traced, arena: ba}
 	var err error
 	if b.FirstSeq, err = c.uvarint(); err != nil {
 		b.Release()
@@ -989,15 +934,9 @@ func decodeBatch(c *cursor, traced, pooled bool) (*Batch, error) {
 			b.Release()
 			return nil, fmt.Errorf("wire: batch declares %d events in %d bytes", count, c.remaining())
 		}
-		var pa *packet.Arena
-		if pooled {
-			b.Events = ba.take(int(count))
-			pa = &ba.pkt
-		} else {
-			b.Events = make([]core.Event, count)
-		}
+		b.Events = ba.take(int(count))
 		for i := range b.Events {
-			if err := decodeEvent(c, &b.Events[i], pa); err != nil {
+			if err := decodeEvent(c, &b.Events[i], &ba.pkt); err != nil {
 				b.Release() // hand the arena back on the error path
 				return nil, fmt.Errorf("wire: event %d: %w", i, err)
 			}
@@ -1082,8 +1021,7 @@ func decodeTraceBlock(c *cursor, b *Batch) error {
 	return nil
 }
 
-// decodeEvent decodes one event. A non-nil pa decodes the embedded
-// packet into the arena instead of the heap.
+// decodeEvent decodes one event, its embedded packet into pa.
 func decodeEvent(c *cursor, e *core.Event, pa *packet.Arena) error {
 	kb, err := c.byte()
 	if err != nil {
@@ -1146,12 +1084,7 @@ func decodeEvent(c *cursor, e *core.Event, pa *packet.Arena) error {
 	if err != nil {
 		return err
 	}
-	var pkt *packet.Packet
-	if pa != nil {
-		pkt, err = pa.Decode(raw)
-	} else {
-		pkt, err = packet.Decode(raw)
-	}
+	pkt, err := pa.Decode(raw)
 	if err != nil {
 		return fmt.Errorf("embedded packet: %w", err)
 	}
@@ -1160,28 +1093,22 @@ func decodeEvent(c *cursor, e *core.Event, pa *packet.Arena) error {
 }
 
 // Reader decodes a frame stream from an io.Reader, reusing one buffer
-// across frames (the returned frames own their data — event slices and
-// packets are freshly decoded — so the buffer reuse is invisible to
-// callers). A pooled Reader (NewPooledReader) weakens that ownership
-// for batches only: they borrow pool-backed storage and must be
-// Released.
+// across frames. Control frames own their data; a decoded Batch borrows
+// its event slab and packet storage from a shared sync.Pool — one Get
+// per batch, not per event — so the buffer reuse is invisible to
+// callers either way.
 type Reader struct {
-	r      io.Reader
-	buf    []byte
-	hdr    [4]byte
-	pooled bool
+	r   io.Reader
+	buf []byte
+	hdr [4]byte
 }
 
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return &Reader{r: r} }
-
-// NewPooledReader is NewReader with batch pooling: each decoded Batch
-// borrows its event slab and packet storage from a shared sync.Pool —
-// one Get per batch, not per event — and the caller must call
-// (*Batch).Release once it no longer references the batch's events.
-// The collector's ingest path uses this to stay allocation-free per
-// event in steady state.
-func NewPooledReader(r io.Reader) *Reader { return &Reader{r: r, pooled: true} }
+// NewPooledReader wraps r. The caller calls (*Batch).Release once it no
+// longer references a decoded batch's events; that is what keeps the
+// collector's ingest path allocation-free per event in steady state. A
+// batch that is never released is collected by the GC, so a caller that
+// keeps its events owns them.
+func NewPooledReader(r io.Reader) *Reader { return &Reader{r: r} }
 
 // Next reads and decodes the next frame. It returns io.EOF cleanly only
 // on a frame boundary; a connection cut mid-frame is
@@ -1207,5 +1134,5 @@ func (r *Reader) Next() (any, error) {
 		}
 		return nil, err
 	}
-	return decodePayload(r.buf, r.pooled)
+	return decodePayload(r.buf)
 }

@@ -28,6 +28,46 @@ func testEvents(t *testing.T) []core.Event {
 	}
 }
 
+// frameBytes encodes any frame value Reader.Next returns through its
+// Append function.
+func frameBytes(t testing.TB, frame any) []byte {
+	t.Helper()
+	var enc []byte
+	var err error
+	switch f := frame.(type) {
+	case Hello:
+		enc = AppendHello(nil, f)
+	case HelloAck:
+		enc = AppendHelloAck(nil, f)
+	case Ack:
+		enc = AppendAck(nil, f)
+	case *Batch:
+		enc, err = AppendBatch(nil, f)
+	case *PropertySetUpdate:
+		enc, err = AppendPropertySetUpdate(nil, f)
+	case PropertySetAck:
+		enc = AppendPropertySetAck(nil, f)
+	case *FleetConfig:
+		enc, err = AppendFleetConfig(nil, f)
+	case FleetConfigAck:
+		enc = AppendFleetConfigAck(nil, f)
+	default:
+		t.Fatalf("no Append function for %T", frame)
+	}
+	if err != nil {
+		t.Fatalf("encode %T: %v", frame, err)
+	}
+	return enc
+}
+
+// nextFrame decodes the first frame in data through a Reader, returning
+// it and the bytes the Reader consumed.
+func nextFrame(data []byte) (any, int, error) {
+	br := bytes.NewReader(data)
+	f, err := NewPooledReader(br).Next()
+	return f, len(data) - br.Len(), err
+}
+
 // TestFrameRoundTrips encodes and decodes every frame type and checks
 // field-level equality plus byte-level stability on re-encode.
 func TestFrameRoundTrips(t *testing.T) {
@@ -44,22 +84,15 @@ func TestFrameRoundTrips(t *testing.T) {
 		FleetConfigAck{Epoch: 4},
 	}
 	for _, f := range frames {
-		enc, err := EncodeFrame(f)
-		if err != nil {
-			t.Fatalf("%T: encode: %v", f, err)
-		}
-		dec, n, err := DecodeFrame(enc)
+		enc := frameBytes(t, f)
+		dec, n, err := nextFrame(enc)
 		if err != nil {
 			t.Fatalf("%T: decode: %v", f, err)
 		}
 		if n != len(enc) {
 			t.Fatalf("%T: consumed %d of %d bytes", f, n, len(enc))
 		}
-		re, err := EncodeFrame(dec)
-		if err != nil {
-			t.Fatalf("%T: re-encode: %v", f, err)
-		}
-		if !bytes.Equal(enc, re) {
+		if re := frameBytes(t, dec); !bytes.Equal(enc, re) {
 			t.Fatalf("%T: decode/re-encode changed bytes\nenc: %x\nre:  %x", f, enc, re)
 		}
 		switch want := f.(type) {
@@ -128,7 +161,7 @@ func TestReaderStream(t *testing.T) {
 	}
 	stream = AppendAck(b, Ack{AckSeq: 5})
 
-	r := NewReader(bytes.NewReader(stream))
+	r := NewPooledReader(bytes.NewReader(stream))
 	if f, err := r.Next(); err != nil {
 		t.Fatal(err)
 	} else if h, ok := f.(Hello); !ok || h.DPID != 1 {
@@ -148,7 +181,7 @@ func TestReaderStream(t *testing.T) {
 		t.Fatalf("want clean EOF, got %v", err)
 	}
 
-	cut := NewReader(bytes.NewReader(stream[:len(stream)-1]))
+	cut := NewPooledReader(bytes.NewReader(stream[:len(stream)-1]))
 	cut.Next() // hello
 	cut.Next() // batch
 	if _, err := cut.Next(); err != io.ErrUnexpectedEOF {
@@ -161,44 +194,44 @@ func TestDecodeRejects(t *testing.T) {
 	hello := AppendHello(nil, Hello{DPID: 1, NextSeq: 1})
 
 	t.Run("partial", func(t *testing.T) {
-		if _, _, err := DecodeFrame(hello[:3]); err != io.ErrUnexpectedEOF {
+		if _, _, err := nextFrame(hello[:3]); err != io.ErrUnexpectedEOF {
 			t.Fatalf("short prefix: %v", err)
 		}
-		if _, _, err := DecodeFrame(hello[:len(hello)-2]); err != io.ErrUnexpectedEOF {
+		if _, _, err := nextFrame(hello[:len(hello)-2]); err != io.ErrUnexpectedEOF {
 			t.Fatalf("short payload: %v", err)
 		}
 	})
 	t.Run("oversize", func(t *testing.T) {
 		bad := []byte{0xff, 0xff, 0xff, 0xff}
-		if _, _, err := DecodeFrame(bad); err == nil || err == io.ErrUnexpectedEOF {
+		if _, _, err := nextFrame(bad); err == nil || err == io.ErrUnexpectedEOF {
 			t.Fatalf("oversize length accepted: %v", err)
 		}
 	})
 	t.Run("bad-magic", func(t *testing.T) {
 		bad := append([]byte(nil), hello...)
 		bad[5] ^= 0xff // first magic byte
-		if _, _, err := DecodeFrame(bad); err == nil {
+		if _, _, err := nextFrame(bad); err == nil {
 			t.Fatal("bad magic accepted")
 		}
 	})
 	t.Run("bad-version", func(t *testing.T) {
 		bad := append([]byte(nil), hello...)
 		bad[9], bad[10] = 0xff, 0xfe // version field
-		if _, _, err := DecodeFrame(bad); err == nil {
+		if _, _, err := nextFrame(bad); err == nil {
 			t.Fatal("bad version accepted")
 		}
 	})
 	t.Run("unknown-type", func(t *testing.T) {
 		bad := append([]byte(nil), hello...)
 		bad[4] = 200
-		if _, _, err := DecodeFrame(bad); err == nil {
+		if _, _, err := nextFrame(bad); err == nil {
 			t.Fatal("unknown frame type accepted")
 		}
 	})
 	t.Run("trailing-bytes", func(t *testing.T) {
 		bad := append(append([]byte(nil), hello...), 0)
 		bad[3]++ // grow declared payload to cover the junk byte
-		if _, _, err := DecodeFrame(bad); err == nil {
+		if _, _, err := nextFrame(bad); err == nil {
 			t.Fatal("trailing payload bytes accepted")
 		}
 	})
@@ -209,7 +242,7 @@ func TestDecodeRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, n, err := DecodeFrame(enc)
+		f, n, err := nextFrame(enc)
 		if err != nil || n != len(enc) {
 			t.Fatalf("marker decode: %v (consumed %d of %d)", err, n, len(enc))
 		}
@@ -230,7 +263,7 @@ func TestDecodeRejects(t *testing.T) {
 		// payload: type(1) firstSeq(1) count(1) kind(1) flags — flags at
 		// offset 4+4.
 		bad[8] |= 0x80
-		if _, _, err := DecodeFrame(bad); err == nil {
+		if _, _, err := nextFrame(bad); err == nil {
 			t.Fatal("unknown event flags accepted")
 		}
 	})
@@ -241,7 +274,7 @@ func TestDecodeRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := DecodeFrame(b); err == nil {
+		if _, _, err := nextFrame(b); err == nil {
 			t.Fatal("dropped flag on arrival accepted")
 		}
 	})

@@ -105,6 +105,11 @@ go test -fuzz FuzzWireRoundTrip -fuzztime 10s -run '^$' ./internal/wire/
 echo "==> trace block fuzz smoke (10s)"
 go test -fuzz FuzzTraceBlockRoundTrip -fuzztime 10s -run '^$' ./internal/wire/
 
+# And for the trace-file grammar: any trace ReadAll accepts must survive
+# WriteAll then ReadAll with its events unchanged, and no input panics.
+echo "==> trace file fuzz smoke (10s)"
+go test -fuzz FuzzTraceRoundTrip -fuzztime 10s -run '^$' ./internal/trace/
+
 # Introspection-surface smoke: start a real collector, a switchmon with
 # the full observability surface on exporting to it, and a fleetagg over
 # it; hit every endpoint each serves, failing on any non-200 or malformed
