@@ -84,21 +84,8 @@ func run() error {
 	sm := core.NewShardedMonitor(o.Shards, cfg)
 	defer sm.Close()
 
-	// propObjs keeps the installed property objects so lifecycle pushes
-	// can carry the full DSL source (dsl.FormatAll round-trips) — the
-	// engine itself only hands back names.
-	var propMu sync.Mutex
-	propObjs := map[string]*property.Property{}
-	install := func(p *property.Property) error {
-		if err := sm.AddProperty(p); err != nil {
-			return err
-		}
-		propMu.Lock()
-		propObjs[p.Name] = p
-		propMu.Unlock()
-		return nil
-	}
-	installed, err := o.LoadProperties(install)
+	ps := &propertySet{sm: sm, objs: map[string]*property.Property{}}
+	installed, err := o.LoadProperties(ps.install)
 	if err != nil {
 		return err
 	}
@@ -113,49 +100,11 @@ func run() error {
 	col.Serve()
 	fmt.Fprintf(os.Stderr, "collector: accepting exporters on %s (%d properties, %d shards)\n",
 		col.Addr(), len(installed), o.Shards)
+	ps.col = col
+	ps.broadcast()
 
-	// broadcast pushes the current property set (epoch, names, tenants,
-	// and the full DSL source) to every lifecycle-capable exporter; the
-	// collector retains it for exporters that connect later.
-	broadcast := func() {
-		propMu.Lock()
-		u := &wire.PropertySetUpdate{Epoch: sm.Epoch(), Source: ""}
-		ordered := make([]*property.Property, 0, len(propObjs))
-		for _, name := range sm.Properties() {
-			p := propObjs[name]
-			if p == nil {
-				continue
-			}
-			ordered = append(ordered, p)
-			u.Props = append(u.Props, wire.PropMeta{Name: p.Name, Tenant: p.Tenant})
-		}
-		u.Source = dsl.FormatAll(ordered)
-		propMu.Unlock()
-		if err := col.BroadcastPropertySet(u); err != nil {
-			fmt.Fprintf(os.Stderr, "collector: property-set push: %v\n", err)
-		}
-	}
-	broadcast()
-
-	installLocal := func(src, tenant string) error {
-		if err := daemon.InstallSource(src, tenant, install); err != nil {
-			return err
-		}
-		broadcast()
-		return nil
-	}
-	removeLocal := func(name string) error {
-		if err := sm.RemoveProperty(name); err != nil {
-			return err
-		}
-		propMu.Lock()
-		delete(propObjs, name)
-		propMu.Unlock()
-		broadcast()
-		return nil
-	}
 	mc := daemon.MuxConfig(cfg, sm)
-	mc.Properties.Install, mc.Properties.Remove = installLocal, removeLocal
+	mc.Properties.Install, mc.Properties.Remove = ps.installSource, ps.remove
 	if o.aggregate != "" {
 		// Public admin ops route through the aggregation tier so they
 		// apply on every fleet member in one serialized order; the tier
@@ -175,9 +124,9 @@ func run() error {
 	}
 	srv, err := o.Serve(mc, func(mux *http.ServeMux) {
 		federation.RegisterMemberEndpoints(mux, federation.MemberEndpoints{
-			BroadcastFleet: col.BroadcastFleetConfig,
-			InstallLocal:   installLocal,
-			RemoveLocal:    removeLocal,
+			Broadcast:    col.Broadcast,
+			InstallLocal: ps.installSource,
+			RemoveLocal:  ps.remove,
 		})
 	})
 	if err != nil {
@@ -214,6 +163,67 @@ func run() error {
 		cs.Datapaths, cs.Batches, cs.Events, cs.Bytes, cs.GapEvents, cs.Deduped, cs.Reconnects)
 	daemon.ReportLedger(os.Stdout, sm, st, false)
 	return nil
+}
+
+// propertySet is the installed set as exporters receive it: objs keeps
+// the property objects, whose DSL source every push carries.
+type propertySet struct {
+	sm   *core.ShardedMonitor
+	col  *collector.Collector
+	mu   sync.Mutex
+	objs map[string]*property.Property
+	// gen numbers the pushes. The engine's lifecycle epoch cannot: it
+	// stays put until traffic arrives and concurrent changes can read one
+	// value, so a newer set would repeat a held epoch and drop as stale.
+	gen uint64
+}
+
+func (ps *propertySet) install(p *property.Property) error {
+	if err := ps.sm.AddProperty(p); err != nil {
+		return err
+	}
+	ps.mu.Lock()
+	ps.objs[p.Name] = p
+	ps.mu.Unlock()
+	return nil
+}
+
+// installSource is a /properties install: on success it pushes the set.
+func (ps *propertySet) installSource(src, tenant string) error {
+	return ps.pushed(daemon.InstallSource(src, tenant, ps.install))
+}
+
+// remove is a /properties remove: on success it pushes the set.
+func (ps *propertySet) remove(name string) error { return ps.pushed(ps.sm.RemoveProperty(name)) }
+
+func (ps *propertySet) pushed(err error) error {
+	if err == nil {
+		ps.broadcast()
+	}
+	return err
+}
+
+// broadcast pushes the installed set (names, tenants, DSL source) to
+// every property-kind exporter, and forgets removed objects. A set is
+// built after every change older than its generation, so the collector,
+// retaining the newest, keeps a complete one in any arrival order.
+func (ps *propertySet) broadcast() {
+	ps.mu.Lock()
+	ps.gen++
+	u := &wire.Config{Kind: wire.ConfigProperties, Epoch: ps.gen}
+	installed := make(map[string]*property.Property, len(ps.objs))
+	var ordered []*property.Property
+	for _, name := range ps.sm.Properties() {
+		if p := ps.objs[name]; p != nil {
+			installed[name], ordered = p, append(ordered, p)
+			u.Props = append(u.Props, wire.PropMeta{Name: p.Name, Tenant: p.Tenant})
+		}
+	}
+	ps.objs, u.Source = installed, dsl.FormatAll(ordered)
+	ps.mu.Unlock()
+	if err := ps.col.Broadcast(u); err != nil {
+		fmt.Fprintf(os.Stderr, "collector: property-set push: %v\n", err)
+	}
 }
 
 // forward relays a /properties admin operation to the aggregation tier,

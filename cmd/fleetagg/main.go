@@ -2,15 +2,15 @@
 // fleet: it merges per-collector metrics, health, state reports, and
 // violation streams into fleet-wide endpoints, serializes property
 // lifecycle operations into one fleet-wide order, and drives fleet
-// membership changes by pushing feature-negotiated FleetConfig frames
-// through the member collectors to every connected exporter.
+// membership changes by pushing fleet-kind wire.Config frames through
+// the member collectors to every connected exporter.
 //
 // Usage:
 //
 //	fleetagg -listen :9090 -members 127.0.0.1:9190=http://127.0.0.1:9091,127.0.0.1:9290=http://127.0.0.1:9291
 //
 // Each -members entry is exporterAddr=adminURL[=weight]: the TCP
-// address switches dial (what appears in FleetConfig frames and the
+// address switches dial (what appears in fleet config frames and the
 // routers' consistent-hash ring) and the collector's -metrics-addr
 // base URL the aggregator scrapes and administers. The process holds
 // no monitoring state — every answer is composed from live member

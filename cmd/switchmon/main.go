@@ -39,6 +39,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -170,13 +171,11 @@ func run() error {
 		}
 	}
 	// Both shipping modes build their exporters from this template. The
-	// collector pushes its property set on lifecycle connections;
+	// collector pushes its property set to exporters with a handler;
 	// converge the local engine onto it so switch and collector evaluate
 	// the same set.
-	xcfg := exporter.Config{
-		TargetSealLatency: o.batchSLO, BatchSizeMax: o.batchMax,
-		OnPropertySet: func(u *wire.PropertySetUpdate) { applyPropertySet(mon, u) },
-	}
+	xcfg := exporter.Config{TargetSealLatency: o.batchSLO, BatchSizeMax: o.batchMax}
+	xcfg.OnConfig[wire.ConfigProperties] = func(u *wire.Config) { applyPropertySet(mon, u) }
 	var publish func(core.Event)
 	connect := func() {}
 	switch {
@@ -405,15 +404,16 @@ func reportExportLoss(marks []core.UnsoundMark) {
 // applyPropertySet converges the local engine onto a collector-pushed
 // property set: install properties we lack (compiled from the update's
 // DSL source), remove properties the collector dropped. Failures are
-// logged, not fatal — the engine keeps running on its previous set.
-func applyPropertySet(mon core.Engine, u *wire.PropertySetUpdate) {
+// logged, not fatal; a closed engine is not one (the exporter's Close
+// does not wait for a running apply, so shutdown can overtake it).
+func applyPropertySet(mon core.Engine, u *wire.Config) {
 	want := make(map[string]string, len(u.Props)) // name -> tenant
 	for _, pm := range u.Props {
 		want[pm.Name] = pm.Tenant
 	}
 	for _, name := range mon.Properties() {
 		if _, ok := want[name]; !ok {
-			if err := mon.RemoveProperty(name); err != nil {
+			if err := mon.RemoveProperty(name); err != nil && !errors.Is(err, core.ErrClosed) {
 				fmt.Fprintf(os.Stderr, "property-set epoch %d: remove %s: %v\n", u.Epoch, name, err)
 			}
 		}
@@ -436,7 +436,7 @@ func applyPropertySet(mon core.Engine, u *wire.PropertySetUpdate) {
 			continue
 		}
 		p.Tenant = tenant
-		if err := mon.AddProperty(p); err != nil {
+		if err := mon.AddProperty(p); err != nil && !errors.Is(err, core.ErrClosed) {
 			fmt.Fprintf(os.Stderr, "property-set epoch %d: install %s: %v\n", u.Epoch, p.Name, err)
 		}
 	}

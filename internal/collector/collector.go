@@ -95,18 +95,12 @@ type Stats struct {
 	GapEvents uint64
 	// Reconnects counts connections beyond the first per datapath.
 	Reconnects uint64
-	// PropertySetEpoch is the epoch of the last property set broadcast
-	// to lifecycle-negotiated exporters (0 when none was ever pushed).
-	PropertySetEpoch uint64
-	// PropertySetAcks counts PropertySetAck frames received.
-	PropertySetAcks uint64
-	// FleetEpoch is the epoch of the last fleet config broadcast to
-	// fleet-negotiated exporters (0 when none was ever pushed).
-	FleetEpoch uint64
-	// FleetConfigAcks counts FleetConfigAck frames received — each one
-	// is an exporter reporting its re-route (drain fence included)
-	// complete.
-	FleetConfigAcks uint64
+	// Configs is the retained (newest broadcast) config's high-water mark
+	// and ConfigAcks the ConfigAck frames received, per kind, indexed by
+	// wire.ConfigKind. A fleet ack is an exporter reporting its re-route,
+	// drain fence included, complete.
+	Configs    [wire.NumConfigKinds]wire.HighWater
+	ConfigAcks [wire.NumConfigKinds]uint64
 }
 
 // dpState is one datapath's demux state, shared across its reconnects.
@@ -137,14 +131,21 @@ func (dp *dpState) advanceAckedLocked() {
 }
 
 // connState is the collector's per-connection bookkeeping: the write
-// mutex that serializes the read loop's acks against property-set
-// broadcasts from other goroutines, and whether the connection
-// negotiated FeatureLifecycle (set under mu after the handshake reply,
-// so a broadcast never races the HelloAck).
+// mutex that serializes the read loop's acks against config broadcasts
+// from other goroutines, and the negotiated feature mask (set under mu
+// after the handshake reply, so a broadcast never races the HelloAck).
 type connState struct {
-	wmu       sync.Mutex
-	lifecycle bool
-	fleet     bool
+	conn     net.Conn
+	wmu      sync.Mutex
+	features uint64
+}
+
+// write writes buf to the connection under the write mutex.
+func (cs *connState) write(buf []byte) error {
+	cs.wmu.Lock()
+	defer cs.wmu.Unlock()
+	_, err := cs.conn.Write(buf)
+	return err
 }
 
 // Collector accepts exporter connections and feeds a Sink.
@@ -159,14 +160,10 @@ type Collector struct {
 	lastTick time.Time
 	stats    Stats
 	closed   bool
-	// propSet is the latest property set pushed to lifecycle exporters
-	// (nil until the first BroadcastPropertySet); new lifecycle
-	// connections receive it right after the handshake.
-	propSet *wire.PropertySetUpdate
-	// fleetCfg is the latest fleet config pushed to fleet-negotiated
-	// exporters (nil until the first BroadcastFleetConfig); new fleet
-	// connections receive it right after the handshake.
-	fleetCfg *wire.FleetConfig
+	// retained is the encoded frame of the newest config broadcast per
+	// kind (nil until the first); a connection negotiating the kind
+	// receives it right after the handshake.
+	retained [wire.NumConfigKinds][]byte
 
 	connsG *obs.Gauge
 	wg     sync.WaitGroup
@@ -221,7 +218,7 @@ func (c *Collector) Serve() {
 				conn.Close()
 				return
 			}
-			cs := &connState{}
+			cs := &connState{conn: conn}
 			c.conns[conn] = cs
 			c.stats.Conns++
 			c.connsG.Add(1)
@@ -297,77 +294,35 @@ func (cr *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// BroadcastPropertySet pushes a new property set to every connected
-// lifecycle-negotiated exporter and retains it for future connections
-// (each receives it right after its handshake). The daemons call this
-// from the /properties admin path after every install/remove/replace,
-// which is how the whole fabric converges on one property set.
-func (c *Collector) BroadcastPropertySet(u *wire.PropertySetUpdate) error {
-	buf, err := wire.AppendPropertySetUpdate(nil, u)
+// Broadcast pushes a config to every connected exporter that negotiated
+// its kind and retains it for connections to come, which receive it
+// right after their handshake. A config no newer than the retained one
+// (wire.HighWater) is a no-op, so concurrent broadcasts leave the newest
+// retained whatever order they finish in. The daemons broadcast every
+// property-set change and every fleet the aggregation tier posts.
+func (c *Collector) Broadcast(cfg *wire.Config) error {
+	buf, err := wire.AppendConfig(nil, cfg)
 	if err != nil {
 		return err
 	}
 	c.mu.Lock()
-	c.propSet = u
-	c.stats.PropertySetEpoch = u.Epoch
-	type target struct {
-		conn net.Conn
-		cs   *connState
+	if !c.stats.Configs[cfg.Kind].Admit(cfg.Epoch) {
+		c.mu.Unlock()
+		return nil
 	}
-	var targets []target
-	for conn, cs := range c.conns {
-		if cs.lifecycle {
-			targets = append(targets, target{conn, cs})
+	c.retained[cfg.Kind] = buf
+	var targets []*connState
+	for _, cs := range c.conns {
+		if cs.features&cfg.Kind.Feature() != 0 {
+			targets = append(targets, cs)
 		}
 	}
 	c.mu.Unlock()
-	for _, t := range targets {
-		t.cs.wmu.Lock()
-		_, werr := t.conn.Write(buf)
-		t.cs.wmu.Unlock()
-		if werr != nil {
-			// The connection is dying; its read loop will notice and the
-			// exporter will pick the set up again on reconnect.
-			t.conn.Close()
-		}
-	}
-	return nil
-}
-
-// BroadcastFleetConfig pushes a fleet-membership config to every
-// connected fleet-negotiated exporter and retains it for future
-// connections (each receives it right after its handshake) — the
-// membership/handoff protocol's fan-out: the aggregation tier posts a
-// new member list to each collector, each collector pushes it down
-// every exporter link, and every federated router re-derives the same
-// ring and re-routes behind its drain fence.
-func (c *Collector) BroadcastFleetConfig(fc *wire.FleetConfig) error {
-	buf, err := wire.AppendFleetConfig(nil, fc)
-	if err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.fleetCfg = fc
-	c.stats.FleetEpoch = fc.Epoch
-	type target struct {
-		conn net.Conn
-		cs   *connState
-	}
-	var targets []target
-	for conn, cs := range c.conns {
-		if cs.fleet {
-			targets = append(targets, target{conn, cs})
-		}
-	}
-	c.mu.Unlock()
-	for _, t := range targets {
-		t.cs.wmu.Lock()
-		_, werr := t.conn.Write(buf)
-		t.cs.wmu.Unlock()
-		if werr != nil {
+	for _, cs := range targets {
+		if cs.write(buf) != nil {
 			// The connection is dying; its read loop will notice and the
 			// exporter will pick the config up again on reconnect.
-			t.conn.Close()
+			cs.conn.Close()
 		}
 	}
 	return nil
@@ -404,8 +359,9 @@ func (c *Collector) serveConn(conn net.Conn, cs *connState) {
 	if c.cfg.Tracer != nil {
 		features = hello.Features & wire.FeatureTrace
 	}
-	features |= hello.Features & wire.FeatureLifecycle
-	features |= hello.Features & wire.FeatureFleet
+	for k := wire.ConfigProperties; k < wire.NumConfigKinds; k++ {
+		features |= hello.Features & k.Feature()
+	}
 
 	c.mu.Lock()
 	dp := c.dpStateFor(hello.DPID)
@@ -426,50 +382,24 @@ func (c *Collector) serveConn(conn net.Conn, cs *connState) {
 
 	ha := wire.HelloAck{AckSeq: ack, Version: ver, Features: features,
 		RecvNs: recvNs, SentNs: time.Now().UnixNano()}
-	cs.wmu.Lock()
-	_, err = conn.Write(wire.AppendHelloAck(nil, ha))
-	cs.wmu.Unlock()
-	if err != nil {
+	if cs.write(wire.AppendHelloAck(nil, ha)) != nil {
 		return
 	}
-	if features&wire.FeatureLifecycle != 0 {
-		// Mark the connection broadcast-eligible and push the current
-		// property set (if one was ever published) so a reconnecting
-		// exporter converges immediately instead of waiting for the next
-		// change.
-		c.mu.Lock()
-		cs.lifecycle = true
-		u := c.propSet
-		c.mu.Unlock()
-		if u != nil {
-			buf, aerr := wire.AppendPropertySetUpdate(nil, u)
-			if aerr == nil {
-				cs.wmu.Lock()
-				_, err = conn.Write(buf)
-				cs.wmu.Unlock()
-				if err != nil {
-					return
-				}
-			}
+	// Mark the connection broadcast-eligible and push the retained config
+	// of every negotiated kind, so a reconnecting exporter converges
+	// immediately instead of waiting for the next change.
+	var pushes [][]byte
+	c.mu.Lock()
+	cs.features = features
+	for k := wire.ConfigProperties; k < wire.NumConfigKinds; k++ {
+		if buf := c.retained[k]; buf != nil && features&k.Feature() != 0 {
+			pushes = append(pushes, buf)
 		}
 	}
-	if features&wire.FeatureFleet != 0 {
-		// Same convergence move for fleet membership: a reconnecting
-		// federated exporter gets the current config immediately.
-		c.mu.Lock()
-		cs.fleet = true
-		fc := c.fleetCfg
-		c.mu.Unlock()
-		if fc != nil {
-			buf, aerr := wire.AppendFleetConfig(nil, fc)
-			if aerr == nil {
-				cs.wmu.Lock()
-				_, err = conn.Write(buf)
-				cs.wmu.Unlock()
-				if err != nil {
-					return
-				}
-			}
+	c.mu.Unlock()
+	for _, buf := range pushes {
+		if cs.write(buf) != nil {
+			return
 		}
 	}
 
@@ -485,21 +415,12 @@ func (c *Collector) serveConn(conn net.Conn, cs *connState) {
 		switch fr := f.(type) {
 		case *wire.Batch:
 			b = fr
-		case wire.PropertySetAck:
-			if features&wire.FeatureLifecycle == 0 {
+		case wire.ConfigAck:
+			if features&fr.Kind.Feature() == 0 {
 				return // not negotiated: protocol error
 			}
 			c.mu.Lock()
-			c.stats.PropertySetAcks++
-			c.mu.Unlock()
-			prevBytes = cr.n
-			continue
-		case wire.FleetConfigAck:
-			if features&wire.FeatureFleet == 0 {
-				return // not negotiated: protocol error
-			}
-			c.mu.Lock()
-			c.stats.FleetConfigAcks++
+			c.stats.ConfigAcks[fr.Kind]++
 			c.mu.Unlock()
 			prevBytes = cr.n
 			continue
@@ -520,10 +441,7 @@ func (c *Collector) serveConn(conn net.Conn, cs *connState) {
 			a.SentNs = time.Now().UnixNano() // an ongoing clock sample
 		}
 		ackBuf = wire.AppendAck(ackBuf[:0], a)
-		cs.wmu.Lock()
-		_, err = conn.Write(ackBuf)
-		cs.wmu.Unlock()
-		if err != nil {
+		if cs.write(ackBuf) != nil {
 			return
 		}
 	}

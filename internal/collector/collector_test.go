@@ -354,3 +354,42 @@ func TestBlockedSealsKeepSequenceOrder(t *testing.T) {
 		}
 	}
 }
+
+// A broadcast no newer than the retained config is a no-op, so the
+// newest config stays retained whatever order broadcasts finish in and
+// an exporter connecting later converges on it, not on the last written.
+func TestBroadcastRetainsNewest(t *testing.T) {
+	for _, k := range []wire.ConfigKind{wire.ConfigProperties, wire.ConfigFleet} {
+		t.Run(k.String(), func(t *testing.T) {
+			c := startCollector(t, &recSink{})
+			for _, epoch := range []uint64{6, 5} {
+				if err := c.Broadcast(&wire.Config{Kind: k, Epoch: epoch}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var mu sync.Mutex
+			var seen []uint64
+			cfg := exporter.Config{Addr: c.Addr().String(), DPID: 1}
+			cfg.OnConfig[k] = func(u *wire.Config) {
+				mu.Lock()
+				seen = append(seen, u.Epoch)
+				mu.Unlock()
+			}
+			x, err := exporter.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.Start()
+			defer x.Close(time.Second)
+			waitFor(t, "the fresh exporter's config ack", func() bool { return c.Stats().ConfigAcks[k] >= 1 })
+			mu.Lock()
+			defer mu.Unlock()
+			if len(seen) != 1 || seen[0] != 6 {
+				t.Fatalf("fresh exporter applied epochs %v, want [6]", seen)
+			}
+			if st := c.Stats().Configs[k]; st.Epoch != 6 {
+				t.Fatalf("collector retains epoch %d, want 6", st.Epoch)
+			}
+		})
+	}
+}

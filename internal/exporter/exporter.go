@@ -108,27 +108,14 @@ type Config struct {
 	// ≥ 2 connection batches carry their spans' switch-side marks plus
 	// the clock-offset estimate in a trace block.
 	Tracer *tracer.Tracer
-	// ProtocolVersion caps the version offered in the Hello (default
-	// wire.Version). Set 1 to emulate a legacy peer in interop tests.
-	ProtocolVersion uint16
-	// OnPropertySet, when non-nil, makes the exporter offer
-	// FeatureLifecycle (on version ≥ 2 connections) and invoke the
-	// callback for every property-set update the collector pushes —
-	// stale epochs already filtered. The callback runs on the reader
-	// goroutine; the update is acknowledged on the wire after it
-	// returns. Co-located engines use it to mirror the collector's
-	// live property set.
-	OnPropertySet func(*wire.PropertySetUpdate)
-	// OnFleetConfig, when non-nil, makes the exporter offer
-	// FeatureFleet (on version ≥ 2 connections) and invoke the callback
-	// for every fleet-membership config the collector pushes — stale
-	// epochs already filtered. Unlike OnPropertySet the callback runs
-	// on its own goroutine: a federated router's re-route performs a
-	// drain fence that waits for acks on this very connection, which
-	// would deadlock the reader. The config is acknowledged on the wire
-	// after the callback returns (the ack means "re-routed", not
-	// "received").
-	OnFleetConfig func(*wire.FleetConfig)
+	// OnConfig holds one handler per config kind, indexed by
+	// wire.ConfigKind (index 0 unused); the Hello offers the kinds with
+	// one. A pushed config wire.HighWater finds fresh is handed over off
+	// the reader goroutine (a re-route drain-fences on this connection's
+	// acks), one at a time per kind in arrival order, and acked once the
+	// handler returns. Close does not wait: a handler may still be running
+	// after it returns. An array, so a copied Config never shares it.
+	OnConfig [wire.NumConfigKinds]func(*wire.Config)
 	// Dial overrides the transport, for tests and fault injection.
 	Dial func() (net.Conn, error)
 }
@@ -175,9 +162,6 @@ func (cfg *Config) fillDefaults() {
 	if cfg.ConnWriteBuffer == 0 {
 		cfg.ConnWriteBuffer = 1 << 20
 	}
-	if cfg.ProtocolVersion == 0 {
-		cfg.ProtocolVersion = wire.Version
-	}
 	if cfg.Dial == nil {
 		addr := cfg.Addr
 		timeout := cfg.DialTimeout
@@ -203,14 +187,9 @@ type Stats struct {
 	// QueueDepth is the current number of queued batches (sent-unacked
 	// plus unsent).
 	QueueDepth int
-	// PropertySetEpoch is the epoch of the last property-set update
-	// applied; PropertySets counts updates applied.
-	PropertySetEpoch uint64
-	PropertySets     uint64
-	// FleetEpoch is the epoch of the last fleet config applied;
-	// FleetConfigs counts configs applied.
-	FleetEpoch   uint64
-	FleetConfigs uint64
+	// Configs is the applied high-water mark per config kind, indexed by
+	// wire.ConfigKind: counted when the handler returns.
+	Configs [wire.NumConfigKinds]wire.HighWater
 	// BatchTarget is the current batch-size target: the adaptive
 	// controller's pick, or the fixed BatchSize.
 	BatchTarget int
@@ -242,19 +221,8 @@ type Exporter struct {
 	done    chan struct{}
 	rng     *rand.Rand
 
-	// Property-set lifecycle state (guarded by mu): the highest epoch
-	// applied, and the epoch whose wire ack the sender still owes (the
-	// reader applies updates but the sender owns the connection's write
-	// side, so acks ride the send loop via a kick).
-	lastPropEpoch  uint64
-	propAckEpoch   uint64
-	propAckPending bool
-	// Fleet-config lifecycle state (guarded by mu), mirroring the
-	// property-set trio: highest epoch applied, plus the epoch whose
-	// wire ack the sender still owes.
-	lastFleetEpoch  uint64
-	fleetAckEpoch   uint64
-	fleetAckPending bool
+	// configs is the per-kind apply state (guarded by mu).
+	configs [wire.NumConfigKinds]configState
 	// drainTimedOut flags that Close's drain deadline fired, releasing
 	// its queue-empty wait (guarded by mu).
 	drainTimedOut bool
@@ -280,6 +248,15 @@ type Exporter struct {
 	targetG     *obs.Gauge
 	rateG       *obs.Gauge
 	sealsC      [sealReasons]*obs.Counter
+}
+
+// configState is one config kind's apply state: configs awaiting the
+// handler, whether an apply goroutine drains them, and whether the send
+// loop, which owns the connection's write side, owes the kind's ack.
+type configState struct {
+	queue   []*wire.Config
+	running bool
+	ackOwed bool
 }
 
 // New builds an Exporter; Start launches it.
@@ -493,10 +470,7 @@ func (x *Exporter) sealLocked(reason sealReason) {
 	}
 	x.queue = append(x.queue, b)
 	x.depthG.Set(int64(len(x.queue)))
-	select {
-	case x.kick <- struct{}{}:
-	default:
-	}
+	x.kickSender()
 }
 
 // shedLocked accounts one batch of lost events. The sequence numbers it
@@ -530,10 +504,7 @@ func (x *Exporter) advanceLocked(firstSeq uint64) {
 	}
 	x.queue = append(x.queue, &wire.Batch{FirstSeq: firstSeq})
 	x.depthG.Set(int64(len(x.queue)))
-	select {
-	case x.kick <- struct{}{}:
-	default:
-	}
+	x.kickSender()
 }
 
 // Stats snapshots the exporter's counters.
@@ -756,18 +727,16 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	}
 
 	var features uint64
-	if x.cfg.Tracer != nil && x.cfg.ProtocolVersion >= 2 {
+	if x.cfg.Tracer != nil {
 		features = wire.FeatureTrace
 	}
-	if x.cfg.OnPropertySet != nil && x.cfg.ProtocolVersion >= 2 {
-		features |= wire.FeatureLifecycle
-	}
-	if x.cfg.OnFleetConfig != nil && x.cfg.ProtocolVersion >= 2 {
-		features |= wire.FeatureFleet
+	for k := wire.ConfigProperties; k < wire.NumConfigKinds; k++ {
+		if x.cfg.OnConfig[k] != nil {
+			features |= k.Feature()
+		}
 	}
 	t1 := time.Now().UnixNano()
-	hello := wire.Hello{DPID: x.cfg.DPID, NextSeq: nextSeq,
-		Version: x.cfg.ProtocolVersion, Features: features, SentNs: t1}
+	hello := wire.Hello{DPID: x.cfg.DPID, NextSeq: nextSeq, Features: features, SentNs: t1}
 	if _, err := conn.Write(wire.AppendHello(nil, hello)); err != nil {
 		return true
 	}
@@ -785,9 +754,11 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	if ha.Version >= 2 {
 		x.clock.AddSample(t1, (ha.RecvNs+ha.SentNs)/2, time.Now().UnixNano())
 	}
-	traced := ha.Version >= 2 && features&wire.FeatureTrace != 0 && ha.Features&wire.FeatureTrace != 0
-	lifecycle := ha.Version >= 2 && features&wire.FeatureLifecycle != 0 && ha.Features&wire.FeatureLifecycle != 0
-	fleet := ha.Version >= 2 && features&wire.FeatureFleet != 0 && ha.Features&wire.FeatureFleet != 0
+	var negotiated uint64
+	if ha.Version >= 2 {
+		negotiated = features & ha.Features
+	}
+	traced := negotiated&wire.FeatureTrace != 0
 	x.applyAck(ha.AckSeq)
 	x.mu.Lock()
 	x.sentIdx = 0 // everything still queued needs (re)sending on this conn
@@ -795,8 +766,6 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	if traced {
 		x.sendNs = make(map[uint64]int64)
 	}
-	x.propAckPending = false // any owed ack belonged to the previous conn
-	x.fleetAckPending = false
 	x.mu.Unlock()
 
 	// Reader goroutine: applies cumulative acks until the connection
@@ -827,80 +796,25 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 					}
 				}
 				x.applyAck(fr.AckSeq)
-			case *wire.PropertySetUpdate:
-				if !lifecycle {
-					return // protocol violation: frame never negotiated
+			case *wire.Config:
+				if negotiated&fr.Kind.Feature() == 0 {
+					return // protocol violation: kind never negotiated
 				}
+				// One apply goroutine per kind at a time keeps applies in
+				// arrival order: an older epoch never runs after a newer.
 				x.mu.Lock()
-				stale := fr.Epoch < x.lastPropEpoch
-				if !stale {
-					x.lastPropEpoch = fr.Epoch
-					x.stats.PropertySetEpoch = fr.Epoch
-					x.stats.PropertySets++
+				cs := &x.configs[fr.Kind]
+				cs.queue = append(cs.queue, fr)
+				if !cs.running {
+					cs.running = true
+					go x.applyConfigs(fr.Kind)
 				}
 				x.mu.Unlock()
-				if stale {
-					continue
-				}
-				if cb := x.cfg.OnPropertySet; cb != nil {
-					cb(fr)
-				}
-				// The sender owns the connection's write side; leave it
-				// the ack and kick it awake. Acks are cumulative like
-				// batch acks: back-to-back pushes coalesce into a single
-				// ack for the latest applied epoch.
-				x.mu.Lock()
-				x.propAckEpoch = fr.Epoch
-				x.propAckPending = true
-				x.mu.Unlock()
-				select {
-				case x.kick <- struct{}{}:
-				default:
-				}
-			case *wire.FleetConfig:
-				if !fleet {
-					return // protocol violation: frame never negotiated
-				}
-				x.mu.Lock()
-				stale := fr.Epoch <= x.lastFleetEpoch && x.stats.FleetConfigs > 0
-				if !stale {
-					x.lastFleetEpoch = fr.Epoch
-					x.stats.FleetEpoch = fr.Epoch
-					x.stats.FleetConfigs++
-				}
-				x.mu.Unlock()
-				if stale {
-					continue
-				}
-				// Applying a fleet config re-routes partitions behind a
-				// drain fence that waits for acks — possibly on this very
-				// connection — so it cannot run on the reader goroutine.
-				// The ack is queued after the apply completes: it means
-				// "re-routed", which is what the collector's handoff
-				// tracking wants to know.
-				go func(fc *wire.FleetConfig) {
-					if cb := x.cfg.OnFleetConfig; cb != nil {
-						cb(fc)
-					}
-					// fleetAckEpoch is the high-water acked epoch: a
-					// slower apply goroutine for an older config must not
-					// regress it, or the collector would see an ack
-					// sequence that un-acks a newer re-route.
-					x.mu.Lock()
-					if fc.Epoch > x.fleetAckEpoch {
-						x.fleetAckEpoch = fc.Epoch
-						x.fleetAckPending = true
-					}
-					x.mu.Unlock()
-					select {
-					case x.kick <- struct{}{}:
-					default:
-					}
-				}(fr)
 			}
 		}
 	}()
 
+	var ackBuf []byte
 	for {
 		x.mu.Lock()
 		var b *wire.Batch
@@ -908,19 +822,19 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 			b = x.queue[x.sentIdx]
 			x.sentIdx++
 		}
-		ackProp, ackEpoch := x.propAckPending, x.propAckEpoch
-		x.propAckPending = false
-		ackFleet, ackFleetEpoch := x.fleetAckPending, x.fleetAckEpoch
-		x.fleetAckPending = false
-		x.mu.Unlock()
-		if ackProp {
-			if _, err := conn.Write(wire.AppendPropertySetAck(nil, wire.PropertySetAck{Epoch: ackEpoch})); err != nil {
-				<-connDead
-				return true
+		// One cumulative ack per owed kind, at its applied high-water
+		// epoch. A kind this connection did not negotiate stays owed.
+		ackBuf = ackBuf[:0]
+		for k := wire.ConfigProperties; k < wire.NumConfigKinds; k++ {
+			if cs := &x.configs[k]; cs.ackOwed && negotiated&k.Feature() != 0 {
+				cs.ackOwed = false
+				// A valid kind always encodes.
+				ackBuf, _ = wire.AppendConfigAck(ackBuf, wire.ConfigAck{Kind: k, Epoch: x.stats.Configs[k].Epoch})
 			}
 		}
-		if ackFleet {
-			if _, err := conn.Write(wire.AppendFleetConfigAck(nil, wire.FleetConfigAck{Epoch: ackFleetEpoch})); err != nil {
+		x.mu.Unlock()
+		if len(ackBuf) > 0 {
+			if _, err := conn.Write(ackBuf); err != nil {
 				<-connDead
 				return true
 			}
@@ -1023,4 +937,41 @@ func (x *Exporter) applyAck(ackSeq uint64) {
 	}
 	x.depthG.Set(int64(len(x.queue)))
 	x.space.Broadcast()
+}
+
+// applyConfigs hands the kind's queued configs to its handler in order,
+// skipping stale ones, then raises the kind's owed ack to the applied
+// epoch; it exits when the queue is empty. Close does not wait for it:
+// a removed route's re-route runs here and closes this very exporter.
+func (x *Exporter) applyConfigs(k wire.ConfigKind) {
+	cs := &x.configs[k]
+	for {
+		x.mu.Lock()
+		if len(cs.queue) == 0 {
+			cs.running = false
+			x.mu.Unlock()
+			return
+		}
+		cfg := cs.queue[0]
+		cs.queue = cs.queue[1:]
+		fresh := x.stats.Configs[k].Newer(cfg.Epoch)
+		x.mu.Unlock()
+		if !fresh {
+			continue
+		}
+		x.cfg.OnConfig[k](cfg)
+		x.mu.Lock()
+		x.stats.Configs[k].Admit(cfg.Epoch)
+		cs.ackOwed = true
+		x.mu.Unlock()
+		x.kickSender()
+	}
+}
+
+// kickSender wakes the send loop without blocking.
+func (x *Exporter) kickSender() {
+	select {
+	case x.kick <- struct{}{}:
+	default:
+	}
 }

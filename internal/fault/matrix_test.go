@@ -676,7 +676,7 @@ func matrixCollectorLeave(t *testing.T, seed int64) {
 	// stranded events and replay them to the survivor.
 	cols[1].col.Close()
 	phase1 := publish(1)
-	fc := &wire.FleetConfig{Epoch: 1, Members: []wire.FleetMember{{Addr: addrA}}}
+	fc := &wire.Config{Kind: wire.ConfigFleet, Epoch: 1, Members: []wire.FleetMember{{Addr: addrA}}}
 	for _, r := range routers {
 		r.ApplyFleetConfig(fc)
 	}

@@ -46,8 +46,8 @@ type AggConfig struct {
 // Aggregator is the fleet head: it merges per-collector metrics,
 // health, state reports, and violation streams into fleet-wide
 // endpoints, serializes property-lifecycle operations into one
-// fleet-wide order, and drives membership changes by pushing
-// FleetConfig frames through every member collector.
+// fleet-wide order, and drives membership changes by posting a FleetDoc
+// to every member collector, which relays it to its exporters.
 //
 // It holds no monitoring state of its own — every answer is composed
 // from live member scrapes, so a restarted aggregator is immediately
@@ -333,13 +333,13 @@ func (a *Aggregator) scrapeMetrics() (snaps []obs.Snapshot, reachable int) {
 	return live, reachable
 }
 
-// pushFleetConfig pushes the fleet config to every reachable member's
+// pushFleetConfig posts the fleet document to every reachable member's
 // /fleet admin endpoint, which broadcasts it to that member's connected
 // exporters; since every federated exporter holds a route to every
 // member, one reachable member suffices for convergence, and the push
 // is idempotent under the routers' epoch filter. Returns the first
 // error with the count of successful pushes.
-func (a *Aggregator) pushFleetConfig(members []AggMember, fc *wire.FleetConfig) (int, error) {
+func (a *Aggregator) pushFleetConfig(members []AggMember, fc *FleetDoc) (int, error) {
 	body, err := json.Marshal(fc)
 	if err != nil {
 		return 0, err
@@ -347,15 +347,7 @@ func (a *Aggregator) pushFleetConfig(members []AggMember, fc *wire.FleetConfig) 
 	pushed := 0
 	var firstErr error
 	for _, m := range members {
-		resp, err := a.client.Post(strings.TrimRight(m.Admin, "/")+"/fleet", "application/json", bytes.NewReader(body))
-		if err == nil {
-			if resp.StatusCode != http.StatusOK {
-				b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-				err = fmt.Errorf("%s/fleet: %s: %s", m.Admin, resp.Status, bytes.TrimSpace(b))
-			}
-			resp.Body.Close()
-		}
-		if err != nil {
+		if err := a.send(http.MethodPost, strings.TrimRight(m.Admin, "/")+"/fleet", "application/json", bytes.NewReader(body)); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
@@ -366,11 +358,34 @@ func (a *Aggregator) pushFleetConfig(members []AggMember, fc *wire.FleetConfig) 
 	return pushed, firstErr
 }
 
+// send makes one admin call on a member — the fleet push or one step of
+// the lifecycle fan-out — and requires a 2xx answer, returning the
+// member's error body otherwise.
+func (a *Aggregator) send(method, target, contentType string, body io.Reader) error {
+	req, err := http.NewRequest(method, target, body)
+	if err != nil {
+		return err
+	}
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	resp, err := a.client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		return fmt.Errorf("%s %s: %s: %s", method, target, resp.Status, bytes.TrimSpace(b))
+	}
+	return nil
+}
+
 // ApplyMembership installs a new member set: bumps the fleet epoch and
-// pushes the resulting FleetConfig through the union of old and new
+// pushes the resulting FleetDoc through the union of old and new
 // members (departing members relay the config to their exporters too,
 // when still reachable).
-func (a *Aggregator) ApplyMembership(members []AggMember) (*wire.FleetConfig, error) {
+func (a *Aggregator) ApplyMembership(members []AggMember) (*FleetDoc, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("fleet config needs at least one member")
 	}
@@ -385,7 +400,7 @@ func (a *Aggregator) ApplyMembership(members []AggMember) (*wire.FleetConfig, er
 	a.mu.Lock()
 	old := a.members
 	a.epoch++
-	fc := &wire.FleetConfig{Epoch: a.epoch}
+	fc := &FleetDoc{Epoch: a.epoch}
 	for _, m := range members {
 		// The wire carries weight as fixed-point millis so fractional
 		// capacities survive the trip (0 means the default weight 1.0);
@@ -452,16 +467,7 @@ func (a *Aggregator) InstallProperty(src, tenant string) error {
 		if tenant != "" {
 			u += "?tenant=" + url.QueryEscape(tenant)
 		}
-		resp, err := a.client.Post(u, "text/plain", strings.NewReader(src))
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
-		}
-		return nil
+		return a.send(http.MethodPost, u, "text/plain", strings.NewReader(src))
 	})
 }
 
@@ -471,20 +477,7 @@ func (a *Aggregator) RemoveProperty(name string) error {
 	defer a.opMu.Unlock()
 	return a.lifecycleOp(func(m AggMember) error {
 		u := strings.TrimRight(m.Admin, "/") + "/fleet/properties?name=" + url.QueryEscape(name)
-		req, err := http.NewRequest(http.MethodDelete, u, nil)
-		if err != nil {
-			return err
-		}
-		resp, err := a.client.Do(req)
-		if err != nil {
-			return err
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode/100 != 2 {
-			b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-			return fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(b))
-		}
-		return nil
+		return a.send(http.MethodDelete, u, "", nil)
 	})
 }
 
@@ -508,7 +501,7 @@ func (a *Aggregator) RemoveProperty(name string) error {
 //	             POST/DELETE: the op applied on every member in one
 //	             fleet-wide serialized order
 //	/fleet       GET: current membership and epoch; POST: install a new
-//	             member set and push the FleetConfig fleet-wide
+//	             member set, push it fleet-wide, and answer its FleetDoc
 //
 // Errors answer the admin surface's uniform {"error": "..."} JSON shape.
 func (a *Aggregator) Mux() *http.ServeMux {

@@ -65,7 +65,7 @@ func startFleetMember(t *testing.T) *fleetMember {
 	propObjs := map[string]*property.Property{}
 	broadcast := func() {
 		propMu.Lock()
-		u := &wire.PropertySetUpdate{Epoch: sm.Epoch()}
+		u := &wire.Config{Kind: wire.ConfigProperties, Epoch: sm.Epoch()}
 		ordered := make([]*property.Property, 0, len(propObjs))
 		for _, name := range sm.Properties() {
 			if p := propObjs[name]; p != nil {
@@ -75,7 +75,7 @@ func startFleetMember(t *testing.T) *fleetMember {
 		}
 		u.Source = dsl.FormatAll(ordered)
 		propMu.Unlock()
-		if err := col.BroadcastPropertySet(u); err != nil {
+		if err := col.Broadcast(u); err != nil {
 			t.Errorf("property-set push: %v", err)
 		}
 	}
@@ -129,9 +129,9 @@ func startFleetMember(t *testing.T) *fleetMember {
 		},
 	})
 	RegisterMemberEndpoints(mux, MemberEndpoints{
-		BroadcastFleet: col.BroadcastFleetConfig,
-		InstallLocal:   installLocal,
-		RemoveLocal:    removeLocal,
+		Broadcast:    col.Broadcast,
+		InstallLocal: installLocal,
+		RemoveLocal:  removeLocal,
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -188,7 +188,7 @@ func TestAggregatorLifecyclePropagation(t *testing.T) {
 	var gotEpochs []uint64
 	var gotProps [][]wire.PropMeta
 	r := newTestRouter(t, []Member{{Addr: m1.col.Addr().String()}, {Addr: m2.col.Addr().String()}}, func(c *Config) {
-		c.Exporter.OnPropertySet = func(u *wire.PropertySetUpdate) {
+		c.Exporter.OnConfig[wire.ConfigProperties] = func(u *wire.Config) {
 			pmu.Lock()
 			gotEpochs = append(gotEpochs, u.Epoch)
 			gotProps = append(gotProps, append([]wire.PropMeta(nil), u.Props...))

@@ -16,21 +16,30 @@ import (
 // fan-out and ordering, so these handlers must never loop an operation
 // back through it.
 type MemberEndpoints struct {
-	// BroadcastFleet relays a fleet config to this member's connected
-	// exporters (collector.BroadcastFleetConfig).
-	BroadcastFleet func(*wire.FleetConfig) error
+	// Broadcast relays a fleet-kind config to this member's connected
+	// exporters (collector.Broadcast).
+	Broadcast func(*wire.Config) error
 	// InstallLocal installs DSL source on this member only.
 	InstallLocal func(src, tenant string) error
 	// RemoveLocal removes the named property on this member only.
 	RemoveLocal func(name string) error
 }
 
+// FleetDoc is the fleet membership as the /fleet admin endpoints speak
+// it in JSON, {"Epoch":…,"Members":[{"Addr":…,"Weight":…}]}: the body a
+// member's POST /fleet takes and the aggregator's POST /fleet answers.
+// The member relays it to its exporters as a fleet-kind wire.Config.
+type FleetDoc struct {
+	Epoch   uint64
+	Members []wire.FleetMember
+}
+
 // RegisterMemberEndpoints adds the fleet-member admin endpoints to a
 // collector's introspection mux:
 //
-//	/fleet             POST a wire.FleetConfig as JSON; the member
-//	                   relays it to every connected fleet-capable
-//	                   exporter
+//	/fleet             POST a FleetDoc; the member relays it as a
+//	                   fleet-kind wire.Config to every connected
+//	                   fleet-capable exporter
 //	/fleet/properties  POST/DELETE like /properties, but always applied
 //	                   locally — the aggregator's fan-out target
 func RegisterMemberEndpoints(mux *http.ServeMux, m MemberEndpoints) {
@@ -39,21 +48,23 @@ func RegisterMemberEndpoints(mux *http.ServeMux, m MemberEndpoints) {
 			export.Error(w, http.StatusMethodNotAllowed, "POST only")
 			return
 		}
-		if m.BroadcastFleet == nil {
+		if m.Broadcast == nil {
 			export.Error(w, http.StatusMethodNotAllowed, "fleet relay not supported")
 			return
 		}
-		var fc wire.FleetConfig
-		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&fc); err != nil {
+		var doc FleetDoc
+		if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&doc); err != nil {
 			export.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if len(fc.Members) == 0 {
+		if len(doc.Members) == 0 {
 			export.Error(w, http.StatusBadRequest, "fleet config needs at least one member")
 			return
 		}
-		if err := m.BroadcastFleet(&fc); err != nil {
-			export.Error(w, http.StatusInternalServerError, err.Error())
+		// Broadcast fails only when the config does not encode (e.g. more
+		// members than the wire carries): the body's fault.
+		if err := m.Broadcast(&wire.Config{Kind: wire.ConfigFleet, Epoch: doc.Epoch, Members: doc.Members}); err != nil {
+			export.Error(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		fmt.Fprintln(w, "relayed")

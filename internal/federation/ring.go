@@ -2,8 +2,8 @@
 // fleet of collectors: a consistent-hash routing layer in front of N
 // independent exporter links (one sequence space per route, so the
 // collector's gap→wire-loss accounting stays exact per route), a
-// membership/handoff protocol carried as feature-negotiated wire
-// frames (FleetConfig/FleetConfigAck) with a replay-based drain fence,
+// membership/handoff protocol carried as fleet-kind wire.Config frames
+// and their high-water ConfigAcks with a replay-based drain fence,
 // and an aggregation tier that merges per-collector counters, ledgers,
 // state reports, and violation streams into fleet-wide endpoints.
 package federation
@@ -40,7 +40,7 @@ type ringMember struct {
 
 // NewRing builds a ring over the given members. Duplicate addresses
 // and non-positive explicit weights are rejected; an empty member set
-// is allowed (Owner returns "" until a FleetConfig arrives).
+// is allowed (Owner returns "" until a fleet config arrives).
 func NewRing(members []Member) (*Ring, error) {
 	r := &Ring{members: make([]ringMember, 0, len(members))}
 	seen := make(map[string]bool, len(members))

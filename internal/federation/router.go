@@ -16,11 +16,11 @@ import (
 // replacement for a single exporter link.
 type Config struct {
 	// Members is the initial fleet (at least one). Later membership
-	// changes arrive as FleetConfig frames pushed by any member
-	// collector, or via ApplyFleetConfig directly.
+	// changes arrive as fleet-kind wire.Config frames pushed by any
+	// member collector, or via ApplyFleetConfig directly.
 	Members []Member
-	// Epoch is the initial fleet-config epoch (a pushed FleetConfig
-	// must exceed it to apply).
+	// Epoch is the initial fleet epoch (a pushed fleet config must
+	// exceed it to apply).
 	Epoch uint64
 	// DPID is the datapath id announced on every route and stamped on
 	// events published with SwitchID zero.
@@ -45,9 +45,9 @@ type Config struct {
 	// its own exporter built from this config — its own sequence space
 	// from 1, bounded queue, reconnect+replay — so the collector-side
 	// gap→wire-loss accounting stays exact per route across partition
-	// moves. Addr, DPID, Dial and OnFleetConfig are owned by the
-	// router; OnPropertySet is wrapped with an epoch filter so N routes
-	// pushing the same set invoke it once.
+	// moves. Addr, DPID, Dial and the fleet-kind OnConfig handler are
+	// owned by the router; the property-kind handler is wrapped with the
+	// stale rule so N routes pushing the same set invoke it once.
 	Exporter exporter.Config
 	// Dial, when non-nil, overrides the transport per endpoint (tests,
 	// fault injection).
@@ -102,17 +102,15 @@ type Router struct {
 	mu      sync.Mutex
 	ring    *Ring
 	routes  map[string]*route
-	epoch   uint64
 	fence   bool
 	held    []core.Event
 	closed  bool
 	stats   Stats
 	ledger  *core.Ledger // router-local marks (held overflow)
 
-	// propEpoch/propSeen dedupe property-set pushes arriving on every
-	// route so the wrapped OnPropertySet fires once per epoch.
-	propEpoch uint64
-	propSeen  bool
+	// fleet is the applied fleet epoch; props dedupes the property sets
+	// every route delivers, so the wrapped handler fires once per epoch.
+	fleet, props wire.HighWater
 }
 
 // NewRouter builds the router and its initial routes; Start launches
@@ -136,13 +134,12 @@ func NewRouter(cfg Config) (*Router, error) {
 		key:    cfg.PartitionKey,
 		ring:   ring,
 		routes: map[string]*route{},
-		epoch:  cfg.Epoch,
 		ledger: core.NewLedger(),
 	}
 	if r.key == nil {
 		r.key = core.PartitionByDPID
 	}
-	r.stats.Epoch = cfg.Epoch
+	r.fleet.Admit(cfg.Epoch) // the initial membership is the first fleet config
 	for _, m := range cfg.Members {
 		rt, err := r.newRoute(m.Addr)
 		if err != nil {
@@ -159,25 +156,21 @@ func (r *Router) newRoute(addr string) (*route, error) {
 	rc := r.cfg.Exporter
 	rc.Addr = addr
 	rc.DPID = r.cfg.DPID
-	rc.OnFleetConfig = r.ApplyFleetConfig
+	rc.OnConfig[wire.ConfigFleet] = r.ApplyFleetConfig
 	if r.cfg.Dial != nil {
 		dial := r.cfg.Dial
 		rc.Dial = func() (net.Conn, error) { return dial(addr) }
 	} else {
 		rc.Dial = nil
 	}
-	if cb := r.cfg.Exporter.OnPropertySet; cb != nil {
-		rc.OnPropertySet = func(u *wire.PropertySetUpdate) {
+	if cb := r.cfg.Exporter.OnConfig[wire.ConfigProperties]; cb != nil {
+		rc.OnConfig[wire.ConfigProperties] = func(u *wire.Config) {
 			// N collectors push N copies of each converged set; apply
 			// the first per epoch, drop the echoes.
 			r.mu.Lock()
-			dup := r.propSeen && u.Epoch <= r.propEpoch
-			if !dup {
-				r.propEpoch = u.Epoch
-				r.propSeen = true
-			}
+			fresh := r.props.Admit(u.Epoch)
 			r.mu.Unlock()
-			if !dup {
+			if fresh {
 				cb(u)
 			}
 		}
@@ -289,7 +282,7 @@ func (r *Router) routeList() []*route {
 func (r *Router) Epoch() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.epoch
+	return r.fleet.Epoch
 }
 
 // Members is the current member set in address order.
@@ -316,7 +309,7 @@ func (r *Router) Stats() Stats {
 	r.mu.Lock()
 	s := r.stats
 	s.Routes = len(r.routes)
-	s.Epoch = r.epoch
+	s.Epoch = r.fleet.Epoch
 	targets := r.routeList()
 	r.mu.Unlock()
 	for _, rt := range targets {
@@ -365,10 +358,10 @@ func (r *Router) Ledger() []core.UnsoundMark {
 // replayed in publish order. The fence stays up until every replayed
 // event has been handed to its new route, so a concurrent Publish can
 // never deliver a newer event ahead of an older held one on the same
-// partition. Stale epochs (at or below the applied one) are no-ops, so
-// the same config pushed by every collector in the fleet applies once.
-// Also the exporter.Config.OnFleetConfig handler for every route.
-func (r *Router) ApplyFleetConfig(fc *wire.FleetConfig) {
+// partition. A stale epoch (wire.HighWater) is a no-op, so the same
+// config pushed by every collector in the fleet applies once. Also the
+// fleet-kind exporter.Config.OnConfig handler for every route.
+func (r *Router) ApplyFleetConfig(fc *wire.Config) {
 	members := make([]Member, 0, len(fc.Members))
 	for _, m := range fc.Members {
 		w := float64(m.Weight) / 1000
@@ -386,7 +379,9 @@ func (r *Router) ApplyFleetConfig(fc *wire.FleetConfig) {
 	defer r.applyMu.Unlock()
 
 	r.mu.Lock()
-	if r.closed || fc.Epoch <= r.epoch {
+	// Checked here, recorded at the swap: applyMu keeps both in one
+	// re-route, and a config that leaves no usable member is not applied.
+	if r.closed || !r.fleet.Newer(fc.Epoch) {
 		r.mu.Unlock()
 		return
 	}
@@ -484,8 +479,7 @@ func (r *Router) ApplyFleetConfig(fc *wire.FleetConfig) {
 		r.routes[addr] = rt
 	}
 	r.ring = newRing
-	r.epoch = fc.Epoch
-	r.stats.Epoch = fc.Epoch
+	r.fleet.Admit(fc.Epoch)
 	r.stats.Reroutes++
 	held := r.held
 	r.held = nil

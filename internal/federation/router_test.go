@@ -169,7 +169,7 @@ func TestRouterJoinHandoff(t *testing.T) {
 	for i := 1; i <= pre; i++ {
 		r.Publish(ev(i))
 	}
-	r.ApplyFleetConfig(&wire.FleetConfig{Epoch: 1, Members: []wire.FleetMember{
+	r.ApplyFleetConfig(&wire.Config{Kind: wire.ConfigFleet, Epoch: 1, Members: []wire.FleetMember{
 		{Addr: a.col.Addr().String()}, {Addr: b.col.Addr().String()},
 	}})
 	if r.Epoch() != 1 || len(r.Members()) != 2 {
@@ -204,7 +204,7 @@ func TestRouterGracefulLeave(t *testing.T) {
 	for i := 1; i <= pre; i++ {
 		r.Publish(ev(i))
 	}
-	r.ApplyFleetConfig(&wire.FleetConfig{Epoch: 1, Members: []wire.FleetMember{{Addr: addrA}}})
+	r.ApplyFleetConfig(&wire.Config{Kind: wire.ConfigFleet, Epoch: 1, Members: []wire.FleetMember{{Addr: addrA}}})
 	if len(r.Members()) != 1 || r.Members()[0].Addr != addrA {
 		t.Fatalf("leave not applied: %v", r.Members())
 	}
@@ -254,7 +254,7 @@ func TestRouterDeadLeaveReplaysUnacked(t *testing.T) {
 	r.Flush()
 	// Remove the dead member: the drain fence times out on B, its
 	// unacked tail is extracted and replayed to A.
-	r.ApplyFleetConfig(&wire.FleetConfig{Epoch: 1, Members: []wire.FleetMember{{Addr: addrA}}})
+	r.ApplyFleetConfig(&wire.Config{Kind: wire.ConfigFleet, Epoch: 1, Members: []wire.FleetMember{{Addr: addrA}}})
 	waitFor(t, "survivor applied the replayed tail", func() bool {
 		seen := map[uint64]bool{}
 		for _, p := range portsOf(a.sink.snapshot()) {
@@ -271,7 +271,7 @@ func TestRouterDeadLeaveReplaysUnacked(t *testing.T) {
 }
 
 // TestRouterFleetConfigPush exercises the full wire path: a collector
-// broadcasts a FleetConfig frame, each route's exporter hands it to the
+// broadcasts a fleet-kind Config frame, each route's exporter hands it to the
 // router off the reader goroutine, the router re-routes behind the
 // drain fence and the exporter acks only after the re-route applied.
 func TestRouterFleetConfigPush(t *testing.T) {
@@ -284,13 +284,13 @@ func TestRouterFleetConfigPush(t *testing.T) {
 	}
 	r.Flush()
 	waitFor(t, "pre-push traffic acked", func() bool { return len(a.sink.snapshot()) == pre })
-	if err := a.col.BroadcastFleetConfig(&wire.FleetConfig{Epoch: 1, Members: []wire.FleetMember{
+	if err := a.col.Broadcast(&wire.Config{Kind: wire.ConfigFleet, Epoch: 1, Members: []wire.FleetMember{
 		{Addr: addrA}, {Addr: addrB},
 	}}); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "pushed config applied", func() bool { return r.Epoch() == 1 })
-	waitFor(t, "collector saw the ack", func() bool { return a.col.Stats().FleetConfigAcks >= 1 })
+	waitFor(t, "collector saw the ack", func() bool { return a.col.Stats().ConfigAcks[wire.ConfigFleet] >= 1 })
 	const post = 100
 	for i := pre + 1; i <= pre+post; i++ {
 		r.Publish(ev(i))
@@ -305,7 +305,7 @@ func TestRouterFleetConfigPush(t *testing.T) {
 	}
 	// A re-broadcast of the same epoch (every member pushes the
 	// converged config) must be a no-op, not a second re-route.
-	if err := a.col.BroadcastFleetConfig(&wire.FleetConfig{Epoch: 1, Members: []wire.FleetMember{{Addr: addrA}}}); err != nil {
+	if err := a.col.Broadcast(&wire.Config{Kind: wire.ConfigFleet, Epoch: 1, Members: []wire.FleetMember{{Addr: addrA}}}); err != nil {
 		t.Fatal(err)
 	}
 	time.Sleep(50 * time.Millisecond)
@@ -450,7 +450,7 @@ func TestRouterReRouteKeepsPartitionOrder(t *testing.T) {
 	applied := make(chan struct{})
 	go func() {
 		defer close(applied)
-		r.ApplyFleetConfig(&wire.FleetConfig{Epoch: 1, Members: []wire.FleetMember{
+		r.ApplyFleetConfig(&wire.Config{Kind: wire.ConfigFleet, Epoch: 1, Members: []wire.FleetMember{
 			{Addr: addrA}, {Addr: addrB},
 		}})
 	}()
@@ -537,7 +537,7 @@ func TestRouterFleetWeightMillis(t *testing.T) {
 	a := startMember(t)
 	addrA := a.col.Addr().String()
 	r := newTestRouter(t, []Member{{Addr: addrA}}, nil)
-	r.ApplyFleetConfig(&wire.FleetConfig{Epoch: 1, Members: []wire.FleetMember{
+	r.ApplyFleetConfig(&wire.Config{Kind: wire.ConfigFleet, Epoch: 1, Members: []wire.FleetMember{
 		{Addr: addrA, Weight: 2500},
 		{Addr: "127.0.0.1:1", Weight: 250},
 		{Addr: "127.0.0.2:1"},
@@ -555,24 +555,24 @@ func TestRouterFleetWeightMillis(t *testing.T) {
 }
 
 // TestRouterPropertySetDedup: the same converged property set pushed by
-// every member must invoke the wrapped OnPropertySet once per epoch.
+// every member must invoke the wrapped property handler once per epoch.
 func TestRouterPropertySetDedup(t *testing.T) {
 	a, b := startMember(t), startMember(t)
 	var mu sync.Mutex
 	var got []uint64
 	r := newTestRouter(t, []Member{{Addr: a.col.Addr().String()}, {Addr: b.col.Addr().String()}}, func(c *Config) {
-		c.Exporter.OnPropertySet = func(u *wire.PropertySetUpdate) {
+		c.Exporter.OnConfig[wire.ConfigProperties] = func(u *wire.Config) {
 			mu.Lock()
 			got = append(got, u.Epoch)
 			mu.Unlock()
 		}
 	})
 	_ = r
-	upd := &wire.PropertySetUpdate{Epoch: 5}
-	if err := a.col.BroadcastPropertySet(upd); err != nil {
+	upd := &wire.Config{Kind: wire.ConfigProperties, Epoch: 5}
+	if err := a.col.Broadcast(upd); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.col.BroadcastPropertySet(upd); err != nil {
+	if err := b.col.Broadcast(upd); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "property set delivered", func() bool {

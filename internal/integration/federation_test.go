@@ -229,14 +229,14 @@ func TestFederatedDifferential(t *testing.T) {
 	}
 
 	reconfigure := func(epoch uint64, members ...int) {
-		fc := &wire.FleetConfig{Epoch: epoch}
+		fc := &wire.Config{Kind: wire.ConfigFleet, Epoch: epoch}
 		for _, i := range members {
 			fc.Members = append(fc.Members, wire.FleetMember{Addr: addr(i)})
 		}
 		// The change rides the negotiated wire frames: one collector
 		// broadcasts, every router hears it on a live route, re-routes
 		// behind its drain fence, and acks.
-		if err := cols[0].col.BroadcastFleetConfig(fc); err != nil {
+		if err := cols[0].col.Broadcast(fc); err != nil {
 			t.Fatal(err)
 		}
 		for i, r := range feds {

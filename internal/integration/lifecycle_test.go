@@ -27,7 +27,7 @@ func waitCond(t *testing.T, what string, cond func() bool) {
 // The fabric half of the lifecycle differential gate: properties are
 // removed and reinstalled on the collector's sharded engine while two
 // switches stream events over real TCP, and every property-set change
-// is pushed to the lifecycle-negotiated exporters and acked. The stable
+// is pushed to the property-kind exporters and acked. The stable
 // property's verdicts must be byte-identical to the static inline
 // reference; the churned property carries exactly its reinstalled mark.
 func TestFabricLifecycleChurnDifferential(t *testing.T) {
@@ -59,20 +59,19 @@ func TestFabricLifecycleChurnDifferential(t *testing.T) {
 	col.Serve()
 	defer col.Close()
 
-	// Both exporters negotiate the lifecycle feature and record every
+	// Both exporters negotiate the property kind and record every
 	// property set pushed to them.
 	var pmu sync.Mutex
 	pushed := map[uint64][][]wire.PropMeta{} // exporter index is irrelevant; key by epoch
 	var exps [2]*exporter.Exporter
 	for i, dpid := range []uint64{1, 2} {
-		x, err := exporter.New(exporter.Config{
-			Addr: col.Addr().String(), DPID: dpid, BatchSize: 1,
-			OnPropertySet: func(u *wire.PropertySetUpdate) {
-				pmu.Lock()
-				pushed[u.Epoch] = append(pushed[u.Epoch], u.Props)
-				pmu.Unlock()
-			},
-		})
+		xcfg := exporter.Config{Addr: col.Addr().String(), DPID: dpid, BatchSize: 1}
+		xcfg.OnConfig[wire.ConfigProperties] = func(u *wire.Config) {
+			pmu.Lock()
+			pushed[u.Epoch] = append(pushed[u.Epoch], u.Props)
+			pmu.Unlock()
+		}
+		x, err := exporter.New(xcfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,11 +85,11 @@ func TestFabricLifecycleChurnDifferential(t *testing.T) {
 	// broadcast mirrors what cmd/collector does after each lifecycle op:
 	// epoch, per-property tenant metadata, and the full DSL source.
 	broadcast := func(props ...*property.Property) {
-		u := &wire.PropertySetUpdate{Epoch: sm.Epoch(), Source: dsl.FormatAll(props)}
+		u := &wire.Config{Kind: wire.ConfigProperties, Epoch: sm.Epoch(), Source: dsl.FormatAll(props)}
 		for _, p := range props {
 			u.Props = append(u.Props, wire.PropMeta{Name: p.Name, Tenant: p.Tenant})
 		}
-		if err := col.BroadcastPropertySet(u); err != nil {
+		if err := col.Broadcast(u); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -115,9 +114,9 @@ func TestFabricLifecycleChurnDifferential(t *testing.T) {
 	// at least one once it has applied the final epoch.
 	epochAfterRemove, epochAfterReinstall := uint64(1), uint64(2)
 	waitCond(t, "property-set convergence and acks", func() bool {
-		return exps[0].Stats().PropertySetEpoch == epochAfterReinstall &&
-			exps[1].Stats().PropertySetEpoch == epochAfterReinstall &&
-			col.Stats().PropertySetAcks >= 2
+		return exps[0].Stats().Configs[wire.ConfigProperties].Epoch == epochAfterReinstall &&
+			exps[1].Stats().Configs[wire.ConfigProperties].Epoch == epochAfterReinstall &&
+			col.Stats().ConfigAcks[wire.ConfigProperties] >= 2
 	})
 	pmu.Lock()
 	if got := len(pushed[epochAfterRemove]); got != 2 {

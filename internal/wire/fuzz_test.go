@@ -47,6 +47,18 @@ func FuzzWireRoundTrip(f *testing.F) {
 	f.Add(seed(&Batch{FirstSeq: 3, Events: []core.Event{
 		{Kind: core.KindArrival, Time: base, SwitchID: 5, PacketID: 11, InPort: 4},
 	}}))
+	// Control frames: both config kinds, empty and populated, at the
+	// extreme epochs, and their acks.
+	for _, epoch := range []uint64{0, 1<<64 - 1} {
+		f.Add(seed(&Config{Kind: ConfigProperties, Epoch: epoch}))
+		f.Add(seed(&Config{Kind: ConfigProperties, Epoch: epoch,
+			Props: []PropMeta{{Name: "fw", Tenant: "t1"}, {Name: "nat"}}, Source: "property \"fw\" {}\n"}))
+		f.Add(seed(&Config{Kind: ConfigFleet, Epoch: epoch}))
+		f.Add(seed(&Config{Kind: ConfigFleet, Epoch: epoch,
+			Members: []FleetMember{{Addr: "10.0.0.1:9190", Weight: 1000}, {Addr: "10.0.0.2:9190"}}}))
+		f.Add(seed(ConfigAck{Kind: ConfigProperties, Epoch: epoch}))
+		f.Add(seed(ConfigAck{Kind: ConfigFleet, Epoch: epoch}))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		f1, _, err := nextFrame(data)

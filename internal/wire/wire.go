@@ -5,7 +5,7 @@
 // the switch and ships events to where the property state lives; this
 // package is the ship.
 //
-// A connection carries nine frame types:
+// A connection carries seven frame types:
 //
 //	Hello        exporter → collector: protocol magic+version, the
 //	             exporter's datapath id, and the sequence number of the
@@ -32,24 +32,25 @@
 //	Ack          collector → exporter: cumulative acknowledgment of the
 //	             highest contiguous event sequence applied, optionally
 //	             timestamped for ongoing clock sampling.
-//	PropertySetUpdate
-//	             collector → exporter: the collector's live property
-//	             set, epoch-stamped, at handshake and on every change
-//	             (FeatureLifecycle only).
-//	PropertySetAck
-//	             exporter → collector: the property-set epoch the
-//	             exporter has applied (FeatureLifecycle only).
-//	FleetConfig  collector → exporter: the fleet membership, epoch-
-//	             stamped collector endpoints with routing weights, at
-//	             handshake and on every change (FeatureFleet only).
-//	FleetConfigAck
-//	             exporter → collector: the fleet-config epoch the
-//	             exporter has re-routed onto (FeatureFleet only).
+//	Config       collector → exporter: one kind of replicated
+//	             configuration — the property set or the fleet
+//	             membership — epoch-stamped, pushed at handshake and on
+//	             every change (negotiated kinds only).
+//	ConfigAck    exporter → collector: the high-water epoch of a kind
+//	             the exporter has applied (negotiated kinds only).
 //
 // Version negotiation is one round: the exporter offers its version and
 // features in Hello, the collector answers with min(offered, own) and
 // the feature intersection, and both sides speak the result. A version
-// 1 peer simply omits the new fields and never sees a TracedBatch.
+// 1 peer simply omits the new fields and never sees a TracedBatch or a
+// Config.
+//
+// Every config kind shares one layout and one rule. The Config payload
+// is kind byte, epoch, property list, DSL source, member list; a kind
+// carries only its own fields and the others are empty. Kind k is
+// negotiated by feature bit 1<<k. A receiver applies a config only when
+// it is the first of its kind or its epoch is strictly greater than the
+// last one applied (HighWater), and acks the highest epoch applied.
 //
 // Every frame is a 4-byte big-endian payload length followed by the
 // payload, whose first byte is the frame type. Integers inside payloads
@@ -86,26 +87,46 @@ const (
 	MinVersion uint16 = 1
 )
 
-// Feature bits offered in a version ≥ 2 Hello and answered (ANDed) in
-// the HelloAck. Unknown bits are ignored, never rejected: a future peer
-// offering more simply gets this build's subset back.
+// FeatureTrace is a feature bit offered in a version ≥ 2 Hello and
+// answered (ANDed) in the HelloAck: it enables TracedBatch frames and
+// timestamped Acks on the connection. Bits 1 and up negotiate the config
+// kinds (ConfigKind.Feature). Unknown bits are ignored, never rejected:
+// a future peer offering more simply gets this build's subset back.
+const FeatureTrace uint64 = 1 << 0
+
+// ConfigKind names one kind of replicated configuration carried by a
+// Config frame. Kind k is negotiated by feature bit 1<<k, so there is
+// no kind 0: bit 0 is FeatureTrace.
+type ConfigKind uint8
+
+// Config kinds.
 const (
-	// FeatureTrace enables TracedBatch frames and timestamped Acks on
-	// the connection.
-	FeatureTrace uint64 = 1 << 0
-	// FeatureLifecycle enables PropertySetUpdate/PropertySetAck frames:
-	// the collector pushes its live property set (epoch-stamped) at
-	// handshake and on every change, and the exporter acknowledges the
-	// epoch it has applied — how the fabric converges on one property
-	// set under hot install/remove.
-	FeatureLifecycle uint64 = 1 << 1
-	// FeatureFleet enables FleetConfig/FleetConfigAck frames: the
-	// collector pushes the fleet membership (epoch-stamped collector
-	// endpoints with routing weights) at handshake and on every change,
-	// and a federated exporter acknowledges each epoch after it has
-	// re-routed — how collector join/leave reaches every switch.
-	FeatureFleet uint64 = 1 << 2
+	// ConfigProperties is the collector's live property set (Props and
+	// Source), which co-located exporter-side engines mirror.
+	ConfigProperties ConfigKind = 1
+	// ConfigFleet is the fleet membership (Members), onto which every
+	// federated exporter re-routes.
+	ConfigFleet ConfigKind = 2
+	// NumConfigKinds sizes tables indexed by ConfigKind (index 0 unused).
+	NumConfigKinds = 3
 )
+
+// Feature is the Hello feature bit that negotiates the kind.
+func (k ConfigKind) Feature() uint64 { return 1 << k }
+
+func (k ConfigKind) valid() bool { return k >= ConfigProperties && k < NumConfigKinds }
+
+// String names the kind.
+func (k ConfigKind) String() string {
+	switch k {
+	case ConfigProperties:
+		return "properties"
+	case ConfigFleet:
+		return "fleet"
+	default:
+		return fmt.Sprintf("ConfigKind(%d)", uint8(k))
+	}
+}
 
 // helloMagic guards against pointing an exporter at a non-collector
 // port (or vice versa): the first four payload bytes of a Hello spell
@@ -137,18 +158,15 @@ const (
 	// FrameTracedBatch is a Batch with a trailing trace block (version
 	// ≥ 2 connections with FeatureTrace negotiated).
 	FrameTracedBatch
-	// FramePropertySetUpdate carries the collector's live property set
-	// (collector → exporter; FeatureLifecycle connections only).
-	FramePropertySetUpdate
-	// FramePropertySetAck acknowledges an applied property-set epoch
-	// (exporter → collector; FeatureLifecycle connections only).
-	FramePropertySetAck
-	// FrameFleetConfig carries the fleet membership (collector →
-	// exporter; FeatureFleet connections only).
-	FrameFleetConfig
-	// FrameFleetConfigAck acknowledges an applied fleet-config epoch
-	// (exporter → collector; FeatureFleet connections only).
-	FrameFleetConfigAck
+	// Types 6–9 are retired: they carried per-kind config frames in
+	// another layout and must decode as unknown, never be misread.
+
+	// FrameConfig carries one kind of replicated configuration
+	// (collector → exporter; negotiated kinds only).
+	FrameConfig FrameType = 10
+	// FrameConfigAck acknowledges a kind's applied epoch (exporter →
+	// collector; negotiated kinds only).
+	FrameConfigAck FrameType = 11
 )
 
 // String names the frame type.
@@ -164,14 +182,10 @@ func (t FrameType) String() string {
 		return "ack"
 	case FrameTracedBatch:
 		return "traced-batch"
-	case FramePropertySetUpdate:
-		return "property-set-update"
-	case FramePropertySetAck:
-		return "property-set-ack"
-	case FrameFleetConfig:
-		return "fleet-config"
-	case FrameFleetConfigAck:
-		return "fleet-config-ack"
+	case FrameConfig:
+		return "config"
+	case FrameConfigAck:
+		return "config-ack"
 	default:
 		return fmt.Sprintf("FrameType(%d)", uint8(t))
 	}
@@ -226,7 +240,7 @@ type Ack struct {
 	SentNs int64
 }
 
-// PropMeta is one property's identity inside a PropertySetUpdate.
+// PropMeta is one property's identity inside a ConfigProperties Config.
 type PropMeta struct {
 	// Name is the property's slug.
 	Name string
@@ -234,57 +248,83 @@ type PropMeta struct {
 	Tenant string
 }
 
-// PropertySetUpdate is the collector's live property set: pushed at
-// handshake and after every install/remove/replace so co-located
-// exporter-side engines (and dashboards reading the exporter) converge
-// on the same set. FeatureLifecycle connections only.
-type PropertySetUpdate struct {
-	// Epoch is the collector engine's lifecycle generation for this set;
-	// acknowledgments echo it, and a stale update (lower epoch than one
-	// already applied) is ignored by receivers.
-	Epoch uint64
-	// Props lists the installed properties in slot order.
-	Props []PropMeta
-	// Source is the set's DSL source (the concatenated property blocks),
-	// enough for the receiver to compile the same set. Empty when the
-	// collector chooses to ship identities only.
-	Source string
-}
-
-// PropertySetAck acknowledges that the exporter has applied the
-// property set of the given epoch.
-type PropertySetAck struct {
-	Epoch uint64
-}
-
-// FleetMember is one collector endpoint inside a FleetConfig. Weight
-// is a relative routing capacity in fixed-point milli-units (1000 =
-// weight 1.0), so fractional capacities survive the wire; the wire
-// layer passes it through verbatim (the federation layer treats 0 as
-// the default weight 1.0).
+// FleetMember is one collector endpoint inside a ConfigFleet Config.
+// Weight is a relative routing capacity in fixed-point milli-units
+// (1000 = weight 1.0), so fractional capacities survive the wire; the
+// wire layer passes it through verbatim (the federation layer treats 0
+// as the default weight 1.0).
 type FleetMember struct {
 	Addr   string
 	Weight uint64
 }
 
-// FleetConfig is the fleet membership: pushed by a collector on
-// FeatureFleet connections at handshake and whenever the fleet
-// changes, so every federated exporter re-derives the same consistent-
-// hash ring. FeatureFleet connections only.
-type FleetConfig struct {
-	// Epoch is the fleet configuration generation; acknowledgments echo
-	// it, and a stale config (epoch at or below one already applied) is
-	// ignored by receivers.
+// Config is one kind of replicated configuration, pushed by a collector
+// at handshake and on every change. It carries only its own kind's
+// fields; encode and decode reject any other, so every value has
+// exactly one wire form.
+type Config struct {
+	Kind ConfigKind
+	// Epoch is the configuration's generation (the collector engine's
+	// lifecycle epoch, or the fleet epoch); HighWater judges staleness.
 	Epoch uint64
-	// Members lists the collector endpoints in the fleet.
+	// Props lists the installed properties in slot order
+	// (ConfigProperties).
+	Props []PropMeta
+	// Source is the set's DSL source, enough to compile the same set;
+	// empty ships identities only (ConfigProperties).
+	Source string
+	// Members lists the collector endpoints in the fleet (ConfigFleet).
 	Members []FleetMember
 }
 
-// FleetConfigAck acknowledges that the exporter has finished re-
-// routing onto the fleet config of the given epoch (drain fence
-// complete — in-flight batches for moved partitions settled).
-type FleetConfigAck struct {
+// ConfigAck acknowledges that the exporter has applied every config of
+// the kind up to Epoch: for the fleet, re-routed behind its drain fence.
+type ConfigAck struct {
+	Kind  ConfigKind
 	Epoch uint64
+}
+
+// maxConfigEntries bounds a Config's property and member counts (the
+// engines route at most 64 properties), capping what a corrupt count can
+// allocate.
+const maxConfigEntries = 1 << 10
+
+// check is what encode and decode both enforce: a known kind, no field
+// of another kind, and lists within maxConfigEntries.
+func (cfg *Config) check() error {
+	switch {
+	case !cfg.Kind.valid():
+		return fmt.Errorf("wire: unknown config kind %d", uint8(cfg.Kind))
+	case cfg.Kind != ConfigProperties && (len(cfg.Props) > 0 || cfg.Source != ""):
+		return fmt.Errorf("wire: %s config carries a property set", cfg.Kind)
+	case cfg.Kind != ConfigFleet && len(cfg.Members) > 0:
+		return fmt.Errorf("wire: %s config carries fleet members", cfg.Kind)
+	case len(cfg.Props) > maxConfigEntries || len(cfg.Members) > maxConfigEntries:
+		return fmt.Errorf("wire: config lists %d properties and %d members, max %d", len(cfg.Props), len(cfg.Members), maxConfigEntries)
+	}
+	return nil
+}
+
+// HighWater is one config kind's high-water mark and the one stale rule:
+// the exporter, the collector's retention and the federated router all
+// apply it. The zero value has admitted nothing.
+type HighWater struct {
+	// Epoch is the newest epoch admitted; Count counts admissions.
+	Epoch uint64
+	Count uint64
+}
+
+// Newer reports whether a config at epoch applies: it is the first of
+// its kind, or its epoch is strictly greater than the last admitted.
+func (h *HighWater) Newer(epoch uint64) bool { return h.Count == 0 || epoch > h.Epoch }
+
+// Admit records epoch if Newer allows it, reporting whether it did.
+func (h *HighWater) Admit(epoch uint64) bool {
+	if !h.Newer(epoch) {
+		return false
+	}
+	h.Epoch, h.Count = epoch, h.Count+1
+	return true
 }
 
 // Batch is a run of events with consecutive sequence numbers: event i
@@ -471,48 +511,40 @@ func appendString(buf []byte, s string) []byte {
 	return append(buf, s...)
 }
 
-// AppendPropertySetUpdate appends an encoded PropertySetUpdate frame.
-// The only error source is a frame overflowing MaxFrameLen (a huge
-// Source).
-func AppendPropertySetUpdate(buf []byte, u *PropertySetUpdate) ([]byte, error) {
-	buf, lenAt := beginFrame(buf, FramePropertySetUpdate)
-	buf = binary.AppendUvarint(buf, u.Epoch)
-	buf = binary.AppendUvarint(buf, uint64(len(u.Props)))
-	for i := range u.Props {
-		buf = appendString(buf, u.Props[i].Name)
-		buf = appendString(buf, u.Props[i].Tenant)
+// AppendConfig appends an encoded Config frame, every kind in the one
+// layout. It refuses what decode rejects (an unknown kind, a foreign
+// field, an oversized list) and a frame overflowing MaxFrameLen.
+func AppendConfig(buf []byte, cfg *Config) ([]byte, error) {
+	if err := cfg.check(); err != nil {
+		return nil, err
 	}
-	buf = appendString(buf, u.Source)
-	return endFrame(buf, lenAt)
-}
-
-// AppendPropertySetAck appends an encoded PropertySetAck frame.
-func AppendPropertySetAck(buf []byte, a PropertySetAck) []byte {
-	buf, lenAt := beginFrame(buf, FramePropertySetAck)
-	buf = binary.AppendUvarint(buf, a.Epoch)
-	buf, _ = endFrame(buf, lenAt)
-	return buf
-}
-
-// AppendFleetConfig appends an encoded FleetConfig frame. The only
-// error source is a frame overflowing MaxFrameLen.
-func AppendFleetConfig(buf []byte, fc *FleetConfig) ([]byte, error) {
-	buf, lenAt := beginFrame(buf, FrameFleetConfig)
-	buf = binary.AppendUvarint(buf, fc.Epoch)
-	buf = binary.AppendUvarint(buf, uint64(len(fc.Members)))
-	for i := range fc.Members {
-		buf = appendString(buf, fc.Members[i].Addr)
-		buf = binary.AppendUvarint(buf, fc.Members[i].Weight)
+	buf, lenAt := beginFrame(buf, FrameConfig)
+	buf = append(buf, byte(cfg.Kind))
+	buf = binary.AppendUvarint(buf, cfg.Epoch)
+	buf = binary.AppendUvarint(buf, uint64(len(cfg.Props)))
+	for i := range cfg.Props {
+		buf = appendString(buf, cfg.Props[i].Name)
+		buf = appendString(buf, cfg.Props[i].Tenant)
+	}
+	buf = appendString(buf, cfg.Source)
+	buf = binary.AppendUvarint(buf, uint64(len(cfg.Members)))
+	for i := range cfg.Members {
+		buf = appendString(buf, cfg.Members[i].Addr)
+		buf = binary.AppendUvarint(buf, cfg.Members[i].Weight)
 	}
 	return endFrame(buf, lenAt)
 }
 
-// AppendFleetConfigAck appends an encoded FleetConfigAck frame.
-func AppendFleetConfigAck(buf []byte, a FleetConfigAck) []byte {
-	buf, lenAt := beginFrame(buf, FrameFleetConfigAck)
+// AppendConfigAck appends an encoded ConfigAck frame. It refuses an
+// unknown kind, which decode rejects.
+func AppendConfigAck(buf []byte, a ConfigAck) ([]byte, error) {
+	if !a.Kind.valid() {
+		return nil, fmt.Errorf("wire: unknown config kind %d", uint8(a.Kind))
+	}
+	buf, lenAt := beginFrame(buf, FrameConfigAck)
+	buf = append(buf, byte(a.Kind))
 	buf = binary.AppendUvarint(buf, a.Epoch)
-	buf, _ = endFrame(buf, lenAt)
-	return buf
+	return endFrame(buf, lenAt)
 }
 
 // AppendBatch appends an encoded Batch frame to buf. Events serialize
@@ -701,14 +733,10 @@ func decodePayload(payload []byte) (any, error) {
 		frame, err = decodeBatch(c, true)
 	case FrameAck:
 		frame, err = decodeAck(c)
-	case FramePropertySetUpdate:
-		frame, err = decodePropertySetUpdate(c)
-	case FramePropertySetAck:
-		frame, err = decodePropertySetAck(c)
-	case FrameFleetConfig:
-		frame, err = decodeFleetConfig(c)
-	case FrameFleetConfigAck:
-		frame, err = decodeFleetConfigAck(c)
+	case FrameConfig:
+		frame, err = decodeConfig(c)
+	case FrameConfigAck:
+		frame, err = decodeConfigAck(c)
 	default:
 		return nil, fmt.Errorf("wire: unknown frame type %d", tb)
 	}
@@ -815,93 +843,73 @@ func (c *cursor) str() (string, error) {
 	return string(b), nil
 }
 
-// maxPropertySetProps bounds the property count declared by a
-// PropertySetUpdate header (matches the engines' 64-property routing
-// masks with slack for future growth), capping what a corrupt count can
-// allocate.
-const maxPropertySetProps = 1 << 10
-
-func decodePropertySetUpdate(c *cursor) (*PropertySetUpdate, error) {
-	u := &PropertySetUpdate{}
-	var err error
-	if u.Epoch, err = c.uvarint(); err != nil {
-		return nil, err
+// count reads a Config list's length, bounded by maxConfigEntries and by
+// the bytes left (an entry takes at least two) before any allocation.
+func (c *cursor) count() (int, error) {
+	n, err := c.uvarint()
+	if err != nil {
+		return 0, err
 	}
-	count, err := c.uvarint()
+	if n > maxConfigEntries || n > uint64(c.remaining()) {
+		return 0, fmt.Errorf("wire: config declares %d entries in %d bytes, max %d", n, c.remaining(), maxConfigEntries)
+	}
+	return int(n), nil
+}
+
+func decodeConfig(c *cursor) (*Config, error) {
+	kind, err := c.byte()
 	if err != nil {
 		return nil, err
 	}
-	if count > maxPropertySetProps {
-		return nil, fmt.Errorf("wire: property set declares %d properties, max %d", count, maxPropertySetProps)
-	}
-	if count > 0 {
-		if int(count) > c.remaining() {
-			return nil, fmt.Errorf("wire: property set declares %d properties in %d bytes", count, c.remaining())
-		}
-		u.Props = make([]PropMeta, count)
-		for i := range u.Props {
-			if u.Props[i].Name, err = c.str(); err != nil {
-				return nil, err
-			}
-			if u.Props[i].Tenant, err = c.str(); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if u.Source, err = c.str(); err != nil {
+	cfg := &Config{Kind: ConfigKind(kind)}
+	if cfg.Epoch, err = c.uvarint(); err != nil {
 		return nil, err
 	}
-	return u, nil
-}
-
-func decodePropertySetAck(c *cursor) (PropertySetAck, error) {
-	var a PropertySetAck
-	var err error
-	if a.Epoch, err = c.uvarint(); err != nil {
-		return PropertySetAck{}, err
-	}
-	return a, nil
-}
-
-// maxFleetMembers bounds the member count a FleetConfig header may
-// declare, capping what a corrupt count can allocate.
-const maxFleetMembers = 1 << 10
-
-func decodeFleetConfig(c *cursor) (*FleetConfig, error) {
-	fc := &FleetConfig{}
-	var err error
-	if fc.Epoch, err = c.uvarint(); err != nil {
-		return nil, err
-	}
-	count, err := c.uvarint()
+	n, err := c.count()
 	if err != nil {
 		return nil, err
 	}
-	if count > maxFleetMembers {
-		return nil, fmt.Errorf("wire: fleet config declares %d members, max %d", count, maxFleetMembers)
-	}
-	if count > 0 {
-		if int(count) > c.remaining() {
-			return nil, fmt.Errorf("wire: fleet config declares %d members in %d bytes", count, c.remaining())
+	cfg.Props = make([]PropMeta, n)
+	for i := range cfg.Props {
+		if cfg.Props[i].Name, err = c.str(); err != nil {
+			return nil, err
 		}
-		fc.Members = make([]FleetMember, count)
-		for i := range fc.Members {
-			if fc.Members[i].Addr, err = c.str(); err != nil {
-				return nil, err
-			}
-			if fc.Members[i].Weight, err = c.uvarint(); err != nil {
-				return nil, err
-			}
+		if cfg.Props[i].Tenant, err = c.str(); err != nil {
+			return nil, err
 		}
 	}
-	return fc, nil
+	if cfg.Source, err = c.str(); err != nil {
+		return nil, err
+	}
+	if n, err = c.count(); err != nil {
+		return nil, err
+	}
+	cfg.Members = make([]FleetMember, n)
+	for i := range cfg.Members {
+		if cfg.Members[i].Addr, err = c.str(); err != nil {
+			return nil, err
+		}
+		if cfg.Members[i].Weight, err = c.uvarint(); err != nil {
+			return nil, err
+		}
+	}
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
+	return cfg, nil
 }
 
-func decodeFleetConfigAck(c *cursor) (FleetConfigAck, error) {
-	var a FleetConfigAck
-	var err error
+func decodeConfigAck(c *cursor) (ConfigAck, error) {
+	kind, err := c.byte()
+	if err != nil {
+		return ConfigAck{}, err
+	}
+	a := ConfigAck{Kind: ConfigKind(kind)}
+	if !a.Kind.valid() {
+		return ConfigAck{}, fmt.Errorf("wire: unknown config kind %d", kind)
+	}
 	if a.Epoch, err = c.uvarint(); err != nil {
-		return FleetConfigAck{}, err
+		return ConfigAck{}, err
 	}
 	return a, nil
 }

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"testing"
 	"time"
@@ -43,14 +44,10 @@ func frameBytes(t testing.TB, frame any) []byte {
 		enc = AppendAck(nil, f)
 	case *Batch:
 		enc, err = AppendBatch(nil, f)
-	case *PropertySetUpdate:
-		enc, err = AppendPropertySetUpdate(nil, f)
-	case PropertySetAck:
-		enc = AppendPropertySetAck(nil, f)
-	case *FleetConfig:
-		enc, err = AppendFleetConfig(nil, f)
-	case FleetConfigAck:
-		enc = AppendFleetConfigAck(nil, f)
+	case *Config:
+		enc, err = AppendConfig(nil, f)
+	case ConfigAck:
+		enc, err = AppendConfigAck(nil, f)
 	default:
 		t.Fatalf("no Append function for %T", frame)
 	}
@@ -71,6 +68,10 @@ func nextFrame(data []byte) (any, int, error) {
 // TestFrameRoundTrips encodes and decodes every frame type and checks
 // field-level equality plus byte-level stability on re-encode.
 func TestFrameRoundTrips(t *testing.T) {
+	// The kinds' feature bits are wire format: peers negotiate them.
+	if ConfigProperties.Feature() != 1<<1 || ConfigFleet.Feature() != 1<<2 {
+		t.Fatalf("config feature bits %b %b, want 1<<1 and 1<<2", ConfigProperties.Feature(), ConfigFleet.Feature())
+	}
 	frames := []any{
 		Hello{DPID: 42, NextSeq: 7, Version: 1},
 		Hello{DPID: 42, NextSeq: 7, Version: 2, Features: FeatureTrace, SentNs: 123456789},
@@ -79,9 +80,13 @@ func TestFrameRoundTrips(t *testing.T) {
 		Ack{AckSeq: 9000},
 		Ack{AckSeq: 9001, SentNs: 77777},
 		&Batch{FirstSeq: 11, Events: testEvents(t)},
-		&FleetConfig{Epoch: 3},
-		&FleetConfig{Epoch: 4, Members: []FleetMember{{Addr: "10.0.0.1:9190", Weight: 1}, {Addr: "10.0.0.2:9190", Weight: 2}}},
-		FleetConfigAck{Epoch: 4},
+		&Config{Kind: ConfigFleet, Epoch: 3},
+		&Config{Kind: ConfigFleet, Epoch: 4, Members: []FleetMember{{Addr: "10.0.0.1:9190", Weight: 1}, {Addr: "10.0.0.2:9190", Weight: 2}}},
+		ConfigAck{Kind: ConfigFleet, Epoch: 4},
+		&Config{Kind: ConfigProperties},
+		&Config{Kind: ConfigProperties, Epoch: 2, Props: []PropMeta{{Name: "fw", Tenant: "t1"}, {Name: "nat"}},
+			Source: "property \"fw\" {}\n"},
+		ConfigAck{Kind: ConfigProperties, Epoch: 2},
 	}
 	for _, f := range frames {
 		enc := frameBytes(t, f)
@@ -108,19 +113,25 @@ func TestFrameRoundTrips(t *testing.T) {
 			if got := dec.(Ack); got != want {
 				t.Fatalf("ack round-trip: got %+v want %+v", got, want)
 			}
-		case *FleetConfig:
-			got := dec.(*FleetConfig)
-			if got.Epoch != want.Epoch || len(got.Members) != len(want.Members) {
-				t.Fatalf("fleet-config round-trip: got %+v want %+v", got, want)
+		case *Config:
+			got := dec.(*Config)
+			if got.Kind != want.Kind || got.Epoch != want.Epoch || got.Source != want.Source ||
+				len(got.Props) != len(want.Props) || len(got.Members) != len(want.Members) {
+				t.Fatalf("config round-trip: got %+v want %+v", got, want)
+			}
+			for i := range got.Props {
+				if got.Props[i] != want.Props[i] {
+					t.Fatalf("property %d round-trip: got %+v want %+v", i, got.Props[i], want.Props[i])
+				}
 			}
 			for i := range got.Members {
 				if got.Members[i] != want.Members[i] {
 					t.Fatalf("fleet member %d round-trip: got %+v want %+v", i, got.Members[i], want.Members[i])
 				}
 			}
-		case FleetConfigAck:
-			if got := dec.(FleetConfigAck); got != want {
-				t.Fatalf("fleet-config-ack round-trip: got %+v want %+v", got, want)
+		case ConfigAck:
+			if got := dec.(ConfigAck); got != want {
+				t.Fatalf("config-ack round-trip: got %+v want %+v", got, want)
 			}
 		case *Batch:
 			got := dec.(*Batch)
@@ -278,6 +289,77 @@ func TestDecodeRejects(t *testing.T) {
 			t.Fatal("dropped flag on arrival accepted")
 		}
 	})
+
+	// Config payloads: type, kind, epoch, props, source, members.
+	const cfgT, ackT = byte(FrameConfig), byte(FrameConfigAck)
+	rejects := func(t *testing.T, what string, payloads ...[]byte) {
+		t.Helper()
+		for _, p := range payloads {
+			if f, _, err := nextFrame(rawFrame(p)); err == nil {
+				t.Fatalf("%s accepted: payload %x decoded to %+v", what, p, f)
+			}
+		}
+	}
+	t.Run("config-unknown-kind", func(t *testing.T) {
+		rejects(t, "kind 3", []byte{cfgT, 3, 0, 0, 0, 0}, []byte{ackT, 3, 0})
+		rejects(t, "kind 200", []byte{cfgT, 200, 0, 0, 0, 0}, []byte{ackT, 200, 0})
+		if _, err := AppendConfig(nil, &Config{Kind: NumConfigKinds}); err == nil {
+			t.Fatal("AppendConfig encoded an unknown kind")
+		}
+		if _, err := AppendConfigAck(nil, ConfigAck{Kind: NumConfigKinds}); err == nil {
+			t.Fatal("AppendConfigAck encoded an unknown kind")
+		}
+	})
+	t.Run("config-kind-zero", func(t *testing.T) {
+		rejects(t, "kind 0", []byte{cfgT, 0, 0, 0, 0, 0}, []byte{ackT, 0, 0})
+		if _, err := AppendConfig(nil, &Config{}); err == nil {
+			t.Fatal("AppendConfig encoded kind 0")
+		}
+		if _, err := AppendConfigAck(nil, ConfigAck{}); err == nil {
+			t.Fatal("AppendConfigAck encoded kind 0")
+		}
+	})
+	t.Run("config-foreign-field", func(t *testing.T) {
+		rejects(t, "fleet config with a property",
+			[]byte{cfgT, byte(ConfigFleet), 1, 1, 1, 'p', 0, 0, 0})
+		rejects(t, "fleet config with a source",
+			[]byte{cfgT, byte(ConfigFleet), 1, 0, 1, 's', 0})
+		rejects(t, "property config with a member",
+			[]byte{cfgT, byte(ConfigProperties), 1, 0, 0, 1, 1, 'm', 0})
+		for _, cfg := range []*Config{
+			{Kind: ConfigFleet, Props: []PropMeta{{Name: "p"}}},
+			{Kind: ConfigFleet, Source: "s"},
+			{Kind: ConfigProperties, Members: []FleetMember{{Addr: "m"}}},
+		} {
+			if _, err := AppendConfig(nil, cfg); err == nil {
+				t.Fatalf("AppendConfig encoded a foreign field: %+v", cfg)
+			}
+		}
+	})
+	t.Run("retired-types", func(t *testing.T) {
+		// Types 6–9 in the layouts they once had: property-set update
+		// (epoch, count, source), its ack (epoch), fleet config (epoch,
+		// count) and its ack (epoch).
+		rejects(t, "retired frame type",
+			[]byte{6, 5, 0, 0}, []byte{7, 5}, []byte{8, 5, 0}, []byte{9, 5})
+	})
+	t.Run("config-oversized-count", func(t *testing.T) {
+		over := binary.AppendUvarint(nil, maxConfigEntries+1)
+		props := append([]byte{cfgT, byte(ConfigProperties), 1}, over...)
+		members := append([]byte{cfgT, byte(ConfigFleet), 1, 0, 0}, over...)
+		pad := make([]byte, 4*maxConfigEntries) // enough bytes that only the bound trips
+		rejects(t, "count over the bound", append(props, pad...), append(members, pad...))
+		rejects(t, "count over the bytes left",
+			[]byte{cfgT, byte(ConfigProperties), 1, 5, 0}, []byte{cfgT, byte(ConfigFleet), 1, 0, 0, 5, 0})
+		if _, err := AppendConfig(nil, &Config{Kind: ConfigFleet, Members: make([]FleetMember, maxConfigEntries+1)}); err == nil {
+			t.Fatal("AppendConfig encoded an oversized member list")
+		}
+	})
+}
+
+// rawFrame prefixes a hand-built payload with its length.
+func rawFrame(payload []byte) []byte {
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(payload))), payload...)
 }
 
 // TestAppendBatchZeroAlloc gates the exporter's hot path: with a warm

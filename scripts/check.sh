@@ -28,8 +28,8 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/sim/..."
-go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/sim/...
+echo "==> go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/..."
+go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/...
 
 # Telemetry overhead gate: recording on the hot path must stay
 # allocation-free, with and without a registry attached. These run
@@ -109,6 +109,12 @@ go test -fuzz FuzzTraceBlockRoundTrip -fuzztime 10s -run '^$' ./internal/wire/
 # WriteAll then ReadAll with its events unchanged, and no input panics.
 echo "==> trace file fuzz smoke (10s)"
 go test -fuzz FuzzTraceRoundTrip -fuzztime 10s -run '^$' ./internal/trace/
+
+# And for the member /fleet admin body: no body panics the handler, only
+# a body naming a member is relayed, and the relayed fleet config
+# survives the wire unchanged.
+echo "==> fleet body fuzz smoke (10s)"
+go test -fuzz FuzzFleetBody -fuzztime 10s -run '^$' ./internal/federation/
 
 # Introspection-surface smoke: start a real collector, a switchmon with
 # the full observability surface on exporting to it, and a fleetagg over
