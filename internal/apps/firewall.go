@@ -37,8 +37,11 @@ type Firewall struct {
 	internal dataplane.PortNo
 	external dataplane.PortNo
 	timeout  time.Duration
-	conns    map[connKey]time.Time // last outbound activity
-	returns  int
+	// conns maps each open connection to its last outbound activity, in
+	// virtual-clock nanoseconds: a pointer-free entry half the size of a
+	// time.Time one.
+	conns   map[connKey]int64
+	returns int
 }
 
 // NewFirewall attaches a stateful firewall to sw.
@@ -47,7 +50,7 @@ func NewFirewall(sw *dataplane.Switch, internal, external dataplane.PortNo, time
 		sw: sw, faults: faults,
 		internal: internal, external: external,
 		timeout: timeout,
-		conns:   map[connKey]time.Time{},
+		conns:   map[connKey]int64{},
 	}
 	sw.SetController(fw, dataplane.MissController)
 	return fw
@@ -59,7 +62,7 @@ func (fw *Firewall) PacketIn(sw *dataplane.Switch, inPort dataplane.PortNo, pid 
 		sw.DropPacketAs(pid, inPort, p)
 		return
 	}
-	now := sw.Scheduler().Now()
+	now := sw.Scheduler().Now().UnixNano()
 	switch inPort {
 	case fw.internal:
 		key := connKey{internal: p.IPv4.Src, external: p.IPv4.Dst}
@@ -73,7 +76,7 @@ func (fw *Firewall) PacketIn(sw *dataplane.Switch, inPort dataplane.PortNo, pid 
 	case fw.external:
 		key := connKey{internal: p.IPv4.Dst, external: p.IPv4.Src}
 		last, open := fw.conns[key]
-		admissible := open && now.Sub(last) <= fw.timeout
+		admissible := open && time.Duration(now-last) <= fw.timeout
 		if admissible {
 			if fw.closes(p) && !fw.faults.IgnoreClose {
 				delete(fw.conns, key)

@@ -70,6 +70,9 @@ type guardIndex struct {
 	// eq are the guard's equality-against-variable predicates; empty
 	// means the guard pass must scan the whole bucket.
 	eq []cpred
+	// gate are the guard's literal-operand predicates: with class, the
+	// half of the guard no row can change, tested once per event.
+	gate []cpred
 }
 
 // stickyGuard is a compiled permanent-discharge guard.
@@ -80,6 +83,21 @@ type stickyGuard struct {
 	pins []cbind
 	// rest are the guard's non-pinning predicates, checked literally.
 	rest []cpred
+	// gate are rest's literal-operand predicates, tested before any pin is
+	// read.
+	gate []cpred
+}
+
+// literalPreds selects the predicates whose operand is a literal: their
+// truth depends on the event alone, never on a row or a hash.
+func literalPreds(preds []cpred) []cpred {
+	var lit []cpred
+	for _, pr := range preds {
+		if pr.Arg.Kind == property.OperandLit {
+			lit = append(lit, pr)
+		}
+	}
+	return lit
 }
 
 // compiledProp is a property prepared for execution.
@@ -199,7 +217,7 @@ func compile(p *property.Property) (*compiledProp, error) {
 		}
 		for _, g := range st.Until {
 			preds := resolve(g.Preds)
-			gi := guardIndex{class: g.Class, sticky: g.Sticky, preds: preds}
+			gi := guardIndex{class: g.Class, sticky: g.Sticky, preds: preds, gate: literalPreds(preds)}
 			// A row has room for rowKeys keys; guards past that scan.
 			if eq := eqVar(preds); len(eq) > 0 && nkeys < rowKeys {
 				gi.eq = eq
@@ -217,6 +235,7 @@ func compile(p *property.Property) (*compiledProp, error) {
 					sg.rest = append(sg.rest, pr)
 				}
 			}
+			sg.gate = literalPreds(sg.rest)
 			cs.stickyGuards = append(cs.stickyGuards, sg)
 		}
 		cp.stages = append(cp.stages, cs)

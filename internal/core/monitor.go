@@ -758,12 +758,13 @@ func (m *Monitor) matchStage(pi int, cs *compiledStage, b *bucket, e *Event, seq
 	}
 	// Pass 2: obligation guards (Feature 4). Each guard has its own index
 	// keys; guards without equality-on-variable predicates fall back to a
-	// bucket scan. The acted buffer is done, so it doubles as the
-	// discharge buffer.
+	// bucket scan. A guard whose gate fails cannot match any row, so it
+	// costs no hash and no walk. The acted buffer is done, so it doubles as
+	// the discharge buffer.
 	discharged := acted[:0]
 	for gi := range cs.guardIdx {
 		g := &cs.guardIdx[gi]
-		if !classMatches(g.class, e) {
+		if !classMatches(g.class, e) || !predsHold(g.gate, e, env{}) {
 			continue
 		}
 		w := walk{all: true}
@@ -1013,13 +1014,14 @@ func (m *Monitor) remove(id uint32, r *row) {
 
 // seedSuppressions applies sticky guards (permanent discharge): any event
 // matching one marks the synthesized instance identity as suppressed and
-// removes a live instance with that identity.
+// removes a live instance with that identity. A guard whose gate fails
+// reads no pin.
 func (m *Monitor) seedSuppressions(cp *compiledProp, bs []bucket, e *Event) {
 	for si := range cp.stages {
 		cs := &cp.stages[si]
 		for gi := range cs.stickyGuards {
 			sg := &cs.stickyGuards[gi]
-			if !classMatches(sg.class, e) {
+			if !classMatches(sg.class, e) || !predsHold(sg.gate, e, env{}) {
 				continue
 			}
 			m.suppress(cp, si, sg, &bs[si], e)

@@ -1,6 +1,7 @@
 package dataplane
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -162,6 +163,89 @@ func TestEgressEventCarriesRewrittenPacket(t *testing.T) {
 	if arrival.Packet.IPv4.Src != ipA || egress.Packet.IPv4.Src != nat {
 		t.Fatal("events do not show pre/post rewrite views")
 	}
+}
+
+// TestInjectCopiesOnlyOnRewrite pins the ingress pipeline's copy on write:
+// Inject never modifies the packet it is given, shares it with every event
+// and delivery unless a rule rewrites it, and never modifies a packet it
+// handed to the controller — a SetField after a packet-in writes a copy.
+func TestInjectCopiesOnlyOnRewrite(t *testing.T) {
+	nat := packet.MustIPv4("198.51.100.1")
+	rewrite := SetField(packet.FieldIPSrc, packet.Num(nat.Uint64()))
+	run := func(t *testing.T, actions ...Action) (orig *packet.Packet, arrival, egress core.Event, delivered *packet.Packet) {
+		t.Helper()
+		sw, _, out := testSwitch(t, 2, 1)
+		sw.Table(0).Add(&Rule{Priority: 1, Actions: actions})
+		sw.Observe(func(e core.Event) {
+			if e.Kind == core.KindArrival {
+				arrival = e
+			} else {
+				egress = e
+			}
+		})
+		orig = tcpPkt()
+		before := frameOf(t, orig)
+		sw.Inject(1, orig)
+		if len(out[2]) != 1 {
+			t.Fatalf("delivered %d packets on port 2, want 1", len(out[2]))
+		}
+		if !bytes.Equal(frameOf(t, orig), before) {
+			t.Fatal("Inject modified the injected packet")
+		}
+		return orig, arrival, egress, out[2][0]
+	}
+
+	t.Run("no rewrite", func(t *testing.T) {
+		orig, arrival, egress, delivered := run(t, Output(2))
+		if arrival.Packet != orig || egress.Packet != orig || delivered != orig {
+			t.Fatal("a packet no rule rewrites was copied")
+		}
+	})
+	t.Run("SetField", func(t *testing.T) {
+		orig, _, egress, delivered := run(t, rewrite, Output(2))
+		if egress.Packet == orig || egress.Packet.IPv4.Src != nat || delivered != egress.Packet {
+			t.Fatalf("egress %s does not show the rewrite on a copy", egress.Packet.Summary())
+		}
+	})
+	punt := func(t *testing.T, actions ...Action) (punted, delivered *packet.Packet) {
+		t.Helper()
+		sw, _, out := testSwitch(t, 2, 1)
+		sw.SetController(controllerFunc(func(_ *Switch, _ PortNo, _ core.PacketID, p *packet.Packet) { punted = p }), MissDrop)
+		sw.Table(0).Add(&Rule{Priority: 1, Actions: actions})
+		sw.Inject(1, tcpPkt())
+		if punted == nil || len(out[2]) != 1 {
+			t.Fatalf("punted %v, delivered %v; want one of each", punted, out[2])
+		}
+		return punted, out[2][0]
+	}
+	t.Run("Controller then SetField", func(t *testing.T) {
+		punted, delivered := punt(t, ToController(), rewrite, Output(2))
+		if !bytes.Equal(frameOf(t, punted), frameOf(t, tcpPkt())) {
+			t.Fatal("the rewrite after the packet-in modified the controller's packet")
+		}
+		if delivered.IPv4.Src != nat {
+			t.Fatalf("delivered %s, want the rewrite", delivered.Summary())
+		}
+	})
+	t.Run("SetField, Controller, SetField", func(t *testing.T) {
+		punted, delivered := punt(t, rewrite, ToController(), SetField(packet.FieldSrcPort, packet.Num(61000)), Output(2))
+		if punted.IPv4.Src != nat || punted.TCP.SrcPort != 1000 {
+			t.Fatalf("controller holds %s, want the first rewrite only", punted.Summary())
+		}
+		if delivered.IPv4.Src != nat || delivered.TCP.SrcPort != 61000 {
+			t.Fatalf("delivered %s, want both rewrites", delivered.Summary())
+		}
+	})
+}
+
+// frameOf encodes p, failing the test on error.
+func frameOf(t *testing.T, p *packet.Packet) []byte {
+	t.Helper()
+	b, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 func TestLearnActionInstallsRule(t *testing.T) {

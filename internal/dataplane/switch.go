@@ -78,6 +78,8 @@ type Switch struct {
 	// tracer, when non-nil, samples emitted events for end-to-end
 	// tracing (nil-safe: the unsampled path is one hash per event).
 	tracer *tracer.Tracer
+	// punted is the buffer packetIn encodes into to count PacketInBytes.
+	punted []byte
 }
 
 // New creates a switch with the given number of flow tables.
@@ -205,7 +207,9 @@ func (sw *Switch) PortUp(no PortNo) bool {
 
 // Inject runs one packet through the switch: arrival event, pipeline,
 // egress events (one per output port, or one drop event), and delivery.
-// It returns the packet's ID.
+// It never modifies p: the pipeline copies on write, so unless a rule
+// rewrites a field the arrival event, the egress events and the delivered
+// packet all share p. It returns the packet's ID.
 func (sw *Switch) Inject(inPort PortNo, p *packet.Packet) core.PacketID {
 	pt := sw.ports[inPort]
 	if pt == nil || !pt.up {
@@ -220,8 +224,7 @@ func (sw *Switch) Inject(inPort PortNo, p *packet.Packet) core.PacketID {
 		Kind: core.KindArrival, Time: now, PacketID: pid, SwitchID: sw.dpid,
 		Packet: p, InPort: uint64(inPort),
 	})
-	work := p.Clone()
-	outs, verdict := sw.runPipeline(work, inPort)
+	work, outs, verdict := sw.runPipeline(p, inPort)
 	switch verdict {
 	case verdictPunted:
 		// The controller owns the packet now; it will emit egress events
@@ -251,10 +254,13 @@ const (
 // cap is generous.
 const maxPipelineSteps = 1 << 16
 
-// runPipeline executes the match-action pipeline over the (mutable) work
-// packet.
-func (sw *Switch) runPipeline(work *packet.Packet, inPort PortNo) ([]PortNo, verdict) {
+// runPipeline executes the match-action pipeline over p and returns the
+// packet it ended with. It copies on write: the first SetField clones, and
+// so does the first SetField after a packet-in, so neither p nor a packet
+// the controller was handed is ever modified.
+func (sw *Switch) runPipeline(p *packet.Packet, inPort PortNo) (*packet.Packet, []PortNo, verdict) {
 	var outs []PortNo
+	work, owned := p, false
 	ti := 0
 	limit := len(sw.tables)
 	if sw.egressStart > 0 && sw.egressStart < limit {
@@ -272,9 +278,9 @@ func (sw *Switch) runPipeline(work *packet.Packet, inPort PortNo) ([]PortNo, ver
 				switch sw.miss {
 				case MissController:
 					sw.packetIn(inPort, work)
-					return nil, verdictPunted
+					return work, nil, verdictPunted
 				case MissFlood:
-					return sw.floodPorts(inPort), verdictForward
+					return work, sw.floodPorts(inPort), verdictForward
 				}
 			}
 			break
@@ -288,16 +294,20 @@ func (sw *Switch) runPipeline(work *packet.Packet, inPort PortNo) ([]PortNo, ver
 			case ActFlood:
 				outs = append(outs, sw.floodPorts(inPort)...)
 			case ActDrop:
-				return nil, verdictDropped
+				return work, nil, verdictDropped
 			case ActSetField:
+				if !owned {
+					work, owned = work.Clone(), true
+				}
 				if err := applySetField(work, a.Field, a.Value); err != nil {
 					// A rewrite on a packet lacking the layer acts as a
 					// no-op drop: the rule was installed for a different
 					// traffic class.
-					return nil, verdictDropped
+					return work, nil, verdictDropped
 				}
 			case ActController:
 				sw.packetIn(inPort, work)
+				owned = false // the controller may keep it
 			case ActLearn:
 				sw.applyLearn(a.Learn, work, inPort)
 			case ActGoto:
@@ -309,7 +319,7 @@ func (sw *Switch) runPipeline(work *packet.Packet, inPort PortNo) ([]PortNo, ver
 		}
 		ti = next
 	}
-	return outs, verdictForward
+	return work, outs, verdictForward
 }
 
 // floodPorts lists all up ports except the ingress port.
@@ -327,12 +337,14 @@ func (sw *Switch) floodPorts(inPort PortNo) []PortNo {
 }
 
 // packetIn punts to the controller, counting redirected bytes — the
-// external-monitoring volume cost of Sec. 1.
+// external-monitoring volume cost of Sec. 1 — by encoding into the
+// switch's reused buffer.
 func (sw *Switch) packetIn(inPort PortNo, p *packet.Packet) {
 	sw.stats.PacketIns++
 	sw.mx.packetIns.Inc()
-	if data, err := p.Encode(); err == nil {
+	if data, err := p.AppendEncode(sw.punted[:0]); err == nil {
 		sw.stats.PacketInBytes += uint64(len(data))
+		sw.punted = data
 	}
 	if sw.controller != nil {
 		sw.controller.PacketIn(sw, inPort, sw.nextPID, p)

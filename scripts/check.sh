@@ -44,6 +44,9 @@ go test -count=1 -run 'TestSteadyStateAllocationBudget|TestHashOperandSteadyStat
 # time.Now/time.Since in internal/core to the one function Monitor.apply
 # reaches only when its sampling countdown runs out.
 go test -count=1 -run 'TestEngineWrittenOnce' ./internal/doccheck/
+# The switch-is-the-monitor path: firewall app plus the three firewall
+# properties, per injected packet (Inject copies only on rewrite).
+go test -count=1 -run 'TestPuntPathZeroAlloc' ./internal/apps/
 
 # Telemetry budget gate: the steady-state event with the full registry
 # attached against the same event with none (BenchmarkE11TelemetryOverhead),
