@@ -1563,13 +1563,16 @@ func sweepE18() []benchRow {
 // of a ~100ns event is inside scheduler noise), full runs only.
 //
 // Detection: an induced degradation must page within two fast burn
-// windows. A sharded engine runs with a deliberately tiny shard queue
-// and ShedDropNewest; a fault-injected wall-clock stall on shard 0
-// makes the queue overflow, the shed burst lands in
-// switchmon_ledger_shed_events_total, the sampler (100ms cadence on a
-// synthetic clock) turns it into a rate spike, and the SLO engine's
-// fast window crosses. The gate is critical within 2*fast of the
-// stall, i.e. 6 sampler ticks, full runs only.
+// windows. A sharded engine runs its property under a tenant with a
+// queue share (the production shed path: a full shard queue itself
+// blocks and loses nothing) and takes a paced open-loop feed; a
+// fault-injected wall-clock stall on shard 0 backs the tenant's routed
+// events up past its share, the router sheds the tenant's deliveries
+// into switchmon_tenant_shed_total, the sampler (100ms cadence on a
+// synthetic clock) turns them into a rate spike, and the SLO engine's
+// fast window crosses. The gates, full runs only: critical within
+// 2*fast of the stall, i.e. 6 sampler ticks, and zero sheds from a
+// control engine given the same feed and no stall.
 func sweepE19() []benchRow {
 	rows := sweepE19Overhead()
 	return append(rows, sweepE19Detection()...)
@@ -1654,11 +1657,20 @@ func sweepE19Overhead() []benchRow {
 
 // sweepE19Detection is E19's burn-rate detection half.
 func sweepE19Detection() []benchRow {
-	fmt.Println("E19: induced shard stall -> shed burst -> critical alert (gate: within 2 fast windows)")
+	fmt.Println("E19: induced shard stall -> tenant queue-share shed burst -> critical alert (gate: within 2 fast windows)")
 	const (
 		shards      = 4
 		sampleEvery = 100 * time.Millisecond
 		fastWindow  = 300 * time.Millisecond
+		// The feed is an open loop of 64-event batches, each followed by a
+		// clock advance and a 1ms pause: far below the engine's capacity,
+		// so healthy shards drain between batches and the tenant's backlog
+		// stays under one batch's deliveries. maxQueued sits above that
+		// and far below the hundreds of deliveries shard 0's queue holds,
+		// so only the stall can trip the share.
+		tenant    = "e19"
+		batch     = 64
+		maxQueued = 256
 	)
 	chunk := 4000
 	stall := 250 * time.Millisecond
@@ -1666,15 +1678,50 @@ func sweepE19Detection() []benchRow {
 		chunk = 800
 		stall = 60 * time.Millisecond
 	}
-	reg := obs.NewRegistry()
-	sm := core.NewShardedMonitor(shards, core.Config{
-		Metrics:    reg,
-		ShedPolicy: core.ShedDropNewest,
-	})
-	defer sm.Close()
-	if err := sm.AddProperty(fwProp()); err != nil {
-		panic(err)
+	newEngine := func() (*core.ShardedMonitor, *obs.Registry) {
+		reg := obs.NewRegistry()
+		sm := core.NewShardedMonitor(shards, core.Config{
+			Metrics:      reg,
+			TenantQuotas: map[string]core.TenantQuota{tenant: {MaxQueued: maxQueued}},
+		})
+		p := fwProp()
+		p.Tenant = tenant
+		if err := sm.AddProperty(p); err != nil {
+			panic(err)
+		}
+		return sm, reg
 	}
+	shedTotal := func(reg *obs.Registry) uint64 {
+		return reg.Snapshot().CounterValue("switchmon_tenant_shed_total", obs.L("tenant", tenant))
+	}
+	work := trace.HighFlowWorkload{Flows: chunk / 2, Rounds: 30, Gap: time.Microsecond}.Events(sim.Epoch)
+	feeder := func(sm *core.ShardedMonitor) func(n int) {
+		next := 0
+		return func(n int) {
+			for end := next + n; next < end; next += batch {
+				b := work[next:min(next+batch, end)]
+				if err := sm.SubmitBatch(b, nil); err != nil {
+					panic(err)
+				}
+				sm.Tick(b[len(b)-1].Time)
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+
+	// Control: the same feed into a healthy engine, so the detection
+	// below is shown to be the stall's doing, not the load's.
+	ctl, ctlReg := newEngine()
+	feedCtl := feeder(ctl)
+	for i := 0; i < 3; i++ {
+		feedCtl(chunk)
+	}
+	ctl.Close()
+	control := shedTotal(ctlReg)
+
+	sm, reg := newEngine()
+	defer sm.Close()
+	feed := feeder(sm)
 
 	// Synthetic sampler clock: each tick advances 100ms no matter how
 	// long the wall-clock feeding took, so rates are deterministic in
@@ -1688,7 +1735,7 @@ func sweepE19Detection() []benchRow {
 		DB: db,
 		Rules: []slo.Rule{{
 			Name:   "shard-stall-shed",
-			Series: "switchmon_*shed_events_total*",
+			Series: "switchmon_tenant_shed_total*",
 			// Low enough that one burst tick keeps the slow (900ms)
 			// window hot too — critical needs both windows over.
 			Threshold: 25, // events/s in sample time
@@ -1706,14 +1753,6 @@ func sweepE19Detection() []benchRow {
 		}
 		return "?"
 	}
-	work := trace.HighFlowWorkload{Flows: chunk / 2, Rounds: 30, Gap: time.Microsecond}.Events(sim.Epoch)
-	next := 0
-	feed := func(n int) {
-		for i := 0; i < n; i++ {
-			sm.Feed(work[next])
-			next++
-		}
-	}
 	tick := func() {
 		now = now.Add(sampleEvery)
 		db.Tick()
@@ -1729,10 +1768,10 @@ func sweepE19Detection() []benchRow {
 	if s := state(); s != "ok" {
 		panic(fmt.Sprintf("e19: baseline state %s, want ok", s))
 	}
-	shedBase := reg.Snapshot().CounterValue("switchmon_ledger_shed_events_total")
+	shedBase := shedTotal(reg)
 
-	// Induce: stall shard 0 on its next event; the burst behind the
-	// stall overflows its queue and sheds.
+	// Induce: stall shard 0 on its next event; the tenant's deliveries
+	// behind the stall exhaust its queue share and are shed.
 	spec := fault.DefaultSpec()
 	spec.StallShard = 0
 	spec.StallAt = 1 // fires on the first probe call at or past seq 1, i.e. immediately
@@ -1749,7 +1788,8 @@ func sweepE19Detection() []benchRow {
 			break
 		}
 	}
-	shed := reg.Snapshot().CounterValue("switchmon_ledger_shed_events_total") - shedBase
+	shed := shedTotal(reg) - shedBase
+	fmt.Printf("%-22s %8d  (gate: 0, healthy engine, same feed)\n", "control shed events", control)
 	fmt.Printf("%-22s %8d\n", "shed events", shed)
 	fmt.Printf("%-22s %8d  (gate: <= %d = 2 fast windows)\n", "ticks to critical", ticksToCritical, 2*int(fastWindow/sampleEvery))
 	if shed == 0 {
@@ -1761,20 +1801,24 @@ func sweepE19Detection() []benchRow {
 	if !smoke && ticksToCritical > 2*int(fastWindow/sampleEvery) {
 		panic(fmt.Sprintf("e19: critical after %d ticks, want <= %d (2 fast windows)", ticksToCritical, 2*int(fastWindow/sampleEvery)))
 	}
+	if !smoke && control != 0 {
+		panic(fmt.Sprintf("e19: the healthy control shed %d events; the feed alone trips the share", control))
+	}
 	trs := eng.Transitions()
 	return []benchRow{{
 		Exp: "e19",
 		Params: map[string]any{
 			"phase": "detection", "shards": shards,
 			"sample_every_ms": sampleEvery.Milliseconds(), "fast_window_ms": fastWindow.Milliseconds(),
-			"stall_ms": stall.Milliseconds(), "chunk": chunk,
+			"stall_ms": stall.Milliseconds(), "chunk": chunk, "max_queued": maxQueued,
 		},
 		Extra: map[string]any{
-			"shed_events":       shed,
-			"ticks_to_critical": ticksToCritical,
-			"detection_ms":      ticksToCritical * int(sampleEvery.Milliseconds()),
-			"transitions":       len(trs),
-			"smoke":             smoke,
+			"shed_events":         shed,
+			"control_shed_events": control,
+			"ticks_to_critical":   ticksToCritical,
+			"detection_ms":        ticksToCritical * int(sampleEvery.Milliseconds()),
+			"transitions":         len(trs),
+			"smoke":               smoke,
 		},
 	}}
 }

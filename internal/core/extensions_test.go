@@ -142,6 +142,11 @@ func TestMaxInstancesEvictsOldest(t *testing.T) {
 	ret0 := packet.NewTCP(macB, macA, ipB, packet.IPv4FromUint32(0x0a000000), 80, 1000, packet.FlagACK, nil)
 	h.forwardDropped(ret0, 2)
 	h.wantViolations(0)
+	// ...and the ledger says so: absence of that violation proves nothing.
+	marks := h.mon.Ledger().Snapshot()
+	if len(marks) != 1 || marks[0].Property != "firewall-basic" || marks[0].Reason != UnsoundEvicted || marks[0].Events != 3 {
+		t.Fatalf("ledger marks = %+v, want one evicted mark on firewall-basic counting 3 instances", marks)
+	}
 	// ...while the youngest still alerts.
 	ret7 := packet.NewTCP(macB, macA, ipB, packet.IPv4FromUint32(0x0a000007), 80, 1007, packet.FlagACK, nil)
 	h.forwardDropped(ret7, 2)

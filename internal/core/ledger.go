@@ -11,21 +11,20 @@ import (
 
 // UnsoundReason classifies why a property's verdicts stopped being
 // trustworthy. The paper's premise is that the monitor sees everything
-// the switch does; once that stops being true — events shed under
-// overload, a property quarantined after a panic, loss injected into
-// the feed — the engine must say so rather than keep reporting verdicts
-// as if nothing happened. Each reason names one way the "sees
-// everything" assumption broke.
+// the switch does; once that stops being true — a property quarantined
+// after a panic, loss injected into the feed or on the wire, events or
+// instances refused by a tenant quota, an instance evicted by the state
+// cap — the engine must say so rather than keep reporting verdicts as if
+// nothing happened. Each reason names one way the "sees everything"
+// assumption broke. (A full shard queue is not one of them: it blocks
+// the router and loses nothing.)
 type UnsoundReason uint8
 
 // Reasons a property can be marked unsound.
 const (
-	// UnsoundShed: events routed to the property were shed by a bounded
-	// shard queue (ShedDropNewest / ShedDropOldest).
-	UnsoundShed UnsoundReason = iota
 	// UnsoundQuarantine: the property's step panicked; the property was
 	// quarantined and sees no further events anywhere.
-	UnsoundQuarantine
+	UnsoundQuarantine UnsoundReason = iota
 	// UnsoundInjectedLoss: the event feed itself reported losing events
 	// (fault injection, a lossy OOB channel) via MarkFeedLoss.
 	UnsoundInjectedLoss
@@ -47,13 +46,15 @@ const (
 	// tenant were rejected by a per-tenant quota (instance cap or shard
 	// queue share). The loss is confined to that tenant's properties.
 	UnsoundQuota
+	// UnsoundEvicted: the MaxInstances cap evicted one of the property's
+	// live instances, and with it any verdict the instance still owed. The
+	// mark's Events counts evicted instances, not lost events.
+	UnsoundEvicted
 )
 
 // String names the reason.
 func (r UnsoundReason) String() string {
 	switch r {
-	case UnsoundShed:
-		return "shed"
 	case UnsoundQuarantine:
 		return "quarantine"
 	case UnsoundInjectedLoss:
@@ -66,6 +67,8 @@ func (r UnsoundReason) String() string {
 		return "reinstalled"
 	case UnsoundQuota:
 		return "quota"
+	case UnsoundEvicted:
+		return "evicted"
 	default:
 		return "unknown"
 	}
@@ -96,17 +99,16 @@ type UnsoundMark struct {
 }
 
 // Ledger is the per-property soundness record shared by an engine and
-// its observers. The engine marks it on the degradation paths (shed,
-// quarantine, overflow, reported feed loss) — never on the clean hot
-// path — and observers (Stats, /healthz, the exit report) snapshot it
-// from any goroutine. A property keeps its first mark's reason and
+// its observers. The engine marks it on the degradation paths (quota,
+// quarantine, overflow, eviction, reported feed loss) — never on the
+// clean hot path — and observers (Stats, /healthz, the exit report)
+// snapshot it from any goroutine. A property keeps its first mark's reason and
 // since-point; later marks only accumulate the loss count.
 type Ledger struct {
 	mu        sync.Mutex
 	marks     map[string]*UnsoundMark
 	quarProps map[string]bool
 	installs  map[string]*InstallRecord
-	shed      uint64
 	loss      uint64
 	overflow  uint64
 	wire      uint64
@@ -114,7 +116,6 @@ type Ledger struct {
 
 	// Telemetry handles (nil-safe no-ops when uninstrumented).
 	unsoundG *obs.Gauge
-	shedC    *obs.Counter
 	quarC    *obs.Counter
 	lossC    *obs.Counter
 	ovflC    *obs.Counter
@@ -165,8 +166,6 @@ func (l *Ledger) instrument(reg *obs.Registry, labels []obs.Label) {
 	}
 	l.unsoundG = reg.Gauge("switchmon_monitor_unsound_properties",
 		"Properties whose verdicts are degraded (shed, quarantined, or lossy feed).", labels...)
-	l.shedC = reg.Counter("switchmon_ledger_shed_events_total",
-		"Events shed by bounded shard queues.", labels...)
 	l.quarC = reg.Counter("switchmon_ledger_quarantined_properties_total",
 		"Properties quarantined after a panic in their step.", labels...)
 	l.lossC = reg.Counter("switchmon_ledger_injected_loss_events_total",
@@ -303,9 +302,6 @@ func (l *Ledger) InstallSnapshot() []InstallRecord {
 func (l *Ledger) recordLost(reason UnsoundReason, n uint64) {
 	l.mu.Lock()
 	switch reason {
-	case UnsoundShed:
-		l.shed += n
-		l.shedC.Add(n)
 	case UnsoundInjectedLoss:
 		l.loss += n
 		l.lossC.Add(n)
@@ -349,12 +345,12 @@ func (l *Ledger) Snapshot() []UnsoundMark {
 	return out
 }
 
-// robustnessTotals reports the aggregates surfaced through Stats: total
-// shed events and the count of quarantined properties.
-func (l *Ledger) robustnessTotals() (shed, quarantined uint64) {
+// quarantined reports the count of quarantined properties, surfaced
+// through Stats.
+func (l *Ledger) quarantined() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.shed, uint64(len(l.quarProps))
+	return uint64(len(l.quarProps))
 }
 
 // lostEvents reports the injected-loss and overflow aggregates (used by

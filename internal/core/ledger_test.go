@@ -17,14 +17,14 @@ import (
 func TestLedgerFirstMarkWins(t *testing.T) {
 	l := newLedger()
 	t0 := sim.Epoch
-	l.Mark("p", UnsoundShed, 10, t0, 3, "queue overflow")
+	l.Mark("p", UnsoundQuota, 10, t0, 3, "queue share exhausted")
 	l.Mark("p", UnsoundInjectedLoss, 50, t0.Add(time.Second), 7, "later loss")
 	marks := l.Snapshot()
 	if len(marks) != 1 {
 		t.Fatalf("marks = %+v, want one entry for p", marks)
 	}
 	m := marks[0]
-	if m.Reason != UnsoundShed || m.SinceSeq != 10 || !m.SinceTime.Equal(t0) || m.Detail != "queue overflow" {
+	if m.Reason != UnsoundQuota || m.SinceSeq != 10 || !m.SinceTime.Equal(t0) || m.Detail != "queue share exhausted" {
 		t.Fatalf("first mark not pinned: %+v", m)
 	}
 	if m.Events != 10 {
@@ -40,7 +40,7 @@ func TestLedgerSoundAndSnapshotOrder(t *testing.T) {
 	if marks := l.Snapshot(); len(marks) != 0 {
 		t.Fatalf("fresh ledger has marks: %+v", marks)
 	}
-	l.Mark("zebra", UnsoundShed, 1, sim.Epoch, 1, "")
+	l.Mark("zebra", UnsoundEvicted, 1, sim.Epoch, 1, "")
 	l.Mark("alpha", UnsoundQuarantine, 2, sim.Epoch, 0, "panic")
 	l.Mark("mid", UnsoundSplitOverflow, 3, sim.Epoch, 2, "")
 	if l.Sound() {
@@ -53,33 +53,32 @@ func TestLedgerSoundAndSnapshotOrder(t *testing.T) {
 }
 
 // Aggregate totals come from recordLost (once per occurrence), not from
-// per-property Marks: one shed batch affecting many properties counts
+// per-property Marks: one lost burst affecting many properties counts
 // its events once.
 func TestLedgerTotalsCountOccurrencesOnce(t *testing.T) {
 	l := newLedger()
-	// One shed of 5 events that three properties were routed to.
+	// One loss of 5 events that three properties would have seen.
 	for _, p := range []string{"a", "b", "c"} {
-		l.Mark(p, UnsoundShed, 9, sim.Epoch, 5, "shed")
+		l.Mark(p, UnsoundInjectedLoss, 9, sim.Epoch, 5, "lost")
 	}
-	l.recordLost(UnsoundShed, 5)
-	shed, quarantined := l.robustnessTotals()
-	if shed != 5 {
-		t.Fatalf("shed total = %d, want 5 (once, not per property)", shed)
+	l.recordLost(UnsoundInjectedLoss, 5)
+	if loss, _ := l.lostEvents(); loss != 5 {
+		t.Fatalf("loss total = %d, want 5 (once, not per property)", loss)
 	}
-	if quarantined != 0 {
-		t.Fatalf("quarantined = %d, want 0", quarantined)
+	if q := l.quarantined(); q != 0 {
+		t.Fatalf("quarantined = %d, want 0", q)
 	}
 	// Quarantining the same property twice counts once.
 	l.Mark("a", UnsoundQuarantine, 11, sim.Epoch, 0, "panic")
 	l.Mark("a", UnsoundQuarantine, 12, sim.Epoch, 0, "panic again")
 	l.Mark("b", UnsoundQuarantine, 13, sim.Epoch, 0, "panic")
-	if _, q := l.robustnessTotals(); q != 2 {
+	if q := l.quarantined(); q != 2 {
 		t.Fatalf("quarantined = %d, want 2 distinct properties", q)
 	}
 	l.recordLost(UnsoundInjectedLoss, 4)
 	l.recordLost(UnsoundSplitOverflow, 6)
-	if loss, ovfl := l.lostEvents(); loss != 4 || ovfl != 6 {
-		t.Fatalf("lostEvents = (%d, %d), want (4, 6)", loss, ovfl)
+	if loss, ovfl := l.lostEvents(); loss != 9 || ovfl != 6 {
+		t.Fatalf("lostEvents = (%d, %d), want (9, 6)", loss, ovfl)
 	}
 }
 
@@ -87,10 +86,10 @@ func TestLedgerTotalsCountOccurrencesOnce(t *testing.T) {
 // CLI exit report rely on.
 func TestUnsoundReasonJSON(t *testing.T) {
 	for reason, want := range map[UnsoundReason]string{
-		UnsoundShed:          `"shed"`,
 		UnsoundQuarantine:    `"quarantine"`,
 		UnsoundInjectedLoss:  `"injected-loss"`,
 		UnsoundSplitOverflow: `"split-overflow"`,
+		UnsoundEvicted:       `"evicted"`,
 	} {
 		b, err := json.Marshal(reason)
 		if err != nil {
@@ -119,14 +118,14 @@ func TestLedgerInstrumentation(t *testing.T) {
 	reg := obs.NewRegistry()
 	l := newLedger()
 	l.instrument(reg, nil)
-	l.Mark("a", UnsoundShed, 1, sim.Epoch, 2, "")
+	l.Mark("a", UnsoundQuota, 1, sim.Epoch, 2, "")
 	l.Mark("b", UnsoundQuarantine, 2, sim.Epoch, 0, "panic")
-	l.recordLost(UnsoundShed, 2)
+	l.recordLost(UnsoundQuota, 2)
 	l.recordLost(UnsoundInjectedLoss, 3)
 	l.recordLost(UnsoundSplitOverflow, 4)
 	want := map[string]int64{
 		"switchmon_monitor_unsound_properties":          2,
-		"switchmon_ledger_shed_events_total":            2,
+		"switchmon_ledger_quota_events_total":           2,
 		"switchmon_ledger_quarantined_properties_total": 1,
 		"switchmon_ledger_injected_loss_events_total":   3,
 		"switchmon_ledger_overflow_events_total":        4,
@@ -148,8 +147,8 @@ func TestLedgerInstrumentation(t *testing.T) {
 
 	// Uninstrumented: same operations, no registry, no panic.
 	u := newLedger()
-	u.Mark("a", UnsoundShed, 1, sim.Epoch, 1, "")
-	u.recordLost(UnsoundShed, 1)
+	u.Mark("a", UnsoundQuota, 1, sim.Epoch, 1, "")
+	u.recordLost(UnsoundQuota, 1)
 	if u.Sound() {
 		t.Fatal("uninstrumented ledger lost its mark")
 	}

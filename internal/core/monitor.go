@@ -71,7 +71,8 @@ type Config struct {
 	// When a new instance would exceed the cap, the oldest live instance
 	// is evicted (and counted) — the memory-bounding answer to the
 	// Sec. 3.3 scalability concern. Eviction trades completeness for
-	// bounded state: an evicted instance's violation, if any, is lost.
+	// bounded state: an evicted instance's violation, if any, is lost, so
+	// its property is marked UnsoundEvicted in the Ledger.
 	MaxInstances int
 	// Metrics, when non-nil, wires the engine into the telemetry
 	// registry: per-property counters, a sampled apply-latency histogram,
@@ -90,18 +91,6 @@ type Config struct {
 	// buffer behind a live /violations endpoint. Recording takes the
 	// ring's mutex, but only on the rare violation path.
 	Violations *obs.Ring
-	// ShardQueueLen bounds each shard's control queue, in batches of up
-	// to shardBatchSize events each; 0 means the default (64). Only a
-	// ShardedMonitor of two or more shards reads it: one shard applies on
-	// its caller's goroutine and queues nothing.
-	ShardQueueLen int
-	// ShedPolicy decides what happens when a shard's queue is full at
-	// flush time: block the router (default, the pre-robustness
-	// behavior), shed the newest batch, or shed the oldest queued batch.
-	// Shedding marks every affected property unsound in the Ledger. Only
-	// a ShardedMonitor of two or more shards reads it: one shard has no
-	// queue to fill, so it never sheds and its caller is the back-pressure.
-	ShedPolicy ShedPolicy
 	// StateTopK sets the capacity of the per-property heavy-hitter
 	// sketch behind StateReport ("which keys hold the most monitor
 	// state"); 0 disables the sketch. Accounting itself (live counts,
@@ -207,10 +196,9 @@ type Stats struct {
 	// DroppedEvents counts split-mode queue overflow drops, one count per
 	// dropped event (not per overflow batch).
 	DroppedEvents uint64
-	// ShedEvents counts events shed by bounded shard queues under a
-	// drop-newest or drop-oldest policy, one count per shed event. Always
-	// zero on a fault-free run, so sharded-vs-inline differential checks
-	// comparing whole Stats values keep holding.
+	// ShedEvents reads 0: no engine path sheds queued events — a full
+	// shard queue blocks the router — and events shed by a tenant's queue
+	// share are booked under the ledger's quota reason instead.
 	ShedEvents uint64
 	// QuarantinedProperties counts properties quarantined after a panic
 	// in their step function.
@@ -398,7 +386,7 @@ func (m *Monitor) evict(slot int) {
 // events — without a lock and without racing the hot path.
 func (m *Monitor) Stats() Stats {
 	s := m.stats.snapshot()
-	s.ShedEvents, s.QuarantinedProperties = m.ledger.robustnessTotals()
+	s.QuarantinedProperties = m.ledger.quarantined()
 	s.LifecycleEpoch = m.epoch.Load()
 	return s
 }
@@ -1058,7 +1046,9 @@ func (m *Monitor) suppress(cp *compiledProp, si int, sg *stickyGuard, b *bucket,
 	}
 }
 
-// evictOldest removes the longest-lived filed instance (MaxInstances).
+// evictOldest removes the longest-lived filed instance (MaxInstances)
+// and marks its property unsound: whatever verdict the instance still
+// owed will never come.
 func (m *Monitor) evictOldest() {
 	for len(m.evictQueue) > 0 {
 		ref := m.evictQueue[0]
@@ -1067,6 +1057,7 @@ func (m *Monitor) evictOldest() {
 		if r.inc != ref.inc || r.state != rowFiled {
 			continue // stale entry: already advanced, removed, or recycled
 		}
+		m.ledger.Mark(m.props[r.prop].prop.Name, UnsoundEvicted, m.seq, m.sched.Now(), 1, "instance evicted by the MaxInstances cap")
 		m.remove(ref.row, r)
 		m.stats.evicted.Add(1)
 		m.release(ref.row, r)

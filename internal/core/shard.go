@@ -20,9 +20,9 @@ import (
 // channel synchronization; Barrier and Drain flush partial batches.
 const shardBatchSize = 64
 
-// defaultShardQueueLen is the per-shard queue bound, in batches, when
-// Config.ShardQueueLen is zero.
-const defaultShardQueueLen = 64
+// shardQueueLen is the per-shard queue bound, in batches. A full queue
+// blocks the router (see flushShard).
+const shardQueueLen = 64
 
 // maxShardedProperties bounds the property count of a ShardedMonitor:
 // routing masks are single 64-bit words.
@@ -33,21 +33,21 @@ const maxShardedProperties = 64
 // now it refuses cleanly.
 var ErrClosed = errors.New("core: ShardedMonitor is closed")
 
-// ShedPolicy decides what a full shard queue does to the batch being
-// flushed. Blocking preserves exact semantics at the cost of router
-// stalls; the shedding policies bound router latency and record the
-// loss in the soundness Ledger instead of hiding it.
+// ShedPolicy decides what a switch-side exporter's full send queue
+// (exporter.Config.Shed) does to the batch being sealed. Blocking
+// preserves exact semantics at the cost of stalling the dataplane;
+// dropping bounds its latency and records the loss in the soundness
+// Ledger instead of hiding it. The sharded engine's shard queues have no
+// policy: a full one always blocks the router.
 type ShedPolicy uint8
 
 // Shed policies.
 const (
-	// ShedBlock stalls the router until the shard drains (the default,
-	// and the only policy that never loses events).
+	// ShedBlock stalls the publisher until the queue drains (the default,
+	// and the policy that never loses events).
 	ShedBlock ShedPolicy = iota
-	// ShedDropNewest sheds the batch being flushed.
+	// ShedDropNewest sheds the batch being sealed.
 	ShedDropNewest
-	// ShedDropOldest sheds the oldest queued batch to make room.
-	ShedDropOldest
 )
 
 // String names the policy.
@@ -57,8 +57,6 @@ func (p ShedPolicy) String() string {
 		return "block"
 	case ShedDropNewest:
 		return "drop-newest"
-	case ShedDropOldest:
-		return "drop-oldest"
 	default:
 		return fmt.Sprintf("ShedPolicy(%d)", uint8(p))
 	}
@@ -84,9 +82,9 @@ type shardMsg struct {
 	createMask uint64
 	// tq, when non-nil, is the tenant queue this message is charged
 	// against: the router incremented its pending count at route time and
-	// whoever consumes the message — the worker after applying it, or
-	// shed() — must decrement it exactly once. A pointer (not a mask)
-	// so the charge survives property-slot reuse across lifecycle ops.
+	// the worker decrements it once, after applying the message. A pointer
+	// (not a mask) so the charge survives property-slot reuse across
+	// lifecycle ops.
 	tq *tenantQueue
 }
 
@@ -102,8 +100,8 @@ func (m *shardMsg) event() *Event {
 // batchRef tracks one borrowed event slab through shard dispatch. refs
 // counts outstanding holds — one per delivered shardMsg, plus the
 // router's own hold while routing — and release fires exactly once,
-// when the count hits zero: only after the last shard has applied (or
-// shed) its references may the arena behind events be recycled.
+// when the count hits zero: only after the last shard has applied its
+// references may the arena behind events be recycled.
 // Workers only read the borrowed events (concurrent shards may share
 // one event; span stamps are write-once CAS), so no lock is needed
 // beyond the atomic count.
@@ -150,7 +148,7 @@ type shardCtl struct {
 
 // tenantQueue is the router-side queue-share account for one quota'd
 // tenant: pending counts the tenant's shard-queue messages in flight
-// (routed but not yet applied or shed). When pending reaches max the
+// (routed but not yet applied). When pending reaches max the
 // router stops delivering the tenant's properties — shedding only that
 // tenant's events, marked UnsoundQuota in the ledger — so one tenant's
 // pathological property cannot starve the shared shard queues.
@@ -212,8 +210,8 @@ type shard struct {
 // other property keeps monitoring.
 //
 // Config caveats: Mode and SplitFlushLimit are ignored — shards always
-// apply events inline, the per-shard queues being the split (bounded by
-// ShardQueueLen with ShedPolicy deciding overflow behavior).
+// apply events inline, the per-shard queues being the split; a full queue
+// blocks the router, so nothing routed is ever lost.
 // MaxInstances applies per shard, not globally. DisableIndex disables
 // the routing analysis too (all properties become catch-all), since
 // routing is derived from the same index paths. With N >= 2, violation
@@ -274,19 +272,15 @@ func NewShardedMonitor(shards int, cfg Config) *ShardedMonitor {
 	if shards < 1 {
 		shards = 1
 	}
-	qlen := cfg.ShardQueueLen
-	if qlen <= 0 {
-		qlen = defaultShardQueueLen
-	}
 	sm := &ShardedMonitor{
 		cfg:           cfg,
 		matchScratch:  make([]uint64, shards),
 		createScratch: make([]uint64, shards),
 		// Sized so recycling is lossless: the total batch-buffer
-		// population is bounded by qlen queued + router-pending + in-
-		// worker per shard, so a worker's Put always finds room and the
+		// population is bounded by shardQueueLen queued + router-pending +
+		// in-worker per shard, so a worker's Put always finds room and the
 		// steady state allocates no new buffers.
-		freeBatches: make(chan []shardMsg, shards*(qlen+2)),
+		freeBatches: make(chan []shardMsg, shards*(shardQueueLen+2)),
 	}
 	sm.propSet.setup(sm, cfg, shards, maxShardedProperties)
 	if cfg.Metrics != nil {
@@ -317,7 +311,7 @@ func NewShardedMonitor(shards int, cfg Config) *ShardedMonitor {
 		}
 	}
 	for i := 0; i < shards; i++ {
-		s := &shard{ch: make(chan shardCtl, qlen)}
+		s := &shard{ch: make(chan shardCtl, shardQueueLen)}
 		cfgI := shardCfg
 		if cfg.Metrics != nil {
 			// Engine-level series get a shard label; the per-property
@@ -741,7 +735,7 @@ func (sm *ShardedMonitor) routeLocked(e *Event, ref *batchRef, idx int32) {
 // A non-nil release turns the call into a borrow: evs stays owned by
 // the caller's arena, shards route index references into it instead of
 // copying each event, and release is invoked exactly once — after the
-// last shard holding a reference has applied (or shed) it, or
+// last shard holding a reference has applied it, or
 // immediately when nothing needs the batch. Until release fires the
 // slice and everything it points to must stay untouched; after it
 // fires the arena may be recycled (the engine retains only value
@@ -786,10 +780,8 @@ func (sm *ShardedMonitor) SubmitBatch(evs []Event, release func()) error {
 }
 
 // flushShard hands the shard's pending batch to its goroutine and grabs a
-// recycled batch buffer for the next one. When the shard's queue is full
-// the configured ShedPolicy decides: block until the worker drains
-// (default), shed this batch, or shed the oldest queued batch — shed
-// events are recorded per affected property in the soundness ledger.
+// recycled batch buffer for the next one. A full queue blocks the router
+// until the worker drains: back-pressure, never loss.
 func (sm *ShardedMonitor) flushShard(s *shard) {
 	if len(s.pending) == 0 {
 		return
@@ -797,118 +789,22 @@ func (sm *ShardedMonitor) flushShard(s *shard) {
 	if sm.smx != nil {
 		sm.smx.batchSize.Observe(uint64(len(s.pending)))
 	}
-	ctl := shardCtl{batch: s.pending}
-	switch sm.cfg.ShedPolicy {
-	case ShedDropNewest:
-		select {
-		case s.ch <- ctl:
-		default:
-			// Queue full: shed the batch under construction and reuse its
-			// backing array for the next one.
-			sm.shed(s.pending)
-			s.pending = s.pending[:0]
-			s.depth.Set(int64(len(s.ch)))
-			return
-		}
-	case ShedDropOldest:
-	send:
-		for {
-			select {
-			case s.ch <- ctl:
-				break send
-			default:
-			}
-			select {
-			case old := <-s.ch:
-				// Shed the oldest batch but preserve any control payload
-				// it carried: fold its clock advance into ours and forward
-				// its barrier ack. (Acks cannot actually be queued here —
-				// Barrier holds the router lock until they are consumed —
-				// but losing one silently would deadlock a future caller.)
-				if old.batch != nil {
-					sm.shed(old.batch)
-					select {
-					case sm.freeBatches <- old.batch[:0]:
-					default:
-					}
-				}
-				if old.runUntil.After(ctl.runUntil) {
-					ctl.runUntil = old.runUntil
-				}
-				if old.apply != nil {
-					// Lifecycle fences must never be shed. (Like acks they
-					// cannot actually be queued here — the fence holds the
-					// router lock — but losing one would corrupt the
-					// property set.)
-					if prev := ctl.apply; prev != nil {
-						oldApply := old.apply
-						ctl.apply = func(m *Monitor) { oldApply(m); prev(m) }
-					} else {
-						ctl.apply = old.apply
-					}
-				}
-				if old.ack != nil {
-					if ctl.ack == nil {
-						ctl.ack = old.ack
-					} else {
-						old.ack.Done()
-					}
-				}
-			default:
-				// The worker drained between our probes; retry the send.
-			}
-		}
-	default: // ShedBlock
-		s.ch <- ctl
-	}
+	s.ch <- shardCtl{batch: s.pending}
 	// len on a channel is a safe (if momentary) read; good enough for a
 	// backpressure gauge refreshed once per batch.
 	s.depth.Set(int64(len(s.ch)))
-	select {
-	case b := <-sm.freeBatches:
-		s.pending = b
-	default:
-		s.pending = make([]shardMsg, 0, shardBatchSize)
-	}
+	s.pending = sm.freshBatch()
 }
 
-// shed records a dropped batch in the soundness ledger: the aggregate
-// shed count once, plus one per-property mark counting how many of the
-// batch's events each property would have seen.
-func (sm *ShardedMonitor) shed(batch []shardMsg) {
-	at := batch[0].event().Time // before any unref can recycle the slab
-	var perProp [maxShardedProperties]uint64
-	for i := range batch {
-		mask := batch[i].matchMask | batch[i].createMask
-		for mask != 0 {
-			pi := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			perProp[pi]++
-		}
-		if sp := batch[i].event().Trace; sp != nil && sm.cfg.Tracer != nil && sp.Release() {
-			// The shed copy was this span's last outstanding reference:
-			// no verdict will ever come, so finish it verdict-less.
-			sm.cfg.Tracer.Finish(sp)
-		}
-		if r := batch[i].ref; r != nil {
-			// A shed delivery drops its hold too, or the arena would
-			// never be released.
-			r.unref()
-		}
-		if tq := batch[i].tq; tq != nil {
-			// A shed delivery settles its tenant queue-share charge too.
-			tq.pending.Add(-1)
-		}
+// freshBatch takes a batch buffer the workers recycled, or allocates one
+// when none is free.
+func (sm *ShardedMonitor) freshBatch() []shardMsg {
+	select {
+	case b := <-sm.freeBatches:
+		return b
+	default:
+		return make([]shardMsg, 0, shardBatchSize)
 	}
-	for pi, c := range perProp {
-		if c == 0 || sm.names[pi] == "" {
-			// Tombstoned slots can still appear in old masks during a
-			// remove; the property is going away — nothing to mark.
-			continue
-		}
-		sm.ledger.Mark(sm.names[pi], UnsoundShed, sm.submitted, at, c, "shard queue overflow shed")
-	}
-	sm.ledger.recordLost(UnsoundShed, uint64(len(batch)))
 }
 
 // Barrier flushes all pending batches and blocks until every shard has
@@ -1004,8 +900,8 @@ func (sm *ShardedMonitor) Close() {
 // Stats aggregates shard counters behind a barrier. Events is the
 // router-side submission count, so a sharded and a single-threaded run
 // over the same trace report identical Stats; per-shard applied counts
-// are available from ShardStats. ShedEvents and QuarantinedProperties
-// come from the shared ledger, counted once (not per shard).
+// are available from ShardStats. QuarantinedProperties comes from the
+// shared ledger, counted once (not per shard).
 func (sm *ShardedMonitor) Stats() Stats {
 	sm.quiesce()
 	defer sm.mu.Unlock()
@@ -1024,7 +920,7 @@ func (sm *ShardedMonitor) Stats() Stats {
 		agg.DroppedEvents += st.DroppedEvents
 	}
 	agg.Events = sm.submitted
-	agg.ShedEvents, agg.QuarantinedProperties = sm.ledger.robustnessTotals()
+	agg.QuarantinedProperties = sm.ledger.quarantined()
 	agg.LifecycleEpoch = sm.epoch.Load()
 	return agg
 }

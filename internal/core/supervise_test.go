@@ -2,11 +2,14 @@ package core
 
 import (
 	"errors"
+	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"switchmon/internal/obs"
 	"switchmon/internal/packet"
 	"switchmon/internal/property"
 	"switchmon/internal/sim"
@@ -280,106 +283,91 @@ func TestCloseConcurrentWithSubmit(t *testing.T) {
 	}
 }
 
-// Shed policies: a stalled shard with a bounded queue must shed instead
-// of blocking forever, count every shed event, and mark the affected
-// properties unsound — while ShedBlock (the default) never sheds. Two
-// shards: a one-shard engine has no queue to fill — its feeder is the
-// shard, so stalling the shard stalls the feeder and nothing is shed.
-func TestShedPolicies(t *testing.T) {
-	run := func(policy ShedPolicy) Stats {
-		release := make(chan struct{})
-		var once sync.Once
-		sm := NewShardedMonitor(2, Config{
-			ShardQueueLen: 1,
-			ShedPolicy:    policy,
-		})
-		defer sm.Close()
-		if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), "firewall-basic")); err != nil {
-			t.Fatal(err)
-		}
-		// Stall shard 0 on its first event so the router outruns it.
-		if err := sm.SetShardProbe(0, func(prop int, seq uint64) {
-			once.Do(func() { <-release })
-		}); err != nil {
-			t.Fatal(err)
-		}
-		evs := superviseStream(400, 2)
-		go func() {
-			// Hold the worker just long enough for the router to fill the
-			// queue; the router never blocks under the shedding policies,
-			// so this cannot deadlock the test.
-			time.Sleep(20 * time.Millisecond)
-			close(release)
-		}()
-		if policy == ShedBlock {
-			// With a blocking policy the router would stall against the
-			// held worker; release immediately instead — this run only
-			// establishes the no-shed baseline.
-			once.Do(func() {}) // consume the once so the probe never blocks
-		}
-		for i := range evs {
-			if err := sm.Submit(evs[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := sm.Stats()
-		if err := sm.SelfCheck(); err != nil {
-			t.Fatalf("%v after shedding: %v", policy, err)
-		}
-		return st
+// A full shard queue blocks the router and loses nothing. Shard 0 is
+// parked in its first step while a feeder submits more events than the
+// parked worker, the queue and the router's pending batch can hold
+// between them: once the queue-depth gauge reads full the feeder must
+// still be inside SubmitBatch, and after the release every event must have
+// been applied — nothing shed, the ledger clean, the verdicts an inline
+// Monitor's. nat-reverse is catch-all, so every event routes to shard 0.
+func TestStalledShardBlocksAndLosesNothing(t *testing.T) {
+	props := []*property.Property{
+		property.CatalogByName(property.DefaultParams(), "firewall-basic"),
+		property.CatalogByName(property.DefaultParams(), "nat-reverse"),
 	}
-
-	if st := run(ShedBlock); st.ShedEvents != 0 {
-		t.Fatalf("ShedBlock shed %d events; must never shed", st.ShedEvents)
+	evs := superviseStream(1500, 1)
+	if len(evs) <= (shardQueueLen+2)*shardBatchSize {
+		t.Fatalf("%d events cannot overfill a %d-batch queue", len(evs), shardQueueLen)
 	}
-	for _, policy := range []ShedPolicy{ShedDropNewest, ShedDropOldest} {
-		st := run(policy)
-		if st.ShedEvents == 0 {
-			t.Fatalf("%v: stalled shard with a 1-batch queue shed nothing", policy)
-		}
-		if st.Events == 0 {
-			t.Fatalf("%v: no events submitted?", policy)
-		}
+	record := func(sink *[]string) func(*Violation) {
+		return func(v *Violation) { *sink = append(*sink, v.Property+"@"+v.Time.Format(time.RFC3339Nano)) }
 	}
-
-	// The shed run must mark the property unsound with the shed reason.
-	release := make(chan struct{})
-	var once sync.Once
-	sm := NewShardedMonitor(2, Config{ShardQueueLen: 1, ShedPolicy: ShedDropOldest})
+	var inline, sharded []string
+	mi := NewMonitor(sim.NewScheduler(), Config{OnViolation: record(&inline)})
+	reg := obs.NewRegistry()
+	sm := NewShardedMonitor(2, Config{OnViolation: record(&sharded), Metrics: reg})
 	defer sm.Close()
-	if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), "firewall-basic")); err != nil {
-		t.Fatal(err)
-	}
-	if err := sm.SetShardProbe(0, func(prop int, seq uint64) {
-		once.Do(func() { <-release })
-	}); err != nil {
-		t.Fatal(err)
-	}
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		close(release)
-	}()
-	evs := superviseStream(400, 2)
-	for i := range evs {
-		if err := sm.Submit(evs[i]); err != nil {
+	for _, p := range props {
+		if err := mi.AddProperty(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := sm.AddProperty(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	sm.Barrier()
-	marks := sm.Ledger().Snapshot()
-	if len(marks) == 0 || marks[0].Reason != UnsoundShed || marks[0].Events == 0 {
-		t.Fatalf("expected a shed mark with an event count, got %+v", marks)
+	release := make(chan struct{})
+	if err := sm.SetShardProbe(0, func(int, uint64) { <-release }); err != nil {
+		t.Fatal(err)
 	}
-	if sm.Ledger().Sound() {
-		t.Fatal("ledger claims soundness after shedding")
+	fed := make(chan error, 1)
+	go func() { fed <- sm.SubmitBatch(evs, nil) }()
+
+	depth := reg.Gauge("switchmon_shard_queue_depth", "", obs.L("shard", "0"))
+	for depth.Value() < shardQueueLen {
+		select {
+		case err := <-fed:
+			close(release)
+			t.Fatalf("feeder returned (%v) with shard 0's queue at depth %d", err, depth.Value())
+		default:
+			runtime.Gosched()
+		}
+	}
+	select {
+	case err := <-fed:
+		close(release)
+		t.Fatalf("feeder returned (%v) past a full shard queue; it must block", err)
+	default:
+	}
+	close(release)
+	if err := <-fed; err != nil {
+		t.Fatal(err)
+	}
+
+	end := evs[len(evs)-1].Time.Add(time.Hour)
+	for i := range evs {
+		mi.Feed(evs[i])
+	}
+	mi.AdvanceTo(end)
+	sm.AdvanceTo(end)
+	if st := sm.Stats(); st.ShedEvents != 0 || st != mi.Stats() {
+		t.Fatalf("stats after a stall:\nsharded: %+v\ninline:  %+v", st, mi.Stats())
+	}
+	if !sm.Ledger().Sound() {
+		t.Fatalf("a blocking queue marked the ledger: %+v", sm.Ledger().Snapshot())
+	}
+	if err := sm.SelfCheck(); err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(inline)
+	sort.Strings(sharded)
+	if len(inline) == 0 || strings.Join(inline, " ") != strings.Join(sharded, " ") {
+		t.Fatalf("violations: inline %d, sharded %d; want equal non-empty multisets", len(inline), len(sharded))
 	}
 }
 
-// ShedPolicy and ShedBlock string forms (used in CLI/docs output).
+// ShedPolicy string forms (used in CLI/docs output).
 func TestShedPolicyString(t *testing.T) {
-	for want, p := range map[string]ShedPolicy{
-		"block": ShedBlock, "drop-newest": ShedDropNewest, "drop-oldest": ShedDropOldest,
-	} {
+	for want, p := range map[string]ShedPolicy{"block": ShedBlock, "drop-newest": ShedDropNewest} {
 		if p.String() != want {
 			t.Errorf("%d.String()=%q want %q", p, p.String(), want)
 		}

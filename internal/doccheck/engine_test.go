@@ -28,7 +28,10 @@ import (
 // to select a path without this test saying so. And for the wall clock:
 // one function reads it, Monitor.applyTimed, which apply calls only when
 // its gap countdown reaches zero — no event pays for a clock read unless
-// the sampler picked it.
+// the sampler picked it. And for overflow: a full shard queue blocks the
+// router, so ShardedMonitor.flushShard holds no select (its send cannot
+// become conditional), ShardedMonitor has no shed method, and no non-test
+// Go under internal/ declares ShedDropOldest or UnsoundShed again.
 func TestEngineWrittenOnce(t *testing.T) {
 	const dir = "../../internal/core"
 	fset := token.NewFileSet()
@@ -79,9 +82,15 @@ func TestEngineWrittenOnce(t *testing.T) {
 					fn = recvName(d.Recv.List[0].Type) + "." + fn
 				}
 				recovered := false
+				if fn == "ShardedMonitor.shed" {
+					t.Errorf("%s: %s is back; a full shard queue blocks, nothing sheds it", at(d), fn)
+				}
 				ast.Inspect(d, func(n ast.Node) bool {
 					if _, ok := n.(*ast.GoStmt); ok {
 						goStmts++
+					}
+					if _, ok := n.(*ast.SelectStmt); ok && fn == "ShardedMonitor.flushShard" {
+						t.Errorf("%s: %s selects; its send to the shard queue must block, not fall through to a shed", at(n), fn)
 					}
 					if ifs, ok := n.(*ast.IfStmt); ok && isCountdown(ifs) {
 						ast.Inspect(ifs.Body, func(n ast.Node) bool {
@@ -209,9 +218,20 @@ func TestEngineWrittenOnce(t *testing.T) {
 			timed, fns, countdownTimed)
 	}
 	wantFields := "Mode Provenance OnViolation DisableIndex SplitFlushLimit MaxInstances Metrics MetricsLabels " +
-		"Violations ShardQueueLen ShedPolicy StateTopK StateSample StateWatermark DisableStateAccounting Tracer TenantQuotas"
+		"Violations StateTopK StateSample StateWatermark DisableStateAccounting Tracer TenantQuotas"
 	if got := strings.Join(configFields, " "); got != wantFields {
 		t.Errorf("core.Config's fields changed — a new option needs two callers that want different values, not a path to select:\n got %s\nwant %s", got, wantFields)
+	}
+
+	shedNames := map[string]bool{"ShedDropOldest": true, "UnsoundShed": true}
+	for _, dir := range libraryPackages(t, "../..") {
+		scanDir(t, dir, isSourceFile, func(at func(ast.Node) string, file *ast.File) {
+			for _, id := range declaredNames(file) {
+				if shedNames[id.Name] {
+					t.Errorf("%s/%s: %s is declared; the shard queue blocks and sheds nothing", dir, at(id), id.Name)
+				}
+			}
+		})
 	}
 }
 

@@ -15,7 +15,7 @@
 //     unacknowledged tail from the HelloAck resume point and the
 //     collector deduplicates by sequence number.
 //   - Loss is never silent. Every event the exporter sheds (bounded
-//     queue overflow under a ShedDrop* policy) or abandons (unacked at
+//     queue overflow under ShedDropNewest) or abandons (unacked at
 //     Close) is recorded in a local soundness ledger under reason
 //     wire-loss, and — because shed events consume sequence numbers
 //     that are then never sent — surfaces independently at the
@@ -30,11 +30,10 @@
 //     it" becomes a detectable gap rather than silently missing state
 //     transitions.
 //
-// The queue policy reuses core.ShedPolicy semantics: ShedBlock applies
-// backpressure to the dataplane (never loses events), ShedDropNewest
-// sheds the batch being enqueued, ShedDropOldest sheds the oldest
-// not-yet-sent batch. Already-sent batches awaiting ack are never shed
-// — they may be applied at the collector, and dropping them would turn
+// The queue policy is a core.ShedPolicy: ShedBlock applies backpressure
+// to the dataplane (never loses events), ShedDropNewest sheds the batch
+// being enqueued. Already-sent batches awaiting ack are never shed — they
+// may be applied at the collector, and dropping them would turn
 // "unacknowledged" into "unaccountable".
 package exporter
 
@@ -434,35 +433,14 @@ func (x *Exporter) sealLocked(reason sealReason) {
 		x.pending = make([]core.Event, 0, x.cfg.BatchSize)
 	}
 	for len(x.queue) >= x.cfg.QueueBatches && !x.closed {
-		switch x.cfg.Shed {
-		case core.ShedDropNewest:
+		if x.cfg.Shed == core.ShedDropNewest {
 			x.shedLocked(b, "send queue full, shed newest batch")
 			return
-		case core.ShedDropOldest:
-			// The victim must be unsent (dropping an in-flight batch would
-			// turn "unacknowledged" into "unaccountable") and non-empty
-			// (shedding an advance marker frees no room and loses gap info).
-			vi := -1
-			for i := x.sentIdx; i < len(x.queue); i++ {
-				if len(x.queue[i].Events) > 0 {
-					vi = i
-					break
-				}
-			}
-			if vi >= 0 {
-				victim := x.queue[vi]
-				x.queue = append(x.queue[:vi], x.queue[vi+1:]...)
-				x.shedLocked(victim, "send queue full, shed oldest unsent batch")
-			} else {
-				x.shedLocked(b, "send queue full of in-flight batches, shed newest")
-				return
-			}
-		default: // core.ShedBlock
-			x.sealParked = true
-			x.space.Wait()
-			x.sealParked = false
-			x.space.Broadcast() // release the seals held back above
 		}
+		x.sealParked = true
+		x.space.Wait()
+		x.sealParked = false
+		x.space.Broadcast() // release the seals held back above
 	}
 	if x.closed && len(x.queue) >= x.cfg.QueueBatches {
 		x.shedLocked(b, "closing with full send queue")

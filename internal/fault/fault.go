@@ -47,7 +47,7 @@ type Spec struct {
 	PanicAt    uint64
 	// StallShard, when >= 0, stalls that shard for Stall (wall-clock) at
 	// the shard's StallAt-th applied event — the slow-consumer fault that
-	// exercises queue bounds and shed policies.
+	// exercises queue bounds, back-pressure and tenant queue shares.
 	StallShard int
 	StallAt    uint64
 	Stall      time.Duration
@@ -107,9 +107,11 @@ func (sp Spec) String() string {
 //	delay=DUR    jitter timestamps by uniform [0,DUR) and re-sort
 //	seed=N       PRNG seed (default 0)
 //	panic-shard=S@N   panic shard S's property step at its Nth event
-//	stall-shard=S@N   stall shard S at its Nth event (a one-shard engine
-//	             applies on its feeder's goroutine: the stall stalls the
-//	             feeder instead of filling a queue, and nothing is shed)
+//	stall-shard=S@N   stall shard S at its Nth event (with two or more
+//	             shards the router blocks once S's queue fills, and only a
+//	             tenant over its queue share is shed; a one-shard engine
+//	             applies on its feeder's goroutine, so the stall stalls
+//	             the feeder directly)
 //	stall=DUR    how long a stall lasts (default 10ms)
 //
 // Example: "drop=0.01,dup=0.001,seed=7".

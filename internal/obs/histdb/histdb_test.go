@@ -390,7 +390,7 @@ func TestMatchGlob(t *testing.T) {
 		{"*", "anything", true},
 		{"switchmon_*_total", "switchmon_events_total", true},
 		{"switchmon_*_total", "switchmon_events_totals", false},
-		{"*shed_events_total*", "switchmon_ledger_shed_events_total{shard=1}", true},
+		{"*shed_events_total*", "switchmon_exporter_shed_events_total{dpid=1}", true},
 		{"a?c", "abc", true},
 		{"a?c", "ac", false},
 		{"g{x=1}", "g{x=1}", true},

@@ -296,7 +296,7 @@ func TestParseRule(t *testing.T) {
 func TestEvaluateSteadyStateZeroAlloc(t *testing.T) {
 	rules := append(BuiltinRules(), Rule{Name: "shed", Series: "switchmon_*shed_events_total*", Threshold: 1e12, Fast: 2 * time.Second})
 	r := newRig(t, rules)
-	ctr := r.reg.Counter("switchmon_ledger_shed_events_total", "")
+	ctr := r.reg.Counter("switchmon_exporter_shed_events_total", "")
 	h := r.reg.Histogram("switchmon_trace_detection_latency_ns", "")
 	r.tick() // discovery + glob resolution
 

@@ -156,6 +156,16 @@ func TestFTPBadPort(t *testing.T) {
 	}
 }
 
+// A payload that is not exactly one control line stays raw: decoding it
+// as FTP would re-encode to different bytes.
+func TestFTPRejectsEmbeddedLineBreaks(t *testing.T) {
+	for _, data := range []string{"USER a\rb\r\n", "NOOP\nLIST\r\n", "LIST\r \r\rx"} {
+		if _, err := decodeFTPControl([]byte(data)); err == nil {
+			t.Errorf("%q decoded as one FTP control line", data)
+		}
+	}
+}
+
 func TestDecodeRejectsCorruptChecksums(t *testing.T) {
 	p := NewTCP(macA, macB, ipA, ipB, 1, 2, FlagSYN, nil)
 	data, err := p.Encode()

@@ -379,6 +379,11 @@ func decodeFTPControl(data []byte) (*FTPControl, error) {
 	if line == "" {
 		return nil, fmt.Errorf("packet: empty FTP control line")
 	}
+	if strings.ContainsAny(line, "\r\n") {
+		// Not one control line: encodeTo could not reproduce it, so the
+		// payload stays raw.
+		return nil, fmt.Errorf("packet: FTP control data is not one line")
+	}
 	f := &FTPControl{}
 	if code, err := strconv.Atoi(strings.SplitN(line, " ", 2)[0]); err == nil && code >= 100 && code <= 599 {
 		f.ReplyCode = code
