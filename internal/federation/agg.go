@@ -303,34 +303,16 @@ func (a *Aggregator) AttachSelfMonitor(db *histdb.DB, eng *slo.Engine) {
 	a.alerts = eng
 }
 
-// scrapeMetrics pulls every member's registry snapshot.
+// scrapeMetrics pulls every member's registry snapshot; a member is
+// reachable when it answers one.
 func (a *Aggregator) scrapeMetrics() (snaps []obs.Snapshot, reachable int) {
-	members := a.Members()
-	snaps = make([]obs.Snapshot, len(members))
-	ok := make([]bool, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
-		wg.Add(1)
-		go func(i int, m AggMember) {
-			defer wg.Done()
-			body, err := a.get(m.Admin, "/metrics?format=json")
-			if err != nil {
-				return
-			}
-			if json.Unmarshal(body, &snaps[i]) == nil {
-				ok[i] = true
-			}
-		}(i, m)
-	}
-	wg.Wait()
-	live := snaps[:0]
-	for i := range snaps {
-		if ok[i] {
-			live = append(live, snaps[i])
-			reachable++
+	for _, d := range a.collectJSON("/metrics?format=json") {
+		var snap obs.Snapshot
+		if d.Error == "" && json.Unmarshal(d.Doc, &snap) == nil {
+			snaps = append(snaps, snap)
 		}
 	}
-	return live, reachable
+	return snaps, len(snaps)
 }
 
 // pushFleetConfig posts the fleet document to every reachable member's
@@ -492,7 +474,8 @@ func (a *Aggregator) RemoveProperty(name string) error {
 //	             ?since/?limit forward to every member, and repeated
 //	             ?cursor=<addr>=<seq> params override since per member
 //	             so a poller can resume each member's stream where it
-//	             left off
+//	             left off (both endpoints validate ?since/?limit with
+//	             export.ReadPage: a malformed one answers 400)
 //	/query       fleet metrics history (when AttachSelfMonitor wired a
 //	             history ring; see export.HistoryHandler)
 //	/alerts      fleet SLO rule status (when AttachSelfMonitor wired an
@@ -507,14 +490,7 @@ func (a *Aggregator) RemoveProperty(name string) error {
 func (a *Aggregator) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-		merged := a.FleetSnapshot()
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = export.WriteJSON(w, merged)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = export.PromText(w, merged)
+		export.Metrics(w, r, a.FleetSnapshot())
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		docs := a.collectJSON("/healthz")
@@ -534,10 +510,7 @@ func (a *Aggregator) Mux() *http.ServeMux {
 			fmt.Fprintln(w, "ok")
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
+		export.JSON(w, struct {
 			Status  string            `json:"status"`
 			Members []memberDoc       `json:"members"`
 			Alerts  []slo.ActiveAlert `json:"alerts,omitempty"`
@@ -545,24 +518,15 @@ func (a *Aggregator) Mux() *http.ServeMux {
 	})
 	serveMembers := func(path string) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			q := r.URL.Query()
-			if v := q.Get("since"); v != "" {
-				if _, err := strconv.ParseUint(v, 10, 64); err != nil {
-					export.Errorf(w, http.StatusBadRequest, "bad since %q: want an unsigned sequence number", v)
-					return
-				}
-			}
-			if v := q.Get("limit"); v != "" {
-				if n, err := strconv.Atoi(v); err != nil || n < 0 {
-					export.Errorf(w, http.StatusBadRequest, "bad limit %q: want a non-negative integer", v)
-					return
-				}
+			p, ok := export.ReadPage(w, r)
+			if !ok {
+				return
 			}
 			// Per-member cursors: repeated ?cursor=<addr>=<seq> override
 			// the global ?since for that member, so one poll can resume
 			// every member's independent sequence space.
 			cursors := map[string]string{}
-			for _, c := range q["cursor"] {
+			for _, c := range r.URL.Query()["cursor"] {
 				addr, seq, ok := strings.Cut(c, "=")
 				if !ok {
 					export.Errorf(w, http.StatusBadRequest, "bad cursor %q: want <addr>=<seq>", c)
@@ -578,21 +542,18 @@ func (a *Aggregator) Mux() *http.ServeMux {
 				vals := url.Values{}
 				if v, ok := cursors[m.Addr]; ok {
 					vals.Set("since", v)
-				} else if v := q.Get("since"); v != "" {
-					vals.Set("since", v)
+				} else if p.HasSince {
+					vals.Set("since", strconv.FormatUint(p.Since, 10))
 				}
-				if v := q.Get("limit"); v != "" {
-					vals.Set("limit", v)
+				if p.Limit >= 0 {
+					vals.Set("limit", strconv.Itoa(p.Limit))
 				}
 				if len(vals) == 0 {
 					return path
 				}
 				return path + "?" + vals.Encode()
 			})
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(struct {
+			export.JSON(w, struct {
 				Members []memberDoc `json:"members"`
 			}{docs})
 		}
@@ -615,10 +576,7 @@ func (a *Aggregator) Mux() *http.ServeMux {
 					converged = false
 				}
 			}
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(struct {
+			export.JSON(w, struct {
 				Converged bool        `json:"converged"`
 				Members   []memberDoc `json:"members"`
 			}{converged, docs})
@@ -658,10 +616,7 @@ func (a *Aggregator) Mux() *http.ServeMux {
 				Members []AggMember `json:"members"`
 			}{a.epoch, append([]AggMember(nil), a.members...)}
 			a.mu.Unlock()
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(doc)
+			export.JSON(w, doc)
 		case http.MethodPost:
 			var req struct {
 				Members []AggMember `json:"members"`

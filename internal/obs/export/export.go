@@ -134,11 +134,25 @@ func escapeHelp(v string) string {
 	return r.Replace(v)
 }
 
-// WriteJSON writes the snapshot as one indented JSON document.
-func WriteJSON(w io.Writer, s obs.Snapshot) error {
+// JSON writes v as the admin surface's one JSON answer: Content-Type
+// application/json and a two-space-indented document. Every JSON
+// endpoint here and on the federation aggregator answers through it.
+func JSON(w http.ResponseWriter, v any) {
+	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	_ = enc.Encode(v)
+}
+
+// Metrics answers a /metrics scrape with snap: Prometheus text, or the
+// JSON snapshot with ?format=json.
+func Metrics(w http.ResponseWriter, r *http.Request, snap obs.Snapshot) {
+	if r.URL.Query().Get("format") == "json" {
+		JSON(w, snap)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	_ = PromText(w, snap)
 }
 
 // HealthFunc lets the engine report degradation through /healthz. It
@@ -166,17 +180,19 @@ type PropertiesConfig struct {
 
 // MuxConfig wires the introspection endpoint's data sources. Every
 // field may be nil: the corresponding handlers then serve empty
-// documents (and /healthz degrades to a plain liveness probe).
+// documents (and /healthz degrades to a plain liveness probe). The three
+// record streams — Ring, Tracer and Alerts — are each one obs.Log, paged
+// by ReadPage.
 type MuxConfig struct {
 	// Registry backs /metrics; when non-nil the mux also registers the
 	// switchmon_build_info series and refreshes Go runtime health gauges
 	// (goroutines, heap, GC pauses) before every snapshot.
 	Registry *obs.Registry
-	// Ring backs /violations.
+	// Ring backs /violations (seqs from 0).
 	Ring *obs.Ring
 	// Health backs /healthz.
 	Health HealthFunc
-	// Tracer backs /trace.
+	// Tracer backs /trace (seqs from 0).
 	Tracer *tracer.Tracer
 	// State backs /state.
 	State StateFunc
@@ -185,30 +201,34 @@ type MuxConfig struct {
 	Properties *PropertiesConfig
 	// History, when non-nil, backs /query (the histdb ring TSDB).
 	History *histdb.DB
-	// Alerts, when non-nil, backs /alerts and folds firing rules into
-	// the /healthz degradation report.
+	// Alerts, when non-nil, backs /alerts (transition seqs from 1) and
+	// folds firing rules into the /healthz degradation report.
 	Alerts *slo.Engine
 }
 
-// sinceLimit parses the shared incremental-read query parameters:
-// ?since=<seq> keeps only records with seq strictly greater, and
-// ?limit=N keeps the newest N of what remains. Absent or unparseable
-// values fall back to "everything". hasSince distinguishes ?since=0
-// (skip seq 0 only) from no filter at all.
-func sinceLimit(r *http.Request) (since uint64, hasSince bool, limit int) {
-	q := r.URL.Query()
-	limit = -1
+// ReadPage parses the ?since=<seq>&limit=N page every record stream
+// shares (/violations, /trace, /alerts, and the aggregator's forwarded
+// /violations) into an obs.Page. A malformed value answers 400 with the
+// uniform JSON error shape, and ReadPage reports false.
+func ReadPage(w http.ResponseWriter, r *http.Request) (obs.Page, bool) {
+	q, p := r.URL.Query(), obs.All
 	if v := q.Get("since"); v != "" {
-		if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-			since, hasSince = n, true
+		n, err := strconv.ParseUint(v, 10, 64)
+		if err != nil {
+			Errorf(w, http.StatusBadRequest, "bad since %q: want an unsigned sequence number", v)
+			return p, false
 		}
+		p.Since, p.HasSince = n, true
 	}
 	if v := q.Get("limit"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			limit = n
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			Errorf(w, http.StatusBadRequest, "bad limit %q: want a non-negative integer", v)
+			return p, false
 		}
+		p.Limit = n
 	}
-	return since, hasSince, limit
+	return p, true
 }
 
 // HistoryHandler serves /query over a histdb ring:
@@ -217,7 +237,8 @@ func sinceLimit(r *http.Request) (since uint64, hasSince bool, limit int) {
 //
 // series is required ('*' and '?' wildcards, '|' separates
 // alternatives); since restricts to samples strictly newer than the
-// given unix time in seconds (fractions allowed); step downsamples to
+// given unix time in seconds (fractions allowed; a time whose
+// nanosecond value overflows int64 is malformed); step downsamples to
 // one point per step. Malformed parameters answer 400 with the uniform
 // JSON error shape. The federation aggregator reuses this handler for
 // its fleet-level ring.
@@ -232,11 +253,14 @@ func HistoryHandler(db *histdb.DB) http.HandlerFunc {
 		var sinceNS int64
 		if v := q.Get("since"); v != "" {
 			f, err := strconv.ParseFloat(v, 64)
-			if err != nil || f < 0 {
+			ns := f * float64(time.Second)
+			// The negated range test also refuses NaN; 2^63 is the first
+			// float64 past math.MaxInt64.
+			if err != nil || !(ns >= 0 && ns < 1<<63) {
 				Errorf(w, http.StatusBadRequest, "bad since %q: want unix seconds", v)
 				return
 			}
-			sinceNS = int64(f * float64(time.Second))
+			sinceNS = int64(ns)
 		}
 		var step time.Duration
 		if v := q.Get("step"); v != "" {
@@ -252,10 +276,7 @@ func HistoryHandler(db *histdb.DB) http.HandlerFunc {
 			Errorf(w, http.StatusBadRequest, "bad series glob: %v", err)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(res)
+		JSON(w, res)
 	}
 }
 
@@ -266,53 +287,22 @@ type alertsDoc struct {
 	// TransitionsTotal counts transitions ever recorded; with the
 	// retained ring's contiguous seqs, a gap proves eviction.
 	TransitionsTotal uint64 `json:"transitions_total"`
-	// Transitions is the retained transition ring, oldest first,
-	// after the ?since/?limit filters.
+	// Transitions is the retained transitions ReadPage selects, oldest
+	// first.
 	Transitions []slo.Transition `json:"transitions"`
 }
 
 // AlertsHandler serves /alerts over an SLO engine: the current status
-// of every rule plus the ring of recorded transitions. ?since=<seq>
-// keeps transitions with a strictly greater sequence number and
-// ?limit=N the newest N, mirroring /violations; malformed values
-// answer 400.
+// of every rule plus the page of recorded transitions ReadPage selects.
+// Transition seqs count from 1, so ?since=0 keeps them all.
 func AlertsHandler(e *slo.Engine) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		var since uint64
-		hasSince := false
-		if v := q.Get("since"); v != "" {
-			n, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				Errorf(w, http.StatusBadRequest, "bad since %q: want a transition seq", v)
-				return
-			}
-			since, hasSince = n, true
+		p, ok := ReadPage(w, r)
+		if !ok {
+			return
 		}
-		limit := -1
-		if v := q.Get("limit"); v != "" {
-			n, err := strconv.Atoi(v)
-			if err != nil || n < 0 {
-				Errorf(w, http.StatusBadRequest, "bad limit %q", v)
-				return
-			}
-			limit = n
-		}
-		trs := e.Transitions()
-		if hasSince {
-			cut := 0
-			for cut < len(trs) && trs[cut].Seq <= since {
-				cut++
-			}
-			trs = trs[cut:]
-		}
-		if limit >= 0 && len(trs) > limit {
-			trs = trs[len(trs)-limit:]
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(alertsDoc{Alerts: e.Alerts(), TransitionsTotal: e.Total(), Transitions: trs})
+		trs, total := e.Page(p)
+		JSON(w, alertsDoc{Alerts: e.Alerts(), TransitionsTotal: total, Transitions: trs})
 	}
 }
 
@@ -335,11 +325,14 @@ func AlertsHandler(e *slo.Engine) http.HandlerFunc {
 //	/buildinfo        module, VCS, and toolchain identity as JSON
 //	/debug/pprof/...  standard runtime profiles
 //
-// /violations and /trace accept ?since=<seq> (records with a strictly
-// greater sequence number only) and ?limit=N (the newest N after the
-// since filter), so pollers can read incrementally; records carry
-// contiguous sequence numbers, so a page whose first record's seq
-// exceeds since+1 proves records were missed (evicted or truncated).
+// /violations, /trace and /alerts are one contract over one obs.Log
+// each: ReadPage parses ?since=<seq> (records with a strictly greater
+// sequence number only) and ?limit=N (the newest N after the since
+// filter), answering 400 when either is malformed, so pollers can read
+// incrementally. Records carry contiguous sequence numbers (from 0, or
+// from 1 for alert transitions), so a page whose first record's seq
+// exceeds since+1 proves records were missed (evicted or truncated);
+// each page and its total come from one read of the log.
 //
 // /healthz answers 200 even when degraded: the process is alive and
 // still monitoring, just with a documented soundness gap (a non-empty
@@ -363,14 +356,7 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 	handle := instrumented(mux, reg)
 	handle("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		rc.collect()
-		snap := reg.Snapshot()
-		if r.URL.Query().Get("format") == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			_ = WriteJSON(w, snap)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		_ = PromText(w, snap)
+		Metrics(w, r, reg.Snapshot())
 	})
 	handle("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		healthy, detail := true, any(nil)
@@ -382,10 +368,7 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 			firing = cfg.Alerts.Degraded()
 		}
 		if !healthy || len(firing) > 0 {
-			w.Header().Set("Content-Type", "application/json")
-			enc := json.NewEncoder(w)
-			enc.SetIndent("", "  ")
-			_ = enc.Encode(struct {
+			JSON(w, struct {
 				Status string            `json:"status"`
 				Detail any               `json:"detail,omitempty"`
 				Alerts []slo.ActiveAlert `json:"alerts,omitempty"`
@@ -396,58 +379,33 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 		fmt.Fprintln(w, "ok")
 	})
 	handle("/violations", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var recs []obs.TraceRecord
-		var total uint64
-		if ring != nil {
-			recs = ring.Snapshot()
-			total = ring.Total()
+		p, ok := ReadPage(w, r)
+		if !ok {
+			return
 		}
-		since, hasSince, limit := sinceLimit(r)
-		if hasSince {
-			cut := 0
-			for cut < len(recs) && recs[cut].Seq <= since {
-				cut++
-			}
-			recs = recs[cut:]
-		}
-		if limit >= 0 && len(recs) > limit {
-			recs = recs[len(recs)-limit:]
-		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(struct {
+		recs, total := ring.Page(p)
+		JSON(w, struct {
 			Total      uint64            `json:"total"`
 			Retained   int               `json:"retained"`
 			Violations []obs.TraceRecord `json:"violations"`
 		}{Total: total, Retained: len(recs), Violations: recs})
 	})
 	handle("/trace", func(w http.ResponseWriter, r *http.Request) {
+		p, ok := ReadPage(w, r)
+		if !ok {
+			return
+		}
+		recs, total := tr.Page(p)
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Header().Set("X-Trace-Total", strconv.FormatUint(tr.Total(), 10))
-		recs := tr.Snapshot()
-		since, hasSince, limit := sinceLimit(r)
-		if hasSince {
-			cut := 0
-			for cut < len(recs) && recs[cut].Seq <= since {
-				cut++
-			}
-			recs = recs[cut:]
-		}
-		if limit >= 0 && len(recs) > limit {
-			recs = recs[len(recs)-limit:]
-		}
+		w.Header().Set("X-Trace-Total", strconv.FormatUint(total, 10))
 		_ = tracer.WriteNDJSON(w, recs)
 	})
 	handle("/state", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
 		var rep any = struct{}{}
 		if cfg.State != nil {
 			rep = cfg.State()
 		}
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(rep)
+		JSON(w, rep)
 	})
 	if cfg.History != nil {
 		handle("/query", HistoryHandler(cfg.History))
@@ -459,14 +417,11 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 		handle("/properties", func(w http.ResponseWriter, r *http.Request) {
 			switch r.Method {
 			case http.MethodGet:
-				w.Header().Set("Content-Type", "application/json")
 				var list any = struct{}{}
 				if pc.List != nil {
 					list = pc.List()
 				}
-				enc := json.NewEncoder(w)
-				enc.SetIndent("", "  ")
-				_ = enc.Encode(list)
+				JSON(w, list)
 			case http.MethodPost:
 				if pc.Install == nil {
 					Error(w, http.StatusMethodNotAllowed, "install not supported")
@@ -504,10 +459,7 @@ func NewMux(cfg MuxConfig) *http.ServeMux {
 		})
 	}
 	handle("/buildinfo", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(buildInfo())
+		JSON(w, buildInfo())
 	})
 	handle("/debug/pprof/", pprof.Index)
 	handle("/debug/pprof/cmdline", pprof.Cmdline)

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"switchmon/internal/obs"
+	"switchmon/internal/raceon"
 )
 
 // fakeClock yields a controllable, strictly advancing clock.
@@ -350,6 +351,9 @@ func TestSlowSourceDoesNotBlockReads(t *testing.T) {
 // set is discovered, a registry-mode sample tick must not allocate,
 // no matter how busy the instruments are.
 func TestSamplerTickZeroAlloc(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates; allocation gates run without -race")
+	}
 	reg := obs.NewRegistry()
 	var ctrs []*obs.Counter
 	var hists []*obs.Histogram

@@ -1,6 +1,8 @@
 // Package obs is the switch-scope telemetry subsystem: atomic counters,
-// gauges, power-of-two-bucket latency histograms, and a fixed-size ring
-// buffer of recent violation trace records (ring.go). It exists so the
+// gauges, power-of-two-bucket latency histograms, the bounded
+// sequence-numbered Log behind every introspection stream (log.go: the
+// violation ring, completed spans, alert transitions), and the one
+// deterministic 1-in-N sampling test (InSample). It exists so the
 // monitor can explain what it is doing — shard occupancy, queue drops,
 // per-property match rates, per-event latency — without perturbing the
 // data plane: every hot-path recording operation (Counter.Inc,
@@ -212,6 +214,22 @@ func HistMaxBound(buckets []uint64) uint64 {
 		}
 	}
 	return 0
+}
+
+// InSample reports whether key lands in the deterministic 1-in-n
+// sampled class (n <= 1 samples everything). The murmur3 fmix64
+// finalizer keeps the class uniform even for structured keys (sequential
+// packet ids), and fastrange ((x*n)>>64 == 0) costs one multiply where
+// x%n would cost a ~30-cycle divide — this runs for every event, sampled
+// or not, and inlines into its callers.
+func InSample(key, n uint64) bool {
+	key ^= key >> 33
+	key *= 0xff51afd7ed558ccd
+	key ^= key >> 33
+	key *= 0xc4ceb9fe1a85ec53
+	key ^= key >> 33
+	hi, _ := bits.Mul64(key, n)
+	return hi == 0
 }
 
 // metricKind discriminates the series types a family can hold.

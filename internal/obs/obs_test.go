@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"switchmon/internal/raceon"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -149,6 +151,9 @@ func TestHistogramObserveN(t *testing.T) {
 // per event inside the monitor's steady state. check.sh gates on this
 // test by name.
 func TestHotPathZeroAlloc(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates; allocation gates run without -race")
+	}
 	r := NewRegistry()
 	c := r.Counter("events_total", "e")
 	g := r.Gauge("occupancy", "o")

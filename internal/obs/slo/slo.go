@@ -34,6 +34,7 @@ package slo
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -116,6 +117,10 @@ func ParseRule(s string) (Rule, error) {
 	th, err := strconv.ParseFloat(threshold, 64)
 	if err != nil {
 		return Rule{}, fmt.Errorf("slo rule %q: bad threshold %q: %v", s, threshold, err)
+	}
+	if math.IsNaN(th) || math.IsInf(th, 0) {
+		// NaN and +Inf never fire, -Inf always does.
+		return Rule{}, fmt.Errorf("slo rule %q: threshold %q is not finite", s, threshold)
 	}
 	w, err := time.ParseDuration(window)
 	if err != nil || w <= 0 {
@@ -265,10 +270,7 @@ type Engine struct {
 	tGen     uint64 // db track generation at last glob resolution
 	resolved bool   // globs resolved at least once
 
-	ring  []Transition
-	head  int
-	n     int
-	total uint64
+	log *obs.Log[Transition]
 
 	warnGauge  *obs.Gauge
 	critGauge  *obs.Gauge
@@ -290,7 +292,8 @@ func New(cfg Config) *Engine {
 	e := &Engine{
 		db:   cfg.DB,
 		hyst: cfg.Hysteresis,
-		ring: make([]Transition, cfg.TransitionRing),
+		// The log numbers from 0; Transition.Seq is documented from 1.
+		log: obs.NewLog(cfg.TransitionRing, func(t *Transition, seq uint64) { t.Seq = seq + 1 }),
 	}
 	if reg := cfg.Registry; reg != nil {
 		e.warnGauge = reg.Gauge("switchmon_alerts_active", "SLO rules currently firing, by severity.", obs.L("severity", "warning"))
@@ -392,11 +395,12 @@ func (e *Engine) Evaluate(now time.Time) {
 			}
 		}
 		if to != "" {
-			e.record(Transition{
+			e.log.Record(Transition{
 				UnixNS: nowNS, Rule: r.Name,
 				From: rs.state.String(), To: to,
 				Value: fastAvg, Threshold: r.Threshold, Series: worst.Key(),
 			})
+			e.transTotal.Inc()
 			rs.state = next
 			rs.sinceNS = nowNS
 		}
@@ -416,18 +420,6 @@ func (rs *ruleState) apply(warn, crit *int64) {
 		*crit++
 	}
 	rs.stateGauge.Set(int64(rs.state))
-}
-
-// record appends one transition to the ring. Called with e.mu held.
-func (e *Engine) record(t Transition) {
-	e.total++
-	t.Seq = e.total
-	e.ring[e.head] = t
-	e.head = (e.head + 1) % len(e.ring)
-	if e.n < len(e.ring) {
-		e.n++
-	}
-	e.transTotal.Inc()
 }
 
 // Alerts reports every rule's current status, in rule order.
@@ -469,19 +461,20 @@ func (e *Engine) Degraded() []ActiveAlert {
 }
 
 // Total reports the number of transitions ever recorded.
-func (e *Engine) Total() uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.total
-}
+func (e *Engine) Total() uint64 { return e.log.Total() }
 
-// Transitions returns the retained transition ring, oldest first.
-func (e *Engine) Transitions() []Transition {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	out := make([]Transition, 0, e.n)
-	for i := e.n; i >= 1; i-- {
-		out = append(out, e.ring[(e.head-i+len(e.ring))%len(e.ring)])
+// Transitions returns the retained transitions, oldest first.
+func (e *Engine) Transitions() []Transition { return e.log.Snapshot() }
+
+// Page returns the transitions p selects, oldest first, with the
+// all-time total read in the same critical section. p.Since is a
+// Transition.Seq, so it counts from 1 like the transitions do.
+func (e *Engine) Page(p obs.Page) ([]Transition, uint64) {
+	if p.HasSince {
+		// Seq s is log seq s-1, so Seq > s is log seq > s-1, and since=0
+		// keeps every transition.
+		p.HasSince = p.Since > 0
+		p.Since--
 	}
-	return out
+	return e.log.Page(p)
 }

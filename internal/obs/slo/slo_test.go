@@ -1,11 +1,13 @@
 package slo
 
 import (
+	"math"
 	"testing"
 	"time"
 
 	"switchmon/internal/obs"
 	"switchmon/internal/obs/histdb"
+	"switchmon/internal/raceon"
 )
 
 // rig builds a registry + histdb + engine with compressed windows and
@@ -272,7 +274,8 @@ func TestParseRule(t *testing.T) {
 	if r.Series != "a:b" || r.Threshold != 1.5 || r.Fast != time.Minute {
 		t.Fatalf("ParseRule with ':' in series = %+v", r)
 	}
-	for _, bad := range []string{"", "x", "x:y", "x:y:z", "x:y:nan?:1m", "x:y:5:bogus", ":s:1:1m"} {
+	for _, bad := range []string{"", "x", "x:y", "x:y:z", "x:y:nan?:1m", "x:y:5:bogus", ":s:1:1m",
+		"x:y:NaN:1m", "x:y:+Inf:1m", "x:y:-Inf:1m", "x:y:inf:1m", "x:y:1e999:1m"} {
 		if _, err := ParseRule(bad); err == nil {
 			t.Errorf("ParseRule(%q) accepted", bad)
 		}
@@ -294,6 +297,9 @@ func TestParseRule(t *testing.T) {
 // hook, a steady-state tick (no transitions, no new series) must not
 // allocate.
 func TestEvaluateSteadyStateZeroAlloc(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates; allocation gates run without -race")
+	}
 	rules := append(BuiltinRules(), Rule{Name: "shed", Series: "switchmon_*shed_events_total*", Threshold: 1e12, Fast: 2 * time.Second})
 	r := newRig(t, rules)
 	ctr := r.reg.Counter("switchmon_exporter_shed_events_total", "")
@@ -342,4 +348,38 @@ func TestAlertsActiveGauges(t *testing.T) {
 	if warn+crit != 2 {
 		t.Fatalf("alerts_active warning=%d critical=%d, want 2 firing total", warn, crit)
 	}
+}
+
+// FuzzParseRule: any rule ParseRule accepts has a finite threshold and
+// re-parses from its RuleList rendering (the -slo flag's String) to an
+// equal Rule, so a rule echoed back by the flag means what it said.
+func FuzzParseRule(f *testing.F) {
+	for _, seed := range []string{
+		"shed:switchmon_*shed_events_total*:250:30s",
+		"x:a:b:1.5:1m",
+		"lat:switchmon_*p99*|g:5e+07:1h0m0.5s",
+		"x:y:0x1p-2:90s",
+		"x:y:-0:1ns",
+		"x:y:NaN:1m",
+		"x:y:-Inf:1m",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		r, err := ParseRule(s)
+		if err != nil {
+			return
+		}
+		if math.IsNaN(r.Threshold) || math.IsInf(r.Threshold, 0) {
+			t.Fatalf("ParseRule(%q) accepted threshold %v", s, r.Threshold)
+		}
+		rendered := (&RuleList{r}).String()
+		back, err := ParseRule(rendered)
+		if err != nil {
+			t.Fatalf("ParseRule(%q) = %+v renders as %q, which does not parse: %v", s, r, rendered, err)
+		}
+		if back != r {
+			t.Fatalf("ParseRule(%q) = %+v renders as %q, which parses to %+v", s, r, rendered, back)
+		}
+	})
 }

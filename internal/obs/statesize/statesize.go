@@ -19,7 +19,6 @@ package statesize
 
 import (
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -337,7 +336,7 @@ func (h *Handle) File(key uint64, bytes int64) {
 		p.pressureC.Inc()
 		p.pressureG.Set(1)
 	}
-	if h.sk != nil && (h.sampleN <= 1 || inClass(mix64(key), h.sampleN)) {
+	if h.sk != nil && (h.sampleN <= 1 || obs.InSample(key, h.sampleN)) {
 		h.sk.observe(key)
 	}
 }
@@ -427,25 +426,6 @@ func (s *sketch) observe(key uint64) {
 	s.keys[minI].Store(key)
 	s.errs[minI].Store(minC)
 	s.counts[minI].Store(minC + 1)
-}
-
-// mix64 is the murmur3 fmix64 finalizer (the tracer's sampling mixer):
-// a bijection whose output bits depend on every input bit, so sampling
-// classes stay uniform even for structured keys.
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// inClass reports whether a mixed key lands in the 1-in-n sampled
-// class, via fastrange (one multiply) instead of a modulo.
-func inClass(mixed, n uint64) bool {
-	hi, _ := bits.Mul64(mixed, n)
-	return hi == 0
 }
 
 // KeyWeight is one heavy-hitter entry in a report: a filing key, its

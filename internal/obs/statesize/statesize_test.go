@@ -182,7 +182,7 @@ func TestSamplingScalesEstimates(t *testing.T) {
 	// Find a key in the sampled class and one outside it.
 	var sampled, skipped uint64
 	for k := uint64(1); sampled == 0 || skipped == 0; k++ {
-		if inClass(mix64(k), n) {
+		if obs.InSample(k, n) {
 			if sampled == 0 {
 				sampled = k
 			}

@@ -24,8 +24,9 @@
 //     reconnect re-stamps nothing, so wire spans stay exact without
 //     any replay-awareness at the instrumentation sites.
 //
-// Completed spans land in a bounded ring served as NDJSON from the
-// /trace introspection endpoint, and their stage-to-stage deltas feed
+// Completed spans land in a bounded obs.Log — the same sequence-
+// numbered log behind /violations and /alerts — served as NDJSON from
+// the /trace introspection endpoint, and their stage-to-stage deltas feed
 // per-stage and end-to-end detection-latency histograms in the obs
 // registry.
 package tracer
@@ -34,8 +35,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -205,7 +204,7 @@ func (s *Span) adjusted(st Stage) int64 {
 // latency when both endpoints were stamped.
 type SpanRecord struct {
 	// Seq numbers completed spans in Finish order, starting at 0. The
-	// ring evicts oldest-first, so retained seqs are contiguous: a
+	// log evicts oldest-first, so retained seqs are contiguous: a
 	// poller reading ?since=s that gets a first record with seq > s+1
 	// has detected a gap (spans evicted between polls).
 	Seq      uint64           `json:"seq"`
@@ -234,12 +233,12 @@ type Config struct {
 	Labels []obs.Label
 }
 
-// slot is the ring's completed-span representation: fixed-size, no
-// maps, so Finish renders a span without allocating. Snapshot expands
-// slots into JSON-friendly SpanRecords lazily, off the hot path. The
-// deltas bitmask records which stages carry a stage_ns entry (a delta
-// can legitimately clamp to zero, so presence can't be inferred from
-// the value).
+// slot is the log's completed-span representation: fixed-size, no
+// maps, so Finish renders a span without allocating. Page expands slots
+// into JSON-friendly SpanRecords lazily, off the hot path. The deltas
+// bitmask records which stages carry a stage_ns entry (a delta can
+// legitimately clamp to zero, so presence can't be inferred from the
+// value).
 type slot struct {
 	seq                 uint64
 	key, dpid, packetID uint64
@@ -274,15 +273,11 @@ func (sl *slot) record() SpanRecord {
 }
 
 // Tracer samples spans, finishes them into latency histograms, and
-// retains completed spans in a bounded ring for /trace. All methods
+// retains completed spans in a bounded obs.Log for /trace. All methods
 // are nil-receiver safe.
 type Tracer struct {
-	n uint64
-
-	mu    sync.Mutex
-	recs  []slot
-	next  int
-	total uint64
+	n     uint64
+	spans *obs.Log[slot]
 
 	sampledC   *obs.Counter
 	completedC *obs.Counter
@@ -295,7 +290,7 @@ func New(cfg Config) *Tracer {
 	if cfg.Ring <= 0 {
 		cfg.Ring = 2048
 	}
-	t := &Tracer{n: cfg.SampleN, recs: make([]slot, 0, cfg.Ring)}
+	t := &Tracer{n: cfg.SampleN, spans: obs.NewLog(cfg.Ring, func(sl *slot, seq uint64) { sl.seq = seq })}
 	if reg := cfg.Metrics; reg != nil {
 		t.sampledC = reg.Counter("switchmon_trace_spans_sampled_total",
 			"spans originated by the deterministic sampler", cfg.Labels...)
@@ -323,34 +318,13 @@ func (t *Tracer) SampleN() uint64 {
 // Key derives the sampling key for an event's identity. Every host
 // computes it the same way, so sampling decisions agree fleet-wide.
 // The combine is word-at-a-time — three xor-multiply steps, not a byte
-// loop — because this runs on every event, sampled or not, and mix64
-// supplies the avalanche the short chain lacks.
+// loop — because this runs on every event, sampled or not, and
+// obs.InSample's finalizer supplies the avalanche the short chain lacks.
 func Key(dpid, packetID uint64, kind uint8) uint64 {
 	const offset, prime = 14695981039346656037, 1099511628211
 	h := (offset ^ dpid) * prime
 	h = (h ^ packetID) * prime
 	return (h ^ uint64(kind)) * prime
-}
-
-// mix64 is the murmur3 fmix64 finalizer: a bijection whose bits all
-// depend on every input bit, so the sampling bucket is uniform even
-// for highly structured keys (sequential packet ids).
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// inClass reports whether a mixed key lands in the sampled 1-in-n
-// bucket. Fastrange ((x*n)>>64 == 0, i.e. x < 2^64/n) instead of
-// x%n == 0: one multiply against a ~30-cycle hardware divide, on a
-// test that runs for every event, sampled or not.
-func inClass(mixed, n uint64) bool {
-	hi, _ := bits.Mul64(mixed, n)
-	return hi == 0
 }
 
 // Sampled reports whether the identity would be traced, without
@@ -359,7 +333,7 @@ func (t *Tracer) Sampled(dpid, packetID uint64, kind uint8) bool {
 	if t == nil || t.n == 0 {
 		return false
 	}
-	return inClass(mix64(Key(dpid, packetID, kind)), t.n)
+	return obs.InSample(Key(dpid, packetID, kind), t.n)
 }
 
 // Sample starts a span for the event identity if it falls in the
@@ -370,7 +344,7 @@ func (t *Tracer) Sample(dpid, packetID uint64, kind uint8) *Span {
 		return nil
 	}
 	key := Key(dpid, packetID, kind)
-	if !inClass(mix64(key), t.n) {
+	if !obs.InSample(key, t.n) {
 		return nil
 	}
 	t.sampledC.Inc()
@@ -378,9 +352,9 @@ func (t *Tracer) Sample(dpid, packetID uint64, kind uint8) *Span {
 }
 
 // Finish completes a span: exactly once, it renders the span into the
-// ring and feeds the latency histograms. Duplicate calls (an event
-// delivered to several shards, a span finished by both an engine and
-// a shutdown path) are no-ops.
+// log and feeds the latency histograms, allocating nothing. Duplicate
+// calls (an event delivered to several shards, a span finished by both
+// an engine and a shutdown path) are no-ops.
 func (t *Tracer) Finish(s *Span) {
 	if t == nil || s == nil || !s.done.CompareAndSwap(false, true) {
 		return
@@ -418,48 +392,37 @@ func (t *Tracer) Finish(s *Span) {
 		sl.e2eNs = d
 		t.e2eH.Observe(uint64(d))
 	}
-
-	t.mu.Lock()
-	sl.seq = t.total
-	if len(t.recs) < cap(t.recs) {
-		t.recs = append(t.recs, sl)
-	} else {
-		t.recs[t.next] = sl
-		t.next = (t.next + 1) % cap(t.recs)
-	}
-	t.total++
-	t.mu.Unlock()
+	t.spans.Record(sl)
 }
 
 // Total counts spans ever finished (including ones evicted from the
-// ring).
+// log).
 func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+	return t.spans.Total()
 }
 
-// Snapshot copies the retained completed spans, oldest first.
+// Snapshot renders the retained completed spans, oldest first.
 func (t *Tracer) Snapshot() []SpanRecord {
+	recs, _ := t.Page(obs.All)
+	return recs
+}
+
+// Page renders the completed spans p selects, oldest first, with the
+// all-time total read in the same critical section — the /trace page
+// and its X-Trace-Total header.
+func (t *Tracer) Page(p obs.Page) ([]SpanRecord, uint64) {
 	if t == nil {
-		return nil
+		return nil, 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.recs) == 0 {
-		return nil
+	slots, total := t.spans.Page(p)
+	out := make([]SpanRecord, len(slots))
+	for i := range slots {
+		out[i] = slots[i].record()
 	}
-	out := make([]SpanRecord, 0, len(t.recs))
-	for i := t.next; i < len(t.recs); i++ {
-		out = append(out, t.recs[i].record())
-	}
-	for i := 0; i < t.next; i++ {
-		out = append(out, t.recs[i].record())
-	}
-	return out
+	return out, total
 }
 
 // WriteNDJSON renders records one JSON object per line — the /trace

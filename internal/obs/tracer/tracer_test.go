@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"switchmon/internal/obs"
+	"switchmon/internal/raceon"
 )
 
 func TestSamplingDeterministic(t *testing.T) {
@@ -266,6 +267,9 @@ func TestConcurrentStampAndFinish(t *testing.T) {
 // The unsampled path runs once per event on every instrumented hot
 // path: it must not allocate. check.sh gates on this test by name.
 func TestUnsampledPathZeroAlloc(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates; allocation gates run without -race")
+	}
 	tr := New(Config{SampleN: 1 << 40, Metrics: obs.NewRegistry()}) // effectively never samples
 	var nilSpan *Span
 	pid := uint64(0)
@@ -283,6 +287,38 @@ func TestUnsampledPathZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("unsampled tracing path allocates %.1f/op, want 0", avg)
+	}
+}
+
+// Finishing a sampled span renders it into a fixed-size slot of the
+// completed-span log — evicting the oldest once the log is full — and
+// feeds the histograms without allocating; spans render into
+// SpanRecords only when /trace reads them.
+func TestFinishSampledZeroAlloc(t *testing.T) {
+	if raceon.Enabled {
+		t.Skip("the race detector allocates; allocation gates run without -race")
+	}
+	const runs = 200
+	tr := New(Config{SampleN: 1, Ring: 4, Metrics: obs.NewRegistry()})
+	spans := make([]*Span, 4+runs+1) // AllocsPerRun adds one warm-up run
+	for i := range spans {
+		spans[i] = tr.Sample(1, uint64(i), 1)
+		spans[i].StampAt(StageIngress, int64(100+i))
+		spans[i].StampAt(StageVerdict, int64(300+i))
+	}
+	for _, sp := range spans[:4] {
+		tr.Finish(sp) // fill the log
+	}
+	next := 4
+	avg := testing.AllocsPerRun(runs, func() {
+		tr.Finish(spans[next])
+		next++
+	})
+	if avg != 0 {
+		t.Fatalf("finishing a sampled span into a full log allocates %.1f/op, want 0", avg)
+	}
+	if tr.Total() != uint64(len(spans)) || len(tr.Snapshot()) != 4 {
+		t.Fatalf("total %d retained %d, want %d and 4", tr.Total(), len(tr.Snapshot()), len(spans))
 	}
 }
 

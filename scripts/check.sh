@@ -4,7 +4,9 @@
 # engine (the sharded monitor runs one goroutine per shard from two
 # shards up, and at one shard applies on whichever goroutine feeds it
 # while others use the admin surface, so -race on internal/core is the
-# check that matters most after touching it).
+# check that matters most after touching it; -race on internal/obs
+# covers the shared violation log, spans finished from many shards, and
+# HTTP readers paging the SLO engine's log while its tick records).
 #
 # Usage: ./scripts/check.sh
 set -eu
@@ -28,8 +30,8 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/..."
-go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/...
+echo "==> go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/... ./internal/obs/..."
+go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/... ./internal/obs/...
 
 # Telemetry overhead gate: recording on the hot path must stay
 # allocation-free, with and without a registry attached. These run
@@ -38,7 +40,7 @@ go test -race ./internal/core/... ./internal/backend/... ./internal/integration/
 # block is where they are enforced.)
 echo "==> zero-alloc telemetry gates"
 go test -count=1 -run 'TestHotPathZeroAlloc' ./internal/obs/
-go test -count=1 -run 'TestUnsampledPathZeroAlloc' ./internal/obs/tracer/
+go test -count=1 -run 'TestUnsampledPathZeroAlloc|TestFinishSampledZeroAlloc' ./internal/obs/tracer/
 go test -count=1 -run 'TestSteadyStateAllocationBudget|TestHashOperandSteadyStateZeroAlloc' ./internal/core/
 # ... and must stay off the wall clock: TestEngineWrittenOnce pins
 # time.Now/time.Since in internal/core to the one function Monitor.apply
@@ -72,6 +74,7 @@ done | awk '
 # discipline as the hot path it watches.
 echo "==> zero-alloc metrics-history sampler gate"
 go test -count=1 -run 'TestSamplerTickZeroAlloc' ./internal/obs/histdb/
+go test -count=1 -run 'TestEvaluateSteadyStateZeroAlloc' ./internal/obs/slo/
 
 # State-accounting and churn gate (E16): the per-property state
 # observatory — live/bytes/timer accounting plus the heavy-hitter sketch —
@@ -118,6 +121,11 @@ go test -fuzz FuzzTraceRoundTrip -fuzztime 10s -run '^$' ./internal/trace/
 # survives the wire unchanged.
 echo "==> fleet body fuzz smoke (10s)"
 go test -fuzz FuzzFleetBody -fuzztime 10s -run '^$' ./internal/federation/
+
+# And for the -slo rule grammar: any rule ParseRule accepts has a finite
+# threshold and re-parses from its flag rendering to the same rule.
+echo "==> slo rule fuzz smoke (10s)"
+go test -fuzz FuzzParseRule -fuzztime 10s -run '^$' ./internal/obs/slo/
 
 # Introspection-surface smoke: start a real collector, a switchmon with
 # the full observability surface on exporting to it, and a fleetagg over

@@ -226,9 +226,13 @@ func run() error {
 	}
 	if err := checkAll(client, "fleetagg", aggBase, [][2]string{
 		{"/metrics", "text"}, {"/healthz", "text"}, {"/query?series=*", "json"},
-		{"/alerts", "json"}, {"/properties", "json"},
+		{"/alerts", "json"}, {"/properties", "json"}, {"/state", "json"},
+		{"/violations?since=0&limit=2", "json"},
 	}); err != nil {
 		return err
+	}
+	if err := rejected(client, aggBase, "/violations?since=notanumber", "/violations?limit=-1", "/state?limit=x"); err != nil {
+		return fmt.Errorf("fleetagg: %w", err)
 	}
 
 	for _, p := range []*proc{sw, agg, col} {
@@ -384,17 +388,28 @@ func selfMonitoring(client *http.Client, base string) error {
 		return fmt.Errorf("/alerts: smoke-extra state %q, want ok (threshold 1e12)", st)
 	}
 
-	// Rejection paths: missing/empty glob and malformed since/step must
-	// answer 4xx with the admin surface's {"error": ...} JSON shape.
-	for _, bad := range []string{
+	// Rejection paths: a missing or empty glob, a malformed since, step
+	// or limit, and a /query since past int64 nanoseconds.
+	return rejected(client, base,
 		"/query",
 		"/query?series=",
 		"/query?series=a%7C", // trailing empty alternative
 		"/query?series=*&since=notanumber",
 		"/query?series=*&step=bogus",
+		"/query?series=*&since=1700000000000000000", // unix ns where seconds belong
 		"/alerts?since=notanumber",
 		"/alerts?limit=-1",
-	} {
+		"/violations?since=notanumber",
+		"/violations?limit=-1",
+		"/trace?since=notanumber",
+		"/trace?limit=-1",
+	)
+}
+
+// rejected requires every path to answer 4xx with the admin surface's
+// {"error": ...} JSON shape.
+func rejected(client *http.Client, base string, paths ...string) error {
+	for _, bad := range paths {
 		status, body, err := do(client, http.MethodGet, base+bad, "")
 		if err != nil {
 			return fmt.Errorf("GET %s: %w", bad, err)
