@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"switchmon/internal/packet"
 	"switchmon/internal/property"
@@ -110,6 +111,9 @@ type compiledProp struct {
 	// groups yield a stable shard key, and from which event fields that
 	// key is computed at each addressing path.
 	plan shardPlan
+	// timeoutTrigger is the report trigger of a violation completed by the
+	// final stage's deadline: set when that stage is a negative observation.
+	timeoutTrigger string
 }
 
 // compile validates and prepares a property: every variable gets a row
@@ -239,6 +243,9 @@ func compile(p *property.Property) (*compiledProp, error) {
 			cs.stickyGuards = append(cs.stickyGuards, sg)
 		}
 		cp.stages = append(cp.stages, cs)
+	}
+	if last := &p.Stages[len(p.Stages)-1]; last.Negative {
+		cp.timeoutTrigger = "timeout: no event matched " + strconv.Quote(last.Label) + " within the window"
 	}
 	cp.plan = analyzeSharding(cp)
 	return cp, nil

@@ -19,6 +19,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"switchmon/internal/obs/tracer"
@@ -148,18 +149,31 @@ func (e *Event) Field(f packet.Field) (packet.Value, bool) {
 }
 
 // Summary renders a one-line description for provenance and reports.
-func (e *Event) Summary() string {
+func (e *Event) Summary() string { return string(e.appendSummary(nil)) }
+
+// appendSummary appends Summary's rendering to b.
+func (e *Event) appendSummary(b []byte) []byte {
 	switch e.Kind {
 	case KindArrival:
-		return fmt.Sprintf("arrival port=%d pkt#%d %s", e.InPort, e.PacketID, e.Packet.Summary())
+		b = append(b, "arrival port="...)
+		b = strconv.AppendUint(b, e.InPort, 10)
 	case KindEgress:
 		if e.Dropped {
-			return fmt.Sprintf("egress DROP pkt#%d %s", e.PacketID, e.Packet.Summary())
+			b = append(b, "egress DROP"...)
+		} else {
+			b = append(b, "egress port="...)
+			b = strconv.AppendUint(b, e.OutPort, 10)
 		}
-		return fmt.Sprintf("egress port=%d pkt#%d %s", e.OutPort, e.PacketID, e.Packet.Summary())
 	case KindOutOfBand:
-		return fmt.Sprintf("oob %s port=%d", e.OOBKind, e.OOBPort)
+		b = append(b, "oob "...)
+		b = append(b, e.OOBKind.String()...)
+		b = append(b, " port="...)
+		return strconv.AppendUint(b, e.OOBPort, 10)
 	default:
-		return "unknown event"
+		return append(b, "unknown event"...)
 	}
+	b = append(b, " pkt#"...)
+	b = strconv.AppendUint(b, uint64(e.PacketID), 10)
+	b = append(b, ' ')
+	return e.Packet.AppendSummary(b)
 }

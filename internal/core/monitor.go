@@ -283,6 +283,12 @@ type Monitor struct {
 	// a probe that panics simulates a bug in that property's step and is
 	// recovered (and attributed) exactly like one.
 	stepProbe func(prop int, seq uint64)
+	// trig is the rendered summary of applied event trigSeq, shared by
+	// every violation and provenance record that event produces; trigBuf
+	// is the buffer it is rendered in.
+	trig    string
+	trigSeq uint64
+	trigBuf []byte
 }
 
 // maxInlineProperties bounds a Monitor's property table: a row names its
@@ -742,7 +748,7 @@ func (m *Monitor) matchStage(pi int, cs *compiledStage, b *bucket, e *Event, seq
 				continue
 			}
 		}
-		m.advance(id, r, e)
+		m.advance(id, r, e, seq)
 	}
 	// Pass 2: obligation guards (Feature 4). Each guard has its own index
 	// keys; guards without equality-on-variable predicates fall back to a
@@ -800,7 +806,7 @@ func (m *Monitor) createInstance(pi int, cp *compiledProp, e *Event, seq uint64)
 	r.lastCandSeq = seq
 	r.w = [rowWords]uint64{}
 	m.stats.created.Add(1)
-	m.advance(id, r, e)
+	m.advance(id, r, e, seq)
 }
 
 // release returns a terminally dead instance (violated, discharged,
@@ -813,9 +819,9 @@ func (m *Monitor) release(id uint32, r *row) {
 	m.state.PoolPut(m.shardIdx)
 }
 
-// advance applies the event's bindings and moves the instance forward,
-// reporting a violation if the pattern is complete.
-func (m *Monitor) advance(id uint32, r *row, e *Event) {
+// advance applies the bindings of e, applied event seq, and moves the
+// instance forward, reporting a violation if the pattern is complete.
+func (m *Monitor) advance(id uint32, r *row, e *Event, seq uint64) {
 	cp := m.props[r.prop]
 	cs := &cp.stages[r.stage]
 	m.pmx[r.prop].matches.Inc()
@@ -828,7 +834,7 @@ func (m *Monitor) advance(id uint32, r *row, e *Event) {
 		if !ok {
 			// stagePatternMatches checked availability; this is a bug
 			// guard, not a runtime path.
-			panic(fmt.Sprintf("core: bind field %v unavailable after match", bd.field))
+			panic("core: bind field " + bd.field.String() + " unavailable after match")
 		}
 		m.st.setValue(r, bd.slot, v)
 	}
@@ -841,15 +847,26 @@ func (m *Monitor) advance(id uint32, r *row, e *Event) {
 			Stage: int(r.stage),
 			Label: cs.st.Label,
 			Time:  e.Time,
-			Event: e.Summary(),
+			Event: m.trigger(e, seq),
 		})
 	}
 	if m.nextStage(id, r, cp) {
-		m.violate(id, r, cp, e.Time, e.Summary())
+		m.violate(id, r, cp, e.Time, e, seq)
 		m.release(id, r)
 		return
 	}
 	m.enter(id, r, cp)
+}
+
+// trigger returns the summary of e, applied event seq, rendering it on
+// the first call for that event: every instance the event advances or
+// completes shares the one string.
+func (m *Monitor) trigger(e *Event, seq uint64) string {
+	if m.trigSeq != seq {
+		m.trigBuf = e.appendSummary(m.trigBuf[:0])
+		m.trig, m.trigSeq = string(m.trigBuf), seq
+	}
+	return m.trig
 }
 
 // nextStage moves an unfiled row to its next stage, resetting the
@@ -882,7 +899,7 @@ func (m *Monitor) advanceByTimeout(id uint32, r *row) {
 		})
 	}
 	if m.nextStage(id, r, cp) {
-		m.violate(id, r, cp, now, fmt.Sprintf("timeout: no event matched %q within the window", cs.st.Label))
+		m.violate(id, r, cp, now, nil, 0)
 		m.release(id, r)
 		return
 	}
@@ -1067,12 +1084,17 @@ func (m *Monitor) evictOldest() {
 
 // violate emits a report: counters always, then a trace record into the
 // configured ring and the user callback, each carrying as much
-// provenance as the configured level allows.
-func (m *Monitor) violate(id uint32, r *row, cp *compiledProp, at time.Time, trigger string) {
+// provenance as the configured level allows. The trigger is e, applied
+// event seq, or for a nil e the final stage's timeout.
+func (m *Monitor) violate(id uint32, r *row, cp *compiledProp, at time.Time, e *Event, seq uint64) {
 	m.stats.violations.Add(1)
 	m.pmx[r.prop].violations.Inc()
 	if m.cfg.OnViolation == nil && m.cfg.Violations == nil {
 		return
+	}
+	trigger := cp.timeoutTrigger
+	if e != nil {
+		trigger = m.trigger(e, seq)
 	}
 	v := &Violation{
 		Property: cp.prop.Name,

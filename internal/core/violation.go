@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
 	"time"
 
 	"switchmon/internal/obs"
@@ -68,24 +68,40 @@ type Violation struct {
 
 // String renders a human-readable report.
 func (v *Violation) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "VIOLATION %s at %s: %s", v.Property, v.Time.Format(time.RFC3339Nano), v.Trigger)
+	b := append([]byte("VIOLATION "), v.Property...)
+	b = append(b, " at "...)
+	b = v.Time.AppendFormat(b, time.RFC3339Nano)
+	b = append(b, ": "...)
+	b = append(b, v.Trigger...)
 	if len(v.Bindings) > 0 {
-		vars := make([]string, 0, len(v.Bindings))
+		vars := make([]property.Var, 0, len(v.Bindings))
 		for k := range v.Bindings {
-			vars = append(vars, string(k))
+			vars = append(vars, k)
 		}
-		sort.Strings(vars)
-		parts := make([]string, len(vars))
+		slices.Sort(vars)
+		b = append(b, " ["...)
 		for i, k := range vars {
-			parts[i] = fmt.Sprintf("$%s=%s", k, v.Bindings[property.Var(k)])
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = append(b, '$')
+			b = append(b, k...)
+			b = append(b, '=')
+			b = append(b, v.Bindings[k].String()...)
 		}
-		fmt.Fprintf(&b, " [%s]", strings.Join(parts, " "))
+		b = append(b, ']')
 	}
 	for _, r := range v.History {
-		fmt.Fprintf(&b, "\n  stage %d (%s) at %s: %s", r.Stage, r.Label, r.Time.Format(time.RFC3339Nano), r.Event)
+		b = append(b, "\n  stage "...)
+		b = strconv.AppendInt(b, int64(r.Stage), 10)
+		b = append(b, " ("...)
+		b = append(b, r.Label...)
+		b = append(b, ") at "...)
+		b = r.Time.AppendFormat(b, time.RFC3339Nano)
+		b = append(b, ": "...)
+		b = append(b, r.Event...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // TraceRecord converts the violation into the obs trace-ring / JSON

@@ -52,8 +52,18 @@ func MustMAC(s string) MAC {
 }
 
 // String returns the colon-separated hexadecimal form.
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+func (m MAC) String() string { return string(m.appendTo(nil)) }
+
+// appendTo appends String's rendering to b.
+func (m MAC) appendTo(b []byte) []byte {
+	const hex = "0123456789abcdef"
+	for i, x := range m {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = append(b, hex[x>>4], hex[x&0xf])
+	}
+	return b
 }
 
 // IsBroadcast reports whether m is the Ethernet broadcast address.
@@ -103,8 +113,17 @@ func MustIPv4(s string) IPv4 {
 }
 
 // String returns dotted-quad notation.
-func (ip IPv4) String() string {
-	return fmt.Sprintf("%d.%d.%d.%d", ip[0], ip[1], ip[2], ip[3])
+func (ip IPv4) String() string { return string(ip.appendTo(nil)) }
+
+// appendTo appends String's rendering to b.
+func (ip IPv4) appendTo(b []byte) []byte {
+	for i, x := range ip {
+		if i > 0 {
+			b = append(b, '.')
+		}
+		b = strconv.AppendUint(b, uint64(x), 10)
+	}
+	return b
 }
 
 // Uint32 returns the address as a big-endian uint32.

@@ -1,6 +1,9 @@
 package packet
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Layer classifies how deep a parser must reach to produce a field. The
 // paper's Table 1 uses the maximum required layer of each property as a
@@ -238,9 +241,9 @@ func (v Value) Less(o Value) bool {
 // String renders the value for reports.
 func (v Value) String() string {
 	if v.isStr {
-		return fmt.Sprintf("%q", v.str)
+		return strconv.Quote(v.str)
 	}
-	return fmt.Sprintf("%d", v.num)
+	return strconv.FormatUint(v.num, 10)
 }
 
 // boolValue converts a bool to the numeric 0/1 Value convention.

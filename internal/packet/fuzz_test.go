@@ -19,7 +19,8 @@ import (
 //
 // Each input is also decoded into an arena kept across iterations, so
 // the previous input's slabs are dirty; that decode must equal the
-// fresh one, error for error.
+// fresh one, error for error. And each accepted frame's Summary must be
+// its fmt rendering (fmtSummary).
 func FuzzCodecRoundTrip(f *testing.F) {
 	macS := MustMAC("02:00:00:00:00:0a")
 	macD := MustMAC("02:00:00:00:00:0b")
@@ -57,6 +58,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		if err != nil {
 			return // rejected input is fine; crashing on it is not
+		}
+		if got, want := p.Summary(), fmtSummary(p); got != want {
+			t.Fatalf("Summary() = %q, fmt rendering %q\nbytes: %x", got, want, data)
 		}
 		b1, err := p.Encode()
 		if err != nil {

@@ -21,28 +21,27 @@ const (
 // Has reports whether all flags in mask are set.
 func (f TCPFlags) Has(mask TCPFlags) bool { return f&mask == mask }
 
+// tcpFlagNames names the flag bits, lowest first.
+var tcpFlagNames = [...]string{"FIN", "SYN", "RST", "PSH", "ACK", "URG"}
+
 // String renders the set flags, e.g. "SYN|ACK".
-func (f TCPFlags) String() string {
-	names := []struct {
-		bit  TCPFlags
-		name string
-	}{
-		{FlagFIN, "FIN"}, {FlagSYN, "SYN"}, {FlagRST, "RST"},
-		{FlagPSH, "PSH"}, {FlagACK, "ACK"}, {FlagURG, "URG"},
-	}
-	out := ""
-	for _, n := range names {
-		if f&n.bit != 0 {
-			if out != "" {
-				out += "|"
+func (f TCPFlags) String() string { return string(f.appendTo(nil)) }
+
+// appendTo appends String's rendering to b.
+func (f TCPFlags) appendTo(b []byte) []byte {
+	start := len(b)
+	for i, name := range tcpFlagNames {
+		if f&(1<<i) != 0 {
+			if len(b) > start {
+				b = append(b, '|')
 			}
-			out += n.name
+			b = append(b, name...)
 		}
 	}
-	if out == "" {
-		return "none"
+	if len(b) == start {
+		b = append(b, "none"...)
 	}
-	return out
+	return b
 }
 
 // TCP is a TCP segment header (no options; DataOffset is fixed at 5) plus

@@ -2,7 +2,7 @@ package packet
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Packet is a fully decoded packet: one pointer per recognized layer, nil
@@ -201,36 +201,74 @@ func (p *Packet) Clone() *Packet {
 
 // Summary renders a one-line human-readable description, used in traces
 // and violation reports.
-func (p *Packet) Summary() string {
-	var b strings.Builder
+func (p *Packet) Summary() string { return string(p.AppendSummary(nil)) }
+
+// AppendSummary appends Summary's rendering to b, so a caller rendering
+// into a reused buffer allocates nothing.
+func (p *Packet) AppendSummary(b []byte) []byte {
 	switch {
 	case p.ARP != nil:
-		fmt.Fprintf(&b, "ARP %s %s(%s)->%s(%s)", p.ARP.Op,
-			p.ARP.SenderIP, p.ARP.SenderMAC, p.ARP.TargetIP, p.ARP.TargetMAC)
+		a := p.ARP
+		b = append(b, "ARP "...)
+		b = append(b, a.Op.String()...)
+		b = append(b, ' ')
+		b = a.SenderIP.appendTo(b)
+		b = append(b, '(')
+		b = a.SenderMAC.appendTo(b)
+		b = append(b, ")->"...)
+		b = a.TargetIP.appendTo(b)
+		b = append(b, '(')
+		b = a.TargetMAC.appendTo(b)
+		b = append(b, ')')
 	case p.IPv4 != nil:
-		fmt.Fprintf(&b, "%s %s->%s", p.IPv4.Protocol, p.IPv4.Src, p.IPv4.Dst)
+		b = append(b, p.IPv4.Protocol.String()...)
+		b = append(b, ' ')
+		b = p.IPv4.Src.appendTo(b)
+		b = append(b, "->"...)
+		b = p.IPv4.Dst.appendTo(b)
 		switch {
 		case p.TCP != nil:
-			fmt.Fprintf(&b, " ports %d->%d flags %s", p.TCP.SrcPort, p.TCP.DstPort, p.TCP.Flags)
+			b = appendPorts(b, p.TCP.SrcPort, p.TCP.DstPort)
+			b = append(b, " flags "...)
+			b = p.TCP.Flags.appendTo(b)
 		case p.UDP != nil:
-			fmt.Fprintf(&b, " ports %d->%d", p.UDP.SrcPort, p.UDP.DstPort)
+			b = appendPorts(b, p.UDP.SrcPort, p.UDP.DstPort)
 		case p.ICMP != nil:
-			fmt.Fprintf(&b, " type %d", p.ICMP.Type)
+			b = append(b, " type "...)
+			b = strconv.AppendUint(b, uint64(p.ICMP.Type), 10)
 		}
 		switch {
 		case p.DHCP != nil:
-			fmt.Fprintf(&b, " DHCP %s", p.DHCP.MsgType)
+			b = append(b, " DHCP "...)
+			b = append(b, p.DHCP.MsgType.String()...)
 		case p.DNS != nil:
-			fmt.Fprintf(&b, " DNS id=%d %q", p.DNS.ID, p.DNS.QName)
+			b = append(b, " DNS id="...)
+			b = strconv.AppendUint(b, uint64(p.DNS.ID), 10)
+			b = append(b, ' ')
+			b = strconv.AppendQuote(b, p.DNS.QName)
 		case p.FTP != nil && p.FTP.Command != "":
-			fmt.Fprintf(&b, " FTP %s", p.FTP.Command)
+			b = append(b, " FTP "...)
+			b = append(b, p.FTP.Command...)
 		case p.FTP != nil:
-			fmt.Fprintf(&b, " FTP reply %d", p.FTP.ReplyCode)
+			b = append(b, " FTP reply "...)
+			b = strconv.AppendInt(b, int64(p.FTP.ReplyCode), 10)
 		}
 	case p.Eth != nil:
-		fmt.Fprintf(&b, "%s %s->%s", p.Eth.Type, p.Eth.Src, p.Eth.Dst)
+		b = append(b, p.Eth.Type.String()...)
+		b = append(b, ' ')
+		b = p.Eth.Src.appendTo(b)
+		b = append(b, "->"...)
+		b = p.Eth.Dst.appendTo(b)
 	default:
-		b.WriteString("empty packet")
+		b = append(b, "empty packet"...)
 	}
-	return b.String()
+	return b
+}
+
+// appendPorts appends a transport header's " ports src->dst".
+func appendPorts(b []byte, src, dst uint16) []byte {
+	b = append(b, " ports "...)
+	b = strconv.AppendUint(b, uint64(src), 10)
+	b = append(b, "->"...)
+	return strconv.AppendUint(b, uint64(dst), 10)
 }
