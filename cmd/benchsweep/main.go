@@ -1,28 +1,18 @@
-// Command benchsweep runs the parameter sweeps behind the repository's
-// performance experiments (E3-E7 in DESIGN.md) and prints the series the
-// paper's Sec. 3.3 claims predict:
+// Command benchsweep runs the repository's parameter sweeps over the
+// distributed fabric, the fault injector, the property lifecycle and the
+// self-monitoring tier, and prints one table per experiment (DESIGN.md's
+// E-index):
 //
-//	e3  per-event processing time vs. live instance count, per backend
-//	    (Varanus grows linearly; Static Varanus / registers stay flat)
-//	e4  state-update cost: flow-table modifications vs. register writes
-//	e5  side-effect control: inline vs. split forwarding cost and the
-//	    split monitor's missed violations under queue pressure
-//	e6  provenance levels: none / limited / full overhead
-//	e7  external monitoring redirect volume (OpenFlow 1.3) vs. on-switch
-//	e8  sharded-engine throughput vs. shard count on the high-flow
-//	    steady state (speedup needs GOMAXPROCS >= shards)
-//	e11 telemetry overhead: the fully instrumented engine vs. bare
-//	e13 distributed-fabric throughput vs. wire batch size (exporter ->
+//	e12 detection rate vs injected feed loss: how many ground-truth
+//	    violations survive each drop rate, next to what the soundness
+//	    ledger admits was lost
+//	e13 distributed-fabric throughput vs wire batch size (exporter ->
 //	    TCP -> collector), per-event framing as the degenerate case
-//	e14 detection latency vs. wire batch size: per-stage and end-to-end
+//	e14 detection latency vs wire batch size: per-stage and end-to-end
 //	    p50/p99 from traced spans crossing the same fabric
 //	e15 adaptive sealing vs fixed batch sizes: sustained throughput and
 //	    detection latency per config — does one adaptive config reach
 //	    e13's throughput at e14's best-case latency?
-//	e16 state-accounting overhead: the engine with per-property state
-//	    observability (live/bytes/timer gauges + heavy-hitter sketch)
-//	    vs the same engine with accounting disabled — the claim is a
-//	    delta of at most ~15ns/event on the steady state
 //	e17 lifecycle churn soak: repeated live remove/reinstall of one
 //	    property while the sharded engine runs the high-flow steady
 //	    state at full load — per-op fence latency (install and remove
@@ -37,18 +27,21 @@
 //	    engine's detection time for an induced shard-stall shed burst
 //	    (gate: critical within 2 fast burn windows)
 //
-// Usage: benchsweep [-exp all|e3|e4|e5|e6|e7|e8|e11|e12|e13|e14|e15|e16|e17|e18|e19] [-smoke] [-json dir] [-cpuprofile f] [-memprofile f]
+// The in-process experiments (E3–E8, E11, E16, and E14's trace
+// overhead) are `go test -bench` benchmarks in the repository root's
+// bench_test.go, not sweeps here.
 //
-// -smoke shrinks every workload so the selected sweeps finish in
-// seconds; CI runs `benchsweep -exp e15 -smoke` as a fabric liveness
-// gate. Committed BENCH_*.json artifacts always come from full runs.
+// Usage: benchsweep [-exp all|e12|e13|e14|e15|e17|e18|e19] [-smoke] [-json dir] [-cpuprofile f] [-memprofile f]
+//
+// -smoke shrinks the workloads of e15, e17, e18 and e19 so they finish
+// in seconds; CI runs each of them that way as a liveness gate.
+// Committed BENCH_*.json artifacts always come from full runs.
 //
 // With -json, each experiment additionally writes BENCH_<exp>.json (one
 // JSON array of rows) into the given directory. Sweeps that drive the
-// core monitor (e5, e6, e8) run with a telemetry registry attached and
-// record the before/after counter deltas next to ns/op, so a regression
-// in a ratio (catch-all fraction, drops, provenance records) is visible
-// in the same artifact as the timing.
+// core monitor with a telemetry registry attached (e12, e19's overhead
+// half) record the before/after counter deltas next to ns/op, so a
+// regression in a ratio is visible in the same artifact as the timing.
 package main
 
 import (
@@ -63,7 +56,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"switchmon/internal/backend"
 	"switchmon/internal/collector"
 	"switchmon/internal/core"
 	"switchmon/internal/exporter"
@@ -109,7 +101,7 @@ func writeRows(dir, exp string, rows []benchRow) error {
 var smoke bool
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, e3, e4, e5, e6, e7, e8, e11, e12, e13, e14, e15, e16, e17, e18, e19")
+	exp := flag.String("exp", "all", "experiment to run: all, e12, e13, e14, e15, e17, e18, e19")
 	flag.BoolVar(&smoke, "smoke", false, "shrink workloads to a seconds-long smoke run (CI liveness, not a benchmark)")
 	jsonDir := flag.String("json", "", "also write BENCH_<exp>.json rows into this directory")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
@@ -145,14 +137,12 @@ func main() {
 		}
 	}()
 	run := map[string]func() []benchRow{
-		"e3": sweepE3, "e4": sweepE4, "e5": sweepE5, "e6": sweepE6, "e7": sweepE7,
-		"e8": sweepE8, "e11": sweepE11, "e12": sweepE12, "e13": sweepE13,
-		"e14": sweepE14, "e15": sweepE15, "e16": sweepE16, "e17": sweepE17,
-		"e18": sweepE18, "e19": sweepE19,
+		"e12": sweepE12, "e13": sweepE13, "e14": sweepE14, "e15": sweepE15,
+		"e17": sweepE17, "e18": sweepE18, "e19": sweepE19,
 	}
 	names := []string{*exp}
 	if *exp == "all" {
-		names = []string{"e3", "e4", "e5", "e6", "e7", "e8", "e11", "e12", "e13", "e14", "e15", "e16", "e17", "e18", "e19"}
+		names = []string{"e12", "e13", "e14", "e15", "e17", "e18", "e19"}
 	}
 	for i, name := range names {
 		fn, ok := run[name]
@@ -177,407 +167,6 @@ func fwProp() *property.Property {
 	return property.CatalogByName(property.DefaultParams(), "firewall-basic")
 }
 
-// sweepE3: per-event cost vs. live instances, per backend. The hardware
-// model backends are not telemetry-instrumented, so e3 rows carry no
-// counter deltas.
-func sweepE3() []benchRow {
-	var rows []benchRow
-	fmt.Println("E3: per-event processing time vs live instances (Sec 3.3 pipeline depth)")
-	fmt.Printf("%-10s %-18s %12s %12s %14s\n", "instances", "backend", "ns/event", "depth", "state-cost")
-	for _, flows := range []int{16, 64, 256, 1024, 4096} {
-		makers := []struct {
-			name string
-			mk   func(*sim.Scheduler) backend.Backend
-		}{
-			{"Varanus", func(s *sim.Scheduler) backend.Backend { return backend.NewVaranus(s) }},
-			{"Static Varanus", func(s *sim.Scheduler) backend.Backend { return backend.NewStaticVaranus(s) }},
-			{"POF and P4", func(s *sim.Scheduler) backend.Backend { return backend.NewP4(s) }},
-			{"Ideal", func(s *sim.Scheduler) backend.Backend { return backend.NewIdeal(s) }},
-		}
-		for _, m := range makers {
-			sched := sim.NewScheduler()
-			b := m.mk(sched)
-			if err := b.AddProperty(fwProp()); err != nil {
-				panic(err)
-			}
-			// Build up `flows` live instances, then time return traffic.
-			setup := trace.FirewallWorkload{Flows: flows, ReturnsPerFlow: 0, Gap: time.Microsecond}
-			for _, e := range setup.Events(sim.Epoch) {
-				b.HandleEvent(e)
-			}
-			work := trace.FirewallWorkload{Flows: flows, ReturnsPerFlow: 1, Gap: time.Microsecond}
-			events := work.Events(sim.Epoch)
-			// Skip the setup prefix (the opens) and keep only returns.
-			events = events[2*flows:]
-			start := time.Now()
-			for i := range events {
-				b.HandleEvent(events[i])
-			}
-			elapsed := time.Since(start)
-			ns := float64(elapsed.Nanoseconds()) / float64(len(events))
-			fmt.Printf("%-10d %-18s %12.0f %12d %14d\n",
-				flows, m.name, ns, b.PipelineDepth(), b.StateUpdateCost())
-			rows = append(rows, benchRow{
-				Exp:        "e3",
-				Params:     map[string]any{"instances": flows, "backend": m.name},
-				NsPerEvent: ns,
-				Extra:      map[string]any{"depth": b.PipelineDepth(), "state_cost": b.StateUpdateCost()},
-			})
-		}
-	}
-	return rows
-}
-
-// sweepE4: state mechanism update cost at varying store sizes. Raw
-// mechanism microbenchmarks — no monitor, so no counter deltas.
-func sweepE4() []benchRow {
-	var rows []benchRow
-	fmt.Println("E4: state-update cost, flow-table modification vs register write")
-	fmt.Printf("%-12s %-22s %14s\n", "store-size", "mechanism", "ns/transition")
-	for _, size := range []int{128, 1024, 8192, 65536} {
-		for _, mech := range []string{"rule-table (OpenFlow)", "registers (P4)"} {
-			var cost interface {
-				transitions(n, live int)
-				total() uint64
-			}
-			if mech == "rule-table (OpenFlow)" {
-				cost = newRuleState()
-			} else {
-				cost = newRegisterState()
-			}
-			// Fill to the target size.
-			cost.transitions(size, size)
-			const n = 20000
-			start := time.Now()
-			cost.transitions(n, size)
-			elapsed := time.Since(start)
-			ns := float64(elapsed.Nanoseconds()) / n
-			fmt.Printf("%-12d %-22s %14.1f\n", size, mech, ns)
-			rows = append(rows, benchRow{
-				Exp:        "e4",
-				Params:     map[string]any{"store_size": size, "mechanism": mech},
-				NsPerEvent: ns,
-			})
-		}
-	}
-	return rows
-}
-
-// The cost mechanisms mirror internal/backend's models; reimplemented
-// here in miniature so the sweep measures the raw mechanisms.
-type ruleState struct {
-	rules []uint64
-	seq   uint64
-}
-
-func newRuleState() *ruleState { return &ruleState{} }
-
-func (rs *ruleState) transitions(n, live int) {
-	for i := 0; i < n; i++ {
-		rs.seq++
-		pos := 0
-		if len(rs.rules) > 0 {
-			pos = int(rs.seq * 2654435761 % uint64(len(rs.rules)))
-		}
-		rs.rules = append(rs.rules, 0)
-		copy(rs.rules[pos+1:], rs.rules[pos:])
-		rs.rules[pos] = rs.seq
-		for len(rs.rules) > live+1 {
-			pos = int(rs.seq % uint64(len(rs.rules)))
-			copy(rs.rules[pos:], rs.rules[pos+1:])
-			rs.rules = rs.rules[:len(rs.rules)-1]
-		}
-	}
-}
-func (rs *ruleState) total() uint64 { return rs.seq }
-
-type registerState struct {
-	cells []uint64
-	ops   uint64
-}
-
-func newRegisterState() *registerState { return &registerState{cells: make([]uint64, 65536)} }
-
-func (rg *registerState) transitions(n, live int) {
-	for i := 0; i < n; i++ {
-		rg.ops++
-		rg.cells[(rg.ops*2654435761)%uint64(len(rg.cells))] = rg.ops
-	}
-}
-func (rg *registerState) total() uint64 { return rg.ops }
-
-// sweepE5: inline vs split processing, with counter deltas over the run
-// (dropped events make the split mode's missed violations explainable).
-func sweepE5() []benchRow {
-	var rows []benchRow
-	fmt.Println("E5: side-effect control (Feature 9): inline vs split")
-	fmt.Printf("%-10s %14s %14s %16s\n", "mode", "ns/event(fwd)", "ns/flush-ev", "missed-viols")
-	w := trace.NATWorkload{Flows: 20000, MistranslateEvery: 50, Gap: time.Microsecond}
-	events := w.Events(sim.Epoch)
-	nat := property.CatalogByName(property.DefaultParams(), "nat-reverse")
-
-	for _, mode := range []core.Mode{core.Inline, core.Split} {
-		sched := sim.NewScheduler()
-		viols := 0
-		reg := obs.NewRegistry()
-		cfg := core.Config{Mode: mode, Metrics: reg, OnViolation: func(*core.Violation) { viols++ }}
-		if mode == core.Split {
-			cfg.SplitFlushLimit = 1024 // bounded slow-path queue
-		}
-		mon := core.NewMonitor(sched, cfg)
-		if err := mon.AddProperty(nat); err != nil {
-			panic(err)
-		}
-		before := reg.Snapshot()
-		start := time.Now()
-		for i := range events {
-			mon.HandleEvent(events[i])
-		}
-		fwd := time.Since(start)
-		start = time.Now()
-		flushed := mon.Flush()
-		flush := time.Since(start)
-		flushNs := 0.0
-		if flushed > 0 {
-			flushNs = float64(flush.Nanoseconds()) / float64(flushed)
-		}
-		expect := 20000 / 50
-		fwdNs := float64(fwd.Nanoseconds()) / float64(len(events))
-		fmt.Printf("%-10s %14.0f %14.0f %11d/%d\n", mode, fwdNs, flushNs, expect-viols, expect)
-		rows = append(rows, benchRow{
-			Exp:        "e5",
-			Params:     map[string]any{"mode": mode.String(), "flows": 20000},
-			NsPerEvent: fwdNs,
-			Extra: map[string]any{
-				"ns_per_flush_event": flushNs,
-				"missed_violations":  expect - viols,
-				"expected":           expect,
-			},
-			CounterDeltas: obs.DiffCounters(before, reg.Snapshot()),
-		})
-	}
-	return rows
-}
-
-// sweepE6: provenance levels, with counter deltas over the timed run.
-func sweepE6() []benchRow {
-	var rows []benchRow
-	fmt.Println("E6: provenance level (Feature 10) overhead")
-	fmt.Printf("%-10s %12s %16s\n", "level", "ns/event", "history-records")
-	w := trace.FirewallWorkload{Flows: 2000, ReturnsPerFlow: 5, ViolationEvery: 10, Gap: time.Microsecond}
-	events := w.Events(sim.Epoch)
-	for _, level := range []core.ProvLevel{core.ProvNone, core.ProvLimited, core.ProvFull} {
-		sched := sim.NewScheduler()
-		records := 0
-		reg := obs.NewRegistry()
-		mon := core.NewMonitor(sched, core.Config{
-			Provenance:  level,
-			Metrics:     reg,
-			OnViolation: func(v *core.Violation) { records += len(v.History) },
-		})
-		if err := mon.AddProperty(fwProp()); err != nil {
-			panic(err)
-		}
-		before := reg.Snapshot()
-		start := time.Now()
-		for i := range events {
-			mon.HandleEvent(events[i])
-		}
-		elapsed := time.Since(start)
-		ns := float64(elapsed.Nanoseconds()) / float64(len(events))
-		fmt.Printf("%-10s %12.0f %16d\n", level, ns, records)
-		rows = append(rows, benchRow{
-			Exp:           "e6",
-			Params:        map[string]any{"level": level.String(), "flows": 2000},
-			NsPerEvent:    ns,
-			Extra:         map[string]any{"history_records": records},
-			CounterDeltas: obs.DiffCounters(before, reg.Snapshot()),
-		})
-	}
-	return rows
-}
-
-// sweepE7: redirect volume of external monitoring. Counts bytes, not
-// monitor counters — no deltas.
-func sweepE7() []benchRow {
-	var rows []benchRow
-	fmt.Println("E7: bytes redirected to an external monitor (OpenFlow 1.3) vs on-switch")
-	fmt.Printf("%-10s %14s %16s %16s\n", "hosts", "packets", "OF1.3 bytes", "on-switch bytes")
-	for _, hosts := range []int{8, 32, 128} {
-		w := trace.LearningWorkload{Hosts: hosts, PacketsPerHost: 50, PayloadBytes: 512, Gap: time.Microsecond}
-		events := w.Events(sim.Epoch)
-		sched := sim.NewScheduler()
-		of13 := backend.NewOpenFlow13(sched)
-		ideal := backend.NewIdeal(sched)
-		lsw := property.CatalogByName(property.DefaultParams(), "lswitch-unicast")
-		if err := of13.AddProperty(lsw); err != nil {
-			panic(err)
-		}
-		if err := ideal.AddProperty(lsw); err != nil {
-			panic(err)
-		}
-		packets := 0
-		for i := range events {
-			if events[i].Kind == core.KindArrival {
-				packets++
-			}
-			of13.HandleEvent(events[i])
-			ideal.HandleEvent(events[i])
-		}
-		fmt.Printf("%-10d %14d %16d %16d\n", hosts, packets, of13.RedirectedBytes(), 0)
-		rows = append(rows, benchRow{
-			Exp:    "e7",
-			Params: map[string]any{"hosts": hosts},
-			Extra: map[string]any{
-				"packets":        packets,
-				"of13_bytes":     of13.RedirectedBytes(),
-				"onswitch_bytes": 0,
-			},
-		})
-	}
-	return rows
-}
-
-// sweepE8: sharded-engine throughput vs shard count. The workload is the
-// high-flow steady state: a large established population probed by
-// round-robin return traffic, so consecutive events hit different shards.
-func sweepE8() []benchRow {
-	var rows []benchRow
-	fmt.Printf("E8: sharded engine throughput vs shards (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("%-10s %12s %14s %12s\n", "shards", "ns/event", "events/sec", "violations")
-	const flows = 8192
-	open := trace.HighFlowWorkload{Flows: flows, Gap: time.Microsecond}.Events(sim.Epoch)
-	work := trace.HighFlowWorkload{Flows: flows, Rounds: 8, ViolationEvery: 1000, Gap: time.Microsecond}.Events(sim.Epoch)
-	returns := work[2*flows:]
-
-	// Inline baseline: the single-threaded engine on the same stream.
-	{
-		sched := sim.NewScheduler()
-		viols := 0
-		reg := obs.NewRegistry()
-		mon := core.NewMonitor(sched, core.Config{Metrics: reg, OnViolation: func(*core.Violation) { viols++ }})
-		if err := mon.AddProperty(fwProp()); err != nil {
-			panic(err)
-		}
-		for _, e := range open {
-			mon.HandleEvent(e)
-		}
-		before := reg.Snapshot()
-		start := time.Now()
-		for i := range returns {
-			mon.HandleEvent(returns[i])
-		}
-		elapsed := time.Since(start)
-		ns := float64(elapsed.Nanoseconds()) / float64(len(returns))
-		fmt.Printf("%-10s %12.0f %14.0f %12d\n", "inline",
-			ns, float64(len(returns))/elapsed.Seconds(), viols)
-		rows = append(rows, benchRow{
-			Exp:           "e8",
-			Params:        map[string]any{"engine": "inline", "flows": flows},
-			NsPerEvent:    ns,
-			Extra:         map[string]any{"violations": viols},
-			CounterDeltas: obs.DiffCounters(before, reg.Snapshot()),
-		})
-	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		viols := 0
-		reg := obs.NewRegistry()
-		sm := core.NewShardedMonitor(shards, core.Config{Metrics: reg, OnViolation: func(*core.Violation) { viols++ }})
-		if err := sm.AddProperty(fwProp()); err != nil {
-			panic(err)
-		}
-		sm.SubmitBatch(open, nil)
-		sm.Drain()
-		before := reg.Snapshot()
-		start := time.Now()
-		sm.SubmitBatch(returns, nil)
-		sm.Barrier()
-		elapsed := time.Since(start)
-		ns := float64(elapsed.Nanoseconds()) / float64(len(returns))
-		fmt.Printf("%-10d %12.0f %14.0f %12d\n", shards,
-			ns, float64(len(returns))/elapsed.Seconds(), viols)
-		sm.Close()
-		rows = append(rows, benchRow{
-			Exp:           "e8",
-			Params:        map[string]any{"engine": "sharded", "shards": shards, "flows": flows},
-			NsPerEvent:    ns,
-			Extra:         map[string]any{"violations": viols},
-			CounterDeltas: obs.DiffCounters(before, reg.Snapshot()),
-		})
-	}
-	return rows
-}
-
-// sweepE11: telemetry overhead. The same engine and steady state as
-// BenchmarkE11TelemetryOverhead — 8192 established flows probed by
-// return traffic — once bare and once with the full observability
-// surface attached (counter registry + violation ring), so the cost of
-// "always-on" telemetry is a committed number, not a one-off bench run.
-func sweepE11() []benchRow {
-	var rows []benchRow
-	fmt.Println("E11: telemetry overhead (registry + violation ring vs bare engine)")
-	fmt.Printf("%-10s %12s %14s\n", "telemetry", "ns/event", "events/sec")
-	const flows = 8192
-	open := trace.HighFlowWorkload{Flows: flows, Gap: time.Microsecond}.Events(sim.Epoch)
-	work := trace.HighFlowWorkload{Flows: flows, Rounds: 8, ViolationEvery: 1000, Gap: time.Microsecond}.Events(sim.Epoch)
-	returns := work[2*flows:]
-
-	for _, telemetry := range []bool{false, true} {
-		sched := sim.NewScheduler()
-		cfg := core.Config{}
-		var reg *obs.Registry
-		if telemetry {
-			reg = obs.NewRegistry()
-			cfg.Metrics = reg
-			cfg.Violations = obs.NewRing(256)
-		}
-		mon := core.NewMonitor(sched, cfg)
-		if err := mon.AddProperty(fwProp()); err != nil {
-			panic(err)
-		}
-		for _, e := range open {
-			mon.HandleEvent(e)
-		}
-		// Warm the return path once, then take the best of three timed
-		// passes — the off/on delta is tens of ns/event, well inside
-		// cold-cache noise on a single pass.
-		for i := range returns {
-			mon.HandleEvent(returns[i])
-		}
-		var before obs.Snapshot
-		if reg != nil {
-			before = reg.Snapshot()
-		}
-		best := time.Duration(1<<63 - 1)
-		for pass := 0; pass < 3; pass++ {
-			start := time.Now()
-			for i := range returns {
-				mon.HandleEvent(returns[i])
-			}
-			if elapsed := time.Since(start); elapsed < best {
-				best = elapsed
-			}
-		}
-		ns := float64(best.Nanoseconds()) / float64(len(returns))
-		label := "off"
-		if telemetry {
-			label = "on"
-		}
-		fmt.Printf("%-10s %12.0f %14.0f\n", label, ns, float64(len(returns))/best.Seconds())
-		row := benchRow{
-			Exp:        "e11",
-			Params:     map[string]any{"telemetry": label, "flows": flows},
-			NsPerEvent: ns,
-			Extra:      map[string]any{"events": len(returns)},
-		}
-		if reg != nil {
-			row.CounterDeltas = obs.DiffCounters(before, reg.Snapshot())
-		}
-		rows = append(rows, row)
-	}
-	return rows
-}
-
 // countingSink is a collector.Sink that only counts, so the e13 sweep
 // can measure the wire fabric (framing, syscalls, ack flow) in
 // isolation from property-evaluation cost.
@@ -598,6 +187,118 @@ func (s *countingSink) MarkLoss(_ core.UnsoundReason, _ time.Time, n uint64, _ s
 	s.lost.Add(n)
 }
 
+// pctNs picks the p-th percentile (0..1) out of ns samples, sorting a
+// copy so callers can keep accumulating.
+func pctNs(vals []int64, p float64) int64 {
+	if len(vals) == 0 {
+		return 0
+	}
+	s := append([]int64(nil), vals...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	return s[int(float64(len(s)-1)*p)]
+}
+
+// fabricRun is one pass of a return stream through the fabric rig.
+type fabricRun struct {
+	events  int                 // return events published
+	publish time.Duration       // the publishing loop alone, pacing included
+	elapsed time.Duration       // first publish to last event applied
+	stats   collector.Stats     // the collector's counters after Close
+	spans   []tracer.SpanRecord // the collector's finished spans, traced runs only
+}
+
+// runFabric sends the return traffic of w through an exporter built from
+// xcfg, loopback TCP and a collector into a sink: a counting sink when
+// count is set, which isolates the wire, otherwise a four-shard engine
+// that already holds w's flows and evaluates the firewall property. A
+// traced run gives every event a span (SampleN=1) stamped at ingress
+// just before it is published; pace, when non-nil, runs before each
+// event's stamp. The run waits up to 30s for the collector to apply
+// every event and panics if it does not, or if the exporter abandons
+// any on Close.
+func runFabric(exp string, w trace.HighFlowWorkload, count, traced bool, xcfg exporter.Config, pace func(i int)) fabricRun {
+	returns := w.Events(sim.Epoch)[2*w.Flows:]
+	var swTr, colTr *tracer.Tracer
+	if traced {
+		swTr = tracer.New(tracer.Config{SampleN: 1})
+		colTr = tracer.New(tracer.Config{SampleN: 1, Ring: 2 * len(returns)})
+	}
+	var (
+		sink collector.Sink = &countingSink{}
+		sm   *core.ShardedMonitor
+	)
+	if !count {
+		sm = core.NewShardedMonitor(4, core.Config{OnViolation: func(*core.Violation) {}, Tracer: colTr})
+		if err := sm.AddProperty(fwProp()); err != nil {
+			panic(err)
+		}
+		sm.SubmitBatch(trace.HighFlowWorkload{Flows: w.Flows, Gap: w.Gap}.Events(sim.Epoch), nil)
+		sm.Drain()
+		sink = sm
+	}
+	col, err := collector.New(collector.Config{Addr: "127.0.0.1:0", Tracer: colTr}, sink)
+	if err != nil {
+		panic(err)
+	}
+	col.Serve()
+	xcfg.Addr, xcfg.DPID, xcfg.Tracer = col.Addr().String(), 1, swTr
+	x, err := exporter.New(xcfg)
+	if err != nil {
+		panic(err)
+	}
+	x.Start()
+	start := time.Now()
+	for i := range returns {
+		if pace != nil {
+			pace(i)
+		}
+		e := returns[i]
+		if traced {
+			e.PacketID = core.PacketID(i + 1)
+			if sp := swTr.Sample(1, uint64(e.PacketID), uint8(e.Kind)); sp != nil {
+				sp.Stamp(tracer.StageIngress)
+				e.Trace = sp
+			}
+		}
+		x.Publish(e)
+	}
+	run := fabricRun{events: len(returns), publish: time.Since(start)}
+	x.Flush()
+	deadline := time.Now().Add(30 * time.Second)
+	for col.Stats().Events < uint64(len(returns)) {
+		if time.Now().After(deadline) {
+			panic(fmt.Sprintf("%s: collector applied %d of %d events", exp, col.Stats().Events, len(returns)))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	run.elapsed = time.Since(start)
+	if abandoned := x.Close(5 * time.Second); abandoned != 0 {
+		panic(fmt.Sprintf("%s: exporter abandoned %d events", exp, abandoned))
+	}
+	col.Close()
+	if sm != nil {
+		sm.Close()
+	}
+	run.stats = col.Stats()
+	run.spans = colTr.Snapshot()
+	return run
+}
+
+// spanLatencies splits a traced run's spans into end-to-end detection
+// latencies and per-stage durations, all in ns.
+func spanLatencies(spans []tracer.SpanRecord) (e2e []int64, stages map[string][]int64) {
+	stages = map[string][]int64{}
+	for _, r := range spans {
+		for st, d := range r.StageNs {
+			stages[st] = append(stages[st], d)
+		}
+		if r.E2ENs > 0 {
+			e2e = append(e2e, r.E2ENs)
+		}
+	}
+	return e2e, stages
+}
+
 // sweepE13: distributed-fabric throughput vs. wire batch size. The same
 // event stream goes exporter -> real TCP -> collector at each BatchSize;
 // batch=1 is per-event framing (one frame, one length prefix, one write
@@ -610,84 +311,33 @@ func sweepE13() []benchRow {
 	fmt.Println("E13: fabric throughput vs wire batch size (exporter -> TCP -> collector)")
 	fmt.Printf("%-8s %-8s %12s %14s %10s %12s %10s\n",
 		"sink", "batch", "ns/event", "events/sec", "batches", "bytes/event", "speedup")
-	const flows = 4096
-	open := trace.HighFlowWorkload{Flows: flows, Gap: time.Microsecond}.Events(sim.Epoch)
-	work := trace.HighFlowWorkload{Flows: flows, Rounds: 8, ViolationEvery: 1000, Gap: time.Microsecond}.Events(sim.Epoch)
-	returns := work[2*flows:]
-
+	w := trace.HighFlowWorkload{Flows: 4096, Rounds: 8, ViolationEvery: 1000, Gap: time.Microsecond}
 	for _, sinkKind := range []string{"count", "engine"} {
 		var perEventBaseline float64 // events/sec at batch=1
 		for _, batch := range []int{1, 8, 64, 256, 1024} {
-			var (
-				sink collector.Sink
-				sm   *core.ShardedMonitor
-			)
-			if sinkKind == "count" {
-				sink = &countingSink{}
-			} else {
-				sm = core.NewShardedMonitor(4, core.Config{OnViolation: func(*core.Violation) {}})
-				if err := sm.AddProperty(fwProp()); err != nil {
-					panic(err)
-				}
-				sm.SubmitBatch(open, nil)
-				sm.Drain()
-				sink = sm
-			}
-			col, err := collector.New(collector.Config{Addr: "127.0.0.1:0"}, sink)
-			if err != nil {
-				panic(err)
-			}
-			col.Serve()
 			// A long MaxBatchAge keeps BatchSize the governing knob; the
 			// trailing partial batch is sealed by Flush.
-			x, err := exporter.New(exporter.Config{
-				Addr: col.Addr().String(), DPID: 1,
-				BatchSize: batch, MaxBatchAge: 50 * time.Millisecond,
-			})
-			if err != nil {
-				panic(err)
-			}
-			x.Start()
-			start := time.Now()
-			for i := range returns {
-				x.Publish(returns[i])
-			}
-			x.Flush()
-			deadline := time.Now().Add(30 * time.Second)
-			for col.Stats().Events < uint64(len(returns)) {
-				if time.Now().After(deadline) {
-					panic(fmt.Sprintf("e13: collector applied %d of %d events", col.Stats().Events, len(returns)))
-				}
-				time.Sleep(time.Millisecond)
-			}
-			elapsed := time.Since(start)
-			if abandoned := x.Close(5 * time.Second); abandoned != 0 {
-				panic(fmt.Sprintf("e13: exporter abandoned %d events", abandoned))
-			}
-			col.Close()
-			if sm != nil {
-				sm.Close()
-			}
-			cs := col.Stats()
-			ns := float64(elapsed.Nanoseconds()) / float64(len(returns))
-			evps := float64(len(returns)) / elapsed.Seconds()
+			r := runFabric("e13", w, sinkKind == "count", false,
+				exporter.Config{BatchSize: batch, MaxBatchAge: 50 * time.Millisecond}, nil)
+			ns := float64(r.elapsed.Nanoseconds()) / float64(r.events)
+			evps := float64(r.events) / r.elapsed.Seconds()
 			if batch == 1 {
 				perEventBaseline = evps
 			}
 			speedup := evps / perEventBaseline
+			bytesPerEvent := float64(r.stats.Bytes) / float64(r.events)
 			fmt.Printf("%-8s %-8d %12.0f %14.0f %10d %12.1f %9.1fx\n",
-				sinkKind, batch, ns, evps, cs.Batches,
-				float64(cs.Bytes)/float64(len(returns)), speedup)
+				sinkKind, batch, ns, evps, r.stats.Batches, bytesPerEvent, speedup)
 			rows = append(rows, benchRow{
 				Exp:        "e13",
 				Params:     map[string]any{"sink": sinkKind, "batch_size": batch},
 				NsPerEvent: ns,
 				Extra: map[string]any{
-					"events":               len(returns),
+					"events":               r.events,
 					"events_per_sec":       evps,
-					"batches":              cs.Batches,
-					"wire_bytes":           cs.Bytes,
-					"bytes_per_event":      float64(cs.Bytes) / float64(len(returns)),
+					"batches":              r.stats.Batches,
+					"wire_bytes":           r.stats.Bytes,
+					"bytes_per_event":      bytesPerEvent,
 					"speedup_vs_per_event": speedup,
 				},
 			})
@@ -696,105 +346,34 @@ func sweepE13() []benchRow {
 	return rows
 }
 
-// pctNs picks the p-th percentile (0..1) out of ns samples, sorting a
-// copy so callers can keep accumulating.
-func pctNs(vals []int64, p float64) int64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	s := append([]int64(nil), vals...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[int(float64(len(s)-1)*p)]
-}
-
 // sweepE14: detection latency vs. wire batch size. Every event carries
-// a span (SampleN=1) through the same exporter -> TCP -> collector ->
-// sharded-engine fabric as e13, but the publisher is paced well below
-// the fabric's capacity (e13 measured ~87k events/s at batch=1) so the
-// percentiles measure the pipeline — batch fill/age wait, wire flight,
-// shard dispatch, verdict — rather than queue saturation. The claim
-// under test: batching buys wire throughput (e13) at the price of
-// detection latency, with the batch-seal wait as the moving part; at
-// large batches the MaxBatchAge deadline caps the wait, so latency
-// plateaus near the age bound instead of growing without limit.
+// a span through the same exporter -> TCP -> collector -> sharded-engine
+// fabric as e13, but the publisher is paced well below the fabric's
+// capacity (e13 measured ~87k events/s at batch=1) so the percentiles
+// measure the pipeline — batch fill/age wait, wire flight, shard
+// dispatch, verdict — rather than queue saturation. The claim under
+// test: batching buys wire throughput (e13) at the price of detection
+// latency, with the batch-seal wait as the moving part; at large
+// batches the MaxBatchAge deadline caps the wait, so latency plateaus
+// near the age bound instead of growing without limit.
 func sweepE14() []benchRow {
 	var rows []benchRow
 	fmt.Println("E14: detection latency vs wire batch size (traced spans, exporter -> TCP -> collector)")
 	fmt.Printf("%-8s %-8s %12s %12s %12s %12s %12s\n",
 		"batch", "spans", "e2e_p50", "e2e_p99", "seal_p50", "recv_p50", "verdict_p50")
 	const (
-		flows   = 2048
-		pace    = 32               // events per paced burst
-		gap     = time.Millisecond // sleep between bursts: ~32k events/s
-		age     = 5 * time.Millisecond
-		sampleN = 1
+		pace = 32               // events per paced burst
+		gap  = time.Millisecond // sleep between bursts: ~32k events/s
+		age  = 5 * time.Millisecond
 	)
-	open := trace.HighFlowWorkload{Flows: flows, Gap: time.Microsecond}.Events(sim.Epoch)
-	work := trace.HighFlowWorkload{Flows: flows, Rounds: 2, Gap: time.Microsecond}.Events(sim.Epoch)
-	returns := work[2*flows:]
-
+	w := trace.HighFlowWorkload{Flows: 2048, Rounds: 2, Gap: time.Microsecond}
 	for _, batch := range []int{1, 8, 64, 256} {
-		swTr := tracer.New(tracer.Config{SampleN: sampleN})
-		colTr := tracer.New(tracer.Config{SampleN: sampleN, Ring: 2 * len(returns)})
-		sm := core.NewShardedMonitor(4, core.Config{
-			OnViolation: func(*core.Violation) {}, Tracer: colTr,
-		})
-		if err := sm.AddProperty(fwProp()); err != nil {
-			panic(err)
-		}
-		sm.SubmitBatch(open, nil)
-		sm.Drain()
-		col, err := collector.New(collector.Config{Addr: "127.0.0.1:0", Tracer: colTr}, sm)
-		if err != nil {
-			panic(err)
-		}
-		col.Serve()
-		x, err := exporter.New(exporter.Config{
-			Addr: col.Addr().String(), DPID: 1,
-			BatchSize: batch, MaxBatchAge: age, Tracer: swTr,
-		})
-		if err != nil {
-			panic(err)
-		}
-		x.Start()
-		for i := range returns {
-			e := returns[i]
-			e.PacketID = core.PacketID(i + 1)
-			if sp := swTr.Sample(1, uint64(e.PacketID), uint8(e.Kind)); sp != nil {
-				sp.Stamp(tracer.StageIngress)
-				e.Trace = sp
-			}
-			x.Publish(e)
-			if (i+1)%pace == 0 {
+		r := runFabric("e14", w, false, true, exporter.Config{BatchSize: batch, MaxBatchAge: age}, func(i int) {
+			if i > 0 && i%pace == 0 {
 				time.Sleep(gap)
 			}
-		}
-		x.Flush()
-		deadline := time.Now().Add(30 * time.Second)
-		for col.Stats().Events < uint64(len(returns)) {
-			if time.Now().After(deadline) {
-				panic(fmt.Sprintf("e14: collector applied %d of %d events", col.Stats().Events, len(returns)))
-			}
-			time.Sleep(time.Millisecond)
-		}
-		if abandoned := x.Close(5 * time.Second); abandoned != 0 {
-			panic(fmt.Sprintf("e14: exporter abandoned %d events", abandoned))
-		}
-		col.Close()
-		sm.Drain()
-
-		recs := colTr.Snapshot()
-		stageVals := map[string][]int64{}
-		var e2e []int64
-		for _, r := range recs {
-			for st, d := range r.StageNs {
-				stageVals[st] = append(stageVals[st], d)
-			}
-			if r.E2ENs > 0 {
-				e2e = append(e2e, r.E2ENs)
-			}
-		}
-		sm.Close()
+		})
+		e2e, stageVals := spanLatencies(r.spans)
 		stageP50 := map[string]any{}
 		stageP99 := map[string]any{}
 		for st, vals := range stageVals {
@@ -803,24 +382,111 @@ func sweepE14() []benchRow {
 		}
 		e2eP50, e2eP99 := pctNs(e2e, 0.50), pctNs(e2e, 0.99)
 		fmt.Printf("%-8d %-8d %12d %12d %12d %12d %12d\n",
-			batch, len(recs), e2eP50, e2eP99,
+			batch, len(r.spans), e2eP50, e2eP99,
 			pctNs(stageVals["batch_seal"], 0.50),
 			pctNs(stageVals["collector_recv"], 0.50),
 			pctNs(stageVals["verdict"], 0.50))
 		rows = append(rows, benchRow{
 			Exp: "e14",
 			Params: map[string]any{
-				"batch_size": batch, "sample_n": sampleN,
+				"batch_size": batch, "sample_n": 1,
 				"max_batch_age_ms": age.Milliseconds(),
 			},
 			NsPerEvent: float64(e2eP50),
 			Extra: map[string]any{
-				"spans":        len(recs),
-				"events":       len(returns),
+				"spans":        len(r.spans),
+				"events":       r.events,
 				"e2e_p50_ns":   e2eP50,
 				"e2e_p99_ns":   e2eP99,
 				"stage_p50_ns": stageP50,
 				"stage_p99_ns": stageP99,
+			},
+		})
+	}
+	return rows
+}
+
+// sweepE15: the latency/throughput frontier with one config. e13 shows
+// sustained fabric throughput needs big batches; e14 shows detection
+// latency needs small ones. Each config here is measured both ways —
+// an unpaced blast for throughput, then a steadily paced fully-traced
+// stream for latency percentiles — so the row answers whether the
+// adaptive controller (switchmon -export defaults: -batch-slo 250µs,
+// -batch-max 256) reaches the fixed sweep's best throughput and its
+// best-case latency simultaneously, where every fixed size gets only
+// one side of the frontier.
+//
+// The latency phase paces the publisher to a steady per-event gap with
+// time.Sleep — sleeping, not spinning, so on small machines (CI runs
+// this with one CPU) the pauses are exactly when the collector and
+// shards get the processor, as they would with a real network between
+// the hosts. The OS rounds short sleeps up, so the realized gap
+// (reported in the row) is the measurement's rate, not the nominal one.
+func sweepE15() []benchRow {
+	var rows []benchRow
+	fmt.Println("E15: adaptive sealing vs fixed batch size: throughput and detection latency, one config")
+	fmt.Printf("%-12s %14s %12s %12s %12s %12s %12s\n",
+		"config", "events/sec", "ns/event", "e2e_p50", "e2e_p99", "seal_p50", "pace_gap")
+
+	const (
+		slo     = 250 * time.Microsecond
+		maxB    = 256
+		paceGap = 25 * time.Microsecond // steady ~40k events/s for the latency phase
+	)
+	tw := trace.HighFlowWorkload{Flows: 4096, Rounds: 8, ViolationEvery: 1000, Gap: time.Microsecond}
+	lw := trace.HighFlowWorkload{Flows: 2048, Rounds: 2, Gap: time.Microsecond}
+	if smoke {
+		tw.Flows, tw.Rounds = 512, 2
+		lw.Flows = 256
+	}
+
+	type config struct {
+		label string
+		batch int // 0 = adaptive
+	}
+	configs := []config{{"fixed/8", 8}, {"fixed/64", 64}, {"fixed/256", 256}, {"adaptive", 0}}
+	for _, c := range configs {
+		// Throughput phase: fixed configs get e13's long age bound so
+		// BatchSize governs; the adaptive config is identical in both
+		// phases — that is the claim under test.
+		txc := exporter.Config{TargetSealLatency: slo, BatchSizeMax: maxB}
+		lxc := txc
+		if c.batch > 0 {
+			txc = exporter.Config{BatchSize: c.batch, MaxBatchAge: 50 * time.Millisecond}
+			// Latency phase: e14's age bound, so a partial batch cannot
+			// strand a verdict for 50ms.
+			lxc = exporter.Config{BatchSize: c.batch, MaxBatchAge: 5 * time.Millisecond}
+		}
+		t := runFabric("e15", tw, false, false, txc, nil)
+		l := runFabric("e15", lw, false, true, lxc, func(int) { time.Sleep(paceGap) })
+		evps := float64(t.events) / t.elapsed.Seconds()
+		ns := float64(t.elapsed.Nanoseconds()) / float64(t.events)
+		e2e, stages := spanLatencies(l.spans)
+		p50, p99, sealP50 := pctNs(e2e, 0.50), pctNs(e2e, 0.99), pctNs(stages["batch_seal"], 0.50)
+		realized := l.publish / time.Duration(l.events)
+		fmt.Printf("%-12s %14.0f %12.0f %12d %12d %12d %12s\n", c.label, evps, ns, p50, p99, sealP50, realized)
+		params := map[string]any{"config": c.label, "batch_size": c.batch}
+		if c.batch == 0 {
+			params["slo_us"] = slo.Microseconds()
+			params["batch_max"] = maxB
+		}
+		rows = append(rows, benchRow{
+			Exp:        "e15",
+			Params:     params,
+			NsPerEvent: ns,
+			Extra: map[string]any{
+				"events_per_sec":  evps,
+				"batches":         t.stats.Batches,
+				"wire_bytes":      t.stats.Bytes,
+				"e2e_p50_ns":      p50,
+				"e2e_p99_ns":      p99,
+				"seal_p50_ns":     sealP50,
+				"spans":           len(l.spans),
+				"pace_gap_ns":     paceGap.Nanoseconds(),
+				"realized_gap_ns": realized.Nanoseconds(),
+				"smoke":           smoke,
+				"events_tput":     t.events,
+				"events_latency":  l.events,
 			},
 		})
 	}
@@ -916,205 +582,6 @@ func sweepE12() []benchRow {
 	return rows
 }
 
-// e15Throughput blasts the return traffic through exporter -> TCP ->
-// collector -> sharded engine as fast as the fabric accepts it (the
-// e13 "engine" protocol) and reports the sustained rate.
-func e15Throughput(xcfg exporter.Config, flows, rounds int) (evps, ns float64, batches, bytes uint64) {
-	open := trace.HighFlowWorkload{Flows: flows, Gap: time.Microsecond}.Events(sim.Epoch)
-	work := trace.HighFlowWorkload{Flows: flows, Rounds: rounds, ViolationEvery: 1000, Gap: time.Microsecond}.Events(sim.Epoch)
-	returns := work[2*flows:]
-
-	sm := core.NewShardedMonitor(4, core.Config{OnViolation: func(*core.Violation) {}})
-	if err := sm.AddProperty(fwProp()); err != nil {
-		panic(err)
-	}
-	sm.SubmitBatch(open, nil)
-	sm.Drain()
-	col, err := collector.New(collector.Config{Addr: "127.0.0.1:0"}, sm)
-	if err != nil {
-		panic(err)
-	}
-	col.Serve()
-	xcfg.Addr = col.Addr().String()
-	xcfg.DPID = 1
-	x, err := exporter.New(xcfg)
-	if err != nil {
-		panic(err)
-	}
-	x.Start()
-	start := time.Now()
-	for i := range returns {
-		x.Publish(returns[i])
-	}
-	x.Flush()
-	deadline := time.Now().Add(30 * time.Second)
-	for col.Stats().Events < uint64(len(returns)) {
-		if time.Now().After(deadline) {
-			panic(fmt.Sprintf("e15: collector applied %d of %d events", col.Stats().Events, len(returns)))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	elapsed := time.Since(start)
-	if abandoned := x.Close(5 * time.Second); abandoned != 0 {
-		panic(fmt.Sprintf("e15: exporter abandoned %d events", abandoned))
-	}
-	col.Close()
-	sm.Close()
-	cs := col.Stats()
-	return float64(len(returns)) / elapsed.Seconds(),
-		float64(elapsed.Nanoseconds()) / float64(len(returns)),
-		cs.Batches, cs.Bytes
-}
-
-// e15Latency drives the same fabric with every event traced (SampleN=1)
-// and the publisher paced to a steady per-event gap via time.Sleep —
-// sleeping, not spinning, so on small machines (CI runs this with one
-// CPU) the pauses are exactly when the collector and shards get the
-// processor, as they would with a real network between the hosts. The
-// OS rounds short sleeps up, so the realized gap (reported in the row)
-// is the measurement's rate, not the nominal one. Reports end-to-end
-// detection-latency percentiles and the batch-seal wait.
-func e15Latency(xcfg exporter.Config, flows, rounds int, paceGap time.Duration) (p50, p99, sealP50 int64, spans int, realizedGap time.Duration) {
-	open := trace.HighFlowWorkload{Flows: flows, Gap: time.Microsecond}.Events(sim.Epoch)
-	work := trace.HighFlowWorkload{Flows: flows, Rounds: rounds, Gap: time.Microsecond}.Events(sim.Epoch)
-	returns := work[2*flows:]
-
-	swTr := tracer.New(tracer.Config{SampleN: 1})
-	colTr := tracer.New(tracer.Config{SampleN: 1, Ring: 2 * len(returns)})
-	sm := core.NewShardedMonitor(4, core.Config{OnViolation: func(*core.Violation) {}, Tracer: colTr})
-	if err := sm.AddProperty(fwProp()); err != nil {
-		panic(err)
-	}
-	sm.SubmitBatch(open, nil)
-	sm.Drain()
-	col, err := collector.New(collector.Config{Addr: "127.0.0.1:0", Tracer: colTr}, sm)
-	if err != nil {
-		panic(err)
-	}
-	col.Serve()
-	xcfg.Addr = col.Addr().String()
-	xcfg.DPID = 1
-	xcfg.Tracer = swTr
-	x, err := exporter.New(xcfg)
-	if err != nil {
-		panic(err)
-	}
-	x.Start()
-	start := time.Now()
-	for i := range returns {
-		e := returns[i]
-		e.PacketID = core.PacketID(i + 1)
-		if sp := swTr.Sample(1, uint64(e.PacketID), uint8(e.Kind)); sp != nil {
-			sp.Stamp(tracer.StageIngress)
-			e.Trace = sp
-		}
-		x.Publish(e)
-		time.Sleep(paceGap)
-	}
-	realizedGap = time.Since(start) / time.Duration(len(returns))
-	x.Flush()
-	deadline := time.Now().Add(30 * time.Second)
-	for col.Stats().Events < uint64(len(returns)) {
-		if time.Now().After(deadline) {
-			panic(fmt.Sprintf("e15: collector applied %d of %d events", col.Stats().Events, len(returns)))
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if abandoned := x.Close(5 * time.Second); abandoned != 0 {
-		panic(fmt.Sprintf("e15: exporter abandoned %d events", abandoned))
-	}
-	col.Close()
-	sm.Drain()
-
-	recs := colTr.Snapshot()
-	var e2e, seal []int64
-	for _, r := range recs {
-		if r.E2ENs > 0 {
-			e2e = append(e2e, r.E2ENs)
-		}
-		if d, ok := r.StageNs["batch_seal"]; ok {
-			seal = append(seal, d)
-		}
-	}
-	sm.Close()
-	return pctNs(e2e, 0.50), pctNs(e2e, 0.99), pctNs(seal, 0.50), len(recs), realizedGap
-}
-
-// sweepE15: the latency/throughput frontier with one config. e13 shows
-// sustained fabric throughput needs big batches; e14 shows detection
-// latency needs small ones. Each config here is measured both ways —
-// an unpaced blast for throughput, then a steadily paced fully-traced
-// stream for latency percentiles — so the row answers whether the
-// adaptive controller (switchmon -export defaults: -batch-slo 250µs,
-// -batch-max 256) reaches the fixed sweep's best throughput and its
-// best-case latency simultaneously, where every fixed size gets only
-// one side of the frontier.
-func sweepE15() []benchRow {
-	var rows []benchRow
-	fmt.Println("E15: adaptive sealing vs fixed batch size: throughput and detection latency, one config")
-	fmt.Printf("%-12s %14s %12s %12s %12s %12s %12s\n",
-		"config", "events/sec", "ns/event", "e2e_p50", "e2e_p99", "seal_p50", "pace_gap")
-
-	const (
-		slo     = 250 * time.Microsecond
-		maxB    = 256
-		paceGap = 25 * time.Microsecond // steady ~40k events/s for the latency phase
-	)
-	tFlows, tRounds := 4096, 8
-	lFlows, lRounds := 2048, 2
-	if smoke {
-		tFlows, tRounds = 512, 2
-		lFlows, lRounds = 256, 2
-	}
-
-	type config struct {
-		label string
-		batch int // 0 = adaptive
-	}
-	configs := []config{{"fixed/8", 8}, {"fixed/64", 64}, {"fixed/256", 256}, {"adaptive", 0}}
-	for _, c := range configs {
-		// Throughput phase: fixed configs get e13's long age bound so
-		// BatchSize governs; the adaptive config is identical in both
-		// phases — that is the claim under test.
-		txc := exporter.Config{TargetSealLatency: slo, BatchSizeMax: maxB}
-		lxc := txc
-		if c.batch > 0 {
-			txc = exporter.Config{BatchSize: c.batch, MaxBatchAge: 50 * time.Millisecond}
-			// Latency phase: e14's age bound, so a partial batch cannot
-			// strand a verdict for 50ms.
-			lxc = exporter.Config{BatchSize: c.batch, MaxBatchAge: 5 * time.Millisecond}
-		}
-		evps, ns, batches, bytes := e15Throughput(txc, tFlows, tRounds)
-		p50, p99, sealP50, spans, realized := e15Latency(lxc, lFlows, lRounds, paceGap)
-		fmt.Printf("%-12s %14.0f %12.0f %12d %12d %12d %12s\n", c.label, evps, ns, p50, p99, sealP50, realized)
-		params := map[string]any{"config": c.label, "batch_size": c.batch}
-		if c.batch == 0 {
-			params["slo_us"] = slo.Microseconds()
-			params["batch_max"] = maxB
-		}
-		rows = append(rows, benchRow{
-			Exp:        "e15",
-			Params:     params,
-			NsPerEvent: ns,
-			Extra: map[string]any{
-				"events_per_sec":  evps,
-				"batches":         batches,
-				"wire_bytes":      bytes,
-				"e2e_p50_ns":      p50,
-				"e2e_p99_ns":      p99,
-				"seal_p50_ns":     sealP50,
-				"spans":           spans,
-				"pace_gap_ns":     paceGap.Nanoseconds(),
-				"realized_gap_ns": realized.Nanoseconds(),
-				"smoke":           smoke,
-				"events_tput":     tFlows * tRounds,
-				"events_latency":  lFlows * lRounds,
-			},
-		})
-	}
-	return rows
-}
-
 // e17Run drives the high-flow return stream through the sharded engine
 // in fixed-size chunks, performing `cycles` remove+reinstall pairs of
 // the named rider property at evenly spaced stream positions (cycles=0
@@ -1164,7 +631,7 @@ func e17Run(flows, rounds, cycles, chunk int, riderName string) (evps, ns float6
 			}
 			removed := time.Now()
 			removeNs = append(removeNs, removed.Sub(opStart).Nanoseconds())
-			if err := sm.InstallProperty(property.CatalogByName(property.DefaultParams(), rider.Name)); err != nil {
+			if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), rider.Name)); err != nil {
 				panic(err)
 			}
 			installNs = append(installNs, time.Since(removed).Nanoseconds())
@@ -1262,97 +729,6 @@ func sweepE17() []benchRow {
 		pctNs(installNs, 0.50), pctNs(installNs, 0.99),
 		pctNs(removeNs, 0.50), pctNs(removeNs, 0.99), "-")
 	emit("purge", "firewall-until-close", 1, evps, ns, installNs, removeNs, epoch, nil)
-	return rows
-}
-
-// sweepE16: state-accounting overhead. The same high-flow steady state
-// as e11, measured with per-property state observability disabled
-// (the PR 6 baseline), enabled at the deployment sample rate (1-in-8
-// filings sketched), and enabled with every filing sketched. The
-// steady-state return path pays two uncontended atomic adds (pool
-// pop/push around the dedup hit); sketching only touches the filing
-// path, so the sample rate should not move the steady-state number.
-// The committed claim: accounting costs at most ~15ns/event over the
-// baseline, with zero allocations — the /state observatory is cheap
-// enough to leave on in production. The row's extras carry the final
-// accounting report (live instances, filings) so the artifact also
-// documents what the accounting saw.
-func sweepE16() []benchRow {
-	var rows []benchRow
-	fmt.Println("E16: state-accounting overhead (live/bytes/timer gauges + heavy-hitter sketch vs bare engine)")
-	fmt.Printf("%-22s %12s %14s %12s\n", "accounting", "ns/event", "events/sec", "delta-ns")
-	flows := 8192
-	if smoke {
-		flows = 512
-	}
-	open := trace.HighFlowWorkload{Flows: flows, Gap: time.Microsecond}.Events(sim.Epoch)
-	work := trace.HighFlowWorkload{Flows: flows, Rounds: 8, ViolationEvery: 1000, Gap: time.Microsecond}.Events(sim.Epoch)
-	returns := work[2*flows:]
-
-	configs := []struct {
-		label string
-		cfg   core.Config
-	}{
-		{"off", core.Config{DisableStateAccounting: true}},
-		{"on/sample=8", core.Config{StateTopK: 32, StateSample: 8}},
-		{"on/sample=1", core.Config{StateTopK: 32, StateSample: 1}},
-	}
-	baseline := 0.0
-	for _, c := range configs {
-		sched := sim.NewScheduler()
-		reg := obs.NewRegistry()
-		cfg := c.cfg
-		cfg.Metrics = reg
-		mon := core.NewMonitor(sched, cfg)
-		if err := mon.AddProperty(fwProp()); err != nil {
-			panic(err)
-		}
-		for _, e := range open {
-			mon.HandleEvent(e)
-		}
-		// Warm the return path once, then best-of-three: the off/on
-		// delta target is 15ns/event, inside single-pass noise.
-		for i := range returns {
-			mon.HandleEvent(returns[i])
-		}
-		before := reg.Snapshot()
-		best := time.Duration(1<<63 - 1)
-		for pass := 0; pass < 3; pass++ {
-			start := time.Now()
-			for i := range returns {
-				mon.HandleEvent(returns[i])
-			}
-			if elapsed := time.Since(start); elapsed < best {
-				best = elapsed
-			}
-		}
-		ns := float64(best.Nanoseconds()) / float64(len(returns))
-		if c.label == "off" {
-			baseline = ns
-		}
-		delta := ns - baseline
-		fmt.Printf("%-22s %12.1f %14.0f %12.1f\n",
-			c.label, ns, float64(len(returns))/best.Seconds(), delta)
-		row := benchRow{
-			Exp:           "e16",
-			Params:        map[string]any{"accounting": c.label, "flows": flows},
-			NsPerEvent:    ns,
-			Extra:         map[string]any{"events": len(returns), "delta_ns_vs_off": delta},
-			CounterDeltas: obs.DiffCounters(before, reg.Snapshot()),
-		}
-		if !c.cfg.DisableStateAccounting {
-			rep := mon.StateReport()
-			var live, filings uint64
-			for _, p := range rep.Properties {
-				live += uint64(p.Live)
-				filings += p.Filings
-			}
-			row.Extra["live_instances"] = live
-			row.Extra["filings"] = filings
-			row.Extra["sample_n"] = rep.SampleN
-		}
-		rows = append(rows, row)
-	}
 	return rows
 }
 

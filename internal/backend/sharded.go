@@ -4,7 +4,6 @@ import (
 	"runtime"
 
 	"switchmon/internal/core"
-	"switchmon/internal/obs"
 	"switchmon/internal/property"
 	"switchmon/internal/sim"
 )
@@ -53,14 +52,6 @@ func NewShardedVaranus(_ *sim.Scheduler) *ShardedVaranus {
 // NewShardedVaranusN builds the sharded ideal backend with an explicit
 // shard count.
 func NewShardedVaranusN(shards int) *ShardedVaranus {
-	return NewShardedVaranusObs(shards, nil, nil)
-}
-
-// NewShardedVaranusObs builds the sharded ideal backend with telemetry:
-// engine series register into reg with per-shard labels (per-property
-// counters aggregate across shards), and every violation is traced into
-// ring with full provenance. Either may be nil.
-func NewShardedVaranusObs(shards int, reg *obs.Registry, ring *obs.Ring) *ShardedVaranus {
 	caps := Capabilities{
 		Name:             "Sharded Varanus (multi-core)",
 		StateMechanism:   "Sharded indexed instances",
@@ -85,8 +76,6 @@ func NewShardedVaranusObs(shards int, reg *obs.Registry, ring *obs.Ring) *Sharde
 	sv.sm = core.NewShardedMonitor(shards, core.Config{
 		Provenance:  core.ProvFull,
 		OnViolation: func(*core.Violation) { sv.nViol++ },
-		Metrics:     reg,
-		Violations:  ring,
 	})
 	return sv
 }

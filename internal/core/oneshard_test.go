@@ -235,7 +235,7 @@ func TestOneShardIsInline(t *testing.T) {
 							}
 							_ = sm.Stats()
 							_ = sm.Properties()
-							if err := sm.InstallProperty(extra); err != nil {
+							if err := sm.AddProperty(extra); err != nil {
 								t.Errorf("%s: %v", name, err)
 								return
 							}

@@ -161,16 +161,13 @@ func (ps *propSet) MarkLoss(reason UnsoundReason, at time.Time, n uint64, detail
 	ps.ledger.markInstalled(reason, seq, at, n, detail)
 }
 
-// AddProperty is InstallProperty under its historical name.
-func (ps *propSet) AddProperty(p *property.Property) error { return ps.put(p, false) }
-
-// InstallProperty compiles and installs a property, before or after the
+// AddProperty compiles and installs a property, before or after the
 // engine has seen its first event. The property is sound from here: a
 // live install stamps its install-point watermark into the ledger, so
 // losses that predate it never mark the property. Installing a name
 // that is already installed is an error (RemoveProperty it first, or
 // use ReplaceProperty).
-func (ps *propSet) InstallProperty(p *property.Property) error { return ps.put(p, false) }
+func (ps *propSet) AddProperty(p *property.Property) error { return ps.put(p, false) }
 
 // ReplaceProperty swaps the named property for a fresh compile — remove
 // (when installed) then install under one critical section, so no event

@@ -239,7 +239,7 @@ func TestLifecycleDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	feed(third, 2*third)
-	if err := sm.InstallProperty(catalogProp(t, "firewall-until-close")); err != nil {
+	if err := sm.AddProperty(catalogProp(t, "firewall-until-close")); err != nil {
 		t.Fatal(err)
 	}
 	feed(2*third, len(evs))

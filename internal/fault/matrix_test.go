@@ -328,7 +328,7 @@ func churnOutcome(t *testing.T, seed int64) ([]byte, []string) {
 				t.Fatal(err)
 			}
 		case reinstallAt:
-			if err := sm.InstallProperty(property.CatalogByName(property.DefaultParams(), churnName)); err != nil {
+			if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), churnName)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -102,7 +102,7 @@ func TestFabricLifecycleChurnDifferential(t *testing.T) {
 			t.Fatal(err)
 		}
 		broadcast(stable)
-		if err := sm.InstallProperty(property.CatalogByName(property.DefaultParams(), churnName)); err != nil {
+		if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), churnName)); err != nil {
 			t.Fatal(err)
 		}
 		broadcast(stable, property.CatalogByName(property.DefaultParams(), churnName))

@@ -107,17 +107,14 @@ func NewTracker(cfg Config) *Tracker {
 	return &Tracker{cfg: cfg, pool: make([]atomic.Int64, cfg.Shards)}
 }
 
-// Install registers property idx under name (idempotent: every shard of
-// a sharded engine installs the same property at the same index, and
-// only the first call creates the entry). Indices must be installed in
-// order, matching the engine's property indices.
-func (t *Tracker) Install(idx int, name string) { t.InstallTenant(idx, name, "") }
-
-// InstallTenant is Install carrying the property's tenant, so tenant
-// accounting and /state attribution survive slot reuse across the
-// property lifecycle. Reinstalling into a slot retired by Uninstall
-// creates a fresh entry; calling it on a live slot is a no-op (the
-// idempotence every shard of a sharded engine relies on).
+// InstallTenant registers property idx under name and the property's
+// tenant ("" for none), so tenant accounting and /state attribution
+// survive slot reuse across the property lifecycle. Indices must be
+// installed in order, matching the engine's property indices.
+// Reinstalling into a slot retired by Uninstall creates a fresh entry;
+// calling it on a live slot is a no-op (the idempotence every shard of a
+// sharded engine relies on: each installs the same property at the same
+// index, and only the first call creates the entry).
 func (t *Tracker) InstallTenant(idx int, name, tenant string) {
 	if t == nil {
 		return

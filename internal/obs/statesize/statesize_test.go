@@ -9,7 +9,7 @@ import (
 
 func TestAccountingTotalsAndShardBreakdown(t *testing.T) {
 	tr := NewTracker(Config{Shards: 2})
-	tr.Install(0, "p0")
+	tr.InstallTenant(0, "p0", "")
 	h0 := tr.Handle(0, 0)
 	h1 := tr.Handle(0, 1)
 
@@ -57,7 +57,7 @@ func TestAccountingTotalsAndShardBreakdown(t *testing.T) {
 
 func TestSingleShardReportOmitsBreakdown(t *testing.T) {
 	tr := NewTracker(Config{Shards: 1})
-	tr.Install(0, "p0")
+	tr.InstallTenant(0, "p0", "")
 	tr.Handle(0, 0).File(1, 10)
 	r := tr.Report()
 	if r.PooledPerShard != nil {
@@ -70,7 +70,7 @@ func TestSingleShardReportOmitsBreakdown(t *testing.T) {
 
 func TestSketchExactWhenUnderCapacity(t *testing.T) {
 	tr := NewTracker(Config{Shards: 1, TopK: 16, SampleN: 1})
-	tr.Install(0, "p0")
+	tr.InstallTenant(0, "p0", "")
 	h := tr.Handle(0, 0)
 	// 8 distinct keys with distinct filing counts, interleaved.
 	want := map[uint64]uint64{}
@@ -108,7 +108,7 @@ func TestSketchExactWhenUnderCapacity(t *testing.T) {
 func TestSketchSpaceSavingBound(t *testing.T) {
 	const k = 4
 	tr := NewTracker(Config{Shards: 1, TopK: k, SampleN: 1})
-	tr.Install(0, "p0")
+	tr.InstallTenant(0, "p0", "")
 	h := tr.Handle(0, 0)
 	// Skewed workload: key 1 files 64 times, key 2 files 32, ... key 12
 	// files once — 12 distinct keys through 4 slots.
@@ -156,7 +156,7 @@ func TestSketchSpaceSavingBound(t *testing.T) {
 
 func TestSketchMergesAcrossShards(t *testing.T) {
 	tr := NewTracker(Config{Shards: 2, TopK: 8, SampleN: 1})
-	tr.Install(0, "p0")
+	tr.InstallTenant(0, "p0", "")
 	h0, h1 := tr.Handle(0, 0), tr.Handle(0, 1)
 	for i := 0; i < 5; i++ {
 		h0.File(7, 1)
@@ -177,7 +177,7 @@ func TestSketchMergesAcrossShards(t *testing.T) {
 func TestSamplingScalesEstimates(t *testing.T) {
 	const n = 8
 	tr := NewTracker(Config{Shards: 1, TopK: 8, SampleN: n})
-	tr.Install(0, "p0")
+	tr.InstallTenant(0, "p0", "")
 	h := tr.Handle(0, 0)
 	// Find a key in the sampled class and one outside it.
 	var sampled, skipped uint64
@@ -209,7 +209,7 @@ func TestSamplingScalesEstimates(t *testing.T) {
 func TestWatermarkPressureAndHysteresis(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := NewTracker(Config{Shards: 1, Watermark: 8, Metrics: reg})
-	tr.Install(0, "p0")
+	tr.InstallTenant(0, "p0", "")
 	h := tr.Handle(0, 0)
 	for i := 0; i < 8; i++ {
 		h.File(uint64(i), 1)
@@ -252,7 +252,7 @@ func TestWatermarkPressureAndHysteresis(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var tr *Tracker
-	tr.Install(0, "x")
+	tr.InstallTenant(0, "x", "")
 	tr.PoolGet(0)
 	tr.PoolPut(0)
 	if h := tr.Handle(0, 0); h != nil {
@@ -274,10 +274,10 @@ func TestNilSafety(t *testing.T) {
 func TestInstallIdempotent(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := NewTracker(Config{Shards: 2, TopK: 4, Metrics: reg})
-	tr.Install(0, "p0")
+	tr.InstallTenant(0, "p0", "")
 	h := tr.Handle(0, 0)
 	h.File(1, 10)
-	tr.Install(0, "p0") // second shard installing the same property
+	tr.InstallTenant(0, "p0", "") // second shard installing the same property
 	if got := tr.Report().Properties[0].Live; got != 1 {
 		t.Fatalf("re-install reset accounting: live = %d, want 1", got)
 	}
@@ -285,7 +285,7 @@ func TestInstallIdempotent(t *testing.T) {
 
 func TestZeroKeyRemapped(t *testing.T) {
 	tr := NewTracker(Config{Shards: 1, TopK: 4, SampleN: 1})
-	tr.Install(0, "p0")
+	tr.InstallTenant(0, "p0", "")
 	h := tr.Handle(0, 0)
 	h.File(0, 1)
 	top := tr.Report().Properties[0].TopKeys
