@@ -10,12 +10,13 @@
 //	switchmon -demo firewall -metrics-addr :9090
 //	switchmon -trace events.trc -catalog firewall-basic -fault drop=0.01,dup=0.001,seed=7
 //	switchmon -demo firewall -export 127.0.0.1:9190
+//	switchmon -demo firewall -export 10.0.0.1:9190,10.0.0.2:9190
 //	switchmon -list
 //
 // The process is assembled by internal/daemon, which it shares with
 // cmd/collector and cmd/fleetagg; what is written here is what only a
-// switch has: the trace/demo feed, the fault injector, and the -export /
-// -collectors shipping of its event stream to the central fabric.
+// switch has: the trace/demo feed, the fault injector, and the -export
+// shipping of its event stream to the central fabric.
 // docs/OBSERVABILITY.md documents every flag and endpoint; -h lists the
 // flags.
 //
@@ -72,7 +73,7 @@ func main() { daemon.Main("switchmon", run) }
 type options struct {
 	daemon.Flags
 	trace, demo, record, mode, fault string
-	export, collectors, partition    string
+	export, partition                string
 	list                             bool
 	exportDPID                       uint64
 	batchSLO                         time.Duration
@@ -88,10 +89,9 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.mode, "mode", "inline", "processing mode: inline, split")
 	fs.BoolVar(&o.list, "list", false, "list built-in catalogue properties and exit")
 	fs.StringVar(&o.fault, "fault", "", "inject deterministic faults: drop=F,dup=F,reorder=F,delay=DUR,seed=N,panic-shard=S@N,stall-shard=S@N,stall=DUR")
-	fs.StringVar(&o.export, "export", "", "also ship the event stream to a central collector at this address (cmd/collector)")
-	fs.StringVar(&o.collectors, "collectors", "", "comma-separated collector endpoints for federated export: events fan out across the fleet by partition key, each endpoint with its own sequence space, queue, and replay (replaces -export)")
-	fs.StringVar(&o.partition, "partition", "dpid", "with -collectors: fleet partition key — dpid (whole switch on one collector) or identity (property-identity key derived from the installed set; requires -catalog/-props)")
-	fs.Uint64Var(&o.exportDPID, "export-dpid", 1, "datapath id announced to the collector by -export")
+	fs.StringVar(&o.export, "export", "", "also ship the event stream to these comma-separated collector addresses (cmd/collector): events fan out across the fleet by partition key, each collector with its own sequence space, queue, and replay")
+	fs.StringVar(&o.partition, "partition", "dpid", "with -export: fleet partition key — dpid (whole switch on one collector) or identity (property-identity key derived from the installed set; requires -catalog/-props)")
+	fs.Uint64Var(&o.exportDPID, "export-dpid", 1, "datapath id announced to the collectors by -export")
 	fs.DurationVar(&o.batchSLO, "batch-slo", 250*time.Microsecond, "with -export: target batch-seal latency; the exporter adapts its batch size to fill within this budget")
 	fs.IntVar(&o.batchMax, "batch-max", 256, "with -export: upper clamp on the adaptive batch size")
 }
@@ -149,71 +149,23 @@ func run() error {
 		mon = core.NewMonitor(sched, cfg)
 	}
 
-	// The exporter, when -export is set, receives a copy of every event
-	// the local engine sees; the collector at the far end evaluates its
-	// own properties over the merged streams.
-	var exp *exporter.Exporter
+	// With -export, a federation.Router receives a copy of every event
+	// the local engine sees; the collectors at the far end evaluate their
+	// own properties over the merged streams. One collector is a fleet of
+	// one.
 	var fed *federation.Router
 	// partKey holds the fleet partition key; -partition identity swaps
 	// it after the property set is known, before any traffic flows.
 	var partKey atomic.Value // func(*core.Event) uint64
 	partKey.Store(core.PartitionByDPID)
 	feed := mon.Feed
-	if o.export != "" && o.collectors != "" {
-		return fmt.Errorf("-collectors replaces -export; pass one or the other")
-	}
-	if o.export != "" || o.collectors != "" {
-		if o.batchSLO <= 0 {
-			return fmt.Errorf("-batch-slo %v: the seal-latency budget must be positive", o.batchSLO)
-		}
-		if o.batchMax < 1 {
-			return fmt.Errorf("-batch-max %d: the batch-size clamp must be at least 1", o.batchMax)
-		}
-	}
-	// Both shipping modes build their exporters from this template. The
-	// collector pushes its property set to exporters with a handler;
-	// converge the local engine onto it so switch and collector evaluate
-	// the same set.
-	xcfg := exporter.Config{TargetSealLatency: o.batchSLO, BatchSizeMax: o.batchMax}
-	xcfg.OnConfig[wire.ConfigProperties] = func(u *wire.Config) { applyPropertySet(mon, u) }
-	var publish func(core.Event)
-	connect := func() {}
-	switch {
-	case o.export != "":
-		xcfg.Addr, xcfg.DPID, xcfg.Metrics, xcfg.Tracer = o.export, o.exportDPID, reg, tr
-		if exp, err = exporter.New(xcfg); err != nil {
+	if o.export != "" {
+		if fed, err = newRouter(&o, mon, reg, tr, &partKey); err != nil {
 			return err
 		}
-		publish, connect = exp.Publish, exp.Start
-	case o.collectors != "":
-		var members []federation.Member
-		for _, a := range strings.Split(o.collectors, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				members = append(members, federation.Member{Addr: a})
-			}
-		}
-		fed, err = federation.NewRouter(federation.Config{
-			Members: members, DPID: o.exportDPID, DrainTimeout: o.DrainTimeout,
-			PartitionKey: func(e *core.Event) uint64 {
-				return partKey.Load().(func(*core.Event) uint64)(e)
-			},
-			// Every collector endpoint gets its own exporter: per-route
-			// sequence spaces keep the collector-side gap accounting exact
-			// across partition moves. The per-route registries stay nil —
-			// N routes would collide on the same dpid-labeled series;
-			// fleet metrics live on the collectors and the aggregation
-			// tier.
-			Exporter: xcfg,
-		})
-		if err != nil {
-			return err
-		}
-		publish, connect = fed.Publish, fed.Start
-	}
-	if publish != nil {
 		feed = func(e core.Event) {
 			mon.Feed(e)
-			publish(e)
+			fed.Publish(e)
 		}
 	}
 
@@ -272,10 +224,12 @@ func run() error {
 			return err
 		}
 	}
-	// The shippers connect only now. A collector pushes its property set
+	// The routes connect only now. A collector pushes its property set
 	// at the handshake, and converging onto it (applyPropertySet) has to
 	// find the startup set installed, not race its installation.
-	connect()
+	if fed != nil {
+		fed.Start()
+	}
 
 	switch {
 	case o.demo != "":
@@ -343,14 +297,6 @@ func run() error {
 
 	st := mon.Stats()
 	daemon.ReportSummary(os.Stdout, st)
-	if exp != nil {
-		exp.Flush()
-		abandoned := exp.Close(o.DrainTimeout)
-		es := exp.Stats()
-		fmt.Printf("export: collector=%s dpid=%d events=%d batches_acked=%d bytes=%d reconnects=%d shed=%d abandoned=%d\n",
-			o.export, o.exportDPID, es.Published, es.BatchesAcked, es.BytesSent, es.Reconnects, es.ShedEvents, abandoned)
-		reportExportLoss(exp.Ledger().Snapshot())
-	}
 	if fed != nil {
 		fed.Flush()
 		// Stats are read after Close: the drain is what lands the final
@@ -370,7 +316,12 @@ func run() error {
 			fmt.Printf("  route %-21s events=%d batches_acked=%d bytes=%d reconnects=%d shed=%d\n",
 				addr, es.Published, es.BatchesAcked, es.BytesSent, es.Reconnects, es.ShedEvents)
 		}
-		reportExportLoss(fed.Ledger())
+		// The exporter-side ledger: what this process knows it failed to
+		// ship.
+		for _, m := range fed.Ledger() {
+			fmt.Printf("  export loss: %-14s since %s lost=%d %s\n",
+				m.Reason, m.SinceTime.Format(time.RFC3339), m.Events, m.Detail)
+		}
 	}
 	if inj != nil {
 		is := inj.Stats()
@@ -392,13 +343,35 @@ func run() error {
 	return nil
 }
 
-// reportExportLoss prints the exporter-side ledger: what this process
-// knows it failed to ship.
-func reportExportLoss(marks []core.UnsoundMark) {
-	for _, m := range marks {
-		fmt.Printf("  export loss: %-14s since %s lost=%d %s\n",
-			m.Reason, m.SinceTime.Format(time.RFC3339), m.Events, m.Detail)
+// newRouter builds -export's federation.Router over the listed
+// collectors. Every collector gets its own exporter: per-route sequence
+// spaces keep the collector-side gap accounting exact across partition
+// moves, and per-route series (labeled by collector) land on the
+// daemon's registry. The collector pushes its property set to exporters
+// with a handler; converge the local engine onto it so switch and
+// collector evaluate the same set.
+func newRouter(o *options, mon core.Engine, reg *obs.Registry, tr *tracer.Tracer, partKey *atomic.Value) (*federation.Router, error) {
+	if o.batchSLO <= 0 {
+		return nil, fmt.Errorf("-batch-slo %v: the seal-latency budget must be positive", o.batchSLO)
 	}
+	if o.batchMax < 1 {
+		return nil, fmt.Errorf("-batch-max %d: the batch-size clamp must be at least 1", o.batchMax)
+	}
+	var members []federation.Member
+	for _, a := range strings.Split(o.export, ",") {
+		if a = strings.TrimSpace(a); a != "" {
+			members = append(members, federation.Member{Addr: a})
+		}
+	}
+	xcfg := exporter.Config{TargetSealLatency: o.batchSLO, BatchSizeMax: o.batchMax, Metrics: reg, Tracer: tr}
+	xcfg.OnConfig[wire.ConfigProperties] = func(u *wire.Config) { applyPropertySet(mon, u) }
+	return federation.NewRouter(federation.Config{
+		Members: members, DPID: o.exportDPID, DrainTimeout: o.DrainTimeout,
+		PartitionKey: func(e *core.Event) uint64 {
+			return partKey.Load().(func(*core.Event) uint64)(e)
+		},
+		Exporter: xcfg,
+	})
 }
 
 // applyPropertySet converges the local engine onto a collector-pushed

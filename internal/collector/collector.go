@@ -61,21 +61,14 @@ type Config struct {
 	// Listener, when non-nil, overrides Addr (the collector takes
 	// ownership and closes it).
 	Listener net.Listener
-	// ConnReadBuffer sizes each accepted TCP connection's kernel
-	// receive buffer in bytes (default 1 MiB, negative leaves the OS
-	// default). Exporters under backpressure release their whole send
-	// window as one burst; when that burst overruns the (initially
-	// small) autotuned receive buffer the kernel drops segments and the
-	// exporter stalls for a ~200ms retransmission timeout per drop.
-	ConnReadBuffer int
 	// Metrics, when non-nil, receives per-datapath series.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, enables tracing on this collector: the
 	// FeatureTrace offer is accepted in handshakes, spans shipped in
 	// traced batches are stamped collector_recv and fed to the engine,
-	// and events from untraced (v1) exporters get spans originated here
-	// — the deterministic sampler makes the same 1-in-N decision the
-	// switch would have.
+	// and events from exporters without a tracer get spans originated
+	// here — the deterministic sampler makes the same 1-in-N decision
+	// the switch would have.
 	Tracer *tracer.Tracer
 }
 
@@ -174,9 +167,6 @@ type Collector struct {
 func New(cfg Config, sink Sink) (*Collector, error) {
 	if sink == nil {
 		return nil, fmt.Errorf("collector: nil sink")
-	}
-	if cfg.ConnReadBuffer == 0 {
-		cfg.ConnReadBuffer = 1 << 20
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -332,8 +322,8 @@ func (c *Collector) Broadcast(cfg *wire.Config) error {
 // batch/ack loop until the peer disconnects or misbehaves.
 func (c *Collector) serveConn(conn net.Conn, cs *connState) {
 	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok && c.cfg.ConnReadBuffer > 0 {
-		_ = tc.SetReadBuffer(c.cfg.ConnReadBuffer)
+	if tc, ok := conn.(*net.TCPConn); ok {
+		_ = tc.SetReadBuffer(wire.ConnBuffer)
 	}
 	cr := &countingReader{r: conn}
 	// Pooled decode: each batch's events live in a per-batch arena that
@@ -349,12 +339,8 @@ func (c *Collector) serveConn(conn net.Conn, cs *connState) {
 	if !ok {
 		return
 	}
-	// Negotiate: speak the lower of the two versions, intersect the
-	// feature offers with what this collector supports.
-	ver := hello.Version
-	if ver == 0 {
-		ver = 1 // decoded v1 hellos carry Version 1; 0 never reaches here
-	}
+	// Negotiate: intersect the feature offer with what this collector
+	// supports.
 	var features uint64
 	if c.cfg.Tracer != nil {
 		features = hello.Features & wire.FeatureTrace
@@ -380,7 +366,7 @@ func (c *Collector) serveConn(conn net.Conn, cs *connState) {
 	ack := dp.nextSeq - 1
 	c.mu.Unlock()
 
-	ha := wire.HelloAck{AckSeq: ack, Version: ver, Features: features,
+	ha := wire.HelloAck{AckSeq: ack, Features: features,
 		RecvNs: recvNs, SentNs: time.Now().UnixNano()}
 	if cs.write(wire.AppendHelloAck(nil, ha)) != nil {
 		return
@@ -427,20 +413,20 @@ func (c *Collector) serveConn(conn net.Conn, cs *connState) {
 		default:
 			return // nothing else flows exporter→collector after the handshake
 		}
-		if b.FirstSeq == 0 {
+		if b.FirstSeq == 0 || b.Traced && features&wire.FeatureTrace == 0 {
+			// Sequences start at 1, and 0 would corrupt the gap math; a
+			// trace block on a connection that did not negotiate tracing
+			// is a protocol error.
 			b.Release()
-			return // sequences start at 1; 0 would corrupt the gap math
+			return
 		}
 		ackSeq, applied := c.applyBatch(hello.DPID, dp, b, cr.n-prevBytes, recvNs)
 		prevBytes = cr.n
 		if !applied {
 			return
 		}
-		a := wire.Ack{AckSeq: ackSeq}
-		if ver >= 2 {
-			a.SentNs = time.Now().UnixNano() // an ongoing clock sample
-		}
-		ackBuf = wire.AppendAck(ackBuf[:0], a)
+		// Every ack is timestamped: an ongoing clock sample.
+		ackBuf = wire.AppendAck(ackBuf[:0], wire.Ack{AckSeq: ackSeq, SentNs: time.Now().UnixNano()})
 		if cs.write(ackBuf) != nil {
 			return
 		}
@@ -496,9 +482,9 @@ func (c *Collector) applyBatch(dpid uint64, dp *dpState, b *wire.Batch, frameByt
 			e.Trace.SetClock(b.ClockOffsetNs, b.ClockDispNs)
 			e.Trace.StampAt(tracer.StageCollectorRecv, recvNs)
 		} else if sp := c.cfg.Tracer.Sample(e.SwitchID, uint64(e.PacketID), uint8(e.Kind)); sp != nil {
-			// Untraced (v1) exporter: originate the span here. The
-			// sampler is deterministic, so the same 1-in-N events are
-			// traced either way — just without switch-side stages.
+			// Untraced exporter: originate the span here. The sampler is
+			// deterministic, so the same 1-in-N events are traced either
+			// way — just without switch-side stages.
 			sp.StampAt(tracer.StageCollectorRecv, recvNs)
 			e.Trace = sp
 		}

@@ -211,6 +211,70 @@ func (rc *rawConn) sendBatch(firstSeq uint64, evs []core.Event) wire.Ack {
 	return a
 }
 
+// expectDrop writes frame and requires the collector to close the
+// connection without answering it.
+func (rc *rawConn) expectDrop(frame []byte) {
+	rc.t.Helper()
+	if _, err := rc.c.Write(frame); err != nil {
+		rc.t.Fatal(err)
+	}
+	rc.c.SetReadDeadline(time.Now().Add(3 * time.Second))
+	if f, err := rc.r.Next(); err == nil {
+		rc.t.Fatalf("collector answered %#v, want the connection dropped", f)
+	} else if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		rc.t.Fatal("collector kept the connection open")
+	}
+}
+
+// TestSequenceOverflowBatchRejected: a batch whose sequence range runs
+// past MaxUint64 is malformed. The collector applies none of it, books no
+// gap and never acks below what it acked before.
+func TestSequenceOverflowBatchRejected(t *testing.T) {
+	sink := &recSink{}
+	c := startCollector(t, sink)
+	rc := dialRaw(t, c.Addr().String(), 4, 1)
+	if a := rc.sendBatch(1, []core.Event{ev(4, 1), ev(4, 2)}); a.AckSeq != 2 {
+		t.Fatalf("ack = %d, want 2", a.AckSeq)
+	}
+	// Two events from seq MaxUint64: encode them from MaxUint64-1, which
+	// is legal, then raise the FirstSeq varint's low byte by one.
+	enc, err := wire.AppendBatch(nil, &wire.Batch{FirstSeq: 1<<64 - 2, Events: []core.Event{ev(4, 3), ev(4, 4)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc[5]++
+	rc.expectDrop(enc)
+
+	rc2 := dialRaw(t, c.Addr().String(), 4, 3)
+	if a := rc2.sendBatch(3, []core.Event{ev(4, 3)}); a.AckSeq != 3 {
+		t.Fatalf("ack after the malformed batch = %d, want 3", a.AckSeq)
+	}
+	applied, losses := sink.snapshot()
+	if len(applied) != 3 || len(losses) != 0 {
+		t.Fatalf("applied %d events and %d losses, want 3 and 0", len(applied), len(losses))
+	}
+	if st := c.Stats(); st.GapEvents != 0 {
+		t.Fatalf("GapEvents = %d, want 0", st.GapEvents)
+	}
+}
+
+// TestUnnegotiatedTraceBlockRejected: a batch carrying a trace block on
+// a connection whose handshake negotiated no FeatureTrace is a protocol
+// error, like an un-negotiated ConfigAck.
+func TestUnnegotiatedTraceBlockRejected(t *testing.T) {
+	sink := &recSink{}
+	c := startCollector(t, sink)
+	rc := dialRaw(t, c.Addr().String(), 6, 1)
+	enc, err := wire.AppendBatch(nil, &wire.Batch{FirstSeq: 1, Events: []core.Event{ev(6, 1)}, Traced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.expectDrop(enc)
+	if applied, _ := sink.snapshot(); len(applied) != 0 {
+		t.Fatalf("applied %d events from an un-negotiated traced batch", len(applied))
+	}
+}
+
 func TestReplayedBatchesDeduplicate(t *testing.T) {
 	sink := &recSink{}
 	c := startCollector(t, sink)

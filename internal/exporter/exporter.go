@@ -91,21 +91,16 @@ type Config struct {
 	BackoffMax time.Duration
 	// DialTimeout bounds one connection attempt (default 1s).
 	DialTimeout time.Duration
-	// ConnWriteBuffer sizes the TCP connection's kernel send buffer in
-	// bytes (default 1 MiB, negative leaves the OS default), so a full
-	// send window released at once after an ack fits in the socket
-	// without blocking the sender mid-burst.
-	ConnWriteBuffer int
-	// Seed seeds the backoff jitter PRNG (deterministic, via sim.NewRand).
-	Seed int64
-	// Metrics, when non-nil, receives the exporter's series. All
-	// instruments are nil-safe, so a nil registry costs nothing.
+	// Metrics, when non-nil, receives the exporter's series, labeled
+	// {dpid, collector=Addr} so the routes of one switch to N collectors
+	// register N series. All instruments are nil-safe, so a nil registry
+	// costs nothing.
 	Metrics *obs.Registry
 	// Tracer, when non-nil, enables event tracing on this exporter: the
 	// enqueue, batch-seal and wire-send stages are stamped on sampled
-	// spans, FeatureTrace is offered in the handshake, and on a version
-	// ≥ 2 connection batches carry their spans' switch-side marks plus
-	// the clock-offset estimate in a trace block.
+	// spans, FeatureTrace is offered in the handshake, and once the
+	// collector accepts it batches carry their spans' switch-side marks
+	// plus the clock-offset estimate in a trace block.
 	Tracer *tracer.Tracer
 	// OnConfig holds one handler per config kind, indexed by
 	// wire.ConfigKind (index 0 unused); the Hello offers the kinds with
@@ -157,9 +152,6 @@ func (cfg *Config) fillDefaults() {
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = time.Second
-	}
-	if cfg.ConnWriteBuffer == 0 {
-		cfg.ConnWriteBuffer = 1 << 20
 	}
 	if cfg.Dial == nil {
 		addr := cfg.Addr
@@ -277,27 +269,30 @@ func New(cfg Config) (*Exporter, error) {
 		kick:    make(chan struct{}, 1),
 		closeCh: make(chan struct{}),
 		done:    make(chan struct{}),
-		rng:     sim.NewRand(cfg.Seed),
+		// The backoff jitter is seeded by the DPID: deterministic per
+		// switch, and different switches reconnecting after one collector
+		// restart spread out instead of retrying in lockstep.
+		rng: sim.NewRand(int64(cfg.DPID)),
 	}
 	x.space.L = &x.mu
 	var offG, dspG *obs.Gauge
 	if reg := cfg.Metrics; reg != nil {
-		dp := obs.L("dpid", fmt.Sprintf("%d", cfg.DPID))
+		dp, col := obs.L("dpid", fmt.Sprintf("%d", cfg.DPID)), obs.L("collector", cfg.Addr)
 		offG = reg.Gauge("switchmon_exporter_clock_offset_ns",
-			"estimated collector clock minus switch clock", dp)
+			"estimated collector clock minus switch clock", dp, col)
 		dspG = reg.Gauge("switchmon_exporter_clock_dispersion_ns",
-			"clock-offset estimate dispersion (half RTT, smoothed)", dp)
-		x.eventsC = reg.Counter("switchmon_exporter_events_total", "events accepted for export", dp)
-		x.shedC = reg.Counter("switchmon_exporter_shed_events_total", "events lost to send-queue overflow", dp)
-		x.batchesC = reg.Counter("switchmon_exporter_batches_sent_total", "wire batches written (resends recount)", dp)
-		x.bytesC = reg.Counter("switchmon_exporter_bytes_sent_total", "encoded frame bytes written", dp)
-		x.reconnectsC = reg.Counter("switchmon_exporter_reconnects_total", "connections established after the first", dp)
-		x.depthG = reg.Gauge("switchmon_exporter_queue_depth", "queued batches (sent-unacked plus unsent)", dp)
-		x.targetG = reg.Gauge("switchmon_exporter_batch_target", "current batch-size target (adaptive pick, or fixed BatchSize)", dp)
-		x.rateG = reg.Gauge("switchmon_exporter_arrival_rate_eps", "estimated event arrival rate, events/sec (EWMA)", dp)
+			"clock-offset estimate dispersion (half RTT, smoothed)", dp, col)
+		x.eventsC = reg.Counter("switchmon_exporter_events_total", "events accepted for export", dp, col)
+		x.shedC = reg.Counter("switchmon_exporter_shed_events_total", "events lost to send-queue overflow", dp, col)
+		x.batchesC = reg.Counter("switchmon_exporter_batches_sent_total", "wire batches written (resends recount)", dp, col)
+		x.bytesC = reg.Counter("switchmon_exporter_bytes_sent_total", "encoded frame bytes written", dp, col)
+		x.reconnectsC = reg.Counter("switchmon_exporter_reconnects_total", "connections established after the first", dp, col)
+		x.depthG = reg.Gauge("switchmon_exporter_queue_depth", "queued batches (sent-unacked plus unsent)", dp, col)
+		x.targetG = reg.Gauge("switchmon_exporter_batch_target", "current batch-size target (adaptive pick, or fixed BatchSize)", dp, col)
+		x.rateG = reg.Gauge("switchmon_exporter_arrival_rate_eps", "estimated event arrival rate, events/sec (EWMA)", dp, col)
 		for r := sealReason(0); r < sealReasons; r++ {
 			x.sealsC[r] = reg.Counter("switchmon_exporter_batch_seals_total",
-				"batches sealed, by what sealed them", dp, obs.L("reason", r.String()))
+				"batches sealed, by what sealed them", dp, col, obs.L("reason", r.String()))
 		}
 	}
 	if cfg.adaptive() {
@@ -319,8 +314,7 @@ func (x *Exporter) batchTargetLocked() int {
 }
 
 // Clock exposes the exporter's collector-clock offset estimator (fed
-// by the Hello handshake and timestamped Acks on version ≥ 2
-// connections).
+// by the Hello handshake and the Acks of traced connections).
 func (x *Exporter) Clock() *tracer.ClockEstimator { return x.clock }
 
 // Ledger exposes the exporter's local soundness ledger. All marks land
@@ -674,8 +668,8 @@ func (x *Exporter) sleepBackoff(backoff *time.Duration) bool {
 // exporter is closing (stop reconnecting).
 func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	defer conn.Close()
-	if tc, ok := conn.(*net.TCPConn); ok && x.cfg.ConnWriteBuffer > 0 {
-		_ = tc.SetWriteBuffer(x.cfg.ConnWriteBuffer)
+	if tc, ok := conn.(*net.TCPConn); ok {
+		_ = tc.SetWriteBuffer(wire.ConnBuffer)
 	}
 
 	x.mu.Lock()
@@ -729,13 +723,8 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	}
 	// The handshake is the first clock sample: T1/T4 bracket it locally,
 	// the ack's receive/reply stamps are the collector's midpoint.
-	if ha.Version >= 2 {
-		x.clock.AddSample(t1, (ha.RecvNs+ha.SentNs)/2, time.Now().UnixNano())
-	}
-	var negotiated uint64
-	if ha.Version >= 2 {
-		negotiated = features & ha.Features
-	}
+	x.clock.AddSample(t1, (ha.RecvNs+ha.SentNs)/2, time.Now().UnixNano())
+	negotiated := features & ha.Features
 	traced := negotiated&wire.FeatureTrace != 0
 	x.applyAck(ha.AckSeq)
 	x.mu.Lock()
@@ -747,8 +736,8 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	x.mu.Unlock()
 
 	// Reader goroutine: applies cumulative acks until the connection
-	// dies, pairing timestamped acks with the matching batch's send time
-	// for ongoing clock sampling.
+	// dies, pairing each ack with the matching batch's send time for
+	// ongoing clock sampling (traced connections record send times).
 	connDead := make(chan struct{})
 	go func() {
 		defer close(connDead)
@@ -759,19 +748,17 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 			}
 			switch fr := f.(type) {
 			case wire.Ack:
-				if fr.SentNs != 0 {
-					t4 := time.Now().UnixNano()
-					x.mu.Lock()
-					sendT, found := x.sendNs[fr.AckSeq]
-					for k := range x.sendNs {
-						if k <= fr.AckSeq {
-							delete(x.sendNs, k)
-						}
+				t4 := time.Now().UnixNano()
+				x.mu.Lock()
+				sendT, found := x.sendNs[fr.AckSeq]
+				for k := range x.sendNs {
+					if k <= fr.AckSeq {
+						delete(x.sendNs, k)
 					}
-					x.mu.Unlock()
-					if found {
-						x.clock.AddSample(sendT, fr.SentNs, t4)
-					}
+				}
+				x.mu.Unlock()
+				if found {
+					x.clock.AddSample(sendT, fr.SentNs, t4)
 				}
 				x.applyAck(fr.AckSeq)
 			case *wire.Config:
@@ -830,8 +817,9 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 			}
 		}
 		// Traced is per-connection state on a shared batch: a replay on a
-		// later v1 connection must re-encode as a plain Batch, so it is
-		// (re)set on every send rather than once at seal.
+		// later connection that did not negotiate FeatureTrace must encode
+		// without the trace block, so it is (re)set on every send rather
+		// than once at seal.
 		b.Traced = traced
 		if traced {
 			for i := range b.Events {
@@ -876,11 +864,11 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	}
 }
 
-// sendNsHorizon bounds how long a send timestamp waits for its
-// timestamped ack before eviction. Entries normally retire when an ack
-// covers them, but a batch shed after its timestamp was recorded (e.g.
-// unencodable), or a peer that stops timestamping acks, would strand
-// its entry forever — a slow leak on a long-lived connection.
+// sendNsHorizon bounds how long a send timestamp waits for its ack
+// before eviction. Entries normally retire when an ack covers them, but
+// a batch shed after its timestamp was recorded (e.g. unencodable)
+// would strand its entry forever — a slow leak on a long-lived
+// connection.
 const sendNsHorizon = 10 * time.Second
 
 // evictSendNsLocked drops send-time entries older than the horizon.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"switchmon/internal/core"
+	"switchmon/internal/obs"
 	"switchmon/internal/wire"
 )
 
@@ -104,7 +105,7 @@ func (s *stubServer) serve(conn net.Conn) {
 		if kill {
 			return
 		}
-		if _, err := conn.Write(wire.AppendAck(nil, wire.Ack{AckSeq: ack})); err != nil {
+		if _, err := conn.Write(wire.AppendAck(nil, wire.Ack{AckSeq: ack, SentNs: time.Now().UnixNano()})); err != nil {
 			return
 		}
 	}
@@ -286,5 +287,40 @@ func TestCloseAbandonsUndeliverable(t *testing.T) {
 	}
 	if x.Ledger().Sound() {
 		t.Fatal("abandoned events left the ledger sound")
+	}
+}
+
+// TestSeriesPerCollector: one switch's exporters to two collectors share
+// a registry (a federation.Router's routes do) yet register two series,
+// labeled by collector, instead of summing into one.
+func TestSeriesPerCollector(t *testing.T) {
+	reg := obs.NewRegistry()
+	for i, addr := range []string{"10.0.0.1:9190", "10.0.0.2:9190"} {
+		x, err := New(Config{Addr: addr, DPID: 1, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n <= i; n++ {
+			x.Publish(ev(n))
+		}
+	}
+	got := map[string]int64{}
+	for _, f := range reg.Snapshot().Families {
+		if f.Name != "switchmon_exporter_events_total" {
+			continue
+		}
+		for _, s := range f.Series {
+			labels := map[string]string{}
+			for _, l := range s.Labels {
+				labels[l.Key] = l.Value
+			}
+			if labels["dpid"] != "1" {
+				t.Fatalf("series labels %v, want dpid 1", labels)
+			}
+			got[labels["collector"]] = s.Value
+		}
+	}
+	if len(got) != 2 || got["10.0.0.1:9190"] != 1 || got["10.0.0.2:9190"] != 2 {
+		t.Fatalf("switchmon_exporter_events_total by collector = %v, want 10.0.0.1:9190=1 and 10.0.0.2:9190=2", got)
 	}
 }

@@ -148,7 +148,7 @@ func (s *configStub) serve(conn net.Conn) {
 			s.acks = append(s.acks, fr)
 			s.mu.Unlock()
 		case *wire.Batch:
-			if _, err := conn.Write(wire.AppendAck(nil, wire.Ack{AckSeq: fr.LastSeq()})); err != nil {
+			if _, err := conn.Write(wire.AppendAck(nil, wire.Ack{AckSeq: fr.LastSeq(), SentNs: time.Now().UnixNano()})); err != nil {
 				return
 			}
 		}

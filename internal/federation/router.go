@@ -47,7 +47,8 @@ type Config struct {
 	// gap→wire-loss accounting stays exact per route across partition
 	// moves. Addr, DPID, Dial and the fleet-kind OnConfig handler are
 	// owned by the router; the property-kind handler is wrapped with the
-	// stale rule so N routes pushing the same set invoke it once.
+	// stale rule so N routes pushing the same set invoke it once. Every
+	// route registers its own series on Metrics, labeled by its address.
 	Exporter exporter.Config
 	// Dial, when non-nil, overrides the transport per endpoint (tests,
 	// fault injection).

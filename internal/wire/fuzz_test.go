@@ -29,8 +29,11 @@ func FuzzWireRoundTrip(f *testing.F) {
 
 	f.Add(seed(Hello{DPID: 1, NextSeq: 1}))
 	f.Add(seed(Hello{DPID: 1<<64 - 1, NextSeq: 1 << 40}))
+	f.Add(seed(Hello{DPID: 7, NextSeq: 3, Features: FeatureTrace | ConfigFleet.Feature(), SentNs: -1}))
 	f.Add(seed(HelloAck{AckSeq: 0}))
-	f.Add(seed(Ack{AckSeq: 123456}))
+	f.Add(seed(HelloAck{AckSeq: 6, Features: FeatureTrace, RecvNs: 1000, SentNs: 2000}))
+	f.Add(seed(Ack{AckSeq: 123456, SentNs: 1700000000000000000}))
+	f.Add(seed(Ack{AckSeq: 123456})) // a zero timestamp encodes like any other
 	f.Add(seed(&Batch{FirstSeq: 1, Events: []core.Event{
 		{Kind: core.KindArrival, Time: base, SwitchID: 2, PacketID: 9, Packet: tcp, InPort: 1},
 		{Kind: core.KindEgress, Time: base.Add(time.Millisecond), SwitchID: 2, PacketID: 9, Packet: tcp, InPort: 1, OutPort: 3},
@@ -43,6 +46,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 	// An empty batch is the sequence-advance marker exporters use to
 	// surface tail loss.
 	f.Add(seed(&Batch{FirstSeq: 99}))
+	// Traced batches: the trace block is the frame's trailing section,
+	// empty or carrying spans.
+	f.Add(seed(&Batch{FirstSeq: 99, Traced: true, ClockOffsetNs: 5}))
+	f.Add(seed(&Batch{FirstSeq: 11, Events: traceEvents(), Traced: true, ClockOffsetNs: -12345, ClockDispNs: 678}))
+	// The last events the sequence space holds.
+	f.Add(seed(&Batch{FirstSeq: 1<<64 - 2, Events: traceEvents()[:2]}))
 	// A metadata-only event (no packet) exercises the hasPacket=0 path.
 	f.Add(seed(&Batch{FirstSeq: 3, Events: []core.Event{
 		{Kind: core.KindArrival, Time: base, SwitchID: 5, PacketID: 11, InPort: 4},

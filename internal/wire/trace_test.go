@@ -38,6 +38,9 @@ func TestTracedBatchRoundTrip(t *testing.T) {
 	b := &Batch{FirstSeq: 11, Events: traceEvents(), Traced: true,
 		ClockOffsetNs: -12345, ClockDispNs: 678}
 	enc := frameBytes(t, b)
+	if FrameType(enc[4]) != FrameBatch {
+		t.Fatalf("traced batch encodes as %s, want a batch frame", FrameType(enc[4]))
+	}
 	dec, n, err := nextFrame(enc)
 	if err != nil || n != len(enc) {
 		t.Fatalf("decode: %v (consumed %d of %d)", err, n, len(enc))
@@ -111,11 +114,12 @@ func TestTracedBatchUnsampled(t *testing.T) {
 	}
 }
 
-// buildTraced hand-assembles a TracedBatch frame around one packetless
-// event so reject tests can plant precise corruption in the block.
+// buildTraced hand-assembles a Batch frame around one packetless event,
+// followed by block, so reject tests can plant precise corruption in the
+// trace block.
 func buildTraced(t *testing.T, block []byte) []byte {
 	t.Helper()
-	payload := []byte{byte(FrameTracedBatch)}
+	payload := []byte{byte(FrameBatch)}
 	payload = binary.AppendUvarint(payload, 1) // FirstSeq
 	payload = binary.AppendUvarint(payload, 1) // count
 	ev := core.Event{Kind: core.KindArrival, Time: time.Unix(0, 5), SwitchID: 1, PacketID: 1, InPort: 1}
@@ -150,23 +154,30 @@ func TestTraceBlockRejects(t *testing.T) {
 		"non-switch-stage":     append(header(1), entry(0, 1<<tracer.StageVerdict, 9)...),
 		"zero-mark":            append(header(1), entry(0, 1<<tracer.StageEnqueue, 0)...),
 		"truncated-marks":      append(header(1), entry(0, tracer.SwitchStageMask, 9)...),
-		"missing-block":        nil,
+		"truncated-header":     binary.AppendVarint(nil, 0),
 	}
 	for name, block := range cases {
 		if _, _, err := nextFrame(buildTraced(t, block)); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
-	// Control: the same scaffolding with a valid block decodes.
+	// Control: the same scaffolding with a valid block decodes traced,
+	// and with no block untraced.
 	ok := append(header(1), entry(0, 1<<tracer.StageEnqueue, 9)...)
-	if _, _, err := nextFrame(buildTraced(t, ok)); err != nil {
-		t.Fatalf("control frame rejected: %v", err)
+	for _, block := range [][]byte{ok, nil} {
+		f, _, err := nextFrame(buildTraced(t, block))
+		if err != nil {
+			t.Fatalf("control frame rejected: %v", err)
+		}
+		if got := f.(*Batch).Traced; got != (block != nil) {
+			t.Fatalf("block %x decoded Traced=%v", block, got)
+		}
 	}
 }
 
 // FuzzTraceBlockRoundTrip extends the codec's canonicality contract to
-// TracedBatch frames: any accepted input re-encodes to a fixed point,
-// spans included. check.sh runs it as a smoke alongside
+// Batch frames with a trace block: any accepted input re-encodes to a
+// fixed point, spans included. check.sh runs it as a smoke alongside
 // FuzzWireRoundTrip.
 func FuzzTraceBlockRoundTrip(f *testing.F) {
 	seed := func(frame any) []byte { return frameBytes(f, frame) }

@@ -5,33 +5,30 @@
 // the switch and ships events to where the property state lives; this
 // package is the ship.
 //
-// A connection carries seven frame types:
+// A connection carries six frame types:
 //
-//	Hello        exporter → collector: protocol magic+version, the
-//	             exporter's datapath id, and the sequence number of the
-//	             next event it will send (its resume point). Version 2
-//	             hellos also carry a feature bitmap and a send
-//	             timestamp (the first clock sample).
+//	Hello        exporter → collector: protocol magic and version, the
+//	             exporter's datapath id, the sequence number of the next
+//	             event it will send (its resume point), a feature bitmap
+//	             and a send timestamp (the first clock sample).
 //	HelloAck     collector → exporter: the last event sequence number
 //	             the collector has applied for that datapath, so a
 //	             reconnecting exporter can drop already-delivered
 //	             batches and replay only the unacknowledged tail (the
-//	             collector deduplicates any overlap). Version 2 acks
-//	             echo the negotiated version and features plus
-//	             receive/reply timestamps, completing an NTP-style
-//	             clock-offset sample.
+//	             collector deduplicates any overlap), plus the negotiated
+//	             features and receive/reply timestamps, completing an
+//	             NTP-style clock-offset sample.
 //	Batch        exporter → collector: a run of sequence-contiguous
 //	             events starting at FirstSeq. Gaps between consecutive
 //	             batches are loss, and the collector marks them in the
 //	             soundness ledger; overlap is replay, and the collector
-//	             skips it.
-//	TracedBatch  a Batch followed by a trace block: the clock-offset
-//	             estimate and, per sampled event, the span key and the
-//	             switch-side stage marks (version 2 connections with
-//	             FeatureTrace negotiated only).
+//	             skips it. An optional trailing trace block carries the
+//	             clock-offset estimate and, per sampled event, the span
+//	             key and the switch-side stage marks (FeatureTrace
+//	             negotiated only).
 //	Ack          collector → exporter: cumulative acknowledgment of the
-//	             highest contiguous event sequence applied, optionally
-//	             timestamped for ongoing clock sampling.
+//	             highest contiguous event sequence applied, timestamped
+//	             for ongoing clock sampling.
 //	Config       collector → exporter: one kind of replicated
 //	             configuration — the property set or the fleet
 //	             membership — epoch-stamped, pushed at handshake and on
@@ -39,11 +36,9 @@
 //	ConfigAck    exporter → collector: the high-water epoch of a kind
 //	             the exporter has applied (negotiated kinds only).
 //
-// Version negotiation is one round: the exporter offers its version and
-// features in Hello, the collector answers with min(offered, own) and
-// the feature intersection, and both sides speak the result. A version
-// 1 peer simply omits the new fields and never sees a TracedBatch or a
-// Config.
+// Both sides speak Version and nothing else; features are negotiated in
+// one round, as the intersection of the Hello's offer and the
+// collector's support.
 //
 // Every config kind shares one layout and one rule. The Config payload
 // is kind byte, epoch, property list, DSL source, member list; a kind
@@ -69,6 +64,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -77,19 +73,15 @@ import (
 	"switchmon/internal/packet"
 )
 
-// Version is the highest protocol version this build speaks; MinVersion
-// the lowest it still accepts. A version outside the window is a
-// handshake error — within it, the two sides settle on the minimum of
-// their offers, so mixed fleets interoperate without corrupting monitor
-// state silently.
-const (
-	Version    uint16 = 2
-	MinVersion uint16 = 1
-)
+// Version is the one protocol version this build speaks. Hello and
+// HelloAck carry it, and either frame with any other version is a
+// handshake error, so a peer from another protocol generation fails at
+// connect instead of corrupting monitor state silently.
+const Version uint16 = 2
 
-// FeatureTrace is a feature bit offered in a version ≥ 2 Hello and
-// answered (ANDed) in the HelloAck: it enables TracedBatch frames and
-// timestamped Acks on the connection. Bits 1 and up negotiate the config
+// FeatureTrace is a feature bit offered in the Hello and answered
+// (ANDed) in the HelloAck: it enables trace blocks on the connection's
+// Batch frames. Bits 1 and up negotiate the config
 // kinds (ConfigKind.Feature). Unknown bits are ignored, never rejected:
 // a future peer offering more simply gets this build's subset back.
 const FeatureTrace uint64 = 1 << 0
@@ -133,6 +125,12 @@ func (k ConfigKind) String() string {
 // "SWMF" (switch monitor fabric).
 const helloMagic uint32 = 0x53574d46
 
+// ConnBuffer is the kernel socket buffer, in bytes, both ends of a
+// connection ask for. An exporter releases its whole send window as one
+// burst after an ack; a burst overrunning a small autotuned buffer drops
+// segments, each a ~200ms retransmission stall.
+const ConnBuffer = 1 << 20
+
 // MaxFrameLen bounds a frame payload (16 MiB). A length prefix beyond
 // the bound is rejected before any allocation, so a garbage peer cannot
 // make the reader allocate unbounded memory.
@@ -151,15 +149,14 @@ const (
 	FrameHello FrameType = iota + 1
 	// FrameHelloAck answers a Hello (collector → exporter).
 	FrameHelloAck
-	// FrameBatch carries sequence-contiguous events.
+	// FrameBatch carries sequence-contiguous events, and a trailing trace
+	// block when traced.
 	FrameBatch
 	// FrameAck acknowledges applied events cumulatively.
 	FrameAck
-	// FrameTracedBatch is a Batch with a trailing trace block (version
-	// ≥ 2 connections with FeatureTrace negotiated).
-	FrameTracedBatch
-	// Types 6–9 are retired: they carried per-kind config frames in
-	// another layout and must decode as unknown, never be misread.
+	// Types 5–9 are retired: 5 carried traced batches, which now ride
+	// FrameBatch, and 6–9 per-kind config frames in another layout. They
+	// must decode as unknown, never be misread.
 
 	// FrameConfig carries one kind of replicated configuration
 	// (collector → exporter; negotiated kinds only).
@@ -180,8 +177,6 @@ func (t FrameType) String() string {
 		return "batch"
 	case FrameAck:
 		return "ack"
-	case FrameTracedBatch:
-		return "traced-batch"
 	case FrameConfig:
 		return "config"
 	case FrameConfigAck:
@@ -199,14 +194,10 @@ type Hello struct {
 	// will send on this connection (1 for a fresh exporter; the head of
 	// its retained queue after a reconnect).
 	NextSeq uint64
-	// Version is the protocol version offered (0 encodes as Version —
-	// the current build's maximum). Decode fills the version actually
-	// on the wire.
-	Version uint16
-	// Features is the feature bitmap offered (version ≥ 2 only).
+	// Features is the feature bitmap offered.
 	Features uint64
 	// SentNs is the sender's clock when the Hello was built, the T1 of
-	// the handshake's clock-offset sample (version ≥ 2 only).
+	// the handshake's clock-offset sample.
 	SentNs int64
 }
 
@@ -216,15 +207,11 @@ type HelloAck struct {
 	// applied for the datapath (0 when it has seen nothing), the
 	// exporter's replay trim point.
 	AckSeq uint64
-	// Version is the negotiated protocol version: min(offered, own).
-	// 0 encodes as the current build's Version.
-	Version uint16
-	// Features is the negotiated feature intersection (version ≥ 2).
+	// Features is the negotiated feature intersection.
 	Features uint64
 	// RecvNs and SentNs are the collector's clock when the Hello
 	// arrived (T2) and when this answer was built (T3) — with the
-	// exporter's T1/T4 they complete one NTP-style offset sample
-	// (version ≥ 2 only).
+	// exporter's T1/T4 they complete one NTP-style offset sample.
 	RecvNs int64
 	SentNs int64
 }
@@ -233,10 +220,8 @@ type HelloAck struct {
 type Ack struct {
 	// AckSeq is the highest contiguous event sequence applied.
 	AckSeq uint64
-	// SentNs, when nonzero, is the collector's clock when the Ack was
-	// built — an ongoing clock sample for the exporter's offset
-	// estimator. Zero is never encoded (a v1 Ack simply ends after
-	// AckSeq), which keeps the encoding canonical.
+	// SentNs is the collector's clock when the Ack was built — an
+	// ongoing clock sample for the exporter's offset estimator.
 	SentNs int64
 }
 
@@ -337,10 +322,9 @@ type Batch struct {
 	FirstSeq uint64
 	Events   []core.Event
 
-	// Traced selects the TracedBatch encoding: the batch carries a
-	// trace block with the clock-offset estimate and the switch-side
-	// stage marks of every sampled event. Only version ≥ 2 connections
-	// with FeatureTrace negotiated may set it.
+	// Traced appends the frame's trailing trace block: the clock-offset
+	// estimate and the switch-side stage marks of every sampled event.
+	// Only connections with FeatureTrace negotiated may set it.
 	Traced bool
 	// ClockOffsetNs/ClockDispNs are the sender's estimate of
 	// (collector clock − switch clock) and its dispersion, shipped so
@@ -452,55 +436,38 @@ func endFrame(buf []byte, lenAt int) ([]byte, error) {
 	return buf, nil
 }
 
-// AppendHello appends an encoded Hello frame to buf. A zero Version
-// encodes as the current build's Version; version 1 omits the feature
-// and timestamp fields.
+// AppendHello appends an encoded Hello frame, stamped with Version, to
+// buf.
 func AppendHello(buf []byte, h Hello) []byte {
-	ver := h.Version
-	if ver == 0 {
-		ver = Version
-	}
 	buf, lenAt := beginFrame(buf, FrameHello)
 	buf = binary.BigEndian.AppendUint32(buf, helloMagic)
-	buf = binary.BigEndian.AppendUint16(buf, ver)
+	buf = binary.BigEndian.AppendUint16(buf, Version)
 	buf = binary.AppendUvarint(buf, h.DPID)
 	buf = binary.AppendUvarint(buf, h.NextSeq)
-	if ver >= 2 {
-		buf = binary.AppendUvarint(buf, h.Features)
-		buf = binary.AppendVarint(buf, h.SentNs)
-	}
+	buf = binary.AppendUvarint(buf, h.Features)
+	buf = binary.AppendVarint(buf, h.SentNs)
 	buf, _ = endFrame(buf, lenAt) // fixed-size payload, cannot overflow
 	return buf
 }
 
-// AppendHelloAck appends an encoded HelloAck frame to buf. A zero
-// Version encodes as the current build's Version.
+// AppendHelloAck appends an encoded HelloAck frame, stamped with
+// Version, to buf.
 func AppendHelloAck(buf []byte, a HelloAck) []byte {
-	ver := a.Version
-	if ver == 0 {
-		ver = Version
-	}
 	buf, lenAt := beginFrame(buf, FrameHelloAck)
-	buf = binary.BigEndian.AppendUint16(buf, ver)
+	buf = binary.BigEndian.AppendUint16(buf, Version)
 	buf = binary.AppendUvarint(buf, a.AckSeq)
-	if ver >= 2 {
-		buf = binary.AppendUvarint(buf, a.Features)
-		buf = binary.AppendVarint(buf, a.RecvNs)
-		buf = binary.AppendVarint(buf, a.SentNs)
-	}
+	buf = binary.AppendUvarint(buf, a.Features)
+	buf = binary.AppendVarint(buf, a.RecvNs)
+	buf = binary.AppendVarint(buf, a.SentNs)
 	buf, _ = endFrame(buf, lenAt)
 	return buf
 }
 
-// AppendAck appends an encoded Ack frame to buf. The timestamp rides
-// only when nonzero, so v1 receivers (which reject trailing bytes)
-// are only ever sent untimed Acks by a correct peer.
+// AppendAck appends an encoded Ack frame to buf.
 func AppendAck(buf []byte, a Ack) []byte {
 	buf, lenAt := beginFrame(buf, FrameAck)
 	buf = binary.AppendUvarint(buf, a.AckSeq)
-	if a.SentNs != 0 {
-		buf = binary.AppendVarint(buf, a.SentNs)
-	}
+	buf = binary.AppendVarint(buf, a.SentNs)
 	buf, _ = endFrame(buf, lenAt)
 	return buf
 }
@@ -548,18 +515,15 @@ func AppendConfigAck(buf []byte, a ConfigAck) ([]byte, error) {
 }
 
 // AppendBatch appends an encoded Batch frame to buf. Events serialize
-// in order; the only error source is a packet that cannot encode (or a
-// frame overflowing MaxFrameLen), in which case buf's original content
-// is still valid but the returned slice must be discarded.
+// in order; the error sources are what decode rejects (too many events,
+// a sequence range past MaxUint64), a packet that cannot encode and a
+// frame overflowing MaxFrameLen, in which case buf's original content is
+// still valid but the returned slice must be discarded.
 func AppendBatch(buf []byte, b *Batch) ([]byte, error) {
-	if len(b.Events) > MaxBatchEvents {
-		return nil, fmt.Errorf("wire: batch of %d events exceeds MaxBatchEvents %d", len(b.Events), MaxBatchEvents)
+	if err := checkBatch(b.FirstSeq, uint64(len(b.Events))); err != nil {
+		return nil, err
 	}
-	ft := FrameBatch
-	if b.Traced {
-		ft = FrameTracedBatch
-	}
-	buf, lenAt := beginFrame(buf, ft)
+	buf, lenAt := beginFrame(buf, FrameBatch)
 	buf = binary.AppendUvarint(buf, b.FirstSeq)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Events)))
 	var err error
@@ -573,6 +537,20 @@ func AppendBatch(buf []byte, b *Batch) ([]byte, error) {
 		buf = appendTraceBlock(buf, b)
 	}
 	return endFrame(buf, lenAt)
+}
+
+// checkBatch is the header rule encode and decode both enforce: at most
+// MaxBatchEvents events, and sequence numbers that do not wrap — an
+// event past seq MaxUint64 would make the collector's cumulative ack run
+// backwards.
+func checkBatch(firstSeq, n uint64) error {
+	if n > MaxBatchEvents {
+		return fmt.Errorf("wire: batch of %d events exceeds MaxBatchEvents %d", n, MaxBatchEvents)
+	}
+	if n > 0 && firstSeq > math.MaxUint64-(n-1) {
+		return fmt.Errorf("wire: batch of %d events from seq %d overflows the sequence space", n, firstSeq)
+	}
+	return nil
 }
 
 // appendTraceBlock appends the batch's trace block: the clock-offset
@@ -695,14 +673,6 @@ func (c *cursor) take(n int) ([]byte, error) {
 	return b, nil
 }
 
-func (c *cursor) u16() (uint16, error) {
-	b, err := c.take(2)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint16(b), nil
-}
-
 func (c *cursor) u32() (uint32, error) {
 	b, err := c.take(4)
 	if err != nil {
@@ -728,9 +698,7 @@ func decodePayload(payload []byte) (any, error) {
 	case FrameHelloAck:
 		frame, err = decodeHelloAck(c)
 	case FrameBatch:
-		frame, err = decodeBatch(c, false)
-	case FrameTracedBatch:
-		frame, err = decodeBatch(c, true)
+		frame, err = decodeBatch(c)
 	case FrameAck:
 		frame, err = decodeAck(c)
 	case FrameConfig:
@@ -757,74 +725,67 @@ func decodeHello(c *cursor) (Hello, error) {
 	if magic != helloMagic {
 		return Hello{}, fmt.Errorf("wire: bad hello magic %08x (peer is not a monitoring exporter?)", magic)
 	}
-	ver, err := c.u16()
-	if err != nil {
+	if err := c.version(); err != nil {
 		return Hello{}, err
 	}
-	if ver < MinVersion || ver > Version {
-		return Hello{}, fmt.Errorf("wire: protocol version %d, want %d..%d", ver, MinVersion, Version)
-	}
-	h := Hello{Version: ver}
+	var h Hello
 	if h.DPID, err = c.uvarint(); err != nil {
 		return Hello{}, err
 	}
 	if h.NextSeq, err = c.uvarint(); err != nil {
 		return Hello{}, err
 	}
-	if ver >= 2 {
-		if h.Features, err = c.uvarint(); err != nil {
-			return Hello{}, err
-		}
-		if h.SentNs, err = c.varint(); err != nil {
-			return Hello{}, err
-		}
+	if h.Features, err = c.uvarint(); err != nil {
+		return Hello{}, err
+	}
+	if h.SentNs, err = c.varint(); err != nil {
+		return Hello{}, err
 	}
 	return h, nil
 }
 
 func decodeHelloAck(c *cursor) (HelloAck, error) {
-	ver, err := c.u16()
-	if err != nil {
+	if err := c.version(); err != nil {
 		return HelloAck{}, err
 	}
-	if ver < MinVersion || ver > Version {
-		return HelloAck{}, fmt.Errorf("wire: protocol version %d, want %d..%d", ver, MinVersion, Version)
-	}
-	a := HelloAck{Version: ver}
+	var a HelloAck
+	var err error
 	if a.AckSeq, err = c.uvarint(); err != nil {
 		return HelloAck{}, err
 	}
-	if ver >= 2 {
-		if a.Features, err = c.uvarint(); err != nil {
-			return HelloAck{}, err
-		}
-		if a.RecvNs, err = c.varint(); err != nil {
-			return HelloAck{}, err
-		}
-		if a.SentNs, err = c.varint(); err != nil {
-			return HelloAck{}, err
-		}
+	if a.Features, err = c.uvarint(); err != nil {
+		return HelloAck{}, err
+	}
+	if a.RecvNs, err = c.varint(); err != nil {
+		return HelloAck{}, err
+	}
+	if a.SentNs, err = c.varint(); err != nil {
+		return HelloAck{}, err
 	}
 	return a, nil
 }
 
-// decodeAck reads an Ack: the cumulative sequence, plus an optional
-// trailing timestamp. A present timestamp must be nonzero — zero is
-// "absent" and encoding it would make two byte strings decode to the
-// same value, breaking the codec's canonical round trip.
+// version reads a handshake frame's protocol version, which must be
+// Version.
+func (c *cursor) version() error {
+	b, err := c.take(2)
+	if err != nil {
+		return err
+	}
+	if ver := binary.BigEndian.Uint16(b); ver != Version {
+		return fmt.Errorf("wire: protocol version %d, want %d", ver, Version)
+	}
+	return nil
+}
+
 func decodeAck(c *cursor) (Ack, error) {
 	var a Ack
 	var err error
 	if a.AckSeq, err = c.uvarint(); err != nil {
 		return Ack{}, err
 	}
-	if c.remaining() > 0 {
-		if a.SentNs, err = c.varint(); err != nil {
-			return Ack{}, err
-		}
-		if a.SentNs == 0 {
-			return Ack{}, fmt.Errorf("wire: explicit zero ack timestamp")
-		}
+	if a.SentNs, err = c.varint(); err != nil {
+		return Ack{}, err
 	}
 	return a, nil
 }
@@ -914,13 +875,15 @@ func decodeConfigAck(c *cursor) (ConfigAck, error) {
 	return a, nil
 }
 
-func decodeBatch(c *cursor, traced bool) (*Batch, error) {
+// decodeBatch reads a Batch. Bytes left after the events are the trace
+// block, so a batch is traced iff it has one.
+func decodeBatch(c *cursor) (*Batch, error) {
 	// The header lives inside the arena too: decoding a batch frame
 	// performs zero heap allocations in steady state. The header is
 	// recycled with the rest of the arena on Release.
 	ba := batchArenaPool.Get().(*batchArena)
 	b := &ba.b
-	*b = Batch{Traced: traced, arena: ba}
+	*b = Batch{arena: ba}
 	var err error
 	if b.FirstSeq, err = c.uvarint(); err != nil {
 		b.Release()
@@ -931,9 +894,9 @@ func decodeBatch(c *cursor, traced bool) (*Batch, error) {
 		b.Release()
 		return nil, err
 	}
-	if count > MaxBatchEvents {
+	if err := checkBatch(b.FirstSeq, count); err != nil {
 		b.Release()
-		return nil, fmt.Errorf("wire: batch declares %d events, max %d", count, MaxBatchEvents)
+		return nil, err
 	}
 	if count > 0 {
 		// Sanity-bound the allocation by the bytes actually present:
@@ -950,7 +913,8 @@ func decodeBatch(c *cursor, traced bool) (*Batch, error) {
 			}
 		}
 	}
-	if traced {
+	if c.remaining() > 0 {
+		b.Traced = true
 		if err := decodeTraceBlock(c, b); err != nil {
 			b.Release()
 			return nil, err
@@ -959,7 +923,7 @@ func decodeBatch(c *cursor, traced bool) (*Batch, error) {
 	return b, nil
 }
 
-// decodeTraceBlock reads a TracedBatch's trailing trace block and
+// decodeTraceBlock reads a Batch's trailing trace block and
 // materializes a span on each listed event, carrying the switch-side
 // marks flagged as remote-clock. Strictness mirrors the rest of the
 // codec: entry indexes must be in range and strictly ascending, stage

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"testing"
 	"time"
@@ -73,10 +74,8 @@ func TestFrameRoundTrips(t *testing.T) {
 		t.Fatalf("config feature bits %b %b, want 1<<1 and 1<<2", ConfigProperties.Feature(), ConfigFleet.Feature())
 	}
 	frames := []any{
-		Hello{DPID: 42, NextSeq: 7, Version: 1},
-		Hello{DPID: 42, NextSeq: 7, Version: 2, Features: FeatureTrace, SentNs: 123456789},
-		HelloAck{AckSeq: 6, Version: 1},
-		HelloAck{AckSeq: 6, Version: 2, Features: FeatureTrace, RecvNs: 1000, SentNs: 2000},
+		Hello{DPID: 42, NextSeq: 7, Features: FeatureTrace, SentNs: 123456789},
+		HelloAck{AckSeq: 6, Features: FeatureTrace, RecvNs: 1000, SentNs: 2000},
 		Ack{AckSeq: 9000},
 		Ack{AckSeq: 9001, SentNs: 77777},
 		&Batch{FirstSeq: 11, Events: testEvents(t)},
@@ -232,11 +231,43 @@ func TestDecodeRejects(t *testing.T) {
 			t.Fatal("bad version accepted")
 		}
 	})
+	t.Run("v1-hello", func(t *testing.T) {
+		// Version 1's layout: magic, version, dpid, next seq — no
+		// features, no timestamp.
+		p := binary.BigEndian.AppendUint32([]byte{byte(FrameHello)}, helloMagic)
+		p = binary.BigEndian.AppendUint16(p, 1)
+		if f, _, err := nextFrame(rawFrame(append(p, 1, 1))); err == nil {
+			t.Fatalf("v1 hello accepted: %+v", f)
+		}
+	})
+	t.Run("v1-hello-ack", func(t *testing.T) {
+		// Version 1's layout: version, ack seq.
+		p := binary.BigEndian.AppendUint16([]byte{byte(FrameHelloAck)}, 1)
+		if f, _, err := nextFrame(rawFrame(append(p, 6))); err == nil {
+			t.Fatalf("v1 hello-ack accepted: %+v", f)
+		}
+	})
 	t.Run("unknown-type", func(t *testing.T) {
 		bad := append([]byte(nil), hello...)
 		bad[4] = 200
 		if _, _, err := nextFrame(bad); err == nil {
 			t.Fatal("unknown frame type accepted")
+		}
+	})
+	t.Run("seq-overflow", func(t *testing.T) {
+		// Two events from seq MaxUint64: the second would wrap to 0, and
+		// a collector applying it acks backwards.
+		b := &Batch{FirstSeq: 1<<64 - 1, Events: testEvents(t)[:2]}
+		if _, err := AppendBatch(nil, b); err == nil {
+			t.Fatal("AppendBatch encoded a batch overflowing the sequence space")
+		}
+		enc, err := AppendBatch(nil, &Batch{FirstSeq: 1<<64 - 2, Events: b.Events})
+		if err != nil {
+			t.Fatalf("a batch ending at seq MaxUint64 must encode: %v", err)
+		}
+		enc[5]++ // the FirstSeq varint's low byte: 1<<64-2 becomes 1<<64-1
+		if f, _, err := nextFrame(enc); err == nil {
+			t.Fatalf("batch overflowing the sequence space accepted: %+v", f)
 		}
 	})
 	t.Run("trailing-bytes", func(t *testing.T) {
@@ -342,6 +373,12 @@ func TestDecodeRejects(t *testing.T) {
 		// count) and its ack (epoch).
 		rejects(t, "retired frame type",
 			[]byte{6, 5, 0, 0}, []byte{7, 5}, []byte{8, 5, 0}, []byte{9, 5})
+		// Type 5 is the traced batch: traceEvents at FirstSeq 11 as the
+		// frame type 5 encoding wrote it, before the trace block became
+		// the Batch frame's trailing section.
+		if f, _, err := nextFrame(mustHex(t, tracedBatchType5)); err == nil {
+			t.Fatalf("frame type 5 accepted: %+v", f)
+		}
 	})
 	t.Run("config-oversized-count", func(t *testing.T) {
 		over := binary.AppendUvarint(nil, maxConfigEntries+1)
@@ -355,6 +392,40 @@ func TestDecodeRejects(t *testing.T) {
 			t.Fatal("AppendConfig encoded an oversized member list")
 		}
 	})
+}
+
+// untracedBatchBytes is testEvents at FirstSeq 11 as the encoding with
+// two protocol versions and a separate traced-batch frame type wrote it.
+// Folding the trace block into the Batch frame left untraced bytes as
+// they were.
+const untracedBatchBytes = "0000013a030b050004aab4aed8c7bfce972f0365020000000000003802000000000b02000000000a08004500002a00000000400666cc0a0000010a0000029c40005000000000000000005002ffff96e4000068690104aabda8d9c7bfce972f0365020700000000003802000000000b02000000000a08004500002a00000000400666cc0a0000010a0000029c40005000000000000000005002ffff96e4000068690106aac6a2dac7bfce972f0366020400000000002affffffffffff02000000000a0806000108000604000102000000000a0a0000010000000000000a0000020105aacf9cdbc7bfce972f0367050000000000003802000000000b02000000000a08004500002a00000000400666cc0a0000010a0000029c40005000000000000000005002ffff96e4000068690200aad896dcc7bfce972f030000000109"
+
+// tracedBatchType5 is traceEvents at FirstSeq 11, clock offset -12345
+// and dispersion 678, as frame type 5 carried it.
+const tracedBatchType5 = "0000005c050b0300008080d0e2c6bfce972f03650200000001008080d0e2c6bfce972f03650207000001018080d0e2c6bfce972f036602000000f1c001a6050200e34dcb18721acd8f0fd00fe012b817c81a02e3439a18721225c70ae820f823"
+
+func mustHex(t *testing.T, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestUntracedBatchBytesPinned: an untraced batch encodes to exactly the
+// bytes the two-version codec wrote, and a traced one differs from frame
+// type 5 in the type byte alone.
+func TestUntracedBatchBytesPinned(t *testing.T) {
+	if enc := frameBytes(t, &Batch{FirstSeq: 11, Events: testEvents(t)}); !bytes.Equal(enc, mustHex(t, untracedBatchBytes)) {
+		t.Fatalf("untraced batch encoding changed\ngot:  %x\nwant: %s", enc, untracedBatchBytes)
+	}
+	enc := frameBytes(t, &Batch{FirstSeq: 11, Events: traceEvents(), Traced: true, ClockOffsetNs: -12345, ClockDispNs: 678})
+	want := mustHex(t, tracedBatchType5)
+	want[4] = byte(FrameBatch)
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("traced batch is not frame type 5's bytes under FrameBatch\ngot:  %x\nwant: %x", enc, want)
+	}
 }
 
 // rawFrame prefixes a hand-built payload with its length.

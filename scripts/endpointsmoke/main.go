@@ -211,7 +211,7 @@ func run() error {
 	if err := selfMonitoring(client, base); err != nil {
 		return err
 	}
-	if err := switchmonContent(client, base); err != nil {
+	if err := switchmonContent(client, base, exportAddr); err != nil {
 		return err
 	}
 	if err := properties(client, base, "/properties"); err != nil {
@@ -272,9 +272,11 @@ func collectorFleet(client *http.Client, base, exportAddr string) error {
 }
 
 // switchmonContent spot-checks content, not just shape: the metric
-// families the PR contract names must be present, and /state must report
-// the demo's installed properties with the accounting having seen them.
-func switchmonContent(client *http.Client, base string) error {
+// families the PR contract names must be present, the -export route to
+// the collector must have its own exporter series, and /state must
+// report the demo's installed properties with the accounting having seen
+// them.
+func switchmonContent(client *http.Client, base, exportAddr string) error {
 	body, err := get(client, base+"/metrics")
 	if err != nil {
 		return err
@@ -286,6 +288,16 @@ func switchmonContent(client *http.Client, base string) error {
 		if !strings.Contains(string(body), want) {
 			return fmt.Errorf("/metrics: missing %q", want)
 		}
+	}
+	route := false
+	for _, line := range strings.Split(string(body), "\n") {
+		if strings.HasPrefix(line, "switchmon_exporter_events_total{") &&
+			strings.Contains(line, `collector="`+exportAddr+`"`) {
+			route = true
+		}
+	}
+	if !route {
+		return fmt.Errorf("/metrics: no switchmon_exporter_events_total{collector=%q} series for the -export route", exportAddr)
 	}
 	body, err = get(client, base+"/state")
 	if err != nil {
