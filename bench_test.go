@@ -30,6 +30,7 @@ package switchmon
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -175,26 +176,50 @@ func BenchmarkE5SideEffect(b *testing.B) {
 }
 
 // BenchmarkE6Provenance measures monitor cost at each provenance level
-// (Feature 10), with the per-stage history records the violations carry.
+// (Feature 10). The +ring rows attach a violation ring, the shape every
+// daemon runs; every row also reports its cost and allocations per
+// violation, so a row's difference from none is what a report costs.
 func BenchmarkE6Provenance(b *testing.B) {
 	events := e6Stream()
-	for _, level := range []core.ProvLevel{core.ProvNone, core.ProvLimited, core.ProvFull} {
-		b.Run(level.String(), func(b *testing.B) {
+	for _, tc := range []struct {
+		name  string
+		level core.ProvLevel
+		ring  bool
+	}{
+		{"none", core.ProvNone, false},
+		{"limited", core.ProvLimited, false},
+		{"full", core.ProvFull, false},
+		{"limited+ring", core.ProvLimited, true},
+		{"full+ring", core.ProvFull, true},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
 			sched := sim.NewScheduler()
-			records := 0
-			mon := core.NewMonitor(sched, core.Config{
-				Provenance:  level,
-				OnViolation: func(v *core.Violation) { records += len(v.History) },
-			})
+			records, violations := 0, 0
+			cfg := core.Config{
+				Provenance:  tc.level,
+				OnViolation: func(v *core.Violation) { records += len(v.History); violations++ },
+			}
+			if tc.ring {
+				cfg.Violations = obs.NewRing(256)
+			}
+			mon := core.NewMonitor(sched, cfg)
 			if err := mon.AddProperty(fwProp(b)); err != nil {
 				b.Fatal(err)
 			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				mon.HandleEvent(events[i%len(events)])
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(records)/float64(b.N), "history-records/op")
+			if violations > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(violations), "ns/violation")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(violations), "allocs/violation")
+			}
 		})
 	}
 }

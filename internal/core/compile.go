@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"switchmon/internal/packet"
@@ -71,6 +73,8 @@ type guardIndex struct {
 	// eq are the guard's equality-against-variable predicates; empty
 	// means the guard pass must scan the whole bucket.
 	eq []cpred
+	// keyBase seeds the guard's key space (guardKeyBase of its position).
+	keyBase uint64
 	// gate are the guard's literal-operand predicates: with class, the
 	// half of the guard no row can change, tested once per event.
 	gate []cpred
@@ -107,6 +111,9 @@ type compiledProp struct {
 	stages []compiledStage
 	// vars lists the property's variables in slot order.
 	vars []property.Var
+	// byName lists the slots in variable-name order: the order of a
+	// report's bindings, sorted here once so no report sorts.
+	byName []int
 	// plan is the static sharding analysis: whether the property's index
 	// groups yield a stable shard key, and from which event fields that
 	// key is computed at each addressing path.
@@ -127,7 +134,9 @@ func compile(p *property.Property) (*compiledProp, error) {
 	slotOf := make(map[property.Var]int, len(cp.vars))
 	for i, v := range cp.vars {
 		slotOf[v] = i
+		cp.byName = append(cp.byName, i)
 	}
+	slices.SortFunc(cp.byName, func(a, b int) int { return cmp.Compare(cp.vars[a], cp.vars[b]) })
 	packetWord := make([]int, len(p.Stages))
 	words := len(cp.vars)
 	for i := range packetWord {
@@ -224,7 +233,7 @@ func compile(p *property.Property) (*compiledProp, error) {
 			gi := guardIndex{class: g.Class, sticky: g.Sticky, preds: preds, gate: literalPreds(preds)}
 			// A row has room for rowKeys keys; guards past that scan.
 			if eq := eqVar(preds); len(eq) > 0 && nkeys < rowKeys {
-				gi.eq = eq
+				gi.eq, gi.keyBase = eq, guardKeyBase(len(cs.guardIdx))
 				nkeys++
 			}
 			cs.guardIdx = append(cs.guardIdx, gi)
@@ -452,14 +461,20 @@ func hashValues(vals []packet.Value) uint64 {
 	return h
 }
 
-// groupKeyBase seeds the key space of one index group; distinct groups
-// (and the other key namespaces below) mix a distinct tag byte so their
-// key spaces cannot collide structurally.
-func groupKeyBase(group int) uint64 {
-	return fnvU64(fnvByte(fnvOffset, 'g'), uint64(group))
-}
+// groupKeyBases seed the key spaces of a stage's index groups (compile
+// caps a stage at rowKeys groups); distinct groups (and the other key
+// namespaces below) mix a distinct tag byte so their key spaces cannot
+// collide structurally. They are constants, hashed once here rather than
+// per event.
+var groupKeyBases = func() (bases [rowKeys]uint64) {
+	for gi := range bases {
+		bases[gi] = fnvU64(fnvByte(fnvOffset, 'g'), uint64(gi))
+	}
+	return bases
+}()
 
-// guardKeyBase seeds the key space of one obligation guard.
+// guardKeyBase seeds the key space of one obligation guard; compile
+// stores it in the guard's keyBase.
 func guardKeyBase(guard int) uint64 {
 	return fnvU64(fnvByte(fnvOffset, 'u'), uint64(guard))
 }
@@ -481,7 +496,7 @@ func eventIndexKeys(cs *compiledStage, e *Event, keys []uint64) []uint64 {
 		return append(keys, pidKey(e.PacketID))
 	}
 	for gi, group := range cs.indexGroups {
-		if h, ok := eventKey(groupKeyBase(gi), group, e); ok {
+		if h, ok := eventKey(groupKeyBases[gi], group, e); ok {
 			keys = append(keys, h)
 		}
 	}
@@ -512,12 +527,12 @@ func instanceIndexKeys(cs *compiledStage, en env, keys []uint64) []uint64 {
 		}
 	} else {
 		for gi, group := range cs.indexGroups {
-			keys = append(keys, envKey(groupKeyBase(gi), group, en))
+			keys = append(keys, envKey(groupKeyBases[gi], group, en))
 		}
 	}
 	for ui := range cs.guardIdx {
 		if g := &cs.guardIdx[ui]; len(g.eq) > 0 {
-			keys = append(keys, envKey(guardKeyBase(ui), g.eq, en))
+			keys = append(keys, envKey(g.keyBase, g.eq, en))
 		}
 	}
 	return keys

@@ -28,7 +28,7 @@ func TestEqualDeadlinesFireInArmOrder(t *testing.T) {
 	h := newHarness(t, Config{Provenance: ProvLimited}, unansweredWithin("p1"), unansweredWithin("p2"))
 	var order []string
 	h.mon.cfg.OnViolation = func(v *Violation) {
-		order = append(order, fmt.Sprintf("%s:%d", v.Property, v.Bindings["A"].Uint64()&0xff))
+		order = append(order, fmt.Sprintf("%s:%d", v.Property, v.Binding("A").Uint64()&0xff))
 	}
 	open := func(host uint32) {
 		p := packet.NewTCP(macA, macB, packet.IPv4FromUint32(0x0a000000|host), packet.IPv4FromUint32(0xcb007101),

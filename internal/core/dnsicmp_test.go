@@ -19,8 +19,8 @@ func TestDNSResponseMatchViolation(t *testing.T) {
 	bad := packet.NewDNSResponse(macB, macA, ipB, ipA, 5353, 42, "evil.example", packet.MustIPv4("6.6.6.6"))
 	h.forward(bad, 2, 1)
 	h.wantViolations(1)
-	if h.viols[0].Bindings["Q"] != packet.Str("bank.example") {
-		t.Fatalf("Q binding = %v", h.viols[0].Bindings["Q"])
+	if h.viols[0].Binding("Q") != packet.Str("bank.example") {
+		t.Fatalf("Q binding = %v", h.viols[0].Binding("Q"))
 	}
 }
 

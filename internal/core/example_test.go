@@ -18,7 +18,7 @@ func Example() {
 		Provenance: core.ProvLimited,
 		OnViolation: func(v *core.Violation) {
 			fmt.Printf("violation of %s: $A=%v $B=%v\n",
-				v.Property, v.Bindings["A"], v.Bindings["B"])
+				v.Property, v.Binding("A"), v.Binding("B"))
 		},
 	})
 

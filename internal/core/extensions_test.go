@@ -25,7 +25,7 @@ func TestPortScanCountingDistinct(t *testing.T) {
 	// The 10th distinct port trips the detector.
 	h.forward(packet.NewTCP(macA, macB, ipA, ipB, 40000, 109, packet.FlagSYN, nil), 1, 2)
 	h.wantViolations(1)
-	if h.viols[0].Bindings["H"] != packet.Num(ipA.Uint64()) {
+	if h.viols[0].Binding("H") != packet.Num(ipA.Uint64()) {
 		t.Fatalf("bindings = %v", h.viols[0].Bindings)
 	}
 }
@@ -86,7 +86,7 @@ func TestCountingStageKeepsPerInstanceCounts(t *testing.T) {
 		scan(ipA, port) // only A crosses the threshold
 	}
 	h.wantViolations(1)
-	if h.viols[0].Bindings["H"] != packet.Num(ipA.Uint64()) {
+	if h.viols[0].Binding("H") != packet.Num(ipA.Uint64()) {
 		t.Fatalf("wrong scanner flagged: %v", h.viols[0].Bindings)
 	}
 }

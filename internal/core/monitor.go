@@ -11,7 +11,6 @@ import (
 	"switchmon/internal/obs/statesize"
 	"switchmon/internal/obs/tracer"
 	"switchmon/internal/packet"
-	"switchmon/internal/property"
 	"switchmon/internal/sim"
 )
 
@@ -53,7 +52,9 @@ type Config struct {
 	// admin lock held under Monitor.Feed and a one-shard ShardedMonitor
 	// (in verdict order), on a shard's goroutine, one call at a time, with
 	// two or more shards. On every engine a callback that calls back into
-	// the engine — Feed, Stats, a lifecycle operation — can deadlock.
+	// the engine — Feed, Stats, a lifecycle operation — can deadlock. The
+	// report's Bindings and History are the same slices the Violations
+	// ring holds: the callback may keep them but must not write to them.
 	OnViolation func(*Violation)
 	// DisableIndex forces full scans of the instance store instead of
 	// keyed lookups. It exists for differential testing (indexed and
@@ -89,7 +90,9 @@ type Config struct {
 	// Violations, when non-nil, receives a trace record (with as much
 	// provenance as Provenance allows) for every violation — the ring
 	// buffer behind a live /violations endpoint. Recording takes the
-	// ring's mutex, but only on the rare violation path.
+	// ring's mutex, but only on the rare violation path, and renders
+	// nothing: the record shares the report's bindings and history, and
+	// the ring turns bindings into strings only when it is read.
 	Violations *obs.Ring
 	// StateTopK sets the capacity of the per-property heavy-hitter
 	// sketch behind StateReport ("which keys hold the most monitor
@@ -763,7 +766,7 @@ func (m *Monitor) matchStage(pi int, cs *compiledStage, b *bucket, e *Event, seq
 		}
 		w := walk{all: true}
 		if !m.cfg.DisableIndex && len(g.eq) > 0 {
-			key, ok := eventKey(guardKeyBase(gi), g.eq, e)
+			key, ok := eventKey(g.keyBase, g.eq, e)
 			if !ok {
 				continue
 			}
@@ -1084,8 +1087,10 @@ func (m *Monitor) evictOldest() {
 
 // violate emits a report: counters always, then a trace record into the
 // configured ring and the user callback, each carrying as much
-// provenance as the configured level allows. The trigger is e, applied
-// event seq, or for a nil e the final stage's timeout.
+// provenance as the configured level allows. The ring record and the
+// callback's report share one bindings slice and one history; nothing is
+// rendered here but the trigger. The trigger is e, applied event seq, or
+// for a nil e the final stage's timeout.
 func (m *Monitor) violate(id uint32, r *row, cp *compiledProp, at time.Time, e *Event, seq uint64) {
 	m.stats.violations.Add(1)
 	m.pmx[r.prop].violations.Inc()
@@ -1104,9 +1109,9 @@ func (m *Monitor) violate(id uint32, r *row, cp *compiledProp, at time.Time, e *
 	if m.cfg.Provenance >= ProvLimited {
 		// A completed pattern has passed every stage, so every variable
 		// is bound.
-		v.Bindings = make(map[property.Var]packet.Value, len(cp.vars))
-		for slot, name := range cp.vars {
-			v.Bindings[name] = m.st.value(r, slot)
+		v.Bindings = make([]obs.Binding, len(cp.byName))
+		for i, slot := range cp.byName {
+			v.Bindings[i] = obs.Binding{Var: string(cp.vars[slot]), Value: m.st.value(r, slot)}
 		}
 	}
 	if m.cfg.Provenance == ProvFull {

@@ -134,7 +134,7 @@ func TestFirewallBasicViolation(t *testing.T) {
 	if v.Property != "firewall-basic" {
 		t.Errorf("property = %q", v.Property)
 	}
-	if v.Bindings["A"] != packet.Num(ipA.Uint64()) || v.Bindings["B"] != packet.Num(ipB.Uint64()) {
+	if v.Binding("A") != packet.Num(ipA.Uint64()) || v.Binding("B") != packet.Num(ipB.Uint64()) {
 		t.Errorf("bindings = %v", v.Bindings)
 	}
 }
@@ -229,7 +229,7 @@ func TestFirewallObligationIsPerPair(t *testing.T) {
 	cRet := packet.NewTCP(macB, macA, ipB, ipC, 80, 40001, packet.FlagACK, nil)
 	h.forwardDropped(cRet, 2)
 	h.wantViolations(1)
-	if h.viols[0].Bindings != nil && h.viols[0].Bindings["A"] != packet.Num(ipC.Uint64()) {
+	if h.viols[0].Bindings != nil && h.viols[0].Binding("A") != packet.Num(ipC.Uint64()) {
 		// Bindings nil because ProvNone; use trigger text instead.
 		t.Logf("trigger: %s", h.viols[0].Trigger)
 	}
@@ -309,8 +309,8 @@ func TestNATReverseViolation(t *testing.T) {
 	h.egress(rid, retX, 2, 1)
 
 	h.wantViolations(1)
-	if h.viols[0].Bindings["A2"] != packet.Num(natIP.Uint64()) {
-		t.Errorf("A2 binding = %v", h.viols[0].Bindings["A2"])
+	if h.viols[0].Binding("A2") != packet.Num(natIP.Uint64()) {
+		t.Errorf("A2 binding = %v", h.viols[0].Binding("A2"))
 	}
 }
 

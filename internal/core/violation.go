@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -43,27 +42,38 @@ func (l ProvLevel) String() string {
 	}
 }
 
-// ProvRecord is one step of a violation's history (ProvFull only).
-type ProvRecord struct {
-	Stage int
-	Label string
-	Time  time.Time
-	// Event is the summary of the advancing event; "timeout" for negative
-	// observations advanced by their deadline.
-	Event string
-}
+// ProvRecord is one step of a violation's history (ProvFull only). It
+// is the ring's own history type, so a report and its ring record share
+// one history slice.
+type ProvRecord = obs.TraceStep
 
 // Violation reports one completed violation pattern.
+//
+// A report's Bindings and History are shared with its record in the
+// configured violation ring (Config.Violations): read them, never write
+// to them.
 type Violation struct {
 	Property string
 	Time     time.Time
 	// Trigger describes the final event (or timeout) that completed the
 	// pattern.
 	Trigger string
-	// Bindings holds the instance's variable values (ProvLimited and up).
-	Bindings map[property.Var]packet.Value
+	// Bindings holds the instance's variable values in variable-name
+	// order (ProvLimited and up).
+	Bindings []obs.Binding
 	// History holds per-stage records (ProvFull only).
 	History []ProvRecord
+}
+
+// Binding returns the value bound to the named variable, or the zero
+// Value when the report carries none.
+func (v *Violation) Binding(name property.Var) packet.Value {
+	for _, b := range v.Bindings {
+		if b.Var == string(name) {
+			return b.Value
+		}
+	}
+	return packet.Value{}
 }
 
 // String renders a human-readable report.
@@ -74,20 +84,16 @@ func (v *Violation) String() string {
 	b = append(b, ": "...)
 	b = append(b, v.Trigger...)
 	if len(v.Bindings) > 0 {
-		vars := make([]property.Var, 0, len(v.Bindings))
-		for k := range v.Bindings {
-			vars = append(vars, k)
-		}
-		slices.Sort(vars)
+		rendered := obs.RenderBindings(v.Bindings)
 		b = append(b, " ["...)
-		for i, k := range vars {
+		for i, bd := range v.Bindings {
 			if i > 0 {
 				b = append(b, ' ')
 			}
 			b = append(b, '$')
-			b = append(b, k...)
+			b = append(b, bd.Var...)
 			b = append(b, '=')
-			b = append(b, v.Bindings[k].String()...)
+			b = append(b, rendered[bd.Var]...)
 		}
 		b = append(b, ']')
 	}
@@ -106,20 +112,10 @@ func (v *Violation) String() string {
 
 // TraceRecord converts the violation into the obs trace-ring / JSON
 // representation, carrying whatever provenance the report itself holds
-// (bindings at ProvLimited and above, history at ProvFull). Seq is left
-// zero; the ring stamps it on append.
+// (bindings at ProvLimited and above, history at ProvFull). The record
+// shares the report's Bindings (as Values) and History and renders
+// nothing: its Bindings map is left for a reader to build with
+// obs.RenderBindings. Seq is left zero; the ring stamps it on read.
 func (v *Violation) TraceRecord() obs.TraceRecord {
-	rec := obs.TraceRecord{Time: v.Time, Property: v.Property, Trigger: v.Trigger}
-	if len(v.Bindings) > 0 {
-		rec.Bindings = make(map[string]string, len(v.Bindings))
-		for k, val := range v.Bindings {
-			rec.Bindings[string(k)] = val.String()
-		}
-	}
-	for _, h := range v.History {
-		rec.History = append(rec.History, obs.TraceStep{
-			Stage: h.Stage, Label: h.Label, Time: h.Time, Event: h.Event,
-		})
-	}
-	return rec
+	return obs.TraceRecord{Time: v.Time, Property: v.Property, Trigger: v.Trigger, Values: v.Bindings, History: v.History}
 }

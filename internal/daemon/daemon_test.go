@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"switchmon/internal/core"
+	"switchmon/internal/obs"
+	"switchmon/internal/packet"
 	"switchmon/internal/property"
 	"switchmon/internal/sim"
 )
@@ -116,5 +119,65 @@ func TestReportText(t *testing.T) {
 		"  firewall-basic             injected-loss  since 2016-11-09T00:00:00Z lost=3 lossy tap\n"
 	if got := out.String(); got != want {
 		t.Errorf("exit report text changed\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
+// mapTraceRecord is the conversion -json printed before bindings were
+// rendered on read: a map of rendered values and a copied history. It is
+// kept as the reference a -json line must match byte for byte.
+func mapTraceRecord(v *core.Violation) obs.TraceRecord {
+	rec := obs.TraceRecord{Time: v.Time, Property: v.Property, Trigger: v.Trigger}
+	if len(v.Bindings) > 0 {
+		rec.Bindings = make(map[string]string, len(v.Bindings))
+		for _, b := range v.Bindings {
+			rec.Bindings[b.Var] = b.Value.String()
+		}
+	}
+	for _, h := range v.History {
+		rec.History = append(rec.History, obs.TraceStep{Stage: h.Stage, Label: h.Label, Time: h.Time, Event: h.Event})
+	}
+	return rec
+}
+
+// A -json line is the bytes it was when the printer converted each
+// report through a rendered map: numeric bindings, a DNS query name JSON
+// must escape, and full histories.
+func TestJSONLineMatchesMapRendering(t *testing.T) {
+	var out, want bytes.Buffer
+	cfg, err := parse(t, "-json", "-provenance", "full", "-metrics-addr", "127.0.0.1:0").EngineConfig(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	printer, ref := cfg.OnViolation, json.NewEncoder(&want)
+	cfg.OnViolation = func(v *core.Violation) {
+		printer(v)
+		if err := ref.Encode(mapTraceRecord(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sched := sim.NewScheduler()
+	mon := core.NewMonitor(sched, cfg)
+	for _, name := range []string{"firewall-basic", "dns-response-match"} {
+		if err := mon.AddProperty(property.CatalogByName(property.DefaultParams(), name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	macA, macB := packet.MustMAC("02:00:00:00:00:0a"), packet.MustMAC("02:00:00:00:00:0b")
+	ipA, ipB := packet.MustIPv4("10.0.0.1"), packet.MustIPv4("203.0.113.9")
+	var pid core.PacketID
+	forward := func(p *packet.Packet, in, out uint64, dropped bool) {
+		pid++
+		mon.HandleEvent(core.Event{Kind: core.KindArrival, Time: sched.Now(), PacketID: pid, Packet: p, InPort: in})
+		mon.HandleEvent(core.Event{Kind: core.KindEgress, Time: sched.Now(), PacketID: pid, Packet: p, InPort: in, OutPort: out, Dropped: dropped})
+	}
+	forward(packet.NewTCP(macA, macB, ipA, ipB, 40000, 80, packet.FlagSYN, nil), 1, 2, false)
+	forward(packet.NewTCP(macB, macA, ipB, ipA, 80, 40000, packet.FlagACK, nil), 2, 0, true)
+	forward(packet.NewDNSQuery(macA, macB, ipA, ipB, 5353, 42, "bank \"x\"\n<a>&b"), 1, 2, false)
+	forward(packet.NewDNSResponse(macB, macA, ipB, ipA, 5353, 42, "evil.example", packet.MustIPv4("6.6.6.6")), 2, 1, false)
+	if n := strings.Count(out.String(), "\n"); n != 2 {
+		t.Fatalf("-json printed %d lines, want 2:\n%s", n, out.String())
+	}
+	if out.String() != want.String() {
+		t.Errorf("-json lines:\n%s\nwant the map-rendered lines:\n%s", out.String(), want.String())
 	}
 }

@@ -57,7 +57,9 @@ func (f *Flags) EngineConfig(out io.Writer) (core.Config, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		if f.JSON {
-			_ = enc.Encode(v.TraceRecord()) // a failing stdout has nowhere to be reported
+			rec := v.TraceRecord()
+			rec.Bindings = obs.RenderBindings(rec.Values)
+			_ = enc.Encode(rec) // a failing stdout has nowhere to be reported
 			return
 		}
 		fmt.Fprintln(out, v)

@@ -14,7 +14,11 @@ import (
 // are the rendering. And the functions a report is rendered by — the
 // violation path, the event and packet summaries down to the addresses,
 // flags and values in them, the report's String and trace record — append
-// with strconv and never call fmt.
+// with strconv and never call fmt. A report is recorded, not rendered:
+// the violation path and its trace record build no map and call no
+// String, and a report's bindings become strings in one function,
+// obs.RenderBindings, which every reader that shows them calls — the
+// ring's read stamp, the daemon's -json printer and Violation.String.
 func TestVerdictRenderedOnce(t *testing.T) {
 	fmtFree := map[string]map[string]bool{
 		"../../internal/core": {
@@ -70,4 +74,67 @@ func TestVerdictRenderedOnce(t *testing.T) {
 			t.Errorf("%s declares none of %v; update this test with the code", dir, missing)
 		}
 	}
+	unrendered := map[string]bool{"core:Monitor.violate": true, "core:Violation.TraceRecord": true}
+	const renderer = "obs:RenderBindings"
+	readers := map[string]bool{renderer: false, "obs:NewRing": false, "core:Violation.String": false, "daemon:Flags.EngineConfig": false}
+	for _, pkg := range []string{"core", "obs", "daemon"} {
+		scanDir(t, "../../internal/"+pkg, isSourceFile, func(at func(ast.Node) string, file *ast.File) {
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				fn := pkg + ":" + fd.Name.Name
+				if fd.Recv != nil && len(fd.Recv.List) == 1 {
+					fn = pkg + ":" + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				}
+				if fn == renderer {
+					readers[fn] = true
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					switch n := n.(type) {
+					case *ast.MapType:
+						if unrendered[fn] {
+							t.Errorf("%s: %s builds a map; a report carries its bindings as the name-ordered slice", at(n), fn)
+						}
+					case *ast.CallExpr:
+						name := selName(n.Fun)
+						if id, ok := n.Fun.(*ast.Ident); ok {
+							name = id.Name
+						}
+						switch {
+						case name == "RenderBindings":
+							if _, reader := readers[fn]; reader {
+								readers[fn] = true
+							}
+						case name == "String" && unrendered[fn]:
+							t.Errorf("%s: %s calls String; recording a report renders nothing but its trigger", at(n), fn)
+						case name == "String" && fn != renderer && rendersBinding(n.Fun):
+							t.Errorf("%s: %s renders a binding; call obs.RenderBindings", at(n), fn)
+						}
+					}
+					return true
+				})
+			}
+		})
+	}
+	for fn, seen := range readers {
+		if !seen {
+			t.Errorf("%s neither is nor calls the one bindings renderer %s", fn, renderer)
+		}
+	}
+}
+
+// rendersBinding reports whether fun is the String method of a binding's
+// value: b.Value.String, or String on an index into a Bindings map or
+// slice.
+func rendersBinding(fun ast.Expr) bool {
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	if ix, ok := sel.X.(*ast.IndexExpr); ok {
+		return selName(ix.X) == "Bindings"
+	}
+	return selName(sel.X) == "Value"
 }

@@ -9,8 +9,12 @@ import (
 	"testing"
 	"time"
 
+	"switchmon/internal/core"
 	"switchmon/internal/obs"
 	"switchmon/internal/obs/tracer"
+	"switchmon/internal/packet"
+	"switchmon/internal/property"
+	"switchmon/internal/sim"
 )
 
 func testRegistry() (*obs.Registry, *obs.Ring) {
@@ -27,7 +31,7 @@ func testRegistry() (*obs.Registry, *obs.Ring) {
 		Time:     time.Unix(100, 0).UTC(),
 		Property: "fw",
 		Trigger:  "timeout",
-		Bindings: map[string]string{"src": "10.0.0.1"},
+		Values:   []obs.Binding{{Var: "src", Value: packet.Num(167772161)}},
 		History:  []obs.TraceStep{{Stage: 0, Label: "open"}},
 	})
 	return reg, ring
@@ -165,7 +169,7 @@ func TestMuxEndpoints(t *testing.T) {
 		t.Fatalf("violations dump = %+v", dump)
 	}
 	v := dump.Violations[0]
-	if v.Property != "fw" || v.Trigger != "timeout" || v.Bindings["src"] != "10.0.0.1" || len(v.History) != 1 {
+	if v.Property != "fw" || v.Trigger != "timeout" || v.Bindings["src"] != "167772161" || len(v.History) != 1 {
 		t.Fatalf("trace record lost fields: %+v", v)
 	}
 
@@ -323,6 +327,73 @@ func TestViolationsWraparoundGapDetectable(t *testing.T) {
 	get("/violations?limit=0")
 	if dump.Retained != 0 || dump.Total != 10 {
 		t.Fatalf("limit=0 = retained %d total %d, want 0 records but the true total", dump.Retained, dump.Total)
+	}
+}
+
+// mapTraceRecord is the conversion the engine ran per report before
+// bindings were rendered on read: a map of rendered values and a copied
+// history, built when the record was appended. It is kept as the
+// reference /violations must match byte for byte.
+func mapTraceRecord(v *core.Violation) obs.TraceRecord {
+	rec := obs.TraceRecord{Time: v.Time, Property: v.Property, Trigger: v.Trigger}
+	if len(v.Bindings) > 0 {
+		rec.Bindings = make(map[string]string, len(v.Bindings))
+		for _, b := range v.Bindings {
+			rec.Bindings[b.Var] = b.Value.String()
+		}
+	}
+	for _, h := range v.History {
+		rec.History = append(rec.History, obs.TraceStep{Stage: h.Stage, Label: h.Label, Time: h.Time, Event: h.Event})
+	}
+	return rec
+}
+
+// A /violations page is the bytes it was when every record rendered its
+// bindings on append: numeric bindings, a DNS query name JSON must
+// escape, and full histories, paged whole and by since/limit.
+func TestViolationsPageMatchesMapRendering(t *testing.T) {
+	ring := obs.NewRing(8)
+	// The reference ring stamps only the seq, as the ring did when records
+	// arrived rendered.
+	ref := obs.NewLog(8, func(r *obs.TraceRecord, seq uint64) { r.Seq = seq })
+	sched := sim.NewScheduler()
+	mon := core.NewMonitor(sched, core.Config{
+		Provenance:  core.ProvFull,
+		Violations:  ring,
+		OnViolation: func(v *core.Violation) { ref.Record(mapTraceRecord(v)) },
+	})
+	for _, name := range []string{"firewall-basic", "dns-response-match"} {
+		if err := mon.AddProperty(property.CatalogByName(property.DefaultParams(), name)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	macA, macB := packet.MustMAC("02:00:00:00:00:0a"), packet.MustMAC("02:00:00:00:00:0b")
+	ipA, ipB := packet.MustIPv4("10.0.0.1"), packet.MustIPv4("203.0.113.9")
+	var pid core.PacketID
+	forward := func(p *packet.Packet, in, out uint64, dropped bool) {
+		pid++
+		mon.HandleEvent(core.Event{Kind: core.KindArrival, Time: sched.Now(), PacketID: pid, Packet: p, InPort: in})
+		mon.HandleEvent(core.Event{Kind: core.KindEgress, Time: sched.Now(), PacketID: pid, Packet: p, InPort: in, OutPort: out, Dropped: dropped})
+	}
+	forward(packet.NewTCP(macA, macB, ipA, ipB, 40000, 80, packet.FlagSYN, nil), 1, 2, false)
+	forward(packet.NewTCP(macB, macA, ipB, ipA, 80, 40000, packet.FlagACK, nil), 2, 0, true)
+	forward(packet.NewDNSQuery(macA, macB, ipA, ipB, 5353, 42, "bank \"x\"\n<a>&b"), 1, 2, false)
+	forward(packet.NewDNSResponse(macB, macA, ipB, ipA, 5353, 42, "evil.example", packet.MustIPv4("6.6.6.6")), 2, 1, false)
+	if ring.Total() != 2 {
+		t.Fatalf("ring holds %d violations, want 2", ring.Total())
+	}
+	page := func(r *obs.Ring, path string) string {
+		w := httptest.NewRecorder()
+		NewMux(MuxConfig{Ring: r}).ServeHTTP(w, httptest.NewRequest("GET", path, nil))
+		return w.Body.String()
+	}
+	for _, path := range []string{"/violations", "/violations?since=0", "/violations?limit=1"} {
+		if got, want := page(ring, path), page(ref, path); got != want {
+			t.Errorf("GET %s:\n%s\nwant the map-rendered page:\n%s", path, got, want)
+		}
+	}
+	if body := page(ring, "/violations"); !strings.Contains(body, `"Q": "\"bank \\\"x\\\"\\n\u003ca\u003e\u0026b\""`) {
+		t.Errorf("the query name binding is not escaped as a JSON string:\n%s", body)
 	}
 }
 

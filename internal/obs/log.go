@@ -3,21 +3,41 @@ package obs
 import (
 	"sync"
 	"time"
+
+	"switchmon/internal/packet"
 )
 
-// TraceStep is one stage of a violation's provenance history.
+// TraceStep is one stage of a violation's provenance history (ProvFull
+// only). The engine keeps an instance's history as TraceSteps, so a
+// report and its ring record share one history slice.
 type TraceStep struct {
 	Stage int       `json:"stage"`
 	Label string    `json:"label"`
 	Time  time.Time `json:"time"`
-	Event string    `json:"event"`
+	// Event is the summary of the advancing event; "timeout" for negative
+	// observations advanced by their deadline.
+	Event string `json:"event"`
+}
+
+// Binding is one variable of a violation report and the value the
+// instance bound it to.
+type Binding struct {
+	Var   string
+	Value packet.Value
 }
 
 // TraceRecord is one violation with as much provenance as the
-// monitor's configured level allowed: Bindings at limited and above,
+// monitor's configured level allowed: bindings at limited and above,
 // History at full. Seq is the record's position in the total stream
 // (stamped by the ring, from 0), so a reader can detect records it
 // missed after wraparound.
+//
+// A recorded TraceRecord holds the report's own slices: Values (the
+// bindings in variable-name order) and History are shared with the
+// Violation the engine handed its callback, and nobody may write to
+// them. Bindings, the rendered form /violations serves, is built from
+// Values only on read (RenderBindings), so recording a violation
+// renders nothing.
 type TraceRecord struct {
 	Seq      uint64            `json:"seq"`
 	Time     time.Time         `json:"time"`
@@ -25,6 +45,22 @@ type TraceRecord struct {
 	Trigger  string            `json:"trigger"`
 	Bindings map[string]string `json:"bindings,omitempty"`
 	History  []TraceStep       `json:"history,omitempty"`
+	Values   []Binding         `json:"-"`
+}
+
+// RenderBindings renders a report's bindings as /violations serves
+// them, variable name to value string; nil when there are none. It is
+// the one place a report's bindings become strings, and it runs only
+// when someone reads them.
+func RenderBindings(bs []Binding) map[string]string {
+	if len(bs) == 0 {
+		return nil
+	}
+	m := make(map[string]string, len(bs))
+	for _, b := range bs {
+		m[b.Var] = b.Value.String()
+	}
+	return m
 }
 
 // Ring is the violation ring: recent violation trace records, the
@@ -33,9 +69,12 @@ type TraceRecord struct {
 type Ring = Log[TraceRecord]
 
 // NewRing creates a violation ring holding up to capacity records
-// (minimum 1).
+// (minimum 1). Its read stamp renders each returned copy's Bindings.
 func NewRing(capacity int) *Ring {
-	return NewLog(capacity, func(r *TraceRecord, seq uint64) { r.Seq = seq })
+	return NewLog(capacity, func(r *TraceRecord, seq uint64) {
+		r.Seq = seq
+		r.Bindings = RenderBindings(r.Values)
+	})
 }
 
 // Page selects one incremental read of a Log: the records whose seq is
@@ -65,8 +104,10 @@ type Log[T any] struct {
 }
 
 // NewLog creates a log holding up to capacity records (minimum 1).
-// stamp writes a record's seq into the copy a read returns; records are
-// stored unstamped, so appending never hands a pointer to stamp.
+// stamp finishes the copy a read returns — writes its seq, and renders
+// whatever the stream defers to read time (the violation ring's
+// bindings); records are stored unstamped, so appending never hands a
+// pointer to stamp.
 func NewLog[T any](capacity int, stamp func(rec *T, seq uint64)) *Log[T] {
 	return &Log[T]{buf: make([]T, 0, max(capacity, 1)), stamp: stamp}
 }

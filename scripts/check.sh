@@ -41,7 +41,7 @@ go test -race ./internal/core/... ./internal/backend/... ./internal/integration/
 echo "==> zero-alloc telemetry gates"
 go test -count=1 -run 'TestHotPathZeroAlloc' ./internal/obs/
 go test -count=1 -run 'TestUnsampledPathZeroAlloc|TestFinishSampledZeroAlloc' ./internal/obs/tracer/
-go test -count=1 -run 'TestSteadyStateAllocationBudget|TestHashOperandSteadyStateZeroAlloc' ./internal/core/
+go test -count=1 -run 'TestSteadyStateAllocationBudget|TestHashOperandSteadyStateZeroAlloc|TestReportAllocationBudget' ./internal/core/
 # ... and must stay off the wall clock: TestEngineWrittenOnce pins
 # time.Now/time.Since in internal/core to the one function Monitor.apply
 # reaches only when its sampling countdown runs out.
