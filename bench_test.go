@@ -95,9 +95,10 @@ func BenchmarkE3PipelineDepth(b *testing.B) {
 }
 
 // BenchmarkE4StateUpdate measures a full monitor transition on backends
-// with rule-based versus register-based state. Each iteration opens a
-// fresh flow (one instance creation = one state transition). The raw
-// mechanisms alone, at fixed store sizes, are internal/backend's
+// with rule-based versus register-based state: each transition is paid
+// on a dataplane.Switch's own flow table or register file. Each iteration
+// opens a fresh flow (one instance creation = one state transition). The
+// raw mechanisms alone, at fixed store sizes, are internal/dataplane's
 // BenchmarkStateMechanism.
 func BenchmarkE4StateUpdate(b *testing.B) {
 	makers := []struct {

@@ -20,6 +20,7 @@ import (
 func main() {
 	sched := sim.NewScheduler()
 	backends := backend.All(sched)
+	defer backend.Close(backends)
 
 	fw := property.CatalogByName(property.DefaultParams(), "firewall-basic")
 	fmt.Printf("property: %s\n  %q\n\n", fw.Name, fw.Description)
@@ -61,8 +62,10 @@ func main() {
 		}
 		note := ""
 		switch v := bb.(type) {
-		case *backend.OpenFlow13:
-			note = fmt.Sprintf("redirected %d B to the controller, saw no drops", v.RedirectedBytes())
+		case *backend.Chassis:
+			if backend.ControllerHosted(v.Capabilities()) {
+				note = fmt.Sprintf("redirected %d B to the controller, saw no drops", v.RedirectedBytes())
+			}
 		case *backend.Varanus:
 			note = fmt.Sprintf("wrote %d concrete rules (recursive learn)", v.StateUpdateCost())
 		}

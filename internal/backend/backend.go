@@ -1,7 +1,7 @@
-// Package backend implements the seven approaches to on-switch state the
-// paper compares in Table 2 — OpenFlow 1.3 (controller-only), OpenState,
-// FAST, POF/P4, SNAP, Varanus, and Static Varanus — plus the "ideal"
-// switch the paper argues for.
+// Package backend implements the approaches to on-switch state the paper
+// compares in Table 2 — OpenFlow 1.3 and 1.5 (controller-only),
+// OpenState, FAST, POF/P4, SNAP, Varanus, and Static Varanus — plus the
+// "ideal" switch the paper argues for and its sharded execution.
 //
 // Each backend carries a capability vector mirroring Table 2's rows and
 // *enforces* it: compiling a property whose analyzed requirements exceed
@@ -10,10 +10,12 @@
 // than echoing constants, so every ✓/✗ cell in the regenerated table is
 // an observed behaviour.
 //
-// Backends also enforce their *visibility* limits at runtime: a backend
-// whose architecture cannot see drop decisions (everything pre-Varanus,
-// per Sec. 2.2) silently filters those events, so experiments can measure
-// the violations each architecture would miss.
+// Every approach that runs the core engine is one row — capability
+// vector, provenance level, state atom — over one Chassis, which filters
+// events by the vector's visibility cells (an architecture blind to
+// drops, everything pre-Varanus per Sec. 2.2, loses those violations) and
+// pays each state transition on a dataplane.Switch's own flow table or
+// register file.
 package backend
 
 import (
@@ -179,6 +181,15 @@ func gaps(caps Capabilities, ft property.Features) []string {
 	return missing
 }
 
+// controllerOnly is the State mechanism cell of the OpenFlow columns.
+const controllerOnly = "Controller only"
+
+// ControllerHosted reports whether an approach keeps its monitor state at
+// an external controller rather than on the switch. Such an approach
+// accepts any property, counts the packets it redirects, and builds no
+// switch pipeline, so Table 2 cannot probe it.
+func ControllerHosted(c Capabilities) bool { return c.StateMechanism == controllerOnly }
+
 // Supports reports whether the backend's declared capabilities cover the
 // property — the probe the Table 2 regeneration uses.
 func Supports(b Backend, p *property.Property) error {
@@ -194,20 +205,46 @@ func checkSupport(caps Capabilities, p *property.Property) error {
 	return nil
 }
 
+// Column is one Table 2 column: the approach's declared capabilities and
+// its constructor, so a probe builds only the column it probes.
+type Column struct {
+	Caps Capabilities
+	New  func(*sim.Scheduler) Backend
+}
+
+// Columns lists every approach in Table 2 column order followed by the
+// ideal switch.
+func Columns() []Column {
+	chassis := func(r row) Column {
+		return Column{r.caps, func(s *sim.Scheduler) Backend { return newChassis(s, r) }}
+	}
+	return []Column{
+		chassis(openFlow13), chassis(openFlow15), chassis(openState),
+		chassis(fastRow), chassis(p4Row), chassis(snapRow),
+		{varanusCaps, func(s *sim.Scheduler) Backend { return NewVaranus(s) }},
+		chassis(staticVaranus),
+		{shardedCaps, func(s *sim.Scheduler) Backend { return NewShardedVaranus(s) }},
+		chassis(idealRow),
+	}
+}
+
 // All constructs one of every backend, each with its own monitor state on
-// the shared scheduler, in Table 2 column order followed by the ideal
-// switch.
+// the shared scheduler, in Columns order. Feeding them starts the sharded
+// backend's goroutines; Close stops them.
 func All(sched *sim.Scheduler) []Backend {
-	return []Backend{
-		NewOpenFlow13(sched),
-		NewOpenFlow15(sched),
-		NewOpenState(sched),
-		NewFAST(sched),
-		NewP4(sched),
-		NewSNAP(sched),
-		NewVaranus(sched),
-		NewStaticVaranus(sched),
-		NewShardedVaranus(sched),
-		NewIdeal(sched),
+	var bs []Backend
+	for _, c := range Columns() {
+		bs = append(bs, c.New(sched))
+	}
+	return bs
+}
+
+// Close stops the goroutines of every backend in bs that runs any (the
+// sharded engine's shards). Reads stay valid afterwards.
+func Close(bs []Backend) {
+	for _, b := range bs {
+		if c, ok := b.(interface{ Close() }); ok {
+			c.Close()
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package backend
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -357,5 +358,33 @@ func TestWitnessProbeMatrix(t *testing.T) {
 					b.Name(), w.Row, got == Yes, declared == Yes, err)
 			}
 		}
+	}
+}
+
+// TestCloseStopsWhatAllFed feeds every backend All builds and checks
+// that Close returns the goroutine count to its baseline: the sharded
+// backend starts its shard goroutines on the first fed event.
+func TestCloseStopsWhatAllFed(t *testing.T) {
+	base := runtime.NumGoroutine()
+	sched := sim.NewScheduler()
+	bs := All(sched)
+	for _, b := range bs {
+		if err := b.AddProperty(prop(t, "firewall-basic")); err != nil && !IsUnsupported(err) {
+			t.Fatal(err)
+		}
+	}
+	for _, b := range bs {
+		firewallViolationStream(b, sched)
+	}
+	if n := runtime.NumGoroutine(); n <= base {
+		t.Fatalf("goroutines = %d after feeding, want > %d: the stream started no shard", n, base)
+	}
+	Close(bs)
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after Close, want <= %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

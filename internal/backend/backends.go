@@ -9,320 +9,249 @@ import (
 	"switchmon/internal/varanus"
 )
 
-// --- OpenFlow 1.3: controller-only state -----------------------------------
+// OpenFlow 1.3 keeps no monitor state on the switch: every candidate
+// packet is redirected to an external controller, which runs the monitor
+// over arrivals only — it never sees the switch's forwarding decisions,
+// so egress- and drop-dependent properties silently lose their
+// violations, and the redirect volume (Sec. 1's motivation) is counted.
+var openFlow13 = row{caps: Capabilities{
+	Name:           "OpenFlow 1.3",
+	StateMechanism: controllerOnly,
+	UpdateDatapath: "—",
+	ProcessingMode: "Inline",
+	FieldAccess:    "Fixed",
+	// The paper leaves the stateful rows blank: the switch has no general
+	// state; the controller can do anything but is not the switch.
+	EventHistory:   Blank,
+	RelatedEvents:  Blank, // "(1.5 only)" for egress matching
+	NegativeMatch:  Yes,
+	RuleTimeouts:   Yes,
+	TimeoutActions: No,
+	SymmetricMatch: Blank,
+	WanderingMatch: Blank,
+	OutOfBand:      Blank, // the controller does receive port-status messages
+	FullProvenance: Blank,
+	DropVisibility: No,
+	// Egress tables exist only from OF 1.5 and never see drops.
+	EgressVisibility: No,
+	// OpenFlow counters exist but are read by the controller, not
+	// matchable in the pipeline.
+	Counting: Blank,
+}, prov: core.ProvLimited}
 
-// OpenFlow13 models monitoring with stock OpenFlow 1.3: the switch keeps
-// no monitor state, so every candidate packet must be redirected to an
-// external controller, which runs the monitor over arrivals only — it
-// never sees the switch's forwarding decisions, so egress- and
-// drop-dependent properties silently lose their violations, and the
-// redirect volume (Sec. 1's motivation) is counted.
-type OpenFlow13 struct {
-	*chassis
-	redirectedPackets uint64
-	redirectedBytes   uint64
-}
-
-// NewOpenFlow13 builds the controller-only backend.
-func NewOpenFlow13(sched *sim.Scheduler) *OpenFlow13 {
-	caps := Capabilities{
-		Name:           "OpenFlow 1.3",
-		StateMechanism: "Controller only",
-		UpdateDatapath: "—",
-		ProcessingMode: "Inline",
-		FieldAccess:    "Fixed",
-		// The paper leaves the stateful rows blank for OF1.3: the switch
-		// itself has no general state; the controller can do anything but
-		// is not the switch.
-		EventHistory:   Blank,
-		RelatedEvents:  Blank, // "(1.5 only)" for egress matching
-		NegativeMatch:  Yes,
-		RuleTimeouts:   Yes,
-		TimeoutActions: No,
-		SymmetricMatch: Blank,
-		WanderingMatch: Blank,
-		OutOfBand:      Blank,
-		FullProvenance: Blank,
-		DropVisibility: No,
-		// Egress tables exist only from OF 1.5 and never see drops.
-		EgressVisibility: No,
-		// OpenFlow counters exist but are read by the controller, not
-		// matchable in the pipeline.
-		Counting: Blank,
-	}
-	b := &OpenFlow13{chassis: newChassis(sched, caps, false, core.ProvLimited, nil)}
-	b.seeDrops = false
-	b.seeEgress = false
-	b.seeOOB = true // the controller does receive port-status messages
-	return b
-}
-
-// AddProperty accepts any valid property: the *controller* is a general
-// computer. The architectural price is paid at runtime — redirection
-// volume and blindness to forwarding decisions — not at compile time.
-func (b *OpenFlow13) AddProperty(p *property.Property) error {
-	return b.mon.AddProperty(p)
-}
-
-// HandleEvent counts redirected traffic before filtering.
-func (b *OpenFlow13) HandleEvent(e core.Event) {
-	if e.Kind == core.KindArrival && e.Packet != nil {
-		b.redirectedPackets++
-		if data, err := e.Packet.Encode(); err == nil {
-			b.redirectedBytes += uint64(len(data))
-		}
-	}
-	b.chassis.HandleEvent(e)
-}
-
-// RedirectedBytes reports the bytes shipped to the external monitor —
-// the E7 quantity.
-func (b *OpenFlow13) RedirectedBytes() uint64 { return b.redirectedBytes }
-
-// RedirectedPackets reports the packets shipped to the external monitor.
-func (b *OpenFlow13) RedirectedPackets() uint64 { return b.redirectedPackets }
-
-// AccessibleMonitor exposes the controller-side monitor so tests can
-// inspect what the external monitor concluded.
-func (b *OpenFlow13) AccessibleMonitor() *core.Monitor { return b.mon }
-
-// --- OpenFlow 1.5: egress tables, still no drops ------------------------------
-
-// OpenFlow15 refines the OpenFlow column with 1.5's egress tables — the
+// OpenFlow 1.5 refines the OpenFlow column with egress tables — the
 // paper's "(1.5 only)" footnote on identification of related events.
 // Egress metadata (output port) becomes matchable, but "dropped packets
 // never enter the egress pipeline" (Sec. 3.2), so drop-dependent
 // properties remain invisible, and state is still controller-only.
-type OpenFlow15 struct {
-	*chassis
-}
+var openFlow15 = row{caps: amend(openFlow13.caps, func(c *Capabilities) {
+	c.Name = "OpenFlow 1.5"
+	c.RelatedEvents = Yes    // the "(1.5 only)" cell
+	c.EgressVisibility = Yes // drops still never enter the egress pipeline
+}), prov: core.ProvLimited}
 
-// NewOpenFlow15 builds the OF1.5 variant.
-func NewOpenFlow15(sched *sim.Scheduler) *OpenFlow15 {
-	caps := Capabilities{
-		Name:             "OpenFlow 1.5",
-		StateMechanism:   "Controller only",
-		UpdateDatapath:   "—",
-		ProcessingMode:   "Inline",
-		FieldAccess:      "Fixed",
-		EventHistory:     Blank,
-		RelatedEvents:    Yes, // the "(1.5 only)" cell
-		NegativeMatch:    Yes,
-		RuleTimeouts:     Yes,
-		TimeoutActions:   No,
-		SymmetricMatch:   Blank,
-		WanderingMatch:   Blank,
-		OutOfBand:        Blank,
-		FullProvenance:   Blank,
-		DropVisibility:   No, // drops never enter the egress pipeline
-		EgressVisibility: Yes,
-		Counting:         Blank,
-	}
-	b := &OpenFlow15{chassis: newChassis(sched, caps, false, core.ProvLimited, nil)}
-	b.seeDrops = false
-	b.seeEgress = true
-	b.seeOOB = true
-	return b
-}
+// OpenState's per-flow state-machine tables: fast-path state on fixed key
+// fields with optional key inversion (symmetric match), no egress/drop
+// visibility, no timeout actions, no out-of-band events, no wandering
+// match.
+var openState = row{caps: Capabilities{
+	Name:             "OpenState",
+	StateMechanism:   "State machine",
+	UpdateDatapath:   "Fast path",
+	ProcessingMode:   "Inline",
+	FieldAccess:      "Fixed",
+	EventHistory:     Yes,
+	RelatedEvents:    Blank,
+	NegativeMatch:    Yes,
+	RuleTimeouts:     Yes,
+	TimeoutActions:   No,
+	SymmetricMatch:   Yes,
+	WanderingMatch:   No,
+	OutOfBand:        No,
+	FullProvenance:   No,
+	DropVisibility:   No,
+	EgressVisibility: No,
+	Counting:         Yes,
+}, prov: core.ProvNone, state: registers}
 
-// AddProperty, like OpenFlow 1.3's, accepts anything the controller can
-// host; architectural limits bite at runtime through the drop filter.
-func (b *OpenFlow15) AddProperty(p *property.Property) error {
-	return b.mon.AddProperty(p)
-}
+// FAST's learn-action encoding of state machines: slow-path state updates
+// (flow-table modifications) with hash support, no rule timeouts, no
+// egress/drop visibility.
+var fastRow = row{caps: Capabilities{
+	Name:             "FAST",
+	StateMechanism:   "Learn action",
+	UpdateDatapath:   "Slow path",
+	ProcessingMode:   "Inline",
+	FieldAccess:      "Fixed",
+	EventHistory:     Yes,
+	RelatedEvents:    Blank,
+	NegativeMatch:    Yes,
+	RuleTimeouts:     No,
+	TimeoutActions:   No,
+	SymmetricMatch:   Yes,
+	WanderingMatch:   No,
+	OutOfBand:        No,
+	FullProvenance:   No,
+	DropVisibility:   No,
+	EgressVisibility: No,
+	Counting:         Yes,
+}, prov: core.ProvNone, state: flowTable}
 
-// --- OpenState: Mealy machines ----------------------------------------------
+// POF and P4, the register-based designs: fast-path register state,
+// dynamic field access, an egress pipeline (P4 is "unique in considering
+// this requirement"), but no timeout actions, no out-of-band events, and
+// target-dependent wandering match (blank in the paper, rejected here).
+var p4Row = row{caps: Capabilities{
+	Name:             "POF and P4",
+	StateMechanism:   "Flow registers",
+	UpdateDatapath:   "Fast path",
+	ProcessingMode:   "",
+	FieldAccess:      "Dynamic",
+	EventHistory:     Yes,
+	RelatedEvents:    Yes,
+	NegativeMatch:    Yes,
+	RuleTimeouts:     Yes,
+	TimeoutActions:   No,
+	SymmetricMatch:   Yes,
+	WanderingMatch:   Blank,
+	OutOfBand:        No,
+	FullProvenance:   No,
+	DropVisibility:   Yes,
+	EgressVisibility: Yes,
+	Counting:         Yes,
+}, prov: core.ProvNone, state: registers}
 
-// OpenState models the per-flow state-machine tables of OpenState:
-// fast-path state on fixed key fields with optional key inversion
-// (symmetric match), no egress/drop visibility, no timeout actions, no
-// out-of-band events, no wandering match.
-type OpenState struct{ *chassis }
+// SNAP's one-big-switch global arrays: fast-path array state with rich
+// matching but no rule timeouts, no timeout actions, no out-of-band
+// events; its compiler hides individual switch behaviour, so egress
+// metadata of a particular switch is out of reach.
+var snapRow = row{caps: Capabilities{
+	Name:             "SNAP",
+	StateMechanism:   "Global arrays",
+	UpdateDatapath:   "Fast path",
+	ProcessingMode:   "",
+	FieldAccess:      "Dynamic",
+	EventHistory:     Yes,
+	RelatedEvents:    Yes,
+	NegativeMatch:    Yes,
+	RuleTimeouts:     No,
+	TimeoutActions:   No,
+	SymmetricMatch:   Yes,
+	WanderingMatch:   Blank,
+	OutOfBand:        No,
+	FullProvenance:   No,
+	DropVisibility:   No,
+	EgressVisibility: No,
+	Counting:         Yes,
+}, prov: core.ProvNone, state: registers}
+
+// Static Varanus, the paper's Sec 3.3 mitigation: the pipeline is bounded
+// to one table per observation stage (constant depth), preserving
+// wandering match but sacrificing out-of-band multiple match; state
+// updates remain slow-path flow-table modifications.
+var staticVaranus = row{caps: amend(varanusCaps, func(c *Capabilities) {
+	c.Name = "Static Varanus"
+	c.OutOfBand = No
+}), prov: core.ProvLimited, state: flowTable}
+
+// The ideal switch the paper argues for: register-speed indexed state,
+// full visibility including drops, timeout actions, wandering and
+// multiple match, and full provenance — the feature set Sec. 2 derives.
+var idealRow = row{caps: Capabilities{
+	Name:             "Ideal (this paper)",
+	StateMechanism:   "Indexed instances",
+	UpdateDatapath:   "Fast path",
+	ProcessingMode:   "Inline",
+	FieldAccess:      "Dynamic",
+	EventHistory:     Yes,
+	RelatedEvents:    Yes,
+	NegativeMatch:    Yes,
+	RuleTimeouts:     Yes,
+	TimeoutActions:   Yes,
+	SymmetricMatch:   Yes,
+	WanderingMatch:   Yes,
+	OutOfBand:        Yes,
+	FullProvenance:   Yes,
+	DropVisibility:   Yes,
+	EgressVisibility: Yes,
+	Counting:         Yes,
+	StickyGuards:     Yes,
+}, prov: core.ProvFull, state: registers}
+
+// NewOpenFlow13 builds the controller-only OpenFlow 1.3 backend.
+func NewOpenFlow13(sched *sim.Scheduler) *Chassis { return newChassis(sched, openFlow13) }
+
+// NewOpenFlow15 builds the OpenFlow 1.5 backend.
+func NewOpenFlow15(sched *sim.Scheduler) *Chassis { return newChassis(sched, openFlow15) }
 
 // NewOpenState builds the OpenState backend.
-func NewOpenState(sched *sim.Scheduler) *OpenState {
-	caps := Capabilities{
-		Name:             "OpenState",
-		StateMechanism:   "State machine",
-		UpdateDatapath:   "Fast path",
-		ProcessingMode:   "Inline",
-		FieldAccess:      "Fixed",
-		EventHistory:     Yes,
-		RelatedEvents:    Blank,
-		NegativeMatch:    Yes,
-		RuleTimeouts:     Yes,
-		TimeoutActions:   No,
-		SymmetricMatch:   Yes,
-		WanderingMatch:   No,
-		OutOfBand:        No,
-		FullProvenance:   No,
-		DropVisibility:   No,
-		EgressVisibility: No,
-		Counting:         Yes,
-	}
-	b := &OpenState{chassis: newChassis(sched, caps, false, core.ProvNone, &registerState{})}
-	b.seeDrops = false
-	b.seeEgress = false
-	b.seeOOB = false
-	return b
-}
-
-// --- FAST: learn-action state machines ---------------------------------------
-
-// FAST models FAST's learn-action encoding of state machines: slow-path
-// state updates (flow-table modifications) with hash support, no rule
-// timeouts, no egress/drop visibility.
-type FAST struct{ *chassis }
+func NewOpenState(sched *sim.Scheduler) *Chassis { return newChassis(sched, openState) }
 
 // NewFAST builds the FAST backend.
-func NewFAST(sched *sim.Scheduler) *FAST {
-	caps := Capabilities{
-		Name:             "FAST",
-		StateMechanism:   "Learn action",
-		UpdateDatapath:   "Slow path",
-		ProcessingMode:   "Inline",
-		FieldAccess:      "Fixed",
-		EventHistory:     Yes,
-		RelatedEvents:    Blank,
-		NegativeMatch:    Yes,
-		RuleTimeouts:     No,
-		TimeoutActions:   No,
-		SymmetricMatch:   Yes,
-		WanderingMatch:   No,
-		OutOfBand:        No,
-		FullProvenance:   No,
-		DropVisibility:   No,
-		EgressVisibility: No,
-		Counting:         Yes,
-	}
-	b := &FAST{chassis: newChassis(sched, caps, false, core.ProvNone, &ruleState{})}
-	b.seeDrops = false
-	b.seeEgress = false
-	b.seeOOB = false
-	return b
-}
-
-// --- POF / P4: flow registers -------------------------------------------------
-
-// P4 models the register-based designs (covering POF as the paper's
-// table does): fast-path register state, dynamic field access, an egress
-// pipeline (P4 is "unique in considering this requirement"), but no
-// timeout actions, no out-of-band events, and target-dependent wandering
-// match (blank in the paper, rejected here).
-type P4 struct{ *chassis }
+func NewFAST(sched *sim.Scheduler) *Chassis { return newChassis(sched, fastRow) }
 
 // NewP4 builds the POF/P4 backend.
-func NewP4(sched *sim.Scheduler) *P4 {
-	caps := Capabilities{
-		Name:             "POF and P4",
-		StateMechanism:   "Flow registers",
-		UpdateDatapath:   "Fast path",
-		ProcessingMode:   "",
-		FieldAccess:      "Dynamic",
-		EventHistory:     Yes,
-		RelatedEvents:    Yes,
-		NegativeMatch:    Yes,
-		RuleTimeouts:     Yes,
-		TimeoutActions:   No,
-		SymmetricMatch:   Yes,
-		WanderingMatch:   Blank,
-		OutOfBand:        No,
-		FullProvenance:   No,
-		DropVisibility:   Yes,
-		EgressVisibility: Yes,
-		Counting:         Yes,
-	}
-	return &P4{chassis: newChassis(sched, caps, false, core.ProvNone, &registerState{})}
-}
-
-// --- SNAP: global arrays --------------------------------------------------------
-
-// SNAP models SNAP's one-big-switch global arrays: fast-path array
-// state with rich matching but no rule timeouts, no timeout actions, no
-// out-of-band events; its compiler hides individual switch behaviour, so
-// egress metadata of a particular switch is out of reach.
-type SNAP struct{ *chassis }
+func NewP4(sched *sim.Scheduler) *Chassis { return newChassis(sched, p4Row) }
 
 // NewSNAP builds the SNAP backend.
-func NewSNAP(sched *sim.Scheduler) *SNAP {
-	caps := Capabilities{
-		Name:             "SNAP",
-		StateMechanism:   "Global arrays",
-		UpdateDatapath:   "Fast path",
-		ProcessingMode:   "",
-		FieldAccess:      "Dynamic",
-		EventHistory:     Yes,
-		RelatedEvents:    Yes,
-		NegativeMatch:    Yes,
-		RuleTimeouts:     No,
-		TimeoutActions:   No,
-		SymmetricMatch:   Yes,
-		WanderingMatch:   Blank,
-		OutOfBand:        No,
-		FullProvenance:   No,
-		DropVisibility:   No,
-		EgressVisibility: No,
-		Counting:         Yes,
-	}
-	b := &SNAP{chassis: newChassis(sched, caps, false, core.ProvNone, &registerState{})}
-	b.seeDrops = false
-	b.seeEgress = false
-	b.seeOOB = false
-	return b
-}
+func NewSNAP(sched *sim.Scheduler) *Chassis { return newChassis(sched, snapRow) }
 
-// --- Varanus: recursive learn, one table per instance ---------------------------
+// NewStaticVaranus builds the bounded-pipeline Varanus variant.
+func NewStaticVaranus(sched *sim.Scheduler) *Chassis { return newChassis(sched, staticVaranus) }
+
+// NewIdeal builds the ideal-switch backend.
+func NewIdeal(sched *sim.Scheduler) *Chassis { return newChassis(sched, idealRow) }
+
+// varanusCaps is Varanus's vector: the richest feature set of Table 2 —
+// timeout actions, wandering match, out-of-band multiple match.
+var varanusCaps = Capabilities{
+	Name:             "Varanus",
+	StateMechanism:   "Recursive learn",
+	UpdateDatapath:   "Slow path",
+	ProcessingMode:   "Split",
+	FieldAccess:      "Fixed",
+	EventHistory:     Yes,
+	RelatedEvents:    Yes,
+	NegativeMatch:    Yes,
+	RuleTimeouts:     Yes,
+	TimeoutActions:   Yes,
+	SymmetricMatch:   Yes,
+	WanderingMatch:   Yes,
+	OutOfBand:        Yes,
+	FullProvenance:   No,
+	DropVisibility:   Yes,
+	EgressVisibility: Yes,
+	Counting:         No,
+}
 
 // Varanus runs the paper authors' actual mechanism, reimplemented in
 // internal/varanus: each active monitor instance is its own table of
 // fully concrete rules, unrolled by a recursive learn step as events
 // arrive. The pipeline depth equals the live instance count and every
-// unroll writes rules (slow path) — the cost structure of Sec. 3.3 — in
-// exchange for the richest feature set of Table 2: timeout actions,
-// wandering match, out-of-band multiple match.
+// unroll writes rules (slow path) — the cost structure of Sec. 3.3.
 type Varanus struct {
-	caps  Capabilities
 	m     *varanus.Monitor
 	nViol uint64
 }
 
 // NewVaranus builds the Varanus backend on the unrolled-table mechanism.
 func NewVaranus(sched *sim.Scheduler) *Varanus {
-	caps := Capabilities{
-		Name:             "Varanus",
-		StateMechanism:   "Recursive learn",
-		UpdateDatapath:   "Slow path",
-		ProcessingMode:   "Split",
-		FieldAccess:      "Fixed",
-		EventHistory:     Yes,
-		RelatedEvents:    Yes,
-		NegativeMatch:    Yes,
-		RuleTimeouts:     Yes,
-		TimeoutActions:   Yes,
-		SymmetricMatch:   Yes,
-		WanderingMatch:   Yes,
-		OutOfBand:        Yes,
-		FullProvenance:   No,
-		DropVisibility:   Yes,
-		EgressVisibility: Yes,
-		Counting:         No,
-	}
-	b := &Varanus{caps: caps, m: varanus.NewMonitor(sched)}
+	b := &Varanus{m: varanus.NewMonitor(sched)}
 	b.m.OnViolation = func(string, time.Time, string) { b.nViol++ }
 	return b
 }
 
 // Name implements Backend.
-func (b *Varanus) Name() string { return b.caps.Name }
+func (b *Varanus) Name() string { return varanusCaps.Name }
 
 // Capabilities implements Backend.
-func (b *Varanus) Capabilities() Capabilities { return b.caps }
+func (b *Varanus) Capabilities() Capabilities { return varanusCaps }
 
 // AddProperty enforces the capability vector, then compiles onto the
 // unrolled-table mechanism (which additionally rejects this repository's
 // extensions — counting, sticky guards — consistent with the vector).
 func (b *Varanus) AddProperty(p *property.Property) error {
-	if err := checkSupport(b.caps, p); err != nil {
+	if err := checkSupport(varanusCaps, p); err != nil {
 		return err
 	}
 	return b.m.AddProperty(p)
@@ -341,68 +270,9 @@ func (b *Varanus) PipelineDepth() int { return b.m.PipelineDepth() }
 // StateUpdateCost implements Backend: concrete rules written by unrolls.
 func (b *Varanus) StateUpdateCost() uint64 { return b.m.RuleInstalls }
 
-// --- Static Varanus: bounded one-table-per-stage ---------------------------------
-
-// StaticVaranus models the paper's Sec 3.3 mitigation: the pipeline is
-// bounded to one table per observation stage (constant depth — modeled by
-// allowing the monitor its stage indexes), preserving wandering match but
-// sacrificing out-of-band multiple match; state updates remain slow-path
-// flow-table modifications.
-type StaticVaranus struct{ *chassis }
-
-// NewStaticVaranus builds the bounded-pipeline Varanus variant.
-func NewStaticVaranus(sched *sim.Scheduler) *StaticVaranus {
-	caps := Capabilities{
-		Name:             "Static Varanus",
-		StateMechanism:   "Recursive learn",
-		UpdateDatapath:   "Slow path",
-		ProcessingMode:   "Split",
-		FieldAccess:      "Fixed",
-		EventHistory:     Yes,
-		RelatedEvents:    Yes,
-		NegativeMatch:    Yes,
-		RuleTimeouts:     Yes,
-		TimeoutActions:   Yes,
-		SymmetricMatch:   Yes,
-		WanderingMatch:   Yes,
-		OutOfBand:        No,
-		FullProvenance:   No,
-		DropVisibility:   Yes,
-		EgressVisibility: Yes,
-		Counting:         No,
-	}
-	return &StaticVaranus{chassis: newChassis(sched, caps, false, core.ProvLimited, &ruleState{})}
-}
-
-// --- Ideal: the switch the paper argues for --------------------------------------
-
-// Ideal is the engine of internal/core exposed as a backend: register-
-// speed indexed state, full visibility including drops, timeout actions,
-// wandering and multiple match, and configurable provenance — the feature
-// set Sec. 2 derives.
-type Ideal struct{ *chassis }
-
-// NewIdeal builds the ideal-switch backend.
-func NewIdeal(sched *sim.Scheduler) *Ideal {
-	caps := Capabilities{
-		Name:             "Ideal (this paper)",
-		StateMechanism:   "Indexed instances",
-		UpdateDatapath:   "Fast path",
-		ProcessingMode:   "Inline",
-		FieldAccess:      "Dynamic",
-		EventHistory:     Yes,
-		RelatedEvents:    Yes,
-		NegativeMatch:    Yes,
-		RuleTimeouts:     Yes,
-		TimeoutActions:   Yes,
-		SymmetricMatch:   Yes,
-		WanderingMatch:   Yes,
-		OutOfBand:        Yes,
-		FullProvenance:   Yes,
-		DropVisibility:   Yes,
-		EgressVisibility: Yes,
-		Counting:         Yes,
-		StickyGuards:     Yes,
-	}
-	return &Ideal{chassis: newChassis(sched, caps, false, core.ProvFull, &registerState{})}
+// amend returns c with edit applied: a column that differs from another
+// in a few cells.
+func amend(c Capabilities, edit func(*Capabilities)) Capabilities {
+	edit(&c)
+	return c
 }

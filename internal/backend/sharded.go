@@ -8,6 +8,13 @@ import (
 	"switchmon/internal/sim"
 )
 
+// shardedCaps is Ideal's vector under its own name and mechanism cells.
+var shardedCaps = amend(idealRow.caps, func(c *Capabilities) {
+	c.Name = "Sharded Varanus (multi-core)"
+	c.StateMechanism = "Sharded indexed instances"
+	c.ProcessingMode = "Parallel"
+})
+
 // ShardedVaranus is the multi-core variant of the ideal switch: the
 // core.ShardedMonitor exposed as a backend. Same capability vector as
 // Ideal — sharding is an execution strategy, not a semantic restriction —
@@ -20,7 +27,6 @@ import (
 // the Backend contract — read after feed — holds without the caller
 // knowing about shards.
 type ShardedVaranus struct {
-	caps   Capabilities
 	sm     *core.ShardedMonitor
 	nViol  uint64
 	stages int
@@ -52,27 +58,7 @@ func NewShardedVaranus(_ *sim.Scheduler) *ShardedVaranus {
 // NewShardedVaranusN builds the sharded ideal backend with an explicit
 // shard count.
 func NewShardedVaranusN(shards int) *ShardedVaranus {
-	caps := Capabilities{
-		Name:             "Sharded Varanus (multi-core)",
-		StateMechanism:   "Sharded indexed instances",
-		UpdateDatapath:   "Fast path",
-		ProcessingMode:   "Parallel",
-		FieldAccess:      "Dynamic",
-		EventHistory:     Yes,
-		RelatedEvents:    Yes,
-		NegativeMatch:    Yes,
-		RuleTimeouts:     Yes,
-		TimeoutActions:   Yes,
-		SymmetricMatch:   Yes,
-		WanderingMatch:   Yes,
-		OutOfBand:        Yes,
-		FullProvenance:   Yes,
-		DropVisibility:   Yes,
-		EgressVisibility: Yes,
-		Counting:         Yes,
-		StickyGuards:     Yes,
-	}
-	sv := &ShardedVaranus{caps: caps}
+	sv := &ShardedVaranus{}
 	sv.sm = core.NewShardedMonitor(shards, core.Config{
 		Provenance:  core.ProvFull,
 		OnViolation: func(*core.Violation) { sv.nViol++ },
@@ -81,10 +67,10 @@ func NewShardedVaranusN(shards int) *ShardedVaranus {
 }
 
 // Name implements Backend.
-func (sv *ShardedVaranus) Name() string { return sv.caps.Name }
+func (sv *ShardedVaranus) Name() string { return shardedCaps.Name }
 
 // Capabilities implements Backend.
-func (sv *ShardedVaranus) Capabilities() Capabilities { return sv.caps }
+func (sv *ShardedVaranus) Capabilities() Capabilities { return shardedCaps }
 
 // Monitor exposes the underlying sharded engine (for barriers, explicit
 // clock control, and shard-level stats in the E8 experiments).
@@ -93,16 +79,7 @@ func (sv *ShardedVaranus) Monitor() *core.ShardedMonitor { return sv.sm }
 // AddProperty implements Backend. The capability vector is all-yes, so
 // this only fails on compile errors.
 func (sv *ShardedVaranus) AddProperty(p *property.Property) error {
-	if err := checkSupport(sv.caps, p); err != nil {
-		return err
-	}
-	if err := sv.sm.AddProperty(p); err != nil {
-		return err
-	}
-	if n := len(p.Stages); n > sv.stages {
-		sv.stages = n
-	}
-	return nil
+	return install(shardedCaps, sv.sm.AddProperty, p, &sv.stages)
 }
 
 // HandleEvent implements Backend: full visibility, so every event is
@@ -123,8 +100,7 @@ func (sv *ShardedVaranus) PipelineDepth() int { return sv.stages }
 // StateUpdateCost implements Backend: register-speed state, one write per
 // monitor transition (summed across shards; barriers internally).
 func (sv *ShardedVaranus) StateUpdateCost() uint64 {
-	st := sv.sm.Stats()
-	return st.Created + st.Advanced + st.Discharged + st.Expired + st.Refreshed
+	return transitionCount(sv.sm.Stats())
 }
 
 // Close stops the shard goroutines. Reads remain valid afterwards.

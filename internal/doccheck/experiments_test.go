@@ -21,12 +21,13 @@ import (
 // implements — except e14, whose halves measure different things: trace
 // overhead in-process, detection latency over the fabric.
 //
-// E4's raw mechanisms are internal/backend's state-cost models, timed by
-// its BenchmarkStateMechanism. No type outside internal/backend declares
-// the models' one operation, a transitions method, so a miniature copy
-// of ruleState or registerState cannot come back under any name. (The
-// check keys on the method, not the name: internal/obs/slo's ruleState
-// is an SLO rule's evaluation state, not a state-cost model.)
+// E4's raw mechanisms are the dataplane's own flow table and register
+// file, timed by internal/dataplane's BenchmarkStateMechanism. No type in
+// any package declares a transitions method, the one operation of the
+// state-cost models those atoms replaced, so a model of them cannot come
+// back under any name. (The check keys on the method, not the name:
+// internal/obs/slo's ruleState is an SLO rule's evaluation state, not a
+// state-cost model.)
 func TestExperimentsWrittenOnce(t *testing.T) {
 	benchExp := regexp.MustCompile(`^BenchmarkE(\d+)`)
 	benched := map[string]bool{}
@@ -81,13 +82,12 @@ func TestExperimentsWrittenOnce(t *testing.T) {
 		t.Fatal("cmd/benchsweep has no experiment table; the scan is out of date")
 	}
 
-	backend := filepath.Join("..", "..", "internal", "backend")
 	err := filepath.WalkDir(filepath.Join("..", ".."), func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			if path == backend || d.Name() == ".git" || d.Name() == "testdata" {
+			if d.Name() == ".git" || d.Name() == "testdata" {
 				return filepath.SkipDir
 			}
 			return nil
@@ -102,7 +102,7 @@ func TestExperimentsWrittenOnce(t *testing.T) {
 		}
 		for _, decl := range file.Decls {
 			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && fd.Name.Name == "transitions" {
-				t.Errorf("%s: %s.transitions copies internal/backend's state-cost models; time the models themselves (BenchmarkStateMechanism)",
+				t.Errorf("%s: %s.transitions models a state atom; pay it on internal/dataplane's flow table or register file (BenchmarkStateMechanism there times them)",
 					fset.Position(fd.Pos()), recvName(fd.Recv.List[0].Type))
 			}
 		}

@@ -188,6 +188,7 @@ func TestBackendsOnSharedStream(t *testing.T) {
 
 	fw := property.CatalogByName(property.DefaultParams(), "firewall-basic")
 	backends := backend.All(sched)
+	defer backend.Close(backends)
 	installed := map[string]bool{}
 	for _, b := range backends {
 		err := b.AddProperty(fw)

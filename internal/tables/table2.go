@@ -50,13 +50,13 @@ type T2BoolRow struct {
 }
 
 // BuildTable2 constructs the matrix by probing every backend with the
-// witness properties. Each probe uses a fresh backend so compiled
-// witnesses cannot interfere with each other.
+// witness properties. Each probe builds a fresh backend of the probed
+// column only, so compiled witnesses cannot interfere with each other.
 func BuildTable2() Table2 {
-	ref := backend.All(sim.NewScheduler())
+	cols := backend.Columns()
 	t := Table2{}
-	for _, b := range ref {
-		t.Columns = append(t.Columns, b.Name())
+	for _, c := range cols {
+		t.Columns = append(t.Columns, c.Caps.Name)
 	}
 	t.Descriptive = []T2DescRow{
 		{Label: "State mechanism"},
@@ -64,26 +64,21 @@ func BuildTable2() Table2 {
 		{Label: "Processing mode"},
 		{Label: "Field access"},
 	}
-	for _, b := range ref {
-		caps := b.Capabilities()
-		t.Descriptive[0].Cells = append(t.Descriptive[0].Cells, caps.StateMechanism)
-		t.Descriptive[1].Cells = append(t.Descriptive[1].Cells, caps.UpdateDatapath)
-		t.Descriptive[2].Cells = append(t.Descriptive[2].Cells, caps.ProcessingMode)
-		t.Descriptive[3].Cells = append(t.Descriptive[3].Cells, caps.FieldAccess)
+	for _, c := range cols {
+		t.Descriptive[0].Cells = append(t.Descriptive[0].Cells, c.Caps.StateMechanism)
+		t.Descriptive[1].Cells = append(t.Descriptive[1].Cells, c.Caps.UpdateDatapath)
+		t.Descriptive[2].Cells = append(t.Descriptive[2].Cells, c.Caps.ProcessingMode)
+		t.Descriptive[3].Cells = append(t.Descriptive[3].Cells, c.Caps.FieldAccess)
 	}
 
 	for _, w := range backend.Witnesses() {
 		row := T2BoolRow{Label: w.Row}
-		for col, b := range ref {
-			caps := b.Capabilities()
-			declared := w.Capability(caps)
-			cell := T2Cell{Value: declared}
-			controllerHosted := caps.StateMechanism == "Controller only"
-			if declared != backend.Blank && !controllerHosted {
+		for _, c := range cols {
+			cell := T2Cell{Value: w.Capability(c.Caps)}
+			if cell.Value != backend.Blank && !backend.ControllerHosted(c.Caps) {
 				// Observe the cell: compile the witness on a fresh
 				// backend instance.
-				fresh := backend.All(sim.NewScheduler())[col]
-				if err := fresh.AddProperty(w.Prop); err == nil {
+				if err := c.New(sim.NewScheduler()).AddProperty(w.Prop); err == nil {
 					cell.Value = backend.Yes
 				} else {
 					cell.Value = backend.No
@@ -106,8 +101,8 @@ func BuildTable2() Table2 {
 	}
 	for _, ex := range extra {
 		row := T2BoolRow{Label: ex.label}
-		for _, b := range ref {
-			row.Cells = append(row.Cells, T2Cell{Value: ex.get(b.Capabilities())})
+		for _, c := range cols {
+			row.Cells = append(row.Cells, T2Cell{Value: ex.get(c.Caps)})
 		}
 		t.Boolean = append(t.Boolean, row)
 	}

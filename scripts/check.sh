@@ -33,6 +33,15 @@ go test ./...
 echo "==> go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/... ./internal/obs/..."
 go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/... ./internal/obs/...
 
+# Examples: each must run to a zero exit, and examples/backends (Table 2
+# live: every approach on one violating stream) must print its golden.
+echo "==> examples"
+for d in examples/*/; do
+  go run "./$d" > /dev/null || { echo "example $d failed"; exit 1; }
+done
+go run ./examples/backends | diff -u examples/backends/testdata/output.golden - ||
+  { echo "examples/backends output differs from its golden"; exit 1; }
+
 # Telemetry overhead gate: recording on the hot path must stay
 # allocation-free, with and without a registry attached. These run
 # -count=1 so a cached pass can't mask a regression. (The allocation
