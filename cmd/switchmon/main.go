@@ -92,7 +92,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.StringVar(&o.export, "export", "", "also ship the event stream to these comma-separated collector addresses (cmd/collector): events fan out across the fleet by partition key, each collector with its own sequence space, queue, and replay")
 	fs.StringVar(&o.partition, "partition", "dpid", "with -export: fleet partition key — dpid (whole switch on one collector) or identity (property-identity key derived from the installed set; requires -catalog/-props)")
 	fs.Uint64Var(&o.exportDPID, "export-dpid", 1, "datapath id announced to the collectors by -export")
-	fs.DurationVar(&o.batchSLO, "batch-slo", 250*time.Microsecond, "with -export: target batch-seal latency; the exporter adapts its batch size to fill within this budget")
+	fs.DurationVar(&o.batchSLO, "batch-slo", 250*time.Microsecond, "with -export: seal-latency budget for batches held behind a busy link; while the link keeps up, the idle sender ships each batch at once")
 	fs.IntVar(&o.batchMax, "batch-max", 256, "with -export: upper clamp on the adaptive batch size")
 }
 

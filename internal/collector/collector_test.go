@@ -375,47 +375,60 @@ func (s *slowSink) SubmitBatch(evs []core.Event, release func()) error {
 // on every cycle: the one-batch queue stays full for the 5 ms the sink
 // holds each batch, the publisher trickles three events per millisecond
 // so its partial batch ages out (1 ms) and the flusher parks with it, and
-// the publisher then fills the next batch of eight and parks behind.
+// the publisher then fills the next batch of eight and parks behind. The
+// adaptive case adds the idle sender: every ack that frees the slot wakes
+// it with events waiting, racing the parked seal for the room.
 func TestBlockedSealsKeepSequenceOrder(t *testing.T) {
-	sink := &slowSink{delay: 5 * time.Millisecond}
-	c := startCollector(t, sink)
-	x, err := exporter.New(exporter.Config{
-		Addr: c.Addr().String(), DPID: 1,
-		BatchSize: 8, MaxBatchAge: time.Millisecond, QueueBatches: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x.Start()
-	const n = 600
-	for i := 1; i <= n; i++ {
-		x.Publish(ev(0, i))
-		if i%3 == 0 {
-			time.Sleep(time.Millisecond)
-		}
-	}
-	x.Flush()
-	if abandoned := x.Close(10 * time.Second); abandoned != 0 {
-		t.Fatalf("abandoned %d events", abandoned)
-	}
-	waitFor(t, "every batch applied or declared lost", func() bool {
-		st := c.Stats()
-		return st.Events+st.GapEvents >= n
-	})
-	if st := c.Stats(); st.GapEvents != 0 || st.Deduped != 0 {
-		t.Fatalf("collector booked gaps=%d deduped=%d; blocked seals were enqueued out of sequence order", st.GapEvents, st.Deduped)
-	}
-	evs, losses := sink.snapshot()
-	if len(losses) != 0 {
-		t.Fatalf("sink saw %d loss marks, want none: %+v", len(losses), losses)
-	}
-	if len(evs) != n {
-		t.Fatalf("sink saw %d events, want %d", len(evs), n)
-	}
-	for i, e := range evs {
-		if e.InPort != uint64(i+1) {
-			t.Fatalf("event %d is publish #%d: the sink did not see every sequence once, in order", i+1, e.InPort)
-		}
+	for _, tc := range []struct {
+		name string
+		cfg  exporter.Config
+	}{
+		{"fixed", exporter.Config{BatchSize: 8, MaxBatchAge: time.Millisecond}},
+		// A 10 ms budget pins the target at the clamp of eight, so the
+		// adaptive schedule is the fixed one plus the idle sender.
+		{"adaptive", exporter.Config{TargetSealLatency: 10 * time.Millisecond, BatchSizeMax: 8, MaxBatchAge: time.Millisecond}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sink := &slowSink{delay: 5 * time.Millisecond}
+			c := startCollector(t, sink)
+			cfg := tc.cfg
+			cfg.Addr, cfg.DPID, cfg.QueueBatches = c.Addr().String(), 1, 1
+			x, err := exporter.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x.Start()
+			const n = 600
+			for i := 1; i <= n; i++ {
+				x.Publish(ev(0, i))
+				if i%3 == 0 {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			x.Flush()
+			if abandoned := x.Close(10 * time.Second); abandoned != 0 {
+				t.Fatalf("abandoned %d events", abandoned)
+			}
+			waitFor(t, "every batch applied or declared lost", func() bool {
+				st := c.Stats()
+				return st.Events+st.GapEvents >= n
+			})
+			if st := c.Stats(); st.GapEvents != 0 || st.Deduped != 0 {
+				t.Fatalf("collector booked gaps=%d deduped=%d; blocked seals were enqueued out of sequence order", st.GapEvents, st.Deduped)
+			}
+			evs, losses := sink.snapshot()
+			if len(losses) != 0 {
+				t.Fatalf("sink saw %d loss marks, want none: %+v", len(losses), losses)
+			}
+			if len(evs) != n {
+				t.Fatalf("sink saw %d events, want %d", len(evs), n)
+			}
+			for i, e := range evs {
+				if e.InPort != uint64(i+1) {
+					t.Fatalf("event %d is publish #%d: the sink did not see every sequence once, in order", i+1, e.InPort)
+				}
+			}
+		})
 	}
 }
 

@@ -3,9 +3,10 @@ package exporter
 import "time"
 
 // sealReason classifies what sealed a batch. The distribution is the
-// adaptive controller's observable behavior: a healthy adaptive
-// exporter seals by size under load (the target tracked the rate) and
-// by age under trickle (the SLO bounded the wait).
+// adaptive exporter's observable behavior: a healthy one seals idle
+// while the link keeps up (the sender was free), by size under
+// back-pressure (the target tracked the rate), and by age only while the
+// link is busy or down (the SLO bounded the wait).
 type sealReason uint8
 
 const (
@@ -14,6 +15,7 @@ const (
 	sealFlush                   // explicit Flush
 	sealLoss                    // NoteLoss sealing for sequence contiguity
 	sealClose                   // Close sealing the tail
+	sealIdle                    // an idle sender shipping the open batch
 	sealReasons
 )
 
@@ -29,6 +31,8 @@ func (r sealReason) String() string {
 		return "loss"
 	case sealClose:
 		return "close"
+	case sealIdle:
+		return "idle"
 	}
 	return "unknown"
 }

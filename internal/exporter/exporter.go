@@ -1,8 +1,9 @@
 // Package exporter is the switch-side half of the distributed
 // monitoring fabric: it subscribes to a dataplane switch's event stream
 // (sw.Observe(exp.Publish)), assigns every observation a per-datapath
-// sequence number, batches by count and age, and ships wire.Batch
-// frames to the central collector (internal/collector) over TCP.
+// sequence number, batches by count and age — or, in adaptive mode,
+// whenever the sender is free — and ships wire.Batch frames to the
+// central collector (internal/collector) over TCP.
 //
 // The paper's deployment question — "how much monitoring belongs on the
 // switch?" — gets a concrete answer here: the switch keeps only a
@@ -68,11 +69,13 @@ type Config struct {
 	// TargetSealLatency in adaptive mode).
 	MaxBatchAge time.Duration
 	// TargetSealLatency, when positive, replaces fixed-size sealing with
-	// the adaptive controller (see sealController): batches grow to the
-	// largest size expected to fill within this latency budget at the
-	// observed arrival rate, clamped to [1, BatchSizeMax]. 250µs is a
-	// good starting point: it buys e13-scale batches under load while
-	// keeping trickle-traffic detection latency near per-event shipping.
+	// adaptive sealing: a sender with nothing unsent seals the open batch
+	// itself and ships it, and while the sender is busy batches grow to
+	// the largest size expected to fill within this latency budget at the
+	// observed arrival rate (see sealController), clamped to [1,
+	// BatchSizeMax]. 250µs is a good starting point: it buys e13-scale
+	// batches under back-pressure, while a link that keeps up ships each
+	// batch one goroutine wake after its first event.
 	TargetSealLatency time.Duration
 	// BatchSizeMax bounds the adaptive batch size (default 256).
 	BatchSizeMax int
@@ -196,6 +199,7 @@ type Exporter struct {
 	mu           sync.Mutex
 	space        sync.Cond // queue has room (ShedBlock waiters)
 	sealParked   bool      // a seal holding a detached batch waits on space; see sealLocked
+	senderIdle   bool      // the send loop waits for a kick with nothing to send; see runConn
 	pending      []core.Event
 	pendingFirst uint64
 	pendingBorn  time.Time
@@ -351,6 +355,7 @@ func (x *Exporter) Publish(e core.Event) {
 	if len(x.pending) == 0 {
 		x.pendingFirst = x.nextSeq
 		x.pendingBorn = now
+		x.kickIdleLocked() // an idle sender seals the batch this event opens
 	}
 	x.nextSeq++
 	x.stats.Published++
@@ -782,10 +787,19 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	var ackBuf []byte
 	for {
 		x.mu.Lock()
+		// A free sender does not wait for the open batch to fill or age:
+		// with nothing unsent it seals the batch itself and ships it, so
+		// batches grow only while a write or a full queue holds it back.
+		x.senderIdle = false
+		if x.sentIdx == len(x.queue) && x.idleSealableLocked() {
+			x.sealLocked(sealIdle)
+		}
 		var b *wire.Batch
 		if x.sentIdx < len(x.queue) {
 			b = x.queue[x.sentIdx]
 			x.sentIdx++
+		} else {
+			x.senderIdle = x.ctl != nil
 		}
 		// One cumulative ack per owed kind, at its applied high-water
 		// epoch. A kind this connection did not negotiate stays owed.
@@ -901,6 +915,9 @@ func (x *Exporter) applyAck(ackSeq uint64) {
 			b.Events = nil
 		}
 	}
+	if len(x.pending) > 0 {
+		x.kickIdleLocked() // the freed room lets an idle sender seal the waiting events
+	}
 	x.depthG.Set(int64(len(x.queue)))
 	x.space.Broadcast()
 }
@@ -930,6 +947,24 @@ func (x *Exporter) applyConfigs(k wire.ConfigKind) {
 		x.stats.Configs[k].Admit(cfg.Epoch)
 		cs.ackOwed = true
 		x.mu.Unlock()
+		x.kickSender()
+	}
+}
+
+// idleSealableLocked reports whether the sender may seal the open batch
+// itself (adaptive mode only). The sender must never wait inside
+// sealLocked, for room only its own writes can free: so the queue must
+// have room, and no seal may be parked — sealLocked holds later seals
+// behind a parked one, whose batch then takes the room. Caller holds mu.
+func (x *Exporter) idleSealableLocked() bool {
+	return x.ctl != nil && len(x.pending) > 0 && !x.sealParked && len(x.queue) < x.cfg.QueueBatches
+}
+
+// kickIdleLocked wakes the send loop if it is waiting with nothing to
+// send, so it can seal the open batch. Caller holds mu.
+func (x *Exporter) kickIdleLocked() {
+	if x.senderIdle {
+		x.senderIdle = false
 		x.kickSender()
 	}
 }

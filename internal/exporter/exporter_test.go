@@ -34,6 +34,10 @@ type stubServer struct {
 	// ackFeatures is the feature set the HelloAck grants (the collector
 	// side of the trace negotiation).
 	ackFeatures uint64
+
+	// ackGate, when non-nil, holds each batch's ack until the test sends
+	// a token (or closes the gate).
+	ackGate chan struct{}
 }
 
 func newStubServer(t *testing.T) *stubServer {
@@ -75,6 +79,7 @@ func (s *stubServer) serve(conn net.Conn) {
 	s.hellos = append(s.hellos, h)
 	ack := s.applied
 	features := s.ackFeatures & h.Features
+	gate := s.ackGate
 	s.mu.Unlock()
 	now := time.Now().UnixNano()
 	ha := wire.HelloAck{AckSeq: ack, Features: features, RecvNs: now, SentNs: now}
@@ -105,6 +110,9 @@ func (s *stubServer) serve(conn net.Conn) {
 		if kill {
 			return
 		}
+		if gate != nil {
+			<-gate
+		}
 		if _, err := conn.Write(wire.AppendAck(nil, wire.Ack{AckSeq: ack, SentNs: time.Now().UnixNano()})); err != nil {
 			return
 		}
@@ -115,6 +123,17 @@ func (s *stubServer) snapshot() ([]wire.Hello, []*wire.Batch) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return append([]wire.Hello(nil), s.hellos...), append([]*wire.Batch(nil), s.batches...)
+}
+
+// events counts the events received so far, resends included.
+func (s *stubServer) events() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, b := range s.batches {
+		n += len(b.Events)
+	}
+	return n
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {

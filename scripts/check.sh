@@ -33,6 +33,14 @@ go test ./...
 echo "==> go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/... ./internal/obs/..."
 go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/... ./internal/obs/...
 
+# The exporter's idle seal shares its sender-idle flag between Publish,
+# the send loop and the ack reader, and races parked seals for queue
+# room: ten -race runs of its tests and of the sequence-order regression
+# give the interleavings a chance to show.
+echo "==> go test -race -count=10 (idle seal vs. parked seals)"
+go test -race -count=10 -run 'TestIdleSenderShipsLoneEvent|TestBusySenderStillBatches|TestAckWakesIdleSender' ./internal/exporter/
+go test -race -count=10 -run 'TestBlockedSealsKeepSequenceOrder' ./internal/collector/
+
 # Examples: each must run to a zero exit, and examples/backends (Table 2
 # live: every approach on one violating stream) must print its golden.
 echo "==> examples"
