@@ -6,13 +6,13 @@
 //	e12 detection rate vs injected feed loss: how many ground-truth
 //	    violations survive each drop rate, next to what the soundness
 //	    ledger admits was lost
-//	e13 distributed-fabric throughput vs wire batch size (exporter ->
+//	e13 distributed-fabric throughput vs the wire batch cap (exporter ->
 //	    TCP -> collector), per-event framing as the degenerate case
-//	e14 detection latency vs wire batch size: per-stage and end-to-end
-//	    p50/p99 from traced spans crossing the same fabric
-//	e15 adaptive sealing vs fixed batch sizes: sustained throughput and
-//	    detection latency per config — does one adaptive config reach
-//	    e13's throughput at e14's best-case latency?
+//	e14 detection latency vs the wire batch cap: per-stage and
+//	    end-to-end p50/p99 from traced spans crossing the same fabric
+//	e15 the plain cap vs the cap under the EWMA seal controller:
+//	    sustained throughput and detection latency per config — does
+//	    one config reach e13's throughput at e14's best-case latency?
 //	e17 lifecycle churn soak: repeated live remove/reinstall of one
 //	    property while the sharded engine runs the high-flow steady
 //	    state at full load — per-op fence latency (install and remove
@@ -79,10 +79,16 @@ type benchRow struct {
 	NsPerEvent    float64           `json:"ns_per_event,omitempty"`
 	Extra         map[string]any    `json:"extra,omitempty"`
 	CounterDeltas map[string]uint64 `json:"counter_deltas,omitempty"`
+	Machine       string            `json:"machine,omitempty"`
 }
 
-// writeRows writes one experiment's rows to dir/BENCH_<exp>.json.
+// writeRows writes one experiment's rows to dir/BENCH_<exp>.json, each
+// stamped with the machine that measured it.
 func writeRows(dir, exp string, rows []benchRow) error {
+	machine := fmt.Sprintf("%s/%s, %d CPU, %s", runtime.GOOS, runtime.GOARCH, runtime.NumCPU(), runtime.Version())
+	for i := range rows {
+		rows[i].Machine = machine
+	}
 	f, err := os.Create(filepath.Join(dir, "BENCH_"+exp+".json"))
 	if err != nil {
 		return err
@@ -299,26 +305,25 @@ func spanLatencies(spans []tracer.SpanRecord) (e2e []int64, stages map[string][]
 	return e2e, stages
 }
 
-// sweepE13: distributed-fabric throughput vs. wire batch size. The same
-// event stream goes exporter -> real TCP -> collector at each BatchSize;
-// batch=1 is per-event framing (one frame, one length prefix, one write
-// per event — what a naive exporter would do) and is the baseline the
-// batched rows are compared against. The "count" sink isolates the wire;
+// sweepE13: distributed-fabric throughput vs. the wire batch cap. The
+// same event stream goes exporter -> real TCP -> collector at each
+// BatchSizeMax; a batch seals when it reaches the cap or the sender is
+// free, so the cap is the most a backed-up sender can coalesce. max=1 is
+// per-event framing (one frame, one length prefix, one write per event —
+// what a naive exporter would do) and is the baseline the batched rows
+// are compared against. The "count" sink isolates the wire;
 // the "engine" sink is deployment context, the central sharded monitor
 // evaluating the firewall property on the same stream.
 func sweepE13() []benchRow {
 	var rows []benchRow
-	fmt.Println("E13: fabric throughput vs wire batch size (exporter -> TCP -> collector)")
+	fmt.Println("E13: fabric throughput vs the wire batch cap (exporter -> TCP -> collector)")
 	fmt.Printf("%-8s %-8s %12s %14s %10s %12s %10s\n",
-		"sink", "batch", "ns/event", "events/sec", "batches", "bytes/event", "speedup")
+		"sink", "max", "ns/event", "events/sec", "batches", "bytes/event", "speedup")
 	w := trace.HighFlowWorkload{Flows: 4096, Rounds: 8, ViolationEvery: 1000, Gap: time.Microsecond}
 	for _, sinkKind := range []string{"count", "engine"} {
 		var perEventBaseline float64 // events/sec at batch=1
 		for _, batch := range []int{1, 8, 64, 256, 1024} {
-			// A long MaxBatchAge keeps BatchSize the governing knob; the
-			// trailing partial batch is sealed by Flush.
-			r := runFabric("e13", w, sinkKind == "count", false,
-				exporter.Config{BatchSize: batch, MaxBatchAge: 50 * time.Millisecond}, nil)
+			r := runFabric("e13", w, sinkKind == "count", false, exporter.Config{BatchSizeMax: batch}, nil)
 			ns := float64(r.elapsed.Nanoseconds()) / float64(r.events)
 			evps := float64(r.events) / r.elapsed.Seconds()
 			if batch == 1 {
@@ -330,7 +335,7 @@ func sweepE13() []benchRow {
 				sinkKind, batch, ns, evps, r.stats.Batches, bytesPerEvent, speedup)
 			rows = append(rows, benchRow{
 				Exp:        "e13",
-				Params:     map[string]any{"sink": sinkKind, "batch_size": batch},
+				Params:     map[string]any{"sink": sinkKind, "batch_max": batch},
 				NsPerEvent: ns,
 				Extra: map[string]any{
 					"events":               r.events,
@@ -346,29 +351,28 @@ func sweepE13() []benchRow {
 	return rows
 }
 
-// sweepE14: detection latency vs. wire batch size. Every event carries
-// a span through the same exporter -> TCP -> collector -> sharded-engine
-// fabric as e13, but the publisher is paced well below the fabric's
-// capacity (e13 measured ~87k events/s at batch=1) so the percentiles
-// measure the pipeline — batch fill/age wait, wire flight, shard
+// sweepE14: detection latency vs. the wire batch cap. Every event
+// carries a span through the same exporter -> TCP -> collector ->
+// sharded-engine fabric as e13, but the publisher is paced well below
+// the fabric's capacity (e13 measured ~87k events/s at max=1) so the
+// percentiles measure the pipeline — batch fill wait, wire flight, shard
 // dispatch, verdict — rather than queue saturation. The claim under
-// test: batching buys wire throughput (e13) at the price of detection
-// latency, with the batch-seal wait as the moving part; at large
-// batches the MaxBatchAge deadline caps the wait, so latency plateaus
-// near the age bound instead of growing without limit.
+// test: because a free sender seals the open batch itself, a larger cap
+// costs no detection latency — the seal wait is bounded by the sender's
+// own send, not by the cap, so latency stays flat from the smallest cap
+// to the largest.
 func sweepE14() []benchRow {
 	var rows []benchRow
-	fmt.Println("E14: detection latency vs wire batch size (traced spans, exporter -> TCP -> collector)")
+	fmt.Println("E14: detection latency vs the wire batch cap (traced spans, exporter -> TCP -> collector)")
 	fmt.Printf("%-8s %-8s %12s %12s %12s %12s %12s\n",
-		"batch", "spans", "e2e_p50", "e2e_p99", "seal_p50", "recv_p50", "verdict_p50")
+		"max", "spans", "e2e_p50", "e2e_p99", "seal_p50", "recv_p50", "verdict_p50")
 	const (
 		pace = 32               // events per paced burst
 		gap  = time.Millisecond // sleep between bursts: ~32k events/s
-		age  = 5 * time.Millisecond
 	)
 	w := trace.HighFlowWorkload{Flows: 2048, Rounds: 2, Gap: time.Microsecond}
 	for _, batch := range []int{1, 8, 64, 256} {
-		r := runFabric("e14", w, false, true, exporter.Config{BatchSize: batch, MaxBatchAge: age}, func(i int) {
+		r := runFabric("e14", w, false, true, exporter.Config{BatchSizeMax: batch}, func(i int) {
 			if i > 0 && i%pace == 0 {
 				time.Sleep(gap)
 			}
@@ -387,11 +391,8 @@ func sweepE14() []benchRow {
 			pctNs(stageVals["collector_recv"], 0.50),
 			pctNs(stageVals["verdict"], 0.50))
 		rows = append(rows, benchRow{
-			Exp: "e14",
-			Params: map[string]any{
-				"batch_size": batch, "sample_n": 1,
-				"max_batch_age_ms": age.Milliseconds(),
-			},
+			Exp:        "e14",
+			Params:     map[string]any{"batch_max": batch, "sample_n": 1},
 			NsPerEvent: float64(e2eP50),
 			Extra: map[string]any{
 				"spans":        len(r.spans),
@@ -407,14 +408,15 @@ func sweepE14() []benchRow {
 }
 
 // sweepE15: the latency/throughput frontier with one config. e13 shows
-// sustained fabric throughput needs big batches; e14 shows detection
-// latency needs small ones. Each config here is measured both ways —
-// an unpaced blast for throughput, then a steadily paced fully-traced
-// stream for latency percentiles — so the row answers whether the
-// adaptive controller (switchmon -export defaults: -batch-slo 250µs,
-// -batch-max 256) reaches the fixed sweep's best throughput and its
-// best-case latency simultaneously, where every fixed size gets only
-// one side of the frontier.
+// sustained fabric throughput needs big batches; e14 asks whether
+// detection latency still needs small ones. Each config here is measured
+// both ways — an unpaced blast for throughput, then a steadily paced
+// fully-traced stream for latency percentiles — with the same config in
+// both phases. The rows compare the plain cap (cap/N: BatchSizeMax N, no
+// seal controller) with the cap under the EWMA controller (ewma:
+// switchmon -export's defaults, -batch-slo 250µs and -batch-max 256):
+// the controller is worth keeping only if some row shows it buying what
+// a plain cap does not.
 //
 // The latency phase paces the publisher to a steady per-event gap with
 // time.Sleep — sleeping, not spinning, so on small machines (CI runs
@@ -424,15 +426,11 @@ func sweepE14() []benchRow {
 // (reported in the row) is the measurement's rate, not the nominal one.
 func sweepE15() []benchRow {
 	var rows []benchRow
-	fmt.Println("E15: adaptive sealing vs fixed batch size: throughput and detection latency, one config")
+	fmt.Println("E15: the plain batch cap vs the cap under the EWMA seal controller: throughput and detection latency, one config")
 	fmt.Printf("%-12s %14s %12s %12s %12s %12s %12s\n",
 		"config", "events/sec", "ns/event", "e2e_p50", "e2e_p99", "seal_p50", "pace_gap")
 
-	const (
-		slo     = 250 * time.Microsecond
-		maxB    = 256
-		paceGap = 25 * time.Microsecond // steady ~40k events/s for the latency phase
-	)
+	const paceGap = 25 * time.Microsecond // steady ~40k events/s for the latency phase
 	tw := trace.HighFlowWorkload{Flows: 4096, Rounds: 8, ViolationEvery: 1000, Gap: time.Microsecond}
 	lw := trace.HighFlowWorkload{Flows: 2048, Rounds: 2, Gap: time.Microsecond}
 	if smoke {
@@ -440,39 +438,30 @@ func sweepE15() []benchRow {
 		lw.Flows = 256
 	}
 
-	type config struct {
+	configs := []struct {
 		label string
-		batch int // 0 = adaptive
+		xc    exporter.Config
+	}{
+		{"cap/8", exporter.Config{BatchSizeMax: 8}},
+		{"cap/64", exporter.Config{BatchSizeMax: 64}},
+		{"cap/256", exporter.Config{BatchSizeMax: 256}},
+		{"ewma", exporter.Config{TargetSealLatency: 250 * time.Microsecond, BatchSizeMax: 256}},
 	}
-	configs := []config{{"fixed/8", 8}, {"fixed/64", 64}, {"fixed/256", 256}, {"adaptive", 0}}
 	for _, c := range configs {
-		// Throughput phase: fixed configs get e13's long age bound so
-		// BatchSize governs; the adaptive config is identical in both
-		// phases — that is the claim under test.
-		txc := exporter.Config{TargetSealLatency: slo, BatchSizeMax: maxB}
-		lxc := txc
-		if c.batch > 0 {
-			txc = exporter.Config{BatchSize: c.batch, MaxBatchAge: 50 * time.Millisecond}
-			// Latency phase: e14's age bound, so a partial batch cannot
-			// strand a verdict for 50ms.
-			lxc = exporter.Config{BatchSize: c.batch, MaxBatchAge: 5 * time.Millisecond}
-		}
-		t := runFabric("e15", tw, false, false, txc, nil)
-		l := runFabric("e15", lw, false, true, lxc, func(int) { time.Sleep(paceGap) })
+		t := runFabric("e15", tw, false, false, c.xc, nil)
+		l := runFabric("e15", lw, false, true, c.xc, func(int) { time.Sleep(paceGap) })
 		evps := float64(t.events) / t.elapsed.Seconds()
 		ns := float64(t.elapsed.Nanoseconds()) / float64(t.events)
 		e2e, stages := spanLatencies(l.spans)
 		p50, p99, sealP50 := pctNs(e2e, 0.50), pctNs(e2e, 0.99), pctNs(stages["batch_seal"], 0.50)
 		realized := l.publish / time.Duration(l.events)
 		fmt.Printf("%-12s %14.0f %12.0f %12d %12d %12d %12s\n", c.label, evps, ns, p50, p99, sealP50, realized)
-		params := map[string]any{"config": c.label, "batch_size": c.batch}
-		if c.batch == 0 {
-			params["slo_us"] = slo.Microseconds()
-			params["batch_max"] = maxB
-		}
 		rows = append(rows, benchRow{
-			Exp:        "e15",
-			Params:     params,
+			Exp: "e15",
+			Params: map[string]any{
+				"config": c.label, "batch_max": c.xc.BatchSizeMax,
+				"slo_us": c.xc.TargetSealLatency.Microseconds(),
+			},
 			NsPerEvent: ns,
 			Extra: map[string]any{
 				"events_per_sec":  evps,

@@ -86,7 +86,7 @@ func TestTwoExportersMergeLosslessly(t *testing.T) {
 	c := startCollector(t, sink)
 	var exps []*exporter.Exporter
 	for dpid := uint64(1); dpid <= 2; dpid++ {
-		x, err := exporter.New(exporter.Config{Addr: c.Addr().String(), DPID: dpid, BatchSize: 8})
+		x, err := exporter.New(exporter.Config{Addr: c.Addr().String(), DPID: dpid, BatchSizeMax: 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestTwoExportersMergeLosslessly(t *testing.T) {
 func TestSequenceGapMarksWireLoss(t *testing.T) {
 	sink := &recSink{}
 	c := startCollector(t, sink)
-	x, err := exporter.New(exporter.Config{Addr: c.Addr().String(), DPID: 9, BatchSize: 64})
+	x, err := exporter.New(exporter.Config{Addr: c.Addr().String(), DPID: 9, BatchSizeMax: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,27 +366,25 @@ func (s *slowSink) SubmitBatch(evs []core.Event, release func()) error {
 }
 
 // TestBlockedSealsKeepSequenceOrder is the regression for seals
-// overtaking each other at a full ShedBlock queue: an age seal that has
-// detached its batch parks for room, the publisher fills and seals the
-// next batch behind it, and whichever wakes first enqueues first — a later
-// FirstSeq sent ahead of an earlier one reads at the collector as a gap
+// overtaking each other at a full ShedBlock queue: a seal that has
+// detached its batch parks for room, and a later seal enqueued ahead of
+// it would send a later FirstSeq first — read at the collector as a gap
 // (the earlier events declared lost) followed by a replay (the same
-// events dropped as duplicates). The schedule puts two seals at the queue
-// on every cycle: the one-batch queue stays full for the 5 ms the sink
-// holds each batch, the publisher trickles three events per millisecond
-// so its partial batch ages out (1 ms) and the flusher parks with it, and
-// the publisher then fills the next batch of eight and parks behind. The
-// adaptive case adds the idle sender: every ack that frees the slot wakes
-// it with events waiting, racing the parked seal for the room.
+// events dropped as duplicates). The schedule keeps the one-batch queue
+// full for the 5 ms the sink holds each batch while the publisher
+// trickles three events per millisecond, so its size seals park for the
+// slot, and every ack that frees the slot wakes the idle sender with
+// events waiting, racing the parked seal for the room. Both rows run the
+// one sealing rule: "cap" on a plain cap of eight, "adaptive" with the
+// seal controller on.
 func TestBlockedSealsKeepSequenceOrder(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  exporter.Config
 	}{
-		{"fixed", exporter.Config{BatchSize: 8, MaxBatchAge: time.Millisecond}},
-		// A 10 ms budget pins the target at the clamp of eight, so the
-		// adaptive schedule is the fixed one plus the idle sender.
-		{"adaptive", exporter.Config{TargetSealLatency: 10 * time.Millisecond, BatchSizeMax: 8, MaxBatchAge: time.Millisecond}},
+		{"cap", exporter.Config{BatchSizeMax: 8}},
+		// A 10 ms budget pins the controller's target at the cap of eight.
+		{"adaptive", exporter.Config{TargetSealLatency: 10 * time.Millisecond, BatchSizeMax: 8}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sink := &slowSink{delay: 5 * time.Millisecond}

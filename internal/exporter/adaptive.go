@@ -3,15 +3,13 @@ package exporter
 import "time"
 
 // sealReason classifies what sealed a batch. The distribution is the
-// adaptive exporter's observable behavior: a healthy one seals idle
-// while the link keeps up (the sender was free), by size under
-// back-pressure (the target tracked the rate), and by age only while the
-// link is busy or down (the SLO bounded the wait).
+// exporter's observable behavior: a healthy one seals idle while the
+// link keeps up (the sender was free) and by size under back-pressure
+// or while the link is down (the batch reached its target).
 type sealReason uint8
 
 const (
 	sealSize  sealReason = iota // pending reached the batch target
-	sealAge                     // pending exceeded MaxBatchAge / the SLO
 	sealFlush                   // explicit Flush
 	sealLoss                    // NoteLoss sealing for sequence contiguity
 	sealClose                   // Close sealing the tail
@@ -23,8 +21,6 @@ func (r sealReason) String() string {
 	switch r {
 	case sealSize:
 		return "size"
-	case sealAge:
-		return "age"
 	case sealFlush:
 		return "flush"
 	case sealLoss:

@@ -11,9 +11,9 @@ import (
 )
 
 // newFakeClockExporter builds an exporter with an injected clock and a
-// dial stub, and never calls Start — no sender, no flusher, no real
-// time anywhere, so every controller decision is a pure function of the
-// published timestamps.
+// dial stub, and never calls Start — no sender, no real time anywhere,
+// so every controller decision is a pure function of the published
+// timestamps.
 func newFakeClockExporter(t *testing.T, clock *time.Time, cfg Config) *Exporter {
 	t.Helper()
 	cfg.Dial = func() (net.Conn, error) { return nil, fmt.Errorf("no network in fake-clock tests") }
@@ -85,20 +85,17 @@ func TestAdaptiveBatchSizeTrajectory(t *testing.T) {
 	}
 
 	// Back to trickle. The target is still burst-sized, so single events
-	// never reach it; the age seal (driven by hand — there is no flusher
-	// goroutine without Start) ships each as a singleton within the SLO,
-	// and its reseal collapses the target: the EWMA's 1/8 gain recovers
-	// in one step, the first 1ms gap (clamped to 4×SLO) dragging the
-	// estimate to ~126µs and the target back to 1.
+	// never reach it; the idle seal (driven by hand — there is no sender
+	// goroutine without Start) ships each as a singleton, and its reseal
+	// collapses the target: the EWMA's 1/8 gain recovers in one step, the
+	// first 1ms gap (clamped to 4×SLO) dragging the estimate to ~126µs
+	// and the target back to 1.
 	x.Flush()
 	for i := 0; i < 50; i++ {
 		clock = clock.Add(time.Millisecond)
 		x.Publish(core.Event{Kind: core.KindArrival, Time: clock})
-		clock = clock.Add(x.cfg.MaxBatchAge)
 		x.mu.Lock()
-		if len(x.pending) > 0 && x.cfg.Now().Sub(x.pendingBorn) >= x.cfg.MaxBatchAge {
-			x.sealLocked(sealAge)
-		}
+		x.sealLocked(sealIdle)
 		size := len(x.queue[len(x.queue)-1].Events)
 		x.mu.Unlock()
 		if size != 1 {
@@ -134,21 +131,20 @@ func TestAdaptiveIdleClampsGap(t *testing.T) {
 	}
 }
 
-// Fixed-size configs must not be affected by the controller: target is
-// BatchSize, seals happen at BatchSize, and TargetSealLatency zero
-// means no controller at all.
-func TestFixedSizeSealingUnchanged(t *testing.T) {
+// TargetSealLatency zero means no controller at all: the target is
+// BatchSizeMax, and a publisher with no sender seals at it.
+func TestCapSealsWithoutController(t *testing.T) {
 	clock := sim.Epoch
-	x := newFakeClockExporter(t, &clock, Config{BatchSize: 4})
+	x := newFakeClockExporter(t, &clock, Config{BatchSizeMax: 4})
 	if x.ctl != nil {
-		t.Fatal("fixed-size config built a seal controller")
+		t.Fatal("a config without TargetSealLatency built a seal controller")
 	}
 	sizes := publishN(x, &clock, 8, time.Microsecond)
 	if len(sizes) != 2 || sizes[0] != 4 || sizes[1] != 4 {
-		t.Fatalf("fixed-size seals = %v, want [4 4]", sizes)
+		t.Fatalf("cap seals = %v, want [4 4]", sizes)
 	}
 	if got := x.Stats().BatchTarget; got != 4 {
-		t.Fatalf("fixed target = %d, want BatchSize 4", got)
+		t.Fatalf("cap target = %d, want BatchSizeMax 4", got)
 	}
 }
 
@@ -158,8 +154,10 @@ func TestAdaptiveConfigValidation(t *testing.T) {
 	if _, err := New(Config{Dial: dial, TargetSealLatency: -time.Millisecond}); err == nil {
 		t.Fatal("negative TargetSealLatency accepted")
 	}
-	if _, err := New(Config{Dial: dial, TargetSealLatency: time.Millisecond, BatchSizeMax: -8}); err == nil {
-		t.Fatal("negative BatchSizeMax accepted")
+	for _, slo := range []time.Duration{0, time.Millisecond} {
+		if _, err := New(Config{Dial: dial, TargetSealLatency: slo, BatchSizeMax: -8}); err == nil {
+			t.Fatalf("negative BatchSizeMax accepted with TargetSealLatency %v", slo)
+		}
 	}
 }
 
@@ -186,45 +184,5 @@ func TestSendNsEvictedPastHorizon(t *testing.T) {
 	}
 	if _, ok := x.sendNs[30]; !ok {
 		t.Fatal("fresh entry 30 was evicted")
-	}
-}
-
-// The age seal is what bounds latency when a burst ends mid-batch: the
-// controller sized the batch for the burst, the burst dried up, and the
-// flusher must ship the partial batch once it exceeds MaxBatchAge
-// (defaulted to the SLO in adaptive mode).
-func TestAdaptiveAgeSealBridgesBurstEnd(t *testing.T) {
-	const slo = 250 * time.Microsecond
-	clock := sim.Epoch
-	x := newFakeClockExporter(t, &clock, Config{TargetSealLatency: slo, BatchSizeMax: 256})
-	publishN(x, &clock, 2048, time.Microsecond) // establish a big target
-	x.Flush()
-	target := x.Stats().BatchTarget
-	if target < 100 {
-		t.Fatalf("burst target = %d, want ≥ 100", target)
-	}
-
-	// A lone event arrives, then silence. Without Start() we drive the
-	// flusher's check by hand, as the ticker would.
-	clock = clock.Add(time.Microsecond)
-	x.Publish(core.Event{Kind: core.KindArrival, Time: clock})
-	x.mu.Lock()
-	pending := len(x.pending)
-	x.mu.Unlock()
-	if pending != 1 {
-		t.Fatalf("pending = %d, want 1 (target %d should not have sealed)", pending, target)
-	}
-	clock = clock.Add(x.cfg.MaxBatchAge)
-	x.mu.Lock()
-	if len(x.pending) > 0 && x.cfg.Now().Sub(x.pendingBorn) >= x.cfg.MaxBatchAge {
-		x.sealLocked(sealAge)
-	}
-	sealed := len(x.queue) > 0 && len(x.queue[len(x.queue)-1].Events) == 1
-	x.mu.Unlock()
-	if !sealed {
-		t.Fatal("age seal did not ship the stranded partial batch")
-	}
-	if x.cfg.MaxBatchAge != slo {
-		t.Fatalf("adaptive MaxBatchAge = %v, want the SLO %v", x.cfg.MaxBatchAge, slo)
 	}
 }

@@ -1,9 +1,9 @@
 // Package exporter is the switch-side half of the distributed
 // monitoring fabric: it subscribes to a dataplane switch's event stream
 // (sw.Observe(exp.Publish)), assigns every observation a per-datapath
-// sequence number, batches by count and age — or, in adaptive mode,
-// whenever the sender is free — and ships wire.Batch frames to the
-// central collector (internal/collector) over TCP.
+// sequence number, seals a batch whenever the sender is free or the
+// batch is full, and ships wire.Batch frames to the central collector
+// (internal/collector) over TCP.
 //
 // The paper's deployment question — "how much monitoring belongs on the
 // switch?" — gets a concrete answer here: the switch keeps only a
@@ -60,28 +60,21 @@ type Config struct {
 	// DPID is the datapath id announced in the Hello handshake. Events
 	// published with SwitchID zero are stamped with it.
 	DPID uint64
-	// BatchSize seals a batch when it reaches this many events
-	// (default 128). Ignored when TargetSealLatency enables adaptive
-	// sealing, which picks the size itself.
-	BatchSize int
-	// MaxBatchAge seals a non-empty batch this long after its first
-	// event, bounding added detection latency (default 5ms; defaults to
-	// TargetSealLatency in adaptive mode).
-	MaxBatchAge time.Duration
-	// TargetSealLatency, when positive, replaces fixed-size sealing with
-	// adaptive sealing: a sender with nothing unsent seals the open batch
-	// itself and ships it, and while the sender is busy batches grow to
-	// the largest size expected to fill within this latency budget at the
-	// observed arrival rate (see sealController), clamped to [1,
-	// BatchSizeMax]. 250µs is a good starting point: it buys e13-scale
-	// batches under back-pressure, while a link that keeps up ships each
-	// batch one goroutine wake after its first event.
+	// TargetSealLatency, when positive, lets a seal controller lower the
+	// batch target below BatchSizeMax: the largest size expected to fill
+	// within this latency budget at the observed arrival rate (see
+	// sealController), clamped to [1, BatchSizeMax]. Zero runs without the
+	// controller, on the plain cap. Either way a sender with nothing
+	// unsent seals the open batch itself and ships it, so batches grow
+	// only while a write or a full queue holds the sender back.
 	TargetSealLatency time.Duration
-	// BatchSizeMax bounds the adaptive batch size (default 256).
+	// BatchSizeMax caps every batch (default 256): a batch that reaches
+	// the target seals, and the target never exceeds this cap.
 	BatchSizeMax int
-	// Now overrides the clock used for batch aging and arrival-rate
-	// estimation (default time.Now). Tests inject a fake clock to pin
-	// controller trajectories deterministically.
+	// Now overrides the clock the seal controller reads its arrival gaps
+	// from (default time.Now); without a controller it is never read.
+	// Tests inject a fake clock to pin controller trajectories
+	// deterministically.
 	Now func() time.Time
 	// QueueBatches bounds the send queue, counting both unsent batches
 	// and sent batches awaiting ack (default 64).
@@ -117,32 +110,12 @@ type Config struct {
 	Dial func() (net.Conn, error)
 }
 
-// adaptive reports whether the config enables the seal controller.
-func (cfg *Config) adaptive() bool { return cfg.TargetSealLatency > 0 }
-
 func (cfg *Config) fillDefaults() {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	if cfg.adaptive() {
-		if cfg.BatchSizeMax <= 0 {
-			cfg.BatchSizeMax = 256
-		}
-		// BatchSize becomes the pending slab's capacity hint; the
-		// controller owns the seal decision.
-		cfg.BatchSize = cfg.BatchSizeMax
-		if cfg.MaxBatchAge <= 0 {
-			// The SLO doubles as the age bound: a batch the controller
-			// sized optimistically for a burst that then dried up still
-			// ships within the latency budget.
-			cfg.MaxBatchAge = cfg.TargetSealLatency
-		}
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 128
-	}
-	if cfg.MaxBatchAge <= 0 {
-		cfg.MaxBatchAge = 5 * time.Millisecond
+	if cfg.BatchSizeMax <= 0 {
+		cfg.BatchSizeMax = 256
 	}
 	if cfg.QueueBatches <= 0 {
 		cfg.QueueBatches = 64
@@ -184,8 +157,8 @@ type Stats struct {
 	// Configs is the applied high-water mark per config kind, indexed by
 	// wire.ConfigKind: counted when the handler returns.
 	Configs [wire.NumConfigKinds]wire.HighWater
-	// BatchTarget is the current batch-size target: the adaptive
-	// controller's pick, or the fixed BatchSize.
+	// BatchTarget is the current batch-size target: the seal
+	// controller's pick, or BatchSizeMax.
 	BatchTarget int
 }
 
@@ -202,7 +175,6 @@ type Exporter struct {
 	senderIdle   bool      // the send loop waits for a kick with nothing to send; see runConn
 	pending      []core.Event
 	pendingFirst uint64
-	pendingBorn  time.Time
 	nextSeq      uint64
 	queue        []*wire.Batch
 	sentIdx      int // queue[:sentIdx] sent awaiting ack; rest unsent
@@ -225,7 +197,7 @@ type Exporter struct {
 	clock  *tracer.ClockEstimator
 	sendNs map[uint64]int64 // batch LastSeq → local send ns (ack clock pairing)
 
-	// ctl is the adaptive seal controller, nil in fixed-size mode.
+	// ctl is the seal controller, nil when TargetSealLatency is zero.
 	// Guarded by mu.
 	ctl *sealController
 	// freeEvs recycles acked batches' event slabs back into x.pending,
@@ -262,7 +234,7 @@ func New(cfg Config) (*Exporter, error) {
 	if cfg.TargetSealLatency < 0 {
 		return nil, fmt.Errorf("exporter: TargetSealLatency %v must be positive", cfg.TargetSealLatency)
 	}
-	if cfg.adaptive() && cfg.BatchSizeMax < 0 {
+	if cfg.BatchSizeMax < 0 {
 		return nil, fmt.Errorf("exporter: BatchSizeMax %d must be at least 1", cfg.BatchSizeMax)
 	}
 	cfg.fillDefaults()
@@ -292,14 +264,14 @@ func New(cfg Config) (*Exporter, error) {
 		x.bytesC = reg.Counter("switchmon_exporter_bytes_sent_total", "encoded frame bytes written", dp, col)
 		x.reconnectsC = reg.Counter("switchmon_exporter_reconnects_total", "connections established after the first", dp, col)
 		x.depthG = reg.Gauge("switchmon_exporter_queue_depth", "queued batches (sent-unacked plus unsent)", dp, col)
-		x.targetG = reg.Gauge("switchmon_exporter_batch_target", "current batch-size target (adaptive pick, or fixed BatchSize)", dp, col)
+		x.targetG = reg.Gauge("switchmon_exporter_batch_target", "current batch-size target (EWMA pick, or BatchSizeMax)", dp, col)
 		x.rateG = reg.Gauge("switchmon_exporter_arrival_rate_eps", "estimated event arrival rate, events/sec (EWMA)", dp, col)
 		for r := sealReason(0); r < sealReasons; r++ {
 			x.sealsC[r] = reg.Counter("switchmon_exporter_batch_seals_total",
 				"batches sealed, by what sealed them", dp, col, obs.L("reason", r.String()))
 		}
 	}
-	if cfg.adaptive() {
+	if cfg.TargetSealLatency > 0 {
 		x.ctl = newSealController(cfg.TargetSealLatency, cfg.BatchSizeMax)
 	}
 	x.targetG.Set(int64(x.batchTargetLocked()))
@@ -308,13 +280,13 @@ func New(cfg Config) (*Exporter, error) {
 }
 
 // batchTargetLocked is the current seal threshold: the controller's
-// target in adaptive mode, the fixed BatchSize otherwise. Caller holds
-// mu (or is still constructing x).
+// target, or BatchSizeMax without one. Caller holds mu (or is still
+// constructing x).
 func (x *Exporter) batchTargetLocked() int {
 	if x.ctl != nil {
 		return x.ctl.target
 	}
-	return x.cfg.BatchSize
+	return x.cfg.BatchSizeMax
 }
 
 // Clock exposes the exporter's collector-clock offset estimator (fed
@@ -328,10 +300,9 @@ func (x *Exporter) Clock() *tracer.ClockEstimator { return x.clock }
 // lost n events since t" on exit and over /healthz.
 func (x *Exporter) Ledger() *core.Ledger { return x.ledger }
 
-// Start launches the sender and the age-based flusher.
+// Start launches the sender.
 func (x *Exporter) Start() {
 	go x.senderLoop()
-	go x.flushLoop()
 }
 
 // Publish accepts one event, stamping SwitchID with the configured DPID
@@ -348,13 +319,11 @@ func (x *Exporter) Publish(e core.Event) {
 	if e.SwitchID == 0 {
 		e.SwitchID = x.cfg.DPID
 	}
-	now := x.cfg.Now()
 	if x.ctl != nil {
-		x.ctl.observe(now.UnixNano())
+		x.ctl.observe(x.cfg.Now().UnixNano())
 	}
 	if len(x.pending) == 0 {
 		x.pendingFirst = x.nextSeq
-		x.pendingBorn = now
 		x.kickIdleLocked() // an idle sender seals the batch this event opens
 	}
 	x.nextSeq++
@@ -389,8 +358,8 @@ func (x *Exporter) NoteLoss(n uint64) {
 	x.advanceLocked(x.nextSeq)
 }
 
-// Flush seals the pending batch immediately, without waiting for
-// BatchSize or MaxBatchAge.
+// Flush seals the pending batch immediately, without waiting for it to
+// reach its target or for the sender to be free.
 func (x *Exporter) Flush() {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -398,13 +367,13 @@ func (x *Exporter) Flush() {
 }
 
 // sealLocked moves the pending events into the bounded queue, applying
-// the shed policy on overflow, and — in adaptive mode — retunes the
-// batch-size target for the next batch. Caller holds mu.
+// the shed policy on overflow, and — with a seal controller — retunes
+// the batch-size target for the next batch. Caller holds mu.
 func (x *Exporter) sealLocked(reason sealReason) {
 	// One blocked seal at a time. A seal that parks for queue room (below)
 	// has detached its batch and dropped mu; a second seal — the
-	// publisher's next size seal, the age flusher — parked behind it with
-	// a later batch could be woken first and enqueue a later FirstSeq
+	// publisher's next size seal, a Flush or a Drain — parked behind it
+	// with a later batch could be woken first and enqueue a later FirstSeq
 	// ahead of an earlier one, which the collector books as a gap and then
 	// drops as a replay. Later seals therefore wait here, with their events
 	// still in pending, until the parked one is through.
@@ -429,7 +398,7 @@ func (x *Exporter) sealLocked(reason sealReason) {
 		x.pending = x.freeEvs[n-1]
 		x.freeEvs = x.freeEvs[:n-1]
 	} else {
-		x.pending = make([]core.Event, 0, x.cfg.BatchSize)
+		x.pending = make([]core.Event, 0, x.cfg.BatchSizeMax)
 	}
 	for len(x.queue) >= x.cfg.QueueBatches && !x.closed {
 		if x.cfg.Shed == core.ShedDropNewest {
@@ -591,35 +560,6 @@ func (x *Exporter) shutdown(drainTimeout time.Duration, extract bool) (uint64, [
 	x.mu.Unlock()
 	<-x.done
 	return abandoned, extracted
-}
-
-// flushLoop seals pending batches that exceed MaxBatchAge.
-func (x *Exporter) flushLoop() {
-	interval := x.cfg.MaxBatchAge / 4
-	// The fixed-size floor of 1ms is too coarse for an adaptive SLO in
-	// the hundreds of microseconds; there the flusher spins at 100µs so
-	// the age seal lands within ~¼ SLO of its deadline.
-	floor := time.Millisecond
-	if x.cfg.adaptive() {
-		floor = 100 * time.Microsecond
-	}
-	if interval < floor {
-		interval = floor
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-x.closeCh:
-			return
-		case <-t.C:
-			x.mu.Lock()
-			if len(x.pending) > 0 && x.cfg.Now().Sub(x.pendingBorn) >= x.cfg.MaxBatchAge {
-				x.sealLocked(sealAge)
-			}
-			x.mu.Unlock()
-		}
-	}
 }
 
 // senderLoop owns the connection: dial with jittered exponential
@@ -787,8 +727,8 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	var ackBuf []byte
 	for {
 		x.mu.Lock()
-		// A free sender does not wait for the open batch to fill or age:
-		// with nothing unsent it seals the batch itself and ships it, so
+		// A free sender does not wait for the open batch to fill: with
+		// nothing unsent it seals the batch itself and ships it, so
 		// batches grow only while a write or a full queue holds it back.
 		x.senderIdle = false
 		if x.sentIdx == len(x.queue) && x.idleSealableLocked() {
@@ -799,7 +739,7 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 			b = x.queue[x.sentIdx]
 			x.sentIdx++
 		} else {
-			x.senderIdle = x.ctl != nil
+			x.senderIdle = true
 		}
 		// One cumulative ack per owed kind, at its applied high-water
 		// epoch. A kind this connection did not negotiate stays owed.
@@ -952,12 +892,12 @@ func (x *Exporter) applyConfigs(k wire.ConfigKind) {
 }
 
 // idleSealableLocked reports whether the sender may seal the open batch
-// itself (adaptive mode only). The sender must never wait inside
-// sealLocked, for room only its own writes can free: so the queue must
-// have room, and no seal may be parked — sealLocked holds later seals
-// behind a parked one, whose batch then takes the room. Caller holds mu.
+// itself. The sender must never wait inside sealLocked, for room only
+// its own writes can free: so the queue must have room, and no seal may
+// be parked — sealLocked holds later seals behind a parked one, whose
+// batch then takes the room. Caller holds mu.
 func (x *Exporter) idleSealableLocked() bool {
-	return x.ctl != nil && len(x.pending) > 0 && !x.sealParked && len(x.queue) < x.cfg.QueueBatches
+	return len(x.pending) > 0 && !x.sealParked && len(x.queue) < x.cfg.QueueBatches
 }
 
 // kickIdleLocked wakes the send loop if it is waiting with nothing to

@@ -149,7 +149,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestDeliveryAndDrain(t *testing.T) {
 	srv := newStubServer(t)
-	x, err := New(Config{Addr: srv.addr(), DPID: 7, BatchSize: 8, MaxBatchAge: 2 * time.Millisecond})
+	x, err := New(Config{Addr: srv.addr(), DPID: 7, BatchSizeMax: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDeliveryAndDrain(t *testing.T) {
 func TestReconnectReplaysUnacked(t *testing.T) {
 	srv := newStubServer(t)
 	srv.killAfterBatches = 1 // first connection dies holding one unacked batch
-	x, err := New(Config{Addr: srv.addr(), DPID: 1, BatchSize: 4, BackoffMin: time.Millisecond})
+	x, err := New(Config{Addr: srv.addr(), DPID: 1, BatchSizeMax: 4, BackoffMin: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestReconnectReplaysUnacked(t *testing.T) {
 func TestShedDropNewestRecordsWireLoss(t *testing.T) {
 	// No server at all: the queue fills and the policy sheds.
 	x, err := New(Config{
-		Addr: "127.0.0.1:1", DPID: 2, BatchSize: 1, QueueBatches: 2,
+		Addr: "127.0.0.1:1", DPID: 2, BatchSizeMax: 1, QueueBatches: 2,
 		Shed: core.ShedDropNewest, BackoffMin: 10 * time.Millisecond,
 		DialTimeout: 10 * time.Millisecond,
 	})
@@ -263,7 +263,7 @@ func TestShedDropNewestRecordsWireLoss(t *testing.T) {
 
 func TestNoteLossCreatesSequenceGap(t *testing.T) {
 	srv := newStubServer(t)
-	x, err := New(Config{Addr: srv.addr(), DPID: 3, BatchSize: 64})
+	x, err := New(Config{Addr: srv.addr(), DPID: 3, BatchSizeMax: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestNoteLossCreatesSequenceGap(t *testing.T) {
 
 func TestCloseAbandonsUndeliverable(t *testing.T) {
 	x, err := New(Config{
-		Addr: "127.0.0.1:1", DPID: 4, BatchSize: 1,
+		Addr: "127.0.0.1:1", DPID: 4, BatchSizeMax: 1,
 		BackoffMin: 5 * time.Millisecond, DialTimeout: 5 * time.Millisecond,
 	})
 	if err != nil {

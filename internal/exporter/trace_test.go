@@ -21,12 +21,13 @@ func TestReconnectReplayWithTracing(t *testing.T) {
 	srv.killAfterBatches = 1
 
 	tr := tracer.New(tracer.Config{SampleN: 1})
-	x, err := New(Config{Addr: srv.addr(), DPID: 1, BatchSize: 4, BackoffMin: time.Millisecond, Tracer: tr})
+	x, err := New(Config{Addr: srv.addr(), DPID: 1, BatchSizeMax: 4, BackoffMin: time.Millisecond, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
-	x.Start()
 
+	// Published before Start, the four events reach the cap and seal as
+	// one batch; a sender already running could idle-seal the first alone.
 	const n = 4
 	spans := make([]*tracer.Span, 0, n)
 	for i := 1; i <= n; i++ {
@@ -42,6 +43,7 @@ func TestReconnectReplayWithTracing(t *testing.T) {
 		spans = append(spans, sp)
 		x.Publish(e)
 	}
+	x.Start()
 
 	waitFor(t, "first (killed) batch", func() bool { _, b := srv.snapshot(); return len(b) >= 1 })
 	// Snapshot the switch-stage marks as of the first send.
@@ -114,7 +116,7 @@ func TestReconnectReplayWithTracing(t *testing.T) {
 func TestShedWithTracingMarksExactLoss(t *testing.T) {
 	tr := tracer.New(tracer.Config{SampleN: 1})
 	x, err := New(Config{
-		Addr: "127.0.0.1:1", DPID: 2, BatchSize: 1, QueueBatches: 2,
+		Addr: "127.0.0.1:1", DPID: 2, BatchSizeMax: 1, QueueBatches: 2,
 		Shed: core.ShedDropNewest, BackoffMin: 10 * time.Millisecond,
 		DialTimeout: 10 * time.Millisecond, Tracer: tr,
 	})

@@ -395,7 +395,7 @@ func wireOutcome(t *testing.T, spec Spec, traced bool) ([]byte, *tracer.Tracer) 
 	}
 	col.Serve()
 	defer col.Close()
-	x, err := exporter.New(exporter.Config{Addr: col.Addr().String(), DPID: 1, BatchSize: 32, Tracer: swTr})
+	x, err := exporter.New(exporter.Config{Addr: col.Addr().String(), DPID: 1, BatchSizeMax: 32, Tracer: swTr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -629,7 +629,7 @@ func matrixCollectorLeave(t *testing.T, seed int64) {
 			Members:      []federation.Member{{Addr: addrA}, {Addr: addrB}},
 			DPID:         sw,
 			DrainTimeout: 300 * time.Millisecond,
-			Exporter:     exporter.Config{BatchSize: 4, MaxBatchAge: 2 * time.Millisecond},
+			Exporter:     exporter.Config{BatchSizeMax: 4},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -81,7 +81,7 @@ func newTestRouter(t *testing.T, members []Member, mut func(*Config)) *Router {
 		DPID:         7,
 		PartitionKey: byPort,
 		DrainTimeout: 3 * time.Second,
-		Exporter:     exporter.Config{BatchSize: 8, MaxBatchAge: 5 * time.Millisecond},
+		Exporter:     exporter.Config{BatchSizeMax: 8},
 	}
 	if mut != nil {
 		mut(&cfg)
@@ -334,7 +334,7 @@ func refusingAddr(t *testing.T) string {
 func TestRouterAllEndpointsDownOneMarkPerRoute(t *testing.T) {
 	addrs := []string{refusingAddr(t), refusingAddr(t)}
 	r := newTestRouter(t, []Member{{Addr: addrs[0]}, {Addr: addrs[1]}}, func(c *Config) {
-		c.Exporter.BatchSize = 4
+		c.Exporter.BatchSizeMax = 4
 		c.Exporter.QueueBatches = 1
 		c.Exporter.Shed = core.ShedDropNewest
 		c.Exporter.BackoffMin = 5 * time.Millisecond
@@ -410,7 +410,7 @@ func TestRouterReRouteKeepsPartitionOrder(t *testing.T) {
 	r := newTestRouter(t, []Member{{Addr: addrA}, {Addr: addrD}}, func(c *Config) {
 		c.PartitionKey = byPortMod64
 		c.DrainTimeout = 500 * time.Millisecond
-		c.Exporter.BatchSize = 4
+		c.Exporter.BatchSizeMax = 4
 		c.Exporter.QueueBatches = 1
 		c.Exporter.Shed = core.ShedBlock
 		c.Exporter.BackoffMin = time.Millisecond

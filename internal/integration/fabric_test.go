@@ -191,7 +191,7 @@ func newFabricRig(t *testing.T, batchSize int) *fabricRig {
 	rig.col = col
 	for i, dpid := range []uint64{1, 2} {
 		x, err := exporter.New(exporter.Config{
-			Addr: col.Addr().String(), DPID: dpid, BatchSize: batchSize,
+			Addr: col.Addr().String(), DPID: dpid, BatchSizeMax: batchSize,
 		})
 		if err != nil {
 			t.Fatal(err)

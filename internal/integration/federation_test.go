@@ -184,7 +184,7 @@ func TestFederatedDifferential(t *testing.T) {
 			Members:      []federation.Member{{Addr: addr(0)}, {Addr: addr(1)}},
 			DPID:         uint64(i + 1),
 			DrainTimeout: 5 * time.Second,
-			Exporter:     exporter.Config{BatchSize: 4, MaxBatchAge: 2 * time.Millisecond},
+			Exporter:     exporter.Config{BatchSizeMax: 4},
 		}
 		if i == 2 {
 			cfg.Dial = func(a string) (net.Conn, error) {

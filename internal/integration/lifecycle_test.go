@@ -65,7 +65,7 @@ func TestFabricLifecycleChurnDifferential(t *testing.T) {
 	pushed := map[uint64][][]wire.PropMeta{} // exporter index is irrelevant; key by epoch
 	var exps [2]*exporter.Exporter
 	for i, dpid := range []uint64{1, 2} {
-		xcfg := exporter.Config{Addr: col.Addr().String(), DPID: dpid, BatchSize: 1}
+		xcfg := exporter.Config{Addr: col.Addr().String(), DPID: dpid, BatchSizeMax: 1}
 		xcfg.OnConfig[wire.ConfigProperties] = func(u *wire.Config) {
 			pmu.Lock()
 			pushed[u.Epoch] = append(pushed[u.Epoch], u.Props)

@@ -33,8 +33,8 @@ func attachSelfMonitor(t *testing.T, reg *obs.Registry) {
 // exporters, one collector-side tracer on the collector and the sharded
 // engine. A non-zero wireDelay interposes a delay proxy on the
 // exporter->collector path.
-// A non-zero adaptiveSLO switches the exporters to adaptive sealing
-// (batchSize then only caps the batch via BatchSizeMax).
+// A non-zero adaptiveSLO turns on the exporters' seal controller, which
+// may lower the target below the batchSize cap.
 func newTracedFabricRig(t *testing.T, batchSize int, sampleN uint64, wireDelay, adaptiveSLO time.Duration) (*fabricRig, *tracer.Tracer, *tracer.Tracer) {
 	t.Helper()
 	swTr := tracer.New(tracer.Config{SampleN: sampleN})
@@ -62,12 +62,7 @@ func newTracedFabricRig(t *testing.T, batchSize int, sampleN uint64, wireDelay, 
 		dialAddr = delayProxy(t, dialAddr, wireDelay)
 	}
 	for i, dpid := range []uint64{1, 2} {
-		xcfg := exporter.Config{Addr: dialAddr, DPID: dpid, BatchSize: batchSize, Tracer: swTr}
-		if adaptiveSLO > 0 {
-			xcfg.BatchSize = 0
-			xcfg.TargetSealLatency = adaptiveSLO
-			xcfg.BatchSizeMax = batchSize
-		}
+		xcfg := exporter.Config{Addr: dialAddr, DPID: dpid, BatchSizeMax: batchSize, TargetSealLatency: adaptiveSLO, Tracer: swTr}
 		x, err := exporter.New(xcfg)
 		if err != nil {
 			t.Fatal(err)

@@ -38,7 +38,7 @@ go test -race ./internal/core/... ./internal/backend/... ./internal/integration/
 # room: ten -race runs of its tests and of the sequence-order regression
 # give the interleavings a chance to show.
 echo "==> go test -race -count=10 (idle seal vs. parked seals)"
-go test -race -count=10 -run 'TestIdleSenderShipsLoneEvent|TestBusySenderStillBatches|TestAckWakesIdleSender' ./internal/exporter/
+go test -race -count=10 -run 'TestIdleSenderShipsLoneEvent|TestCutLinkShipsOnReconnect|TestIdleSealBridgesBurstEnd|TestBusySenderStillBatches|TestAckWakesIdleSender' ./internal/exporter/
 go test -race -count=10 -run 'TestBlockedSealsKeepSequenceOrder' ./internal/collector/
 
 # Examples: each must run to a zero exit, and examples/backends (Table 2
