@@ -53,8 +53,13 @@ type Spec struct {
 	Stall      time.Duration
 }
 
-// DefaultSpec returns a no-fault Spec (shard faults disarmed).
-func DefaultSpec() Spec { return Spec{PanicShard: -1, StallShard: -1} }
+// defaultStall is how long a stall-shard fault stalls unless stall=
+// says otherwise.
+const defaultStall = 10 * time.Millisecond
+
+// DefaultSpec returns a no-fault Spec (shard faults disarmed, stall
+// length defaultStall).
+func DefaultSpec() Spec { return Spec{PanicShard: -1, StallShard: -1, Stall: defaultStall} }
 
 // Zero reports whether the spec injects nothing at all.
 func (sp Spec) Zero() bool {
@@ -90,7 +95,7 @@ func (sp Spec) String() string {
 	if sp.StallShard >= 0 {
 		parts = append(parts, fmt.Sprintf("stall-shard=%d@%d", sp.StallShard, sp.StallAt))
 	}
-	if sp.Stall > 0 {
+	if sp.Stall != defaultStall {
 		parts = append(parts, fmt.Sprintf("stall=%s", sp.Stall))
 	}
 	if len(parts) == 0 {
@@ -117,7 +122,6 @@ func (sp Spec) String() string {
 // Example: "drop=0.01,dup=0.001,seed=7".
 func ParseSpec(s string) (Spec, error) {
 	sp := DefaultSpec()
-	sp.Stall = 10 * time.Millisecond
 	if strings.TrimSpace(s) == "" || s == "none" {
 		return sp, nil
 	}
@@ -133,7 +137,7 @@ func ParseSpec(s string) (Spec, error) {
 		switch key {
 		case "drop", "dup", "reorder":
 			f, err := strconv.ParseFloat(val, 64)
-			if err != nil || f < 0 || f > 1 {
+			if err != nil || !(f >= 0 && f <= 1) { // NaN fails both
 				return sp, fmt.Errorf("fault: %s wants a probability in [0,1], got %q", key, val)
 			}
 			switch key {

@@ -10,11 +10,13 @@ import (
 	"switchmon/internal/sim"
 )
 
-// FuzzTraceRoundTrip is the trace-file decoder's grammar fuzz: no input
-// may panic ReadAll, and any input it accepts must survive WriteAll then
-// ReadAll with the events unchanged. Frames reach the packet codec
-// through packet.Decode, so this also fuzzes the one header descent
-// behind a hex-and-fields grammar. scripts/check.sh runs it as a smoke.
+// FuzzTraceRoundTrip is the trace reader's fuzz: no input may panic
+// ReadAll, and any input it accepts — the recording Hello, then
+// untraced batches contiguous from seq 1 — must survive WriteAll then
+// ReadAll with the events unchanged. Every batch goes through the wire
+// codec's event walk and the packet codec behind it, so this fuzzes the
+// file framing over the link's one event grammar. scripts/check.sh runs
+// it as a smoke.
 func FuzzTraceRoundTrip(f *testing.F) {
 	seed := func(events []core.Event) {
 		var buf bytes.Buffer

@@ -1,215 +1,81 @@
-// Package trace provides (a) a line-oriented record/replay format for
-// monitor event streams and (b) deterministic workload generators for the
+// Package trace provides (a) the record/replay file format for monitor
+// event streams and (b) deterministic workload generators for the
 // benchmark experiments — the stand-in for the production traffic the
 // paper's authors observed (repro substitution documented in DESIGN.md).
+//
+// A trace file is the link's own bytes: what an exporter writes on a
+// connection to a collector (internal/wire). It opens with a Hello whose
+// DPID, features and timestamp are all zero and whose NextSeq is 1, so a
+// recording is deterministic and a foreign or stale file fails on the
+// Hello's magic or version. Untraced Batch frames follow, their
+// sequence numbers contiguous from 1: the wire codec is the one event
+// grammar.
 package trace
 
 import (
-	"bufio"
-	"encoding/hex"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
-	"time"
 
 	"switchmon/internal/core"
-	"switchmon/internal/packet"
 	"switchmon/internal/sim"
+	"switchmon/internal/wire"
 )
 
-// WriteEvent encodes one event as a single line:
-//
-//	A <unix-nanos> <switch-id> <pid> <in-port> <frame-hex>
-//	E <unix-nanos> <switch-id> <pid> <in-port> <out-port|DROP> <multi 0|1> <frame-hex>
-//	O <unix-nanos> <switch-id> <oob-kind> <port>
-func WriteEvent(w io.Writer, e *core.Event) error {
-	switch e.Kind {
-	case core.KindArrival:
-		data, err := e.Packet.Encode()
-		if err != nil {
-			return fmt.Errorf("trace: encode arrival: %w", err)
-		}
-		_, err = fmt.Fprintf(w, "A %d %d %d %d %s\n",
-			e.Time.UnixNano(), e.SwitchID, e.PacketID, e.InPort, hex.EncodeToString(data))
-		return err
-	case core.KindEgress:
-		data, err := e.Packet.Encode()
-		if err != nil {
-			return fmt.Errorf("trace: encode egress: %w", err)
-		}
-		out := strconv.FormatUint(e.OutPort, 10)
-		if e.Dropped {
-			out = "DROP"
-		}
-		multi := 0
-		if e.Multicast {
-			multi = 1
-		}
-		_, err = fmt.Fprintf(w, "E %d %d %d %d %s %d %s\n",
-			e.Time.UnixNano(), e.SwitchID, e.PacketID, e.InPort, out, multi, hex.EncodeToString(data))
-		return err
-	case core.KindOutOfBand:
-		_, err := fmt.Fprintf(w, "O %d %d %d %d\n", e.Time.UnixNano(), e.SwitchID, e.OOBKind, e.OOBPort)
-		return err
-	default:
-		return fmt.Errorf("trace: unknown event kind %v", e.Kind)
-	}
-}
+// fileHello opens every trace file.
+var fileHello = wire.Hello{NextSeq: 1}
 
-// WriteAll encodes a stream of events.
+// batchEvents caps WriteAll's Batch frames, as the exporter's default does.
+const batchEvents = 256
+
+// WriteAll writes events as a trace file.
 func WriteAll(w io.Writer, events []core.Event) error {
-	bw := bufio.NewWriter(w)
-	for i := range events {
-		if err := WriteEvent(bw, &events[i]); err != nil {
-			return err
+	buf := wire.AppendHello(nil, fileHello)
+	for seq := 0; seq < len(events); seq += batchEvents {
+		b := wire.Batch{FirstSeq: uint64(seq) + 1, Events: events[seq:min(seq+batchEvents, len(events))]}
+		var err error
+		if buf, err = wire.AppendBatch(buf, &b); err != nil {
+			return fmt.Errorf("trace: %w", err)
 		}
 	}
-	return bw.Flush()
+	_, err := w.Write(buf)
+	return err
 }
 
-// ReadAll decodes a trace. Blank lines and '#' comments are skipped.
+// ReadAll reads a trace file: the recording Hello, then untraced
+// batches contiguous from seq 1; anything else is an error. Event times
+// come back in UTC. The batches are never Released: their events, and
+// the packets in their arenas, are what ReadAll returns.
 func ReadAll(r io.Reader) ([]core.Event, error) {
+	wr := wire.NewPooledReader(r)
+	f, err := wr.Next()
+	if err == nil && f != any(fileHello) {
+		err = fmt.Errorf("opens with %T %+v", f, f)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("trace: not a trace file (want the recording hello): %w", err)
+	}
 	var events []core.Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
+	for {
+		if f, err = wr.Next(); err == io.EOF {
+			return events, nil
 		}
-		e, err := parseLine(line)
+		next := uint64(len(events)) + 1
 		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %w", lineNo, err)
+			return nil, fmt.Errorf("trace: at seq %d: %w", next, err)
 		}
-		events = append(events, e)
+		b, ok := f.(*wire.Batch)
+		if !ok || b.Traced || b.FirstSeq != next {
+			return nil, fmt.Errorf("trace: at seq %d: read %T, want an untraced batch from there", next, f)
+		}
+		for _, e := range b.Events {
+			e.Time = e.Time.UTC()
+			events = append(events, e)
+		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return events, nil
-}
-
-func parseLine(line string) (core.Event, error) {
-	fields := strings.Fields(line)
-	var e core.Event
-	if len(fields) == 0 {
-		return e, fmt.Errorf("empty record")
-	}
-	parseTime := func(s string) (time.Time, error) {
-		ns, err := strconv.ParseInt(s, 10, 64)
-		if err != nil {
-			return time.Time{}, fmt.Errorf("bad timestamp %q", s)
-		}
-		return time.Unix(0, ns).UTC(), nil
-	}
-	switch fields[0] {
-	case "A":
-		if len(fields) != 6 {
-			return e, fmt.Errorf("arrival record needs 6 fields, has %d", len(fields))
-		}
-		t, err := parseTime(fields[1])
-		if err != nil {
-			return e, err
-		}
-		swid, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad switch id %q", fields[2])
-		}
-		pid, err := strconv.ParseUint(fields[3], 10, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad packet id %q", fields[3])
-		}
-		in, err := strconv.ParseUint(fields[4], 10, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad port %q", fields[4])
-		}
-		p, err := decodeFrame(fields[5])
-		if err != nil {
-			return e, err
-		}
-		return core.Event{Kind: core.KindArrival, Time: t, SwitchID: swid, PacketID: core.PacketID(pid), InPort: in, Packet: p}, nil
-	case "E":
-		if len(fields) != 8 {
-			return e, fmt.Errorf("egress record needs 8 fields, has %d", len(fields))
-		}
-		t, err := parseTime(fields[1])
-		if err != nil {
-			return e, err
-		}
-		swid, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad switch id %q", fields[2])
-		}
-		pid, err := strconv.ParseUint(fields[3], 10, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad packet id %q", fields[3])
-		}
-		in, err := strconv.ParseUint(fields[4], 10, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad port %q", fields[4])
-		}
-		ev := core.Event{Kind: core.KindEgress, Time: t, SwitchID: swid, PacketID: core.PacketID(pid), InPort: in}
-		if fields[5] == "DROP" {
-			ev.Dropped = true
-		} else {
-			out, err := strconv.ParseUint(fields[5], 10, 64)
-			if err != nil {
-				return e, fmt.Errorf("bad out port %q", fields[5])
-			}
-			ev.OutPort = out
-		}
-		ev.Multicast = fields[6] == "1"
-		p, err := decodeFrame(fields[7])
-		if err != nil {
-			return e, err
-		}
-		ev.Packet = p
-		return ev, nil
-	case "O":
-		if len(fields) != 5 {
-			return e, fmt.Errorf("oob record needs 5 fields, has %d", len(fields))
-		}
-		t, err := parseTime(fields[1])
-		if err != nil {
-			return e, err
-		}
-		swid, err := strconv.ParseUint(fields[2], 10, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad switch id %q", fields[2])
-		}
-		kind, err := strconv.ParseUint(fields[3], 10, 8)
-		if err != nil {
-			return e, fmt.Errorf("bad oob kind %q", fields[3])
-		}
-		port, err := strconv.ParseUint(fields[4], 10, 64)
-		if err != nil {
-			return e, fmt.Errorf("bad oob port %q", fields[4])
-		}
-		return core.Event{Kind: core.KindOutOfBand, Time: t, SwitchID: swid, OOBKind: packet.OOBKind(kind), OOBPort: port}, nil
-	default:
-		return e, fmt.Errorf("unknown record type %q", fields[0])
-	}
-}
-
-func decodeFrame(h string) (*packet.Packet, error) {
-	data, err := hex.DecodeString(h)
-	if err != nil {
-		return nil, fmt.Errorf("bad frame hex: %v", err)
-	}
-	p, err := packet.Decode(data)
-	if err != nil {
-		return nil, fmt.Errorf("bad frame: %v", err)
-	}
-	return p, nil
 }
 
 // Recorder subscribes to a switch's event stream and collects it.
-type Recorder struct {
-	Events []core.Event
-}
+type Recorder struct{ Events []core.Event }
 
 // Observe is the subscription callback.
 func (r *Recorder) Observe(e core.Event) { r.Events = append(r.Events, e) }

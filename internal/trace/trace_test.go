@@ -2,8 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +11,7 @@ import (
 	"switchmon/internal/packet"
 	"switchmon/internal/property"
 	"switchmon/internal/sim"
+	"switchmon/internal/wire"
 )
 
 func sampleEvents(t *testing.T) []core.Event {
@@ -68,32 +69,80 @@ func normalize(p *packet.Packet) *packet.Packet {
 	return q
 }
 
-func TestReadAllSkipsCommentsAndBlank(t *testing.T) {
-	src := "# comment\n\nO 0 3 1 5\n"
-	events, err := ReadAll(strings.NewReader(src))
-	if err != nil {
+// TestTraceFileIsLinkBytes: a trace file is the recording Hello, then
+// untraced batches of at most batchEvents events, contiguous from seq 1
+// — the frames an exporter would send — and an empty trace is the Hello
+// alone.
+func TestTraceFileIsLinkBytes(t *testing.T) {
+	var empty bytes.Buffer
+	if err := WriteAll(&empty, nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 || events[0].OOBPort != 5 || events[0].SwitchID != 3 {
-		t.Fatalf("events = %+v", events)
+	if !bytes.Equal(empty.Bytes(), wire.AppendHello(nil, fileHello)) {
+		t.Fatalf("empty trace = %x, want the recording hello alone", empty.Bytes())
+	}
+	if events, err := ReadAll(&empty); err != nil || len(events) != 0 {
+		t.Fatalf("empty trace read back %d events, %v", len(events), err)
+	}
+
+	events := FirewallWorkload{Flows: 100, ReturnsPerFlow: 2, ViolationEvery: 3, Gap: time.Millisecond}.Events(sim.Epoch)
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewPooledReader(bytes.NewReader(buf.Bytes()))
+	if f, err := r.Next(); err != nil || f != any(fileHello) {
+		t.Fatalf("first frame %+v, %v; want the recording hello", f, err)
+	}
+	next := uint64(1)
+	for {
+		f, err := r.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := f.(*wire.Batch)
+		if b.Traced || b.FirstSeq != next || len(b.Events) == 0 || len(b.Events) > batchEvents {
+			t.Fatalf("batch seq %d with %d events (traced %v), want seq %d with 1..%d", b.FirstSeq, len(b.Events), b.Traced, next, batchEvents)
+		}
+		next += uint64(len(b.Events))
+	}
+	if next != uint64(len(events))+1 || len(events) <= batchEvents {
+		t.Fatalf("batches carried %d of %d events", next-1, len(events))
 	}
 }
 
 func TestReadAllErrors(t *testing.T) {
-	cases := []string{
-		"X 0 0 0",
-		"A 0 0 1 1",                   // too few fields
-		"A x 0 1 1 00",                // bad time
-		"A 0 0 1 1 zz",                // bad hex
-		"A 0 0 1 1 0011",              // undecodable frame
-		"A 0 nope 1 1 00",             // bad switch id
-		"E 0 0 1 1 nope 0 00",         // bad out port
-		"O 0 0 bad 1",                 // bad kind
-		"E 0 0 1 1 2 0 00 extrastuff", // too many fields
+	events := sampleEvents(t)
+	batch := func(first uint64, evs []core.Event, traced bool) []byte {
+		b, err := wire.AppendBatch(nil, &wire.Batch{FirstSeq: first, Events: evs, Traced: traced})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	for _, src := range cases {
-		if _, err := ReadAll(strings.NewReader(src)); err == nil {
-			t.Errorf("ReadAll(%q) succeeded", src)
+	hello := wire.AppendHello(nil, fileHello)
+	cat := func(frames ...[]byte) []byte { return bytes.Join(frames, nil) }
+	cases := map[string][]byte{
+		"empty":          nil,
+		"text-format":    []byte("O 0 3 1 5\n"),
+		"no-hello":       batch(1, events, false),
+		"exporter-hello": wire.AppendHello(nil, wire.Hello{DPID: 7, NextSeq: 1}),
+		"resumed-hello":  wire.AppendHello(nil, wire.Hello{NextSeq: 5}),
+		"traced-batch":   cat(hello, batch(1, events, true)),
+		"gap":            cat(hello, batch(1, events[:2], false), batch(4, events[2:], false)),
+		"overlap":        cat(hello, batch(1, events[:2], false), batch(2, events[2:], false)),
+		"not-from-one":   cat(hello, batch(2, events, false)),
+		"other-frame":    cat(hello, wire.AppendAck(nil, wire.Ack{AckSeq: 1})),
+		"second-hello":   cat(hello, batch(1, events, false), hello),
+		"truncated":      cat(hello, batch(1, events, false))[:len(hello)+10],
+		"bad-magic":      append([]byte{0, 0, 0, 14, byte(wire.FrameHello), 'X'}, hello[6:]...),
+	}
+	for name, data := range cases {
+		if _, err := ReadAll(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: ReadAll accepted %x", name, data)
 		}
 	}
 }

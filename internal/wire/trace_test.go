@@ -114,22 +114,17 @@ func TestTracedBatchUnsampled(t *testing.T) {
 	}
 }
 
-// buildTraced hand-assembles a Batch frame around one packetless event,
+// buildTraced assembles a Batch frame around one packetless event,
 // followed by block, so reject tests can plant precise corruption in the
 // trace block.
 func buildTraced(t *testing.T, block []byte) []byte {
 	t.Helper()
-	payload := []byte{byte(FrameBatch)}
-	payload = binary.AppendUvarint(payload, 1) // FirstSeq
-	payload = binary.AppendUvarint(payload, 1) // count
 	ev := core.Event{Kind: core.KindArrival, Time: time.Unix(0, 5), SwitchID: 1, PacketID: 1, InPort: 1}
-	payload, err := appendEvent(payload, &ev)
+	frame, err := AppendBatch(nil, &Batch{FirstSeq: 1, Events: []core.Event{ev}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload = append(payload, block...)
-	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
-	return append(frame, payload...)
+	return rawFrame(append(frame[4:], block...))
 }
 
 func TestTraceBlockRejects(t *testing.T) {

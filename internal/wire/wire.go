@@ -50,18 +50,23 @@
 // Every frame is a 4-byte big-endian payload length followed by the
 // payload, whose first byte is the frame type. Integers inside payloads
 // are varints, timestamps are zigzag-encoded UnixNano, and packets ride
-// as length-prefixed frames serialized by the packet codec. Encoding is
-// append-style and allocation-free once the destination buffer has
-// capacity (packets serialize via packet.AppendEncode). Decoding goes
-// through Reader.Next, and every decoded batch borrows pooled storage
-// that the caller hands back with Release. Decoding is strict — unknown
-// frame types, unknown flag bits, truncated or trailing bytes, and
-// oversized frames are all errors, so a confused peer fails fast
+// as length-prefixed frames serialized by the packet codec. A frame's
+// layout is written once, as its walk: one method per frame type that
+// names the fields in order, run by a coder that appends them when
+// encoding and reads them when decoding. Encoder and decoder cannot
+// drift apart, and every check a walk makes holds both ways: encode
+// refuses what decode rejects. Encoding is append-style and
+// allocation-free once the destination buffer has capacity. Decoding
+// goes through Reader.Next, and every decoded batch borrows pooled
+// storage that the caller hands back with Release. Decoding is strict —
+// unknown frame types, unknown flag bits, truncated or trailing bytes,
+// and oversized frames are all errors, so a confused peer fails fast
 // instead of feeding garbage to the monitor.
 package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -274,22 +279,6 @@ type ConfigAck struct {
 // allocate.
 const maxConfigEntries = 1 << 10
 
-// check is what encode and decode both enforce: a known kind, no field
-// of another kind, and lists within maxConfigEntries.
-func (cfg *Config) check() error {
-	switch {
-	case !cfg.Kind.valid():
-		return fmt.Errorf("wire: unknown config kind %d", uint8(cfg.Kind))
-	case cfg.Kind != ConfigProperties && (len(cfg.Props) > 0 || cfg.Source != ""):
-		return fmt.Errorf("wire: %s config carries a property set", cfg.Kind)
-	case cfg.Kind != ConfigFleet && len(cfg.Members) > 0:
-		return fmt.Errorf("wire: %s config carries fleet members", cfg.Kind)
-	case len(cfg.Props) > maxConfigEntries || len(cfg.Members) > maxConfigEntries:
-		return fmt.Errorf("wire: config lists %d properties and %d members, max %d", len(cfg.Props), len(cfg.Members), maxConfigEntries)
-	}
-	return nil
-}
-
 // HighWater is one config kind's high-water mark and the one stale rule:
 // the exporter, the collector's retention and the federated router all
 // apply it. The zero value has admitted nothing.
@@ -418,182 +407,299 @@ const (
 	flagsKnown    = flagDropped | flagMulticast | flagHasPacket
 )
 
-// beginFrame reserves the 4-byte length prefix and appends the type
-// byte, returning the offset endFrame patches.
-func beginFrame(buf []byte, t FrameType) ([]byte, int) {
-	lenAt := len(buf)
-	buf = append(buf, 0, 0, 0, 0, byte(t))
-	return buf, lenAt
+// coder runs a walk in one direction. The first error sticks: it moves
+// off past the end, so every later read fails and leaves its field
+// alone, and the caller checks err once the walk is done.
+type coder struct {
+	dec   bool
+	err   error
+	buf   []byte      // encode: the frame so far
+	at    int         // encode: where the frame's length prefix sits in buf
+	data  []byte      // decode: the frame payload
+	off   int         // decode: the next byte to read
+	arena *batchArena // decode: a Batch frame's pooled storage
 }
 
-// endFrame patches the length prefix reserved by beginFrame.
-func endFrame(buf []byte, lenAt int) ([]byte, error) {
-	n := len(buf) - lenAt - 4
+// encoder starts a frame of type t: a length prefix end patches, then
+// the type byte.
+func encoder(buf []byte, t FrameType) coder {
+	return coder{buf: append(buf, 0, 0, 0, 0, byte(t)), at: len(buf)}
+}
+
+// end patches the length prefix and returns the frame, or the walk's
+// first error.
+func (c *coder) end() ([]byte, error) {
+	n := len(c.buf) - c.at - 4
 	if n > MaxFrameLen {
-		return nil, fmt.Errorf("wire: frame payload %d exceeds MaxFrameLen %d", n, MaxFrameLen)
+		c.failf("wire: frame payload %d exceeds MaxFrameLen %d", n, MaxFrameLen)
 	}
-	binary.BigEndian.PutUint32(buf[lenAt:lenAt+4], uint32(n))
-	return buf, nil
-}
-
-// AppendHello appends an encoded Hello frame, stamped with Version, to
-// buf.
-func AppendHello(buf []byte, h Hello) []byte {
-	buf, lenAt := beginFrame(buf, FrameHello)
-	buf = binary.BigEndian.AppendUint32(buf, helloMagic)
-	buf = binary.BigEndian.AppendUint16(buf, Version)
-	buf = binary.AppendUvarint(buf, h.DPID)
-	buf = binary.AppendUvarint(buf, h.NextSeq)
-	buf = binary.AppendUvarint(buf, h.Features)
-	buf = binary.AppendVarint(buf, h.SentNs)
-	buf, _ = endFrame(buf, lenAt) // fixed-size payload, cannot overflow
-	return buf
-}
-
-// AppendHelloAck appends an encoded HelloAck frame, stamped with
-// Version, to buf.
-func AppendHelloAck(buf []byte, a HelloAck) []byte {
-	buf, lenAt := beginFrame(buf, FrameHelloAck)
-	buf = binary.BigEndian.AppendUint16(buf, Version)
-	buf = binary.AppendUvarint(buf, a.AckSeq)
-	buf = binary.AppendUvarint(buf, a.Features)
-	buf = binary.AppendVarint(buf, a.RecvNs)
-	buf = binary.AppendVarint(buf, a.SentNs)
-	buf, _ = endFrame(buf, lenAt)
-	return buf
-}
-
-// AppendAck appends an encoded Ack frame to buf.
-func AppendAck(buf []byte, a Ack) []byte {
-	buf, lenAt := beginFrame(buf, FrameAck)
-	buf = binary.AppendUvarint(buf, a.AckSeq)
-	buf = binary.AppendVarint(buf, a.SentNs)
-	buf, _ = endFrame(buf, lenAt)
-	return buf
-}
-
-// appendString appends a uvarint-length-prefixed string.
-func appendString(buf []byte, s string) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-// AppendConfig appends an encoded Config frame, every kind in the one
-// layout. It refuses what decode rejects (an unknown kind, a foreign
-// field, an oversized list) and a frame overflowing MaxFrameLen.
-func AppendConfig(buf []byte, cfg *Config) ([]byte, error) {
-	if err := cfg.check(); err != nil {
-		return nil, err
+	if c.err != nil {
+		return nil, c.err
 	}
-	buf, lenAt := beginFrame(buf, FrameConfig)
-	buf = append(buf, byte(cfg.Kind))
-	buf = binary.AppendUvarint(buf, cfg.Epoch)
-	buf = binary.AppendUvarint(buf, uint64(len(cfg.Props)))
-	for i := range cfg.Props {
-		buf = appendString(buf, cfg.Props[i].Name)
-		buf = appendString(buf, cfg.Props[i].Tenant)
-	}
-	buf = appendString(buf, cfg.Source)
-	buf = binary.AppendUvarint(buf, uint64(len(cfg.Members)))
-	for i := range cfg.Members {
-		buf = appendString(buf, cfg.Members[i].Addr)
-		buf = binary.AppendUvarint(buf, cfg.Members[i].Weight)
-	}
-	return endFrame(buf, lenAt)
+	binary.BigEndian.PutUint32(c.buf[c.at:], uint32(n))
+	return c.buf, nil
 }
 
-// AppendConfigAck appends an encoded ConfigAck frame. It refuses an
-// unknown kind, which decode rejects.
-func AppendConfigAck(buf []byte, a ConfigAck) ([]byte, error) {
-	if !a.Kind.valid() {
-		return nil, fmt.Errorf("wire: unknown config kind %d", uint8(a.Kind))
+var errTruncated, errVarint = errors.New("wire: truncated frame"), errors.New("wire: bad varint")
+
+// fail records err unless an earlier error stands, and ends decoding.
+func (c *coder) fail(err error) {
+	if c.err == nil {
+		c.err = err
 	}
-	buf, lenAt := beginFrame(buf, FrameConfigAck)
-	buf = append(buf, byte(a.Kind))
-	buf = binary.AppendUvarint(buf, a.Epoch)
-	return endFrame(buf, lenAt)
+	c.off = len(c.data)
 }
 
-// AppendBatch appends an encoded Batch frame to buf. Events serialize
-// in order; the error sources are what decode rejects (too many events,
-// a sequence range past MaxUint64), a packet that cannot encode and a
-// frame overflowing MaxFrameLen, in which case buf's original content is
-// still valid but the returned slice must be discarded.
-func AppendBatch(buf []byte, b *Batch) ([]byte, error) {
-	if err := checkBatch(b.FirstSeq, uint64(len(b.Events))); err != nil {
-		return nil, err
+func (c *coder) failf(format string, args ...any) {
+	if c.err == nil {
+		c.fail(fmt.Errorf(format, args...))
 	}
-	buf, lenAt := beginFrame(buf, FrameBatch)
-	buf = binary.AppendUvarint(buf, b.FirstSeq)
-	buf = binary.AppendUvarint(buf, uint64(len(b.Events)))
-	var err error
-	for i := range b.Events {
-		buf, err = appendEvent(buf, &b.Events[i])
-		if err != nil {
-			return nil, err
+}
+
+// advance moves past a varint read of n bytes, or fails with err when
+// the read found none (n <= 0).
+func (c *coder) advance(n int, err error) bool {
+	if n <= 0 {
+		c.fail(err)
+		return false
+	}
+	c.off += n
+	return true
+}
+
+// u8 codes one byte.
+func (c *coder) u8(v *uint8) {
+	if !c.dec {
+		c.buf = append(c.buf, *v)
+	} else if c.off < len(c.data) {
+		*v = c.data[c.off]
+		c.off++
+	} else {
+		c.fail(errTruncated)
+	}
+}
+
+// uv codes a uvarint. A one-byte encode stays inline at the call site;
+// every other case takes the call.
+func (c *coder) uv(v *uint64) {
+	if c.dec || *v >= 0x80 {
+		c.uvarint(v)
+		return
+	}
+	c.buf = append(c.buf, byte(*v))
+}
+
+func (c *coder) uvarint(v *uint64) {
+	if !c.dec {
+		c.buf = binary.AppendUvarint(c.buf, *v)
+		return
+	}
+	if x, n := binary.Uvarint(c.data[c.off:]); c.advance(n, errVarint) {
+		*v = x
+	}
+}
+
+// v codes a zigzag varint.
+func (c *coder) v(v *int64) {
+	if !c.dec {
+		c.buf = binary.AppendVarint(c.buf, *v)
+		return
+	}
+	if x, n := binary.Varint(c.data[c.off:]); c.advance(n, errVarint) {
+		*v = x
+	}
+}
+
+// time codes a timestamp as its zigzag UnixNano.
+func (c *coder) time(t *time.Time) {
+	if !c.dec {
+		c.buf = binary.AppendVarint(c.buf, t.UnixNano())
+		return
+	}
+	if ns, n := binary.Varint(c.data[c.off:]); c.advance(n, errVarint) {
+		*t = time.Unix(0, ns)
+	}
+}
+
+// be codes the low width bytes of v, big-endian.
+func (c *coder) be(v *uint64, width int) {
+	if !c.dec {
+		for i := width - 1; i >= 0; i-- {
+			c.buf = append(c.buf, byte(*v>>(8*i)))
 		}
+		return
+	}
+	if b := c.take(width); b != nil {
+		*v = 0
+		for _, by := range b {
+			*v = *v<<8 | uint64(by)
+		}
+	}
+}
+
+// take returns the next n payload bytes (decode only).
+func (c *coder) take(n int) []byte {
+	if n < 0 || len(c.data)-c.off < n {
+		c.failf("wire: truncated frame (want %d bytes, have %d)", n, len(c.data)-c.off)
+		return nil
+	}
+	b := c.data[c.off : c.off+n]
+	c.off += n
+	return b
+}
+
+// str codes a uvarint-length-prefixed string. Decoding copies it out of
+// the frame buffer, which the Reader reuses across frames.
+func (c *coder) str(s *string) {
+	n := uint64(len(*s))
+	c.uv(&n)
+	if !c.dec {
+		c.buf = append(c.buf, *s...)
+		return
+	}
+	*s = string(c.take(int(n)))
+}
+
+// count codes a Config list's length, at most maxConfigEntries, and
+// when decoding no more than the bytes left (an entry takes at least
+// one), before anything is allocated.
+func (c *coder) count(n int) int {
+	x := uint64(n)
+	c.uv(&x)
+	if x > maxConfigEntries || c.dec && x > uint64(len(c.data)-c.off) {
+		c.failf("wire: config declares %d entries in %d bytes, max %d", x, len(c.data)-c.off, maxConfigEntries)
+		return 0
+	}
+	return int(x)
+}
+
+// kind codes a config kind, which must be one this build knows.
+func (c *coder) kind(k *ConfigKind) {
+	c.u8((*uint8)(k))
+	if !k.valid() {
+		c.failf("wire: unknown config kind %d", uint8(*k))
+	}
+}
+
+// version codes a handshake frame's protocol version, which must be
+// Version.
+func (c *coder) version() {
+	ver := uint64(Version)
+	c.be(&ver, 2)
+	if ver != uint64(Version) {
+		c.failf("wire: protocol version %d, want %d", ver, Version)
+	}
+}
+
+// Each frame's walk is its layout, field by field, in both directions.
+
+func (h *Hello) walk(c *coder) {
+	magic := uint64(helloMagic)
+	c.be(&magic, 4)
+	if magic != uint64(helloMagic) {
+		c.failf("wire: bad hello magic %08x (peer is not a monitoring exporter?)", magic)
+	}
+	c.version()
+	c.uv(&h.DPID)
+	c.uv(&h.NextSeq)
+	c.uv(&h.Features)
+	c.v(&h.SentNs)
+}
+
+func (a *HelloAck) walk(c *coder) {
+	c.version()
+	c.uv(&a.AckSeq)
+	c.uv(&a.Features)
+	c.v(&a.RecvNs)
+	c.v(&a.SentNs)
+}
+
+func (a *Ack) walk(c *coder) {
+	c.uv(&a.AckSeq)
+	c.v(&a.SentNs)
+}
+
+// walk is every config kind in the one layout: kind byte, epoch,
+// property list, DSL source, member list. A kind carries only its own
+// fields.
+func (cfg *Config) walk(c *coder) {
+	c.kind(&cfg.Kind)
+	c.uv(&cfg.Epoch)
+	n := c.count(len(cfg.Props))
+	if c.dec {
+		cfg.Props = make([]PropMeta, n)
+	}
+	for i := range n {
+		c.str(&cfg.Props[i].Name)
+		c.str(&cfg.Props[i].Tenant)
+	}
+	c.str(&cfg.Source)
+	if n = c.count(len(cfg.Members)); c.dec {
+		cfg.Members = make([]FleetMember, n)
+	}
+	for i := range n {
+		c.str(&cfg.Members[i].Addr)
+		c.uv(&cfg.Members[i].Weight)
+	}
+	switch {
+	case cfg.Kind != ConfigProperties && (len(cfg.Props) > 0 || cfg.Source != ""):
+		c.failf("wire: %s config carries a property set", cfg.Kind)
+	case cfg.Kind != ConfigFleet && len(cfg.Members) > 0:
+		c.failf("wire: %s config carries fleet members", cfg.Kind)
+	}
+}
+
+func (a *ConfigAck) walk(c *coder) {
+	c.kind(&a.Kind)
+	c.uv(&a.Epoch)
+}
+
+// walk is the Batch layout: FirstSeq, the event count, the events, and
+// the trace block when the batch is traced — whatever follows the
+// events is the trace block, so a decoded batch is traced iff it has
+// one.
+func (b *Batch) walk(c *coder) {
+	c.uv(&b.FirstSeq)
+	n := uint64(len(b.Events))
+	c.uv(&n)
+	// At most MaxBatchEvents events, and sequence numbers that do not
+	// wrap: an event past seq MaxUint64 would make the collector's
+	// cumulative ack run backwards. Decoding also bounds the allocation
+	// by the bytes present, as even a packetless event takes nine.
+	switch {
+	case n > MaxBatchEvents:
+		c.failf("wire: batch of %d events exceeds MaxBatchEvents %d", n, MaxBatchEvents)
+	case n > 0 && b.FirstSeq > math.MaxUint64-(n-1):
+		c.failf("wire: batch of %d events from seq %d overflows the sequence space", n, b.FirstSeq)
+	case c.dec && n > uint64(len(c.data)-c.off):
+		c.failf("wire: batch declares %d events in %d bytes", n, len(c.data)-c.off)
+	case c.dec:
+		b.Events = c.arena.take(int(n))
+	}
+	for i := 0; c.err == nil && i < len(b.Events); i++ {
+		if c.event(&b.Events[i]); c.err != nil {
+			c.err = fmt.Errorf("wire: event %d: %w", i, c.err)
+		}
+	}
+	if c.dec {
+		b.Traced = c.off < len(c.data)
 	}
 	if b.Traced {
-		buf = appendTraceBlock(buf, b)
+		c.traceBlock(b)
 	}
-	return endFrame(buf, lenAt)
 }
 
-// checkBatch is the header rule encode and decode both enforce: at most
-// MaxBatchEvents events, and sequence numbers that do not wrap — an
-// event past seq MaxUint64 would make the collector's cumulative ack run
-// backwards.
-func checkBatch(firstSeq, n uint64) error {
-	if n > MaxBatchEvents {
-		return fmt.Errorf("wire: batch of %d events exceeds MaxBatchEvents %d", n, MaxBatchEvents)
+// event is one event's layout: kind, flags, time, switch id, packet id,
+// in port, out port, out-of-band kind and port, then the packet when
+// the flags carry one.
+func (c *coder) event(e *core.Event) {
+	c.u8((*uint8)(&e.Kind))
+	switch e.Kind {
+	case core.KindArrival, core.KindEgress, core.KindOutOfBand:
+	default:
+		c.failf("unknown event kind %d", uint8(e.Kind))
+		return
 	}
-	if n > 0 && firstSeq > math.MaxUint64-(n-1) {
-		return fmt.Errorf("wire: batch of %d events from seq %d overflows the sequence space", n, firstSeq)
-	}
-	return nil
-}
-
-// appendTraceBlock appends the batch's trace block: the clock-offset
-// estimate, then one entry per event carrying a span — its index, span
-// key, switch-stage mask, and the marks for each set bit.
-//
-// Only SwitchStageMask bits are shipped: every switch-side stage is
-// stamped before the send loop encodes the batch (and marks are
-// write-once), so the masked view is stable even while a co-located
-// engine keeps stamping the span's collector-side stages concurrently.
-// That stability is what lets the two passes below (count, then emit)
-// agree, and what makes a replayed batch re-encode the same block.
-func appendTraceBlock(buf []byte, b *Batch) []byte {
-	buf = binary.AppendVarint(buf, b.ClockOffsetNs)
-	buf = binary.AppendUvarint(buf, uint64(b.ClockDispNs))
-	cnt := 0
-	for i := range b.Events {
-		if b.Events[i].Trace.StageMask()&tracer.SwitchStageMask != 0 {
-			cnt++
-		}
-	}
-	buf = binary.AppendUvarint(buf, uint64(cnt))
-	for i := range b.Events {
-		sp := b.Events[i].Trace
-		mask := sp.StageMask() & tracer.SwitchStageMask
-		if mask == 0 {
-			continue
-		}
-		buf = binary.AppendUvarint(buf, uint64(i))
-		buf = binary.BigEndian.AppendUint64(buf, sp.Key)
-		buf = append(buf, mask)
-		for st := tracer.Stage(0); st < tracer.NumStages; st++ {
-			if mask&(1<<st) != 0 {
-				buf = binary.AppendVarint(buf, sp.Mark(st))
-			}
-		}
-	}
-	return buf
-}
-
-// appendEvent appends one event's encoding.
-func appendEvent(buf []byte, e *core.Event) ([]byte, error) {
-	buf = append(buf, byte(e.Kind))
 	var flags byte
 	if e.Dropped {
 		flags |= flagDropped
@@ -604,464 +710,258 @@ func appendEvent(buf []byte, e *core.Event) ([]byte, error) {
 	if e.Packet != nil {
 		flags |= flagHasPacket
 	}
-	buf = append(buf, flags)
-	buf = binary.AppendVarint(buf, e.Time.UnixNano())
-	buf = binary.AppendUvarint(buf, e.SwitchID)
-	buf = binary.AppendUvarint(buf, uint64(e.PacketID))
-	buf = binary.AppendUvarint(buf, e.InPort)
-	buf = binary.AppendUvarint(buf, e.OutPort)
-	buf = binary.AppendUvarint(buf, uint64(e.OOBKind))
-	buf = binary.AppendUvarint(buf, e.OOBPort)
-	if e.Packet == nil {
-		return buf, nil
+	c.u8(&flags)
+	if flags&^byte(flagsKnown) != 0 {
+		c.failf("unknown event flags %02x", flags)
+		return
 	}
-	// Length-prefix the packet: reserve a fixed-width 4-byte length so
-	// the packet can serialize straight into buf and the prefix be
-	// patched afterwards (a varint prefix would need the length first,
-	// forcing a separate packet buffer and a copy).
-	lenAt := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	buf, err := e.Packet.AppendEncode(buf)
-	if err != nil {
-		return nil, fmt.Errorf("wire: encode packet: %w", err)
+	if e.Kind != core.KindEgress && flags&(flagDropped|flagMulticast) != 0 {
+		c.failf("dropped/multicast flags on a %s event", e.Kind)
+		return
 	}
-	binary.BigEndian.PutUint32(buf[lenAt:lenAt+4], uint32(len(buf)-lenAt-4))
-	return buf, nil
+	c.time(&e.Time)
+	c.uv(&e.SwitchID)
+	c.uv((*uint64)(&e.PacketID))
+	c.uv(&e.InPort)
+	c.uv(&e.OutPort)
+	oob := uint64(e.OOBKind)
+	c.uv(&oob)
+	if oob > math.MaxUint8 {
+		c.failf("out-of-band kind %d", oob)
+		return
+	}
+	c.uv(&e.OOBPort)
+	if c.dec {
+		e.Dropped, e.Multicast = flags&flagDropped != 0, flags&flagMulticast != 0
+		e.OOBKind = packet.OOBKind(oob)
+	}
+	if flags&flagHasPacket != 0 {
+		c.packet(&e.Packet)
+	}
 }
 
-// cursor walks a frame payload with strict varint reads.
-type cursor struct {
-	data []byte
-	off  int
-}
-
-func (c *cursor) remaining() int { return len(c.data) - c.off }
-
-func (c *cursor) byte() (byte, error) {
-	if c.off >= len(c.data) {
-		return 0, fmt.Errorf("wire: truncated frame")
-	}
-	b := c.data[c.off]
-	c.off++
-	return b, nil
-}
-
-func (c *cursor) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(c.data[c.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: bad uvarint")
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.data[c.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("wire: bad varint")
-	}
-	c.off += n
-	return v, nil
-}
-
-func (c *cursor) take(n int) ([]byte, error) {
-	if n < 0 || c.remaining() < n {
-		return nil, fmt.Errorf("wire: truncated frame (want %d bytes, have %d)", n, c.remaining())
-	}
-	b := c.data[c.off : c.off+n]
-	c.off += n
-	return b, nil
-}
-
-func (c *cursor) u32() (uint32, error) {
-	b, err := c.take(4)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint32(b), nil
-}
-
-// decodePayload decodes one frame payload (type byte onward). The whole
-// payload must be consumed: trailing bytes are an error, keeping the
-// encoding canonical for the round-trip fuzz target. Batch frames
-// decode into pool-backed storage and must be Released by the caller.
-func decodePayload(payload []byte) (any, error) {
-	c := &cursor{data: payload}
-	tb, err := c.byte()
-	if err != nil {
-		return nil, fmt.Errorf("wire: empty frame payload")
-	}
-	var frame any
-	switch FrameType(tb) {
-	case FrameHello:
-		frame, err = decodeHello(c)
-	case FrameHelloAck:
-		frame, err = decodeHelloAck(c)
-	case FrameBatch:
-		frame, err = decodeBatch(c)
-	case FrameAck:
-		frame, err = decodeAck(c)
-	case FrameConfig:
-		frame, err = decodeConfig(c)
-	case FrameConfigAck:
-		frame, err = decodeConfigAck(c)
-	default:
-		return nil, fmt.Errorf("wire: unknown frame type %d", tb)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if c.remaining() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after %s frame", c.remaining(), FrameType(tb))
-	}
-	return frame, nil
-}
-
-func decodeHello(c *cursor) (Hello, error) {
-	magic, err := c.u32()
-	if err != nil {
-		return Hello{}, err
-	}
-	if magic != helloMagic {
-		return Hello{}, fmt.Errorf("wire: bad hello magic %08x (peer is not a monitoring exporter?)", magic)
-	}
-	if err := c.version(); err != nil {
-		return Hello{}, err
-	}
-	var h Hello
-	if h.DPID, err = c.uvarint(); err != nil {
-		return Hello{}, err
-	}
-	if h.NextSeq, err = c.uvarint(); err != nil {
-		return Hello{}, err
-	}
-	if h.Features, err = c.uvarint(); err != nil {
-		return Hello{}, err
-	}
-	if h.SentNs, err = c.varint(); err != nil {
-		return Hello{}, err
-	}
-	return h, nil
-}
-
-func decodeHelloAck(c *cursor) (HelloAck, error) {
-	if err := c.version(); err != nil {
-		return HelloAck{}, err
-	}
-	var a HelloAck
-	var err error
-	if a.AckSeq, err = c.uvarint(); err != nil {
-		return HelloAck{}, err
-	}
-	if a.Features, err = c.uvarint(); err != nil {
-		return HelloAck{}, err
-	}
-	if a.RecvNs, err = c.varint(); err != nil {
-		return HelloAck{}, err
-	}
-	if a.SentNs, err = c.varint(); err != nil {
-		return HelloAck{}, err
-	}
-	return a, nil
-}
-
-// version reads a handshake frame's protocol version, which must be
-// Version.
-func (c *cursor) version() error {
-	b, err := c.take(2)
-	if err != nil {
-		return err
-	}
-	if ver := binary.BigEndian.Uint16(b); ver != Version {
-		return fmt.Errorf("wire: protocol version %d, want %d", ver, Version)
-	}
-	return nil
-}
-
-func decodeAck(c *cursor) (Ack, error) {
-	var a Ack
-	var err error
-	if a.AckSeq, err = c.uvarint(); err != nil {
-		return Ack{}, err
-	}
-	if a.SentNs, err = c.varint(); err != nil {
-		return Ack{}, err
-	}
-	return a, nil
-}
-
-// str reads a uvarint-length-prefixed string, copying out of the frame
-// buffer (the Reader reuses it across frames).
-func (c *cursor) str() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	b, err := c.take(int(n))
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-// count reads a Config list's length, bounded by maxConfigEntries and by
-// the bytes left (an entry takes at least two) before any allocation.
-func (c *cursor) count() (int, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if n > maxConfigEntries || n > uint64(c.remaining()) {
-		return 0, fmt.Errorf("wire: config declares %d entries in %d bytes, max %d", n, c.remaining(), maxConfigEntries)
-	}
-	return int(n), nil
-}
-
-func decodeConfig(c *cursor) (*Config, error) {
-	kind, err := c.byte()
-	if err != nil {
-		return nil, err
-	}
-	cfg := &Config{Kind: ConfigKind(kind)}
-	if cfg.Epoch, err = c.uvarint(); err != nil {
-		return nil, err
-	}
-	n, err := c.count()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Props = make([]PropMeta, n)
-	for i := range cfg.Props {
-		if cfg.Props[i].Name, err = c.str(); err != nil {
-			return nil, err
+// packet codes an embedded packet behind a fixed-width 4-byte length,
+// so the packet serializes straight into buf and the length is patched
+// afterwards (a varint prefix would need the length first, forcing a
+// separate packet buffer and a copy). Decoding lands it in the batch's
+// packet arena.
+func (c *coder) packet(p **packet.Packet) {
+	if !c.dec {
+		at := len(c.buf)
+		buf, err := (*p).AppendEncode(append(c.buf, 0, 0, 0, 0))
+		if err != nil {
+			c.failf("wire: encode packet: %w", err)
+			return
 		}
-		if cfg.Props[i].Tenant, err = c.str(); err != nil {
-			return nil, err
-		}
+		binary.BigEndian.PutUint32(buf[at:], uint32(len(buf)-at-4))
+		c.buf = buf
+		return
 	}
-	if cfg.Source, err = c.str(); err != nil {
-		return nil, err
+	var raw []byte
+	if n := c.take(4); n != nil {
+		raw = c.take(int(binary.BigEndian.Uint32(n)))
 	}
-	if n, err = c.count(); err != nil {
-		return nil, err
+	if c.err != nil {
+		return
 	}
-	cfg.Members = make([]FleetMember, n)
-	for i := range cfg.Members {
-		if cfg.Members[i].Addr, err = c.str(); err != nil {
-			return nil, err
-		}
-		if cfg.Members[i].Weight, err = c.uvarint(); err != nil {
-			return nil, err
-		}
+	if pkt, err := c.arena.pkt.Decode(raw); err != nil {
+		c.failf("embedded packet: %w", err)
+	} else {
+		*p = pkt
 	}
-	if err := cfg.check(); err != nil {
-		return nil, err
-	}
-	return cfg, nil
 }
 
-func decodeConfigAck(c *cursor) (ConfigAck, error) {
-	kind, err := c.byte()
-	if err != nil {
-		return ConfigAck{}, err
-	}
-	a := ConfigAck{Kind: ConfigKind(kind)}
-	if !a.Kind.valid() {
-		return ConfigAck{}, fmt.Errorf("wire: unknown config kind %d", kind)
-	}
-	if a.Epoch, err = c.uvarint(); err != nil {
-		return ConfigAck{}, err
-	}
-	return a, nil
-}
+// switchMarks is the part of a span the wire ships: its switch-side
+// stages.
+func switchMarks(sp *tracer.Span) uint8 { return sp.StageMask() & tracer.SwitchStageMask }
 
-// decodeBatch reads a Batch. Bytes left after the events are the trace
-// block, so a batch is traced iff it has one.
-func decodeBatch(c *cursor) (*Batch, error) {
-	// The header lives inside the arena too: decoding a batch frame
-	// performs zero heap allocations in steady state. The header is
-	// recycled with the rest of the arena on Release.
-	ba := batchArenaPool.Get().(*batchArena)
-	b := &ba.b
-	*b = Batch{arena: ba}
-	var err error
-	if b.FirstSeq, err = c.uvarint(); err != nil {
-		b.Release()
-		return nil, err
-	}
-	count, err := c.uvarint()
-	if err != nil {
-		b.Release()
-		return nil, err
-	}
-	if err := checkBatch(b.FirstSeq, count); err != nil {
-		b.Release()
-		return nil, err
-	}
-	if count > 0 {
-		// Sanity-bound the allocation by the bytes actually present:
-		// even a packetless event costs at least 9 payload bytes.
-		if int(count) > c.remaining() {
-			b.Release()
-			return nil, fmt.Errorf("wire: batch declares %d events in %d bytes", count, c.remaining())
-		}
-		b.Events = ba.take(int(count))
+// traceBlock is a traced Batch's tail: the clock-offset estimate, then
+// one entry per event carrying a span — its index (strictly ascending),
+// span key, switch-stage mask (nonzero) and the marks for each set bit
+// (nonzero). Decoding materializes a span on each listed event, its
+// marks flagged as remote-clock.
+//
+// Only SwitchStageMask bits are shipped: every switch-side stage is
+// stamped before the send loop encodes the batch (and marks are
+// write-once), so the masked view is stable even while a co-located
+// engine keeps stamping the span's collector-side stages concurrently.
+// That stability is what lets the count and the entries agree, and what
+// makes a replayed batch re-encode the same block.
+func (c *coder) traceBlock(b *Batch) {
+	c.v(&b.ClockOffsetNs)
+	disp := uint64(b.ClockDispNs)
+	c.uv(&disp)
+	var n uint64
+	if c.dec {
+		b.ClockDispNs = int64(disp)
+	} else {
 		for i := range b.Events {
-			if err := decodeEvent(c, &b.Events[i], &ba.pkt); err != nil {
-				b.Release() // hand the arena back on the error path
-				return nil, fmt.Errorf("wire: event %d: %w", i, err)
+			if switchMarks(b.Events[i].Trace) != 0 {
+				n++
 			}
 		}
 	}
-	if c.remaining() > 0 {
-		b.Traced = true
-		if err := decodeTraceBlock(c, b); err != nil {
-			b.Release()
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// decodeTraceBlock reads a Batch's trailing trace block and
-// materializes a span on each listed event, carrying the switch-side
-// marks flagged as remote-clock. Strictness mirrors the rest of the
-// codec: entry indexes must be in range and strictly ascending, stage
-// masks nonzero and within SwitchStageMask, marks nonzero — every
-// accepted block re-encodes byte-identically.
-func decodeTraceBlock(c *cursor, b *Batch) error {
-	var err error
-	if b.ClockOffsetNs, err = c.varint(); err != nil {
-		return err
-	}
-	disp, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	b.ClockDispNs = int64(disp)
-	count, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	if count > uint64(len(b.Events)) {
-		return fmt.Errorf("wire: trace block declares %d entries for %d events", count, len(b.Events))
+	c.uv(&n)
+	if n > uint64(len(b.Events)) {
+		c.failf("wire: trace block declares %d entries for %d events", n, len(b.Events))
+		return
 	}
 	last := -1
-	for k := uint64(0); k < count; k++ {
-		idx, err := c.uvarint()
-		if err != nil {
-			return err
+	for ; n > 0 && c.err == nil; n-- {
+		idx := uint64(last + 1)
+		for !c.dec && switchMarks(b.Events[idx].Trace) == 0 {
+			idx++
 		}
-		if idx >= uint64(len(b.Events)) || int(idx) <= last {
-			return fmt.Errorf("wire: trace entry index %d (after %d, %d events)", idx, last, len(b.Events))
+		c.uv(&idx)
+		if c.err != nil || idx >= uint64(len(b.Events)) || int(idx) <= last {
+			c.failf("wire: trace entry index %d (after %d, %d events)", idx, last, len(b.Events))
+			return
 		}
 		last = int(idx)
-		keyB, err := c.take(8)
-		if err != nil {
-			return err
-		}
-		mask, err := c.byte()
-		if err != nil {
-			return err
-		}
-		if mask == 0 || mask&^tracer.SwitchStageMask != 0 {
-			return fmt.Errorf("wire: trace entry stage mask %02x", mask)
-		}
-		e := &b.Events[idx]
-		sp := &tracer.Span{
-			Key:      binary.BigEndian.Uint64(keyB),
-			DPID:     e.SwitchID,
-			PacketID: uint64(e.PacketID),
-			Kind:     uint8(e.Kind),
-		}
-		sp.MarkRemote(mask)
-		for st := tracer.Stage(0); st < tracer.NumStages; st++ {
-			if mask&(1<<st) == 0 {
-				continue
-			}
-			m, err := c.varint()
-			if err != nil {
-				return err
-			}
-			if m == 0 {
-				return fmt.Errorf("wire: zero trace mark for stage %s", st)
-			}
-			sp.StampAt(st, m)
-		}
-		e.Trace = sp
+		c.span(&b.Events[idx])
 	}
-	return nil
 }
 
-// decodeEvent decodes one event, its embedded packet into pa.
-func decodeEvent(c *cursor, e *core.Event, pa *packet.Arena) error {
-	kb, err := c.byte()
-	if err != nil {
-		return err
+// span is one trace block entry's key, mask and marks.
+func (c *coder) span(e *core.Event) {
+	sp := e.Trace
+	if c.dec {
+		sp = &tracer.Span{DPID: e.SwitchID, PacketID: uint64(e.PacketID), Kind: uint8(e.Kind)}
+		e.Trace = sp
 	}
-	kind := core.EventKind(kb)
-	switch kind {
-	case core.KindArrival, core.KindEgress, core.KindOutOfBand:
+	c.be(&sp.Key, 8)
+	mask := switchMarks(sp)
+	c.u8(&mask)
+	if mask == 0 || mask&^tracer.SwitchStageMask != 0 {
+		c.failf("wire: trace entry stage mask %02x", mask)
+		return
+	}
+	if c.dec {
+		sp.MarkRemote(mask)
+	}
+	for st := tracer.Stage(0); st < tracer.NumStages; st++ {
+		if mask&(1<<st) == 0 {
+			continue
+		}
+		m := sp.Mark(st)
+		c.v(&m)
+		if m == 0 {
+			c.failf("wire: zero trace mark for stage %s", st)
+			return
+		}
+		if c.dec {
+			sp.StampAt(st, m)
+		}
+	}
+}
+
+// AppendHello appends an encoded Hello frame, stamped with Version, to
+// buf.
+func AppendHello(buf []byte, h Hello) []byte {
+	c := encoder(buf, FrameHello)
+	h.walk(&c)
+	buf, _ = c.end() // nothing in a Hello can fail
+	return buf
+}
+
+// AppendHelloAck appends an encoded HelloAck frame, stamped with
+// Version, to buf.
+func AppendHelloAck(buf []byte, a HelloAck) []byte {
+	c := encoder(buf, FrameHelloAck)
+	a.walk(&c)
+	buf, _ = c.end()
+	return buf
+}
+
+// AppendAck appends an encoded Ack frame to buf.
+func AppendAck(buf []byte, a Ack) []byte {
+	c := encoder(buf, FrameAck)
+	a.walk(&c)
+	buf, _ = c.end()
+	return buf
+}
+
+// AppendConfig appends an encoded Config frame, every kind in the one
+// layout. It refuses what decode rejects (an unknown kind, a foreign
+// field, an oversized list) and a frame overflowing MaxFrameLen.
+func AppendConfig(buf []byte, cfg *Config) ([]byte, error) {
+	c := encoder(buf, FrameConfig)
+	cfg.walk(&c)
+	return c.end()
+}
+
+// AppendConfigAck appends an encoded ConfigAck frame. It refuses an
+// unknown kind, which decode rejects.
+func AppendConfigAck(buf []byte, a ConfigAck) ([]byte, error) {
+	c := encoder(buf, FrameConfigAck)
+	a.walk(&c)
+	return c.end()
+}
+
+// AppendBatch appends an encoded Batch frame to buf. It refuses what
+// decode rejects, a packet that cannot encode and a frame overflowing
+// MaxFrameLen; buf's original content then stays valid.
+func AppendBatch(buf []byte, b *Batch) ([]byte, error) {
+	c := encoder(buf, FrameBatch)
+	b.walk(&c)
+	return c.end()
+}
+
+// decodePayload decodes one frame payload (type byte onward) by running
+// its type's walk. The whole payload must be consumed: trailing bytes
+// are an error, keeping the encoding canonical for the round-trip fuzz
+// target. Batch frames decode into pool-backed storage and must be
+// Released by the caller.
+func decodePayload(payload []byte) (any, error) {
+	if len(payload) == 0 {
+		return nil, fmt.Errorf("wire: empty frame payload")
+	}
+	t := FrameType(payload[0])
+	c := coder{dec: true, data: payload, off: 1}
+	var frame any
+	switch t {
+	case FrameHello:
+		var h Hello
+		h.walk(&c)
+		frame = h
+	case FrameHelloAck:
+		var a HelloAck
+		a.walk(&c)
+		frame = a
+	case FrameAck:
+		var a Ack
+		a.walk(&c)
+		frame = a
+	case FrameConfig:
+		cfg := new(Config)
+		cfg.walk(&c)
+		frame = cfg
+	case FrameConfigAck:
+		var a ConfigAck
+		a.walk(&c)
+		frame = a
+	case FrameBatch:
+		// The header lives inside the arena too: decoding a batch frame
+		// performs zero heap allocations in steady state. The header is
+		// recycled with the rest of the arena on Release.
+		c.arena = batchArenaPool.Get().(*batchArena)
+		b := &c.arena.b
+		*b = Batch{arena: c.arena}
+		b.walk(&c)
+		frame = b
 	default:
-		return fmt.Errorf("unknown event kind %d", kb)
+		return nil, fmt.Errorf("wire: unknown frame type %d", payload[0])
 	}
-	e.Kind = kind
-	flags, err := c.byte()
-	if err != nil {
-		return err
+	if c.err == nil && c.off != len(payload) {
+		c.err = fmt.Errorf("wire: %d trailing bytes after %s frame", len(payload)-c.off, t)
 	}
-	if flags&^byte(flagsKnown) != 0 {
-		return fmt.Errorf("unknown event flags %02x", flags)
+	if c.err != nil {
+		if c.arena != nil {
+			c.arena.b.Release() // hand the arena back on the error path
+		}
+		return nil, c.err
 	}
-	if kind != core.KindEgress && flags&(flagDropped|flagMulticast) != 0 {
-		return fmt.Errorf("dropped/multicast flags on a %s event", kind)
-	}
-	e.Dropped = flags&flagDropped != 0
-	e.Multicast = flags&flagMulticast != 0
-	nanos, err := c.varint()
-	if err != nil {
-		return err
-	}
-	e.Time = time.Unix(0, nanos)
-	if e.SwitchID, err = c.uvarint(); err != nil {
-		return err
-	}
-	pid, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	e.PacketID = core.PacketID(pid)
-	if e.InPort, err = c.uvarint(); err != nil {
-		return err
-	}
-	if e.OutPort, err = c.uvarint(); err != nil {
-		return err
-	}
-	oobKind, err := c.uvarint()
-	if err != nil {
-		return err
-	}
-	e.OOBKind = packet.OOBKind(oobKind)
-	if e.OOBPort, err = c.uvarint(); err != nil {
-		return err
-	}
-	if flags&flagHasPacket == 0 {
-		return nil
-	}
-	pktLen, err := c.u32()
-	if err != nil {
-		return err
-	}
-	raw, err := c.take(int(pktLen))
-	if err != nil {
-		return err
-	}
-	pkt, err := pa.Decode(raw)
-	if err != nil {
-		return fmt.Errorf("embedded packet: %w", err)
-	}
-	e.Packet = pkt
-	return nil
+	return frame, nil
 }
 
 // Reader decodes a frame stream from an io.Reader, reusing one buffer

@@ -128,8 +128,10 @@ go test -fuzz FuzzWireRoundTrip -fuzztime 10s -run '^$' ./internal/wire/
 echo "==> trace block fuzz smoke (10s)"
 go test -fuzz FuzzTraceBlockRoundTrip -fuzztime 10s -run '^$' ./internal/wire/
 
-# And for the trace-file grammar: any trace ReadAll accepts must survive
-# WriteAll then ReadAll with its events unchanged, and no input panics.
+# And for the trace-file reader: a trace file is the link's own bytes (the
+# recording Hello, then untraced batches contiguous from seq 1), and any
+# file ReadAll accepts must survive WriteAll then ReadAll with its events
+# unchanged, and no input panics.
 echo "==> trace file fuzz smoke (10s)"
 go test -fuzz FuzzTraceRoundTrip -fuzztime 10s -run '^$' ./internal/trace/
 
@@ -143,6 +145,11 @@ go test -fuzz FuzzFleetBody -fuzztime 10s -run '^$' ./internal/federation/
 # threshold and re-parses from its flag rendering to the same rule.
 echo "==> slo rule fuzz smoke (10s)"
 go test -fuzz FuzzParseRule -fuzztime 10s -run '^$' ./internal/obs/slo/
+
+# And for the -fault grammar: any spec ParseSpec accepts prints, through
+# String, to a spec that parses back to the same value.
+echo "==> fault spec fuzz smoke (10s)"
+go test -fuzz FuzzParseSpec -fuzztime 10s -run '^$' ./internal/fault/
 
 # Introspection-surface smoke: start a real collector, a switchmon with
 # the full observability surface on exporting to it, and a fleetagg over
