@@ -9,14 +9,33 @@ import (
 	"switchmon/internal/core"
 	"switchmon/internal/dsl"
 	"switchmon/internal/exporter"
+	"switchmon/internal/federation"
+	"switchmon/internal/obs/export"
 	"switchmon/internal/property"
 	"switchmon/internal/wire"
 )
 
-// newPropertySet starts a collector over an engine that never sees an
+// liveSet is the collector's set as run wires it, with the
+// /properties install and remove it serves without -aggregate.
+type liveSet struct {
+	col   *collector.Collector
+	edits *export.PropertiesConfig
+}
+
+func (ps *liveSet) installSource(src, tenant string) error {
+	_, err := ps.edits.Install(src, tenant)
+	return err
+}
+
+func (ps *liveSet) remove(name string) error {
+	_, err := ps.edits.Remove(name)
+	return err
+}
+
+// newLiveSet starts a collector over an engine that never sees an
 // event — its lifecycle epoch stays 0 throughout — and pushes the empty
 // startup set, as run does with no -catalog and only -metrics-addr.
-func newPropertySet(t *testing.T) *propertySet {
+func newLiveSet(t *testing.T) *liveSet {
 	t.Helper()
 	sm := core.NewShardedMonitor(1, core.Config{})
 	t.Cleanup(sm.Close)
@@ -26,9 +45,11 @@ func newPropertySet(t *testing.T) *propertySet {
 	}
 	col.Serve()
 	t.Cleanup(col.Close)
-	ps := &propertySet{sm: sm, col: col, objs: map[string]*property.Property{}}
-	ps.broadcast()
-	return ps
+	set := federation.NewPropertySet(sm, col.Broadcast)
+	if err := set.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	return &liveSet{col: col, edits: set.Edits()}
 }
 
 // setRecorder is a property-kind exporter recording the sets it applies.
@@ -38,7 +59,7 @@ type setRecorder struct {
 	sets []*wire.Config
 }
 
-func connect(t *testing.T, ps *propertySet, dpid uint64) *setRecorder {
+func connect(t *testing.T, ps *liveSet, dpid uint64) *setRecorder {
 	t.Helper()
 	r := &setRecorder{}
 	xcfg := exporter.Config{Addr: ps.col.Addr().String(), DPID: dpid}
@@ -59,7 +80,7 @@ func connect(t *testing.T, ps *propertySet, dpid uint64) *setRecorder {
 
 // await waits until the exporter has applied the collector's retained set
 // and returns the names in it.
-func (r *setRecorder) await(t *testing.T, ps *propertySet) []string {
+func (r *setRecorder) await(t *testing.T, ps *liveSet) []string {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
 	for {
@@ -100,7 +121,7 @@ func catalogSource(t *testing.T, name string) string {
 // lifecycle epoch does not move before traffic, so sets numbered by it
 // would all repeat the startup push's epoch and be dropped as stale.
 func TestPropertySetBeforeTrafficReachesExporters(t *testing.T) {
-	ps := newPropertySet(t)
+	ps := newLiveSet(t)
 	if err := ps.installSource(catalogSource(t, "firewall-basic"), "t1"); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +140,7 @@ func TestPropertySetBeforeTrafficReachesExporters(t *testing.T) {
 // Concurrent installs each push a set; whatever order they are built and
 // arrive in, the collector must retain one holding every property.
 func TestConcurrentInstallsRetainCompleteSet(t *testing.T) {
-	ps := newPropertySet(t)
+	ps := newLiveSet(t)
 	names := []string{"firewall-basic", "firewall-until-close", "arp-proxy-reply",
 		"arp-known-not-forwarded", "knock-intervening", "knock-valid-sequence"}
 	var wg sync.WaitGroup

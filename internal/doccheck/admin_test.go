@@ -14,13 +14,14 @@ import (
 // one path, in every program file under internal/ and cmd/ (switchtop's
 // read-only GET poller aside). One handler switches on
 // http.MethodDelete — export.PropertiesHandler, behind switchmon's and
-// the collector's /properties, a member's /fleet/properties and the
-// aggregator's fleet-wide /properties; one composite literal sets
-// Status: "degraded" — export.HealthHandler's report, the member's and
-// the fleet's; and http.NewRequest and http.DefaultClient appear in one
-// function only — federation.AdminCall, the one admin call a scrape, a
-// fleet push, the lifecycle fan-out and a collector's -aggregate forward
-// make, with its timeout.
+// the collector's /properties and the aggregator's fleet-wide
+// /properties (a member's /fleet/properties takes a whole document by
+// PUT and has no DELETE); one composite literal sets Status: "degraded"
+// — export.HealthHandler's report, the member's and the fleet's; and
+// http.NewRequest and http.DefaultClient appear in one function only —
+// federation.AdminCall, the one admin call a scrape, a fleet push, a
+// property-set PUT and a collector's -aggregate forward make, with its
+// timeout.
 func TestAdminSurfaceWrittenOnce(t *testing.T) {
 	var deletes, degraded []string
 	callers := map[string]bool{}

@@ -32,7 +32,7 @@ import (
 // FAULT_MATRIX_SEED; with the variables unset (a local `go test`) every
 // cell runs in-process.
 func TestFaultMatrix(t *testing.T) {
-	modes := []string{"panic-shard", "drop", "wire-drop", "wire-delay", "lifecycle-churn", "collector-leave"}
+	modes := []string{"panic-shard", "drop", "wire-drop", "wire-delay", "lifecycle-churn", "collector-leave", "member-down"}
 	seeds := []int64{1, 2, 3}
 	if m := os.Getenv("FAULT_MATRIX_MODE"); m != "" {
 		modes = []string{m}
@@ -60,6 +60,8 @@ func TestFaultMatrix(t *testing.T) {
 					matrixLifecycleChurn(t, seed)
 				case "collector-leave":
 					matrixCollectorLeave(t, seed)
+				case "member-down":
+					matrixMemberDown(t, seed)
 				default:
 					t.Fatalf("unknown FAULT_MATRIX_MODE %q", mode)
 				}

@@ -9,6 +9,7 @@ import (
 	"switchmon/internal/core"
 	"switchmon/internal/dsl"
 	"switchmon/internal/exporter"
+	"switchmon/internal/federation"
 	"switchmon/internal/property"
 	"switchmon/internal/wire"
 )
@@ -43,18 +44,19 @@ func TestFabricLifecycleChurnDifferential(t *testing.T) {
 		StateTopK: 16, StateSample: 1, StateWatermark: 1,
 	})
 	defer sm.Close()
-	stable := parseLeasedMAC(t)
-	churnName := "firewall-basic"
-	if err := sm.AddProperty(stable); err != nil {
-		t.Fatal(err)
-	}
-	if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), churnName)); err != nil {
-		t.Fatal(err)
-	}
-
 	col, err := collector.New(collector.Config{Addr: "127.0.0.1:0"}, sm)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The set as cmd/collector keeps it: every change is pushed to the
+	// property-kind exporters, one epoch on.
+	set := federation.NewPropertySet(sm, col.Broadcast)
+	churnName := "firewall-basic"
+	churned := property.CatalogByName(property.DefaultParams(), churnName)
+	for _, p := range []*property.Property{parseLeasedMAC(t), churned} {
+		if err := set.Add(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 	col.Serve()
 	defer col.Close()
@@ -82,30 +84,17 @@ func TestFabricLifecycleChurnDifferential(t *testing.T) {
 	n.Switch("edge").Observe(exps[0].Publish)
 	n.Switch("core").Observe(exps[1].Publish)
 
-	// broadcast mirrors what cmd/collector does after each lifecycle op:
-	// epoch, per-property tenant metadata, and the full DSL source.
-	broadcast := func(props ...*property.Property) {
-		u := &wire.Config{Kind: wire.ConfigProperties, Epoch: sm.Epoch(), Source: dsl.FormatAll(props)}
-		for _, p := range props {
-			u.Props = append(u.Props, wire.PropMeta{Name: p.Name, Tenant: p.Tenant})
-		}
-		if err := col.Broadcast(u); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	driveFabricTraffic(n, func() {
 		rig.sync(t)
 		// Mid-stream churn between the causal phases: remove the riding
-		// property, push the shrunk set, reinstall, push again.
-		if err := sm.RemoveProperty(churnName); err != nil {
+		// property, reinstall it; each edit pushes the set.
+		edits := set.Edits()
+		if _, err := edits.Remove(churnName); err != nil {
 			t.Fatal(err)
 		}
-		broadcast(stable)
-		if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), churnName)); err != nil {
+		if _, err := edits.Install(dsl.Format(churned), ""); err != nil {
 			t.Fatal(err)
 		}
-		broadcast(stable, property.CatalogByName(property.DefaultParams(), churnName))
 	})
 	// Both pushes reached both exporters and were acked — checked while
 	// the connections are still alive: acks written during shutdown race

@@ -141,6 +141,12 @@ go test -fuzz FuzzTraceRoundTrip -fuzztime 10s -run '^$' ./internal/trace/
 echo "==> fleet body fuzz smoke (10s)"
 go test -fuzz FuzzFleetBody -fuzztime 10s -run '^$' ./internal/federation/
 
+# And for the member's PUT /fleet/properties body: no body panics it,
+# only a parseable property-set document answers 2xx, the applied set
+# is then that document, and a stale epoch changes nothing.
+echo "==> property-set document fuzz smoke (10s)"
+go test -fuzz FuzzPropertySetDoc -fuzztime 10s -run '^$' ./internal/federation/
+
 # And for the -slo rule grammar: any rule ParseRule accepts has a finite
 # threshold and re-parses from its flag rendering to the same rule.
 echo "==> slo rule fuzz smoke (10s)"
