@@ -88,7 +88,7 @@ func run() error {
 	}
 	// The installed set is one document: pushed to the exporters on
 	// every change, replaced by the aggregation tier's through
-	// /fleet/properties.
+	// /fleet/properties, whose membership changes are relayed too.
 	set := federation.NewPropertySet(sm, col.Broadcast)
 	installed, err := o.LoadProperties(set.Add)
 	if err != nil {
@@ -111,7 +111,7 @@ func run() error {
 		mc.Properties.Install, mc.Properties.Remove = up.Install, up.Remove
 	}
 	srv, err := o.Serve(mc, func(mux *http.ServeMux) {
-		federation.RegisterMemberEndpoints(mux, federation.MemberEndpoints{Broadcast: col.Broadcast, Set: set})
+		federation.RegisterMemberEndpoints(mux, set)
 	})
 	if err != nil {
 		return err
@@ -153,11 +153,12 @@ func run() error {
 // through the aggregation tier at base, which edits the fleet's property
 // set and replicates it to every member, this one included, through
 // /fleet/properties. Each forward is one federation.AdminCall, bounded by
-// federation.AdminTimeout, and answers the fleet's edited document.
+// federation.EditTimeout, the edit's own worst case, and answers the
+// fleet's edited document.
 func forward(base string) *export.PropertiesConfig {
 	call := func(method, query, body string) (any, error) {
 		target := strings.TrimRight(base, "/") + "/properties?" + query
-		ans, err := federation.AdminCall(federation.AdminTimeout, method, target, "text/plain", body)
+		ans, err := federation.AdminCall(federation.EditTimeout, method, target, "text/plain", body)
 		if err != nil || !json.Valid(ans) {
 			return nil, err
 		}

@@ -1,10 +1,9 @@
 // Command fleetagg is the aggregation tier of a federated collector
 // fleet: it merges per-collector metrics, health, state reports, and
-// violation streams into fleet-wide endpoints, owns the fleet's property
-// set as one document that each sampler tick reconciles onto every
-// member, and drives fleet membership changes by pushing fleet-kind
-// wire.Config frames through the member collectors to every connected
-// exporter.
+// violation streams into fleet-wide endpoints, and owns the fleet's one
+// document — its property set and its membership — which each sampler
+// tick reconciles onto every member, each member relaying it to its
+// connected exporters.
 //
 // Usage:
 //
@@ -13,9 +12,10 @@
 // Each -members entry is exporterAddr=adminURL[=weight]: the TCP
 // address switches dial (what appears in fleet config frames and the
 // routers' consistent-hash ring) and the collector's -metrics-addr
-// base URL the aggregator scrapes and administers. The process holds
-// no monitoring state — every answer is composed from live member
-// scrapes, and the property-set document is re-learned from the members
+// base URL the aggregator scrapes and administers. It seeds the fleet
+// only until a POST /fleet names the members. The process holds no
+// monitoring state — every answer is composed from live member scrapes,
+// and the document, membership included, is re-learned from the members
 // — so it can restart at any time.
 //
 // Endpoints: /metrics (summed switchmon_fleet_* namespace), /healthz,
@@ -83,7 +83,6 @@ func parseMembers(spec string) ([]federation.AggMember, error) {
 type options struct {
 	daemon.Flags
 	members string
-	epoch   uint64
 	timeout time.Duration
 }
 
@@ -96,7 +95,6 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.Lookup("history").Usage = "how far back the fleet metrics-history ring reaches"
 	fs.Lookup("slo").Usage = "extra fleet SLO rule as name:series-glob:threshold:fast-window (repeatable; slow window is 10x fast; built-in rules are always evaluated)"
 	fs.StringVar(&o.members, "members", "", "comma-separated exporterAddr=adminURL[=weight] collector entries")
-	fs.Uint64Var(&o.epoch, "epoch", 0, "initial fleet-config epoch (membership changes increment it)")
 	fs.DurationVar(&o.timeout, "timeout", federation.AdminTimeout, "per-member scrape/admin call timeout")
 }
 
@@ -111,14 +109,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	agg, err := federation.NewAggregator(federation.AggConfig{
-		Members: ms, Epoch: o.epoch, Timeout: o.timeout,
-	})
+	agg, err := federation.NewAggregator(federation.AggConfig{Members: ms, Timeout: o.timeout})
 	if err != nil {
 		return err
 	}
 	// Self-monitoring in snapshot mode: each sampler tick reconciles the
-	// property set, scrapes the fleet and records the merged snapshot,
+	// document, scrapes the fleet and records the merged snapshot,
 	// so /query serves fleet history and the SLO engine alerts on it
 	// (member reachability included) with no per-member configuration.
 	srv, err := o.NewServer(o.Listen, nil, agg.Sample)

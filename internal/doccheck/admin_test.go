@@ -19,9 +19,8 @@ import (
 // PUT and has no DELETE); one composite literal sets Status: "degraded"
 // — export.HealthHandler's report, the member's and the fleet's; and
 // http.NewRequest and http.DefaultClient appear in one function only —
-// federation.AdminCall, the one admin call a scrape, a fleet push, a
-// property-set PUT and a collector's -aggregate forward make, with its
-// timeout.
+// federation.AdminCall, the one admin call a scrape, a document PUT and
+// a collector's -aggregate forward make, with its timeout.
 func TestAdminSurfaceWrittenOnce(t *testing.T) {
 	var deletes, degraded []string
 	callers := map[string]bool{}

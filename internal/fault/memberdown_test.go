@@ -54,7 +54,7 @@ func startDownMember(t *testing.T, addr, adminAddr string, startup []string) *do
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
-	federation.RegisterMemberEndpoints(mux, federation.MemberEndpoints{Broadcast: col.Broadcast, Set: set})
+	federation.RegisterMemberEndpoints(mux, set)
 	m := &downMember{addr: col.Addr().String(), admin: ln.Addr().String(), sm: sm, col: col, set: set, srv: &http.Server{Handler: mux}}
 	go func() { _ = m.srv.Serve(ln) }()
 	return m

@@ -2,11 +2,12 @@ package federation
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -32,11 +33,8 @@ type AggMember struct {
 
 // AggConfig parameterizes an Aggregator.
 type AggConfig struct {
-	// Members is the initial fleet.
+	// Members is the fleet until the fleet's document names its members.
 	Members []AggMember
-	// Epoch is the initial fleet-config epoch; membership changes
-	// applied through /fleet increment it.
-	Epoch uint64
 	// Timeout bounds each member scrape/admin call (default
 	// AdminTimeout).
 	Timeout time.Duration
@@ -44,21 +42,20 @@ type AggConfig struct {
 
 // Aggregator is the fleet head: it merges per-collector metrics,
 // health, state reports, and violation streams into fleet-wide
-// endpoints, owns the fleet's property set as one document that it
-// replicates onto every member, and drives membership changes by posting
-// a FleetDoc to every member collector, which relays it to its
-// exporters.
+// endpoints, and owns the fleet's one document — its property set and its
+// membership — which it replicates onto every member, each member
+// relaying it to its exporters.
 //
 // It holds no monitoring state of its own: every answer is composed
-// from live member scrapes, and its property-set document is re-learned
-// from the members (settle), so a restarted aggregator's next edit
-// outranks every member.
+// from live member scrapes, and the document is re-learned from the
+// members (settle), so a restarted aggregator's next edit, of the set or
+// of the members, outranks every member and every router.
 type Aggregator struct {
-	mu      sync.Mutex // guards members, epoch, props and behind
-	members []AggMember
-	epoch   uint64
-	// props is the fleet's property set; behind, the members the last
-	// reconcile left without it.
+	mu sync.Mutex // guards props and behind
+	// seed is the fleet until props names its members; props is the
+	// fleet's document; behind, the members the last reconcile left
+	// without it.
+	seed   []AggMember
 	props  PropertySetDoc
 	behind int
 
@@ -79,17 +76,14 @@ func NewAggregator(cfg AggConfig) (*Aggregator, error) {
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = AdminTimeout
 	}
-	return &Aggregator{
-		members: append([]AggMember(nil), cfg.Members...),
-		epoch:   cfg.Epoch,
-		timeout: cfg.Timeout,
-	}, nil
+	return &Aggregator{seed: slices.Clone(cfg.Members), timeout: cfg.Timeout}, nil
 }
 
 // ValidateMembers is the one rule a member list passes, at NewAggregator,
-// at ApplyMembership and for fleetagg's -members: at least one member,
-// each naming an admin URL, whose addrs and weights build a Ring (NewRing:
-// non-empty unique addrs, finite non-negative weights, 0 meaning 1) —
+// at ApplyMembership, at a member's apply and for fleetagg's -members: at
+// least one member, each naming an admin URL, whose addrs and weights
+// build a Ring (NewRing: non-empty unique addrs, finite non-negative
+// weights, 0 meaning 1) and which the wire carries as a fleet config —
 // so no membership is accepted that every router would refuse.
 func ValidateMembers(members []AggMember) error {
 	if len(members) == 0 {
@@ -103,32 +97,32 @@ func ValidateMembers(members []AggMember) error {
 		ring[i] = Member{Addr: m.Addr, Weight: m.Weight}
 	}
 	_, err := NewRing(ring)
+	if err == nil {
+		_, err = wire.AppendConfig(nil, PropertySetDoc{Members: members}.fleetConfig())
+	}
 	return err
 }
 
-// Members snapshots the current membership.
-func (a *Aggregator) Members() []AggMember {
+// fleet is the fleet's document naming the current membership: its own
+// members, else the seed.
+func (a *Aggregator) fleet() PropertySetDoc {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return append([]AggMember(nil), a.members...)
-}
-
-// Epoch is the current fleet-config epoch.
-func (a *Aggregator) Epoch() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.epoch
+	d := a.props
+	if len(d.Members) == 0 {
+		d.Members = a.seed
+	}
+	return d
 }
 
 // The ops switchmon_fleet_admin_errors_total counts failures of: a
-// member scrape (every GET), a /fleet push, a property-set PUT.
+// member scrape (every GET), a document PUT.
 const (
 	opScrape = iota
-	opFleet
 	opProperties
 )
 
-var adminOps = [...]string{opScrape: "scrape", opFleet: "fleet", opProperties: "properties"}
+var adminOps = [...]string{opScrape: "scrape", opProperties: "properties"}
 
 // call is every admin call the aggregator makes to a member: AdminCall to
 // path on m's admin URL with a JSON body, a failure counted under op.
@@ -150,7 +144,7 @@ type memberDoc struct {
 // collectJSON fetches path from every member concurrently, in member
 // order.
 func (a *Aggregator) collectJSON(path string) []memberDoc {
-	return a.collectJSONPer(a.Members(), func(AggMember) string { return path })
+	return a.collectJSONPer(a.fleet().Members, func(AggMember) string { return path })
 }
 
 // collectJSONPer is collectJSON over members with a per-member path, so
@@ -269,11 +263,12 @@ func fleetName(name string) string {
 }
 
 // fleetFamilies builds the aggregator's own series: membership size,
-// reachability, fleet epoch, members behind the property set, failed
-// admin calls.
+// reachability, the document's epoch, members behind it, failed admin
+// calls.
 func (a *Aggregator) fleetFamilies(reachable int) []obs.FamilySnapshot {
+	d := a.fleet()
 	a.mu.Lock()
-	n, epoch, behind := len(a.members), a.epoch, a.behind
+	n, epoch, behind := len(d.Members), d.Epoch, a.behind
 	a.mu.Unlock()
 	fam := func(kind, name, help string, v int64) obs.FamilySnapshot {
 		return obs.FamilySnapshot{Name: name, Help: help, Kind: kind, Series: []obs.SeriesSnapshot{{Value: v}}}
@@ -286,8 +281,8 @@ func (a *Aggregator) fleetFamilies(reachable int) []obs.FamilySnapshot {
 		fam("gauge", "switchmon_fleet_members", "Collectors in the current fleet config.", int64(n)),
 		fam("gauge", "switchmon_fleet_members_reachable", "Members that answered the last fleet scrape.", int64(reachable)),
 		fam("gauge", "switchmon_fleet_members_unreachable", "Members that did not answer the last fleet scrape.", int64(n-reachable)),
-		fam("gauge", "switchmon_fleet_epoch", "Applied fleet-config epoch.", int64(epoch)),
-		fam("gauge", "switchmon_fleet_members_behind", "Members the last reconcile left without the fleet's property set.", int64(behind)),
+		fam("gauge", "switchmon_fleet_epoch", "Epoch of the fleet's document.", int64(epoch)),
+		fam("gauge", "switchmon_fleet_members_behind", "Members the last reconcile left without the fleet's document.", int64(behind)),
 		errs,
 	}
 }
@@ -305,7 +300,7 @@ func (a *Aggregator) FleetSnapshot() obs.Snapshot {
 }
 
 // Sample is the fleet-history sampler's source: FleetSnapshot, with one
-// replication round of the property set (reconcile) run beside it, so a
+// replication round of the document (reconcile) run beside it, so a
 // member that hangs costs the tick one timeout, not two. The sampler's
 // tick is the replication cadence; /metrics only scrapes.
 func (a *Aggregator) Sample() obs.Snapshot {
@@ -340,81 +335,27 @@ func (a *Aggregator) scrapeMetrics() (snaps []obs.Snapshot, reachable int) {
 	return snaps, len(snaps)
 }
 
-// pushFleetConfig posts the fleet document to every reachable member's
-// /fleet admin endpoint, which broadcasts it to that member's connected
-// exporters; since every federated exporter holds a route to every
-// member, one reachable member suffices for convergence, and the push
-// is idempotent under the routers' epoch filter. Returns the first
-// error with the count of successful pushes.
-func (a *Aggregator) pushFleetConfig(members []AggMember, fc *FleetDoc) (int, error) {
-	body, err := json.Marshal(fc)
-	if err != nil {
-		return 0, err
-	}
-	pushed := 0
-	var firstErr error
-	for _, m := range members {
-		if _, err := a.call(opFleet, http.MethodPost, m, "/fleet", string(body)); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		pushed++
-	}
-	return pushed, firstErr
-}
-
-// ApplyMembership installs a new member set: bumps the fleet epoch and
-// pushes the resulting FleetDoc through the union of old and new
-// members (departing members relay the config to their exporters too,
-// when still reachable).
-func (a *Aggregator) ApplyMembership(members []AggMember) (*FleetDoc, error) {
+// ApplyMembership is a membership edit: the fleet's document, settled as
+// for a property edit, names members one epoch on, and the round PUTs it
+// to old and new members alike, so departing members relay it to their
+// exporters too. A list ValidateMembers refuses changes nothing.
+func (a *Aggregator) ApplyMembership(members []AggMember) (PropertySetDoc, error) {
 	if err := ValidateMembers(members); err != nil {
-		return nil, err
+		return PropertySetDoc{}, err
 	}
-	a.mu.Lock()
-	old := a.members
-	a.epoch++
-	fc := &FleetDoc{Epoch: a.epoch}
-	for _, m := range members {
-		// The wire carries weight as fixed-point millis so fractional
-		// capacities survive the trip (0 means the default weight 1.0);
-		// any positive weight rounds to at least one milli-unit.
-		w := uint64(math.Round(m.Weight * 1000))
-		if m.Weight > 0 && w == 0 {
-			w = 1
-		}
-		fc.Members = append(fc.Members, wire.FleetMember{Addr: m.Addr, Weight: w})
-	}
-	a.members = append([]AggMember(nil), members...)
-	a.mu.Unlock()
-
-	union := append([]AggMember(nil), members...)
-	have := map[string]bool{}
-	for _, m := range members {
-		have[m.Admin] = true
-	}
-	for _, m := range old {
-		if !have[m.Admin] {
-			union = append(union, m)
-		}
-	}
-	pushed, err := a.pushFleetConfig(union, fc)
-	if pushed > 0 {
-		// Convergence only needs one relay; partial push is a warning,
-		// not a failure.
-		err = nil
-	}
-	return fc, err
+	return a.reconcile(func(d PropertySetDoc) (PropertySetDoc, error) {
+		d.Epoch, d.Members = d.Epoch+1, slices.Clone(members)
+		return d, nil
+	})
 }
 
-// reconcile is one round of property-set replication and, given a
-// change, an edit: read every member's applied document, settle the
-// fleet's onto the newest, apply change, and PUT the result, concurrently,
-// to every reachable member behind it. A member that is down stays behind
-// until a later round finds it up, so an edit refuses only what settle
-// and change refuse.
+// reconcile is one round of document replication and, given a change, an
+// edit: read every member's applied document, settle the fleet's onto the
+// newest, apply change, and PUT the result, concurrently, to every
+// reachable member behind it and to every member the result names that
+// was not read (a membership edit's joiners). A member that is down stays
+// behind until a later round finds it up, so an edit refuses only what
+// settle and change refuse.
 func (a *Aggregator) reconcile(change func(PropertySetDoc) (PropertySetDoc, error)) (PropertySetDoc, error) {
 	members, _, held := a.holdings()
 	a.mu.Lock()
@@ -429,13 +370,19 @@ func (a *Aggregator) reconcile(change func(PropertySetDoc) (PropertySetDoc, erro
 	if err != nil {
 		return doc, err
 	}
+	for _, m := range doc.Members {
+		if !slices.ContainsFunc(members, func(o AggMember) bool { return o.Admin == m.Admin }) {
+			members = append(members, m)
+		}
+	}
 	body, _ := json.Marshal(doc) // a PropertySetDoc always encodes
 	var behind atomic.Int64
 	var wg sync.WaitGroup
 	for i, m := range members {
+		read := i < len(held)
 		switch {
-		case doc.Epoch == 0 || held[i] != nil && held[i].Epoch >= doc.Epoch:
-		case held[i] == nil:
+		case doc.Epoch == 0 || read && held[i] != nil && held[i].Epoch >= doc.Epoch:
+		case read && held[i] == nil:
 			behind.Add(1)
 		default:
 			wg.Add(1)
@@ -458,10 +405,10 @@ func (a *Aggregator) reconcile(change func(PropertySetDoc) (PropertySetDoc, erro
 	return doc, nil
 }
 
-// holdings reads every member's applied property-set document: held[i]
-// is nil for a member that did not answer one.
+// holdings reads every member's applied document: held[i] is nil for a
+// member that did not answer one.
 func (a *Aggregator) holdings() ([]AggMember, []memberDoc, []*PropertySetDoc) {
-	members := a.Members()
+	members := a.fleet().Members
 	docs := a.collectJSONPer(members, func(AggMember) string { return "/fleet/properties" })
 	held := make([]*PropertySetDoc, len(docs))
 	for i, d := range docs {
@@ -473,8 +420,8 @@ func (a *Aggregator) holdings() ([]AggMember, []memberDoc, []*PropertySetDoc) {
 	return members, docs, held
 }
 
-// settle is the one rule for which property-set document an edit
-// builds on and a round replicates, over own, the aggregator's, and
+// settle is the one rule for which document an edit builds on and a
+// round replicates, over own, the aggregator's, and
 // held, the members' (nil for no answer): the highest epoch, own first
 // among equals. Two different documents at the winning epoch (a member
 // edited on its own) are re-issued one above it, since a member refuses
@@ -497,7 +444,7 @@ func settle(own PropertySetDoc, held []*PropertySetDoc) (PropertySetDoc, error) 
 	}
 	switch {
 	case !known:
-		return top, &export.StatusError{Code: http.StatusServiceUnavailable, Msg: "no member answered: the fleet's property set is unknown"}
+		return top, &export.StatusError{Code: http.StatusServiceUnavailable, Msg: "no member answered: the fleet's document is unknown"}
 	case split && top.Epoch == 0:
 		return top, &export.StatusError{Code: http.StatusConflict, Msg: "the members hold different startup sets: align them, or edit one member on its own to make its set the fleet's"}
 	case split:
@@ -559,12 +506,14 @@ func (a *Aggregator) propertySets() any {
 //	             history ring; see export.HistoryHandler)
 //	/alerts      fleet SLO rule status (when AttachSelfMonitor wired an
 //	             alert engine; see export.AlertsHandler)
-//	/properties  GET: the fleet's property-set document, every
+//	/properties  GET: the fleet's document, every
 //	             member's applied one, and a converged flag; POST/DELETE:
 //	             edit the document, replicate it (reconcile) and answer
 //	             it with its new epoch; settle's refusals answer 409/503
-//	/fleet       GET: current membership and epoch; POST: install a new
-//	             member set, push it fleet-wide, and answer its FleetDoc
+//	/fleet       GET: the fleet's document naming the current membership
+//	             (fleet); POST: a membership edit (ApplyMembership),
+//	             answered with the new document; a list ValidateMembers
+//	             refuses answers 400, settle's refusals 409/503
 //
 // Errors answer the admin surface's uniform {"error": "..."} JSON shape.
 func (a *Aggregator) Mux() *http.ServeMux {
@@ -595,7 +544,7 @@ func (a *Aggregator) Mux() *http.ServeMux {
 				}
 				cursors[addr] = seq
 			}
-			docs := a.collectJSONPer(a.Members(), func(m AggMember) string {
+			docs := a.collectJSONPer(a.fleet().Members, func(m AggMember) string {
 				vals := url.Values{}
 				if v, ok := cursors[m.Addr]; ok {
 					vals.Set("since", v)
@@ -635,13 +584,7 @@ func (a *Aggregator) Mux() *http.ServeMux {
 	mux.HandleFunc("/fleet", func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
 		case http.MethodGet:
-			a.mu.Lock()
-			doc := struct {
-				Epoch   uint64      `json:"epoch"`
-				Members []AggMember `json:"members"`
-			}{a.epoch, append([]AggMember(nil), a.members...)}
-			a.mu.Unlock()
-			export.JSON(w, doc)
+			export.JSON(w, a.fleet())
 		case http.MethodPost:
 			var req struct {
 				Members []AggMember `json:"members"`
@@ -650,12 +593,16 @@ func (a *Aggregator) Mux() *http.ServeMux {
 				export.Error(w, http.StatusBadRequest, err.Error())
 				return
 			}
-			fc, err := a.ApplyMembership(req.Members)
+			doc, err := a.ApplyMembership(req.Members)
 			if err != nil {
-				export.Error(w, http.StatusBadRequest, err.Error())
+				code := http.StatusBadRequest
+				if se := (*export.StatusError)(nil); errors.As(err, &se) {
+					code = se.Code
+				}
+				export.Error(w, code, err.Error())
 				return
 			}
-			export.JSON(w, fc)
+			export.JSON(w, doc)
 		default:
 			export.Error(w, http.StatusMethodNotAllowed, "GET or POST")
 		}

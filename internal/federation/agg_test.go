@@ -77,7 +77,7 @@ func startFleetMember(t *testing.T) *fleetMember {
 		Properties: set.Edits(),
 	}
 	mux := export.NewMux(mc)
-	RegisterMemberEndpoints(mux, MemberEndpoints{Broadcast: col.Broadcast, Set: set})
+	RegisterMemberEndpoints(mux, set)
 	srv := httptest.NewServer(mux)
 	m := &fleetMember{sm: sm, col: col, set: set, mux: mux, admin: srv}
 	t.Cleanup(func() { m.admin.Close() })
@@ -237,8 +237,8 @@ func TestAggregatorLifecyclePropagation(t *testing.T) {
 
 // TestAggregatorFleetEndpoints covers the merged observability surface:
 // summed switchmon_fleet_* metrics, fleet health, per-member state, and
-// membership changes pushed through the /fleet endpoint all the way to
-// a live router.
+// a membership edit through the /fleet endpoint, one reconcile round that
+// reaches a live router through the members' documents.
 func TestAggregatorFleetEndpoints(t *testing.T) {
 	m1, m2 := startFleetMember(t), startFleetMember(t)
 	addr1, addr2 := m1.col.Addr().String(), m2.col.Addr().String()
@@ -294,20 +294,17 @@ func TestAggregatorFleetEndpoints(t *testing.T) {
 		}
 	}
 
-	// Membership change through the aggregation tier: drop member 2. The
-	// push rides the member collectors' /fleet relays, reaches the
-	// router on its live routes, and re-routes it behind the drain
-	// fence.
-	req, _ := json.Marshal(struct {
-		Members []AggMember `json:"members"`
-	}{[]AggMember{m1.aggMember()}})
-	code, body = httpDo(t, http.MethodPost, aggSrv.URL+"/fleet", string(req))
-	if code != http.StatusOK {
-		t.Fatalf("fleet config post: %d %s", code, body)
+	// Membership edit through the aggregation tier: drop member 2. The
+	// document is PUT to both members, each relays its membership to its
+	// exporters, and the router re-routes behind the drain fence.
+	code, doc := postMembers(t, aggSrv.URL, m1.aggMember())
+	if code != http.StatusOK || doc.Epoch != 1 || !reflect.DeepEqual(doc, agg.fleet()) {
+		t.Fatalf("fleet config post: %d %+v", code, doc)
 	}
+	holds(t, m2, 1) // the departing member holds the document too
 	waitFor(t, "router applied the pushed membership", func() bool {
 		ms := r.Members()
-		return r.Epoch() == agg.Epoch() && len(ms) == 1 && ms[0].Addr == addr1
+		return r.Epoch() == doc.Epoch && len(ms) == 1 && ms[0].Addr == addr1
 	})
 	for i := n + 1; i <= 2*n; i++ {
 		r.Publish(ev(i))
@@ -321,67 +318,141 @@ func TestAggregatorFleetEndpoints(t *testing.T) {
 	}
 }
 
-// TestApplyMembershipWeightMillis: fractional member weights must reach
-// the wire as fixed-point millis (not truncated integers), and invalid
-// weights are rejected up front instead of silently distorted.
+// postMembers is a membership edit through the aggregator's POST /fleet.
+func postMembers(t *testing.T, url string, members ...AggMember) (int, PropertySetDoc) {
+	t.Helper()
+	req, _ := json.Marshal(struct {
+		Members []AggMember `json:"members"`
+	}{members})
+	return propsDo(t, http.MethodPost, url+"/fleet", string(req))
+}
+
+// TestApplyMembershipWeightMillis: fractional member weights reach the
+// wire as fixed-point millis (not truncated integers) when a member relays
+// the document's membership, and invalid weights are refused up front,
+// the fleet's epoch and members unmoved.
 func TestApplyMembershipWeightMillis(t *testing.T) {
+	var pushed []*wire.Config
+	sm := core.NewShardedMonitor(1, core.Config{})
+	t.Cleanup(sm.Close)
+	set := NewPropertySet(sm, func(u *wire.Config) error {
+		pushed = append(pushed, u)
+		return nil
+	})
 	dead := "http://127.0.0.1:1"
-	a, err := NewAggregator(AggConfig{Members: []AggMember{{Addr: "a", Admin: dead}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The push to the dead admin URL fails; the config itself is still
-	// built and returned, which is all this test needs.
-	fc, _ := a.ApplyMembership([]AggMember{
+	if _, err := set.Apply(PropertySetDoc{Epoch: 1, Members: []AggMember{
 		{Addr: "a", Admin: dead, Weight: 2.7},
 		{Addr: "b", Admin: dead, Weight: 0.25},
 		{Addr: "c", Admin: dead},
-	})
-	if fc == nil {
-		t.Fatal("no fleet config returned")
+	}}); err != nil {
+		t.Fatal(err)
 	}
-	want := map[string]uint64{"a": 2700, "b": 250, "c": 0}
-	if len(fc.Members) != len(want) {
-		t.Fatalf("want %d members, got %+v", len(want), fc.Members)
+	want := []wire.FleetMember{{Addr: "a", Weight: 2700}, {Addr: "b", Weight: 250}, {Addr: "c"}}
+	if len(pushed) != 2 || pushed[1].Kind != wire.ConfigFleet || pushed[1].Epoch != 1 || !reflect.DeepEqual(pushed[1].Members, want) {
+		t.Fatalf("pushed %+v, want the set, then the fleet %+v at epoch 1", pushed, want)
 	}
-	for _, m := range fc.Members {
-		if m.Weight != want[m.Addr] {
-			t.Fatalf("member %s: wire weight %d, want %d", m.Addr, m.Weight, want[m.Addr])
-		}
-	}
+
+	m := startFleetMember(t)
+	a, _ := startAgg(t, m)
 	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
 		if _, err := a.ApplyMembership([]AggMember{{Addr: "a", Admin: dead, Weight: bad}}); err == nil {
 			t.Fatalf("weight %v accepted, want rejection", bad)
 		}
+		if want := (PropertySetDoc{Members: []AggMember{m.aggMember()}}); !reflect.DeepEqual(a.fleet(), want) {
+			t.Fatalf("refused weight %v moved the fleet to %+v", bad, a.props)
+		}
 	}
 }
 
-// TestMemberListOneRule: the aggregator's start, a membership change and
-// fleetagg's -members share ValidateMembers, NewRing's rule, so no list
-// is accepted that every router would refuse — and a refused change
-// leaves the epoch where it was.
+// TestMemberListOneRule: the aggregator's start, a membership edit, a
+// member's apply and fleetagg's -members share ValidateMembers, NewRing's
+// rule and what the wire carries, so no list is accepted that every
+// router would refuse — and a refused edit leaves the fleet's epoch and
+// members where they were.
 func TestMemberListOneRule(t *testing.T) {
+	m := startFleetMember(t)
 	dead := "http://127.0.0.1:1"
 	if _, err := NewAggregator(AggConfig{Members: []AggMember{{Addr: "a", Admin: dead, Weight: -3}}}); err == nil {
 		t.Fatal("NewAggregator accepted weight -3")
 	}
-	a, err := NewAggregator(AggConfig{Members: []AggMember{{Addr: "a", Admin: dead}}})
-	if err != nil {
-		t.Fatal(err)
+	a, srv := startAgg(t, m)
+	tooMany := make([]AggMember, 1<<10+1)
+	for i := range tooMany {
+		tooMany[i] = AggMember{Addr: fmt.Sprintf("10.0.0.%d:%d", i%256, 9000+i), Admin: dead}
 	}
 	for _, bad := range [][]AggMember{
 		{{Addr: "a", Admin: dead}, {Addr: "a", Admin: "http://127.0.0.1:2"}},
 		{{Addr: "", Admin: dead}},
 		{{Addr: "a"}},
+		tooMany,
 		nil,
 	} {
-		if _, err := a.ApplyMembership(bad); err == nil {
-			t.Fatalf("ApplyMembership(%+v) accepted", bad)
+		if code, doc := postMembers(t, srv.URL, bad...); code != http.StatusBadRequest {
+			t.Fatalf("POST /fleet of %d members answered %d %+v, want 400", len(bad), code, doc)
 		}
-		if a.Epoch() != 0 {
-			t.Fatalf("refused ApplyMembership(%+v) moved the epoch to %d", bad, a.Epoch())
+		if want := (PropertySetDoc{Members: []AggMember{m.aggMember()}}); !reflect.DeepEqual(a.fleet(), want) {
+			t.Fatalf("a refused membership edit moved the fleet to %+v", a.props)
 		}
+		if len(bad) == 0 {
+			continue // a document naming no members keeps the fleet's
+		}
+		body, _ := json.Marshal(PropertySetDoc{Epoch: 1, Props: []wire.PropMeta{}, Members: bad})
+		if code, ans := httpDo(t, http.MethodPut, m.admin.URL+"/fleet/properties", string(body)); code != http.StatusBadRequest {
+			t.Fatalf("member PUT naming %d bad members answered %d %s", len(bad), code, ans)
+		}
+		holds(t, m, 0)
 	}
+}
+
+// A membership edit with no member answering is refused (503), as a
+// property edit is, and the fleet's epoch and members stay where they
+// were.
+func TestMembershipEditWithNoMemberAnswering(t *testing.T) {
+	m1, m2 := startFleetMember(t), startFleetMember(t)
+	a, srv := startAgg(t, m1)
+	m1.stop()
+	if code, doc := postMembers(t, srv.URL, m1.aggMember(), m2.aggMember()); code != http.StatusServiceUnavailable {
+		t.Fatalf("membership edit with no member answering: %d %+v", code, doc)
+	}
+	if _, fleet := propsDo(t, http.MethodGet, srv.URL+"/fleet", ""); fleet.Epoch != 0 || !reflect.DeepEqual(fleet.Members, []AggMember{m1.aggMember()}) {
+		t.Fatalf("GET /fleet after a refused edit: %+v", fleet)
+	}
+	if len(a.props.Members) != 0 {
+		t.Fatalf("a refused edit left the document naming %+v", a.props.Members)
+	}
+	holds(t, m2, 0)
+}
+
+// An aggregator restart keeps membership edits working: a fresh aggregator
+// built from the original -members adopts the shrunken fleet the members
+// hold on its first sampler round, and its edit restoring both members
+// outranks every collector and router, so the router routes on both.
+func TestRestartedAggregatorKeepsMembership(t *testing.T) {
+	m1, m2 := startFleetMember(t), startFleetMember(t)
+	r := newTestRouter(t, []Member{{Addr: m1.col.Addr().String()}, {Addr: m2.col.Addr().String()}}, nil)
+
+	_, srvA := startAgg(t, m1, m2)
+	if code, doc := postMembers(t, srvA.URL, m1.aggMember()); code != http.StatusOK || doc.Epoch != 1 {
+		t.Fatalf("aggregator A shrinking the fleet: %d %+v", code, doc)
+	}
+	waitFor(t, "router on one member", func() bool { return r.Epoch() == 1 && len(r.Members()) == 1 })
+
+	b, srvB := startAgg(t, m1, m2) // the restart: built from the original -members
+	rounds(b, 1)
+	if _, fleet := propsDo(t, http.MethodGet, srvB.URL+"/fleet", ""); fleet.Epoch != 1 || !reflect.DeepEqual(fleet.Members, []AggMember{m1.aggMember()}) {
+		t.Fatalf("restarted aggregator's GET /fleet: %+v, want A's one-member fleet at epoch 1", fleet)
+	}
+	if code, doc := postMembers(t, srvB.URL, m1.aggMember(), m2.aggMember()); code != http.StatusOK || doc.Epoch != 2 {
+		t.Fatalf("aggregator B restoring both members: %d %+v", code, doc)
+	}
+	waitFor(t, "router on both members", func() bool { return r.Epoch() == 2 && len(r.Members()) == 2 })
+	for i := 1; i <= 100; i++ {
+		r.Publish(ev(i))
+	}
+	r.Flush()
+	waitFor(t, "traffic on both members", func() bool {
+		return m1.col.Stats().Events+m2.col.Stats().Events == 100 && m2.col.Stats().Events > 0
+	})
 }
 
 // TestFleetAnswersLikeAMember: the aggregator answers through the same
@@ -410,8 +481,7 @@ func TestFleetAnswersLikeAMember(t *testing.T) {
 	}
 
 	// A member that answers nothing degrades the fleet.
-	fc, err := a.ApplyMembership([]AggMember{m.aggMember(), {Addr: "127.0.0.1:1", Admin: "http://127.0.0.1:1"}})
-	if err != nil || fc == nil {
+	if _, err := a.ApplyMembership([]AggMember{m.aggMember(), {Addr: "127.0.0.1:1", Admin: "http://127.0.0.1:1"}}); err != nil {
 		t.Fatalf("ApplyMembership: %v", err)
 	}
 	code, body := httpDo(t, http.MethodGet, srv.URL+"/healthz", "")

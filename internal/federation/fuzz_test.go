@@ -16,76 +16,16 @@ import (
 	"switchmon/internal/wire"
 )
 
-// FuzzFleetBody is the grammar contract of a member's POST /fleet body:
-// no body panics the handler, the answer is 200 only for a body naming
-// at least one member, and what the member relays is a fleet-kind
-// config that survives AppendConfig → Reader.Next unchanged.
-func FuzzFleetBody(f *testing.F) {
-	f.Add(`{"Epoch":1,"Members":[{"Addr":"127.0.0.1:9190","Weight":1000}]}`)
-	f.Add(`{"Epoch":18446744073709551615,"Members":[{"Addr":"a"},{"Addr":"b","Weight":250}]}`)
-	f.Add(`{"Epoch":0,"Members":[{}]}`)
-	f.Add(`{"Epoch":2,"Members":[]}`)
-	f.Add(`{"Epoch":-1,"Members":[{"Addr":"a"}]}`)
-	f.Add(`{"Members":[{"Addr":"a","Weight":1.5}]}`)
-	f.Add(`{}`)
-	f.Add(`not json`)
-
-	f.Fuzz(func(t *testing.T, body string) {
-		var relayed []*wire.Config
-		mux := http.NewServeMux()
-		// Records what it relays and, like collector.Broadcast, refuses a
-		// config that does not encode.
-		RegisterMemberEndpoints(mux, MemberEndpoints{Broadcast: func(cfg *wire.Config) error {
-			if _, err := wire.AppendConfig(nil, cfg); err != nil {
-				return err
-			}
-			relayed = append(relayed, cfg)
-			return nil
-		}, Set: NewPropertySet(core.NewMonitor(sim.NewScheduler(), core.Config{}), nil)})
-		rec := httptest.NewRecorder()
-		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/fleet", strings.NewReader(body)))
-
-		var doc FleetDoc
-		decoded := json.NewDecoder(strings.NewReader(body)).Decode(&doc) == nil
-		if rec.Code == http.StatusOK && (!decoded || len(doc.Members) == 0) {
-			t.Fatalf("status 200 for a body naming no member: %q", body)
-		}
-		if (rec.Code == http.StatusOK) != (len(relayed) == 1) || len(relayed) > 1 {
-			t.Fatalf("status %d with %d configs relayed", rec.Code, len(relayed))
-		}
-		for _, cfg := range relayed {
-			if cfg.Kind != wire.ConfigFleet {
-				t.Fatalf("relayed a %s config", cfg.Kind)
-			}
-			enc, err := wire.AppendConfig(nil, cfg)
-			if err != nil {
-				t.Fatalf("relayed config does not encode: %v", err)
-			}
-			fr, err := wire.NewPooledReader(bytes.NewReader(enc)).Next()
-			if err != nil {
-				t.Fatalf("relayed config does not decode: %v", err)
-			}
-			got, ok := fr.(*wire.Config)
-			if !ok || got.Kind != cfg.Kind || got.Epoch != cfg.Epoch || len(got.Props) != 0 || got.Source != "" ||
-				len(got.Members) != len(cfg.Members) {
-				t.Fatalf("relayed config changed on the wire: sent %+v, got %+v", cfg, fr)
-			}
-			for i := range got.Members {
-				if got.Members[i] != cfg.Members[i] {
-					t.Fatalf("member %d changed on the wire: sent %+v, got %+v", i, cfg.Members[i], got.Members[i])
-				}
-			}
-		}
-	})
-}
-
 // FuzzPropertySetDoc is the contract of a member's PUT /fleet/properties
-// body: no body panics the handler; only a property-set document whose
-// source defines exactly the properties it names answers 2xx, and a
-// refused one changes nothing; the set then applied — the document the
-// member reports, the engine's running set, the config pushed to
-// exporters — is that document, sorted and formatted; and a second PUT
-// at an epoch not newer changes nothing.
+// body: no body panics the handler; only a document whose source defines
+// exactly the properties it names, and whose members, if any, pass
+// ValidateMembers, answers 2xx, and a refused one changes nothing and
+// pushes nothing; the document then applied — what the member reports,
+// the engine's running set, the config pushed to exporters — is that
+// document, sorted and formatted; a document naming members pushes
+// exactly one fleet-kind config after it, which survives AppendConfig →
+// Reader.Next unchanged; and a second PUT at an epoch not newer changes
+// nothing.
 func FuzzPropertySetDoc(f *testing.F) {
 	doc := func(epoch uint64, src string, names ...string) string {
 		d := PropertySetDoc{Epoch: epoch, Source: src}
@@ -111,6 +51,11 @@ bind $G = ip.src bind $H = ip.src bind $I = ip.src bind $J = ip.src bind $K = ip
 	f.Add(`{"epoch":-1}`)
 	f.Add(`null`)
 	f.Add(`not json`)
+	f.Add(`{"epoch":1,"props":[],"members":[{"addr":"127.0.0.1:9190","admin":"http://127.0.0.1:9191","weight":2.5},{"addr":"b","admin":"http://b","weight":0.0004},{"addr":"c","admin":"http://c"}]}`)
+	f.Add(`{"epoch":2,"props":[],"members":[]}`)
+	f.Add(`{"epoch":3,"props":[],"members":[{"addr":"a","admin":"http://a"},{"addr":"a","admin":"http://b"}]}`)
+	f.Add(`{"epoch":4,"props":[],"members":[{"addr":"a","weight":1}]}`)
+	f.Add(`{"epoch":5,"props":[],"members":[{"addr":"a","admin":"http://a","weight":-1}]}`)
 
 	f.Fuzz(func(t *testing.T, body string) {
 		mon := core.NewMonitor(sim.NewScheduler(), core.Config{})
@@ -120,7 +65,7 @@ bind $G = ip.src bind $H = ip.src bind $I = ip.src bind $J = ip.src bind $K = ip
 			return nil
 		})
 		mux := http.NewServeMux()
-		RegisterMemberEndpoints(mux, MemberEndpoints{Broadcast: func(*wire.Config) error { return nil }, Set: set})
+		RegisterMemberEndpoints(mux, set)
 		put := func(body string) int {
 			rec := httptest.NewRecorder()
 			mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/fleet/properties", strings.NewReader(body)))
@@ -142,7 +87,7 @@ bind $G = ip.src bind $H = ip.src bind $I = ip.src bind $J = ip.src bind $K = ip
 		if err != nil {
 			t.Fatalf("PUT answered %d for a body that is no document (%v): %q", code, err, body)
 		}
-		want := setDoc(d.Epoch, props)
+		want := setDoc(d.Epoch, props, d.Members)
 		applied := set.Doc()
 		if !reflect.DeepEqual(applied, want) {
 			t.Fatalf("PUT %q applied %+v, want %+v", body, applied, want)
@@ -157,14 +102,32 @@ bind $G = ip.src bind $H = ip.src bind $I = ip.src bind $J = ip.src bind $K = ip
 				t.Fatalf("engine runs %v, document holds %+v", running, want.Props)
 			}
 		}
-		if len(pushed) != 1 || !reflect.DeepEqual(pushed[0], want.Config()) {
-			t.Fatalf("pushed %+v, want one %+v", pushed, want.Config())
+		if len(pushed) == 0 || !reflect.DeepEqual(pushed[0], want.Config()) {
+			t.Fatalf("pushed %+v, want %+v first", pushed, want.Config())
 		}
+		if fleet := pushed[1:]; len(want.Members) == 0 && len(fleet) != 0 || len(want.Members) > 0 && len(fleet) != 1 {
+			t.Fatalf("a document naming %d members pushed %d fleet configs", len(want.Members), len(fleet))
+		}
+		for _, cfg := range pushed[1:] {
+			if cfg.Kind != wire.ConfigFleet || cfg.Epoch != d.Epoch || len(cfg.Members) != len(want.Members) {
+				t.Fatalf("pushed %+v for members %+v", cfg, want.Members)
+			}
+			enc, err := wire.AppendConfig(nil, cfg)
+			if err != nil {
+				t.Fatalf("the fleet config does not encode: %v", err)
+			}
+			fr, err := wire.NewPooledReader(bytes.NewReader(enc)).Next()
+			if got, ok := fr.(*wire.Config); err != nil || !ok || got.Kind != cfg.Kind || got.Epoch != cfg.Epoch ||
+				len(got.Props) != 0 || got.Source != "" || !reflect.DeepEqual(got.Members, cfg.Members) {
+				t.Fatalf("the fleet config changed on the wire: sent %+v, got %+v, %v", cfg, fr, err)
+			}
+		}
+		n := len(pushed)
 
 		if code := put(doc(d.Epoch, "")); code != http.StatusOK {
 			t.Fatalf("a stale PUT answered %d", code)
 		}
-		if !reflect.DeepEqual(set.Doc(), applied) || len(pushed) != 1 {
+		if !reflect.DeepEqual(set.Doc(), applied) || len(pushed) != n {
 			t.Fatalf("a stale PUT changed the set to %+v", set.Doc())
 		}
 	})

@@ -1,7 +1,9 @@
 package federation
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -13,22 +15,26 @@ import (
 	"switchmon/internal/wire"
 )
 
-// PropertySetDoc is a property set as one epoch-stamped document, in the
-// fields of the config a collector pushes (Config): what the aggregation
-// tier owns and edits, and what a member applies (PUT /fleet/properties)
-// and reports (GET). Props are sorted by name and Source is their
-// dsl.FormatAll, so documents holding one set are equal. Epoch 0 is a
-// daemon's startup set; every edit moves the epoch on by one.
+// PropertySetDoc is the fleet's one epoch-stamped document: its property
+// set, in the fields of the config a collector pushes (Config), and its
+// membership, in those of the fleet config (fleetConfig). It is what the
+// aggregation tier owns and edits, and what a member applies (PUT
+// /fleet/properties) and reports (GET). Props are sorted by name and
+// Source is their dsl.FormatAll, so documents holding one set are equal.
+// Epoch 0 is a daemon's startup set; every edit, of the set or of the
+// members, moves the epoch on by one. Members is empty until the first
+// membership edit.
 type PropertySetDoc struct {
-	Epoch  uint64          `json:"epoch"`
-	Props  []wire.PropMeta `json:"props"`
-	Source string          `json:"source"`
+	Epoch   uint64          `json:"epoch"`
+	Props   []wire.PropMeta `json:"props"`
+	Source  string          `json:"source"`
+	Members []AggMember     `json:"members,omitempty"`
 }
 
-// setDoc renders props as the document at epoch.
-func setDoc(epoch uint64, props []*property.Property) PropertySetDoc {
+// setDoc renders props as the document at epoch naming members.
+func setDoc(epoch uint64, props []*property.Property, members []AggMember) PropertySetDoc {
 	slices.SortFunc(props, func(a, b *property.Property) int { return strings.Compare(a.Name, b.Name) })
-	d := PropertySetDoc{Epoch: epoch, Props: []wire.PropMeta{}, Source: dsl.FormatAll(props)}
+	d := PropertySetDoc{Epoch: epoch, Props: []wire.PropMeta{}, Source: dsl.FormatAll(props), Members: members}
 	for _, p := range props {
 		d.Props = append(d.Props, wire.PropMeta{Name: p.Name, Tenant: p.Tenant})
 	}
@@ -96,7 +102,7 @@ func (d PropertySetDoc) Install(src, tenant string) (PropertySetDoc, error) {
 	if err != nil {
 		return d, err
 	}
-	return setDoc(d.Epoch+1, have), nil
+	return setDoc(d.Epoch+1, have, d.Members), nil
 }
 
 // Remove returns d without the named property, one epoch on; a name d
@@ -110,12 +116,13 @@ func (d PropertySetDoc) Remove(name string) (PropertySetDoc, error) {
 	if err != nil {
 		return d, err
 	}
-	return setDoc(d.Epoch+1, slices.Delete(have, i, i+1)), nil
+	return setDoc(d.Epoch+1, slices.Delete(have, i, i+1), d.Members), nil
 }
 
-// same reports whether d and o hold one set, whatever their epochs.
+// same reports whether d and o hold one set and one membership, whatever
+// their epochs.
 func (d PropertySetDoc) same(o PropertySetDoc) bool {
-	return slices.Equal(d.Props, o.Props) && d.Source == o.Source
+	return slices.Equal(d.Props, o.Props) && d.Source == o.Source && slices.Equal(d.Members, o.Members)
 }
 
 // Config renders d as the config a collector pushes to its exporters.
@@ -123,9 +130,26 @@ func (d PropertySetDoc) Config() *wire.Config {
 	return &wire.Config{Kind: wire.ConfigProperties, Epoch: d.Epoch, Props: d.Props, Source: d.Source}
 }
 
+// fleetConfig renders d's members as the fleet config a collector pushes
+// to its exporters. The wire carries weights as fixed-point millis, so
+// fractional capacities survive the trip: 0 stays the default weight 1.0,
+// and any positive weight rounds to at least one milli-unit.
+func (d PropertySetDoc) fleetConfig() *wire.Config {
+	fc := &wire.Config{Kind: wire.ConfigFleet, Epoch: d.Epoch}
+	for _, m := range d.Members {
+		w := uint64(math.Round(m.Weight * 1000))
+		if m.Weight > 0 && w == 0 {
+			w = 1
+		}
+		fc.Members = append(fc.Members, wire.FleetMember{Addr: m.Addr, Weight: w})
+	}
+	return fc
+}
+
 // PropertySet is an engine's installed set kept as one PropertySetDoc,
-// every change of which is pushed (a collector's, to its exporters) and
-// which is changed three ways: edited by the daemon's own /properties
+// every change of which is pushed (a collector's, to its exporters: the
+// set on every apply, the fleet config when the members move) and which
+// is changed three ways: edited by the daemon's own /properties
 // (Edits), replaced by the aggregation tier's document (Apply, a member's
 // PUT /fleet/properties), and converged onto the set a switch's
 // collectors push (ApplyConfig). Its epoch is the last document applied;
@@ -134,9 +158,10 @@ type PropertySet struct {
 	eng  core.Engine
 	push func(*wire.Config) error
 
-	mu   sync.Mutex // serializes edits and applies
-	hw   wire.HighWater
-	objs map[string]*property.Property // what was installed, by name
+	mu      sync.Mutex // serializes edits and applies
+	hw      wire.HighWater
+	objs    map[string]*property.Property // what was installed, by name
+	members []AggMember                   // the applied document's
 }
 
 // NewPropertySet keeps eng's set; push, when non-nil, receives the set as
@@ -182,7 +207,7 @@ func (s *PropertySet) doc() PropertySetDoc {
 			live = append(live, p)
 		}
 	}
-	return setDoc(s.hw.Epoch, live)
+	return setDoc(s.hw.Epoch, live, s.members)
 }
 
 // Apply converges the engine onto d unless d is stale — not newer than
@@ -234,16 +259,21 @@ func (s *PropertySet) Edits() *export.PropertiesConfig {
 // converge makes d the applied set by diffing it against the running
 // one: a property d lacks is removed, one it adds or holds differently
 // (tenant or definition) is installed in place (ReplaceProperty), one it
-// holds alike keeps running. d is compiled whole first, so a document an
-// engine refuses changes nothing. A step the engine still refuses (it
-// has closed) ends the apply there; the set then running is recorded at
-// d's epoch and pushed all the same, so the exporters follow the engine
-// and the aggregation tier, finding a different set at its epoch,
-// re-issues the document (settle).
+// holds alike keeps running. d is compiled whole and its members checked
+// (ValidateMembers) first, so a document an engine or a router refuses
+// changes nothing. A step the engine still refuses (it has closed) ends
+// the apply there; the set then running is recorded at d's epoch and
+// pushed all the same, so the exporters follow the engine and the
+// aggregation tier, finding a different set at its epoch, re-issues the
+// document (settle). Members that differ from the applied ones are
+// pushed after the set, as the fleet config at d's epoch.
 func (s *PropertySet) converge(d PropertySetDoc) (PropertySetDoc, error) {
 	props, err := d.parse()
 	if err == nil {
 		err = accepts(props)
+	}
+	if err == nil && len(d.Members) > 0 {
+		err = ValidateMembers(d.Members)
 	}
 	if err != nil {
 		return s.doc(), err
@@ -267,11 +297,14 @@ func (s *PropertySet) converge(d PropertySetDoc) (PropertySetDoc, error) {
 	}
 	// Recorded whatever the apply's staleness rule: Apply's high water
 	// admitted d, or the Router's did.
+	moved := len(d.Members) > 0 && !slices.Equal(d.Members, s.members)
 	s.hw = wire.HighWater{Epoch: d.Epoch, Count: s.hw.Count + 1}
+	s.members = d.Members
 	d = s.doc()
 	if s.push != nil {
-		if perr := s.push(d.Config()); err == nil {
-			err = perr
+		err = errors.Join(err, s.push(d.Config()))
+		if moved {
+			err = errors.Join(err, s.push(d.fleetConfig()))
 		}
 	}
 	return d, err

@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -19,9 +20,6 @@ type Config struct {
 	// changes arrive as fleet-kind wire.Config frames pushed by any
 	// member collector, or via ApplyFleetConfig directly.
 	Members []Member
-	// Epoch is the initial fleet epoch (a pushed fleet config must
-	// exceed it to apply).
-	Epoch uint64
 	// DPID is the datapath id announced on every route and stamped on
 	// events published with SwitchID zero.
 	DPID uint64
@@ -140,7 +138,7 @@ func NewRouter(cfg Config) (*Router, error) {
 	if r.key == nil {
 		r.key = core.PartitionByDPID
 	}
-	r.fleet.Admit(cfg.Epoch) // the initial membership is the first fleet config
+	r.fleet.Admit(0) // the initial membership is the first fleet config
 	for _, m := range cfg.Members {
 		rt, err := r.newRoute(m.Addr)
 		if err != nil {
@@ -360,8 +358,11 @@ func (r *Router) Ledger() []core.UnsoundMark {
 // event has been handed to its new route, so a concurrent Publish can
 // never deliver a newer event ahead of an older held one on the same
 // partition. A stale epoch (wire.HighWater) is a no-op, so the same
-// config pushed by every collector in the fleet applies once. Also the
-// fleet-kind exporter.Config.OnConfig handler for every route.
+// config pushed by every collector in the fleet applies once; a newer one
+// naming the ring the router already routes on (a restarted collector
+// re-pushing the fleet's membership) only advances the epoch: no fence,
+// no drain, no re-route. Also the fleet-kind exporter.Config.OnConfig
+// handler for every route.
 func (r *Router) ApplyFleetConfig(fc *wire.Config) {
 	members := make([]Member, 0, len(fc.Members))
 	for _, m := range fc.Members {
@@ -383,6 +384,11 @@ func (r *Router) ApplyFleetConfig(fc *wire.Config) {
 	// Checked here, recorded at the swap: applyMu keeps both in one
 	// re-route, and a config that leaves no usable member is not applied.
 	if r.closed || !r.fleet.Newer(fc.Epoch) {
+		r.mu.Unlock()
+		return
+	}
+	if slices.Equal(newRing.Members(), r.ring.Members()) {
+		r.fleet.Admit(fc.Epoch)
 		r.mu.Unlock()
 		return
 	}

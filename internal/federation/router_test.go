@@ -314,6 +314,30 @@ func TestRouterFleetConfigPush(t *testing.T) {
 	}
 }
 
+// TestRouterSameRingNoFence: a newer fleet config naming the ring the
+// router already routes on — a restarted collector re-pushing the fleet's
+// membership — only advances the fleet epoch: no fence, no drain (the
+// route to a collector that is down would hold one for DrainTimeout), no
+// re-route.
+func TestRouterSameRingNoFence(t *testing.T) {
+	a, down := startMember(t), refusingAddr(t)
+	r := newTestRouter(t, []Member{{Addr: a.col.Addr().String()}, {Addr: down}}, nil)
+	for i := 1; i <= 50; i++ {
+		r.Publish(ev(i))
+	}
+	r.Flush()
+	start := time.Now()
+	r.ApplyFleetConfig(&wire.Config{Kind: wire.ConfigFleet, Epoch: 4, Members: []wire.FleetMember{
+		{Addr: down, Weight: 1000}, {Addr: a.col.Addr().String()},
+	}})
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("a config naming the same ring took %v: it fenced and drained", took)
+	}
+	if st := r.Stats(); st.Epoch != 4 || st.Reroutes != 0 || st.Held != 0 || st.Replayed != 0 || st.Routes != 2 {
+		t.Fatalf("after a config naming the same ring: %+v", st)
+	}
+}
+
 // refusingAddr returns an address that actively refuses connections.
 func refusingAddr(t *testing.T) string {
 	t.Helper()

@@ -233,9 +233,9 @@ type Ack struct {
 // PropMeta is one property's identity inside a ConfigProperties Config.
 type PropMeta struct {
 	// Name is the property's slug.
-	Name string
+	Name string `json:"name"`
 	// Tenant is the owning tenant for quota accounting ("" = default).
-	Tenant string
+	Tenant string `json:"tenant"`
 }
 
 // FleetMember is one collector endpoint inside a ConfigFleet Config.
@@ -254,8 +254,9 @@ type FleetMember struct {
 // exactly one wire form.
 type Config struct {
 	Kind ConfigKind
-	// Epoch is the configuration's generation (the collector engine's
-	// lifecycle epoch, or the fleet epoch); HighWater judges staleness.
+	// Epoch is the configuration's generation: the epoch of the fleet's
+	// document (or of a daemon's own property-set edits) it was rendered
+	// from; HighWater judges staleness.
 	Epoch uint64
 	// Props lists the installed properties in slot order
 	// (ConfigProperties).

@@ -135,15 +135,11 @@ go test -fuzz FuzzTraceBlockRoundTrip -fuzztime 10s -run '^$' ./internal/wire/
 echo "==> trace file fuzz smoke (10s)"
 go test -fuzz FuzzTraceRoundTrip -fuzztime 10s -run '^$' ./internal/trace/
 
-# And for the member /fleet admin body: no body panics the handler, only
-# a body naming a member is relayed, and the relayed fleet config
-# survives the wire unchanged.
-echo "==> fleet body fuzz smoke (10s)"
-go test -fuzz FuzzFleetBody -fuzztime 10s -run '^$' ./internal/federation/
-
 # And for the member's PUT /fleet/properties body: no body panics it,
-# only a parseable property-set document answers 2xx, the applied set
-# is then that document, and a stale epoch changes nothing.
+# only a parseable document with members every router takes answers 2xx
+# and a refused one pushes nothing, the applied set is then that
+# document, members it names are relayed as one fleet config that
+# survives the wire unchanged, and a stale epoch changes nothing.
 echo "==> property-set document fuzz smoke (10s)"
 go test -fuzz FuzzPropertySetDoc -fuzztime 10s -run '^$' ./internal/federation/
 

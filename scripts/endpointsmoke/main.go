@@ -248,8 +248,8 @@ func run() error {
 
 // collectorFleet covers what only the collector's mux has: the exporter
 // connection switchmon made must show in the per-datapath series, and the
-// fleet-member endpoints the aggregation tier drives must relay a fleet
-// config and take the property set as a whole document.
+// fleet-member endpoint the aggregation tier drives must take the fleet's
+// document, property set and membership, as a whole.
 func collectorFleet(client *http.Client, base, exportAddr string) error {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -265,23 +265,27 @@ func collectorFleet(client *http.Client, base, exportAddr string) error {
 		}
 		time.Sleep(100 * time.Millisecond)
 	}
-	fleet := fmt.Sprintf(`{"Epoch":1,"Members":[{"Addr":%q,"Weight":1000}]}`, exportAddr)
-	if status, body, err := do(client, http.MethodPost, base+"/fleet", fleet); err != nil {
-		return fmt.Errorf("collector: POST /fleet: %w", err)
-	} else if status != http.StatusOK {
-		return fmt.Errorf("collector: POST /fleet: status %d, want 200: %s", status, body)
-	}
-	return fleetProperties(client, base)
+	return fleetProperties(client, base, exportAddr)
 }
 
 // propertySetDoc is the document GET and PUT /fleet/properties speak,
 // and the one a daemon's GET /properties lists.
 type propertySetDoc struct {
-	Epoch uint64 `json:"epoch"`
-	Props []struct {
-		Name, Tenant string
-	} `json:"props"`
-	Source string `json:"source"`
+	Epoch   uint64      `json:"epoch"`
+	Props   []propMeta  `json:"props"`
+	Source  string      `json:"source"`
+	Members []aggMember `json:"members,omitempty"`
+}
+
+type propMeta struct {
+	Name   string `json:"name"`
+	Tenant string `json:"tenant"`
+}
+
+type aggMember struct {
+	Addr   string  `json:"addr"`
+	Admin  string  `json:"admin"`
+	Weight float64 `json:"weight,omitempty"`
 }
 
 // listProperties reads the document at url and the names it holds.
@@ -300,12 +304,14 @@ func listProperties(client *http.Client, url string) (propertySetDoc, []string, 
 
 // fleetProperties drives a member's /fleet/properties the way the
 // aggregation tier does: GET the applied document, PUT it back one epoch
-// on with a probe property added, confirm the engine runs the probe,
+// on with a probe property added and the member named as the fleet (its
+// exporters, switchmon's router among them, already route on it),
+// confirm the engine runs the probe and the member reports the fleet,
 // confirm the 4xx paths (a body that is no document, a source that does
-// not parse, a source filed under another name, a POST) and a stale PUT
-// leave the set alone, then PUT the original set two epochs on and
-// confirm the probe is gone.
-func fleetProperties(client *http.Client, base string) error {
+// not parse, a source filed under another name, members no router takes,
+// a POST) and a stale PUT leave the document alone, then PUT the original
+// set and the same fleet two epochs on and confirm the probe is gone.
+func fleetProperties(client *http.Client, base, exportAddr string) error {
 	read := func() (propertySetDoc, error) {
 		d, _, err := listProperties(client, base+"/fleet/properties")
 		return d, err
@@ -331,13 +337,17 @@ func fleetProperties(client *http.Client, base string) error {
 	}
 	withProbe := orig
 	withProbe.Epoch = orig.Epoch + 1
-	withProbe.Props = append(withProbe.Props[:len(withProbe.Props):len(withProbe.Props)], struct{ Name, Tenant string }{probe, "smoke"})
+	withProbe.Props = append(withProbe.Props[:len(withProbe.Props):len(withProbe.Props)], propMeta{probe, "smoke"})
 	withProbe.Source = orig.Source + "\n" + probeSource
+	withProbe.Members = []aggMember{{Addr: exportAddr, Admin: base}}
 	if status, body, err := put(withProbe); err != nil || status != http.StatusOK {
 		return fmt.Errorf("PUT /fleet/properties: status %d, want 200: %s %v", status, body, err)
 	}
 	if names, err := running(); err != nil || !slicesContains(names, probe) {
 		return fmt.Errorf("/properties after a PUT with %q: %v %v", probe, names, err)
+	}
+	if d, err := read(); err != nil || len(d.Members) != 1 || d.Members[0].Addr != exportAddr {
+		return fmt.Errorf("/fleet/properties after a PUT naming the fleet: %+v %v", d, err)
 	}
 
 	for _, bad := range []struct {
@@ -345,8 +355,9 @@ func fleetProperties(client *http.Client, base string) error {
 		want               int
 	}{
 		{"a body that is no document", http.MethodPut, `{"epoch": "x"`, http.StatusBadRequest},
-		{"a source that does not parse", http.MethodPut, fmt.Sprintf(`{"epoch":%d,"props":[{"Name":"broken"}],"source":"property \"broken\" {"}`, orig.Epoch+9), http.StatusBadRequest},
-		{"a source under another name", http.MethodPut, fmt.Sprintf(`{"epoch":%d,"props":[{"Name":"other"}],"source":%q}`, orig.Epoch+9, probeSource), http.StatusBadRequest},
+		{"a source that does not parse", http.MethodPut, fmt.Sprintf(`{"epoch":%d,"props":[{"name":"broken"}],"source":"property \"broken\" {"}`, orig.Epoch+9), http.StatusBadRequest},
+		{"a source under another name", http.MethodPut, fmt.Sprintf(`{"epoch":%d,"props":[{"name":"other"}],"source":%q}`, orig.Epoch+9, probeSource), http.StatusBadRequest},
+		{"members no router takes", http.MethodPut, fmt.Sprintf(`{"epoch":%d,"props":[],"members":[{"addr":%q,"admin":%q,"weight":-1}]}`, orig.Epoch+9, exportAddr, base), http.StatusBadRequest},
 		{"a POST", http.MethodPost, probeSource, http.StatusMethodNotAllowed},
 		{"a stale document", http.MethodPut, fmt.Sprintf(`{"epoch":%d,"props":[]}`, withProbe.Epoch), http.StatusOK},
 	} {
@@ -362,7 +373,7 @@ func fleetProperties(client *http.Client, base string) error {
 		}
 	}
 
-	orig.Epoch += 2
+	orig.Epoch, orig.Members = orig.Epoch+2, withProbe.Members
 	if status, body, err := put(orig); err != nil || status != http.StatusOK {
 		return fmt.Errorf("PUT /fleet/properties without %q: status %d, want 200: %s %v", probe, status, body, err)
 	}
@@ -541,9 +552,10 @@ func rejected(client *http.Client, base string, paths ...string) error {
 }
 
 // fleetEdits installs and removes the probe through the aggregation
-// tier's /properties: each edit answers the fleet's document one epoch
-// on, an unknown name answers 404, and the member ends up holding the
-// fleet's last document.
+// tier's /properties and re-posts the fleet's membership through its
+// /fleet: each edit answers the fleet's document one epoch on, an unknown
+// name answers 404, and the member ends up holding the fleet's last
+// document.
 func fleetEdits(client *http.Client, aggBase, colBase string) error {
 	edit := func(method, target, body string, want int) (propertySetDoc, error) {
 		var d propertySetDoc
@@ -573,13 +585,24 @@ func fleetEdits(client *http.Client, aggBase, colBase string) error {
 	if _, err := edit(http.MethodDelete, "/properties?name="+probe, "", http.StatusNotFound); err != nil {
 		return err
 	}
+	fleet, err := json.Marshal(map[string][]aggMember{"members": removed.Members})
+	if err != nil {
+		return err
+	}
+	moved, err := edit(http.MethodPost, "/fleet", string(fleet), http.StatusOK)
+	if err != nil {
+		return err
+	}
+	if moved.Epoch != removed.Epoch+1 || len(moved.Members) != 1 || len(moved.Props) != len(removed.Props) {
+		return fmt.Errorf("/fleet: a membership edit after epoch %d answered %+v", removed.Epoch, moved)
+	}
 	var member propertySetDoc
 	body, err := get(client, colBase+"/fleet/properties")
 	if err == nil {
 		err = json.Unmarshal(body, &member)
 	}
-	if err != nil || member.Epoch != removed.Epoch || len(member.Props) != len(removed.Props) {
-		return fmt.Errorf("the member holds %+v (%v) after the fleet's edits, want epoch %d", member, err, removed.Epoch)
+	if err != nil || member.Epoch != moved.Epoch || len(member.Props) != len(moved.Props) || len(member.Members) != 1 {
+		return fmt.Errorf("the member holds %+v (%v) after the fleet's edits, want epoch %d", member, err, moved.Epoch)
 	}
 	return nil
 }
