@@ -7,7 +7,6 @@ import (
 
 	"switchmon/internal/collector"
 	"switchmon/internal/core"
-	"switchmon/internal/dsl"
 	"switchmon/internal/exporter"
 	"switchmon/internal/federation"
 	"switchmon/internal/obs/export"
@@ -113,7 +112,7 @@ func catalogSource(t *testing.T, name string) string {
 	if p == nil {
 		t.Fatalf("no catalog property %q", name)
 	}
-	return dsl.FormatAll([]*property.Property{p})
+	return property.FormatAll([]*property.Property{p})
 }
 
 // A property installed before any traffic must reach an exporter that

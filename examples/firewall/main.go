@@ -15,9 +15,9 @@ import (
 
 	"switchmon/internal/apps"
 	"switchmon/internal/core"
-	"switchmon/internal/dsl"
 	"switchmon/internal/netsim"
 	"switchmon/internal/packet"
+	"switchmon/internal/property"
 	"switchmon/internal/sim"
 )
 
@@ -44,12 +44,12 @@ property "firewall-guarded" {
 `
 
 func main() {
-	prop, err := dsl.Parse(firewallProperty)
+	prop, err := property.Parse(firewallProperty)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("Loaded property (canonical form):")
-	fmt.Println(dsl.Format(prop))
+	fmt.Println(property.Format(prop))
 
 	sched := sim.NewScheduler()
 	n := netsim.New(sched)

@@ -337,7 +337,7 @@ func TestHashOperandSteadyStateZeroAlloc(t *testing.T) {
 		syn := packet.NewTCP(macA, macB, src, dst, uint16(10000+f), 80, packet.FlagSYN, nil)
 		pid++
 		mon.HandleEvent(Event{Kind: KindArrival, Time: sched.Now(), PacketID: pid, Packet: syn,
-			InPort: property.DefaultParams().InternalPort})
+			InPort: 1}) // lb-hashed matches new flows on the internal port
 		for _, p := range []*packet.Packet{
 			packet.NewTCP(macA, macB, src, dst, uint16(10000+f), 80, packet.FlagACK, nil),
 			packet.NewTCP(macB, macA, dst, src, 80, uint16(10000+f), packet.FlagACK, nil),

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"switchmon/internal/core"
-	"switchmon/internal/dsl"
 	"switchmon/internal/obs"
 	"switchmon/internal/obs/export"
 	"switchmon/internal/obs/tracer"
@@ -86,7 +85,7 @@ func (f *Flags) LoadProperties(install func(*property.Property) error) ([]*prope
 		if err != nil {
 			return nil, err
 		}
-		parsed, err := dsl.ParseAll(string(src))
+		parsed, err := property.ParseAll(string(src))
 		if err != nil {
 			return nil, err
 		}

@@ -8,9 +8,9 @@ import (
 	"testing"
 
 	"switchmon/internal/core"
-	"switchmon/internal/dsl"
 	"switchmon/internal/federation"
 	"switchmon/internal/obs/export"
+	"switchmon/internal/property"
 	"switchmon/internal/sim"
 )
 
@@ -49,7 +49,7 @@ property "p" { on arrival "a" { match tcp.syn == 1 } }`,
 		rec := httptest.NewRecorder()
 		h(rec, httptest.NewRequest(http.MethodPost, "/properties?tenant=t", strings.NewReader(body)))
 
-		props, err := dsl.ParseAll(body)
+		props, err := property.ParseAll(body)
 		installed := mon.Properties()
 		every := err == nil && len(props) > 0 && len(installed) == len(props)
 		for i := 0; every && i < len(props); i++ {

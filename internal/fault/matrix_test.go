@@ -13,7 +13,6 @@ import (
 
 	"switchmon/internal/collector"
 	"switchmon/internal/core"
-	"switchmon/internal/dsl"
 	"switchmon/internal/exporter"
 	"switchmon/internal/federation"
 	"switchmon/internal/obs/tracer"
@@ -533,7 +532,7 @@ func leavePhase(sw uint64, phase int) []core.Event {
 // at a quiescent boundary for engine state — so is the fleet-wide
 // union.
 func matrixCollectorLeave(t *testing.T, seed int64) {
-	prop, err := dsl.Parse(leaveProperty)
+	prop, err := property.Parse(leaveProperty)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"switchmon/internal/collector"
 	"switchmon/internal/core"
-	"switchmon/internal/dsl"
 	"switchmon/internal/exporter"
 	"switchmon/internal/federation"
 	"switchmon/internal/property"
@@ -109,7 +108,7 @@ func matrixMemberDown(t *testing.T, seed int64) {
 	var doc federation.PropertySetDoc
 	for i, name := range installs {
 		p := property.CatalogByName(property.DefaultParams(), name)
-		if doc = edit(http.MethodPost, "/properties", dsl.Format(p)); doc.Epoch != uint64(i+1) {
+		if doc = edit(http.MethodPost, "/properties", property.Format(p)); doc.Epoch != uint64(i+1) {
 			t.Fatalf("install %d answered epoch %d", i+1, doc.Epoch)
 		}
 	}

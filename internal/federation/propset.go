@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"switchmon/internal/core"
-	"switchmon/internal/dsl"
 	"switchmon/internal/obs/export"
 	"switchmon/internal/property"
 	"switchmon/internal/wire"
@@ -20,7 +19,7 @@ import (
 // membership, in those of the fleet config (fleetConfig). It is what the
 // aggregation tier owns and edits, and what a member applies (PUT
 // /fleet/properties) and reports (GET). Props are sorted by name and
-// Source is their dsl.FormatAll, so documents holding one set are equal.
+// Source is their property.FormatAll, so documents holding one set are equal.
 // Epoch 0 is a daemon's startup set; every edit, of the set or of the
 // members, moves the epoch on by one. Members is empty until the first
 // membership edit.
@@ -34,7 +33,7 @@ type PropertySetDoc struct {
 // setDoc renders props as the document at epoch naming members.
 func setDoc(epoch uint64, props []*property.Property, members []AggMember) PropertySetDoc {
 	slices.SortFunc(props, func(a, b *property.Property) int { return strings.Compare(a.Name, b.Name) })
-	d := PropertySetDoc{Epoch: epoch, Props: []wire.PropMeta{}, Source: dsl.FormatAll(props), Members: members}
+	d := PropertySetDoc{Epoch: epoch, Props: []wire.PropMeta{}, Source: property.FormatAll(props), Members: members}
 	for _, p := range props {
 		d.Props = append(d.Props, wire.PropMeta{Name: p.Name, Tenant: p.Tenant})
 	}
@@ -44,7 +43,7 @@ func setDoc(epoch uint64, props []*property.Property, members []AggMember) Prope
 // parse compiles d, whose source must define the properties it names, in
 // order, each once.
 func (d PropertySetDoc) parse() ([]*property.Property, error) {
-	props, err := dsl.ParseAll(d.Source)
+	props, err := property.ParseAll(d.Source)
 	if err == nil && len(props) != len(d.Props) {
 		err = fmt.Errorf("the source defines %d properties, the document names %d", len(props), len(d.Props))
 	}
@@ -86,7 +85,7 @@ func (d PropertySetDoc) Install(src, tenant string) (PropertySetDoc, error) {
 	if err != nil {
 		return d, err
 	}
-	add, err := dsl.ParseAll(src)
+	add, err := property.ParseAll(src)
 	if err == nil && len(add) == 0 {
 		err = fmt.Errorf("no properties in body")
 	}
@@ -288,7 +287,7 @@ func (s *PropertySet) converge(d PropertySetDoc) (PropertySetDoc, error) {
 	}
 	for _, p := range props {
 		old := s.objs[p.Name]
-		if err != nil || old != nil && slices.Contains(running, p.Name) && old.Tenant == p.Tenant && dsl.Format(old) == dsl.Format(p) {
+		if err != nil || old != nil && slices.Contains(running, p.Name) && old.Tenant == p.Tenant && property.Format(old) == property.Format(p) {
 			continue
 		}
 		if err = s.eng.ReplaceProperty(p); err == nil {

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"switchmon/internal/core"
-	"switchmon/internal/dsl"
 	"switchmon/internal/obs"
 	"switchmon/internal/obs/export"
 	"switchmon/internal/property"
@@ -257,7 +256,7 @@ func TestFleetRefusesWhatNoEngineTakes(t *testing.T) {
 		fmt.Fprintf(&wide, "    bind $V%d = ip.src\n", i)
 	}
 	wide.WriteString("  }\n}\n")
-	if _, err := dsl.ParseAll(wide.String()); err != nil {
+	if _, err := property.ParseAll(wide.String()); err != nil {
 		t.Fatalf("the wide property does not parse: %v", err)
 	}
 	if code, body := httpDo(t, http.MethodPost, srv.URL+"/properties", wide.String()); code != http.StatusBadRequest {
@@ -269,7 +268,7 @@ func TestFleetRefusesWhatNoEngineTakes(t *testing.T) {
 	holds(t, m1, 1, "syn-gets-egress")
 	holds(t, m2, 1, "syn-gets-egress")
 
-	props, err := dsl.ParseAll(testPropDSL + wide.String())
+	props, err := property.ParseAll(testPropDSL + wide.String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,19 +376,19 @@ func TestAdminErrorsCountEveryCall(t *testing.T) {
 
 // A document's edits refuse only what the document itself refuses, and
 // what it renders is the set a collector pushes: every name, sorted, with
-// its tenant, and dsl.FormatAll of their definitions.
+// its tenant, and property.FormatAll of their definitions.
 func TestPropertySetDocEdits(t *testing.T) {
 	d, err := PropertySetDoc{}.Install(otherPropDSL+testPropDSL, "t1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	props, err := dsl.ParseAll(otherPropDSL + testPropDSL)
+	props, err := property.ParseAll(otherPropDSL + testPropDSL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	u := d.Config()
 	if u.Kind != wire.ConfigProperties || u.Epoch != 1 || len(u.Props) != 2 || u.Props[0].Name != "syn-gets-egress" ||
-		u.Props[1].Tenant != "t1" || u.Source != dsl.FormatAll([]*property.Property{props[1], props[0]}) {
+		u.Props[1].Tenant != "t1" || u.Source != property.FormatAll([]*property.Property{props[1], props[0]}) {
 		t.Fatalf("rendered %+v", u)
 	}
 	for _, bad := range []func() (PropertySetDoc, error){
@@ -404,6 +403,28 @@ func TestPropertySetDocEdits(t *testing.T) {
 	}
 	if d, err = d.Remove("syn-gets-egress"); err != nil || d.Epoch != 2 || len(d.Props) != 1 || d.Props[0].Name != "syn-gets-reply" {
 		t.Fatalf("remove: %+v, %v", d, err)
+	}
+}
+
+// A name holding a tab survives the document's round trip through its
+// own source: the edits after installing it, and removing it, still
+// parse the document.
+func TestPropertySetDocEscapedName(t *testing.T) {
+	tabbed := "property \"a\tb\" {\n  on arrival \"x\" {\n    match tcp.syn == 1\n  }\n}\n"
+	d, err := PropertySetDoc{}.Install(tabbed, "")
+	if err != nil || d.Epoch != 1 {
+		t.Fatalf("install: %+v, %v", d, err)
+	}
+	if d, err = d.Install(testPropDSL, ""); err != nil || d.Epoch != 2 {
+		t.Fatalf("second install: %+v, %v", d, err)
+	}
+	for _, name := range []string{"a\tb", "syn-gets-egress"} {
+		if d, err = d.Remove(name); err != nil {
+			t.Fatalf("remove %q: %v", name, err)
+		}
+	}
+	if d.Epoch != 4 || len(d.Props) != 0 {
+		t.Fatalf("after removing both: %+v", d)
 	}
 }
 
@@ -432,7 +453,7 @@ func TestConcurrentFleetEdits(t *testing.T) {
 		wg.Add(1)
 		go func(name string) {
 			defer wg.Done()
-			src := dsl.Format(property.CatalogByName(property.DefaultParams(), name))
+			src := property.Format(property.CatalogByName(property.DefaultParams(), name))
 			if code, body := httpDo(t, http.MethodPost, srv.URL+"/properties", src); code != http.StatusCreated {
 				t.Errorf("install %s: %d %s", name, code, body)
 			}

@@ -9,7 +9,6 @@ import (
 	"switchmon/internal/collector"
 	"switchmon/internal/core"
 	"switchmon/internal/dataplane"
-	"switchmon/internal/dsl"
 	"switchmon/internal/exporter"
 	"switchmon/internal/fault"
 	"switchmon/internal/netsim"
@@ -53,7 +52,7 @@ var (
 
 func parseLeasedMAC(t *testing.T) *property.Property {
 	t.Helper()
-	prop, err := dsl.Parse(leasedMACProperty)
+	prop, err := property.Parse(leasedMACProperty)
 	if err != nil {
 		t.Fatal(err)
 	}

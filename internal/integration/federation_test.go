@@ -10,7 +10,6 @@ import (
 
 	"switchmon/internal/collector"
 	"switchmon/internal/core"
-	"switchmon/internal/dsl"
 	"switchmon/internal/exporter"
 	"switchmon/internal/federation"
 	"switchmon/internal/obs"
@@ -95,7 +94,7 @@ func runFedInline(t *testing.T) []string {
 	sched := sim.NewScheduler()
 	rec := &violationRecorder{}
 	mon := core.NewMonitor(sched, core.Config{Provenance: core.ProvLimited, OnViolation: rec.record})
-	p, err := dsl.Parse(localDropProperty)
+	p, err := property.Parse(localDropProperty)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestFederatedDifferential(t *testing.T) {
 		reg := obs.NewRegistry()
 		attachSelfMonitor(t, reg)
 		sm := core.NewShardedMonitor(2, core.Config{Provenance: core.ProvLimited, OnViolation: rec.record, Metrics: reg})
-		p, err := dsl.Parse(localDropProperty)
+		p, err := property.Parse(localDropProperty)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,7 +14,6 @@ import (
 	"switchmon/internal/backend"
 	"switchmon/internal/core"
 	"switchmon/internal/dataplane"
-	"switchmon/internal/dsl"
 	"switchmon/internal/netsim"
 	"switchmon/internal/packet"
 	"switchmon/internal/property"
@@ -154,7 +153,7 @@ property "no-drops-after-outbound" {
   }
 }
 `
-	prop, err := dsl.Parse(src)
+	prop, err := property.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"switchmon/internal/collector"
 	"switchmon/internal/core"
-	"switchmon/internal/dsl"
 	"switchmon/internal/exporter"
 	"switchmon/internal/federation"
 	"switchmon/internal/property"
@@ -92,7 +91,7 @@ func TestFabricLifecycleChurnDifferential(t *testing.T) {
 		if _, err := edits.Remove(churnName); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := edits.Install(dsl.Format(churned), ""); err != nil {
+		if _, err := edits.Install(property.Format(churned), ""); err != nil {
 			t.Fatal(err)
 		}
 	})

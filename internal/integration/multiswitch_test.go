@@ -6,9 +6,9 @@ import (
 
 	"switchmon/internal/core"
 	"switchmon/internal/dataplane"
-	"switchmon/internal/dsl"
 	"switchmon/internal/netsim"
 	"switchmon/internal/packet"
+	"switchmon/internal/property"
 	"switchmon/internal/sim"
 )
 
@@ -65,7 +65,7 @@ func buildPath(t *testing.T, coreDrops bool) (*netsim.Network, *netsim.Host, *co
 	server.Quiet = true
 	n.ConnectSwitches(s1, 2, s2, 2)
 
-	prop, err := dsl.Parse(pathProperty)
+	prop, err := property.Parse(pathProperty)
 	if err != nil {
 		t.Fatal(err)
 	}

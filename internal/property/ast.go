@@ -6,6 +6,29 @@
 // features so that Analyze can mechanically derive each property's
 // requirements — the repository regenerates the paper's Table 1 from this
 // analysis rather than asserting it.
+//
+// Properties are written in a textual language in the spirit of
+// Varanus's query language (docs/LANGUAGE.md); a property reads like the
+// paper's timeline diagrams:
+//
+//	property "firewall-until-close" {
+//	  description "return traffic is admitted until close or timeout"
+//	  on arrival "outgoing" {
+//	    match in_port == 1
+//	    bind $A = ip.src
+//	    bind $B = ip.dst
+//	  }
+//	  on egress "return-dropped" within 60s {
+//	    match ip.src == $B
+//	    match ip.dst == $A
+//	    match dropped == 1
+//	    until packet { ip.src == $A; ip.dst == $B; tcp.fin == 1 }
+//	  }
+//	}
+//
+// Parse produces a validated *Property; Format renders the canonical
+// text (Parse∘Format is the identity on ASTs). The shipped catalogue,
+// catalog.properties, is written in that language.
 package property
 
 import (
@@ -173,7 +196,11 @@ func (o Operand) String() string {
 		for i, f := range o.Hash.Fields {
 			names[i] = f.String()
 		}
-		return fmt.Sprintf("hash(%s; mod %d, base %d)", strings.Join(names, ", "), o.Hash.Mod, o.Hash.Base)
+		s := fmt.Sprintf("hash(%s) %% %d", strings.Join(names, ", "), o.Hash.Mod)
+		if o.Hash.Base != 0 {
+			s += fmt.Sprintf(" + %d", o.Hash.Base)
+		}
+		return s
 	default:
 		return o.Lit.String()
 	}

@@ -6,23 +6,17 @@ import (
 	"switchmon/internal/packet"
 )
 
-// Predicate construction helpers. These keep catalogue definitions close
-// to the paper's notation.
+// Predicate construction helpers, for properties built in Go (tests and
+// the Table 2 witnesses) rather than written in the property language.
 
 // Eq constrains field == numeric literal.
 func Eq(f packet.Field, v uint64) Pred { return Pred{Field: f, Op: OpEq, Arg: LitNum(v)} }
-
-// EqStr constrains field == string literal.
-func EqStr(f packet.Field, s string) Pred { return Pred{Field: f, Op: OpEq, Arg: LitStr(s)} }
 
 // EqVar constrains field == bound variable.
 func EqVar(f packet.Field, v Var) Pred { return Pred{Field: f, Op: OpEq, Arg: Ref(v)} }
 
 // Ne constrains field != numeric literal.
 func Ne(f packet.Field, v uint64) Pred { return Pred{Field: f, Op: OpNe, Arg: LitNum(v)} }
-
-// NeVar constrains field != bound variable (negative match, Feature 6).
-func NeVar(f packet.Field, v Var) Pred { return Pred{Field: f, Op: OpNe, Arg: Ref(v)} }
 
 // Builder assembles a Property stage by stage. Create one with New, add
 // observations, and call Build (which validates).
@@ -83,8 +77,8 @@ func (b *Builder) Build() (*Property, error) {
 	return &p, nil
 }
 
-// MustBuild is Build for the static catalogue; it panics on a malformed
-// property.
+// MustBuild is Build for properties fixed in the program; it panics on a
+// malformed property.
 func (b *Builder) MustBuild() *Property {
 	p, err := b.Build()
 	if err != nil {
@@ -102,13 +96,6 @@ func (sb *StageBuilder) Where(preds ...Pred) *StageBuilder {
 // Bind captures a field into a variable.
 func (sb *StageBuilder) Bind(v Var, f packet.Field) *StageBuilder {
 	sb.s.Binds = append(sb.s.Binds, Binding{Var: v, Field: f})
-	return sb
-}
-
-// MatchAny adds disjunctive predicate groups: the stage requires Where
-// predicates plus at least one full group.
-func (sb *StageBuilder) MatchAny(groups ...PredGroup) *StageBuilder {
-	sb.s.AnyOf = append(sb.s.AnyOf, groups...)
 	return sb
 }
 
@@ -138,25 +125,9 @@ func (sb *StageBuilder) Count(n int) *StageBuilder {
 	return sb
 }
 
-// CountDistinct makes this a counting stage over distinct values of f: it
-// advances after n matching events each carrying a previously unseen
-// value of f.
-func (sb *StageBuilder) CountDistinct(n int, f packet.Field) *StageBuilder {
-	sb.s.MinCount = n
-	sb.s.CountDistinct = f
-	return sb
-}
-
 // Until adds an obligation guard (Feature 4): a matching event discharges
 // the instance while it waits at this stage.
 func (sb *StageBuilder) Until(class EventClass, preds ...Pred) *StageBuilder {
 	sb.s.Until = append(sb.s.Until, Guard{Class: class, Preds: preds})
-	return sb
-}
-
-// UntilSticky adds a permanent-discharge guard: a matching event
-// suppresses the instance identity forever, including retroactively.
-func (sb *StageBuilder) UntilSticky(class EventClass, preds ...Pred) *StageBuilder {
-	sb.s.Until = append(sb.s.Until, Guard{Class: class, Preds: preds, Sticky: true})
 	return sb
 }

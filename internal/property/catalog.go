@@ -1,581 +1,93 @@
 package property
 
 import (
+	_ "embed"
 	"time"
-
-	"switchmon/internal/packet"
 )
 
-// Params carries the concrete scenario constants the catalogue properties
-// are written against (switch port roles, knock sequences, pool sizes).
-// The simulated topologies in internal/apps use the same values.
+// catalogSource is the property catalogue: every property discussed in
+// the paper, written in the property language.
+//
+//go:embed catalog.properties
+var catalogSource string
+
+// Params carries the catalogue's two timing parameters. The other
+// scenario constants (switch port roles, knock sequence, pool size) are
+// written in catalog.properties.
 type Params struct {
-	// InternalPort and ExternalPort are the switch ports facing the
-	// protected network and the outside (firewall / NAT scenarios).
-	InternalPort uint64
-	ExternalPort uint64
 	// FirewallWindow is the stateful firewall's connection idle timeout.
 	FirewallWindow time.Duration
 	// ReplyWindow is the maximum wait for proxies to answer (ARP, DHCP).
 	ReplyWindow time.Duration
-	// Knock1, Knock2, Knock3 are the port-knocking sequence; KnockDoor is
-	// the protected port the sequence opens.
-	Knock1, Knock2, Knock3 uint64
-	KnockDoor              uint64
-	// PoolFirstPort and PoolSize describe the load balancer's backend
-	// ports: PoolFirstPort .. PoolFirstPort+PoolSize-1.
-	PoolFirstPort uint64
-	PoolSize      uint64
-	// FTPDataPort is the server's source port for active-mode data
-	// connections (conventionally 20).
-	FTPDataPort uint64
 }
 
-// DefaultParams returns the constants used by the examples, integration
-// tests, and benchmarks.
+// DefaultParams returns the windows catalog.properties is written with,
+// which the examples, integration tests and benchmarks use.
 func DefaultParams() Params {
-	return Params{
-		InternalPort:   1,
-		ExternalPort:   2,
-		FirewallWindow: 60 * time.Second,
-		ReplyWindow:    2 * time.Second,
-		Knock1:         7001,
-		Knock2:         7002,
-		Knock3:         7003,
-		KnockDoor:      22,
-		PoolFirstPort:  10,
-		PoolSize:       4,
-		FTPDataPort:    20,
-	}
+	return Params{FirewallWindow: 60 * time.Second, ReplyWindow: 2 * time.Second}
 }
 
-// CatalogEntry pairs a property with its provenance in the paper.
+// catalogGroups is each catalogue property's Table 1 group.
+var catalogGroups = map[string]string{
+	"lswitch-unicast":         "Learning Switch",
+	"lswitch-linkdown":        "Learning Switch",
+	"firewall-basic":          "Stateful Firewall",
+	"firewall-timeout":        "Stateful Firewall",
+	"firewall-until-close":    "Stateful Firewall",
+	"nat-reverse":             "NAT",
+	"arp-proxy-reply":         "ARP Cache Proxy",
+	"arp-known-not-forwarded": "ARP Cache Proxy",
+	"arp-unknown-forwarded":   "ARP Cache Proxy",
+	"knock-intervening":       "Port Knocking",
+	"knock-valid-sequence":    "Port Knocking",
+	"lb-hashed":               "Load Balancing",
+	"lb-round-robin":          "Load Balancing",
+	"lb-sticky":               "Load Balancing",
+	"ftp-data-port":           "FTP",
+	"dhcp-reply-within":       "DHCP",
+	"dhcp-no-reuse":           "DHCP",
+	"dhcp-no-overlap":         "DHCP",
+	"dhcparp-preload":         "DHCP + ARP Proxy",
+	"dhcparp-no-direct-reply": "DHCP + ARP Proxy",
+	"portscan-detect":         "Extensions",
+	"heavy-hitter":            "Extensions",
+	"dns-response-match":      "Extensions",
+	"ping-reply-within":       "Extensions",
+}
+
+// CatalogEntry pairs a catalogue property with its Table 1 group.
 type CatalogEntry struct {
 	// Group is the Table 1 grouping ("Stateful Firewall", "DHCP", ...).
 	Group string
-	// Source says where in the paper the property comes from ("Sec 2.1",
-	// "Table 1").
-	Source string
-	Prop   *Property
+	Prop  *Property
 }
 
-// Catalog builds every property discussed in the paper — the in-text
-// examples of Sections 1-2 and all thirteen Table 1 rows — instantiated
-// with the given parameters. The properties are the repository's
-// executable rendering of the paper's informal timeline diagrams; where a
-// diagram is ambiguous the encoding choices are documented inline.
+// Catalog parses the catalogue, in file order, with its windows set from
+// pm: a window the file writes as DefaultParams' FirewallWindow or
+// ReplyWindow becomes pm's.
 func Catalog(pm Params) []CatalogEntry {
-	var entries []CatalogEntry
-	add := func(group, source string, p *Property) {
-		entries = append(entries, CatalogEntry{Group: group, Source: source, Prop: p})
+	props, err := ParseAll(catalogSource)
+	if err != nil {
+		panic(err)
 	}
-
-	// ------------------------------------------------------------------
-	// Sec. 1: learning switch. "Once a destination D is learned, packets
-	// to D are unicast on the appropriate port." The dataplane emits one
-	// egress observation per output port, so a broadcast of a learned
-	// destination also surfaces as an egress with out_port != the learned
-	// port.
-	{
-		b := New("lswitch-unicast",
-			"once a destination D is learned, packets to D are unicast on the appropriate port")
-		b.OnArrival("learn").
-			Bind("D", packet.FieldEthSrc).
-			Bind("P", packet.FieldInPort)
-		b.OnEgress("misforward").
-			Where(EqVar(packet.FieldEthDst, "D"),
-				Eq(packet.FieldDropped, 0),
-				NeVar(packet.FieldOutPort, "P"))
-		add("Learning Switch", "Sec 1", b.MustBuild())
+	def := DefaultParams()
+	entries := make([]CatalogEntry, len(props))
+	for i, p := range props {
+		if pm != def {
+			for j := range p.Stages {
+				switch w := &p.Stages[j].Window; *w {
+				case def.FirewallWindow:
+					*w = pm.FirewallWindow
+				case def.ReplyWindow:
+					*w = pm.ReplyWindow
+				}
+			}
+			if err := p.Validate(); err != nil {
+				panic(err)
+			}
+		}
+		entries[i] = CatalogEntry{Group: catalogGroups[p.Name], Prop: p}
 	}
-
-	// Sec. 2.4: multiple match. "Link-down messages delete the set of
-	// learned destinations": after a link-down on D's port, a unicast to D
-	// without an intervening re-learn is a violation.
-	{
-		b := New("lswitch-linkdown",
-			"link-down messages delete the set of learned destinations")
-		b.OnArrival("learn").
-			Bind("D", packet.FieldEthSrc).
-			Bind("P", packet.FieldInPort)
-		b.OnOutOfBand("link-down").
-			Where(Eq(packet.FieldOOBKind, uint64(packet.OOBLinkDown)),
-				EqVar(packet.FieldOOBPort, "P"))
-		b.OnEgress("stale-unicast").
-			Where(EqVar(packet.FieldEthDst, "D"),
-				Eq(packet.FieldMulticast, 0),
-				Eq(packet.FieldDropped, 0)).
-			Until(Arrival, EqVar(packet.FieldEthSrc, "D"))
-		add("Learning Switch", "Sec 2.4", b.MustBuild())
-	}
-
-	// ------------------------------------------------------------------
-	// Sec. 2.1: stateful firewall, three refinements.
-	fwFirst := func(b *Builder) {
-		b.OnArrival("outgoing").
-			Where(Eq(packet.FieldInPort, pm.InternalPort)).
-			Bind("A", packet.FieldIPSrc).
-			Bind("B", packet.FieldIPDst)
-	}
-	{
-		b := New("firewall-basic",
-			"after traffic from internal A to external B, packets from B to A are not dropped")
-		fwFirst(b)
-		b.OnEgress("return-dropped").
-			Where(EqVar(packet.FieldIPSrc, "B"),
-				EqVar(packet.FieldIPDst, "A"),
-				Eq(packet.FieldDropped, 1))
-		add("Stateful Firewall", "Sec 2.1", b.MustBuild())
-	}
-	{
-		b := New("firewall-timeout",
-			"for T seconds after traffic from A to B, packets from B to A are not dropped")
-		fwFirst(b)
-		b.OnEgress("return-dropped").
-			Where(EqVar(packet.FieldIPSrc, "B"),
-				EqVar(packet.FieldIPDst, "A"),
-				Eq(packet.FieldDropped, 1)).
-			Within(pm.FirewallWindow)
-		add("Stateful Firewall", "Sec 2.1 (Feature 3)", b.MustBuild())
-	}
-	{
-		b := New("firewall-until-close",
-			"for T seconds after traffic from A to B, or until the connection is closed, packets from B to A are not dropped")
-		fwFirst(b)
-		b.OnEgress("return-dropped").
-			Where(EqVar(packet.FieldIPSrc, "B"),
-				EqVar(packet.FieldIPDst, "A"),
-				Eq(packet.FieldDropped, 1)).
-			Within(pm.FirewallWindow).
-			// Either side closing (FIN) or aborting (RST) discharges the
-			// obligation to admit return traffic.
-			Until(AnyPacket, EqVar(packet.FieldIPSrc, "A"), EqVar(packet.FieldIPDst, "B"), Eq(packet.FieldTCPFin, 1)).
-			Until(AnyPacket, EqVar(packet.FieldIPSrc, "B"), EqVar(packet.FieldIPDst, "A"), Eq(packet.FieldTCPFin, 1)).
-			Until(AnyPacket, EqVar(packet.FieldIPSrc, "A"), EqVar(packet.FieldIPDst, "B"), Eq(packet.FieldTCPRst, 1)).
-			Until(AnyPacket, EqVar(packet.FieldIPSrc, "B"), EqVar(packet.FieldIPDst, "A"), Eq(packet.FieldTCPRst, 1))
-		add("Stateful Firewall", "Sec 2.1 (Feature 4)", b.MustBuild())
-	}
-
-	// ------------------------------------------------------------------
-	// Sec. 2.2: NAT reverse translation, four observations.
-	{
-		b := New("nat-reverse",
-			"return packets are translated according to their corresponding initial outgoing translation")
-		b.OnArrival("initial").
-			Where(Eq(packet.FieldInPort, pm.InternalPort)).
-			Bind("A", packet.FieldIPSrc).
-			Bind("P", packet.FieldSrcPort).
-			Bind("B", packet.FieldIPDst).
-			Bind("Q", packet.FieldDstPort)
-		b.OnEgress("translated").
-			SamePacket(0).
-			Where(EqVar(packet.FieldIPDst, "B"),
-				EqVar(packet.FieldDstPort, "Q"),
-				NeVar(packet.FieldIPSrc, "A"),
-				Eq(packet.FieldDropped, 0)).
-			Bind("A2", packet.FieldIPSrc).
-			Bind("P2", packet.FieldSrcPort)
-		b.OnArrival("return").
-			Where(Eq(packet.FieldInPort, pm.ExternalPort),
-				EqVar(packet.FieldIPSrc, "B"),
-				EqVar(packet.FieldSrcPort, "Q"),
-				EqVar(packet.FieldIPDst, "A2"),
-				EqVar(packet.FieldDstPort, "P2"))
-		b.OnEgress("mistranslated").
-			SamePacket(2).
-			Where(Eq(packet.FieldDropped, 0)).
-			MatchAny(
-				PredGroup{NeVar(packet.FieldIPDst, "A")},
-				PredGroup{NeVar(packet.FieldDstPort, "P")},
-			)
-		add("NAT", "Sec 2.2", b.MustBuild())
-	}
-
-	// ------------------------------------------------------------------
-	// Sec. 2.3 + Table 1: ARP cache proxy.
-	{
-		// In-text Sec 2.3: "if the switch receives a request for a known
-		// MAC address, it will send a reply within T seconds."
-		b := New("arp-proxy-reply",
-			"requests for known addresses are answered within T seconds")
-		b.OnArrival("mapping").
-			Where(Eq(packet.FieldEthType, uint64(packet.EtherTypeARP))).
-			Bind("I", packet.FieldARPSenderIP).
-			Bind("M", packet.FieldARPSenderMAC)
-		b.OnArrival("request").
-			Where(Eq(packet.FieldARPOp, uint64(packet.ARPRequest)),
-				EqVar(packet.FieldARPTargetIP, "I"))
-		b.UnlessWithin("no-reply", Egress, pm.ReplyWindow).
-			Where(Eq(packet.FieldARPOp, uint64(packet.ARPReply)),
-				EqVar(packet.FieldARPSenderIP, "I"),
-				Eq(packet.FieldDropped, 0))
-		add("ARP Cache Proxy", "Sec 2.3", b.MustBuild())
-	}
-	{
-		// Table 1 row 1: requests for known addresses are not forwarded.
-		b := New("arp-known-not-forwarded",
-			"requests for known addresses are not forwarded")
-		b.OnArrival("mapping").
-			Where(Eq(packet.FieldEthType, uint64(packet.EtherTypeARP))).
-			Bind("I", packet.FieldARPSenderIP)
-		b.OnEgress("forwarded-anyway").
-			Where(Eq(packet.FieldARPOp, uint64(packet.ARPRequest)),
-				EqVar(packet.FieldARPTargetIP, "I"),
-				Eq(packet.FieldDropped, 0))
-		add("ARP Cache Proxy", "Table 1", b.MustBuild())
-	}
-	{
-		// Table 1 row 2: requests for unknown addresses are forwarded.
-		// "Unknown" is encoded by obligation: if a mapping for the address
-		// shows up (so a proxy reply becomes legitimate), or the proxy
-		// answers, the instance is discharged; otherwise the request
-		// packet itself must egress within the window.
-		b := New("arp-unknown-forwarded",
-			"requests for unknown addresses are forwarded")
-		b.OnArrival("request").
-			Where(Eq(packet.FieldARPOp, uint64(packet.ARPRequest))).
-			Bind("I", packet.FieldARPTargetIP)
-		b.UnlessWithin("not-forwarded", Egress, pm.ReplyWindow).
-			SamePacket(0).
-			Where(Eq(packet.FieldDropped, 0)).
-			Until(Arrival, EqVar(packet.FieldARPSenderIP, "I")).
-			Until(Egress, Eq(packet.FieldARPOp, uint64(packet.ARPReply)), EqVar(packet.FieldARPSenderIP, "I"), Eq(packet.FieldDropped, 0))
-		add("ARP Cache Proxy", "Table 1", b.MustBuild())
-	}
-
-	// ------------------------------------------------------------------
-	// Table 1: port knocking (from Varanus).
-	{
-		b := New("knock-intervening",
-			"intervening guesses invalidate the knock sequence")
-		b.OnArrival("knock1").
-			Where(Eq(packet.FieldDstPort, pm.Knock1)).
-			Bind("H", packet.FieldIPSrc)
-		b.OnArrival("wrong-guess").
-			Where(EqVar(packet.FieldIPSrc, "H"),
-				Ne(packet.FieldDstPort, pm.Knock2))
-		b.OnArrival("knock2").
-			Where(EqVar(packet.FieldIPSrc, "H"),
-				Eq(packet.FieldDstPort, pm.Knock2))
-		b.OnArrival("knock3").
-			Where(EqVar(packet.FieldIPSrc, "H"),
-				Eq(packet.FieldDstPort, pm.Knock3))
-		b.OnEgress("door-opened").
-			Where(EqVar(packet.FieldIPSrc, "H"),
-				Eq(packet.FieldDstPort, pm.KnockDoor),
-				Eq(packet.FieldDropped, 0))
-		add("Port Knocking", "Table 1", b.MustBuild())
-	}
-	{
-		b := New("knock-valid-sequence",
-			"a valid knock sequence opens the door")
-		b.OnArrival("knock1").
-			Where(Eq(packet.FieldDstPort, pm.Knock1)).
-			Bind("H", packet.FieldIPSrc)
-		b.OnArrival("knock2").
-			Where(EqVar(packet.FieldIPSrc, "H"),
-				Eq(packet.FieldDstPort, pm.Knock2)).
-			Until(Arrival, EqVar(packet.FieldIPSrc, "H"), Ne(packet.FieldDstPort, pm.Knock2))
-		b.OnArrival("knock3").
-			Where(EqVar(packet.FieldIPSrc, "H"),
-				Eq(packet.FieldDstPort, pm.Knock3)).
-			Until(Arrival, EqVar(packet.FieldIPSrc, "H"), Ne(packet.FieldDstPort, pm.Knock3))
-		b.OnEgress("door-stayed-closed").
-			Where(EqVar(packet.FieldIPSrc, "H"),
-				Eq(packet.FieldDstPort, pm.KnockDoor),
-				Eq(packet.FieldDropped, 1))
-		add("Port Knocking", "Table 1", b.MustBuild())
-	}
-
-	// ------------------------------------------------------------------
-	// Table 1: load balancing.
-	flowFields := []packet.Field{
-		packet.FieldIPSrc, packet.FieldIPDst,
-		packet.FieldSrcPort, packet.FieldDstPort,
-	}
-	closeGuards := func(sb *StageBuilder) *StageBuilder {
-		return sb.
-			Until(AnyPacket, EqVar(packet.FieldIPSrc, "A"), EqVar(packet.FieldIPDst, "B"), Eq(packet.FieldTCPFin, 1)).
-			Until(AnyPacket, EqVar(packet.FieldIPSrc, "B"), EqVar(packet.FieldIPDst, "A"), Eq(packet.FieldTCPFin, 1)).
-			Until(AnyPacket, EqVar(packet.FieldIPSrc, "A"), EqVar(packet.FieldIPDst, "B"), Eq(packet.FieldTCPRst, 1)).
-			Until(AnyPacket, EqVar(packet.FieldIPSrc, "B"), EqVar(packet.FieldIPDst, "A"), Eq(packet.FieldTCPRst, 1))
-	}
-	{
-		// New flows go to the hashed port; the hash is symmetric, so both
-		// directions of the flow must leave on the same backend port until
-		// the flow closes.
-		b := New("lb-hashed",
-			"new flows go to the port selected by the symmetric flow hash")
-		b.OnArrival("new-flow").
-			Where(Eq(packet.FieldTCPSyn, 1),
-				Eq(packet.FieldInPort, pm.InternalPort)).
-			Bind("A", packet.FieldIPSrc).
-			Bind("B", packet.FieldIPDst).
-			Bind("PA", packet.FieldSrcPort).
-			Bind("PB", packet.FieldDstPort)
-		sb := b.OnEgress("wrong-port").
-			Where(Eq(packet.FieldDropped, 0)).
-			MatchAny(
-				PredGroup{
-					EqVar(packet.FieldIPSrc, "A"), EqVar(packet.FieldIPDst, "B"),
-					EqVar(packet.FieldSrcPort, "PA"), EqVar(packet.FieldDstPort, "PB"),
-					{Field: packet.FieldOutPort, Op: OpNe, Arg: HashOf(pm.PoolSize, pm.PoolFirstPort, flowFields...)},
-				},
-				PredGroup{
-					EqVar(packet.FieldIPSrc, "B"), EqVar(packet.FieldIPDst, "A"),
-					EqVar(packet.FieldSrcPort, "PB"), EqVar(packet.FieldDstPort, "PA"),
-					{Field: packet.FieldOutPort, Op: OpNe, Arg: HashOf(pm.PoolSize, pm.PoolFirstPort, flowFields...)},
-				},
-			)
-		closeGuards(sb)
-		add("Load Balancing", "Table 1", b.MustBuild())
-	}
-	{
-		// New flows go to the round-robin port: two consecutive new flows
-		// must not land on the same backend port.
-		b := New("lb-round-robin",
-			"consecutive new flows go to distinct round-robin ports")
-		b.OnArrival("flow-i").
-			Where(Eq(packet.FieldTCPSyn, 1),
-				Eq(packet.FieldInPort, pm.InternalPort))
-		b.OnEgress("flow-i-out").
-			SamePacket(0).
-			Where(Eq(packet.FieldDropped, 0)).
-			Bind("P", packet.FieldOutPort)
-		b.OnArrival("flow-i+1").
-			Where(Eq(packet.FieldTCPSyn, 1),
-				Eq(packet.FieldInPort, pm.InternalPort))
-		b.OnEgress("same-port-again").
-			SamePacket(2).
-			Where(Eq(packet.FieldDropped, 0),
-				EqVar(packet.FieldOutPort, "P"))
-		add("Load Balancing", "Table 1", b.MustBuild())
-	}
-	{
-		// No change in port until flow closed: forward packets stay on the
-		// chosen backend port, return packets stay on the client's ingress
-		// port.
-		b := New("lb-sticky",
-			"a flow's port assignment does not change until the flow closes")
-		b.OnArrival("new-flow").
-			Where(Eq(packet.FieldTCPSyn, 1)).
-			Bind("A", packet.FieldIPSrc).
-			Bind("B", packet.FieldIPDst).
-			Bind("PA", packet.FieldSrcPort).
-			Bind("PB", packet.FieldDstPort).
-			Bind("IN", packet.FieldInPort)
-		b.OnEgress("assigned").
-			SamePacket(0).
-			Where(Eq(packet.FieldDropped, 0)).
-			Bind("P", packet.FieldOutPort)
-		sb := b.OnEgress("moved").
-			Where(Eq(packet.FieldDropped, 0)).
-			MatchAny(
-				PredGroup{
-					EqVar(packet.FieldIPSrc, "A"), EqVar(packet.FieldIPDst, "B"),
-					EqVar(packet.FieldSrcPort, "PA"), EqVar(packet.FieldDstPort, "PB"),
-					NeVar(packet.FieldOutPort, "P"),
-				},
-				PredGroup{
-					EqVar(packet.FieldIPSrc, "B"), EqVar(packet.FieldIPDst, "A"),
-					EqVar(packet.FieldSrcPort, "PB"), EqVar(packet.FieldDstPort, "PA"),
-					NeVar(packet.FieldOutPort, "IN"),
-				},
-			)
-		closeGuards(sb)
-		add("Load Balancing", "Table 1", b.MustBuild())
-	}
-
-	// ------------------------------------------------------------------
-	// Table 1: FTP (from FAST). The server must open the data connection
-	// to the port announced in the control stream's PORT command.
-	{
-		b := New("ftp-data-port",
-			"the data connection's L4 port matches the port given in the control stream")
-		b.OnArrival("port-command").
-			Where(EqStr(packet.FieldFTPCommand, "PORT")).
-			Bind("C", packet.FieldIPSrc).
-			Bind("S", packet.FieldIPDst).
-			Bind("DP", packet.FieldFTPDataPort)
-		b.OnEgress("data-to-wrong-port").
-			Where(EqVar(packet.FieldIPSrc, "S"),
-				EqVar(packet.FieldIPDst, "C"),
-				Eq(packet.FieldSrcPort, pm.FTPDataPort),
-				Eq(packet.FieldTCPSyn, 1),
-				NeVar(packet.FieldDstPort, "DP"),
-				Eq(packet.FieldDropped, 0))
-		add("FTP", "Table 1 (from FAST)", b.MustBuild())
-	}
-
-	// ------------------------------------------------------------------
-	// Table 1: DHCP.
-	{
-		b := New("dhcp-reply-within",
-			"the server replies to a lease request within T seconds")
-		b.OnArrival("request").
-			Where(Eq(packet.FieldDHCPMsgType, uint64(packet.DHCPRequest))).
-			Bind("X", packet.FieldDHCPXid).
-			Bind("M", packet.FieldDHCPClientMAC)
-		b.UnlessWithin("no-reply", Egress, pm.ReplyWindow).
-			Where(EqVar(packet.FieldDHCPXid, "X"),
-				Eq(packet.FieldDropped, 0))
-		add("DHCP", "Table 1", b.MustBuild())
-	}
-	{
-		b := New("dhcp-no-reuse",
-			"leased addresses are never re-used until expiration or release")
-		b.OnEgress("lease").
-			Where(Eq(packet.FieldDHCPMsgType, uint64(packet.DHCPAck)),
-				Eq(packet.FieldDropped, 0)).
-			Bind("IP", packet.FieldDHCPYourIP).
-			Bind("M", packet.FieldDHCPClientMAC).
-			Bind("L", packet.FieldDHCPLeaseSecs)
-		b.OnEgress("re-leased").
-			Where(Eq(packet.FieldDHCPMsgType, uint64(packet.DHCPAck)),
-				EqVar(packet.FieldDHCPYourIP, "IP"),
-				NeVar(packet.FieldDHCPClientMAC, "M"),
-				Eq(packet.FieldDropped, 0)).
-			WithinVar("L").
-			Until(Arrival, Eq(packet.FieldDHCPMsgType, uint64(packet.DHCPRelease)), EqVar(packet.FieldDHCPClientMAC, "M"))
-		add("DHCP", "Table 1", b.MustBuild())
-	}
-	{
-		b := New("dhcp-no-overlap",
-			"no lease overlap between DHCP servers")
-		b.OnEgress("lease-1").
-			Where(Eq(packet.FieldDHCPMsgType, uint64(packet.DHCPAck)),
-				Eq(packet.FieldDropped, 0)).
-			Bind("IP", packet.FieldDHCPYourIP).
-			Bind("S", packet.FieldDHCPServerID).
-			Bind("L", packet.FieldDHCPLeaseSecs)
-		b.OnEgress("lease-2").
-			Where(Eq(packet.FieldDHCPMsgType, uint64(packet.DHCPAck)),
-				EqVar(packet.FieldDHCPYourIP, "IP"),
-				NeVar(packet.FieldDHCPServerID, "S"),
-				Eq(packet.FieldDropped, 0)).
-			WithinVar("L")
-		add("DHCP", "Table 1", b.MustBuild())
-	}
-
-	// ------------------------------------------------------------------
-	// Table 1: DHCP + ARP proxy (wandering match).
-	{
-		b := New("dhcparp-preload",
-			"the ARP cache is pre-loaded with leased addresses")
-		b.OnEgress("lease").
-			Where(Eq(packet.FieldDHCPMsgType, uint64(packet.DHCPAck)),
-				Eq(packet.FieldDropped, 0)).
-			Bind("IP", packet.FieldDHCPYourIP).
-			Bind("M", packet.FieldDHCPClientMAC)
-		b.OnArrival("arp-request").
-			Where(Eq(packet.FieldARPOp, uint64(packet.ARPRequest)),
-				EqVar(packet.FieldARPTargetIP, "IP"))
-		b.UnlessWithin("no-reply", Egress, pm.ReplyWindow).
-			Where(Eq(packet.FieldARPOp, uint64(packet.ARPReply)),
-				EqVar(packet.FieldARPSenderIP, "IP"),
-				EqVar(packet.FieldARPSenderMAC, "M"),
-				Eq(packet.FieldDropped, 0))
-		add("DHCP + ARP Proxy", "Table 1", b.MustBuild())
-	}
-	{
-		b := New("dhcparp-no-direct-reply",
-			"no direct reply if the address is neither pre-loaded nor a prior reply was seen")
-		b.OnArrival("request").
-			Where(Eq(packet.FieldARPOp, uint64(packet.ARPRequest))).
-			Bind("I", packet.FieldARPTargetIP)
-		b.OnEgress("unjustified-reply").
-			Where(Eq(packet.FieldARPOp, uint64(packet.ARPReply)),
-				EqVar(packet.FieldARPSenderIP, "I"),
-				Eq(packet.FieldDropped, 0)).
-			// A DHCP lease for the address, or a prior ARP reply from the
-			// real owner, justifies answering from the cache — permanently
-			// (sticky), since justification seen at any earlier time makes
-			// later cached replies legitimate.
-			UntilSticky(Egress, Eq(packet.FieldDHCPMsgType, uint64(packet.DHCPAck)), EqVar(packet.FieldDHCPYourIP, "I"), Eq(packet.FieldDropped, 0)).
-			UntilSticky(Arrival, Eq(packet.FieldARPOp, uint64(packet.ARPReply)), EqVar(packet.FieldARPSenderIP, "I"))
-		add("DHCP + ARP Proxy", "Table 1", b.MustBuild())
-	}
-
-	// ------------------------------------------------------------------
-	// Extensions beyond the paper: quantitative (counting) properties.
-	// The paper's conclusion limits its scope to "boolean conditions,
-	// rather than quantitative measurements"; these two properties
-	// exercise the counting extension that lifts that limit.
-	{
-		// Port-scan detection: a violation is one host probing many
-		// distinct ports in a short window while the scanned traffic is
-		// actually forwarded (a guard that should have been closed).
-		b := New("portscan-detect",
-			"no host reaches 10 distinct destination ports within 10 seconds")
-		b.OnArrival("first-probe").
-			Where(Eq(packet.FieldTCPSyn, 1)).
-			Bind("H", packet.FieldIPSrc)
-		b.OnArrival("scan").
-			Where(EqVar(packet.FieldIPSrc, "H"),
-				Eq(packet.FieldTCPSyn, 1)).
-			CountDistinct(10, packet.FieldDstPort).
-			Within(10 * time.Second)
-		add("Extensions", "beyond paper (quantitative)", b.MustBuild())
-	}
-	{
-		// Heavy-hitter detection (FAST's motivating app): a flow sending
-		// 100 packets within one second.
-		b := New("heavy-hitter",
-			"no flow sends 100 packets within one second")
-		b.OnArrival("flow-start").
-			Bind("A", packet.FieldIPSrc).
-			Bind("B", packet.FieldIPDst).
-			Bind("PA", packet.FieldSrcPort).
-			Bind("PB", packet.FieldDstPort)
-		b.OnArrival("burst").
-			Where(EqVar(packet.FieldIPSrc, "A"),
-				EqVar(packet.FieldIPDst, "B"),
-				EqVar(packet.FieldSrcPort, "PA"),
-				EqVar(packet.FieldDstPort, "PB")).
-			Count(100).
-			Within(time.Second)
-		add("Extensions", "beyond paper (quantitative)", b.MustBuild())
-	}
-
-	{
-		// DNS response integrity: a response forwarded for a known query
-		// id must answer the question that was asked. Exercises
-		// string-valued instance keys (the query name).
-		b := New("dns-response-match",
-			"forwarded DNS responses answer the query their id belongs to")
-		b.OnArrival("query").
-			Where(Eq(packet.FieldDNSResponse, 0)).
-			Bind("ID", packet.FieldDNSID).
-			Bind("Q", packet.FieldDNSQName).
-			Bind("C", packet.FieldIPSrc)
-		b.OnEgress("mismatched-response").
-			Where(Eq(packet.FieldDNSResponse, 1),
-				EqVar(packet.FieldDNSID, "ID"),
-				EqVar(packet.FieldIPDst, "C"),
-				NeVar(packet.FieldDNSQName, "Q"),
-				Eq(packet.FieldDropped, 0))
-		add("Extensions", "beyond paper (DNS)", b.MustBuild())
-	}
-	{
-		// Ping liveness: an echo request crossing the switch must be
-		// followed by the matching echo reply within the window — the
-		// ARP-proxy pattern (Feature 7) at ICMP.
-		b := New("ping-reply-within",
-			"an echo request is answered by the matching echo reply within T")
-		b.OnArrival("request").
-			Where(Eq(packet.FieldICMPType, 8)).
-			Bind("ID", packet.FieldICMPID).
-			Bind("S", packet.FieldIPSrc).
-			Bind("D", packet.FieldIPDst)
-		b.UnlessWithin("no-reply", Egress, pm.ReplyWindow).
-			Where(Eq(packet.FieldICMPType, 0),
-				EqVar(packet.FieldICMPID, "ID"),
-				EqVar(packet.FieldIPSrc, "D"),
-				EqVar(packet.FieldIPDst, "S"),
-				Eq(packet.FieldDropped, 0))
-		add("Extensions", "beyond paper (ICMP)", b.MustBuild())
-	}
-
 	return entries
 }
 

@@ -1,4 +1,4 @@
-package dsl
+package property
 
 import (
 	"reflect"
@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"switchmon/internal/packet"
-	"switchmon/internal/property"
 )
 
 const firewallSrc = `
@@ -42,7 +41,7 @@ func TestParseFirewall(t *testing.T) {
 		t.Fatalf("stages = %d", len(p.Stages))
 	}
 	s0 := p.Stages[0]
-	if s0.Class != property.Arrival || s0.Label != "outgoing" || len(s0.Binds) != 2 {
+	if s0.Class != Arrival || s0.Label != "outgoing" || len(s0.Binds) != 2 {
 		t.Errorf("stage 0 = %+v", s0)
 	}
 	s1 := p.Stages[1]
@@ -100,7 +99,7 @@ property "lb" {
 		t.Fatalf("AnyOf groups = %d", len(s1.AnyOf))
 	}
 	h := s1.AnyOf[0][1].Arg
-	if h.Kind != property.OperandHash || h.Hash.Mod != 4 || h.Hash.Base != 10 || len(h.Hash.Fields) != 2 {
+	if h.Kind != OperandHash || h.Hash.Mod != 4 || h.Hash.Base != 10 || len(h.Hash.Fields) != 2 {
 		t.Fatalf("hash operand = %+v", h)
 	}
 }
@@ -213,7 +212,7 @@ property "p" { # trailing comment
 // The round-trip property: Format then Parse reproduces the AST exactly,
 // for the entire catalogue.
 func TestFormatParseRoundTripCatalog(t *testing.T) {
-	for _, e := range property.Catalog(property.DefaultParams()) {
+	for _, e := range Catalog(DefaultParams()) {
 		text := Format(e.Prop)
 		back, err := Parse(text)
 		if err != nil {
@@ -228,8 +227,8 @@ func TestFormatParseRoundTripCatalog(t *testing.T) {
 }
 
 func TestParseAll(t *testing.T) {
-	catalog := property.Catalog(property.DefaultParams())
-	var all []*property.Property
+	catalog := Catalog(DefaultParams())
+	var all []*Property
 	for _, e := range catalog {
 		all = append(all, e.Prop)
 	}
@@ -252,5 +251,41 @@ func TestParseAllEmpty(t *testing.T) {
 	props, err := ParseAll("\n# nothing here\n")
 	if err != nil || len(props) != 0 {
 		t.Fatalf("ParseAll on empty input = (%v, %v)", props, err)
+	}
+}
+
+// Strings follow Go's quoting rules both ways: whatever a name or
+// description holds, Format's %q text parses back to it, and an escape
+// Go does not know is an error rather than a silently different string.
+func TestStringEscapesRoundTrip(t *testing.T) {
+	for _, name := range []string{"a\tb", "nul\x00", "line\nbreak", `q"uote`, `back\slash`, "bad\xffutf8", "µs"} {
+		p := &Property{Name: name, Description: name, Stages: []Stage{NewStage(name, Arrival)}}
+		back, err := Parse(Format(p))
+		if err != nil {
+			t.Errorf("%q: %v", name, err)
+			continue
+		}
+		if back.Name != name || back.Description != name || back.Stages[0].Label != name {
+			t.Errorf("%q came back as %q / %q / %q", name, back.Name, back.Description, back.Stages[0].Label)
+		}
+	}
+	if p, err := Parse("property \"a\tb\" { on arrival \"x\" {} }"); err != nil || p.Name != "a\tb" {
+		t.Errorf("a raw tab in a name parsed as %v, %v", p, err)
+	}
+	if _, err := Parse(`property "a\qb" { on arrival "x" {} }`); err == nil || !strings.Contains(err.Error(), "bad string literal") {
+		t.Errorf("an unknown escape parsed: %v", err)
+	}
+}
+
+// Format writes a window under a millisecond with Go's "µs" unit; the
+// lexer must take it back as a duration.
+func TestSubMillisecondWindowRoundTrip(t *testing.T) {
+	p, err := Parse(`property "p" { on arrival "a" {} on arrival "b" within 1500ns {} }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := Parse(Format(p))
+	if err != nil || back.Stages[1].Window != 1500*time.Nanosecond {
+		t.Fatalf("%q parsed back as %v, %v", Format(p), back, err)
 	}
 }

@@ -1,9 +1,9 @@
-package dsl_test
+package property_test
 
 import (
 	"fmt"
 
-	"switchmon/internal/dsl"
+	"switchmon/internal/property"
 )
 
 // ExampleParse compiles a property from its text form and prints its
@@ -22,7 +22,7 @@ property "knock-gate" {
   }
 }
 `
-	p, err := dsl.Parse(src)
+	p, err := property.Parse(src)
 	if err != nil {
 		panic(err)
 	}
@@ -35,11 +35,11 @@ property "knock-gate" {
 
 // ExampleFormat renders a parsed property back to canonical text.
 func ExampleFormat() {
-	p, err := dsl.Parse(`property "tiny" { on arrival "a" { match ip.proto == 6 } }`)
+	p, err := property.Parse(`property "tiny" { on arrival "a" { match ip.proto == 6 } }`)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Print(dsl.Format(p))
+	fmt.Print(property.Format(p))
 	// Output:
 	// property "tiny" {
 	//

@@ -1,16 +1,14 @@
-package dsl
+package property
 
 import (
 	"fmt"
 	"strings"
-
-	"switchmon/internal/property"
 )
 
 // Format renders a property in canonical DSL text. Parsing the output
 // yields an equal AST (numeric literals are printed in decimal, so IP/MAC
 // sugar used in hand-written sources is normalized away).
-func Format(p *property.Property) string {
+func Format(p *Property) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "property %q {\n", p.Name)
 	if p.Description != "" {
@@ -25,7 +23,7 @@ func Format(p *property.Property) string {
 }
 
 // FormatAll renders multiple properties separated by blank lines.
-func FormatAll(props []*property.Property) string {
+func FormatAll(props []*Property) string {
 	parts := make([]string, len(props))
 	for i, p := range props {
 		parts[i] = Format(p)
@@ -33,25 +31,12 @@ func FormatAll(props []*property.Property) string {
 	return strings.Join(parts, "\n")
 }
 
-func classWord(c property.EventClass) string {
-	switch c {
-	case property.Arrival:
-		return "arrival"
-	case property.Egress:
-		return "egress"
-	case property.OutOfBand:
-		return "oob"
-	default:
-		return "packet"
-	}
-}
-
-func formatStage(b *strings.Builder, s property.Stage) {
+func formatStage(b *strings.Builder, s Stage) {
 	kw := "on"
 	if s.Negative {
 		kw = "unless"
 	}
-	fmt.Fprintf(b, "  %s %s %q", kw, classWord(s.Class), s.Label)
+	fmt.Fprintf(b, "  %s %s %q", kw, s.Class, s.Label)
 	if s.Window > 0 {
 		fmt.Fprintf(b, " within %s", s.Window)
 	}
@@ -69,7 +54,7 @@ func formatStage(b *strings.Builder, s property.Stage) {
 	}
 	b.WriteString(" {\n")
 	for _, pr := range s.Preds {
-		fmt.Fprintf(b, "    match %s\n", formatPred(pr))
+		fmt.Fprintf(b, "    match %s\n", pr)
 	}
 	if len(s.AnyOf) > 0 {
 		groups := make([]string, len(s.AnyOf))
@@ -86,41 +71,15 @@ func formatStage(b *strings.Builder, s property.Stage) {
 		if g.Sticky {
 			sticky = "sticky "
 		}
-		fmt.Fprintf(b, "    until %s%s %s\n", sticky, classWord(g.Class), formatGroup(g.Preds))
+		fmt.Fprintf(b, "    until %s%s %s\n", sticky, g.Class, formatGroup(g.Preds))
 	}
 	b.WriteString("  }\n")
 }
 
-func formatGroup(preds []property.Pred) string {
+func formatGroup(preds []Pred) string {
 	parts := make([]string, len(preds))
 	for i, pr := range preds {
-		parts[i] = formatPred(pr)
+		parts[i] = pr.String()
 	}
 	return "{ " + strings.Join(parts, "; ") + " }"
-}
-
-func formatPred(pr property.Pred) string {
-	return fmt.Sprintf("%s %s %s", pr.Field, pr.Op, formatOperand(pr.Arg))
-}
-
-func formatOperand(o property.Operand) string {
-	switch o.Kind {
-	case property.OperandVar:
-		return "$" + string(o.Var)
-	case property.OperandHash:
-		names := make([]string, len(o.Hash.Fields))
-		for i, f := range o.Hash.Fields {
-			names[i] = f.String()
-		}
-		s := fmt.Sprintf("hash(%s) %% %d", strings.Join(names, ", "), o.Hash.Mod)
-		if o.Hash.Base != 0 {
-			s += fmt.Sprintf(" + %d", o.Hash.Base)
-		}
-		return s
-	default:
-		if o.Lit.IsStr() {
-			return fmt.Sprintf("%q", o.Lit.Text())
-		}
-		return fmt.Sprintf("%d", o.Lit.Uint64())
-	}
 }

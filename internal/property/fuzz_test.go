@@ -1,4 +1,4 @@
-package dsl
+package property
 
 import (
 	"fmt"
@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"switchmon/internal/packet"
-	"switchmon/internal/property"
 	"switchmon/internal/sim"
 )
 
@@ -16,7 +15,7 @@ import (
 // predicates, bindings, windows, guards, disjunctions, counts. Together
 // with TestRandomPropertyRoundTrip this gives the grammar property-based
 // coverage far beyond the hand-written cases.
-func genProperty(rng *rand.Rand, idx int) *property.Property {
+func genProperty(rng *rand.Rand, idx int) *Property {
 	numericFields := []packet.Field{
 		packet.FieldInPort, packet.FieldEthSrc, packet.FieldEthDst,
 		packet.FieldIPSrc, packet.FieldIPDst, packet.FieldSrcPort,
@@ -24,47 +23,47 @@ func genProperty(rng *rand.Rand, idx int) *property.Property {
 		packet.FieldARPSenderIP, packet.FieldOOBPort,
 	}
 	strFields := []packet.Field{packet.FieldDNSQName, packet.FieldFTPCommand}
-	classes := []property.EventClass{
-		property.Arrival, property.Egress, property.AnyPacket,
+	classes := []EventClass{
+		Arrival, Egress, AnyPacket,
 	}
-	ops := []property.CmpOp{
-		property.OpEq, property.OpNe, property.OpLt,
-		property.OpLe, property.OpGt, property.OpGe,
+	ops := []CmpOp{
+		OpEq, OpNe, OpLt,
+		OpLe, OpGt, OpGe,
 	}
 
-	var bound []property.Var
-	genOperand := func() property.Operand {
+	var bound []Var
+	genOperand := func() Operand {
 		switch {
 		case len(bound) > 0 && rng.Intn(3) == 0:
-			return property.Ref(sim.Choice(rng, bound))
+			return Ref(sim.Choice(rng, bound))
 		case rng.Intn(6) == 0:
 			n := 1 + rng.Intn(3)
 			fs := make([]packet.Field, n)
 			for i := range fs {
 				fs[i] = sim.Choice(rng, numericFields)
 			}
-			return property.HashOf(uint64(1+rng.Intn(16)), uint64(rng.Intn(100)), fs...)
+			return HashOf(uint64(1+rng.Intn(16)), uint64(rng.Intn(100)), fs...)
 		case rng.Intn(8) == 0:
-			return property.LitStr(fmt.Sprintf("s%d", rng.Intn(100)))
+			return LitStr(fmt.Sprintf("s%d", rng.Intn(100)))
 		default:
-			return property.LitNum(uint64(rng.Intn(1 << 16)))
+			return LitNum(uint64(rng.Intn(1 << 16)))
 		}
 	}
-	genPred := func() property.Pred {
+	genPred := func() Pred {
 		f := sim.Choice(rng, numericFields)
 		if rng.Intn(10) == 0 {
 			f = sim.Choice(rng, strFields)
 		}
 		arg := genOperand()
 		op := sim.Choice(rng, ops)
-		if arg.Kind == property.OperandVar && rng.Intn(2) == 0 {
-			op = property.OpEq // keep plenty of index-friendly predicates
+		if arg.Kind == OperandVar && rng.Intn(2) == 0 {
+			op = OpEq // keep plenty of index-friendly predicates
 		}
-		return property.Pred{Field: f, Op: op, Arg: arg}
+		return Pred{Field: f, Op: op, Arg: arg}
 	}
-	genPreds := func(max int) []property.Pred {
+	genPreds := func(max int) []Pred {
 		n := 1 + rng.Intn(max)
-		out := make([]property.Pred, n)
+		out := make([]Pred, n)
 		for i := range out {
 			out[i] = genPred()
 		}
@@ -72,9 +71,9 @@ func genProperty(rng *rand.Rand, idx int) *property.Property {
 	}
 
 	nStages := 1 + rng.Intn(4)
-	stages := make([]property.Stage, 0, nStages)
+	stages := make([]Stage, 0, nStages)
 	for si := 0; si < nStages; si++ {
-		st := property.NewStage(fmt.Sprintf("stage-%d", si), sim.Choice(rng, classes))
+		st := NewStage(fmt.Sprintf("stage-%d", si), sim.Choice(rng, classes))
 		st.Preds = genPreds(3)
 		// Negative observations: only after stage 0, sometimes.
 		if si > 0 && rng.Intn(4) == 0 {
@@ -93,8 +92,8 @@ func genProperty(rng *rand.Rand, idx int) *property.Property {
 			} else {
 				// Bindings (not allowed on counting stages).
 				for b := 0; b < rng.Intn(3); b++ {
-					v := property.Var(fmt.Sprintf("V%d_%d", si, b))
-					st.Binds = append(st.Binds, property.Binding{
+					v := Var(fmt.Sprintf("V%d_%d", si, b))
+					st.Binds = append(st.Binds, Binding{
 						Var: v, Field: sim.Choice(rng, numericFields),
 					})
 					bound = append(bound, v)
@@ -102,19 +101,19 @@ func genProperty(rng *rand.Rand, idx int) *property.Property {
 			}
 			// Same-packet identity between packet stages.
 			if si > 0 && rng.Intn(5) == 0 && !stages[si-1].Negative &&
-				stages[si-1].Class != property.OutOfBand {
+				stages[si-1].Class != OutOfBand {
 				st.SamePacketAs = si - 1
 			}
 		}
 		if rng.Intn(4) == 0 {
-			st.AnyOf = append(st.AnyOf, property.PredGroup(genPreds(2)))
+			st.AnyOf = append(st.AnyOf, PredGroup(genPreds(2)))
 			if rng.Intn(2) == 0 {
-				st.AnyOf = append(st.AnyOf, property.PredGroup(genPreds(2)))
+				st.AnyOf = append(st.AnyOf, PredGroup(genPreds(2)))
 			}
 		}
 		if !st.Negative || rng.Intn(2) == 0 {
 			for g := 0; g < rng.Intn(2); g++ {
-				st.Until = append(st.Until, property.Guard{
+				st.Until = append(st.Until, Guard{
 					Class: sim.Choice(rng, classes),
 					Preds: genPreds(2),
 				})
@@ -122,7 +121,7 @@ func genProperty(rng *rand.Rand, idx int) *property.Property {
 		}
 		stages = append(stages, st)
 	}
-	return &property.Property{
+	return &Property{
 		Name:        fmt.Sprintf("fuzz-%d", idx),
 		Description: fmt.Sprintf("random property %d", idx),
 		Stages:      stages,
@@ -151,7 +150,7 @@ func TestRandomPropertyRoundTrip(t *testing.T) {
 				i, text, p, back)
 		}
 		// Analysis must never panic on valid properties.
-		_ = property.Analyze(p)
+		_ = Analyze(p)
 	}
 	if valid < 200 {
 		t.Fatalf("only %d/500 generated properties were valid; generator too weak", valid)
@@ -175,4 +174,30 @@ func TestRandomPropertyFormatIsStable(t *testing.T) {
 			t.Fatalf("Format not idempotent:\n%s\nvs\n%s", a, b)
 		}
 	}
+}
+
+// FuzzParse: no input panics the parser, and whatever ParseAll accepts
+// formats to text that parses to an equal AST and formats identically.
+func FuzzParse(f *testing.F) {
+	f.Add(catalogSource)
+	for _, s := range []string{"a\tb", "nul\x00", `q\"uote`, `back\\slash`, "bad\xffutf8"} {
+		f.Add("property \"" + s + "\" {\n  on arrival \"x\" {\n    match ip.src == 1\n  }\n}\n")
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		props, err := ParseAll(src)
+		if err != nil {
+			return
+		}
+		text := FormatAll(props)
+		back, err := ParseAll(text)
+		if err != nil {
+			t.Fatalf("formatted text does not parse: %v\n%s", err, text)
+		}
+		if !reflect.DeepEqual(props, back) {
+			t.Fatalf("formatted text parses to a different AST\n%s", text)
+		}
+		if again := FormatAll(back); again != text {
+			t.Fatalf("formatting is not a fixed point:\n%s\nvs\n%s", text, again)
+		}
+	})
 }

@@ -1,30 +1,11 @@
-// Package dsl implements the textual property language: a concrete syntax
-// for internal/property in the spirit of Varanus's query language. A
-// property reads like the paper's timeline diagrams:
-//
-//	property "firewall-until-close" {
-//	  description "return traffic is admitted until close or timeout"
-//	  on arrival "outgoing" {
-//	    match in_port == 1
-//	    bind $A = ip.src
-//	    bind $B = ip.dst
-//	  }
-//	  on egress "return-dropped" within 60s {
-//	    match ip.src == $B
-//	    match ip.dst == $A
-//	    match dropped == 1
-//	    until packet { ip.src == $A; ip.dst == $B; tcp.fin == 1 }
-//	  }
-//	}
-//
-// Parse produces a validated *property.Property; Format renders the
-// canonical text (Parse∘Format is the identity on ASTs).
-package dsl
+package property
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer output.
@@ -111,7 +92,7 @@ type errSyntax struct {
 	msg  string
 }
 
-func (e *errSyntax) Error() string { return fmt.Sprintf("dsl: line %d: %s", e.line, e.msg) }
+func (e *errSyntax) Error() string { return fmt.Sprintf("property: line %d: %s", e.line, e.msg) }
 
 func (l *lexer) errorf(format string, args ...any) error {
 	return &errSyntax{line: l.line, msg: fmt.Sprintf(format, args...)}
@@ -185,8 +166,9 @@ scan:
 		}
 		return token{tokVar, l.src[start+1 : l.pos], l.line}, nil
 	case c == '"':
+		// A string literal follows Go's quoting rules, the ones Format
+		// writes it with (%q), so every string survives a round trip.
 		l.pos++
-		var b strings.Builder
 		for l.pos < len(l.src) && l.src[l.pos] != '"' {
 			if l.src[l.pos] == '\n' {
 				return token{}, l.errorf("unterminated string")
@@ -194,14 +176,17 @@ scan:
 			if l.src[l.pos] == '\\' && l.pos+1 < len(l.src) {
 				l.pos++
 			}
-			b.WriteByte(l.src[l.pos])
 			l.pos++
 		}
 		if l.pos >= len(l.src) {
 			return token{}, l.errorf("unterminated string")
 		}
 		l.pos++
-		return token{tokString, b.String(), l.line}, nil
+		text, err := strconv.Unquote(l.src[start:l.pos])
+		if err != nil {
+			return token{}, l.errorf("bad string literal %s", l.src[start:l.pos])
+		}
+		return token{tokString, text, l.line}, nil
 	case c == '=' || c == '!' || c == '<' || c == '>':
 		if l.pos+1 < len(l.src) && l.src[l.pos+1] == '=' {
 			l.pos += 2
@@ -250,10 +235,12 @@ func isDurationLiteral(text string) bool {
 		if c >= '0' && c <= '9' || c == '.' {
 			continue
 		}
-		switch c {
-		case 'n', 'u', 'm', 's', 'h':
+		// A non-ASCII byte may belong to "µs", which Format writes for
+		// windows under a millisecond; time.ParseDuration checks it.
+		switch {
+		case c == 'n' || c == 'u' || c == 'm' || c == 's' || c == 'h':
 			hasUnit = true
-		default:
+		case c < utf8.RuneSelf:
 			return false
 		}
 	}

@@ -1,4 +1,4 @@
-package dsl
+package property
 
 import (
 	"fmt"
@@ -7,11 +7,10 @@ import (
 	"time"
 
 	"switchmon/internal/packet"
-	"switchmon/internal/property"
 )
 
 // Parse reads one property definition and returns it validated.
-func Parse(src string) (*property.Property, error) {
+func Parse(src string) (*Property, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
@@ -32,13 +31,13 @@ func Parse(src string) (*property.Property, error) {
 }
 
 // ParseAll reads a file containing any number of property definitions.
-func ParseAll(src string) ([]*property.Property, error) {
+func ParseAll(src string) ([]*Property, error) {
 	toks, err := lexAll(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks}
-	var props []*property.Property
+	var props []*Property
 	for {
 		p.skipSeps()
 		if p.peek().kind == tokEOF {
@@ -100,7 +99,7 @@ func (p *parser) expectIdent(word string) error {
 	return nil
 }
 
-func (p *parser) parseProperty() (*property.Property, error) {
+func (p *parser) parseProperty() (*Property, error) {
 	if err := p.expectIdent("property"); err != nil {
 		return nil, err
 	}
@@ -111,7 +110,7 @@ func (p *parser) parseProperty() (*property.Property, error) {
 	if _, err := p.expect(tokLBrace, "'{'"); err != nil {
 		return nil, err
 	}
-	prop := &property.Property{Name: name.text}
+	prop := &Property{Name: name.text}
 	p.skipSeps()
 	if t := p.peek(); t.kind == tokIdent && t.text == "description" {
 		p.advance()
@@ -139,27 +138,27 @@ func (p *parser) parseProperty() (*property.Property, error) {
 	}
 }
 
-func (p *parser) parseClass() (property.EventClass, error) {
+func (p *parser) parseClass() (EventClass, error) {
 	t, err := p.expect(tokIdent, "event class (arrival/egress/packet/oob)")
 	if err != nil {
 		return 0, err
 	}
 	switch t.text {
 	case "arrival":
-		return property.Arrival, nil
+		return Arrival, nil
 	case "egress":
-		return property.Egress, nil
+		return Egress, nil
 	case "packet":
-		return property.AnyPacket, nil
+		return AnyPacket, nil
 	case "oob":
-		return property.OutOfBand, nil
+		return OutOfBand, nil
 	default:
 		return 0, &errSyntax{line: t.line, msg: fmt.Sprintf("unknown event class %q", t.text)}
 	}
 }
 
-func (p *parser) parseStage(index int) (property.Stage, error) {
-	var s property.Stage
+func (p *parser) parseStage(index int) (Stage, error) {
+	var s Stage
 	s.SamePacketAs = -1
 	kw, err := p.expect(tokIdent, "'on' or 'unless'")
 	if err != nil {
@@ -201,7 +200,7 @@ func (p *parser) parseStage(index int) (property.Stage, error) {
 				s.Window = d
 			case tokVar:
 				p.advance()
-				s.WindowVar = property.Var(tv.text)
+				s.WindowVar = Var(tv.text)
 			default:
 				return s, p.errorf("expected duration or variable after 'within'")
 			}
@@ -280,7 +279,7 @@ func (p *parser) parseStage(index int) (property.Stage, error) {
 			if err != nil {
 				return s, err
 			}
-			s.Binds = append(s.Binds, property.Binding{Var: property.Var(v.text), Field: f})
+			s.Binds = append(s.Binds, Binding{Var: Var(v.text), Field: f})
 		case "until":
 			p.advance()
 			sticky := false
@@ -296,7 +295,7 @@ func (p *parser) parseStage(index int) (property.Stage, error) {
 			if err != nil {
 				return s, err
 			}
-			s.Until = append(s.Until, property.Guard{Class: class, Preds: preds, Sticky: sticky})
+			s.Until = append(s.Until, Guard{Class: class, Preds: preds, Sticky: sticky})
 		case "any":
 			p.advance()
 			for {
@@ -304,7 +303,7 @@ func (p *parser) parseStage(index int) (property.Stage, error) {
 				if err != nil {
 					return s, err
 				}
-				s.AnyOf = append(s.AnyOf, property.PredGroup(group))
+				s.AnyOf = append(s.AnyOf, PredGroup(group))
 				if t := p.peek(); t.kind == tokIdent && t.text == "or" {
 					p.advance()
 					continue
@@ -318,11 +317,11 @@ func (p *parser) parseStage(index int) (property.Stage, error) {
 }
 
 // parsePredGroup parses "{ pred (; pred)* }".
-func (p *parser) parsePredGroup() ([]property.Pred, error) {
+func (p *parser) parsePredGroup() ([]Pred, error) {
 	if _, err := p.expect(tokLBrace, "'{'"); err != nil {
 		return nil, err
 	}
-	var preds []property.Pred
+	var preds []Pred
 	for {
 		p.skipSeps()
 		if p.peek().kind == tokRBrace {
@@ -352,8 +351,8 @@ func (p *parser) parseField() (packet.Field, error) {
 	return f, nil
 }
 
-func (p *parser) parsePred() (property.Pred, error) {
-	var pred property.Pred
+func (p *parser) parsePred() (Pred, error) {
+	var pred Pred
 	f, err := p.parseField()
 	if err != nil {
 		return pred, err
@@ -365,17 +364,17 @@ func (p *parser) parsePred() (property.Pred, error) {
 	}
 	switch op.text {
 	case "==":
-		pred.Op = property.OpEq
+		pred.Op = OpEq
 	case "!=":
-		pred.Op = property.OpNe
+		pred.Op = OpNe
 	case "<":
-		pred.Op = property.OpLt
+		pred.Op = OpLt
 	case "<=":
-		pred.Op = property.OpLe
+		pred.Op = OpLe
 	case ">":
-		pred.Op = property.OpGt
+		pred.Op = OpGt
 	case ">=":
-		pred.Op = property.OpGe
+		pred.Op = OpGe
 	default:
 		return pred, &errSyntax{line: op.line, msg: fmt.Sprintf("unknown operator %q", op.text)}
 	}
@@ -387,43 +386,43 @@ func (p *parser) parsePred() (property.Pred, error) {
 	return pred, nil
 }
 
-func (p *parser) parseOperand() (property.Operand, error) {
+func (p *parser) parseOperand() (Operand, error) {
 	t := p.peek()
 	switch t.kind {
 	case tokVar:
 		p.advance()
-		return property.Ref(property.Var(t.text)), nil
+		return Ref(Var(t.text)), nil
 	case tokString:
 		p.advance()
-		return property.LitStr(t.text), nil
+		return LitStr(t.text), nil
 	case tokNumber:
 		p.advance()
 		v, err := parseNumberLiteral(t.text)
 		if err != nil {
-			return property.Operand{}, &errSyntax{line: t.line, msg: err.Error()}
+			return Operand{}, &errSyntax{line: t.line, msg: err.Error()}
 		}
-		return property.LitNum(v), nil
+		return LitNum(v), nil
 	case tokIdent:
 		if t.text == "hash" {
 			return p.parseHash()
 		}
-		return property.Operand{}, p.errorf("unexpected identifier %q as operand", t.text)
+		return Operand{}, p.errorf("unexpected identifier %q as operand", t.text)
 	default:
-		return property.Operand{}, p.errorf("expected operand, found %s %q", t.kind, t.text)
+		return Operand{}, p.errorf("expected operand, found %s %q", t.kind, t.text)
 	}
 }
 
 // parseHash parses "hash(f1, f2, ...) % MOD [+ BASE]".
-func (p *parser) parseHash() (property.Operand, error) {
+func (p *parser) parseHash() (Operand, error) {
 	p.advance() // "hash"
 	if _, err := p.expect(tokLParen, "'('"); err != nil {
-		return property.Operand{}, err
+		return Operand{}, err
 	}
 	var fields []packet.Field
 	for {
 		f, err := p.parseField()
 		if err != nil {
-			return property.Operand{}, err
+			return Operand{}, err
 		}
 		fields = append(fields, f)
 		if p.peek().kind == tokComma {
@@ -433,32 +432,32 @@ func (p *parser) parseHash() (property.Operand, error) {
 		break
 	}
 	if _, err := p.expect(tokRParen, "')'"); err != nil {
-		return property.Operand{}, err
+		return Operand{}, err
 	}
 	if _, err := p.expect(tokPercent, "'%'"); err != nil {
-		return property.Operand{}, err
+		return Operand{}, err
 	}
 	modTok, err := p.expect(tokNumber, "hash modulus")
 	if err != nil {
-		return property.Operand{}, err
+		return Operand{}, err
 	}
 	mod, err := parseNumberLiteral(modTok.text)
 	if err != nil {
-		return property.Operand{}, &errSyntax{line: modTok.line, msg: err.Error()}
+		return Operand{}, &errSyntax{line: modTok.line, msg: err.Error()}
 	}
 	var base uint64
 	if p.peek().kind == tokPlus {
 		p.advance()
 		baseTok, err := p.expect(tokNumber, "hash base")
 		if err != nil {
-			return property.Operand{}, err
+			return Operand{}, err
 		}
 		base, err = parseNumberLiteral(baseTok.text)
 		if err != nil {
-			return property.Operand{}, &errSyntax{line: baseTok.line, msg: err.Error()}
+			return Operand{}, &errSyntax{line: baseTok.line, msg: err.Error()}
 		}
 	}
-	return property.HashOf(mod, base, fields...), nil
+	return HashOf(mod, base, fields...), nil
 }
 
 // parseNumberLiteral accepts decimal, hex (0x...), IPv4 dotted-quad, and

@@ -228,8 +228,8 @@ func TestCatalogNamesUnique(t *testing.T) {
 			t.Errorf("duplicate property name %s", e.Prop.Name)
 		}
 		seen[e.Prop.Name] = true
-		if e.Group == "" || e.Source == "" {
-			t.Errorf("property %s missing group/source", e.Prop.Name)
+		if e.Group == "" {
+			t.Errorf("property %s missing group", e.Prop.Name)
 		}
 	}
 }

@@ -162,12 +162,3 @@ func validatePreds(preds []Pred, bound map[Var]bool, where string) error {
 	}
 	return nil
 }
-
-// MustValidate panics if the property is malformed; used for the built-in
-// catalogue, whose well-formedness is a program invariant.
-func (p *Property) MustValidate() *Property {
-	if err := p.Validate(); err != nil {
-		panic(err)
-	}
-	return p
-}

@@ -159,6 +159,12 @@ go test -fuzz FuzzParseSpec -fuzztime 10s -run '^$' ./internal/fault/
 echo "==> tenant quota fuzz smoke (10s)"
 go test -fuzz FuzzParseTenantQuotas -fuzztime 10s -run '^$' ./internal/core/
 
+# And for the property language: no input panics the parser, and any
+# text ParseAll accepts formats to text that parses to the same ASTs and
+# formats identically.
+echo "==> property language fuzz smoke (10s)"
+go test -fuzz FuzzParse -fuzztime 10s -run '^$' ./internal/property/
+
 # And for the /properties POST body, through the one lifecycle handler
 # into a live monitor: no body panics it, and it answers 201 exactly
 # when every property the body parses to is installed, 400 otherwise.
