@@ -53,7 +53,6 @@ func newLiveSet(t *testing.T) *liveSet {
 
 // setRecorder is a property-kind exporter recording the sets it applies.
 type setRecorder struct {
-	exp  *exporter.Exporter
 	mu   sync.Mutex
 	sets []*wire.Config
 }
@@ -73,7 +72,6 @@ func connect(t *testing.T, ps *liveSet, dpid uint64) *setRecorder {
 	}
 	x.Start()
 	t.Cleanup(func() { x.Close(0) })
-	r.exp = x
 	return r
 }
 
@@ -82,20 +80,23 @@ func connect(t *testing.T, ps *liveSet, dpid uint64) *setRecorder {
 func (r *setRecorder) await(t *testing.T, ps *liveSet) []string {
 	t.Helper()
 	deadline := time.Now().Add(3 * time.Second)
+	var last *wire.Config
 	for {
 		want := ps.col.Stats().Configs[wire.ConfigProperties]
-		got := r.exp.Stats().Configs[wire.ConfigProperties]
-		if got.Count > 0 && got.Epoch == want.Epoch {
+		r.mu.Lock()
+		n := len(r.sets)
+		if n > 0 {
+			last = r.sets[n-1]
+		}
+		r.mu.Unlock()
+		if last != nil && last.Epoch == want.Epoch {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("exporter applied epoch %d (%d sets), collector retains %d", got.Epoch, got.Count, want.Epoch)
+			t.Fatalf("exporter applied %d sets, the last %+v; collector retains epoch %d", n, last, want.Epoch)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	last := r.sets[len(r.sets)-1]
 	names := make([]string, len(last.Props))
 	for i, pm := range last.Props {
 		names[i] = pm.Name

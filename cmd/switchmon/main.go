@@ -46,7 +46,6 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"switchmon/internal/apps"
@@ -117,6 +116,9 @@ func run() error {
 	if spec.NeedsBuffer() && o.trace == "" {
 		return fmt.Errorf("-fault %s: reorder/delay need the buffered -trace path", spec)
 	}
+	if o.partition != "dpid" && o.partition != "identity" {
+		return fmt.Errorf("unknown -partition %q (dpid or identity)", o.partition)
+	}
 
 	cfg, err := o.EngineConfig(os.Stdout)
 	if err != nil {
@@ -148,28 +150,9 @@ func run() error {
 		mon = core.NewMonitor(sched, cfg)
 	}
 
-	// With -export, a federation.Router receives a copy of every event
-	// the local engine sees; the collectors at the far end evaluate their
-	// own properties over the merged streams. One collector is a fleet of
-	// one.
-	var fed *federation.Router
 	// The installed set is one document: the startup set loads into it,
 	// and with -export it converges onto the set the collectors push.
 	set := federation.NewPropertySet(mon, nil)
-	// partKey holds the fleet partition key; -partition identity swaps
-	// it after the property set is known, before any traffic flows.
-	var partKey atomic.Value // func(*core.Event) uint64
-	partKey.Store(core.PartitionByDPID)
-	feed := mon.Feed
-	if o.export != "" {
-		if fed, err = newRouter(&o, set, reg, tr, &partKey); err != nil {
-			return err
-		}
-		feed = func(e core.Event) {
-			mon.Feed(e)
-			fed.Publish(e)
-		}
-	}
 
 	// The feed injector: drops and duplicates apply online (both paths);
 	// reorder/delay apply in the buffered trace path. Every drop lands in
@@ -192,47 +175,33 @@ func run() error {
 	if err != nil {
 		return err
 	}
-
-	// With a federated fleet, pin the partition key now that the
-	// property set is known: dpid keying is checked against the
-	// shardability analysis (a cross-switch property split across
-	// collectors can silently miss violations), identity keying is
-	// derived from it.
-	if fed != nil {
-		switch o.partition {
-		case "dpid":
-			if err := core.ValidateDPIDPartition(installed); err != nil {
-				fmt.Fprintf(os.Stderr, "federation: warning: %v\n", err)
-			}
-		case "identity":
-			f, err := core.IdentityPartitionFunc(installed)
-			if err != nil {
-				return fmt.Errorf("-partition identity: %w", err)
-			}
-			partKey.Store(func(e *core.Event) uint64 {
-				// Unroutable events carry none of the identity fields:
-				// no instance can consume them, any route is correct.
-				k, _ := f(e)
-				return k
-			})
-		default:
-			return fmt.Errorf("unknown -partition %q (dpid or identity)", o.partition)
-		}
-	}
-
 	if o.demo != "" && len(installed) == 0 {
 		if o.Catalog = demoCatalog[o.demo]; o.Catalog == "" {
 			return fmt.Errorf("unknown demo %q (want firewall, arp, knocking)", o.demo)
 		}
-		if _, err := o.LoadProperties(set.Add); err != nil {
+		if installed, err = o.LoadProperties(set.Add); err != nil {
 			return err
 		}
 	}
-	// The routes connect only now. A collector pushes its property set
-	// at the handshake, and converging onto it (set.ApplyConfig) has to
-	// find the startup set installed, not race its installation.
-	if fed != nil {
+
+	// With -export, a federation.Router receives a copy of every event
+	// the local engine sees; the collectors at the far end evaluate their
+	// own properties over the merged streams. One collector is a fleet of
+	// one. The routes connect only once the startup set is installed: a
+	// collector pushes its property set at the handshake, and converging
+	// onto it (set.ApplyConfig) has to find the startup set, not race its
+	// installation.
+	var fed *federation.Router
+	feed := mon.Feed
+	if o.export != "" {
+		if fed, err = newRouter(&o, set, installed, reg, tr); err != nil {
+			return err
+		}
 		fed.Start()
+		feed = func(e core.Event) {
+			mon.Feed(e)
+			fed.Publish(e)
+		}
 	}
 
 	switch {
@@ -353,13 +322,31 @@ func run() error {
 // moves, and per-route series (labeled by collector) land on the
 // daemon's registry. The collector pushes its property set to exporters
 // with a handler; converge the local set onto it so switch and collector
-// evaluate the same set.
-func newRouter(o *options, set *federation.PropertySet, reg *obs.Registry, tr *tracer.Tracer, partKey *atomic.Value) (*federation.Router, error) {
+// evaluate the same set. The partition key is pinned against the startup
+// set: dpid keying is checked against the shardability analysis (a
+// cross-switch property split across collectors can silently miss
+// violations), identity keying is derived from it.
+func newRouter(o *options, set *federation.PropertySet, installed []*property.Property, reg *obs.Registry, tr *tracer.Tracer) (*federation.Router, error) {
 	if o.batchSLO <= 0 {
 		return nil, fmt.Errorf("-batch-slo %v: the seal-latency budget must be positive", o.batchSLO)
 	}
 	if o.batchMax < 1 {
 		return nil, fmt.Errorf("-batch-max %d: the batch-size clamp must be at least 1", o.batchMax)
+	}
+	key := core.PartitionByDPID
+	if o.partition == "identity" {
+		f, err := core.IdentityPartitionFunc(installed)
+		if err != nil {
+			return nil, fmt.Errorf("-partition identity: %w", err)
+		}
+		key = func(e *core.Event) uint64 {
+			// Unroutable events carry none of the identity fields: no
+			// instance can consume them, any route is correct.
+			k, _ := f(e)
+			return k
+		}
+	} else if err := core.ValidateDPIDPartition(installed); err != nil {
+		fmt.Fprintf(os.Stderr, "federation: warning: %v\n", err)
 	}
 	var members []federation.Member
 	for _, a := range strings.Split(o.export, ",") {
@@ -378,10 +365,7 @@ func newRouter(o *options, set *federation.PropertySet, reg *obs.Registry, tr *t
 	}
 	return federation.NewRouter(federation.Config{
 		Members: members, DPID: o.exportDPID, DrainTimeout: o.DrainTimeout,
-		PartitionKey: func(e *core.Event) uint64 {
-			return partKey.Load().(func(*core.Event) uint64)(e)
-		},
-		Exporter: xcfg,
+		PartitionKey: key, Exporter: xcfg,
 	})
 }
 

@@ -12,6 +12,17 @@ import (
 // set and returns what it printed.
 func runSwitchmon(t *testing.T, args ...string) string {
 	t.Helper()
+	out, err := switchmon(t, args...)
+	if err != nil {
+		t.Fatalf("switchmon %s: %v", strings.Join(args, " "), err)
+	}
+	return out
+}
+
+// switchmon runs the command in-process with args on a fresh flag set
+// and returns what it printed and the error it exits with.
+func switchmon(t *testing.T, args ...string) (string, error) {
+	t.Helper()
 	out, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
@@ -21,14 +32,12 @@ func runSwitchmon(t *testing.T, args ...string) string {
 	defer func() { os.Stdout, os.Args, flag.CommandLine = stdout, argv, cl }()
 	os.Stdout, os.Args = out, append([]string{"switchmon"}, args...)
 	flag.CommandLine = flag.NewFlagSet("switchmon", flag.ContinueOnError)
-	if err := run(); err != nil {
-		t.Fatalf("switchmon %s: %v", strings.Join(args, " "), err)
-	}
+	runErr := run()
 	b, err := os.ReadFile(out.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(b)
+	return string(b), runErr
 }
 
 // TestRecordThenReplay: for every demo, replaying what -record wrote

@@ -88,12 +88,9 @@ type Stats struct {
 	GapEvents uint64
 	// Reconnects counts connections beyond the first per datapath.
 	Reconnects uint64
-	// Configs is the retained (newest broadcast) config's high-water mark
-	// and ConfigAcks the ConfigAck frames received, per kind, indexed by
-	// wire.ConfigKind. A fleet ack is an exporter reporting its re-route,
-	// drain fence included, complete.
-	Configs    [wire.NumConfigKinds]wire.HighWater
-	ConfigAcks [wire.NumConfigKinds]uint64
+	// Configs is the retained (newest broadcast) config's high-water
+	// mark per kind, indexed by wire.ConfigKind.
+	Configs [wire.NumConfigKinds]wire.HighWater
 }
 
 // dpState is one datapath's demux state, shared across its reconnects.
@@ -397,20 +394,8 @@ func (c *Collector) serveConn(conn net.Conn, cs *connState) {
 			return // disconnect (exporter will reconnect) or protocol error
 		}
 		recvNs := time.Now().UnixNano()
-		var b *wire.Batch
-		switch fr := f.(type) {
-		case *wire.Batch:
-			b = fr
-		case wire.ConfigAck:
-			if features&fr.Kind.Feature() == 0 {
-				return // not negotiated: protocol error
-			}
-			c.mu.Lock()
-			c.stats.ConfigAcks[fr.Kind]++
-			c.mu.Unlock()
-			prevBytes = cr.n
-			continue
-		default:
+		b, ok := f.(*wire.Batch)
+		if !ok {
 			return // nothing else flows exporter→collector after the handshake
 		}
 		if b.FirstSeq == 0 || b.Traced && features&wire.FeatureTrace == 0 {

@@ -260,7 +260,7 @@ func TestSequenceOverflowBatchRejected(t *testing.T) {
 
 // TestUnnegotiatedTraceBlockRejected: a batch carrying a trace block on
 // a connection whose handshake negotiated no FeatureTrace is a protocol
-// error, like an un-negotiated ConfigAck.
+// error.
 func TestUnnegotiatedTraceBlockRejected(t *testing.T) {
 	sink := &recSink{}
 	c := startCollector(t, sink)
@@ -456,7 +456,11 @@ func TestBroadcastRetainsNewest(t *testing.T) {
 			}
 			x.Start()
 			defer x.Close(time.Second)
-			waitFor(t, "the fresh exporter's config ack", func() bool { return c.Stats().ConfigAcks[k] >= 1 })
+			waitFor(t, "the fresh exporter's handler", func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(seen) >= 1
+			})
 			mu.Lock()
 			defer mu.Unlock()
 			if len(seen) != 1 || seen[0] != 6 {

@@ -10,11 +10,13 @@ import (
 
 // TestControlPlaneWrittenOnce keeps the fabric's replicated
 // configuration on one path. The property set and the fleet membership
-// both ride wire.Config with one high-water wire.ConfigAck: no program
-// file under internal/ or cmd/ declares or references the per-kind
-// frames, codecs, bounds, feature bits, exporter callbacks, broadcasts
-// or the protocol-version knob that path replaced; the collector has
-// one broadcast; and exporter.Config has one config-handler field.
+// both ride wire.Config, acknowledged by no frame: no program file under
+// internal/ or cmd/ declares or references the per-kind frames, codecs,
+// bounds, feature bits, exporter callbacks, broadcasts, the
+// protocol-version knob or the config ack that path replaced; the
+// collector has one broadcast; exporter.Config has one config-handler
+// field; and the exporter judges no epoch, so the federated router's
+// high water is a switch's one stale rule.
 func TestControlPlaneWrittenOnce(t *testing.T) {
 	deleted := map[string]bool{}
 	for _, kind := range []string{"PropertySetUpdate", "PropertySetAck", "FleetConfig", "FleetConfigAck"} {
@@ -24,7 +26,8 @@ func TestControlPlaneWrittenOnce(t *testing.T) {
 		deleted["decode"+kind] = true
 	}
 	for _, name := range []string{"maxPropertySetProps", "maxFleetMembers", "FeatureLifecycle", "FeatureFleet",
-		"OnPropertySet", "OnFleetConfig", "ProtocolVersion", "BroadcastPropertySet", "BroadcastFleetConfig"} {
+		"OnPropertySet", "OnFleetConfig", "ProtocolVersion", "BroadcastPropertySet", "BroadcastFleetConfig",
+		"ConfigAck", "FrameConfigAck", "AppendConfigAck", "ConfigAcks", "ackOwed"} {
 		deleted[name] = true
 	}
 	for _, root := range []string{"../../internal", "../../cmd"} {
@@ -46,6 +49,15 @@ func TestControlPlaneWrittenOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+
+	scanDir(t, "../../internal/exporter", isSourceFile, func(at func(ast.Node) string, file *ast.File) {
+		ast.Inspect(file, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && id.Name == "HighWater" {
+				t.Errorf("exporter/%s: the exporter judges epochs again; it relays, and the router's high water is the stale rule", at(id))
+			}
+			return true
+		})
+	})
 
 	var broadcasts []string
 	scanDir(t, "../../internal/collector", isSourceFile, func(at func(ast.Node) string, file *ast.File) {

@@ -100,11 +100,11 @@ type Config struct {
 	Tracer *tracer.Tracer
 	// OnConfig holds one handler per config kind, indexed by
 	// wire.ConfigKind (index 0 unused); the Hello offers the kinds with
-	// one. A pushed config wire.HighWater finds fresh is handed over off
-	// the reader goroutine (a re-route drain-fences on this connection's
-	// acks), one at a time per kind in arrival order, and acked once the
-	// handler returns. Close does not wait: a handler may still be running
-	// after it returns. An array, so a copied Config never shares it.
+	// one. Every pushed config is handed over off the reader goroutine (a
+	// re-route drain-fences on this connection's acks), one at a time per
+	// kind in arrival order; the handler judges staleness. Close does not
+	// wait: a handler may still be running after it returns. An array, so
+	// a copied Config never shares it.
 	OnConfig [wire.NumConfigKinds]func(*wire.Config)
 	// Dial overrides the transport, for tests and fault injection.
 	Dial func() (net.Conn, error)
@@ -154,9 +154,6 @@ type Stats struct {
 	// QueueDepth is the current number of queued batches (sent-unacked
 	// plus unsent).
 	QueueDepth int
-	// Configs is the applied high-water mark per config kind, indexed by
-	// wire.ConfigKind: counted when the handler returns.
-	Configs [wire.NumConfigKinds]wire.HighWater
 	// BatchTarget is the current batch-size target: the seal
 	// controller's pick, or BatchSizeMax.
 	BatchTarget int
@@ -218,12 +215,10 @@ type Exporter struct {
 }
 
 // configState is one config kind's apply state: configs awaiting the
-// handler, whether an apply goroutine drains them, and whether the send
-// loop, which owns the connection's write side, owes the kind's ack.
+// handler, and whether an apply goroutine drains them.
 type configState struct {
 	queue   []*wire.Config
 	running bool
-	ackOwed bool
 }
 
 // New builds an Exporter; Start launches it.
@@ -711,7 +706,7 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 					return // protocol violation: kind never negotiated
 				}
 				// One apply goroutine per kind at a time keeps applies in
-				// arrival order: an older epoch never runs after a newer.
+				// arrival order; the handler drops what is stale.
 				x.mu.Lock()
 				cs := &x.configs[fr.Kind]
 				cs.queue = append(cs.queue, fr)
@@ -724,7 +719,6 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 		}
 	}()
 
-	var ackBuf []byte
 	for {
 		x.mu.Lock()
 		// A free sender does not wait for the open batch to fill: with
@@ -741,23 +735,7 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 		} else {
 			x.senderIdle = true
 		}
-		// One cumulative ack per owed kind, at its applied high-water
-		// epoch. A kind this connection did not negotiate stays owed.
-		ackBuf = ackBuf[:0]
-		for k := wire.ConfigProperties; k < wire.NumConfigKinds; k++ {
-			if cs := &x.configs[k]; cs.ackOwed && negotiated&k.Feature() != 0 {
-				cs.ackOwed = false
-				// A valid kind always encodes.
-				ackBuf, _ = wire.AppendConfigAck(ackBuf, wire.ConfigAck{Kind: k, Epoch: x.stats.Configs[k].Epoch})
-			}
-		}
 		x.mu.Unlock()
-		if len(ackBuf) > 0 {
-			if _, err := conn.Write(ackBuf); err != nil {
-				<-connDead
-				return true
-			}
-		}
 		if b == nil {
 			select {
 			case <-x.closeCh:
@@ -862,10 +840,10 @@ func (x *Exporter) applyAck(ackSeq uint64) {
 	x.space.Broadcast()
 }
 
-// applyConfigs hands the kind's queued configs to its handler in order,
-// skipping stale ones, then raises the kind's owed ack to the applied
-// epoch; it exits when the queue is empty. Close does not wait for it:
-// a removed route's re-route runs here and closes this very exporter.
+// applyConfigs hands the kind's queued configs to its handler in
+// arrival order; it exits when the queue is empty. Close does not wait
+// for it: a removed route's re-route runs here and closes this very
+// exporter.
 func (x *Exporter) applyConfigs(k wire.ConfigKind) {
 	cs := &x.configs[k]
 	for {
@@ -877,17 +855,8 @@ func (x *Exporter) applyConfigs(k wire.ConfigKind) {
 		}
 		cfg := cs.queue[0]
 		cs.queue = cs.queue[1:]
-		fresh := x.stats.Configs[k].Newer(cfg.Epoch)
 		x.mu.Unlock()
-		if !fresh {
-			continue
-		}
 		x.cfg.OnConfig[k](cfg)
-		x.mu.Lock()
-		x.stats.Configs[k].Admit(cfg.Epoch)
-		cs.ackOwed = true
-		x.mu.Unlock()
-		x.kickSender()
 	}
 }
 

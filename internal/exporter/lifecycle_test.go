@@ -66,20 +66,14 @@ func kindConfig(k wire.ConfigKind, epoch uint64, name string) *wire.Config {
 }
 
 // configStub is a collector stand-in that grants every config kind the
-// exporter offers. Its i-th connection writes pushes[i] after the
-// handshake; every connection but the last then hangs up, forcing a
-// reconnect, and the last acks batches and records config acks.
+// exporter offers, writes pushes after each handshake, and acks batches.
 type configStub struct {
 	t      *testing.T
 	ln     net.Listener
-	pushes [][]*wire.Config
-
-	mu     sync.Mutex
-	hellos int
-	acks   []wire.ConfigAck
+	pushes []*wire.Config
 }
 
-func newConfigStub(t *testing.T, pushes ...[]*wire.Config) *configStub {
+func newConfigStub(t *testing.T, pushes ...*wire.Config) *configStub {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -112,53 +106,33 @@ func (s *configStub) serve(conn net.Conn) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
-	i := s.hellos
-	s.hellos++
-	s.mu.Unlock()
 	now := time.Now().UnixNano()
 	granted := h.Features & (wire.ConfigProperties.Feature() | wire.ConfigFleet.Feature())
 	ha := wire.HelloAck{Features: granted, RecvNs: now, SentNs: now}
 	if _, err := conn.Write(wire.AppendHelloAck(nil, ha)); err != nil {
 		return
 	}
-	if i < len(s.pushes) {
-		for _, cfg := range s.pushes[i] {
-			buf, err := wire.AppendConfig(nil, cfg)
-			if err != nil {
-				s.t.Error(err)
-				return
-			}
-			if _, err := conn.Write(buf); err != nil {
-				return
-			}
+	for _, cfg := range s.pushes {
+		buf, err := wire.AppendConfig(nil, cfg)
+		if err != nil {
+			s.t.Error(err)
+			return
 		}
-	}
-	if i+1 < len(s.pushes) {
-		return // hang up: the exporter reconnects for the next script
+		if _, err := conn.Write(buf); err != nil {
+			return
+		}
 	}
 	for {
 		f, err := r.Next()
 		if err != nil {
 			return
 		}
-		switch fr := f.(type) {
-		case wire.ConfigAck:
-			s.mu.Lock()
-			s.acks = append(s.acks, fr)
-			s.mu.Unlock()
-		case *wire.Batch:
-			if _, err := conn.Write(wire.AppendAck(nil, wire.Ack{AckSeq: fr.LastSeq(), SentNs: time.Now().UnixNano()})); err != nil {
+		if b, ok := f.(*wire.Batch); ok {
+			if _, err := conn.Write(wire.AppendAck(nil, wire.Ack{AckSeq: b.LastSeq(), SentNs: time.Now().UnixNano()})); err != nil {
 				return
 			}
 		}
 	}
-}
-
-func (s *configStub) snapshot() (hellos int, acks []wire.ConfigAck) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hellos, append([]wire.ConfigAck(nil), s.acks...)
 }
 
 // configRecorder is a handler that records the configs it is handed.
@@ -179,7 +153,7 @@ func (r *configRecorder) snapshot() []*wire.Config {
 	return append([]*wire.Config(nil), r.seen...)
 }
 
-func startWithHandler(t *testing.T, addr string, k wire.ConfigKind, h func(*wire.Config)) *Exporter {
+func startWithHandler(t *testing.T, addr string, k wire.ConfigKind, h func(*wire.Config)) {
 	t.Helper()
 	cfg := Config{Addr: addr, DPID: 7, BackoffMin: time.Millisecond, BackoffMax: 5 * time.Millisecond}
 	cfg.OnConfig[k] = h
@@ -189,88 +163,48 @@ func startWithHandler(t *testing.T, addr string, k wire.ConfigKind, h func(*wire
 	}
 	x.Start()
 	t.Cleanup(func() { x.Close(time.Second) })
-	return x
 }
 
-// The exporter applies pushed configs in epoch order, filters stale
-// ones, and acks each applied epoch on the wire — for every kind.
-func TestPropertySetPushStaleFilteredAndAcked(t *testing.T) {
+// The exporter relays every pushed config to its kind's handler in
+// arrival order, payload intact, for every kind. It judges no epoch: a
+// config older than the one before it is handed over too, and the
+// handler's stale rule (the federated router's) drops it.
+func TestConfigRelayedAsPushed(t *testing.T) {
 	for _, k := range configKinds {
 		t.Run(k.String(), func(t *testing.T) {
-			fresh := kindConfig(k, 2, "fw")
-			stale := kindConfig(k, 1, "old")
-			s := newConfigStub(t, []*wire.Config{fresh, stale})
+			pushed := []*wire.Config{kindConfig(k, 2, "fw"), kindConfig(k, 1, "old")}
+			s := newConfigStub(t, pushed...)
 			rec := &configRecorder{}
-			x := startWithHandler(t, s.ln.Addr().String(), k, rec.handle)
+			startWithHandler(t, s.ln.Addr().String(), k, rec.handle)
 
-			waitFor(t, "config ack", func() bool {
-				_, acks := s.snapshot()
-				return len(acks) >= 1
-			})
+			waitFor(t, "both configs handed over", func() bool { return len(rec.snapshot()) >= len(pushed) })
 			seen := rec.snapshot()
-			if len(seen) != 1 {
-				t.Fatalf("handler ran %d times, want 1 (stale epoch filtered)", len(seen))
+			if len(seen) != len(pushed) {
+				t.Fatalf("handler ran %d times, want %d", len(seen), len(pushed))
 			}
-			got := seen[0]
-			if got.Kind != k || got.Epoch != 2 || got.Source != fresh.Source ||
-				len(got.Props) != len(fresh.Props) || len(got.Members) != len(fresh.Members) {
-				t.Fatalf("handler config = %+v, want %+v", got, fresh)
-			}
-			for i := range got.Props {
-				if got.Props[i] != fresh.Props[i] {
-					t.Fatalf("property %d = %+v, want %+v", i, got.Props[i], fresh.Props[i])
+			for i, want := range pushed {
+				got := seen[i]
+				if got.Kind != k || got.Epoch != want.Epoch || got.Source != want.Source ||
+					len(got.Props) != len(want.Props) || len(got.Members) != len(want.Members) {
+					t.Fatalf("handler config %d = %+v, want %+v", i, got, want)
 				}
-			}
-			for i := range got.Members {
-				if got.Members[i] != fresh.Members[i] {
-					t.Fatalf("member %d = %+v, want %+v", i, got.Members[i], fresh.Members[i])
+				for j := range got.Props {
+					if got.Props[j] != want.Props[j] {
+						t.Fatalf("config %d property %d = %+v, want %+v", i, j, got.Props[j], want.Props[j])
+					}
 				}
-			}
-			if _, acks := s.snapshot(); len(acks) != 1 || acks[0] != (wire.ConfigAck{Kind: k, Epoch: 2}) {
-				t.Fatalf("acks = %+v, want exactly [%s epoch 2]", acks, k)
-			}
-			if st := x.Stats().Configs[k]; st != (wire.HighWater{Epoch: 2, Count: 1}) {
-				t.Fatalf("stats %+v, want epoch 2 applied once", st)
+				for j := range got.Members {
+					if got.Members[j] != want.Members[j] {
+						t.Fatalf("config %d member %d = %+v, want %+v", i, j, got.Members[j], want.Members[j])
+					}
+				}
 			}
 		})
 	}
 }
 
-// A config is applied once however many connections deliver it: the
-// collector re-pushes its retained config at every handshake, and an
-// equal epoch is stale.
-func TestConfigEqualEpochAppliedOnce(t *testing.T) {
-	for _, k := range configKinds {
-		t.Run(k.String(), func(t *testing.T) {
-			cfg := kindConfig(k, 3, "fw")
-			s := newConfigStub(t, []*wire.Config{cfg}, []*wire.Config{cfg}, nil)
-			rec := &configRecorder{}
-			x := startWithHandler(t, s.ln.Addr().String(), k, rec.handle)
-
-			// The third handshake follows the second connection's reader
-			// exit, so the repeated push is queued by then; the kind's
-			// apply goroutine stops only once its queue is empty.
-			waitFor(t, "third connection", func() bool {
-				hellos, _ := s.snapshot()
-				return hellos >= 3
-			})
-			waitFor(t, "applies drained", func() bool {
-				x.mu.Lock()
-				defer x.mu.Unlock()
-				return !x.configs[k].running
-			})
-			if seen := rec.snapshot(); len(seen) != 1 || seen[0].Epoch != 3 {
-				t.Fatalf("handler saw %d configs, want the epoch-3 config once", len(seen))
-			}
-			if st := x.Stats().Configs[k]; st != (wire.HighWater{Epoch: 3, Count: 1}) {
-				t.Fatalf("stats %+v, want epoch 3 applied once", st)
-			}
-		})
-	}
-}
-
-// Back-to-back configs are applied one at a time in epoch order, even
-// when the handler is slow, and the last ack names the last epoch.
+// Back-to-back configs are applied one at a time in arrival order, even
+// when the handler is slow: every pushed epoch, none skipped.
 func TestConfigAppliesSerializedPerKind(t *testing.T) {
 	const n = 50
 	for _, k := range configKinds {
@@ -279,7 +213,7 @@ func TestConfigAppliesSerializedPerKind(t *testing.T) {
 			for i := range burst {
 				burst[i] = kindConfig(k, uint64(i+1), "fw")
 			}
-			s := newConfigStub(t, burst)
+			s := newConfigStub(t, burst...)
 			rng := rand.New(rand.NewSource(int64(k)))
 			var mu sync.Mutex
 			var epochs []uint64
@@ -299,25 +233,20 @@ func TestConfigAppliesSerializedPerKind(t *testing.T) {
 				mu.Unlock()
 			})
 
-			waitFor(t, "ack of the last epoch", func() bool {
-				_, acks := s.snapshot()
-				return len(acks) > 0 && acks[len(acks)-1].Epoch == n
+			waitFor(t, "the last epoch applied", func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(epochs) > 0 && epochs[len(epochs)-1] == n
 			})
 			mu.Lock()
 			defer mu.Unlock()
-			for i := 1; i < len(epochs); i++ {
-				if epochs[i] <= epochs[i-1] {
-					t.Fatalf("handler saw epoch %d after %d: %v", epochs[i], epochs[i-1], epochs)
+			for i, e := range epochs {
+				if e != uint64(i+1) {
+					t.Fatalf("handler saw epochs %v, want 1..%d in order", epochs, n)
 				}
 			}
-			_, acks := s.snapshot()
-			for i := 1; i < len(acks); i++ {
-				if acks[i].Epoch <= acks[i-1].Epoch {
-					t.Fatalf("ack epoch %d after %d: acks are a high-water mark", acks[i].Epoch, acks[i-1].Epoch)
-				}
-			}
-			if last := epochs[len(epochs)-1]; last != n {
-				t.Fatalf("last applied epoch %d, want %d", last, n)
+			if len(epochs) != n {
+				t.Fatalf("handler applied %d configs, want %d", len(epochs), n)
 			}
 		})
 	}

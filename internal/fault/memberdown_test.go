@@ -148,17 +148,22 @@ func matrixMemberDown(t *testing.T, seed int64) {
 	if got := back.col.Stats().Configs[wire.ConfigProperties]; got.Epoch != doc.Epoch {
 		t.Fatalf("the returned collector retains epoch %d, want %d", got.Epoch, doc.Epoch)
 	}
+	lastSeen := func() *wire.Config {
+		pmu.Lock()
+		defer pmu.Unlock()
+		if len(seen) == 0 {
+			return nil
+		}
+		return seen[len(seen)-1]
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for x.Stats().Configs[wire.ConfigProperties].Epoch != doc.Epoch {
+	for last := lastSeen(); last == nil || last.Epoch != doc.Epoch; last = lastSeen() {
 		if time.Now().After(deadline) {
-			t.Fatalf("the returned member's exporter applied epoch %d, want %d", x.Stats().Configs[wire.ConfigProperties].Epoch, doc.Epoch)
+			t.Fatalf("the returned member's exporter handed over %+v, want epoch %d", last, doc.Epoch)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	pmu.Lock()
-	last := seen[len(seen)-1]
-	pmu.Unlock()
-	if want := doc.Config(); last.Source != want.Source || len(last.Props) != len(want.Props) {
+	if last, want := lastSeen(), doc.Config(); last.Source != want.Source || len(last.Props) != len(want.Props) {
 		t.Fatalf("the exporter applied %+v, want %+v", last, want)
 	}
 

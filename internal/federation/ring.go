@@ -2,8 +2,8 @@
 // fleet of collectors: a consistent-hash routing layer in front of N
 // independent exporter links (one sequence space per route, so the
 // collector's gap→wire-loss accounting stays exact per route), a
-// membership/handoff protocol carried as fleet-kind wire.Config frames
-// and their high-water ConfigAcks with a replay-based drain fence,
+// membership/handoff protocol carried as fleet-kind wire.Config frames,
+// judged by one high water per switch, with a replay-based drain fence,
 // and an aggregation tier that merges per-collector counters, ledgers,
 // state reports, and violation streams into fleet-wide endpoints.
 package federation

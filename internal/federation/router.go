@@ -45,8 +45,9 @@ type Config struct {
 	// gap→wire-loss accounting stays exact per route across partition
 	// moves. Addr, DPID, Dial and the fleet-kind OnConfig handler are
 	// owned by the router; the property-kind handler is wrapped with the
-	// stale rule so N routes pushing the same set invoke it once. Every
-	// route registers its own series on Metrics, labeled by its address.
+	// stale rule so N routes pushing the same set invoke it once, and
+	// never after a newer set. Every route registers its own series on
+	// Metrics, labeled by its address.
 	Exporter exporter.Config
 	// Dial, when non-nil, overrides the transport per endpoint (tests,
 	// fault injection).
@@ -107,9 +108,15 @@ type Router struct {
 	stats   Stats
 	ledger  *core.Ledger // router-local marks (held overflow)
 
-	// fleet is the applied fleet epoch; props dedupes the property sets
-	// every route delivers, so the wrapped handler fires once per epoch.
-	fleet, props wire.HighWater
+	// fleet is the applied fleet epoch (guarded by mu, advanced under
+	// applyMu). props dedupes the property sets every route delivers, so
+	// the wrapped handler fires once per epoch; propsMu holds it across
+	// the check and the handler, so an older set never lands after a
+	// newer one; nothing else takes it, so the handler may call back into
+	// the router. The two are the switch's one stale rule.
+	fleet   wire.HighWater
+	propsMu sync.Mutex
+	props   wire.HighWater
 }
 
 // NewRouter builds the router and its initial routes; Start launches
@@ -165,11 +172,10 @@ func (r *Router) newRoute(addr string) (*route, error) {
 	if cb := r.cfg.Exporter.OnConfig[wire.ConfigProperties]; cb != nil {
 		rc.OnConfig[wire.ConfigProperties] = func(u *wire.Config) {
 			// N collectors push N copies of each converged set; apply
-			// the first per epoch, drop the echoes.
-			r.mu.Lock()
-			fresh := r.props.Admit(u.Epoch)
-			r.mu.Unlock()
-			if fresh {
+			// the first per epoch, drop the echoes and older sets.
+			r.propsMu.Lock()
+			defer r.propsMu.Unlock()
+			if r.props.Admit(u.Epoch) {
 				cb(u)
 			}
 		}

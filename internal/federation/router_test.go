@@ -2,6 +2,7 @@ package federation
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -271,9 +272,9 @@ func TestRouterDeadLeaveReplaysUnacked(t *testing.T) {
 }
 
 // TestRouterFleetConfigPush exercises the full wire path: a collector
-// broadcasts a fleet-kind Config frame, each route's exporter hands it to the
-// router off the reader goroutine, the router re-routes behind the
-// drain fence and the exporter acks only after the re-route applied.
+// broadcasts a fleet-kind Config frame, each route's exporter hands it to
+// the router off the reader goroutine, and the router re-routes behind
+// the drain fence.
 func TestRouterFleetConfigPush(t *testing.T) {
 	a, b := startMember(t), startMember(t)
 	addrA, addrB := a.col.Addr().String(), b.col.Addr().String()
@@ -289,8 +290,7 @@ func TestRouterFleetConfigPush(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "pushed config applied", func() bool { return r.Epoch() == 1 })
-	waitFor(t, "collector saw the ack", func() bool { return a.col.Stats().ConfigAcks[wire.ConfigFleet] >= 1 })
+	waitFor(t, "pushed config applied", func() bool { return r.Stats().Epoch == 1 })
 	const post = 100
 	for i := pre + 1; i <= pre+post; i++ {
 		r.Publish(ev(i))
@@ -610,4 +610,194 @@ func TestRouterPropertySetDedup(t *testing.T) {
 	if len(got) != 1 || got[0] != 5 {
 		t.Fatalf("want one epoch-5 delivery, got %v", got)
 	}
+}
+
+// TestRouterPropertySetNeverRegresses: two members push epochs 5 and 6,
+// the second while the handler is still applying the first (a goroutine
+// descheduled mid-apply). The stale check and the apply are one critical
+// section, so the last set applied is 6: the older set never lands
+// after the newer one.
+func TestRouterPropertySetNeverRegresses(t *testing.T) {
+	a, b := startMember(t), startMember(t)
+	entered5, release5, done6 := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	release := sync.OnceFunc(func() { close(release5) })
+	defer release()
+	var mu sync.Mutex
+	var done []uint64
+	newTestRouter(t, []Member{{Addr: a.col.Addr().String()}, {Addr: b.col.Addr().String()}}, func(c *Config) {
+		c.Exporter.OnConfig[wire.ConfigProperties] = func(u *wire.Config) {
+			if u.Epoch == 5 {
+				close(entered5)
+				<-release5
+			}
+			mu.Lock()
+			done = append(done, u.Epoch)
+			mu.Unlock()
+			if u.Epoch == 6 {
+				close(done6)
+			}
+		}
+	})
+	if err := a.col.Broadcast(&wire.Config{Kind: wire.ConfigProperties, Epoch: 5}); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered5:
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the epoch-5 handler")
+	}
+	if err := b.col.Broadcast(&wire.Config{Kind: wire.ConfigProperties, Epoch: 6}); err != nil {
+		t.Fatal(err)
+	}
+	// Epoch 6 must wait for 5, so nothing signals its arrival: give it
+	// the time a router that let it overtake would need to finish it.
+	select {
+	case <-done6:
+	case <-time.After(100 * time.Millisecond):
+	}
+	release()
+	waitFor(t, "both sets applied", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(done) == 2
+	})
+	mu.Lock()
+	defer mu.Unlock()
+	if done[1] != 6 {
+		t.Fatalf("handlers completed as %v: the switch ended on an older set than its collectors hold", done)
+	}
+}
+
+// pushStub is a collector stand-in that grants every config kind. Its
+// i-th connection writes pushes[i] after the handshake; every connection
+// but the last then hangs up, forcing a reconnect, and the last acks
+// batches until the test ends.
+type pushStub struct {
+	t  *testing.T
+	ln net.Listener
+}
+
+func listenStub(t *testing.T) *pushStub {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	return &pushStub{t: t, ln: ln}
+}
+
+func (s *pushStub) addr() string { return s.ln.Addr().String() }
+
+// serve accepts connections and plays pushes, one script per connection.
+func (s *pushStub) serve(pushes ...[]*wire.Config) {
+	go func() {
+		for i := 0; ; i++ {
+			conn, err := s.ln.Accept()
+			if err != nil {
+				return
+			}
+			var script []*wire.Config
+			if i < len(pushes) {
+				script = pushes[i]
+			}
+			go s.play(conn, script, i+1 < len(pushes))
+		}
+	}()
+}
+
+func (s *pushStub) play(conn net.Conn, script []*wire.Config, hangUp bool) {
+	defer conn.Close()
+	r := wire.NewPooledReader(conn)
+	f, err := r.Next()
+	if err != nil {
+		return
+	}
+	h, ok := f.(wire.Hello)
+	if !ok {
+		return
+	}
+	now := time.Now().UnixNano()
+	granted := h.Features & (wire.ConfigProperties.Feature() | wire.ConfigFleet.Feature())
+	if _, err := conn.Write(wire.AppendHelloAck(nil, wire.HelloAck{Features: granted, RecvNs: now, SentNs: now})); err != nil {
+		return
+	}
+	for _, cfg := range script {
+		buf, err := wire.AppendConfig(nil, cfg)
+		if err != nil {
+			s.t.Error(err)
+			return
+		}
+		if _, err := conn.Write(buf); err != nil {
+			return
+		}
+	}
+	if hangUp {
+		return
+	}
+	for {
+		f, err := r.Next()
+		if err != nil {
+			return
+		}
+		if b, ok := f.(*wire.Batch); ok {
+			ack := wire.Ack{AckSeq: b.LastSeq(), SentNs: time.Now().UnixNano()}
+			b.Release()
+			if _, err := conn.Write(wire.AppendAck(nil, ack)); err != nil {
+				return
+			}
+		}
+	}
+}
+
+// TestRouterConfigRepushIgnored: a collector re-pushes its retained
+// config at every handshake, and a push can arrive behind a newer one.
+// The router's high water is the switch's one stale rule, for either
+// kind: after a reconnect, a config at the applied epoch and one below
+// it are applied zero times, and the next newer one still applies.
+func TestRouterConfigRepushIgnored(t *testing.T) {
+	t.Run("properties", func(t *testing.T) {
+		props := func(epoch uint64) *wire.Config { return &wire.Config{Kind: wire.ConfigProperties, Epoch: epoch} }
+		s := listenStub(t)
+		s.serve([]*wire.Config{props(3)}, []*wire.Config{props(3), props(2), props(4)})
+		var mu sync.Mutex
+		var got []uint64
+		newTestRouter(t, []Member{{Addr: s.addr()}}, func(c *Config) {
+			c.Exporter.OnConfig[wire.ConfigProperties] = func(u *wire.Config) {
+				mu.Lock()
+				got = append(got, u.Epoch)
+				mu.Unlock()
+			}
+		})
+		// One route delivers in arrival order, so epoch 4 applied means
+		// the re-push and the stale push were judged before it.
+		waitFor(t, "epoch 4 applied", func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(got) > 0 && got[len(got)-1] == 4
+		})
+		mu.Lock()
+		defer mu.Unlock()
+		if !slices.Equal(got, []uint64{3, 4}) {
+			t.Fatalf("handler applied epochs %v, want [3 4]", got)
+		}
+	})
+	t.Run("fleet", func(t *testing.T) {
+		s, down := listenStub(t), refusingAddr(t)
+		fleet := func(epoch uint64, addrs ...string) *wire.Config {
+			cfg := &wire.Config{Kind: wire.ConfigFleet, Epoch: epoch}
+			for _, a := range addrs {
+				cfg.Members = append(cfg.Members, wire.FleetMember{Addr: a})
+			}
+			return cfg
+		}
+		// Applied, either re-push would add a route to down: a re-route.
+		s.serve([]*wire.Config{fleet(3, s.addr())},
+			[]*wire.Config{fleet(3, s.addr(), down), fleet(2, s.addr(), down), fleet(4, s.addr())})
+		r := newTestRouter(t, []Member{{Addr: s.addr()}}, nil)
+		waitFor(t, "epoch 4 applied", func() bool { return r.Stats().Epoch == 4 })
+		if st := r.Stats(); st.Reroutes != 0 || st.Routes != 1 {
+			t.Fatalf("after re-pushes at and below the applied epoch: %+v", st)
+		}
+	})
 }

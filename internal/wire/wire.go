@@ -5,7 +5,7 @@
 // the switch and ships events to where the property state lives; this
 // package is the ship.
 //
-// A connection carries six frame types:
+// A connection carries five frame types:
 //
 //	Hello        exporter → collector: protocol magic and version, the
 //	             exporter's datapath id, the sequence number of the next
@@ -33,8 +33,6 @@
 //	             configuration — the property set or the fleet
 //	             membership — epoch-stamped, pushed at handshake and on
 //	             every change (negotiated kinds only).
-//	ConfigAck    exporter → collector: the high-water epoch of a kind
-//	             the exporter has applied (negotiated kinds only).
 //
 // Both sides speak Version and nothing else; features are negotiated in
 // one round, as the intersection of the Hello's offer and the
@@ -45,7 +43,7 @@
 // carries only its own fields and the others are empty. Kind k is
 // negotiated by feature bit 1<<k. A receiver applies a config only when
 // it is the first of its kind or its epoch is strictly greater than the
-// last one applied (HighWater), and acks the highest epoch applied.
+// last one applied (HighWater). Nothing is acknowledged on the wire.
 //
 // Every frame is a 4-byte big-endian payload length followed by the
 // payload, whose first byte is the frame type. Integers inside payloads
@@ -159,16 +157,14 @@ const (
 	FrameBatch
 	// FrameAck acknowledges applied events cumulatively.
 	FrameAck
-	// Types 5–9 are retired: 5 carried traced batches, which now ride
-	// FrameBatch, and 6–9 per-kind config frames in another layout. They
-	// must decode as unknown, never be misread.
+	// Types 5–9 and 11 are retired: 5 carried traced batches, which now
+	// ride FrameBatch, 6–9 per-kind config frames in another layout, and
+	// 11 an applied-config acknowledgment nothing read. They must decode
+	// as unknown, never be misread.
 
 	// FrameConfig carries one kind of replicated configuration
 	// (collector → exporter; negotiated kinds only).
 	FrameConfig FrameType = 10
-	// FrameConfigAck acknowledges a kind's applied epoch (exporter →
-	// collector; negotiated kinds only).
-	FrameConfigAck FrameType = 11
 )
 
 // String names the frame type.
@@ -184,8 +180,6 @@ func (t FrameType) String() string {
 		return "ack"
 	case FrameConfig:
 		return "config"
-	case FrameConfigAck:
-		return "config-ack"
 	default:
 		return fmt.Sprintf("FrameType(%d)", uint8(t))
 	}
@@ -268,21 +262,15 @@ type Config struct {
 	Members []FleetMember
 }
 
-// ConfigAck acknowledges that the exporter has applied every config of
-// the kind up to Epoch: for the fleet, re-routed behind its drain fence.
-type ConfigAck struct {
-	Kind  ConfigKind
-	Epoch uint64
-}
-
 // maxConfigEntries bounds a Config's property and member counts (the
 // engines route at most 64 properties), capping what a corrupt count can
 // allocate.
 const maxConfigEntries = 1 << 10
 
 // HighWater is one config kind's high-water mark and the one stale rule:
-// the exporter, the collector's retention and the federated router all
-// apply it. The zero value has admitted nothing.
+// the collector's retention, the fleet's property-set document and, on a
+// switch, the federated router all apply it. The zero value has admitted
+// nothing.
 type HighWater struct {
 	// Epoch is the newest epoch admitted; Count counts admissions.
 	Epoch uint64
@@ -650,11 +638,6 @@ func (cfg *Config) walk(c *coder) {
 	}
 }
 
-func (a *ConfigAck) walk(c *coder) {
-	c.kind(&a.Kind)
-	c.uv(&a.Epoch)
-}
-
 // walk is the Batch layout: FirstSeq, the event count, the events, and
 // the trace block when the batch is traced — whatever follows the
 // events is the trace block, so a decoded batch is traced iff it has
@@ -891,14 +874,6 @@ func AppendConfig(buf []byte, cfg *Config) ([]byte, error) {
 	return c.end()
 }
 
-// AppendConfigAck appends an encoded ConfigAck frame. It refuses an
-// unknown kind, which decode rejects.
-func AppendConfigAck(buf []byte, a ConfigAck) ([]byte, error) {
-	c := encoder(buf, FrameConfigAck)
-	a.walk(&c)
-	return c.end()
-}
-
 // AppendBatch appends an encoded Batch frame to buf. It refuses what
 // decode rejects, a packet that cannot encode and a frame overflowing
 // MaxFrameLen; buf's original content then stays valid.
@@ -937,10 +912,6 @@ func decodePayload(payload []byte) (any, error) {
 		cfg := new(Config)
 		cfg.walk(&c)
 		frame = cfg
-	case FrameConfigAck:
-		var a ConfigAck
-		a.walk(&c)
-		frame = a
 	case FrameBatch:
 		// The header lives inside the arena too: decoding a batch frame
 		// performs zero heap allocations in steady state. The header is

@@ -47,8 +47,6 @@ func frameBytes(t testing.TB, frame any) []byte {
 		enc, err = AppendBatch(nil, f)
 	case *Config:
 		enc, err = AppendConfig(nil, f)
-	case ConfigAck:
-		enc, err = AppendConfigAck(nil, f)
 	default:
 		t.Fatalf("no Append function for %T", frame)
 	}
@@ -81,11 +79,9 @@ func TestFrameRoundTrips(t *testing.T) {
 		&Batch{FirstSeq: 11, Events: testEvents(t)},
 		&Config{Kind: ConfigFleet, Epoch: 3},
 		&Config{Kind: ConfigFleet, Epoch: 4, Members: []FleetMember{{Addr: "10.0.0.1:9190", Weight: 1}, {Addr: "10.0.0.2:9190", Weight: 2}}},
-		ConfigAck{Kind: ConfigFleet, Epoch: 4},
 		&Config{Kind: ConfigProperties},
 		&Config{Kind: ConfigProperties, Epoch: 2, Props: []PropMeta{{Name: "fw", Tenant: "t1"}, {Name: "nat"}},
 			Source: "property \"fw\" {}\n"},
-		ConfigAck{Kind: ConfigProperties, Epoch: 2},
 	}
 	for _, f := range frames {
 		enc := frameBytes(t, f)
@@ -127,10 +123,6 @@ func TestFrameRoundTrips(t *testing.T) {
 				if got.Members[i] != want.Members[i] {
 					t.Fatalf("fleet member %d round-trip: got %+v want %+v", i, got.Members[i], want.Members[i])
 				}
-			}
-		case ConfigAck:
-			if got := dec.(ConfigAck); got != want {
-				t.Fatalf("config-ack round-trip: got %+v want %+v", got, want)
 			}
 		case *Batch:
 			got := dec.(*Batch)
@@ -341,7 +333,7 @@ func TestDecodeRejects(t *testing.T) {
 	})
 
 	// Config payloads: type, kind, epoch, props, source, members.
-	const cfgT, ackT = byte(FrameConfig), byte(FrameConfigAck)
+	const cfgT = byte(FrameConfig)
 	rejects := func(t *testing.T, what string, payloads ...[]byte) {
 		t.Helper()
 		for _, p := range payloads {
@@ -351,22 +343,16 @@ func TestDecodeRejects(t *testing.T) {
 		}
 	}
 	t.Run("config-unknown-kind", func(t *testing.T) {
-		rejects(t, "kind 3", []byte{cfgT, 3, 0, 0, 0, 0}, []byte{ackT, 3, 0})
-		rejects(t, "kind 200", []byte{cfgT, 200, 0, 0, 0, 0}, []byte{ackT, 200, 0})
+		rejects(t, "kind 3", []byte{cfgT, 3, 0, 0, 0, 0})
+		rejects(t, "kind 200", []byte{cfgT, 200, 0, 0, 0, 0})
 		if _, err := AppendConfig(nil, &Config{Kind: NumConfigKinds}); err == nil {
 			t.Fatal("AppendConfig encoded an unknown kind")
 		}
-		if _, err := AppendConfigAck(nil, ConfigAck{Kind: NumConfigKinds}); err == nil {
-			t.Fatal("AppendConfigAck encoded an unknown kind")
-		}
 	})
 	t.Run("config-kind-zero", func(t *testing.T) {
-		rejects(t, "kind 0", []byte{cfgT, 0, 0, 0, 0, 0}, []byte{ackT, 0, 0})
+		rejects(t, "kind 0", []byte{cfgT, 0, 0, 0, 0, 0})
 		if _, err := AppendConfig(nil, &Config{}); err == nil {
 			t.Fatal("AppendConfig encoded kind 0")
-		}
-		if _, err := AppendConfigAck(nil, ConfigAck{}); err == nil {
-			t.Fatal("AppendConfigAck encoded kind 0")
 		}
 	})
 	t.Run("config-foreign-field", func(t *testing.T) {
@@ -387,11 +373,12 @@ func TestDecodeRejects(t *testing.T) {
 		}
 	})
 	t.Run("retired-types", func(t *testing.T) {
-		// Types 6–9 in the layouts they once had: property-set update
-		// (epoch, count, source), its ack (epoch), fleet config (epoch,
-		// count) and its ack (epoch).
+		// Types 6–9 and 11 in the layouts they once had: property-set
+		// update (epoch, count, source), its ack (epoch), fleet config
+		// (epoch, count), its ack (epoch), and the config ack (kind,
+		// epoch).
 		rejects(t, "retired frame type",
-			[]byte{6, 5, 0, 0}, []byte{7, 5}, []byte{8, 5, 0}, []byte{9, 5})
+			[]byte{6, 5, 0, 0}, []byte{7, 5}, []byte{8, 5, 0}, []byte{9, 5}, []byte{11, 1, 5})
 		// Type 5 is the traced batch: traceEvents at FirstSeq 11 as the
 		// frame type 5 encoding wrote it, before the trace block became
 		// the Batch frame's trailing section.
@@ -486,8 +473,6 @@ var pinnedFrames = []struct {
 	{"config-properties-max-epoch", &Config{Kind: ConfigProperties, Epoch: 1<<64 - 1}, "0000000f0a01ffffffffffffffffff01000000"},
 	{"config-fleet", &Config{Kind: ConfigFleet, Epoch: 4, Members: []FleetMember{{Addr: "10.0.0.1:9190", Weight: 1000}, {Addr: "10.0.0.2:9190"}}}, "000000250a02040000020d31302e302e302e313a39313930e8070d31302e302e302e323a3931393000"},
 	{"config-fleet-max-epoch", &Config{Kind: ConfigFleet, Epoch: 1<<64 - 1}, "0000000f0a02ffffffffffffffffff01000000"},
-	{"config-ack-properties", ConfigAck{Kind: ConfigProperties, Epoch: 2}, "000000030b0102"},
-	{"config-ack-fleet", ConfigAck{Kind: ConfigFleet, Epoch: 1<<64 - 1}, "0000000c0b02ffffffffffffffffff01"},
 	{"advance-marker", &Batch{FirstSeq: 42}, "00000003032a00"},
 }
 

@@ -41,6 +41,13 @@ echo "==> go test -race -count=10 (idle seal vs. parked seals)"
 go test -race -count=10 -run 'TestIdleSenderShipsLoneEvent|TestCutLinkShipsOnReconnect|TestIdleSealBridgesBurstEnd|TestBusySenderStillBatches|TestAckWakesIdleSender' ./internal/exporter/
 go test -race -count=10 -run 'TestBlockedSealsKeepSequenceOrder' ./internal/collector/
 
+# A pushed config reaches its handler through one apply goroutine per
+# kind and route, and the router's lock alone keeps an older property
+# set from landing after a newer one pushed by another member.
+echo "==> go test -race -count=10 (pushed-config ordering)"
+go test -race -count=10 -run 'TestConfigAppliesSerializedPerKind' ./internal/exporter/
+go test -race -count=10 -run 'TestRouterPropertySetNeverRegresses' ./internal/federation/
+
 # Examples: each must run to a zero exit, and examples/backends (Table 2
 # live: every approach on one violating stream) must print its golden.
 echo "==> examples"
