@@ -573,7 +573,8 @@ func sweepE12() []benchRow {
 
 // e17Run drives the high-flow return stream through the sharded engine
 // in fixed-size chunks, performing `cycles` remove+reinstall pairs of
-// the named rider property at evenly spaced stream positions (cycles=0
+// the named rider property, each an Apply of the whole set at the next
+// epoch, at evenly spaced stream positions (cycles=0
 // is the churn-free baseline). The pair is back-to-back so the rider
 // is installed for virtually the whole stream — a lone remove would
 // shed its evaluation work and make the churn run *faster*, hiding the
@@ -587,11 +588,8 @@ func e17Run(flows, rounds, cycles, chunk int, riderName string) (evps, ns float6
 
 	sm := core.NewShardedMonitor(4, core.Config{OnViolation: func(*core.Violation) {}})
 	defer sm.Close()
-	if err := sm.AddProperty(fwProp()); err != nil {
-		panic(err)
-	}
-	rider := property.CatalogByName(property.DefaultParams(), riderName)
-	if err := sm.AddProperty(rider); err != nil {
+	fw := fwProp()
+	if err := sm.Apply(0, []*property.Property{fw, property.CatalogByName(property.DefaultParams(), riderName)}); err != nil {
 		panic(err)
 	}
 	sm.SubmitBatch(open, nil)
@@ -615,12 +613,13 @@ func e17Run(flows, rounds, cycles, chunk int, riderName string) (evps, ns float6
 		sm.SubmitBatch(returns[lo:hi], nil)
 		if cycles > 0 && done < cycles && (c+1)%interval == 0 {
 			opStart := time.Now()
-			if err := sm.RemoveProperty(rider.Name); err != nil {
+			if err := sm.Apply(uint64(2*done+1), []*property.Property{fw}); err != nil {
 				panic(err)
 			}
 			removed := time.Now()
 			removeNs = append(removeNs, removed.Sub(opStart).Nanoseconds())
-			if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), rider.Name)); err != nil {
+			rider := property.CatalogByName(property.DefaultParams(), riderName)
+			if err := sm.Apply(uint64(2*done+2), []*property.Property{fw, rider}); err != nil {
 				panic(err)
 			}
 			installNs = append(installNs, time.Since(removed).Nanoseconds())

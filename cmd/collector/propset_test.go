@@ -31,9 +31,9 @@ func (ps *liveSet) remove(name string) error {
 	return err
 }
 
-// newLiveSet starts a collector over an engine that never sees an
-// event — its lifecycle epoch stays 0 throughout — and pushes the empty
-// startup set, as run does with no -catalog and only -metrics-addr.
+// newLiveSet starts a collector over an engine that never sees an event
+// and pushes the empty startup set, as run does with no -catalog and only
+// -metrics-addr.
 func newLiveSet(t *testing.T) *liveSet {
 	t.Helper()
 	sm := core.NewShardedMonitor(1, core.Config{})
@@ -117,9 +117,10 @@ func catalogSource(t *testing.T, name string) string {
 }
 
 // A property installed before any traffic must reach an exporter that
-// connects afterwards, and a removal must reach it live. The engine's
-// lifecycle epoch does not move before traffic, so sets numbered by it
-// would all repeat the startup push's epoch and be dropped as stale.
+// connects afterwards, and a removal must reach it live: each edit moves
+// the document's epoch, which the engine and the pushed set both carry,
+// traffic or not, so no set repeats the startup push's epoch and is
+// dropped as stale.
 func TestPropertySetBeforeTrafficReachesExporters(t *testing.T) {
 	ps := newLiveSet(t)
 	if err := ps.installSource(catalogSource(t, "firewall-basic"), "t1"); err != nil {

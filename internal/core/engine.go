@@ -8,7 +8,7 @@ import (
 )
 
 // Engine is the surface a monitoring process drives an engine through:
-// install and remove properties, feed the event stream, settle, and read
+// apply a property set, feed the event stream, settle, and read
 // the verdict accounting. *Monitor and *ShardedMonitor both satisfy it
 // directly, so a daemon picks its engine with one assignment and every
 // line after that — the feed loop, the /properties admin endpoint,
@@ -16,13 +16,12 @@ import (
 // All methods are safe to call from the admin goroutine while another
 // goroutine feeds.
 type Engine interface {
-	// AddProperty installs a property, RemoveProperty uninstalls one by
-	// name and ReplaceProperty swaps one for a fresh compile; all three
-	// work on a live engine. Properties lists the installed names and
-	// Epoch counts the live property-set changes so far.
+	// Apply makes a set the engine's whole set at an epoch, in one step,
+	// on a live engine too; AddProperty is Apply at the engine's epoch
+	// with one property added. Properties lists the installed names and
+	// Epoch is the last Apply's epoch, 0 for the startup set.
+	Apply(epoch uint64, props []*property.Property) error
 	AddProperty(p *property.Property) error
-	RemoveProperty(name string) error
-	ReplaceProperty(p *property.Property) error
 	Properties() []string
 	Epoch() uint64
 	// Feed is the per-event step: advance the engine's clock to e.Time

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -140,6 +141,29 @@ func (r *rig) violations(prop string) int {
 	return r.viols[prop]
 }
 
+// lifecycleSets are the install, the remove and the replace the
+// differentials land mid-stream, as the sets Apply takes at epochs 1, 2
+// and 3: firewall-basic joins props, props[1] leaves, and props[0] comes
+// back under a tenant — another property, so a reinstall.
+func lifecycleSets(t *testing.T, props []*property.Property) [3][]*property.Property {
+	fb, moved := catalogProp(t, "firewall-basic"), *props[0]
+	moved.Tenant = "t1"
+	return [3][]*property.Property{
+		append(slices.Clone(props), fb),
+		append(append([]*property.Property{props[0]}, props[2:]...), fb),
+		append(append([]*property.Property{&moved}, props[2:]...), fb),
+	}
+}
+
+// removeLive removes the named property from the engine's running set at
+// its epoch, as one apply: what a second admin goroutine can do without
+// knowing the set.
+func removeLive(ps *propSet, name string) error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.apply(ps.epoch.Load(), slices.DeleteFunc(ps.installed(), func(p *property.Property) bool { return p.Name == name }))
+}
+
 // lifecycleView is everything a failed lifecycle operation must leave
 // alone, rendered for comparison.
 func (r *rig) lifecycleView() string {
@@ -148,10 +172,9 @@ func (r *rig) lifecycleView() string {
 		r.eng.Ledger().Snapshot(), r.eng.Ledger().InstallSnapshot())
 }
 
-// A ReplaceProperty whose new definition does not compile — it fails
-// Validate, or it is outside the row geometry — must leave the installed
-// property monitoring. Before the compile moved ahead of the remove, the
-// call returned its error and left the engine with no properties at all.
+// An Apply whose new definition of a running property does not compile —
+// it fails Validate, or it is outside the row geometry — must leave the
+// installed property monitoring: the compile runs before the remove.
 func TestFailedReplaceLeavesSetUntouched(t *testing.T) {
 	noStages := *catalogProp(t, "firewall-basic")
 	noStages.Stages = nil
@@ -168,8 +191,8 @@ func TestFailedReplaceLeavesSetUntouched(t *testing.T) {
 		r.forward(tcpAB(packet.FlagSYN), 1, 2) // live, one open obligation
 		before := r.lifecycleView()
 		for name, p := range bad {
-			if err := r.eng.ReplaceProperty(p); err == nil {
-				t.Fatalf("%s: ReplaceProperty accepted an uncompilable definition", name)
+			if err := r.eng.Apply(1, []*property.Property{p}); err == nil {
+				t.Fatalf("%s: Apply accepted an uncompilable definition", name)
 			}
 			if after := r.lifecycleView(); after != before {
 				t.Fatalf("%s: failed replace changed the engine:\n before %s\n after  %s", name, before, after)
@@ -183,17 +206,23 @@ func TestFailedReplaceLeavesSetUntouched(t *testing.T) {
 	})
 }
 
-// A successful live Replace is remove + install: two epoch bumps and a
-// reinstalled mark, on every engine alike.
-func TestReplaceBumpsEpochTwiceAndMarksReinstalled(t *testing.T) {
+// A live Apply that changes a running property's tenant is remove +
+// install in one step: the Apply's one epoch and a reinstalled mark, on
+// every engine alike.
+func TestChangedPropertyTakesTheEpochAndMarksReinstalled(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, row engineRow) {
 		r := newRig(t, row, Config{}, catalogProp(t, "firewall-basic"))
 		r.forward(tcpAB(packet.FlagSYN), 1, 2)
-		if err := r.eng.ReplaceProperty(catalogProp(t, "firewall-basic")); err != nil {
+		changed := catalogProp(t, "firewall-basic")
+		changed.Tenant = "t1"
+		if err := r.eng.Apply(7, []*property.Property{changed}); err != nil {
 			t.Fatal(err)
 		}
-		if got := r.eng.Epoch(); got != 2 {
-			t.Fatalf("epoch after live replace = %d, want 2", got)
+		if got := r.eng.Epoch(); got != 7 {
+			t.Fatalf("epoch after live replace = %d, want 7", got)
+		}
+		if recs := r.eng.Ledger().InstallSnapshot(); len(recs) != 1 || recs[0].Epoch != 7 || recs[0].Tenant != "t1" {
+			t.Fatalf("install records = %+v, want one at epoch 7 for tenant t1", recs)
 		}
 		marks := r.eng.Ledger().Snapshot()
 		if len(marks) != 1 || marks[0].Reason != UnsoundReinstalled {
@@ -251,7 +280,8 @@ func TestInlineMonitorBeyondSixtyFourProperties(t *testing.T) {
 
 // Engine promises that every method is safe from an admin goroutine while
 // another goroutine feeds. One goroutine feeds; this one loops over the
-// admin surface — the reads, a loss mark, and a live install/remove. The
+// admin surface — the reads, a loss mark, and a live install and remove,
+// each an Apply at the next epoch. The
 // assertion is the race detector's (check.sh runs this package under
 // -race); before ShardedMonitor.Stats took its snapshot inside the
 // router's critical section it reported Stats racing Feed here.
@@ -270,12 +300,12 @@ func TestAdminSurfaceConcurrentWithFeed(t *testing.T) {
 				}
 			}
 		}()
-		extra := catalogProp(t, "firewall-until-close")
-		for i := 0; ; i++ {
+		base, extra := catalogProp(t, "firewall-basic"), catalogProp(t, "firewall-until-close")
+		for epoch := uint64(0); ; {
 			select {
 			case <-done:
-				if st := r.eng.Stats(); st.Events == 0 || st.LifecycleEpoch != r.eng.Epoch() {
-					t.Fatalf("final stats %+v, epoch %d", st, r.eng.Epoch())
+				if st := r.eng.Stats(); st.Events == 0 || st.LifecycleEpoch != epoch || r.eng.Epoch() != epoch {
+					t.Fatalf("final stats %+v, epoch %d, want %d", st, r.eng.Epoch(), epoch)
 				}
 				if err := r.eng.SelfCheck(); err != nil {
 					t.Fatal(err)
@@ -289,11 +319,11 @@ func TestAdminSurfaceConcurrentWithFeed(t *testing.T) {
 			_ = r.eng.StateReport()
 			_ = r.eng.Ledger().Snapshot()
 			r.eng.MarkFeedLoss(sim.Epoch, 1, "concurrent admin loss")
-			if err := r.eng.AddProperty(extra); err != nil {
-				t.Fatal(err)
-			}
-			if err := r.eng.RemoveProperty(extra.Name); err != nil {
-				t.Fatal(err)
+			for _, set := range [][]*property.Property{{base, extra}, {base}} {
+				epoch++
+				if err := r.eng.Apply(epoch, set); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	})

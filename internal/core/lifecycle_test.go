@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"switchmon/internal/packet"
+	"switchmon/internal/property"
 	"switchmon/internal/sim"
 )
 
@@ -28,8 +29,8 @@ func TestInlineInstallRemoveLive(t *testing.T) {
 			t.Fatalf("ActiveInstances = %d, want 1", got)
 		}
 
-		if err := r.eng.RemoveProperty("firewall-basic"); err != nil {
-			t.Fatalf("RemoveProperty: %v", err)
+		if err := r.eng.Apply(1, nil); err != nil {
+			t.Fatalf("Apply of the empty set: %v", err)
 		}
 		if got := r.eng.Epoch(); got != 1 {
 			t.Fatalf("epoch after live remove = %d, want 1", got)
@@ -47,14 +48,15 @@ func TestInlineInstallRemoveLive(t *testing.T) {
 			t.Fatalf("violations with no property installed = %d", got)
 		}
 
-		// Removing twice is an error.
-		if err := r.eng.RemoveProperty("firewall-basic"); err == nil {
-			t.Fatal("second RemoveProperty succeeded, want error")
-		}
-
 		// Reinstall into the tombstoned slot; verdicts restart from here.
-		if err := r.eng.AddProperty(catalogProp(t, "firewall-basic")); err != nil {
+		if err := r.eng.Apply(2, []*property.Property{catalogProp(t, "firewall-basic")}); err != nil {
 			t.Fatalf("reinstall: %v", err)
+		}
+		if got := r.eng.Epoch(); got != 2 {
+			t.Fatalf("epoch after live reinstall = %d, want 2", got)
+		}
+		if epoch, ok := r.eng.Ledger().InstallEpoch("firewall-basic"); !ok || epoch != 2 {
+			t.Fatalf("ledger install epoch = %d (installed %v), want 2", epoch, ok)
 		}
 		r.forward(tcpAB(packet.FlagSYN), 1, 2)
 		r.forward(tcpBA(packet.FlagACK), 2, 0)
@@ -77,9 +79,21 @@ func TestInstallDuplicateNameRejected(t *testing.T) {
 		if after := r.lifecycleView(); after != before {
 			t.Fatalf("rejected install changed the engine:\n before %s\n after  %s", before, after)
 		}
-		// Replace is the sanctioned swap: one reinstall mark, not an error.
-		if err := r.eng.ReplaceProperty(catalogProp(t, "firewall-basic")); err != nil {
-			t.Fatalf("ReplaceProperty: %v", err)
+		// A set naming the property twice is refused alike.
+		twice := []*property.Property{catalogProp(t, "firewall-basic"), catalogProp(t, "firewall-basic")}
+		if err := r.eng.Apply(1, twice); err == nil {
+			t.Fatal("a set naming a property twice was applied, want error")
+		}
+		if after := r.lifecycleView(); after != before {
+			t.Fatalf("rejected apply changed the engine:\n before %s\n after  %s", before, after)
+		}
+		// A set holding the property as it runs keeps it running and moves
+		// only the epoch.
+		if err := r.eng.Apply(1, twice[:1]); err != nil || r.eng.Epoch() != 1 {
+			t.Fatalf("Apply of the running set: %v, epoch %d", err, r.eng.Epoch())
+		}
+		if marks := r.eng.Ledger().Snapshot(); len(marks) != 0 {
+			t.Fatalf("re-applying the running set marked %+v", marks)
 		}
 	})
 }
@@ -92,10 +106,10 @@ func TestFirstMarkWinsAcrossReinstall(t *testing.T) {
 		r.forward(tcpAB(packet.FlagSYN), 1, 2) // go live so installs stamp watermarks
 
 		r.eng.MarkFeedLoss(r.now, 3, "lossy tap")
-		if err := r.eng.RemoveProperty("firewall-basic"); err != nil {
+		if err := r.eng.Apply(1, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.eng.AddProperty(catalogProp(t, "firewall-basic")); err != nil {
+		if err := r.eng.Apply(2, []*property.Property{catalogProp(t, "firewall-basic")}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -119,10 +133,10 @@ func TestReinstallAloneMarksReinstalled(t *testing.T) {
 	forEachEngine(t, func(t *testing.T, row engineRow) {
 		r := newRig(t, row, Config{}, catalogProp(t, "firewall-basic"))
 		r.forward(tcpAB(packet.FlagSYN), 1, 2)
-		if err := r.eng.RemoveProperty("firewall-basic"); err != nil {
+		if err := r.eng.Apply(1, nil); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.eng.AddProperty(catalogProp(t, "firewall-basic")); err != nil {
+		if err := r.eng.Apply(2, []*property.Property{catalogProp(t, "firewall-basic")}); err != nil {
 			t.Fatal(err)
 		}
 		marks := r.eng.Ledger().Snapshot()
@@ -202,7 +216,7 @@ func TestQuarantinedRemovalClearsRoutingBit(t *testing.T) {
 		}
 
 		// Removing the quarantined property clears its routing-mask bit.
-		if err := r.eng.RemoveProperty(name); err != nil {
+		if err := r.eng.Apply(1, []*property.Property{catalogProp(t, "firewall-basic"), catalogProp(t, "nat-reverse")}); err != nil {
 			t.Fatalf("remove quarantined: %v", err)
 		}
 		if got := r.eng.Quarantined(); got != 0 {

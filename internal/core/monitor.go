@@ -212,9 +212,8 @@ type Stats struct {
 	// QuarantinedProperties counts properties quarantined after a panic
 	// in their step function.
 	QuarantinedProperties uint64
-	// LifecycleEpoch is the engine's property-set epoch: 0 for the
-	// startup set, bumped by every live Install/Remove/Replace. Equal
-	// across engines that saw the same lifecycle history.
+	// LifecycleEpoch is the epoch of the set the engine runs: the last
+	// Apply's (the document's), 0 for the startup set.
 	LifecycleEpoch uint64
 }
 
@@ -336,18 +335,28 @@ func (m *Monitor) SetStepProbe(fn func(prop int, seq uint64)) { m.stepProbe = fn
 // admits implements propHost: an inline engine never refuses.
 func (m *Monitor) admits() error { return nil }
 
+// stop implements propHost: an inline engine is its one monitor, and mu,
+// which Feed and AdvanceTo take, is its stop.
+func (m *Monitor) stop(evict func(*Monitor)) []*Monitor {
+	evict(m)
+	return []*Monitor{m}
+}
+
+// routed implements propHost: an inline engine routes nothing.
+func (m *Monitor) routed() {}
+
 // position implements propHost: the applied-event count, live once an
 // event has been applied or queued, and the scheduler's clock.
 func (m *Monitor) position() (seq uint64, live bool, now time.Time) {
 	return m.seq, m.seq > 0 || len(m.pending) > 0, m.sched.Now()
 }
 
-// place implements propHost, and is what a ShardedMonitor's router runs
-// on each shard: it makes cp resident at slot — a tombstone left by evict,
-// or the next fresh slot — wiring its buckets, deadline queues, metrics
-// and accounting handles. The engine's propSet chose the slot, compiled
-// cp and registered the slot with the state tracker; it owns the ledger's
-// install record too, so N shards sharing one ledger record one install.
+// place makes cp resident at slot — a tombstone left by evict, or the
+// next fresh slot — wiring its buckets, deadline queues, metrics and
+// accounting handles. The engine's propSet chose the slot, compiled cp
+// and registered the slot with the state tracker, and runs place on each
+// of its monitors; it owns the ledger's install record too, so N shards
+// sharing one ledger record one install.
 func (m *Monitor) place(slot int, cp *compiledProp) {
 	if slot == len(m.props) {
 		m.props = append(m.props, nil)
@@ -379,10 +388,10 @@ func (m *Monitor) place(slot int, cp *compiledProp) {
 	}
 }
 
-// evict implements propHost (and is run on each shard by the router): it
-// purges the slot's instances and timers, clears its local quarantine bit
-// and tombstones it; every per-slot entry returns to its zero value, which
-// is what place expects to find.
+// evict is place's inverse, run by the engine's propSet on each of its
+// monitors: it purges the slot's instances and timers, clears its local
+// quarantine bit and tombstones it; every per-slot entry returns to its
+// zero value, which is what place expects to find.
 func (m *Monitor) evict(slot int) {
 	m.purgeProp(slot)
 	m.quarantined &^= uint64(1) << uint(slot)
@@ -574,7 +583,7 @@ func (m *Monitor) stepProps(from int, e *Event, seq, matchMask, createMask uint6
 	for props := m.props; pi < len(props); pi++ {
 		cp := props[pi]
 		if cp == nil {
-			continue // tombstone: slot freed by RemoveProperty
+			continue // tombstone: slot freed by a removal
 		}
 		match, create := true, true
 		if pi < maxShardedProperties {

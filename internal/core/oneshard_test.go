@@ -39,6 +39,7 @@ func inlineStream(t *testing.T, seed int64, props []*property.Property) []inline
 	var pid PacketID
 	var segs []inlineSegment
 	seg := inlineSegment{}
+	sets := lifecycleSets(t, props)
 	left := 1 + rng.Intn(40)
 	for i := 0; i < iterations; i++ {
 		now = now.Add(time.Duration(rng.Intn(500)) * time.Millisecond)
@@ -82,13 +83,8 @@ func inlineStream(t *testing.T, seed int64, props []*property.Property) []inline
 		}
 		segs = append(segs, seg)
 		seg, left = inlineSegment{}, 1+rng.Intn(40)
-		switch {
-		case len(segs) == 40:
-			seg.op = func(eng Engine) error { return eng.AddProperty(catalogProp(t, "firewall-basic")) }
-		case len(segs) == 80:
-			seg.op = func(eng Engine) error { return eng.RemoveProperty(props[1].Name) }
-		case len(segs) == 120:
-			seg.op = func(eng Engine) error { return eng.ReplaceProperty(catalogProp(t, props[0].Name)) }
+		if i := len(segs)/40 - 1; len(segs)%40 == 0 && i < len(sets) {
+			seg.op = func(eng Engine) error { return eng.Apply(uint64(i+1), sets[i]) }
 		}
 	}
 	if len(segs) <= 120 {
@@ -239,7 +235,7 @@ func TestOneShardIsInline(t *testing.T) {
 								t.Errorf("%s: %v", name, err)
 								return
 							}
-							if err := sm.RemoveProperty(extra.Name); err != nil {
+							if err := removeLive(&sm.propSet, extra.Name); err != nil {
 								t.Errorf("%s: %v", name, err)
 								return
 							}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,47 +12,50 @@ import (
 )
 
 // propHost is the half of the property lifecycle that differs between
-// engines: where the engine stands in its stream, and how a compiled
-// property reaches (or leaves) the monitor or monitors that run it.
+// engines: where the engine stands in its stream, and which monitors run
+// its properties.
 type propHost interface {
-	// admits reports the error lifecycle operations fail with, if the
-	// engine no longer takes any (a closed ShardedMonitor).
+	// admits reports the error Apply fails with, if the engine no longer
+	// takes one (a closed ShardedMonitor).
 	admits() error
 	// position reports the engine's event count — the sequence number
 	// install records and loss marks carry — whether the engine is live
 	// (it has taken in an event), and the clock a live install is stamped
 	// with as its soundness watermark.
 	position() (seq uint64, live bool, now time.Time)
-	// place makes cp resident at slot on every monitor of the engine and
-	// evict purges the slot from every monitor, each at one point in the
-	// engine's event order.
-	place(slot int, cp *compiledProp)
-	evict(slot int)
+	// stop runs evict on every monitor of the engine at one point in its
+	// event order (one fence, on a started ShardedMonitor) and returns the
+	// monitors, for the caller to change further while it holds mu.
+	stop(evict func(*Monitor)) []*Monitor
+	// routed tells the engine its monitors now run another set (a
+	// ShardedMonitor rebuilds its routing from it).
+	routed()
 }
 
 // propSet is the property lifecycle, written once and embedded by both
-// engines: the slot table, the duplicate-name and capacity checks, the
-// one compile, the epoch rule, the ledger's install and remove records,
-// and the loss marks and reports that are defined over "every installed
-// property". A ShardedMonitor's shards are Monitors that borrow the
-// router's ledger, state tracker and quarantine mask and leave the rest
-// of their own propSet unused — the router runs the lifecycle for them.
+// engines: the slot table, the one set apply (its duplicate-name and
+// capacity checks and compile, then one change of every monitor), the
+// epoch, the ledger's install and remove records, and the loss marks and
+// reports that are defined over "every installed property". A
+// ShardedMonitor's shards are Monitors that borrow the router's ledger,
+// state tracker and quarantine mask and leave the rest of their own
+// propSet unused — the router runs the lifecycle for them.
 type propSet struct {
-	// mu is the engine's admin lock. It serialises the lifecycle
-	// operations, Properties and MarkLoss against the goroutine that feeds
-	// the engine — Monitor.Feed and AdvanceTo, every router-side entry
-	// point of a ShardedMonitor. Monitor.HandleEvent and Flush, the
-	// single-threaded entry points the dataplane, the shard workers and
-	// the benchmarks drive, never take it.
+	// mu is the engine's admin lock. It serialises Apply, Properties and
+	// MarkLoss against the goroutine that feeds the engine — Monitor.Feed
+	// and AdvanceTo, every router-side entry point of a ShardedMonitor —
+	// so every event is judged by one whole set. Monitor.HandleEvent and
+	// Flush, the single-threaded entry points the dataplane, the shard
+	// workers and the benchmarks drive, never take it.
 	mu   sync.Mutex
 	host propHost
-	// names maps slot to installed property name; "" is a tombstone left
-	// by a removal, reused by the next install. limit caps the table.
-	names []string
+	// slots maps slot to installed property; nil is a tombstone left by a
+	// removal, reused by the next install. limit caps the table.
+	slots []*property.Property
 	limit int
-	// epoch is the property-set lifecycle epoch: 0 for the startup set,
-	// bumped by every install and remove on a live engine. Atomic so
-	// Stats, /healthz and /state read it without the lock.
+	// epoch is the epoch of the set the engine runs: the last Apply's, 0
+	// for the startup set. Atomic so Stats, /healthz and /state read it
+	// without the lock.
 	epoch atomic.Uint64
 	// ledger is the engine's soundness record (never nil) and state its
 	// state-cost accounting store (nil when accounting is disabled; every
@@ -108,7 +112,7 @@ func updateMask(m *atomic.Uint64, set, clear uint64) bool {
 // polls live.
 func (ps *propSet) Ledger() *Ledger { return ps.ledger }
 
-// Epoch reports the property-set lifecycle epoch (see
+// Epoch reports the epoch of the set the engine runs (see
 // Stats.LifecycleEpoch). Safe from any goroutine.
 func (ps *propSet) Epoch() uint64 { return ps.epoch.Load() }
 
@@ -134,11 +138,9 @@ func (ps *propSet) StateReport() statesize.Report {
 func (ps *propSet) Properties() []string {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	out := make([]string, 0, len(ps.names))
-	for _, n := range ps.names {
-		if n != "" {
-			out = append(out, n)
-		}
+	out := []string{}
+	for _, p := range ps.installed() {
+		out = append(out, p.Name)
 	}
 	return out
 }
@@ -161,86 +163,110 @@ func (ps *propSet) MarkLoss(reason UnsoundReason, at time.Time, n uint64, detail
 	ps.ledger.markInstalled(reason, seq, at, n, detail)
 }
 
-// AddProperty compiles and installs a property, before or after the
-// engine has seen its first event. The property is sound from here: a
-// live install stamps its install-point watermark into the ledger, so
-// losses that predate it never mark the property. Installing a name
-// that is already installed is an error (RemoveProperty it first, or
-// use ReplaceProperty).
-func (ps *propSet) AddProperty(p *property.Property) error { return ps.put(p, false) }
-
-// ReplaceProperty swaps the named property for a fresh compile — remove
-// (when installed) then install under one critical section, so no event
-// falls between the two. On a live engine that is two epoch bumps, and
-// the ledger marks the property reinstalled: verdicts are sound from
-// the new install point only. A definition that does not compile leaves
-// the installed property untouched.
-func (ps *propSet) ReplaceProperty(p *property.Property) error { return ps.put(p, true) }
-
-// RemoveProperty uninstalls the named property: routing to it closes,
-// its live instances are purged and pending timers cancelled on every
-// monitor, its accounting is refunded, and its quarantine bit (if any)
-// is cleared so a later install into the reused slot starts clean. The
-// property's unsound marks survive removal — degradation history is
-// part of the record.
-func (ps *propSet) RemoveProperty(name string) error {
+// Apply makes props the engine's whole set, at epoch: a running property
+// props lacks is removed (its instances, timers and accounting purged on
+// every monitor; its unsound marks survive), one it adds or holds with
+// another tenant or definition is installed, and one it holds alike
+// (same name, tenant and property.Format text) keeps running. Everything
+// that can fail — a closed engine, a name given twice, a compile, the
+// capacity — is checked first, so a refused Apply changes nothing; the
+// change is one step, with nothing fed between its parts. The ledger
+// records each install at epoch, sound from its install point; a name
+// installed before is marked reinstalled.
+func (ps *propSet) Apply(epoch uint64, props []*property.Property) error {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	if err := ps.host.admits(); err != nil {
-		return err
-	}
-	slot := ps.slotOf(name)
-	if slot < 0 {
-		return fmt.Errorf("core: property %q not installed", name)
-	}
-	ps.remove(slot)
-	return nil
+	return ps.apply(epoch, props)
 }
 
-// slotOf finds the slot holding the named property, or -1.
-func (ps *propSet) slotOf(name string) int {
-	for i, n := range ps.names {
-		if n == name {
-			return i
+// AddProperty is Apply at the engine's epoch with p added to its set. The
+// installed properties keep running, neither recompiled nor reformatted.
+func (ps *propSet) AddProperty(p *property.Property) error {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	return ps.apply(ps.epoch.Load(), append(ps.installed(), p))
+}
+
+// installed lists the installed properties in slot order. Caller holds
+// mu.
+func (ps *propSet) installed() []*property.Property {
+	return slices.DeleteFunc(slices.Clone(ps.slots), func(p *property.Property) bool { return p == nil })
+}
+
+// CheckSet reports whether a collector's engine, a ShardedMonitor, takes
+// props as its whole set: Apply's checks, for a tier that edits a set
+// without running one.
+func CheckSet(props []*property.Property) error {
+	_, err := compileSet(props, maxShardedProperties, func(*property.Property) bool { return false })
+	return err
+}
+
+// compileSet is Apply's check: props name each property once and hold at
+// most limit, and each one running does not report compiles. It returns
+// the compiles, nil where running reported true.
+func compileSet(props []*property.Property, limit int, running func(*property.Property) bool) ([]*compiledProp, error) {
+	if len(props) > limit {
+		return nil, fmt.Errorf("core: engine supports at most %d properties", limit)
+	}
+	cps := make([]*compiledProp, len(props))
+	seen := make(map[string]bool, len(props))
+	for i, p := range props {
+		if seen[p.Name] {
+			return nil, fmt.Errorf("core: property %q is in the set twice", p.Name)
 		}
+		seen[p.Name] = true
+		if running(p) {
+			continue
+		}
+		cp, err := compile(p)
+		if err != nil {
+			return nil, err
+		}
+		cps[i] = cp
 	}
-	return -1
+	return cps, nil
 }
 
-// put is install and replace. Everything that can fail — the engine
-// refusing, a duplicate name, the compile, the capacity check — happens
-// before the set is touched, so a failed operation leaves Properties,
-// Epoch, the live instances and the ledger exactly as they were.
-func (ps *propSet) put(p *property.Property, replace bool) error {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
+// apply is Apply with mu held. Removals come first, so an install reuses
+// the slot a removal (its own name's, when it is a change) has just
+// tombstoned; a slot keeps its place in the engine-wide masks.
+func (ps *propSet) apply(epoch uint64, props []*property.Property) error {
 	if err := ps.host.admits(); err != nil {
 		return err
 	}
-	old := ps.slotOf(p.Name)
-	if old >= 0 && !replace {
-		return fmt.Errorf("core: property %q already installed", p.Name)
+	running := map[string]*property.Property{}
+	for _, p := range ps.installed() {
+		running[p.Name] = p
 	}
-	cp, err := compile(p)
+	kept := map[string]bool{}
+	cps, err := compileSet(props, ps.limit, func(p *property.Property) bool {
+		old := running[p.Name]
+		kept[p.Name] = old == p || old != nil && old.Tenant == p.Tenant && property.Format(old) == property.Format(p)
+		return kept[p.Name]
+	})
 	if err != nil {
 		return err
 	}
-	if old < 0 && ps.slotOf("") < 0 && len(ps.names) >= ps.limit {
-		return fmt.Errorf("core: engine supports at most %d properties", ps.limit)
+	var out []int
+	for slot, p := range ps.slots {
+		if p != nil && !kept[p.Name] {
+			out = append(out, slot)
+		}
 	}
-	if old >= 0 {
-		ps.remove(old)
+	// One stop evicts from every monitor what the set lacks or changes.
+	mons := ps.host.stop(func(m *Monitor) {
+		for _, slot := range out {
+			m.evict(slot)
+		}
+	})
+	for _, slot := range out {
+		// A shard may publish a quarantine for the property while draining
+		// the events queued ahead of the fence; the slot is reused clean.
+		updateMask(ps.quar, 0, uint64(1)<<uint(slot))
+		ps.state.Uninstall(slot)
+		ps.ledger.RecordRemove(ps.slots[slot].Name)
+		ps.slots[slot] = nil
 	}
-	// The first tombstone (a replaced property has just left one), else a
-	// fresh slot.
-	slot := ps.slotOf("")
-	if slot < 0 {
-		slot = len(ps.names)
-		ps.names = append(ps.names, "")
-	}
-	ps.state.InstallTenant(slot, p.Name, p.Tenant)
-	ps.host.place(slot, cp)
-	ps.names[slot] = p.Name
 	seq, live, now := ps.host.position()
 	var at time.Time
 	if live {
@@ -248,27 +274,27 @@ func (ps *propSet) put(p *property.Property, replace bool) error {
 		// watermark; startup installs keep the zero time, so they are
 		// accountable for the whole run.
 		at = now
-		ps.epoch.Add(1)
 	}
-	ps.ledger.RecordInstall(p.Name, p.Tenant, ps.epoch.Load(), seq, at)
+	slot := 0
+	for _, cp := range cps {
+		if cp == nil {
+			continue
+		}
+		for slot < len(ps.slots) && ps.slots[slot] != nil {
+			slot++
+		}
+		if slot == len(ps.slots) {
+			ps.slots = append(ps.slots, nil)
+		}
+		p := cp.prop
+		ps.state.InstallTenant(slot, p.Name, p.Tenant)
+		for _, m := range mons {
+			m.place(slot, cp)
+		}
+		ps.slots[slot] = p
+		ps.ledger.RecordInstall(p.Name, p.Tenant, epoch, seq, at)
+	}
+	ps.host.routed()
+	ps.epoch.Store(epoch)
 	return nil
-}
-
-// remove tombstones the slot, purges it from every monitor and retires
-// it from the shared accounting exactly once, after every monitor has
-// stopped touching it. The engine-wide quarantine bit is cleared before
-// the eviction, so no shard re-adopts it onto the slot about to be
-// freed, and again after — a shard may still publish a quarantine for
-// the property while draining the events queued ahead of the eviction.
-func (ps *propSet) remove(slot int) {
-	name, bit := ps.names[slot], uint64(1)<<uint(slot)
-	ps.names[slot] = ""
-	updateMask(ps.quar, 0, bit)
-	ps.host.evict(slot)
-	updateMask(ps.quar, 0, bit)
-	ps.state.Uninstall(slot)
-	if _, live, _ := ps.host.position(); live {
-		ps.epoch.Add(1)
-	}
-	ps.ledger.RecordRemove(name)
 }

@@ -83,8 +83,8 @@ type shardMsg struct {
 	// tq, when non-nil, is the tenant queue this message is charged
 	// against: the router incremented its pending count at route time and
 	// the worker decrements it once, after applying the message. A pointer
-	// (not a mask) so the charge survives property-slot reuse across
-	// lifecycle ops.
+	// (not a mask) so the charge survives property-slot reuse by a later
+	// Apply.
 	tq *tenantQueue
 }
 
@@ -193,14 +193,14 @@ type shard struct {
 // stages or guards) are monitored entirely on the catch-all shard 0,
 // preserving exact single-engine semantics at the cost of parallelism.
 // Shard goroutines start lazily on the first Submit or barrier, so
-// constructing a ShardedMonitor and installing properties on it (for
-// capability probing, say) spawns nothing.
+// constructing a ShardedMonitor and installing properties on it spawns
+// nothing.
 //
 // The router side (Submit, SubmitBatch, Barrier, AdvanceTo, Drain, Close,
-// the lifecycle operations and the aggregate accessors) is serialized by
-// the embedded propSet's lock, so Close is safe to call concurrently with
-// Submit (Submit returns ErrClosed afterwards); for deterministic event
-// ordering the router should still be driven from one goroutine.
+// Apply and the aggregate accessors) is serialized by the embedded
+// propSet's lock, so Close is safe to call concurrently with Submit
+// (Submit returns ErrClosed afterwards); for deterministic event ordering
+// the router should still be driven from one goroutine.
 //
 // Supervision is the Monitor's: a panic inside a property's step or timer
 // is recovered by the shard that hit it, the property is quarantined
@@ -332,8 +332,7 @@ func NewShardedMonitor(shards int, cfg Config) *ShardedMonitor {
 // Shards reports the shard count.
 func (sm *ShardedMonitor) Shards() int { return len(sm.shards) }
 
-// admits implements propHost: a closed engine takes no lifecycle
-// operations.
+// admits implements propHost: a closed engine takes no Apply.
 func (sm *ShardedMonitor) admits() error {
 	if sm.closed {
 		return ErrClosed
@@ -348,58 +347,49 @@ func (sm *ShardedMonitor) position() (seq uint64, live bool, now time.Time) {
 	return sm.submitted, sm.submitted > 0, sm.lastTick
 }
 
-// place implements propHost. A live install is epoch-fenced: the install
-// order rides every shard's FIFO queue, so each in-flight event observes
-// one consistent property set — either entirely before or entirely after
-// the install — and routing for the new property opens only here, once
-// every shard has acknowledged it.
-func (sm *ShardedMonitor) place(slot int, cp *compiledProp) {
-	sm.onShards(func(m *Monitor) { m.place(slot, cp) })
-	sm.plans[slot] = cp.plan
-	if sm.cfg.DisableIndex {
+// stop implements propHost: evict rides one fence, run by every shard on
+// its own worker once it has applied all that was routed before. The
+// fence leaves each worker parked on its queue, and mu keeps the queues
+// empty, so the caller changes the shards from here, and the next event
+// routed to a shard, sent on its channel, sees the change. Before the
+// workers start there is no fence, so a fresh engine spawns nothing.
+func (sm *ShardedMonitor) stop(evict func(*Monitor)) []*Monitor {
+	mons := make([]*Monitor, len(sm.shards))
+	for i, s := range sm.shards {
+		mons[i] = s.mon
+	}
+	if sm.started {
+		sm.fence(shardCtl{apply: evict})
+		return mons
+	}
+	for _, m := range mons {
+		evict(m)
+	}
+	return mons
+}
+
+// routed implements propHost: it rebuilds the routing plans, the
+// catch-all note and the tenant queue-share tables from the set the
+// shards now run; a tombstone routes nothing.
+func (sm *ShardedMonitor) routed() {
+	sm.hasCatchall, sm.quotaBits = false, 0
+	for slot, cp := range sm.shards[0].mon.props {
+		sm.plans[slot], sm.tenantOf[slot] = shardPlan{}, nil
+		if cp == nil {
+			continue
+		}
 		// Routing is derived from the index paths; without them every
 		// property is catch-all.
-		sm.plans[slot] = shardPlan{}
-	}
-	if !sm.plans[slot].shardable {
-		sm.hasCatchall = true
-	}
-	if tq := sm.quotaByName[cp.prop.Tenant]; tq != nil {
-		sm.tenantOf[slot] = tq
-		sm.quotaBits |= uint64(1) << uint(slot)
-	}
-}
-
-// evict implements propHost. The propSet has already closed routing (the
-// slot is a tombstone, so no new delivery carries its bit); a fence then
-// rides every shard's FIFO queue purging the property's instances, pooled
-// state and pending timers — events already in flight still apply to it
-// before the fence, nothing after does.
-func (sm *ShardedMonitor) evict(slot int) {
-	sm.plans[slot] = shardPlan{}
-	sm.hasCatchall = false
-	for i, name := range sm.names {
-		if name != "" && !sm.plans[i].shardable {
+		if !sm.cfg.DisableIndex {
+			sm.plans[slot] = cp.plan
+		}
+		if !sm.plans[slot].shardable {
 			sm.hasCatchall = true
 		}
-	}
-	if sm.tenantOf[slot] != nil {
-		sm.tenantOf[slot] = nil
-		sm.quotaBits &^= uint64(1) << uint(slot)
-	}
-	sm.onShards(func(m *Monitor) { m.evict(slot) })
-}
-
-// onShards runs fn against every shard's Monitor at one point in the
-// event order: behind a fence once the workers run, directly before —
-// installing on an engine that has not started spawns nothing.
-func (sm *ShardedMonitor) onShards(fn func(*Monitor)) {
-	if sm.started {
-		sm.fence(shardCtl{apply: fn})
-		return
-	}
-	for _, s := range sm.shards {
-		fn(s.mon)
+		if tq := sm.quotaByName[cp.prop.Tenant]; tq != nil {
+			sm.tenantOf[slot] = tq
+			sm.quotaBits |= uint64(1) << uint(slot)
+		}
 	}
 }
 
@@ -632,13 +622,13 @@ func (sm *ShardedMonitor) routeLocked(e *Event, ref *batchRef, idx int32) {
 	quar := sm.quar.Load()
 	mm, cm := sm.matchScratch, sm.createScratch
 	quotaShed := false
-	for pi, name := range sm.names {
+	for pi, p := range sm.slots {
 		bit := uint64(1) << uint(pi)
 		if quar&bit != 0 {
 			continue // quarantined: the property sees no further events
 		}
-		if name == "" {
-			continue // tombstone: slot freed by RemoveProperty
+		if p == nil {
+			continue // tombstone: slot freed by a removal
 		}
 		if sm.quotaBits&bit != 0 {
 			if tq := sm.tenantOf[pi]; tq.pending.Load() >= tq.max {
@@ -646,7 +636,7 @@ func (sm *ShardedMonitor) routeLocked(e *Event, ref *batchRef, idx int32) {
 				// delivery for this tenant's property only — other
 				// tenants' verdicts stay exact — and account for it.
 				tq.cell.Shed(1)
-				sm.ledger.Mark(name, UnsoundQuota, sm.submitted, e.Time, 1,
+				sm.ledger.Mark(p.Name, UnsoundQuota, sm.submitted, e.Time, 1,
 					"tenant queue share exhausted")
 				quotaShed = true
 				continue

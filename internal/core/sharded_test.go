@@ -101,6 +101,7 @@ func driveDifferential(t *testing.T, shards int, seed int64, props []*property.P
 	for _, p := range props {
 		onEngines(func(eng Engine) error { return eng.AddProperty(p) })
 	}
+	sets := lifecycleSets(t, props)
 
 	rng := sim.NewRand(seed)
 	macs := []packet.MAC{macA, macB, packet.MustMAC("02:00:00:00:00:0c")}
@@ -119,13 +120,8 @@ func driveDifferential(t *testing.T, shards int, seed int64, props []*property.P
 	for i := 0; i < 400; i++ {
 		sched.RunFor(time.Duration(rng.Intn(500)) * time.Millisecond)
 		sm.AdvanceTo(sched.Now())
-		switch i {
-		case 100:
-			onEngines(func(eng Engine) error { return eng.AddProperty(catalogProp(t, "firewall-basic")) })
-		case 200:
-			onEngines(func(eng Engine) error { return eng.RemoveProperty(props[1].Name) })
-		case 300:
-			onEngines(func(eng Engine) error { return eng.ReplaceProperty(catalogProp(t, props[0].Name)) })
+		if i%100 == 0 && i > 0 {
+			onEngines(func(eng Engine) error { return eng.Apply(uint64(i/100), sets[i/100-1]) })
 		}
 		var p *packet.Packet
 		switch rng.Intn(3) {

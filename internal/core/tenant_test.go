@@ -235,18 +235,18 @@ func TestLifecycleDifferential(t *testing.T) {
 		}
 	}
 	feed(0, third)
-	if err := sm.RemoveProperty(churn.Name); err != nil {
+	if err := sm.Apply(1, []*property.Property{stable, noisy}); err != nil {
 		t.Fatal(err)
 	}
 	feed(third, 2*third)
-	if err := sm.AddProperty(catalogProp(t, "firewall-until-close")); err != nil {
+	if err := sm.Apply(2, []*property.Property{stable, noisy, catalogProp(t, "firewall-until-close")}); err != nil {
 		t.Fatal(err)
 	}
 	feed(2*third, len(evs))
 	sm.AdvanceTo(evs[len(evs)-1].Time.Add(time.Hour))
 
 	if got := sm.Epoch(); got != 2 {
-		t.Fatalf("lifecycle epoch = %d, want 2 (one remove + one install)", got)
+		t.Fatalf("lifecycle epoch = %d, want 2 (the reinstall's)", got)
 	}
 
 	// The stable untenanted property: byte-identical verdicts.

@@ -11,17 +11,21 @@ import (
 // TestPropertySetWrittenOnce keeps a property set on one mechanism, in
 // every program file under internal/ and cmd/: one function renders a
 // set as a wire.ConfigProperties config (a composite literal with Kind:
-// wire.ConfigProperties) and one diff-applies a set onto an engine (a
-// function that lists an engine's Properties() and calls RemoveProperty
-// in a loop) — federation.PropertySetDoc.Config and
-// federation.PropertySet.apply, which the collector, switchmon's
-// exporter handler and the aggregation tier's members all share. No
-// name of the per-member op log it replaced may come back: lifecycleOp,
-// opMu, RemoteProperties, applyPropertySet, a collector-local
-// propertySet, scrapeErrs, or a Local field on MemberEndpoints.
+// wire.ConfigProperties), federation.PropertySetDoc.Config, and one
+// applies a set to an engine, diffing it against the running one (a
+// function that records both a ledger remove and a ledger install),
+// core's propSet.apply, which every engine embeds and which
+// federation.PropertySet.converge — shared by the collector, switchmon's
+// exporter handler and the aggregation tier's members — calls once per
+// document. No name of what those replaced may come back: the per-member
+// op log's lifecycleOp, opMu, RemoteProperties, applyPropertySet, a
+// collector-local propertySet, scrapeErrs, or a Local field on
+// MemberEndpoints; the engine's one-property-at-a-time RemoveProperty and
+// ReplaceProperty; or accepts, the throwaway engine that checked a set.
 func TestPropertySetWrittenOnce(t *testing.T) {
 	deleted := map[string]bool{"lifecycleOp": true, "opMu": true, "RemoteProperties": true,
-		"applyPropertySet": true, "propertySet": true, "scrapeErrs": true}
+		"applyPropertySet": true, "propertySet": true, "scrapeErrs": true,
+		"RemoveProperty": true, "ReplaceProperty": true, "accepts": true}
 	var renders, applies []string
 	for _, root := range []string{"../../internal", "../../cmd"} {
 		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
@@ -73,8 +77,8 @@ func TestPropertySetWrittenOnce(t *testing.T) {
 	if len(renders) != 1 || filepath.Base(filepath.Dir(renders[0])) != "federation" {
 		t.Errorf("a wire.ConfigProperties config is rendered in %v, want once, in internal/federation", renders)
 	}
-	if len(applies) != 1 || filepath.Base(filepath.Dir(applies[0])) != "federation" {
-		t.Errorf("a property set is diff-applied onto an engine in %v, want once, in internal/federation", applies)
+	if len(applies) != 1 || filepath.Base(filepath.Dir(applies[0])) != "core" {
+		t.Errorf("a property set is diff-applied onto an engine in %v, want once, in internal/core", applies)
 	}
 }
 
@@ -95,17 +99,10 @@ func rendersProperties(n ast.Node) bool {
 	return found
 }
 
-// diffApplies reports whether n calls Properties() and, in a range
-// loop, RemoveProperty.
+// diffApplies reports whether n records both a ledger remove and a
+// ledger install.
 func diffApplies(n ast.Node) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if r, ok := n.(*ast.RangeStmt); ok && calls(r.Body, "RemoveProperty") {
-			found = true
-		}
-		return !found
-	})
-	return found && calls(n, "Properties")
+	return calls(n, "RecordRemove") && calls(n, "RecordInstall")
 }
 
 // calls reports whether n calls a method or function named name.

@@ -317,21 +317,20 @@ func churnOutcome(t *testing.T, seed int64) ([]byte, []string) {
 	}})
 	defer sm.Close()
 	const churnName = "firewall-until-close"
-	for _, name := range []string{"firewall-basic", churnName} {
-		if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), name)); err != nil {
-			t.Fatal(err)
-		}
+	basic := property.CatalogByName(property.DefaultParams(), "firewall-basic")
+	if err := sm.Apply(0, []*property.Property{basic, property.CatalogByName(property.DefaultParams(), churnName)}); err != nil {
+		t.Fatal(err)
 	}
 	for i := range evs {
+		var err error
 		switch i {
 		case removeAt:
-			if err := sm.RemoveProperty(churnName); err != nil {
-				t.Fatal(err)
-			}
+			err = sm.Apply(1, []*property.Property{basic})
 		case reinstallAt:
-			if err := sm.AddProperty(property.CatalogByName(property.DefaultParams(), churnName)); err != nil {
-				t.Fatal(err)
-			}
+			err = sm.Apply(2, []*property.Property{basic, property.CatalogByName(property.DefaultParams(), churnName)})
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 		sm.Feed(evs[i])
 	}

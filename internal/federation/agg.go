@@ -575,7 +575,13 @@ func (a *Aggregator) Mux() *http.ServeMux {
 	mux.HandleFunc("/properties", export.PropertiesHandler(&export.PropertiesConfig{
 		List: a.propertySets,
 		Install: func(src, tenant string) (any, error) {
-			return a.reconcile(func(d PropertySetDoc) (PropertySetDoc, error) { return d.Install(src, tenant) })
+			return a.reconcile(func(d PropertySetDoc) (PropertySetDoc, error) {
+				d, err := d.Install(src, tenant)
+				if err == nil {
+					err = d.fits()
+				}
+				return d, err
+			})
 		},
 		Remove: func(name string) (any, error) {
 			return a.reconcile(func(d PropertySetDoc) (PropertySetDoc, error) { return d.Remove(name) })

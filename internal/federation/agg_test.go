@@ -161,7 +161,7 @@ func TestAggregatorLifecyclePropagation(t *testing.T) {
 	var pmu sync.Mutex
 	var gotEpochs []uint64
 	var gotProps [][]wire.PropMeta
-	r := newTestRouter(t, []Member{{Addr: m1.col.Addr().String()}, {Addr: m2.col.Addr().String()}}, func(c *Config) {
+	newTestRouter(t, []Member{{Addr: m1.col.Addr().String()}, {Addr: m2.col.Addr().String()}}, func(c *Config) {
 		c.Exporter.OnConfig[wire.ConfigProperties] = func(u *wire.Config) {
 			pmu.Lock()
 			gotEpochs = append(gotEpochs, u.Epoch)
@@ -169,16 +169,6 @@ func TestAggregatorLifecyclePropagation(t *testing.T) {
 			pmu.Unlock()
 		}
 	})
-	// Make both engines live first (lifecycle epochs only advance on a
-	// live engine): spread some traffic over both members.
-	for i := 1; i <= 100; i++ {
-		r.Publish(ev(i))
-	}
-	r.Flush()
-	waitFor(t, "both members live", func() bool {
-		return m1.col.Stats().Events > 0 && m2.col.Stats().Events > 0
-	})
-
 	code, body := httpDo(t, http.MethodPost, aggSrv.URL+"/properties", testPropDSL)
 	if code != http.StatusCreated {
 		t.Fatalf("fleet install: %d %s", code, body)

@@ -57,29 +57,14 @@ func (d PropertySetDoc) parse() ([]*property.Property, error) {
 	return props, err
 }
 
-// accepts reports whether an engine takes props as its whole set. A
-// throwaway one-shard engine, a collector's kind, installs each, so every
-// refusal core makes (more state words or stages than an instance row
-// holds, more properties than an engine holds) is found before a live
-// engine or the fleet's document changes.
-func accepts(props []*property.Property) error {
-	eng := core.NewShardedMonitor(1, core.Config{DisableStateAccounting: true})
-	defer eng.Close()
-	for _, p := range props {
-		if err := eng.AddProperty(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func named(props []*property.Property, name string) bool {
 	return slices.ContainsFunc(props, func(p *property.Property) bool { return p.Name == name })
 }
 
 // Install returns d with the properties src defines added under tenant,
-// one epoch on. Source that does not parse or defines nothing, a name d
-// already holds, and a set no engine takes (accepts) are refused.
+// one epoch on. Source that does not parse or defines nothing and a name
+// d already holds are refused; whether an engine takes the set is its
+// Apply's to say (core.CheckSet, for a tier without one).
 func (d PropertySetDoc) Install(src, tenant string) (PropertySetDoc, error) {
 	have, err := d.parse()
 	if err != nil {
@@ -95,13 +80,21 @@ func (d PropertySetDoc) Install(src, tenant string) (PropertySetDoc, error) {
 		}
 		p.Tenant, have = tenant, append(have, p)
 	}
-	if err == nil {
-		err = accepts(have)
-	}
 	if err != nil {
 		return d, err
 	}
 	return setDoc(d.Epoch+1, have, d.Members), nil
+}
+
+// fits reports whether a collector's engine takes d's set whole
+// (core.CheckSet): the check of a tier that edits the document without
+// running it.
+func (d PropertySetDoc) fits() error {
+	props, err := d.parse()
+	if err == nil {
+		err = core.CheckSet(props)
+	}
+	return err
 }
 
 // Remove returns d without the named property, one epoch on; a name d
@@ -150,23 +143,23 @@ func (d PropertySetDoc) fleetConfig() *wire.Config {
 // set on every apply, the fleet config when the members move) and which
 // is changed three ways: edited by the daemon's own /properties
 // (Edits), replaced by the aggregation tier's document (Apply, a member's
-// PUT /fleet/properties), and converged onto the set a switch's
-// collectors push (ApplyConfig). Its epoch is the last document applied;
-// the startup set has none, so any first document replaces it.
+// PUT /fleet/properties), and made the set a switch's collectors push
+// (ApplyConfig). Its epoch is the last document applied; the startup set
+// has none, so any first document replaces it.
 type PropertySet struct {
 	eng  core.Engine
 	push func(*wire.Config) error
 
-	mu      sync.Mutex // serializes edits and applies
-	hw      wire.HighWater
-	objs    map[string]*property.Property // what was installed, by name
-	members []AggMember                   // the applied document's
+	mu  sync.Mutex // serializes edits and applies
+	hw  wire.HighWater
+	doc PropertySetDoc // the set the engine runs: the last applied
 }
 
-// NewPropertySet keeps eng's set; push, when non-nil, receives the set as
-// a config after every applied change (collector.Broadcast).
+// NewPropertySet keeps the set of eng, an engine with none installed yet;
+// push, when non-nil, receives the set as a config after every applied
+// change (collector.Broadcast).
 func NewPropertySet(eng core.Engine, push func(*wire.Config) error) *PropertySet {
-	return &PropertySet{eng: eng, push: push, objs: map[string]*property.Property{}}
+	return &PropertySet{eng: eng, push: push, doc: setDoc(0, nil, nil)}
 }
 
 // Add installs p into the startup set (-catalog, -props): no epoch, no
@@ -174,9 +167,12 @@ func NewPropertySet(eng core.Engine, push func(*wire.Config) error) *PropertySet
 func (s *PropertySet) Add(p *property.Property) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	err := s.eng.AddProperty(p)
+	props, err := s.doc.parse()
 	if err == nil {
-		s.objs[p.Name] = p
+		err = s.eng.AddProperty(p)
+	}
+	if err == nil {
+		s.doc = setDoc(s.doc.Epoch, append(props, p), s.doc.Members)
 	}
 	return err
 }
@@ -189,41 +185,31 @@ func (s *PropertySet) Publish() error {
 	if s.push == nil {
 		return nil
 	}
-	return s.push(s.doc().Config())
+	return s.push(s.doc.Config())
 }
 
-// Doc renders the applied set.
+// Doc answers the applied set.
 func (s *PropertySet) Doc() PropertySetDoc {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.doc()
+	return s.doc
 }
 
-func (s *PropertySet) doc() PropertySetDoc {
-	var live []*property.Property
-	for _, name := range s.eng.Properties() {
-		if p := s.objs[name]; p != nil {
-			live = append(live, p)
-		}
-	}
-	return setDoc(s.hw.Epoch, live, s.members)
-}
-
-// Apply converges the engine onto d unless d is stale — not newer than
-// the last document applied (wire.HighWater), a no-op — and answers the
-// set then applied.
+// Apply makes d the engine's set unless d is stale — not newer than the
+// last document applied (wire.HighWater), a no-op — and answers the set
+// then applied.
 func (s *PropertySet) Apply(d PropertySetDoc) (PropertySetDoc, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !s.hw.Newer(d.Epoch) {
-		return s.doc(), nil
+		return s.doc, nil
 	}
 	return s.converge(d)
 }
 
-// ApplyConfig converges the engine onto a set a switch's collectors
-// pushed, whatever its epoch: the Router's high water has already
-// dropped the stale copies.
+// ApplyConfig makes a set a switch's collectors pushed the engine's,
+// whatever its epoch: the Router's high water has already dropped the
+// stale copies.
 func (s *PropertySet) ApplyConfig(u *wire.Config) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -238,7 +224,7 @@ func (s *PropertySet) Edits() *export.PropertiesConfig {
 	edit := func(change func(PropertySetDoc) (PropertySetDoc, error)) (any, error) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		d, err := change(s.doc())
+		d, err := change(s.doc)
 		if err != nil {
 			return nil, err
 		}
@@ -255,56 +241,34 @@ func (s *PropertySet) Edits() *export.PropertiesConfig {
 	}
 }
 
-// converge makes d the applied set by diffing it against the running
-// one: a property d lacks is removed, one it adds or holds differently
-// (tenant or definition) is installed in place (ReplaceProperty), one it
-// holds alike keeps running. d is compiled whole and its members checked
-// (ValidateMembers) first, so a document an engine or a router refuses
-// changes nothing. A step the engine still refuses (it has closed) ends
-// the apply there; the set then running is recorded at d's epoch and
-// pushed all the same, so the exporters follow the engine and the
-// aggregation tier, finding a different set at its epoch, re-issues the
-// document (settle). Members that differ from the applied ones are
-// pushed after the set, as the fleet config at d's epoch.
+// converge makes d the applied set: the engine's one Apply at d's epoch,
+// which keeps running what d holds alike and refuses a set it does not
+// take whole. d's members are checked (ValidateMembers) first, so a
+// document an engine or a router refuses changes nothing and pushes
+// nothing. Members that differ from the applied ones are pushed after the
+// set, as the fleet config at d's epoch.
 func (s *PropertySet) converge(d PropertySetDoc) (PropertySetDoc, error) {
 	props, err := d.parse()
-	if err == nil {
-		err = accepts(props)
-	}
 	if err == nil && len(d.Members) > 0 {
 		err = ValidateMembers(d.Members)
 	}
+	if err == nil {
+		err = s.eng.Apply(d.Epoch, props)
+	}
 	if err != nil {
-		return s.doc(), err
-	}
-	running := s.eng.Properties()
-	for _, name := range running {
-		if err == nil && !named(props, name) {
-			if err = s.eng.RemoveProperty(name); err == nil {
-				delete(s.objs, name)
-			}
-		}
-	}
-	for _, p := range props {
-		old := s.objs[p.Name]
-		if err != nil || old != nil && slices.Contains(running, p.Name) && old.Tenant == p.Tenant && property.Format(old) == property.Format(p) {
-			continue
-		}
-		if err = s.eng.ReplaceProperty(p); err == nil {
-			s.objs[p.Name] = p
-		}
+		return s.doc, err
 	}
 	// Recorded whatever the apply's staleness rule: Apply's high water
 	// admitted d, or the Router's did.
-	moved := len(d.Members) > 0 && !slices.Equal(d.Members, s.members)
+	moved := len(d.Members) > 0 && !slices.Equal(d.Members, s.doc.Members)
 	s.hw = wire.HighWater{Epoch: d.Epoch, Count: s.hw.Count + 1}
-	s.members = d.Members
-	d = s.doc()
-	if s.push != nil {
-		err = errors.Join(err, s.push(d.Config()))
-		if moved {
-			err = errors.Join(err, s.push(d.fleetConfig()))
-		}
+	s.doc = setDoc(d.Epoch, props, d.Members)
+	if s.push == nil {
+		return s.doc, nil
 	}
-	return d, err
+	err = s.push(s.doc.Config())
+	if moved {
+		err = errors.Join(err, s.push(s.doc.fleetConfig()))
+	}
+	return s.doc, err
 }

@@ -7,13 +7,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"switchmon/internal/core"
 	"switchmon/internal/obs"
 	"switchmon/internal/obs/export"
+	"switchmon/internal/packet"
 	"switchmon/internal/property"
 	"switchmon/internal/sim"
 	"switchmon/internal/wire"
@@ -467,42 +471,207 @@ func TestConcurrentFleetEdits(t *testing.T) {
 	holds(t, m2, uint64(len(names)), names...)
 }
 
-// failingEngine refuses to install one property by name.
-type failingEngine struct {
-	core.Engine
-	fail string
-}
-
-func (e failingEngine) ReplaceProperty(p *property.Property) error {
-	if p.Name == e.fail {
-		return errors.New("refused")
-	}
-	return e.Engine.ReplaceProperty(p)
-}
-
-// An apply the engine refuses part-way still records and pushes the set
-// then running, at the document's epoch, so the exporters follow the
-// engine; the aggregation tier, finding another set at its epoch,
-// re-issues the document one epoch above (settle).
-func TestPartialApplyStillPushes(t *testing.T) {
+// An apply the engine refuses — it has closed — changes nothing: the
+// set, the engine's running properties and its ledger stay as they were,
+// and nothing is pushed, so the exporters keep following the engine. The
+// aggregation tier, finding the member behind its document, re-issues
+// that document (settle).
+func TestRefusedApplyChangesNothing(t *testing.T) {
 	var pushed []*wire.Config
-	set := NewPropertySet(failingEngine{core.NewMonitor(sim.NewScheduler(), core.Config{}), "syn-gets-reply"},
-		func(u *wire.Config) error { pushed = append(pushed, u); return nil })
-	want, err := PropertySetDoc{}.Install(testPropDSL+otherPropDSL, "")
+	sm := core.NewShardedMonitor(2, core.Config{})
+	set := NewPropertySet(sm, func(u *wire.Config) error { pushed = append(pushed, u); return nil })
+	if _, err := set.Edits().Install(testPropDSL, ""); err != nil {
+		t.Fatal(err)
+	}
+	before, running, installs := set.Doc(), sm.Properties(), sm.Ledger().InstallSnapshot()
+	pushed = nil
+	sm.Close()
+	want, err := before.Install(otherPropDSL, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := set.Apply(want); err == nil {
-		t.Fatal("an apply the engine refused part-way answered no error")
+	if _, err := set.Apply(want); !errors.Is(err, core.ErrClosed) {
+		t.Fatalf("a closed engine's apply answered %v, want ErrClosed", err)
 	}
 	got := set.Doc()
-	if got.Epoch != 1 || len(got.Props) != 1 || got.Props[0].Name != "syn-gets-egress" {
-		t.Fatalf("after a partial apply the set holds %+v", got)
+	if !reflect.DeepEqual(got, before) || !reflect.DeepEqual(sm.Properties(), running) ||
+		!reflect.DeepEqual(sm.Ledger().InstallSnapshot(), installs) || len(pushed) != 0 {
+		t.Fatalf("a refused apply changed the set to %+v (engine runs %v, installs %+v), pushing %+v",
+			got, sm.Properties(), sm.Ledger().InstallSnapshot(), pushed)
 	}
-	if len(pushed) != 1 || !reflect.DeepEqual(pushed[0], got.Config()) {
-		t.Fatalf("pushed %+v, want the running set %+v", pushed, got.Config())
+	if next, err := settle(want, []*PropertySetDoc{&got}); err != nil || !reflect.DeepEqual(next, want) {
+		t.Fatalf("the fleet re-issues %+v, %v; want its document %+v", next, err, want)
 	}
-	if next, err := settle(want, []*PropertySetDoc{&got}); err != nil || next.Epoch != 2 || !next.same(want) {
-		t.Fatalf("the fleet re-issues %+v, %v; want its document at epoch 2", next, err)
+}
+
+// everyEvent is the source of a property named name that fires on every
+// arrival at port 1.
+func everyEvent(name string) string {
+	return fmt.Sprintf("property %q {\n  on arrival \"in\" {\n    match in_port == 1\n  }\n}\n", name)
+}
+
+// manyProps is the source of n such properties, p00 onwards.
+func manyProps(n int) string {
+	var b strings.Builder
+	for i := 0; i < n; i++ {
+		b.WriteString(everyEvent(fmt.Sprintf("p%02d", i)))
+	}
+	return b.String()
+}
+
+// Every event an inline engine is fed while documents are applied to it
+// from another goroutine is judged by one document's set, the old or the
+// new, never by a mix: its four properties fire on every event, the two
+// documents' sets differ in two properties each, and each event's
+// verdicts must name exactly one of the two sets. A set changed one
+// property at a time lets the feeder judge an event between two steps.
+func TestApplyNeverMixesSets(t *testing.T) {
+	sets := [2][]string{{"a1", "a2"}, {"b1", "b2"}}
+	var docs [2]PropertySetDoc
+	for i, names := range sets {
+		props, err := property.ParseAll(everyEvent(names[0]) + everyEvent(names[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs[i] = setDoc(0, props, nil)
+	}
+	var mu sync.Mutex
+	judged := map[int64][]string{}
+	mon := core.NewMonitor(sim.NewScheduler(), core.Config{OnViolation: func(v *core.Violation) {
+		mu.Lock()
+		judged[v.Time.UnixNano()] = append(judged[v.Time.UnixNano()], v.Property)
+		mu.Unlock()
+	}})
+	set := NewPropertySet(mon, nil)
+	apply := func(epoch uint64) {
+		d := docs[epoch%2]
+		d.Epoch = epoch
+		if _, err := set.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	apply(2)
+
+	const events = 20000
+	at := func(i int) time.Time { return sim.Epoch.Add(time.Duration(i) * time.Microsecond) }
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		pk := packet.NewTCP(packet.MustMAC("02:00:00:00:00:0a"), packet.MustMAC("02:00:00:00:00:0b"),
+			packet.MustIPv4("10.0.0.1"), packet.MustIPv4("10.0.0.2"), 1000, 80, packet.FlagSYN, nil)
+		for i := 0; i < events; i++ {
+			mon.Feed(core.Event{Kind: core.KindArrival, Time: at(i), PacketID: core.PacketID(i + 1), InPort: 1, Packet: pk})
+		}
+	}()
+	epoch := uint64(3)
+	for running := true; running; epoch++ {
+		select {
+		case <-done:
+			running = false
+		default:
+			apply(epoch)
+		}
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	mixed, first := 0, -1
+	for i := 0; i < events; i++ {
+		got := judged[at(i).UnixNano()]
+		sort.Strings(got)
+		if !slices.Equal(got, sets[0]) && !slices.Equal(got, sets[1]) {
+			if mixed++; first < 0 {
+				first = i
+			}
+		}
+	}
+	if mixed > 0 {
+		t.Fatalf("%d of %d events, fed across %d applies, were judged by neither set: event %d by %v",
+			mixed, events, epoch-3, first, judged[at(first).UnixNano()])
+	}
+}
+
+// A live /properties edit is capped by the engine's own limit: switchmon's
+// inline engine takes a 65th property (2xx), while a collector's sharded
+// engine, and the fleet, which runs no engine and checks at a collector's
+// capacity (core.CheckSet), answer 400 for it.
+func TestLivePropertyCapIsTheEngines(t *testing.T) {
+	post := func(h http.Handler, src string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/properties", strings.NewReader(src)))
+		return rec.Code
+	}
+	for _, c := range []struct {
+		name  string
+		eng   core.Engine
+		code  int
+		holds int
+	}{
+		{"switchmon", core.NewMonitor(sim.NewScheduler(), core.Config{}), http.StatusCreated, 65},
+		{"collector", core.NewShardedMonitor(2, core.Config{}), http.StatusBadRequest, 64},
+	} {
+		h := export.PropertiesHandler(NewPropertySet(c.eng, nil).Edits())
+		if code := post(h, manyProps(64)); code != http.StatusCreated {
+			t.Fatalf("%s: installing 64 properties answered %d", c.name, code)
+		}
+		if code := post(h, everyEvent("p64")); code != c.code || len(c.eng.Properties()) != c.holds {
+			t.Fatalf("%s: a 65th property answered %d, engine runs %d; want %d and %d",
+				c.name, code, len(c.eng.Properties()), c.code, c.holds)
+		}
+	}
+
+	m := startFleetMember(t)
+	_, srv := startAgg(t, m)
+	if code, doc := propsDo(t, http.MethodPost, srv.URL+"/properties", manyProps(64)); code != http.StatusCreated || len(doc.Props) != 64 {
+		t.Fatalf("fleet install of 64 properties: %d %+v", code, doc)
+	}
+	if code, body := httpDo(t, http.MethodPost, srv.URL+"/properties", everyEvent("p64")); code != http.StatusBadRequest {
+		t.Fatalf("fleet install of a 65th property: %d %s", code, body)
+	}
+	if n := len(m.sm.Properties()); n != 64 {
+		t.Fatalf("the member runs %d properties after the fleet refused the 65th", n)
+	}
+}
+
+// The ledger records an install at the epoch GET /properties answers, the
+// document's, on switchmon's inline engine and on a collector's sharded
+// one: before any traffic, and live for a document adding two at once.
+func TestLedgerInstallEpochIsTheDocuments(t *testing.T) {
+	m := startFleetMember(t)
+	mon := core.NewMonitor(sim.NewScheduler(), core.Config{})
+	inline := httptest.NewServer(export.PropertiesHandler(NewPropertySet(mon, nil).Edits()))
+	t.Cleanup(inline.Close)
+	for _, c := range []struct {
+		name string
+		eng  core.Engine
+		url  string
+	}{
+		{"switchmon", mon, inline.URL},
+		{"collector", m.sm, m.admin.URL + "/properties"},
+	} {
+		for i, src := range []string{testPropDSL, otherPropDSL + everyEvent("every")} {
+			if i == 1 {
+				c.eng.Feed(core.Event{Kind: core.KindArrival, Time: sim.Epoch, PacketID: 1, InPort: 1})
+				c.eng.AdvanceTo(sim.Epoch)
+			}
+			if code, _ := httpDo(t, http.MethodPost, c.url, src); code != http.StatusCreated {
+				t.Fatalf("%s: install %d answered %d", c.name, i, code)
+			}
+			code, doc := propsDo(t, http.MethodGet, c.url, "")
+			if code != http.StatusOK || doc.Epoch != uint64(i+1) || c.eng.Epoch() != doc.Epoch {
+				t.Fatalf("%s: GET /properties answered %d at epoch %d, engine at %d; want epoch %d",
+					c.name, code, doc.Epoch, c.eng.Epoch(), i+1)
+			}
+			props, err := property.ParseAll(src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range props {
+				if epoch, ok := c.eng.Ledger().InstallEpoch(p.Name); !ok || epoch != doc.Epoch {
+					t.Fatalf("%s: the ledger installed %s at epoch %d (%v), GET /properties answers %d",
+						c.name, p.Name, epoch, ok, doc.Epoch)
+				}
+			}
+		}
 	}
 }

@@ -42,11 +42,12 @@ go test -race -count=10 -run 'TestIdleSenderShipsLoneEvent|TestCutLinkShipsOnRec
 go test -race -count=10 -run 'TestBlockedSealsKeepSequenceOrder' ./internal/collector/
 
 # A pushed config reaches its handler through one apply goroutine per
-# kind and route, and the router's lock alone keeps an older property
-# set from landing after a newer one pushed by another member.
+# kind and route, the router's lock alone keeps an older property set
+# from landing after a newer one pushed by another member, and an engine
+# takes a set in one step, so no event fed meanwhile is judged by a mix.
 echo "==> go test -race -count=10 (pushed-config ordering)"
 go test -race -count=10 -run 'TestConfigAppliesSerializedPerKind' ./internal/exporter/
-go test -race -count=10 -run 'TestRouterPropertySetNeverRegresses' ./internal/federation/
+go test -race -count=10 -run 'TestRouterPropertySetNeverRegresses|TestApplyNeverMixesSets' ./internal/federation/
 
 # Examples: each must run to a zero exit, and examples/backends (Table 2
 # live: every approach on one violating stream) must print its golden.
