@@ -2,7 +2,7 @@
 // paper's primary contribution rendered as an executable engine. It
 // provides all ten semantic features of Sec. 2:
 //
-//	F1  field access           — via the internal/packet field registry
+//	F1  field access           — via the internal/packet field table
 //	F2  event history          — variable bindings on monitor instances
 //	F3  timeouts               — per-instance refreshed stage windows
 //	F4  persistent obligation  — until-guards that discharge instances

@@ -263,3 +263,58 @@ func TestQuarantinedRemovalClearsRoutingBit(t *testing.T) {
 		}
 	})
 }
+
+// --- Removal from inside a violation callback -------------------------------
+
+// TestRemoveFromViolationCallback removes a property from inside its own
+// violation callback, the re-entrant case in which rows are in flight:
+// the violating row (unfiled, not yet released) and, with two instances
+// completed by one event, a second row the stage's act loop still holds.
+// The removal purges both; the step that was running must neither
+// release them again, nor advance them, nor create an instance (the
+// event also matches stage 0) for the property it no longer has. The store stays consistent and the other
+// property keeps running.
+func TestRemoveFromViolationCallback(t *testing.T) {
+	anyDrop, err := property.Parse(`property "any-drop" {
+  on egress "seen" {
+    bind $S = ip.src
+  }
+  on egress "drop" {
+    match dropped == 1
+  }
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := catalogProp(t, "firewall-basic")
+	h := newHarness(t, Config{Provenance: ProvLimited}, anyDrop, keep)
+	h.mon.cfg.OnViolation = func(v *Violation) {
+		h.viols = append(h.viols, v)
+		if v.Property == anyDrop.Name {
+			if err := h.mon.Apply(2, []*property.Property{keep}); err != nil {
+				t.Errorf("remove from callback: %v", err)
+			}
+		}
+	}
+	h.forward(tcpAB(packet.FlagSYN), 1, 2)
+	h.forward(packet.NewTCP(macA, macB, ipC, ipB, 40001, 80, packet.FlagSYN, nil), 1, 2)
+	h.forwardDropped(tcpBA(packet.FlagACK), 2)
+	if err := h.mon.SelfCheck(); err != nil {
+		t.Fatalf("after the removal: %v", err)
+	}
+	byProp := map[string]int{}
+	for _, v := range h.viols {
+		byProp[v.Property]++
+	}
+	if byProp[anyDrop.Name] != 1 || byProp[keep.Name] != 1 {
+		t.Fatalf("violations by property = %v, want one each", byProp)
+	}
+	h.forward(tcpAB(packet.FlagSYN), 1, 2)
+	h.forwardDropped(tcpBA(packet.FlagACK), 2)
+	if err := h.mon.SelfCheck(); err != nil {
+		t.Fatalf("after more events: %v", err)
+	}
+	if byProp[keep.Name]++; len(h.viols) != 3 || h.viols[2].Property != keep.Name {
+		t.Fatalf("violations after the removal: %d, last %s", len(h.viols), h.viols[len(h.viols)-1].Property)
+	}
+}

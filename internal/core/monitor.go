@@ -611,7 +611,8 @@ func (m *Monitor) stepProp(pi int, cp *compiledProp, e *Event, seq uint64, match
 		m.seedSuppressions(cp, bs, e)
 		// Walk pending stages from the deepest back to 1 so an instance
 		// advanced by this event is not advanced again, then consider
-		// creating a fresh instance at stage 0.
+		// creating a fresh instance at stage 0 — unless a violation
+		// callback removed the property on the way.
 		for si := len(cp.stages) - 1; si >= 1; si-- {
 			b := &bs[si]
 			if b.n == 0 {
@@ -620,7 +621,7 @@ func (m *Monitor) stepProp(pi int, cp *compiledProp, e *Event, seq uint64, match
 			m.matchStage(pi, &cp.stages[si], b, e, seq)
 		}
 	}
-	if create {
+	if create && m.props[pi] == cp {
 		if stagePatternMatches(&cp.stages[0], e, env{}) {
 			m.createInstance(pi, cp, e, seq)
 		}
@@ -675,9 +676,10 @@ func (m *Monitor) quarantineLocal(bits uint64) {
 
 // purgeProp removes every live instance of property pi, canceling its
 // deadlines and refunding its accounting — the shared teardown of
-// quarantine and removal. A step that panicked may also have left a row
-// of the property in flight (unfiled, not yet released); those are swept
-// back to the free chain so the slab stays fully accounted for.
+// quarantine and removal. A step that panicked, or one whose violation
+// callback is removing pi, may also hold rows of the property in flight
+// (unfiled, not yet released); those are swept back to the free chain so
+// the slab stays fully accounted for. Only then is the slab walked.
 func (m *Monitor) purgeProp(pi int) {
 	bs := m.buckets[pi]
 	for si := range bs {
@@ -688,6 +690,9 @@ func (m *Monitor) purgeProp(pi int) {
 			m.remove(id, r)
 			m.release(id, r)
 		}
+	}
+	if int(m.st.n)-m.st.nfree == m.live {
+		return // no row in flight: every row is filed or free
 	}
 	for id := uint32(1); id <= m.st.n; id++ {
 		if r := m.st.at(id); r.state == rowInFlight && int(r.prop) == pi {
@@ -737,7 +742,12 @@ func (m *Monitor) matchStage(pi int, cs *compiledStage, b *bucket, e *Event, seq
 		}
 	}
 	m.keyScratch = keys[:0]
+	cp := m.props[pi]
 	for _, id := range acted {
+		if m.props[pi] != cp {
+			m.instScratch = acted[:0]
+			return // a violation callback removed the property and its rows
+		}
 		r := s.at(id)
 		r.lastEventSeq = seq
 		if st.Negative {
@@ -869,8 +879,9 @@ func (m *Monitor) advance(id uint32, r *row, e *Event, seq uint64) {
 		})
 	}
 	if m.nextStage(id, r, cp) {
-		m.violate(id, r, cp, e.Time, e, seq)
-		m.release(id, r)
+		if m.violate(id, r, cp, e.Time, e, seq) {
+			m.release(id, r)
+		}
 		return
 	}
 	m.enter(id, r, cp)
@@ -917,8 +928,9 @@ func (m *Monitor) advanceByTimeout(id uint32, r *row) {
 		})
 	}
 	if m.nextStage(id, r, cp) {
-		m.violate(id, r, cp, now, nil, 0)
-		m.release(id, r)
+		if m.violate(id, r, cp, now, nil, 0) {
+			m.release(id, r)
+		}
 		return
 	}
 	m.enter(id, r, cp)
@@ -1105,12 +1117,15 @@ func (m *Monitor) evictOldest() {
 // provenance as the configured level allows. The ring record and the
 // callback's report share one bindings slice and one history; nothing is
 // rendered here but the trigger. The trigger is e, applied event seq, or
-// for a nil e the final stage's timeout.
-func (m *Monitor) violate(id uint32, r *row, cp *compiledProp, at time.Time, e *Event, seq uint64) {
+// for a nil e the final stage's timeout. It reports whether the row, in
+// flight, is still the caller's to release: a callback that removed the
+// property has released it with the rest (purgeProp), and a re-entrant
+// event may have reused it.
+func (m *Monitor) violate(id uint32, r *row, cp *compiledProp, at time.Time, e *Event, seq uint64) (owned bool) {
 	m.stats.violations.Add(1)
 	m.pmx[r.prop].violations.Inc()
 	if m.cfg.OnViolation == nil && m.cfg.Violations == nil {
-		return
+		return true
 	}
 	trigger := cp.timeoutTrigger
 	if e != nil {
@@ -1136,6 +1151,9 @@ func (m *Monitor) violate(id uint32, r *row, cp *compiledProp, at time.Time, e *
 		m.cfg.Violations.Record(v.TraceRecord())
 	}
 	if m.cfg.OnViolation != nil {
+		inc := r.inc
 		m.cfg.OnViolation(v)
+		return r.inc == inc && r.state == rowInFlight
 	}
+	return true
 }

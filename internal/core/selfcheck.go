@@ -6,7 +6,7 @@ import "fmt"
 // exactly once from its bucket's population list, from the signature
 // table and from each of its key chains; no table, chain or list reaches
 // a row that is not filed there; the free chain holds exactly the free
-// rows; live, free and in-flight rows add up to the slab; and every
+// rows; live and free rows make up the slab, none left in flight; and every
 // armed row has exactly one live deadline (a queue entry carrying its
 // generation, or a scheduler timer). Tests call it after workloads; it is
 // cheap enough to run in differential tests but not called on the hot
@@ -50,7 +50,7 @@ func (m *Monitor) SelfCheck() error {
 			armed++
 		}
 	}
-	if states[rowFiled] != filed || states[rowFree] != free {
+	if states[rowFiled] != filed || states[rowFree] != free || states[rowInFlight] != 0 {
 		return fmt.Errorf("core: slab of %d rows has %d filed, %d free, %d in flight; buckets hold %d, free chain %d",
 			s.n, states[rowFiled], states[rowFree], states[rowInFlight], filed, free)
 	}

@@ -1,7 +1,6 @@
 package dataplane
 
 import (
-	"fmt"
 	"time"
 
 	"switchmon/internal/packet"
@@ -86,57 +85,4 @@ type LearnSpec struct {
 	// OutputFromInPort adds an Output action whose port is the triggering
 	// packet's ingress port (the MAC-learning idiom).
 	OutputFromInPort bool
-}
-
-// applySetField rewrites one header field in place. Unsupported fields
-// are rejected: a rule that compiles must be executable.
-func applySetField(p *packet.Packet, f packet.Field, v packet.Value) error {
-	switch f {
-	case packet.FieldEthSrc:
-		if p.Eth == nil {
-			return fmt.Errorf("dataplane: set %v on packet without Ethernet", f)
-		}
-		p.Eth.Src = packet.MACFromUint64(v.Uint64())
-	case packet.FieldEthDst:
-		if p.Eth == nil {
-			return fmt.Errorf("dataplane: set %v on packet without Ethernet", f)
-		}
-		p.Eth.Dst = packet.MACFromUint64(v.Uint64())
-	case packet.FieldIPSrc:
-		if p.IPv4 == nil {
-			return fmt.Errorf("dataplane: set %v on packet without IPv4", f)
-		}
-		p.IPv4.Src = packet.IPv4FromUint32(uint32(v.Uint64()))
-	case packet.FieldIPDst:
-		if p.IPv4 == nil {
-			return fmt.Errorf("dataplane: set %v on packet without IPv4", f)
-		}
-		p.IPv4.Dst = packet.IPv4FromUint32(uint32(v.Uint64()))
-	case packet.FieldSrcPort:
-		switch {
-		case p.TCP != nil:
-			p.TCP.SrcPort = uint16(v.Uint64())
-		case p.UDP != nil:
-			p.UDP.SrcPort = uint16(v.Uint64())
-		default:
-			return fmt.Errorf("dataplane: set %v on packet without L4", f)
-		}
-	case packet.FieldDstPort:
-		switch {
-		case p.TCP != nil:
-			p.TCP.DstPort = uint16(v.Uint64())
-		case p.UDP != nil:
-			p.UDP.DstPort = uint16(v.Uint64())
-		default:
-			return fmt.Errorf("dataplane: set %v on packet without L4", f)
-		}
-	case packet.FieldIPTTL:
-		if p.IPv4 == nil {
-			return fmt.Errorf("dataplane: set %v on packet without IPv4", f)
-		}
-		p.IPv4.TTL = uint8(v.Uint64())
-	default:
-		return fmt.Errorf("dataplane: field %v is not rewritable", f)
-	}
-	return nil
 }

@@ -299,7 +299,7 @@ func (sw *Switch) runPipeline(p *packet.Packet, inPort PortNo) (*packet.Packet, 
 				if !owned {
 					work, owned = work.Clone(), true
 				}
-				if err := applySetField(work, a.Field, a.Value); err != nil {
+				if err := work.SetField(a.Field, a.Value); err != nil {
 					// A rewrite on a packet lacking the layer acts as a
 					// no-op drop: the rule was installed for a different
 					// traffic class.
@@ -479,7 +479,7 @@ func (sw *Switch) runEgress(work *packet.Packet, inPort, outPort PortNo) (*packe
 					copyOut = work.Clone()
 					cloned = true
 				}
-				if err := applySetField(copyOut, a.Field, a.Value); err != nil {
+				if err := copyOut.SetField(a.Field, a.Value); err != nil {
 					return copyOut, true
 				}
 			case ActGoto:

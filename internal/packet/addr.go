@@ -1,7 +1,7 @@
 // Package packet implements the protocol substrate for the monitor: a
 // from-scratch packet model with encode/decode for Ethernet, ARP, IPv4,
 // ICMPv4, UDP, TCP, DHCPv4, DNS and FTP control traffic, a named field
-// registry spanning L2-L7 (the paper's Feature 1, "access to necessary
+// table spanning L2-L7 (the paper's Feature 1, "access to necessary
 // fields"), and flow/endpoint abstractions with a symmetric hash.
 //
 // The design follows gopacket's layering model (one struct per protocol

@@ -1,5 +1,7 @@
 package packet
 
+import "fmt"
+
 // Arena is a slab allocator for decoded packets, and Arena.Decode is the
 // package's one header descent: Decode is an arena of one. One Arena per
 // wire batch amortizes header allocation across every packet in the batch:
@@ -73,66 +75,95 @@ func (a *Arena) copyBytes(src []byte) []byte {
 
 // Decode parses an Ethernet frame into a Packet whose headers and
 // payload bytes live in the arena (packet.Decode is this descent into a
-// fresh arena). The L7 codecs (DHCP, DNS, FTP) still heap-allocate their
-// layers — they are string-heavy, rare, and outside every hot path — but
-// L2–L4 headers and payload bytes all come from the slabs.
+// fresh arena), driving each header's layout and then its finish step.
+// The L7 layers (DHCP, DNS, FTP) still heap-allocate — they are
+// string-heavy, rare, and outside every hot path — but L2–L4 headers and
+// payload bytes all come from the slabs.
 func (a *Arena) Decode(data []byte) (*Packet, error) {
-	p := grab(&a.pkts)
-	eth := grab(&a.eths)
-	rest, err := parseEthernet(eth, data)
-	if err != nil {
-		return nil, err
+	if len(data) < ethernetHeaderLen {
+		return nil, short("ethernet frame", data)
 	}
-	p.Eth = eth
-	switch eth.Type {
+	p := grab(&a.pkts)
+	p.Eth = grab(&a.eths)
+	p.Eth.layout(data[:ethernetHeaderLen], false)
+	rest := data[ethernetHeaderLen:]
+	switch p.Eth.Type {
 	case EtherTypeARP:
-		arp := grab(&a.arps)
-		if err := parseARP(arp, rest); err != nil {
+		if len(rest) < arpLen {
+			return nil, short("ARP message", rest)
+		}
+		p.ARP = grab(&a.arps)
+		if err := p.ARP.layout(rest[:arpLen], false); err != nil {
 			return nil, err
 		}
-		p.ARP = arp
-		return p, nil
 	case EtherTypeIPv4:
-		ip := grab(&a.ips)
-		payload, err := parseIPv4(ip, rest)
+		if len(rest) < ipv4HeaderLen {
+			return nil, short("IPv4 header", rest)
+		}
+		p.IPv4 = grab(&a.ips)
+		if err := p.IPv4.layout(rest[:ipv4HeaderLen], false); err != nil {
+			return nil, err
+		}
+		d, err := p.IPv4.finish(rest, false)
 		if err != nil {
 			return nil, err
 		}
-		p.IPv4 = ip
-		return p, a.decodeTransport(p, payload)
+		if err := a.transport(p, d[ipv4HeaderLen:]); err != nil {
+			return nil, err
+		}
 	default:
 		p.Payload = a.copyBytes(rest)
-		return p, nil
 	}
+	return p, nil
 }
 
-func (a *Arena) decodeTransport(p *Packet, payload []byte) error {
+// transport decodes the IPv4 payload seg by the header's protocol.
+func (a *Arena) transport(p *Packet, seg []byte) error {
 	switch p.IPv4.Protocol {
 	case ProtoICMP:
-		icmp := grab(&a.icmps)
-		if err := parseICMPv4(icmp, payload); err != nil {
+		if len(seg) < icmpHeaderLen {
+			return short("ICMP message", seg)
+		}
+		p.ICMP = grab(&a.icmps)
+		p.ICMP.layout(seg[:icmpHeaderLen], false)
+		if err := p.ICMP.finish(seg, false); err != nil {
 			return err
 		}
-		icmp.Payload = a.copyBytes(icmp.Payload)
-		p.ICMP = icmp
+		p.ICMP.Payload = a.copyBytes(seg[icmpHeaderLen:])
 	case ProtoTCP:
+		if len(seg) < tcpHeaderLen {
+			return short("TCP segment", seg)
+		}
 		t := grab(&a.tcps)
-		if err := parseTCP(t, payload, p.IPv4.Src, p.IPv4.Dst); err != nil {
+		if err := t.layout(seg[:tcpHeaderLen], false); err != nil {
 			return err
 		}
-		t.Payload = a.copyBytes(t.Payload)
+		if err := t.finish(seg, false, p.IPv4); err != nil {
+			return err
+		}
+		t.Payload = a.copyBytes(seg[tcpHeaderLen:])
 		p.TCP = t
 		p.decodeApp(t.SrcPort, t.DstPort, t.Payload)
 	case ProtoUDP:
+		if len(seg) < udpHeaderLen {
+			return short("UDP datagram", seg)
+		}
 		u := grab(&a.udps)
-		if err := parseUDP(u, payload, p.IPv4.Src, p.IPv4.Dst); err != nil {
+		u.layout(seg[:udpHeaderLen], false)
+		d, err := u.finish(seg, false, p.IPv4)
+		if err != nil {
 			return err
 		}
-		u.Payload = a.copyBytes(u.Payload)
+		u.Payload = a.copyBytes(d[udpHeaderLen:])
 		p.UDP = u
 		p.decodeApp(u.SrcPort, u.DstPort, u.Payload)
 	default:
-		p.Payload = a.copyBytes(payload)
+		p.Payload = a.copyBytes(seg)
 	}
 	return nil
+}
+
+// short reports a layer that ends before its fixed header does.
+func short(layer string, data []byte) error {
+	return fmt.Errorf("packet: %s too short (%d bytes)", layer, len(data))
 }

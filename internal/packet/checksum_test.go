@@ -84,9 +84,7 @@ func TestUDPZeroChecksumRule(t *testing.T) {
 	// ports + length(8), so srcPort = ^uint16(17+8+8) makes the
 	// ones-complement total fold to 0xffff and the checksum to zero.
 	var zero IPv4
-	u := &UDP{SrcPort: ^uint16(17 + 8 + 8)}
-	dg := u.appendHeader(nil)
-	u.fillChecksum(dg, zero, zero)
+	_, dg := transportRegion(t, NewUDP(MAC{}, MAC{}, zero, zero, ^uint16(17+8+8), 0, nil))
 	if got := binary.BigEndian.Uint16(dg[6:8]); got != 0xffff {
 		t.Fatalf("computed-zero checksum transmitted as %#04x, want 0xffff", got)
 	}

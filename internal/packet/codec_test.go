@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -277,6 +278,53 @@ func TestSummaryCoversLayers(t *testing.T) {
 	for _, c := range cases {
 		if got := c.p.Summary(); !bytes.Contains([]byte(got), []byte(c.want)) {
 			t.Errorf("Summary() = %q, want substring %q", got, c.want)
+		}
+	}
+}
+
+// TestEncodeRefusesWhatDecodeCannotReadBack: encode fails on a DNS name,
+// a DHCP option or an FTP line that decode would read back as a
+// different packet (or not at all), and still encodes the longest
+// values decode reads back.
+func TestEncodeRefusesWhatDecodeCannotReadBack(t *testing.T) {
+	label := func(n int) string { return strings.Repeat("a", n) }
+	dhcp := func(extra ...DHCPOption) *Packet {
+		return NewDHCP(macA, BroadcastMAC, IPv4{}, BroadcastIPv4, &DHCPv4{Op: DHCPBootRequest, Xid: 1, MsgType: DHCPDiscover, Extra: extra})
+	}
+	ftp := func(f FTPControl) *Packet {
+		p := NewTCP(macA, macB, ipA, ipB, 40000, PortFTPControl, FlagACK, nil)
+		p.FTP = &f
+		return p
+	}
+	refused := map[string]*Packet{
+		"dns empty label":           NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, "a..b"),
+		"dns trailing dot":          NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, "example.com."),
+		"dns 64-byte label":         NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, label(64)),
+		"dns 256-byte label":        NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, label(256)),
+		"dns 256-byte name":         NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, strings.Repeat(label(63)+".", 3)+label(62)),
+		"dns answer name":           NewDNSResponse(macB, macA, ipB, ipA, 5353, 1, "a..b", ipA),
+		"dhcp 256-byte option":      dhcp(DHCPOption{Code: 12, Value: make([]byte, 256)}),
+		"dhcp 300-byte option":      dhcp(DHCPOption{Code: 12, Value: make([]byte, 300)}),
+		"dhcp extra message type":   dhcp(DHCPOption{Code: 53, Value: []byte{5}}),
+		"dhcp extra pad":            dhcp(DHCPOption{Code: 0, Value: []byte{1}}),
+		"ftp command line break":    ftp(FTPControl{Command: "US\r\nER", Arg: "a"}),
+		"ftp argument line break":   ftp(FTPControl{Command: "USER", Arg: "a\nb"}),
+		"ftp reply text line break": ftp(FTPControl{ReplyCode: 220, ReplyText: "hello\rworld"}),
+	}
+	for name, p := range refused {
+		if b, err := p.Encode(); err == nil {
+			t.Errorf("%s: encoded to %d bytes", name, len(b))
+		}
+	}
+	longest := map[string]*Packet{
+		"dns 63-byte label":    NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, label(63)),
+		"dns 255-byte name":    NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, strings.Repeat(label(63)+".", 3)+label(61)),
+		"dhcp 255-byte option": dhcp(DHCPOption{Code: 12, Value: bytes.Repeat([]byte{7}, 255)}),
+	}
+	for name, p := range longest {
+		q := roundTrip(t, p)
+		if !reflect.DeepEqual(q.DNS, p.DNS) || !reflect.DeepEqual(q.DHCP, p.DHCP) {
+			t.Errorf("%s: decoded %+v %+v", name, q.DNS, q.DHCP)
 		}
 	}
 }

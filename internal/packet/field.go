@@ -35,7 +35,7 @@ func (l Layer) String() string {
 // monitor extracts them from events (Feature 1).
 type Field uint16
 
-// The field registry. Grouped by required parsing layer.
+// The fields, grouped by required parsing layer.
 const (
 	FieldInvalid Field = iota
 
@@ -96,67 +96,207 @@ const (
 	numFields // sentinel
 )
 
-// fieldInfo is the registry metadata for one field.
+// fieldInfo is one row of the field table: the field's name, the layer
+// a parser must reach for it, its getter and, for a field a rule may
+// rewrite, its setter.
 type fieldInfo struct {
 	name  string
 	layer Layer
+	get   func(*Packet) (Value, bool)
+	set   func(*Packet, Value) bool
 }
 
-var fieldRegistry = [numFields]fieldInfo{
-	FieldInPort:    {"in_port", LayerMeta},
-	FieldOutPort:   {"out_port", LayerMeta},
-	FieldDropped:   {"dropped", LayerMeta},
-	FieldMulticast: {"multicast", LayerMeta},
-	FieldOOBKind:   {"oob.kind", LayerMeta},
-	FieldOOBPort:   {"oob.port", LayerMeta},
-	FieldSwitchID:  {"switch.id", LayerMeta},
+// on reads a field from layer l, which is nil when the packet lacks it.
+// An absent field reads as the zero Value.
+func on[L any](l *L, read func(*L) (Value, bool)) (Value, bool) {
+	if l != nil {
+		if v, ok := read(l); ok {
+			return v, true
+		}
+	}
+	return Value{}, false
+}
 
-	FieldEthSrc:  {"eth.src", Layer2},
-	FieldEthDst:  {"eth.dst", Layer2},
-	FieldEthType: {"eth.type", Layer2},
+// to writes a field into layer l, reporting false when the packet lacks
+// it.
+func to[L any](l *L, write func(*L)) bool {
+	if l != nil {
+		write(l)
+	}
+	return l != nil
+}
 
-	FieldARPOp:        {"arp.op", Layer3},
-	FieldARPSenderMAC: {"arp.sender_mac", Layer3},
-	FieldARPSenderIP:  {"arp.sender_ip", Layer3},
-	FieldARPTargetMAC: {"arp.target_mac", Layer3},
-	FieldARPTargetIP:  {"arp.target_ip", Layer3},
-	FieldIPSrc:        {"ip.src", Layer3},
-	FieldIPDst:        {"ip.dst", Layer3},
-	FieldIPProto:      {"ip.proto", Layer3},
-	FieldIPTTL:        {"ip.ttl", Layer3},
+// onEvent is the getter of switch metadata, which lives on events
+// (core.Event.Field), never in a packet, and of FieldInvalid.
+func onEvent(*Packet) (Value, bool) { return Value{}, false }
 
-	FieldSrcPort:  {"l4.src_port", Layer4},
-	FieldDstPort:  {"l4.dst_port", Layer4},
-	FieldTCPFlags: {"tcp.flags", Layer4},
-	FieldTCPSyn:   {"tcp.syn", Layer4},
-	FieldTCPFin:   {"tcp.fin", Layer4},
-	FieldTCPRst:   {"tcp.rst", Layer4},
-	FieldICMPType: {"icmp.type", Layer4},
-	FieldICMPCode: {"icmp.code", Layer4},
-	FieldICMPID:   {"icmp.id", Layer4},
-	FieldICMPSeq:  {"icmp.seq", Layer4},
+// port is the transport header's source or destination port, TCP's or
+// UDP's, nil when the packet carries neither.
+func (p *Packet) port(dst bool) *uint16 {
+	switch {
+	case p.TCP != nil && dst:
+		return &p.TCP.DstPort
+	case p.TCP != nil:
+		return &p.TCP.SrcPort
+	case p.UDP != nil && dst:
+		return &p.UDP.DstPort
+	case p.UDP != nil:
+		return &p.UDP.SrcPort
+	}
+	return nil
+}
 
-	FieldDHCPMsgType:     {"dhcp.msg_type", Layer7},
-	FieldDHCPClientMAC:   {"dhcp.client_mac", Layer7},
-	FieldDHCPYourIP:      {"dhcp.your_ip", Layer7},
-	FieldDHCPRequestedIP: {"dhcp.requested_ip", Layer7},
-	FieldDHCPServerID:    {"dhcp.server_id", Layer7},
-	FieldDHCPLeaseSecs:   {"dhcp.lease_secs", Layer7},
-	FieldDHCPXid:         {"dhcp.xid", Layer7},
-	FieldDNSID:           {"dns.id", Layer7},
-	FieldDNSResponse:     {"dns.response", Layer7},
-	FieldDNSQName:        {"dns.qname", Layer7},
-	FieldDNSAnswerIP:     {"dns.answer_ip", Layer7},
-	FieldFTPCommand:      {"ftp.command", Layer7},
-	FieldFTPReplyCode:    {"ftp.reply_code", Layer7},
-	FieldFTPDataIP:       {"ftp.data_ip", Layer7},
-	FieldFTPDataPort:     {"ftp.data_port", Layer7},
+// fieldTable is the field table: one row per field, in declaration
+// order.
+var fieldTable = [numFields]fieldInfo{
+	FieldInvalid:   {"", LayerMeta, onEvent, nil},
+	FieldInPort:    {"in_port", LayerMeta, onEvent, nil},
+	FieldOutPort:   {"out_port", LayerMeta, onEvent, nil},
+	FieldDropped:   {"dropped", LayerMeta, onEvent, nil},
+	FieldMulticast: {"multicast", LayerMeta, onEvent, nil},
+	FieldOOBKind:   {"oob.kind", LayerMeta, onEvent, nil},
+	FieldOOBPort:   {"oob.port", LayerMeta, onEvent, nil},
+	FieldSwitchID:  {"switch.id", LayerMeta, onEvent, nil},
+
+	FieldEthSrc: {"eth.src", Layer2, func(p *Packet) (Value, bool) {
+		return on(p.Eth, func(e *Ethernet) (Value, bool) { return Num(e.Src.Uint64()), true })
+	}, func(p *Packet, v Value) bool {
+		return to(p.Eth, func(e *Ethernet) { e.Src = MACFromUint64(v.Uint64()) })
+	}},
+	FieldEthDst: {"eth.dst", Layer2, func(p *Packet) (Value, bool) {
+		return on(p.Eth, func(e *Ethernet) (Value, bool) { return Num(e.Dst.Uint64()), true })
+	}, func(p *Packet, v Value) bool {
+		return to(p.Eth, func(e *Ethernet) { e.Dst = MACFromUint64(v.Uint64()) })
+	}},
+	FieldEthType: {"eth.type", Layer2, func(p *Packet) (Value, bool) {
+		return on(p.Eth, func(e *Ethernet) (Value, bool) { return Num(uint64(e.Type)), true })
+	}, nil},
+
+	FieldARPOp: {"arp.op", Layer3, func(p *Packet) (Value, bool) {
+		return on(p.ARP, func(a *ARP) (Value, bool) { return Num(uint64(a.Op)), true })
+	}, nil},
+	FieldARPSenderMAC: {"arp.sender_mac", Layer3, func(p *Packet) (Value, bool) {
+		return on(p.ARP, func(a *ARP) (Value, bool) { return Num(a.SenderMAC.Uint64()), true })
+	}, nil},
+	FieldARPSenderIP: {"arp.sender_ip", Layer3, func(p *Packet) (Value, bool) {
+		return on(p.ARP, func(a *ARP) (Value, bool) { return Num(a.SenderIP.Uint64()), true })
+	}, nil},
+	FieldARPTargetMAC: {"arp.target_mac", Layer3, func(p *Packet) (Value, bool) {
+		return on(p.ARP, func(a *ARP) (Value, bool) { return Num(a.TargetMAC.Uint64()), true })
+	}, nil},
+	FieldARPTargetIP: {"arp.target_ip", Layer3, func(p *Packet) (Value, bool) {
+		return on(p.ARP, func(a *ARP) (Value, bool) { return Num(a.TargetIP.Uint64()), true })
+	}, nil},
+	FieldIPSrc: {"ip.src", Layer3, func(p *Packet) (Value, bool) {
+		return on(p.IPv4, func(h *IPv4Header) (Value, bool) { return Num(h.Src.Uint64()), true })
+	}, func(p *Packet, v Value) bool {
+		return to(p.IPv4, func(h *IPv4Header) { h.Src = IPv4FromUint32(uint32(v.Uint64())) })
+	}},
+	FieldIPDst: {"ip.dst", Layer3, func(p *Packet) (Value, bool) {
+		return on(p.IPv4, func(h *IPv4Header) (Value, bool) { return Num(h.Dst.Uint64()), true })
+	}, func(p *Packet, v Value) bool {
+		return to(p.IPv4, func(h *IPv4Header) { h.Dst = IPv4FromUint32(uint32(v.Uint64())) })
+	}},
+	FieldIPProto: {"ip.proto", Layer3, func(p *Packet) (Value, bool) {
+		return on(p.IPv4, func(h *IPv4Header) (Value, bool) { return Num(uint64(h.Protocol)), true })
+	}, nil},
+	FieldIPTTL: {"ip.ttl", Layer3, func(p *Packet) (Value, bool) {
+		return on(p.IPv4, func(h *IPv4Header) (Value, bool) { return Num(uint64(h.TTL)), true })
+	}, func(p *Packet, v Value) bool {
+		return to(p.IPv4, func(h *IPv4Header) { h.TTL = uint8(v.Uint64()) })
+	}},
+
+	FieldSrcPort: {"l4.src_port", Layer4, func(p *Packet) (Value, bool) {
+		return on(p.port(false), func(x *uint16) (Value, bool) { return Num(uint64(*x)), true })
+	}, func(p *Packet, v Value) bool {
+		return to(p.port(false), func(x *uint16) { *x = uint16(v.Uint64()) })
+	}},
+	FieldDstPort: {"l4.dst_port", Layer4, func(p *Packet) (Value, bool) {
+		return on(p.port(true), func(x *uint16) (Value, bool) { return Num(uint64(*x)), true })
+	}, func(p *Packet, v Value) bool {
+		return to(p.port(true), func(x *uint16) { *x = uint16(v.Uint64()) })
+	}},
+	FieldTCPFlags: {"tcp.flags", Layer4, func(p *Packet) (Value, bool) {
+		return on(p.TCP, func(t *TCP) (Value, bool) { return Num(uint64(t.Flags)), true })
+	}, nil},
+	FieldTCPSyn: {"tcp.syn", Layer4, func(p *Packet) (Value, bool) {
+		return on(p.TCP, func(t *TCP) (Value, bool) { return boolValue(t.Flags.Has(FlagSYN)), true })
+	}, nil},
+	FieldTCPFin: {"tcp.fin", Layer4, func(p *Packet) (Value, bool) {
+		return on(p.TCP, func(t *TCP) (Value, bool) { return boolValue(t.Flags.Has(FlagFIN)), true })
+	}, nil},
+	FieldTCPRst: {"tcp.rst", Layer4, func(p *Packet) (Value, bool) {
+		return on(p.TCP, func(t *TCP) (Value, bool) { return boolValue(t.Flags.Has(FlagRST)), true })
+	}, nil},
+	FieldICMPType: {"icmp.type", Layer4, func(p *Packet) (Value, bool) {
+		return on(p.ICMP, func(m *ICMPv4) (Value, bool) { return Num(uint64(m.Type)), true })
+	}, nil},
+	FieldICMPCode: {"icmp.code", Layer4, func(p *Packet) (Value, bool) {
+		return on(p.ICMP, func(m *ICMPv4) (Value, bool) { return Num(uint64(m.Code)), true })
+	}, nil},
+	FieldICMPID: {"icmp.id", Layer4, func(p *Packet) (Value, bool) {
+		return on(p.ICMP, func(m *ICMPv4) (Value, bool) { return Num(uint64(m.ID)), true })
+	}, nil},
+	FieldICMPSeq: {"icmp.seq", Layer4, func(p *Packet) (Value, bool) {
+		return on(p.ICMP, func(m *ICMPv4) (Value, bool) { return Num(uint64(m.Seq)), true })
+	}, nil},
+
+	FieldDHCPMsgType: {"dhcp.msg_type", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DHCP, func(d *DHCPv4) (Value, bool) { return Num(uint64(d.MsgType)), true })
+	}, nil},
+	FieldDHCPClientMAC: {"dhcp.client_mac", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DHCP, func(d *DHCPv4) (Value, bool) { return Num(d.ClientMAC.Uint64()), true })
+	}, nil},
+	FieldDHCPYourIP: {"dhcp.your_ip", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DHCP, func(d *DHCPv4) (Value, bool) { return Num(d.YourIP.Uint64()), true })
+	}, nil},
+	FieldDHCPRequestedIP: {"dhcp.requested_ip", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DHCP, func(d *DHCPv4) (Value, bool) { return Num(d.RequestedIP.Uint64()), true })
+	}, nil},
+	FieldDHCPServerID: {"dhcp.server_id", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DHCP, func(d *DHCPv4) (Value, bool) { return Num(d.ServerID.Uint64()), true })
+	}, nil},
+	FieldDHCPLeaseSecs: {"dhcp.lease_secs", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DHCP, func(d *DHCPv4) (Value, bool) { return Num(uint64(d.LeaseSecs)), true })
+	}, nil},
+	FieldDHCPXid: {"dhcp.xid", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DHCP, func(d *DHCPv4) (Value, bool) { return Num(uint64(d.Xid)), true })
+	}, nil},
+	FieldDNSID: {"dns.id", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DNS, func(d *DNS) (Value, bool) { return Num(uint64(d.ID)), true })
+	}, nil},
+	FieldDNSResponse: {"dns.response", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DNS, func(d *DNS) (Value, bool) { return boolValue(d.Response), true })
+	}, nil},
+	FieldDNSQName: {"dns.qname", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DNS, func(d *DNS) (Value, bool) { return Str(d.QName), true })
+	}, nil},
+	FieldDNSAnswerIP: {"dns.answer_ip", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.DNS, func(d *DNS) (Value, bool) {
+			if len(d.Answers) == 0 {
+				return Value{}, false
+			}
+			return Num(d.Answers[0].Addr.Uint64()), true
+		})
+	}, nil},
+	FieldFTPCommand: {"ftp.command", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.FTP, func(f *FTPControl) (Value, bool) { return Str(f.Command), f.Command != "" })
+	}, nil},
+	FieldFTPReplyCode: {"ftp.reply_code", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.FTP, func(f *FTPControl) (Value, bool) { return Num(uint64(f.ReplyCode)), f.ReplyCode != 0 })
+	}, nil},
+	FieldFTPDataIP: {"ftp.data_ip", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.FTP, func(f *FTPControl) (Value, bool) { return Num(f.DataIP.Uint64()), f.DataPort != 0 })
+	}, nil},
+	FieldFTPDataPort: {"ftp.data_port", Layer7, func(p *Packet) (Value, bool) {
+		return on(p.FTP, func(f *FTPControl) (Value, bool) { return Num(uint64(f.DataPort)), f.DataPort != 0 })
+	}, nil},
 }
 
 // String returns the canonical dotted name used by the DSL.
 func (f Field) String() string {
-	if f < numFields && fieldRegistry[f].name != "" {
-		return fieldRegistry[f].name
+	if f < numFields && fieldTable[f].name != "" {
+		return fieldTable[f].name
 	}
 	return fmt.Sprintf("Field(%d)", uint16(f))
 }
@@ -164,14 +304,14 @@ func (f Field) String() string {
 // Layer reports the parsing depth required to extract f.
 func (f Field) Layer() Layer {
 	if f < numFields {
-		return fieldRegistry[f].layer
+		return fieldTable[f].layer
 	}
 	return LayerMeta
 }
 
 // Valid reports whether f names a registered field.
 func (f Field) Valid() bool {
-	return f > FieldInvalid && f < numFields && fieldRegistry[f].name != ""
+	return f > FieldInvalid && f < numFields && fieldTable[f].name != ""
 }
 
 // FieldByName resolves a canonical dotted name to its Field.
@@ -184,7 +324,7 @@ func FieldByName(name string) (Field, bool) {
 func AllFields() []Field {
 	out := make([]Field, 0, int(numFields)-1)
 	for f := Field(1); f < numFields; f++ {
-		if fieldRegistry[f].name != "" {
+		if fieldTable[f].name != "" {
 			out = append(out, f)
 		}
 	}
@@ -194,7 +334,7 @@ func AllFields() []Field {
 var fieldsByName = func() map[string]Field {
 	m := make(map[string]Field, numFields)
 	for f := Field(1); f < numFields; f++ {
-		if n := fieldRegistry[f].name; n != "" {
+		if n := fieldTable[f].name; n != "" {
 			m[n] = f
 		}
 	}
@@ -258,161 +398,20 @@ func boolValue(b bool) Value {
 // packet does not carry the field's layer (or the field is switch
 // metadata, which lives on events, not packets).
 func (p *Packet) Field(f Field) (Value, bool) {
-	switch f {
-	case FieldEthSrc:
-		if p.Eth != nil {
-			return Num(p.Eth.Src.Uint64()), true
-		}
-	case FieldEthDst:
-		if p.Eth != nil {
-			return Num(p.Eth.Dst.Uint64()), true
-		}
-	case FieldEthType:
-		if p.Eth != nil {
-			return Num(uint64(p.Eth.Type)), true
-		}
-	case FieldARPOp:
-		if p.ARP != nil {
-			return Num(uint64(p.ARP.Op)), true
-		}
-	case FieldARPSenderMAC:
-		if p.ARP != nil {
-			return Num(p.ARP.SenderMAC.Uint64()), true
-		}
-	case FieldARPSenderIP:
-		if p.ARP != nil {
-			return Num(p.ARP.SenderIP.Uint64()), true
-		}
-	case FieldARPTargetMAC:
-		if p.ARP != nil {
-			return Num(p.ARP.TargetMAC.Uint64()), true
-		}
-	case FieldARPTargetIP:
-		if p.ARP != nil {
-			return Num(p.ARP.TargetIP.Uint64()), true
-		}
-	case FieldIPSrc:
-		if p.IPv4 != nil {
-			return Num(p.IPv4.Src.Uint64()), true
-		}
-	case FieldIPDst:
-		if p.IPv4 != nil {
-			return Num(p.IPv4.Dst.Uint64()), true
-		}
-	case FieldIPProto:
-		if p.IPv4 != nil {
-			return Num(uint64(p.IPv4.Protocol)), true
-		}
-	case FieldIPTTL:
-		if p.IPv4 != nil {
-			return Num(uint64(p.IPv4.TTL)), true
-		}
-	case FieldSrcPort:
-		switch {
-		case p.TCP != nil:
-			return Num(uint64(p.TCP.SrcPort)), true
-		case p.UDP != nil:
-			return Num(uint64(p.UDP.SrcPort)), true
-		}
-	case FieldDstPort:
-		switch {
-		case p.TCP != nil:
-			return Num(uint64(p.TCP.DstPort)), true
-		case p.UDP != nil:
-			return Num(uint64(p.UDP.DstPort)), true
-		}
-	case FieldTCPFlags:
-		if p.TCP != nil {
-			return Num(uint64(p.TCP.Flags)), true
-		}
-	case FieldTCPSyn:
-		if p.TCP != nil {
-			return boolValue(p.TCP.Flags.Has(FlagSYN)), true
-		}
-	case FieldTCPFin:
-		if p.TCP != nil {
-			return boolValue(p.TCP.Flags.Has(FlagFIN)), true
-		}
-	case FieldTCPRst:
-		if p.TCP != nil {
-			return boolValue(p.TCP.Flags.Has(FlagRST)), true
-		}
-	case FieldICMPType:
-		if p.ICMP != nil {
-			return Num(uint64(p.ICMP.Type)), true
-		}
-	case FieldICMPCode:
-		if p.ICMP != nil {
-			return Num(uint64(p.ICMP.Code)), true
-		}
-	case FieldICMPID:
-		if p.ICMP != nil {
-			return Num(uint64(p.ICMP.ID)), true
-		}
-	case FieldICMPSeq:
-		if p.ICMP != nil {
-			return Num(uint64(p.ICMP.Seq)), true
-		}
-	case FieldDHCPMsgType:
-		if p.DHCP != nil {
-			return Num(uint64(p.DHCP.MsgType)), true
-		}
-	case FieldDHCPClientMAC:
-		if p.DHCP != nil {
-			return Num(p.DHCP.ClientMAC.Uint64()), true
-		}
-	case FieldDHCPYourIP:
-		if p.DHCP != nil {
-			return Num(p.DHCP.YourIP.Uint64()), true
-		}
-	case FieldDHCPRequestedIP:
-		if p.DHCP != nil {
-			return Num(p.DHCP.RequestedIP.Uint64()), true
-		}
-	case FieldDHCPServerID:
-		if p.DHCP != nil {
-			return Num(p.DHCP.ServerID.Uint64()), true
-		}
-	case FieldDHCPLeaseSecs:
-		if p.DHCP != nil {
-			return Num(uint64(p.DHCP.LeaseSecs)), true
-		}
-	case FieldDHCPXid:
-		if p.DHCP != nil {
-			return Num(uint64(p.DHCP.Xid)), true
-		}
-	case FieldDNSID:
-		if p.DNS != nil {
-			return Num(uint64(p.DNS.ID)), true
-		}
-	case FieldDNSResponse:
-		if p.DNS != nil {
-			return boolValue(p.DNS.Response), true
-		}
-	case FieldDNSQName:
-		if p.DNS != nil {
-			return Str(p.DNS.QName), true
-		}
-	case FieldDNSAnswerIP:
-		if p.DNS != nil && len(p.DNS.Answers) > 0 {
-			return Num(p.DNS.Answers[0].Addr.Uint64()), true
-		}
-	case FieldFTPCommand:
-		if p.FTP != nil && p.FTP.Command != "" {
-			return Str(p.FTP.Command), true
-		}
-	case FieldFTPReplyCode:
-		if p.FTP != nil && p.FTP.ReplyCode != 0 {
-			return Num(uint64(p.FTP.ReplyCode)), true
-		}
-	case FieldFTPDataIP:
-		if p.FTP != nil && p.FTP.DataPort != 0 {
-			return Num(p.FTP.DataIP.Uint64()), true
-		}
-	case FieldFTPDataPort:
-		if p.FTP != nil && p.FTP.DataPort != 0 {
-			return Num(uint64(p.FTP.DataPort)), true
-		}
+	if f >= numFields {
+		return Value{}, false
 	}
-	return Value{}, false
+	return fieldTable[f].get(p)
+}
+
+// SetField rewrites field f of p in place. It fails for a field no rule
+// may rewrite and for a packet without the field's layer.
+func (p *Packet) SetField(f Field, v Value) error {
+	if !f.Valid() || fieldTable[f].set == nil {
+		return fmt.Errorf("packet: field %v is not rewritable", f)
+	}
+	if !fieldTable[f].set(p, v) {
+		return fmt.Errorf("packet: set %v on a packet without its %v layer", f, f.Layer())
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -166,5 +167,49 @@ func TestValueComparable(t *testing.T) {
 	}
 	if Num(1) == Str("1") {
 		t.Fatal("numeric and string values compare equal")
+	}
+}
+
+// TestFieldTable: every row of the field table has a name, a layer and
+// a getter; exactly the seven rewritable fields have a setter, and
+// SetField then Field reads a rewritten value back; every other field
+// refuses SetField as not rewritable.
+func TestFieldTable(t *testing.T) {
+	rewritable := map[Field]bool{
+		FieldEthSrc: true, FieldEthDst: true, FieldIPSrc: true, FieldIPDst: true,
+		FieldIPTTL: true, FieldSrcPort: true, FieldDstPort: true,
+	}
+	for _, f := range AllFields() {
+		row := fieldTable[f]
+		if row.name == "" || row.get == nil {
+			t.Errorf("field %d: name %q, getter set %v", f, row.name, row.get != nil)
+		}
+		if (row.layer == LayerMeta) != (f <= FieldSwitchID) {
+			t.Errorf("%v: layer %v", f, row.layer)
+		}
+		if (row.set != nil) != rewritable[f] {
+			t.Errorf("%v: setter present %v, want %v", f, row.set != nil, rewritable[f])
+		}
+		if !rewritable[f] {
+			err := NewTCP(macA, macB, ipA, ipB, 1, 2, FlagSYN, nil).SetField(f, Num(7))
+			if err == nil || !strings.Contains(err.Error(), "not rewritable") {
+				t.Errorf("SetField(%v) = %v, want a not-rewritable error", f, err)
+			}
+			continue
+		}
+		for _, p := range []*Packet{NewTCP(macA, macB, ipA, ipB, 40000, 80, FlagSYN, nil), NewUDP(macA, macB, ipA, ipB, 40000, 80, nil)} {
+			if v, ok := p.Field(f); !ok || v == Num(7) {
+				t.Fatalf("%v reads %v, %v before the rewrite", f, v, ok)
+			}
+			if err := p.SetField(f, Num(7)); err != nil {
+				t.Errorf("SetField(%v): %v", f, err)
+			}
+			if v, ok := p.Field(f); !ok || v != Num(7) {
+				t.Errorf("%v reads %v, %v after SetField to 7", f, v, ok)
+			}
+		}
+		if err := NewARPRequest(macA, ipA, ipB).SetField(f, Num(7)); (err == nil) == (f.Layer() != Layer2) {
+			t.Errorf("SetField(%v) on an ARP packet: %v", f, err)
+		}
 	}
 }

@@ -19,8 +19,9 @@ import (
 //
 // Each input is also decoded into an arena kept across iterations, so
 // the previous input's slabs are dirty; that decode must equal the
-// fresh one, error for error. And each accepted frame's Summary must be
-// its fmt rendering (fmtSummary).
+// fresh one, error for error. Each accepted frame's Summary must be its
+// fmt rendering (fmtSummary), and every registered field must read the
+// same from the decoded packet as from its encode decoded again.
 func FuzzCodecRoundTrip(f *testing.F) {
 	macS := MustMAC("02:00:00:00:00:0a")
 	macD := MustMAC("02:00:00:00:00:0b")
@@ -39,6 +40,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		NewDNSQuery(macS, macD, ipS, ipD, 40000, 99, "example.com"),
 		NewDNSResponse(macD, macS, ipD, ipS, 40000, 99, "example.com", MustIPv4("93.184.216.34")),
 		NewFTPCommand(macS, macD, ipS, ipD, 40000, "PORT", "10,0,0,1,156,64"),
+	}
+	for _, k := range pinnedPackets() {
+		seeds = append(seeds, k.p)
 	}
 	for _, p := range seeds {
 		b, err := p.Encode()
@@ -69,6 +73,12 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		p2, err := Decode(b1)
 		if err != nil {
 			t.Fatalf("re-encoded bytes failed to decode: %v\npacket: %s\nbytes: %x", err, p.Summary(), b1)
+		}
+		for _, f := range AllFields() {
+			v, ok := p.Field(f)
+			if v2, ok2 := p2.Field(f); v2 != v || ok2 != ok {
+				t.Fatalf("%v reads (%v, %v) from the decoded packet but (%v, %v) after encode and decode\nbytes: %x", f, v, ok, v2, ok2, data)
+			}
 		}
 		b2, err := p2.Encode()
 		if err != nil {

@@ -1,9 +1,6 @@
 package packet
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // EtherType identifies the payload protocol of an Ethernet frame.
 type EtherType uint16
@@ -35,24 +32,11 @@ type Ethernet struct {
 
 const ethernetHeaderLen = 14
 
-// encodeTo appends the wire form of the header to b.
-func (e *Ethernet) encodeTo(b []byte) []byte {
-	b = append(b, e.Dst[:]...)
-	b = append(b, e.Src[:]...)
-	return binary.BigEndian.AppendUint16(b, uint16(e.Type))
-}
-
-// parseEthernet decodes an Ethernet II header into a caller-supplied
-// struct, returning the payload; Arena.Decode supplies the struct from
-// its slab.
-func parseEthernet(e *Ethernet, data []byte) ([]byte, error) {
-	if len(data) < ethernetHeaderLen {
-		return nil, fmt.Errorf("packet: ethernet frame too short (%d bytes)", len(data))
-	}
-	*e = Ethernet{Type: EtherType(binary.BigEndian.Uint16(data[12:14]))}
-	copy(e.Dst[:], data[0:6])
-	copy(e.Src[:], data[6:12])
-	return data[ethernetHeaderLen:], nil
+// layout moves the header between e and b, its 14 bytes.
+func (e *Ethernet) layout(b []byte, enc bool) {
+	addr(b[0:6], e.Dst[:], enc)
+	addr(b[6:12], e.Src[:], enc)
+	u16(b[12:14], &e.Type, enc)
 }
 
 // ARPOp is the ARP operation code.
@@ -87,35 +71,13 @@ type ARP struct {
 
 const arpLen = 28
 
-func (a *ARP) encodeTo(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, 1)      // HTYPE: Ethernet
-	b = binary.BigEndian.AppendUint16(b, 0x0800) // PTYPE: IPv4
-	b = append(b, 6, 4)                          // HLEN, PLEN
-	b = binary.BigEndian.AppendUint16(b, uint16(a.Op))
-	b = append(b, a.SenderMAC[:]...)
-	b = append(b, a.SenderIP[:]...)
-	b = append(b, a.TargetMAC[:]...)
-	b = append(b, a.TargetIP[:]...)
-	return b
-}
-
-func parseARP(a *ARP, data []byte) error {
-	if len(data) < arpLen {
-		return fmt.Errorf("packet: ARP message too short (%d bytes)", len(data))
-	}
-	if htype := binary.BigEndian.Uint16(data[0:2]); htype != 1 {
-		return fmt.Errorf("packet: unsupported ARP hardware type %d", htype)
-	}
-	if ptype := binary.BigEndian.Uint16(data[2:4]); ptype != 0x0800 {
-		return fmt.Errorf("packet: unsupported ARP protocol type 0x%04x", ptype)
-	}
-	if data[4] != 6 || data[5] != 4 {
-		return fmt.Errorf("packet: unsupported ARP address lengths %d/%d", data[4], data[5])
-	}
-	*a = ARP{Op: ARPOp(binary.BigEndian.Uint16(data[6:8]))}
-	copy(a.SenderMAC[:], data[8:14])
-	copy(a.SenderIP[:], data[14:18])
-	copy(a.TargetMAC[:], data[18:24])
-	copy(a.TargetIP[:], data[24:28])
-	return nil
+// layout moves the message between a and b, its 28 bytes. It opens with
+// HTYPE 1 (Ethernet), PTYPE 0x0800 (IPv4), HLEN 6 and PLEN 4.
+func (a *ARP) layout(b []byte, enc bool) error {
+	u16(b[6:8], &a.Op, enc)
+	addr(b[8:14], a.SenderMAC[:], enc)
+	addr(b[14:18], a.SenderIP[:], enc)
+	addr(b[18:24], a.TargetMAC[:], enc)
+	addr(b[24:28], a.TargetIP[:], enc)
+	return constant(b[0:6], "\x00\x01\x08\x00\x06\x04", "ARP hardware/protocol types and lengths", enc)
 }

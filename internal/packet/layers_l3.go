@@ -46,61 +46,41 @@ type IPv4Header struct {
 
 const ipv4HeaderLen = 20
 
-// encodeTo appends the header plus payload length bookkeeping; payloadLen
-// is the length of everything after the header.
-func (h *IPv4Header) encodeTo(b []byte, payloadLen int) []byte {
-	start := len(b)
-	b = append(b, 0x45, h.TOS) // version 4, IHL 5
-	b = binary.BigEndian.AppendUint16(b, uint16(ipv4HeaderLen+payloadLen))
-	b = binary.BigEndian.AppendUint16(b, h.ID)
-	b = binary.BigEndian.AppendUint16(b, uint16(h.Flags)<<13|h.FragOff&0x1fff)
-	b = append(b, h.TTL, byte(h.Protocol))
-	b = append(b, 0, 0) // checksum, written below once the header is complete
-	b = append(b, h.Src[:]...)
-	b = append(b, h.Dst[:]...)
-	sum := internetChecksum(b[start:], 0)
-	binary.BigEndian.PutUint16(b[start+10:start+12], sum)
-	return b
+// layout moves the header's fields between h and b, its 20 bytes. The
+// total length (b[2:4]) and the checksum (b[10:12]) are finish's.
+func (h *IPv4Header) layout(b []byte, enc bool) error {
+	u8(b[1:2], &h.TOS, enc)
+	u16(b[4:6], &h.ID, enc)
+	frag := uint16(h.Flags)<<13 | h.FragOff&0x1fff
+	u16(b[6:8], &frag, enc)
+	if !enc {
+		h.Flags, h.FragOff = uint8(frag>>13), frag&0x1fff
+	}
+	u8(b[8:9], &h.TTL, enc)
+	u8(b[9:10], &h.Protocol, enc)
+	addr(b[12:16], h.Src[:], enc)
+	addr(b[16:20], h.Dst[:], enc)
+	return constant(b[0:1], "\x45", "IPv4 version/IHL (version 4, no options)", enc)
 }
 
-// patchIPv4 rewrites an already-appended header's total length for the
-// actual payload size and recomputes the header checksum in place. hdr
-// is the 20-byte header region within the frame buffer.
-func patchIPv4(hdr []byte, payloadLen int) {
-	binary.BigEndian.PutUint16(hdr[2:4], uint16(ipv4HeaderLen+payloadLen))
-	hdr[10], hdr[11] = 0, 0
-	binary.BigEndian.PutUint16(hdr[10:12], internetChecksum(hdr[:ipv4HeaderLen], 0))
-}
-
-func parseIPv4(h *IPv4Header, data []byte) ([]byte, error) {
-	if len(data) < ipv4HeaderLen {
-		return nil, fmt.Errorf("packet: IPv4 header too short (%d bytes)", len(data))
+// finish is the step after the fields, over the datagram d (this header
+// first): encode writes its total length, len(d), and the header
+// checksum; decode checks both and returns d cut to the total length.
+func (h *IPv4Header) finish(d []byte, enc bool) ([]byte, error) {
+	if enc {
+		if len(d) > 0xffff {
+			return nil, fmt.Errorf("packet: IPv4 datagram of %d bytes exceeds 65535", len(d))
+		}
+		binary.BigEndian.PutUint16(d[2:4], uint16(len(d)))
+	} else if total := int(binary.BigEndian.Uint16(d[2:4])); total >= ipv4HeaderLen && total <= len(d) {
+		d = d[:total]
+	} else {
+		return nil, fmt.Errorf("packet: IPv4 total length %d outside frame of %d", total, len(d))
 	}
-	if v := data[0] >> 4; v != 4 {
-		return nil, fmt.Errorf("packet: IP version %d, want 4", v)
-	}
-	ihl := int(data[0]&0x0f) * 4
-	if ihl != ipv4HeaderLen {
-		return nil, fmt.Errorf("packet: IPv4 options unsupported (IHL=%d bytes)", ihl)
-	}
-	total := int(binary.BigEndian.Uint16(data[2:4]))
-	if total < ihl || total > len(data) {
-		return nil, fmt.Errorf("packet: IPv4 total length %d outside frame of %d", total, len(data))
-	}
-	if sum := internetChecksum(data[:ihl], 0); sum != 0 {
+	if !checksum(d[:ipv4HeaderLen], 10, 0, enc) {
 		return nil, fmt.Errorf("packet: bad IPv4 header checksum")
 	}
-	*h = IPv4Header{
-		TOS:      data[1],
-		ID:       binary.BigEndian.Uint16(data[4:6]),
-		Flags:    data[6] >> 5,
-		FragOff:  binary.BigEndian.Uint16(data[6:8]) & 0x1fff,
-		TTL:      data[8],
-		Protocol: IPProto(data[9]),
-	}
-	copy(h.Src[:], data[12:16])
-	copy(h.Dst[:], data[16:20])
-	return data[ihl:total], nil
+	return d, nil
 }
 
 // internetChecksum computes the RFC 1071 ones-complement checksum of data,
@@ -158,34 +138,20 @@ type ICMPv4 struct {
 
 const icmpHeaderLen = 8
 
-func (m *ICMPv4) encodeTo(b []byte) []byte {
-	start := len(b)
-	b = append(b, byte(m.Type), m.Code, 0, 0)
-	b = binary.BigEndian.AppendUint16(b, m.ID)
-	b = binary.BigEndian.AppendUint16(b, m.Seq)
-	b = append(b, m.Payload...)
-	sum := internetChecksum(b[start:], 0)
-	binary.BigEndian.PutUint16(b[start+2:start+4], sum)
-	return b
+// layout moves the header's fields between m and b, its 8 bytes. The
+// checksum (b[2:4]) is finish's.
+func (m *ICMPv4) layout(b []byte, enc bool) {
+	u8(b[0:1], &m.Type, enc)
+	u8(b[1:2], &m.Code, enc)
+	u16(b[4:6], &m.ID, enc)
+	u16(b[6:8], &m.Seq, enc)
 }
 
-// parseICMPv4 decodes into m, leaving Payload aliasing data —
-// Arena.Decode copies it into the arena's byte slab.
-func parseICMPv4(m *ICMPv4, data []byte) error {
-	if len(data) < icmpHeaderLen {
-		return fmt.Errorf("packet: ICMP message too short (%d bytes)", len(data))
-	}
-	if sum := internetChecksum(data, 0); sum != 0 {
+// finish is the step after the fields, over the whole message msg:
+// encode writes its checksum, decode verifies it.
+func (m *ICMPv4) finish(msg []byte, enc bool) error {
+	if !checksum(msg, 2, 0, enc) {
 		return fmt.Errorf("packet: bad ICMP checksum")
-	}
-	*m = ICMPv4{
-		Type: ICMPType(data[0]),
-		Code: data[1],
-		ID:   binary.BigEndian.Uint16(data[4:6]),
-		Seq:  binary.BigEndian.Uint16(data[6:8]),
-	}
-	if len(data) > icmpHeaderLen {
-		m.Payload = data[icmpHeaderLen:]
 	}
 	return nil
 }

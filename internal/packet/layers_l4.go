@@ -59,55 +59,25 @@ type TCP struct {
 
 const tcpHeaderLen = 20
 
-// appendHeader appends the 20-byte TCP header with the checksum field
-// zeroed; the caller appends the payload directly into the buffer and
-// then calls fillChecksum over the whole segment. The two-phase shape
-// keeps encoding zero-alloc: the payload never passes through a
-// temporary buffer just to be summed.
-func (t *TCP) appendHeader(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, t.SrcPort)
-	b = binary.BigEndian.AppendUint16(b, t.DstPort)
-	b = binary.BigEndian.AppendUint32(b, t.Seq)
-	b = binary.BigEndian.AppendUint32(b, t.Ack)
-	b = append(b, 5<<4, byte(t.Flags)) // data offset 5 words
-	b = binary.BigEndian.AppendUint16(b, t.Window)
-	b = append(b, 0, 0) // checksum, written by fillChecksum
-	b = binary.BigEndian.AppendUint16(b, t.Urgent)
-	return b
+// layout moves the header's fields between t and b, its 20 bytes. The
+// checksum (b[16:18]) is finish's.
+func (t *TCP) layout(b []byte, enc bool) error {
+	u16(b[0:2], &t.SrcPort, enc)
+	u16(b[2:4], &t.DstPort, enc)
+	u32(b[4:8], &t.Seq, enc)
+	u32(b[8:12], &t.Ack, enc)
+	u8(b[13:14], &t.Flags, enc)
+	u16(b[14:16], &t.Window, enc)
+	u16(b[18:20], &t.Urgent, enc)
+	return constant(b[12:13], "\x50", "TCP data offset (five words, no options)", enc)
 }
 
-// fillChecksum computes the RFC 793 segment checksum — pseudo-header
-// plus seg (header and payload, checksum field still zero) — and writes
-// it into the header in place.
-func (t *TCP) fillChecksum(seg []byte, src, dst IPv4) {
-	sum := internetChecksum(seg, pseudoHeaderSum(src, dst, ProtoTCP, len(seg)))
-	binary.BigEndian.PutUint16(seg[16:18], sum)
-}
-
-// parseTCP decodes into t, leaving Payload aliasing data —
-// Arena.Decode copies it into the arena's byte slab.
-func parseTCP(t *TCP, data []byte, src, dst IPv4) error {
-	if len(data) < tcpHeaderLen {
-		return fmt.Errorf("packet: TCP segment too short (%d bytes)", len(data))
-	}
-	off := int(data[12]>>4) * 4
-	if off < tcpHeaderLen || off > len(data) {
-		return fmt.Errorf("packet: bad TCP data offset %d", off)
-	}
-	if sum := internetChecksum(data, pseudoHeaderSum(src, dst, ProtoTCP, len(data))); sum != 0 {
+// finish is the step after the fields, over the whole segment seg:
+// encode writes its checksum (RFC 793, with ip's pseudo-header), decode
+// verifies it.
+func (t *TCP) finish(seg []byte, enc bool, ip *IPv4Header) error {
+	if !checksum(seg, 16, pseudoHeaderSum(ip.Src, ip.Dst, ProtoTCP, len(seg)), enc) {
 		return fmt.Errorf("packet: bad TCP checksum")
-	}
-	*t = TCP{
-		SrcPort: binary.BigEndian.Uint16(data[0:2]),
-		DstPort: binary.BigEndian.Uint16(data[2:4]),
-		Seq:     binary.BigEndian.Uint32(data[4:8]),
-		Ack:     binary.BigEndian.Uint32(data[8:12]),
-		Flags:   TCPFlags(data[13]),
-		Window:  binary.BigEndian.Uint16(data[14:16]),
-		Urgent:  binary.BigEndian.Uint16(data[18:20]),
-	}
-	if len(data) > off {
-		t.Payload = data[off:]
 	}
 	return nil
 }
@@ -121,52 +91,34 @@ type UDP struct {
 
 const udpHeaderLen = 8
 
-// appendHeader appends the 8-byte UDP header with the length and
-// checksum fields zeroed; the caller appends the payload directly into
-// the buffer and then calls fillChecksum over the whole datagram.
-func (u *UDP) appendHeader(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, u.SrcPort)
-	b = binary.BigEndian.AppendUint16(b, u.DstPort)
-	b = append(b, 0, 0) // length, written by fillChecksum
-	b = append(b, 0, 0) // checksum, written by fillChecksum
-	return b
+// layout moves the header's fields between u and b, its 8 bytes. The
+// length (b[4:6]) and the checksum (b[6:8]) are finish's.
+func (u *UDP) layout(b []byte, enc bool) {
+	u16(b[0:2], &u.SrcPort, enc)
+	u16(b[2:4], &u.DstPort, enc)
 }
 
-// fillChecksum writes the datagram length and the RFC 768 checksum
-// (pseudo-header plus header and payload) into dg in place. A computed
-// sum of zero transmits as 0xffff: on the wire, zero means "no
-// checksum".
-func (u *UDP) fillChecksum(dg []byte, src, dst IPv4) {
-	binary.BigEndian.PutUint16(dg[4:6], uint16(len(dg)))
-	sum := internetChecksum(dg, pseudoHeaderSum(src, dst, ProtoUDP, len(dg)))
-	if sum == 0 {
-		sum = 0xffff
+// finish is the step after the fields, over the datagram d (this header
+// first): encode writes its length, len(d), and its checksum (RFC 768,
+// with ip's pseudo-header); decode checks both and returns d cut to the
+// UDP length. A zero checksum means none: decode skips it, and encode
+// sends a computed zero as 0xffff.
+func (u *UDP) finish(d []byte, enc bool, ip *IPv4Header) ([]byte, error) {
+	if enc {
+		binary.BigEndian.PutUint16(d[4:6], uint16(len(d)))
+	} else if length := int(binary.BigEndian.Uint16(d[4:6])); length >= udpHeaderLen && length <= len(d) {
+		d = d[:length]
+	} else {
+		return nil, fmt.Errorf("packet: UDP length %d outside datagram of %d", length, len(d))
 	}
-	binary.BigEndian.PutUint16(dg[6:8], sum)
-}
-
-// parseUDP decodes into u, leaving Payload aliasing data —
-// Arena.Decode copies it into the arena's byte slab.
-func parseUDP(u *UDP, data []byte, src, dst IPv4) error {
-	if len(data) < udpHeaderLen {
-		return fmt.Errorf("packet: UDP datagram too short (%d bytes)", len(data))
+	if !enc && d[6] == 0 && d[7] == 0 {
+		return d, nil
 	}
-	length := int(binary.BigEndian.Uint16(data[4:6]))
-	if length < udpHeaderLen || length > len(data) {
-		return fmt.Errorf("packet: UDP length %d outside datagram of %d", length, len(data))
+	if !checksum(d, 6, pseudoHeaderSum(ip.Src, ip.Dst, ProtoUDP, len(d)), enc) {
+		return nil, fmt.Errorf("packet: bad UDP checksum")
 	}
-	data = data[:length]
-	if binary.BigEndian.Uint16(data[6:8]) != 0 {
-		if sum := internetChecksum(data, pseudoHeaderSum(src, dst, ProtoUDP, len(data))); sum != 0 {
-			return fmt.Errorf("packet: bad UDP checksum")
-		}
+	if enc && d[6] == 0 && d[7] == 0 {
+		d[6], d[7] = 0xff, 0xff
 	}
-	*u = UDP{
-		SrcPort: binary.BigEndian.Uint16(data[0:2]),
-		DstPort: binary.BigEndian.Uint16(data[2:4]),
-	}
-	if length > udpHeaderLen {
-		u.Payload = data[udpHeaderLen:length]
-	}
-	return nil
+	return d, nil
 }

@@ -1,7 +1,7 @@
 package packet
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -60,19 +60,6 @@ func (t DHCPMsgType) String() string {
 	}
 }
 
-// DHCP option codes handled by the codec.
-const (
-	dhcpOptPad         = 0
-	dhcpOptRequestedIP = 50
-	dhcpOptLeaseTime   = 51
-	dhcpOptMsgType     = 53
-	dhcpOptServerID    = 54
-	dhcpOptEnd         = 255
-)
-
-// dhcpMagic is the DHCP magic cookie that follows the BOOTP fixed fields.
-var dhcpMagic = [4]byte{99, 130, 83, 99}
-
 // DHCPv4 is a DHCP message: the BOOTP fixed fields this repository's
 // properties refer to, plus the decoded options relevant to lease
 // monitoring. Unknown options are preserved opaquely so that
@@ -100,100 +87,115 @@ type DHCPOption struct {
 
 const dhcpFixedLen = 236 + 4 // BOOTP fields + magic cookie
 
-func (d *DHCPv4) encodeTo(b []byte) []byte {
-	b = append(b, byte(d.Op), 1, 6, 0) // htype ethernet, hlen 6, hops 0
-	b = binary.BigEndian.AppendUint32(b, d.Xid)
-	b = append(b, 0, 0, 0, 0) // secs, flags
-	b = append(b, d.ClientIP[:]...)
-	b = append(b, d.YourIP[:]...)
-	b = append(b, d.ServerIP[:]...)
-	b = append(b, 0, 0, 0, 0) // giaddr
-	b = append(b, d.ClientMAC[:]...)
-	b = append(b, make([]byte, 10)...)  // chaddr padding
-	b = append(b, make([]byte, 192)...) // sname + file
-	b = append(b, dhcpMagic[:]...)
-	if d.MsgType != 0 {
-		b = append(b, dhcpOptMsgType, 1, byte(d.MsgType))
-	}
-	if !d.RequestedIP.IsZero() {
-		b = append(b, dhcpOptRequestedIP, 4)
-		b = append(b, d.RequestedIP[:]...)
-	}
-	if !d.ServerID.IsZero() {
-		b = append(b, dhcpOptServerID, 4)
-		b = append(b, d.ServerID[:]...)
-	}
-	if d.LeaseSecs != 0 {
-		b = append(b, dhcpOptLeaseTime, 4)
-		b = binary.BigEndian.AppendUint32(b, d.LeaseSecs)
-	}
-	for _, opt := range d.Extra {
-		b = append(b, opt.Code, byte(len(opt.Value)))
-		b = append(b, opt.Value...)
-	}
-	return append(b, dhcpOptEnd)
+// walk lays out the message: the BOOTP fixed part and the magic cookie
+// in place, then the options.
+func (d *DHCPv4) walk(c *cursor) {
+	c.check(d.layout(c.take(dhcpFixedLen), c.enc))
+	d.options(c)
 }
 
-func decodeDHCPv4(data []byte) (*DHCPv4, error) {
-	if len(data) < dhcpFixedLen {
-		return nil, fmt.Errorf("packet: DHCP message too short (%d bytes)", len(data))
+// layout moves the BOOTP fixed part and the magic cookie between d and
+// b, their 240 bytes.
+func (d *DHCPv4) layout(b []byte, enc bool) error {
+	u8(b[0:1], &d.Op, enc)
+	u32(b[4:8], &d.Xid, enc)
+	addr(b[12:16], d.ClientIP[:], enc)
+	addr(b[16:20], d.YourIP[:], enc)
+	addr(b[20:24], d.ServerIP[:], enc)
+	addr(b[28:34], d.ClientMAC[:], enc)
+	if err := constant(b[1:3], "\x01\x06", "DHCP hardware type and length (Ethernet)", enc); err != nil {
+		return err
 	}
-	if [4]byte(data[236:240]) != dhcpMagic {
-		return nil, fmt.Errorf("packet: missing DHCP magic cookie")
+	return constant(b[236:240], "\x63\x82\x53\x63", "DHCP magic cookie", enc)
+}
+
+// DHCP option codes handled by the codec.
+const (
+	dhcpOptPad         = 0
+	dhcpOptRequestedIP = 50
+	dhcpOptLeaseTime   = 51
+	dhcpOptMsgType     = 53
+	dhcpOptServerID    = 54
+	dhcpOptEnd         = 255
+)
+
+// dhcpOptions are the options DHCPv4 keeps in fields, in the order
+// encode writes them, with their values' lengths.
+var dhcpOptions = [...]struct{ code, n uint8 }{
+	{dhcpOptMsgType, 1}, {dhcpOptRequestedIP, 4}, {dhcpOptServerID, 4}, {dhcpOptLeaseTime, 4},
+}
+
+// option moves the value of a known option between d and v, in place.
+func (d *DHCPv4) option(code uint8, v []byte, enc bool) {
+	switch code {
+	case dhcpOptMsgType:
+		u8(v, &d.MsgType, enc)
+	case dhcpOptRequestedIP:
+		addr(v, d.RequestedIP[:], enc)
+	case dhcpOptServerID:
+		addr(v, d.ServerID[:], enc)
+	case dhcpOptLeaseTime:
+		u32(v, &d.LeaseSecs, enc)
 	}
-	d := &DHCPv4{
-		Op:  DHCPOp(data[0]),
-		Xid: binary.BigEndian.Uint32(data[4:8]),
+}
+
+// optionLen is the value length of a known option, 0 for a code decode
+// keeps in Extra and -1 for Pad and End, which carry none.
+func optionLen(code uint8) int {
+	if code == dhcpOptPad || code == dhcpOptEnd {
+		return -1
 	}
-	copy(d.ClientIP[:], data[12:16])
-	copy(d.YourIP[:], data[16:20])
-	copy(d.ServerIP[:], data[20:24])
-	copy(d.ClientMAC[:], data[28:34])
-	opts := data[240:]
-	for len(opts) > 0 {
-		code := opts[0]
+	for _, o := range dhcpOptions {
+		if o.code == code {
+			return int(o.n)
+		}
+	}
+	return 0
+}
+
+// options lays out the options after the magic cookie, up to End.
+// Encode writes each known option whose value is not zero, then Extra;
+// decode reads them in any order, skips Pad, and keeps an option with no
+// field of its own in Extra. So encode refuses an Extra option decode
+// would not keep there: a known code, Pad, End, or a value over 255
+// bytes.
+func (d *DHCPv4) options(c *cursor) {
+	if c.enc {
+		for _, o := range dhcpOptions {
+			var v [4]byte
+			if d.option(o.code, v[:o.n], true); v != [4]byte{} {
+				c.b = append(append(c.b, o.code, o.n), v[:o.n]...)
+			}
+		}
+		for _, o := range d.Extra {
+			if optionLen(o.Code) != 0 || len(o.Value) > 255 {
+				c.failf("packet: DHCP option %d with a %d-byte value cannot be an Extra option", o.Code, len(o.Value))
+				return
+			}
+			c.b = append(append(c.b, o.Code, byte(len(o.Value))), o.Value...)
+		}
+		c.b = append(c.b, dhcpOptEnd)
+		return
+	}
+	for c.err == nil {
+		code := c.take(1)[0]
 		switch code {
-		case dhcpOptPad:
-			opts = opts[1:]
-			continue
 		case dhcpOptEnd:
-			return d, nil
+			return
+		case dhcpOptPad:
+			continue
 		}
-		if len(opts) < 2 {
-			return nil, fmt.Errorf("packet: truncated DHCP option %d", code)
-		}
-		n := int(opts[1])
-		if len(opts) < 2+n {
-			return nil, fmt.Errorf("packet: truncated DHCP option %d (want %d bytes)", code, n)
-		}
-		val := opts[2 : 2+n]
-		switch code {
-		case dhcpOptMsgType:
-			if n != 1 {
-				return nil, fmt.Errorf("packet: DHCP message-type option of length %d", n)
-			}
-			d.MsgType = DHCPMsgType(val[0])
-		case dhcpOptRequestedIP:
-			if n != 4 {
-				return nil, fmt.Errorf("packet: DHCP requested-IP option of length %d", n)
-			}
-			copy(d.RequestedIP[:], val)
-		case dhcpOptServerID:
-			if n != 4 {
-				return nil, fmt.Errorf("packet: DHCP server-ID option of length %d", n)
-			}
-			copy(d.ServerID[:], val)
-		case dhcpOptLeaseTime:
-			if n != 4 {
-				return nil, fmt.Errorf("packet: DHCP lease-time option of length %d", n)
-			}
-			d.LeaseSecs = binary.BigEndian.Uint32(val)
+		v := c.take(int(c.take(1)[0]))
+		switch n := optionLen(code); {
+		case c.err != nil: // truncated: the loop ends
+		case n == 0:
+			d.Extra = append(d.Extra, DHCPOption{Code: code, Value: append([]byte(nil), v...)})
+		case len(v) != n:
+			c.failf("packet: DHCP option %d of length %d, want %d", code, len(v), n)
 		default:
-			d.Extra = append(d.Extra, DHCPOption{Code: code, Value: append([]byte(nil), val...)})
+			d.option(code, v, false)
 		}
-		opts = opts[2+n:]
 	}
-	return nil, fmt.Errorf("packet: DHCP options not terminated")
 }
 
 // DNS is a minimal DNS message: header plus a single question and any
@@ -216,113 +218,93 @@ type DNSAnswer struct {
 	Addr IPv4
 }
 
-func (d *DNS) encodeTo(b []byte) []byte {
-	b = binary.BigEndian.AppendUint16(b, d.ID)
-	var flags uint16
+// walk lays out the message: the header in place, then the question and
+// the answers.
+func (d *DNS) walk(c *cursor) {
+	an := uint16(len(d.Answers))
+	c.check(d.layout(c.take(12), &an, c.enc))
+	c.name(&d.QName)
+	q := c.take(4)
+	u16(q[0:2], &d.QType, c.enc)
+	c.check(constant(q[2:4], "\x00\x01", "DNS question class (IN)", c.enc))
+	for i := 0; i < int(an) && c.err == nil; i++ {
+		if !c.enc {
+			d.Answers = append(d.Answers, DNSAnswer{})
+		}
+		a := &d.Answers[i]
+		c.name(&a.Name)
+		r := c.take(14)
+		c.check(constant(r[0:4], "\x00\x01\x00\x01", "DNS answer type and class (A, IN)", c.enc))
+		u32(r[4:8], &a.TTL, c.enc)
+		c.check(constant(r[8:10], "\x00\x04", "DNS answer data length (an IPv4 address)", c.enc))
+		addr(r[10:14], a.Addr[:], c.enc)
+	}
+}
+
+// layout moves the header between d and b, its 12 bytes, with the answer
+// count an (len(d.Answers) on encode). The question count is the
+// constant 1; NSCOUNT and ARCOUNT are zero on encode and skipped on
+// decode.
+func (d *DNS) layout(b []byte, an *uint16, enc bool) error {
+	u16(b[0:2], &d.ID, enc)
+	flags := uint16(d.RCode) & 0x000f
 	if d.Response {
 		flags |= 0x8000
 	}
-	flags |= uint16(d.RCode) & 0x000f
-	b = binary.BigEndian.AppendUint16(b, flags)
-	b = binary.BigEndian.AppendUint16(b, 1) // QDCOUNT
-	b = binary.BigEndian.AppendUint16(b, uint16(len(d.Answers)))
-	b = binary.BigEndian.AppendUint16(b, 0) // NSCOUNT
-	b = binary.BigEndian.AppendUint16(b, 0) // ARCOUNT
-	b = appendDNSName(b, d.QName)
-	b = binary.BigEndian.AppendUint16(b, d.QType)
-	b = binary.BigEndian.AppendUint16(b, 1) // class IN
-	for _, a := range d.Answers {
-		b = appendDNSName(b, a.Name)
-		b = binary.BigEndian.AppendUint16(b, 1) // type A
-		b = binary.BigEndian.AppendUint16(b, 1) // class IN
-		b = binary.BigEndian.AppendUint32(b, a.TTL)
-		b = binary.BigEndian.AppendUint16(b, 4)
-		b = append(b, a.Addr[:]...)
+	u16(b[2:4], &flags, enc)
+	if !enc {
+		d.Response, d.RCode = flags&0x8000 != 0, uint8(flags&0x000f)
 	}
-	return b
+	u16(b[6:8], an, enc)
+	return constant(b[4:6], "\x00\x01", "DNS question count", enc)
 }
 
-func appendDNSName(b []byte, name string) []byte {
-	if name != "" {
-		for _, label := range strings.Split(name, ".") {
-			b = append(b, byte(len(label)))
-			b = append(b, label...)
+// name lays out a DNS name: length-prefixed labels ending in a zero
+// byte, uncompressed. Each direction holds a name to what the other
+// reads back, within RFC 1035's limits: labels of 1 to 63 bytes with no
+// '.', at most 255 bytes on the wire.
+func (c *cursor) name(s *string) {
+	if c.enc {
+		start := len(c.b)
+		for rest, more := *s, *s != ""; more; {
+			var label string
+			label, rest, more = strings.Cut(rest, ".")
+			if len(label) == 0 || len(label) > 63 {
+				c.failf("packet: DNS name %q has a label of %d bytes", *s, len(label))
+				return
+			}
+			c.b = append(append(c.b, byte(len(label))), label...)
 		}
+		if c.b = append(c.b, 0); len(c.b)-start > 255 {
+			c.failf("packet: DNS name %q exceeds 255 bytes", *s)
+		}
+		return
 	}
-	return append(b, 0)
-}
-
-func readDNSName(data []byte, off int) (string, int, error) {
-	var labels []string
-	for {
-		if off >= len(data) {
-			return "", 0, fmt.Errorf("packet: truncated DNS name")
-		}
-		n := int(data[off])
-		if n&0xc0 != 0 {
-			return "", 0, fmt.Errorf("packet: compressed DNS names unsupported")
-		}
-		off++
+	start := c.off
+	var name []byte
+	for c.err == nil {
+		n := int(c.take(1)[0])
 		if n == 0 {
-			return strings.Join(labels, "."), off, nil
+			break
 		}
-		if off+n > len(data) {
-			return "", 0, fmt.Errorf("packet: truncated DNS label")
+		if n > 63 {
+			c.failf("packet: DNS label byte %#02x unsupported (compressed or over 63 bytes)", n)
+			return
 		}
-		labels = append(labels, string(data[off:off+n]))
-		off += n
-	}
-}
-
-func decodeDNS(data []byte) (*DNS, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("packet: DNS message too short (%d bytes)", len(data))
-	}
-	d := &DNS{ID: binary.BigEndian.Uint16(data[0:2])}
-	flags := binary.BigEndian.Uint16(data[2:4])
-	d.Response = flags&0x8000 != 0
-	d.RCode = uint8(flags & 0x000f)
-	qd := int(binary.BigEndian.Uint16(data[4:6]))
-	an := int(binary.BigEndian.Uint16(data[6:8]))
-	if qd != 1 {
-		return nil, fmt.Errorf("packet: DNS message with %d questions unsupported", qd)
-	}
-	name, off, err := readDNSName(data, 12)
-	if err != nil {
-		return nil, err
-	}
-	if off+4 > len(data) {
-		return nil, fmt.Errorf("packet: truncated DNS question")
-	}
-	d.QName = name
-	d.QType = binary.BigEndian.Uint16(data[off : off+2])
-	off += 4
-	for i := 0; i < an; i++ {
-		aname, n, err := readDNSName(data, off)
-		if err != nil {
-			return nil, err
+		label := c.take(n)
+		if bytes.IndexByte(label, '.') >= 0 {
+			c.failf("packet: DNS label %q contains a dot", label)
+			return
 		}
-		off = n
-		if off+10 > len(data) {
-			return nil, fmt.Errorf("packet: truncated DNS answer")
+		if len(name) > 0 {
+			name = append(name, '.')
 		}
-		atype := binary.BigEndian.Uint16(data[off : off+2])
-		ttl := binary.BigEndian.Uint32(data[off+4 : off+8])
-		rdlen := int(binary.BigEndian.Uint16(data[off+8 : off+10]))
-		off += 10
-		if off+rdlen > len(data) {
-			return nil, fmt.Errorf("packet: truncated DNS rdata")
-		}
-		if atype == 1 && rdlen == 4 {
-			var addr IPv4
-			copy(addr[:], data[off:off+4])
-			d.Answers = append(d.Answers, DNSAnswer{Name: aname, TTL: ttl, Addr: addr})
-		} else {
-			return nil, fmt.Errorf("packet: DNS answer type %d unsupported", atype)
-		}
-		off += rdlen
+		name = append(name, label...)
 	}
-	return d, nil
+	if c.off-start > 255 {
+		c.failf("packet: DNS name of %d bytes exceeds 255", c.off-start)
+	}
+	*s = string(name)
 }
 
 // FTPControl is one line of an FTP control conversation. Commands carry a
@@ -346,14 +328,24 @@ type FTPControl struct {
 	DataPort uint16
 }
 
-func (f *FTPControl) encodeTo(b []byte) []byte {
-	if f.ReplyCode != 0 {
-		return append(b, fmt.Sprintf("%d %s\r\n", f.ReplyCode, f.ReplyText)...)
+// appendLine appends the control line f stands for. It refuses a line
+// break in any of f's texts: decode would read the frame as more than
+// one line and leave the payload raw.
+func (f *FTPControl) appendLine(b []byte) ([]byte, error) {
+	if strings.ContainsAny(f.Command, "\r\n") || strings.ContainsAny(f.Arg, "\r\n") || strings.ContainsAny(f.ReplyText, "\r\n") {
+		return nil, fmt.Errorf("packet: FTP control text contains a line break")
 	}
-	if f.Arg != "" {
-		return append(b, fmt.Sprintf("%s %s\r\n", f.Command, f.Arg)...)
+	switch {
+	case f.ReplyCode != 0:
+		b = append(strconv.AppendInt(b, int64(f.ReplyCode), 10), ' ')
+		b = append(b, f.ReplyText...)
+	case f.Arg != "":
+		b = append(append(b, f.Command...), ' ')
+		b = append(b, f.Arg...)
+	default:
+		b = append(b, f.Command...)
 	}
-	return append(b, f.Command+"\r\n"...)
+	return append(b, "\r\n"...), nil
 }
 
 // parseFTPHostPort parses "h1,h2,h3,h4,p1,p2".
@@ -380,7 +372,7 @@ func decodeFTPControl(data []byte) (*FTPControl, error) {
 		return nil, fmt.Errorf("packet: empty FTP control line")
 	}
 	if strings.ContainsAny(line, "\r\n") {
-		// Not one control line: encodeTo could not reproduce it, so the
+		// Not one control line: appendLine could not reproduce it, so the
 		// payload stays raw.
 		return nil, fmt.Errorf("packet: FTP control data is not one line")
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // Packet is a fully decoded packet: one pointer per recognized layer, nil
-// when the layer is absent. The monitor's field registry reads from this
+// when the layer is absent. The monitor's field table reads from this
 // representation; the dataplane serializes it back to bytes when needed.
 //
 // Packet values are treated as immutable once handed to the dataplane;
@@ -48,19 +48,18 @@ func (p *Packet) decodeApp(src, dst uint16, payload []byte) {
 	}
 	switch {
 	case src == PortDHCPServer || dst == PortDHCPServer || src == PortDHCPClient || dst == PortDHCPClient:
-		if d, err := decodeDHCPv4(payload); err == nil {
+		d, c := new(DHCPv4), cursor{b: payload}
+		if d.walk(&c); c.err == nil {
 			p.DHCP = d
-			return
 		}
 	case src == PortDNS || dst == PortDNS:
-		if d, err := decodeDNS(payload); err == nil {
+		d, c := new(DNS), cursor{b: payload}
+		if d.walk(&c); c.err == nil {
 			p.DNS = d
-			return
 		}
 	case src == PortFTPControl || dst == PortFTPControl:
 		if f, err := decodeFTPControl(payload); err == nil {
 			p.FTP = f
-			return
 		}
 	}
 }
@@ -72,81 +71,89 @@ func (p *Packet) Encode() ([]byte, error) {
 	return p.AppendEncode(make([]byte, 0, 128))
 }
 
-// AppendEncode is Encode appending to b: every layer serializes directly
-// into the destination buffer (inner lengths and checksums are patched
-// in place after the payload lands), so encoding performs no heap
-// allocation once b has capacity. The wire exporter's hot path leans on
-// this — one reusable buffer per connection, zero garbage per event.
+// AppendEncode is Encode appending to b, and the other driver of the
+// layouts: each header's layout writes its fields in place, the payload
+// lands, then each finish step writes its header's length and checksum,
+// innermost first. Encoding performs no heap allocation once b has
+// capacity; the wire exporter's hot path leans on this — one reusable
+// buffer per connection, zero garbage per event. It refuses what Decode
+// would read back differently or not at all: a DNS name outside RFC
+// 1035's limits, a DHCP Extra option decode would not keep in Extra, an
+// FTP text with a line break, an IPv4 datagram over 65535 bytes. A
+// layout writes its constants rather than checks them, so on encode
+// neither a layout nor a checksum can fail: their errors are decode's.
 func (p *Packet) AppendEncode(b []byte) ([]byte, error) {
 	if p.Eth == nil {
 		return nil, fmt.Errorf("packet: cannot encode without an Ethernet layer")
 	}
-	b = p.Eth.encodeTo(b)
+	var h []byte
+	b, h = extend(b, ethernetHeaderLen)
+	p.Eth.layout(h, true)
 	switch {
 	case p.ARP != nil:
-		return p.ARP.encodeTo(b), nil
-	case p.IPv4 != nil:
-		ipStart := len(b)
-		b = p.IPv4.encodeTo(b, 0) // total length and checksum patched below
-		payloadStart := len(b)
-		var err error
-		b, err = p.appendTransport(b)
-		if err != nil {
-			return nil, err
-		}
-		patchIPv4(b[ipStart:payloadStart], len(b)-payloadStart)
-		return b, nil
-	default:
+		b, h = extend(b, arpLen)
+		return b, p.ARP.layout(h, true)
+	case p.IPv4 == nil:
 		return append(b, p.Payload...), nil
 	}
-}
-
-// appendTransport appends the L4 segment — header, then the L7 payload
-// rendered inline — and patches the transport checksum (and, for UDP,
-// the length) over the appended region.
-func (p *Packet) appendTransport(b []byte) ([]byte, error) {
+	ip := len(b)
+	b, h = extend(b, ipv4HeaderLen)
+	_ = p.IPv4.layout(h, true)
+	seg := len(b)
+	var err error
 	switch p.IPv4.Protocol {
 	case ProtoICMP:
 		if p.ICMP == nil {
 			return nil, fmt.Errorf("packet: IPv4 protocol ICMP but no ICMP layer")
 		}
-		return p.ICMP.encodeTo(b), nil
+		b, h = extend(b, icmpHeaderLen)
+		p.ICMP.layout(h, true)
+		b = append(b, p.ICMP.Payload...)
+		_ = p.ICMP.finish(b[seg:], true)
 	case ProtoTCP:
 		if p.TCP == nil {
 			return nil, fmt.Errorf("packet: IPv4 protocol TCP but no TCP layer")
 		}
-		start := len(b)
-		b = p.TCP.appendHeader(b)
-		b = p.appendAppPayload(b, p.TCP.Payload)
-		p.TCP.fillChecksum(b[start:], p.IPv4.Src, p.IPv4.Dst)
-		return b, nil
+		b, h = extend(b, tcpHeaderLen)
+		_ = p.TCP.layout(h, true)
+		if b, err = p.appendApp(b, p.TCP.Payload); err != nil {
+			return nil, err
+		}
+		_ = p.TCP.finish(b[seg:], true, p.IPv4)
 	case ProtoUDP:
 		if p.UDP == nil {
 			return nil, fmt.Errorf("packet: IPv4 protocol UDP but no UDP layer")
 		}
-		start := len(b)
-		b = p.UDP.appendHeader(b)
-		b = p.appendAppPayload(b, p.UDP.Payload)
-		p.UDP.fillChecksum(b[start:], p.IPv4.Src, p.IPv4.Dst)
-		return b, nil
+		b, h = extend(b, udpHeaderLen)
+		p.UDP.layout(h, true)
+		if b, err = p.appendApp(b, p.UDP.Payload); err != nil {
+			return nil, err
+		}
+		_, _ = p.UDP.finish(b[seg:], true, p.IPv4)
 	default:
-		return append(b, p.Payload...), nil
+		b = append(b, p.Payload...)
 	}
+	if _, err := p.IPv4.finish(b[ip:], true); err != nil {
+		return nil, err
+	}
+	return b, nil
 }
 
-// appendAppPayload appends the L7 layer's serialization when a decoded
-// L7 layer is present, or the transport's raw payload bytes otherwise.
-func (p *Packet) appendAppPayload(b, raw []byte) []byte {
+// appendApp appends the L7 layer's serialization when a decoded L7
+// layer is present, or the transport's raw payload bytes otherwise.
+func (p *Packet) appendApp(b, raw []byte) ([]byte, error) {
+	c := cursor{b: b, enc: true}
 	switch {
 	case p.DHCP != nil:
-		return p.DHCP.encodeTo(b)
+		p.DHCP.walk(&c)
 	case p.DNS != nil:
-		return p.DNS.encodeTo(b)
+		p.DNS.walk(&c)
 	case p.FTP != nil:
-		return p.FTP.encodeTo(b)
+		return p.FTP.appendLine(b)
 	default:
-		return append(b, raw...)
+		return append(b, raw...), nil
 	}
+	return c.b, c.err
 }
 
 // Clone returns a deep copy of the packet. Header-rewriting network

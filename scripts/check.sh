@@ -74,6 +74,9 @@ go test -count=1 -run 'TestEngineWrittenOnce' ./internal/doccheck/
 # The switch-is-the-monitor path: firewall app plus the three firewall
 # properties, per injected packet (Inject copies only on rewrite).
 go test -count=1 -run 'TestPuntPathZeroAlloc' ./internal/apps/
+# The packet codec both ways: encode into a warm buffer, and decode
+# of the same frame shape through a reused arena.
+go test -count=1 -run 'TestAppendEncodeZeroAlloc|TestArenaDecodeZeroAllocSteadyState' ./internal/packet/
 
 # Telemetry budget gate: the steady-state event with the full registry
 # attached against the same event with none (BenchmarkE11TelemetryOverhead),
