@@ -116,7 +116,10 @@ func TestAggregateForwardKeepsTheFleetsAnswer(t *testing.T) {
 func TestAggregateForwardOutlastsAHungMember(t *testing.T) {
 	sm := core.NewShardedMonitor(1, core.Config{})
 	t.Cleanup(sm.Close)
-	set := federation.NewPropertySet(sm, nil)
+	set, err := federation.NewPropertySet(sm, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mux := http.NewServeMux()
 	federation.RegisterMemberEndpoints(mux, set)
 	live := httptest.NewServer(mux)

@@ -86,16 +86,20 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// The installed set is one document: pushed to the exporters on
-	// every change, replaced by the aggregation tier's through
-	// /fleet/properties, whose membership changes are relayed too.
-	set := federation.NewPropertySet(sm, col.Broadcast)
-	installed, err := o.LoadProperties(set.Add)
+	installed, err := o.LoadProperties()
 	if err != nil {
 		return err
 	}
 	if len(installed) == 0 && o.MetricsAddr == "" {
 		return fmt.Errorf("no properties installed (use -catalog and/or -props, or -metrics-addr for live POST /properties)")
+	}
+	// The installed set is one document: the startup set applied in one
+	// step, then pushed to the exporters on every change, replaced by the
+	// aggregation tier's through /fleet/properties, whose membership
+	// changes are relayed too.
+	set, err := federation.NewPropertySet(sm, installed, col.Broadcast)
+	if err != nil {
+		return err
 	}
 	col.Serve()
 	fmt.Fprintf(os.Stderr, "collector: accepting exporters on %s (%d properties, %d shards)\n",

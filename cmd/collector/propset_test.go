@@ -44,7 +44,10 @@ func newLiveSet(t *testing.T) *liveSet {
 	}
 	col.Serve()
 	t.Cleanup(col.Close)
-	set := federation.NewPropertySet(sm, col.Broadcast)
+	set, err := federation.NewPropertySet(sm, nil, col.Broadcast)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := set.Publish(); err != nil {
 		t.Fatal(err)
 	}

@@ -150,9 +150,24 @@ func run() error {
 		mon = core.NewMonitor(sched, cfg)
 	}
 
-	// The installed set is one document: the startup set loads into it,
-	// and with -export it converges onto the set the collectors push.
-	set := federation.NewPropertySet(mon, nil)
+	// The installed set is one document: the startup set applied in one
+	// step, and with -export it converges onto the set the collectors push.
+	installed, err := o.LoadProperties()
+	if err != nil {
+		return err
+	}
+	if o.demo != "" && len(installed) == 0 {
+		if o.Catalog = demoCatalog[o.demo]; o.Catalog == "" {
+			return fmt.Errorf("unknown demo %q (want firewall, arp, knocking)", o.demo)
+		}
+		if installed, err = o.LoadProperties(); err != nil {
+			return err
+		}
+	}
+	set, err := federation.NewPropertySet(mon, installed, nil)
+	if err != nil {
+		return err
+	}
 
 	// The feed injector: drops and duplicates apply online (both paths);
 	// reorder/delay apply in the buffered trace path. Every drop lands in
@@ -170,19 +185,6 @@ func run() error {
 		return err
 	}
 	defer srv.Close()
-
-	installed, err := o.LoadProperties(set.Add)
-	if err != nil {
-		return err
-	}
-	if o.demo != "" && len(installed) == 0 {
-		if o.Catalog = demoCatalog[o.demo]; o.Catalog == "" {
-			return fmt.Errorf("unknown demo %q (want firewall, arp, knocking)", o.demo)
-		}
-		if installed, err = o.LoadProperties(set.Add); err != nil {
-			return err
-		}
-	}
 
 	// With -export, a federation.Router receives a copy of every event
 	// the local engine sees; the collectors at the far end evaluate their

@@ -1,18 +1,23 @@
 package backend
 
 import (
-	"time"
+	_ "embed"
+	"fmt"
+	"strings"
 
-	"switchmon/internal/packet"
 	"switchmon/internal/property"
 )
+
+// witnessSource holds the Table 2 witnesses, written in the property
+// language.
+//
+//go:embed witness.properties
+var witnessSource string
 
 // Witness pairs one boolean Table 2 row with a minimal property requiring
 // exactly that feature. The regenerated Table 2 derives its ✓/✗ cells by
 // compiling these witnesses against each backend, so the table reports
-// observed behaviour rather than transcription. Witnesses deliberately
-// avoid egress/drop fields: they isolate the row under probe from the
-// (separately tracked) visibility axes.
+// observed behaviour rather than transcription.
 type Witness struct {
 	// Row is the Table 2 row label.
 	Row string
@@ -22,55 +27,37 @@ type Witness struct {
 	Capability func(Capabilities) Tri
 }
 
-// Witnesses returns one probe per boolean Table 2 row.
-func Witnesses() []Witness {
-	var ws []Witness
-	add := func(row string, cap func(Capabilities) Tri, build func(*property.Builder)) {
-		b := property.New("witness-"+row, "table 2 probe for "+row)
-		build(b)
-		ws = append(ws, Witness{Row: row, Prop: b.MustBuild(), Capability: cap})
-	}
+// witnessCells maps each witness row to its capability cell.
+var witnessCells = map[string]func(Capabilities) Tri{
+	"event-history":   func(c Capabilities) Tri { return c.EventHistory },
+	"related-events":  func(c Capabilities) Tri { return c.RelatedEvents },
+	"negative-match":  func(c Capabilities) Tri { return c.NegativeMatch },
+	"rule-timeouts":   func(c Capabilities) Tri { return c.RuleTimeouts },
+	"timeout-actions": func(c Capabilities) Tri { return c.TimeoutActions },
+	"symmetric-match": func(c Capabilities) Tri { return c.SymmetricMatch },
+	"wandering-match": func(c Capabilities) Tri { return c.WanderingMatch },
+	"out-of-band":     func(c Capabilities) Tri { return c.OutOfBand },
+	"counting":        func(c Capabilities) Tri { return c.Counting },
+}
 
-	add("event-history", func(c Capabilities) Tri { return c.EventHistory }, func(b *property.Builder) {
-		b.OnArrival("first").Bind("A", packet.FieldIPSrc)
-		b.OnArrival("second").Where(property.EqVar(packet.FieldIPSrc, "A"))
-	})
-	add("related-events", func(c Capabilities) Tri { return c.RelatedEvents }, func(b *property.Builder) {
-		b.OnArrival("seen").Bind("A", packet.FieldIPSrc)
-		b.OnPacket("same-again").SamePacket(0).Where(property.EqVar(packet.FieldIPSrc, "A"))
-	})
-	add("negative-match", func(c Capabilities) Tri { return c.NegativeMatch }, func(b *property.Builder) {
-		b.OnArrival("first").Bind("A", packet.FieldIPSrc)
-		b.OnArrival("odd-port").Where(
-			property.EqVar(packet.FieldIPSrc, "A"),
-			property.Ne(packet.FieldDstPort, 99))
-	})
-	add("rule-timeouts", func(c Capabilities) Tri { return c.RuleTimeouts }, func(b *property.Builder) {
-		b.OnArrival("first").Bind("A", packet.FieldIPSrc)
-		b.OnArrival("soon").Within(time.Second).Where(property.EqVar(packet.FieldIPSrc, "A"))
-	})
-	add("timeout-actions", func(c Capabilities) Tri { return c.TimeoutActions }, func(b *property.Builder) {
-		b.OnArrival("first").Bind("A", packet.FieldIPSrc)
-		b.UnlessWithin("silence", property.Arrival, time.Second).
-			Where(property.EqVar(packet.FieldIPSrc, "A"))
-	})
-	add("symmetric-match", func(c Capabilities) Tri { return c.SymmetricMatch }, func(b *property.Builder) {
-		b.OnArrival("forward").Bind("A", packet.FieldIPSrc)
-		b.OnArrival("return").Where(property.EqVar(packet.FieldIPDst, "A"))
-	})
-	add("wandering-match", func(c Capabilities) Tri { return c.WanderingMatch }, func(b *property.Builder) {
-		b.OnArrival("lease").Bind("I", packet.FieldDHCPYourIP)
-		b.OnArrival("arp").Where(property.EqVar(packet.FieldARPTargetIP, "I"))
-	})
-	add("out-of-band", func(c Capabilities) Tri { return c.OutOfBand }, func(b *property.Builder) {
-		b.OnArrival("learn").Bind("P", packet.FieldInPort)
-		b.OnOutOfBand("down").Where(
-			property.Eq(packet.FieldOOBKind, uint64(packet.OOBLinkDown)),
-			property.EqVar(packet.FieldOOBPort, "P"))
-	})
-	add("counting", func(c Capabilities) Tri { return c.Counting }, func(b *property.Builder) {
-		b.OnArrival("first").Bind("A", packet.FieldIPSrc)
-		b.OnArrival("burst").Where(property.EqVar(packet.FieldIPSrc, "A")).Count(10)
-	})
+// Witnesses parses witness.properties: one probe per boolean Table 2
+// row, in file order.
+func Witnesses() []Witness {
+	props, err := property.ParseAll(witnessSource)
+	if err == nil && len(props) != len(witnessCells) {
+		err = fmt.Errorf("backend: %d witnesses for %d Table 2 rows", len(props), len(witnessCells))
+	}
+	if err != nil {
+		panic(err)
+	}
+	ws := make([]Witness, len(props))
+	for i, p := range props {
+		row := strings.TrimPrefix(p.Name, "witness-")
+		cell := witnessCells[row]
+		if cell == nil {
+			panic(fmt.Sprintf("backend: witness %q probes no Table 2 row", p.Name))
+		}
+		ws[i] = Witness{Row: row, Prop: p, Capability: cell}
+	}
 	return ws
 }

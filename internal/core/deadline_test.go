@@ -13,11 +13,11 @@ import (
 // within a second" — a two-stage property whose second stage is a
 // negative observation with a static window.
 func unansweredWithin(name string) *property.Property {
-	b := property.New(name, "every arrival is answered within a second")
-	b.OnArrival("request").Bind("A", packet.FieldIPSrc)
-	b.UnlessWithin("reply", property.Egress, time.Second).
-		Where(property.EqVar(packet.FieldIPDst, "A"))
-	return b.MustBuild()
+	return mustParse(fmt.Sprintf(`property %q {
+  description "every arrival is answered within a second"
+  on arrival "request" { bind $A = ip.src }
+  unless egress "reply" within 1s { match ip.dst == $A }
+}`, name))
 }
 
 // Deadlines of different (property, stage) queues that fall on one

@@ -17,11 +17,10 @@ import (
 // goroutine feeds.
 type Engine interface {
 	// Apply makes a set the engine's whole set at an epoch, in one step,
-	// on a live engine too; AddProperty is Apply at the engine's epoch
-	// with one property added. Properties lists the installed names and
-	// Epoch is the last Apply's epoch, 0 for the startup set.
+	// on a live engine too: the startup set is one Apply at epoch 0.
+	// Properties lists the installed names and Epoch is the last Apply's
+	// epoch, 0 for the startup set.
 	Apply(epoch uint64, props []*property.Property) error
-	AddProperty(p *property.Property) error
 	Properties() []string
 	Epoch() uint64
 	// Feed is the per-event step: advance the engine's clock to e.Time

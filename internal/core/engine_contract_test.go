@@ -20,10 +20,11 @@ import (
 // one. The cases live here, in lifecycle_test.go and in supervise_test.go;
 // each calls forEachEngine.
 
-// contractEngine is the Engine surface plus the inspection methods the
-// cases assert on, which both engines also share.
+// contractEngine is the Engine surface plus the methods the cases install
+// live properties through and assert on, which both engines also share.
 type contractEngine interface {
 	Engine
+	AddProperty(p *property.Property) error
 	ActiveInstances() int
 	Quarantined() uint64
 	SelfCheck() error
@@ -83,10 +84,8 @@ func newRig(t *testing.T, row engineRow, cfg Config, props ...*property.Property
 		t.Cleanup(sm.Close)
 		r.eng = sm
 	}
-	for _, p := range props {
-		if err := r.eng.AddProperty(p); err != nil {
-			t.Fatalf("AddProperty(%s): %v", p.Name, err)
-		}
+	if err := r.eng.Apply(0, props); err != nil {
+		t.Fatalf("Apply(0, startup set): %v", err)
 	}
 	return r
 }
@@ -178,13 +177,7 @@ func (r *rig) lifecycleView() string {
 func TestFailedReplaceLeavesSetUntouched(t *testing.T) {
 	noStages := *catalogProp(t, "firewall-basic")
 	noStages.Stages = nil
-	wide := property.New("firewall-basic", "binds more variables than a row holds")
-	sb := wide.OnArrival("first")
-	for i := 0; i <= rowWords; i++ {
-		sb.Bind(property.Var(fmt.Sprintf("V%d", i)), packet.FieldIPSrc)
-	}
-	wide.OnEgress("second").Where(property.EqVar(packet.FieldIPDst, "V0"))
-	bad := map[string]*property.Property{"fails-validate": &noStages, "too-wide": wide.MustBuild()}
+	bad := map[string]*property.Property{"fails-validate": &noStages, "too-wide": tooWide("firewall-basic")}
 
 	forEachEngine(t, func(t *testing.T, row engineRow) {
 		r := newRig(t, row, Config{}, catalogProp(t, "firewall-basic"))

@@ -22,16 +22,23 @@ func Example() {
 		},
 	})
 
-	b := property.New("firewall", "returns for open connections are admitted")
-	b.OnArrival("outgoing").
-		Where(property.Eq(packet.FieldInPort, 1)).
-		Bind("A", packet.FieldIPSrc).
-		Bind("B", packet.FieldIPDst)
-	b.OnEgress("return-dropped").
-		Where(property.EqVar(packet.FieldIPSrc, "B"),
-			property.EqVar(packet.FieldIPDst, "A"),
-			property.Eq(packet.FieldDropped, 1))
-	if err := mon.AddProperty(b.MustBuild()); err != nil {
+	prop, err := property.Parse(`property "firewall" {
+  description "returns for open connections are admitted"
+  on arrival "outgoing" {
+    match in_port == 1
+    bind $A = ip.src
+    bind $B = ip.dst
+  }
+  on egress "return-dropped" {
+    match ip.src == $B
+    match ip.dst == $A
+    match dropped == 1
+  }
+}`)
+	if err == nil {
+		err = mon.AddProperty(prop)
+	}
+	if err != nil {
 		panic(err)
 	}
 
@@ -59,14 +66,21 @@ func ExampleMonitor_negativeObservation() {
 		},
 	})
 
-	b := property.New("ping-answered", "echo requests are answered within 2s")
-	b.OnArrival("request").
-		Where(property.Eq(packet.FieldICMPType, 8)).
-		Bind("ID", packet.FieldICMPID)
-	b.UnlessWithin("no-reply", property.Egress, 2*time.Second).
-		Where(property.Eq(packet.FieldICMPType, 0),
-			property.EqVar(packet.FieldICMPID, "ID"))
-	if err := mon.AddProperty(b.MustBuild()); err != nil {
+	prop, err := property.Parse(`property "ping-answered" {
+  description "echo requests are answered within 2s"
+  on arrival "request" {
+    match icmp.type == 8
+    bind $ID = icmp.id
+  }
+  unless egress "no-reply" within 2s {
+    match icmp.type == 0
+    match icmp.id == $ID
+  }
+}`)
+	if err == nil {
+		err = mon.AddProperty(prop)
+	}
+	if err != nil {
 		panic(err)
 	}
 

@@ -96,7 +96,7 @@ func TestCountingValidation(t *testing.T) {
 		p := &property.Property{Name: "c", Stages: []property.Stage{
 			{Label: "a", SamePacketAs: -1, Binds: []property.Binding{{Var: "A", Field: packet.FieldIPSrc}}},
 			{Label: "b", SamePacketAs: -1, MinCount: 5,
-				Preds: []property.Pred{property.EqVar(packet.FieldIPSrc, "A")}},
+				Preds: []property.Pred{{Field: packet.FieldIPSrc, Op: property.OpEq, Arg: property.Ref("A")}}},
 		}}
 		mod(&p.Stages[1])
 		return p.Validate()

@@ -212,13 +212,13 @@ func (g *gateGen) class() property.EventClass {
 // hash only; a sticky guard at stage 1 pins every bound variable, as
 // Validate requires.
 func (g *gateGen) property() *property.Property {
-	open := property.NewStage("open", g.class())
+	open := property.Stage{Label: "open", Class: g.class(), SamePacketAs: -1}
 	vars := []property.Var{"A", "B", "C"}[:1+g.rng.Intn(3)]
 	for _, v := range vars {
 		open.Binds = append(open.Binds, property.Binding{Var: v, Field: g.field()})
 	}
 	open.Until = g.guards(nil, g.rng.Intn(3))
-	wait := property.NewStage("wait", g.class())
+	wait := property.Stage{Label: "wait", Class: g.class(), SamePacketAs: -1}
 	wait.Until = g.guards(vars, 1+g.rng.Intn(4))
 	return &property.Property{Name: "gate", Stages: []property.Stage{open, wait}}
 }
@@ -232,7 +232,7 @@ func (g *gateGen) guards(vars []property.Var, n int) []property.Guard {
 		}
 		if gd.Sticky {
 			for _, v := range vars {
-				gd.Preds = append(gd.Preds, property.EqVar(g.field(), v))
+				gd.Preds = append(gd.Preds, property.Pred{Field: g.field(), Op: property.OpEq, Arg: property.Ref(v)})
 			}
 			g.rng.Shuffle(len(gd.Preds), func(a, b int) { gd.Preds[a], gd.Preds[b] = gd.Preds[b], gd.Preds[a] })
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +39,28 @@ func newHarness(t *testing.T, cfg Config, props ...*property.Property) *harness 
 		}
 	}
 	return h
+}
+
+// mustParse parses one property written in the property language.
+func mustParse(src string) *property.Property {
+	p, err := property.Parse(src)
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// tooWide is a property that binds one variable more than a row holds.
+func tooWide(name string) *property.Property {
+	var binds strings.Builder
+	for i := 0; i <= rowWords; i++ {
+		fmt.Fprintf(&binds, "bind $V%d = ip.src\n", i)
+	}
+	return mustParse(fmt.Sprintf(`property %q {
+  description "binds more variables than a row holds"
+  on arrival "first" { %s }
+  on egress "second" { match ip.dst == $V0 }
+}`, name, binds.String()))
 }
 
 func (h *harness) nextPID() PacketID {
@@ -743,11 +766,10 @@ func TestHashOperandSymmetry(t *testing.T) {
 func TestWindowVarStringValueIgnored(t *testing.T) {
 	// A WindowVar bound to a string value cannot form a deadline; the
 	// stage then waits unbounded (documented behaviour).
-	b := property.New("strwin", "")
-	b.OnArrival("a").Bind("W", packet.FieldDNSQName)
-	b.OnArrival("b").WithinVar("W").Where(property.EqVar(packet.FieldDNSQName, "W"))
-	p := b.MustBuild()
-	h := newHarness(t, Config{}, p)
+	h := newHarness(t, Config{}, mustParse(`property "strwin" {
+  on arrival "a" { bind $W = dns.qname }
+  on arrival "b" within $W { match dns.qname == $W }
+}`))
 	q := packet.NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, "x.test")
 	h.forward(q, 1, 2)
 	h.advance(time.Hour)

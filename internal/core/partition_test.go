@@ -2,7 +2,6 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"switchmon/internal/packet"
 	"switchmon/internal/property"
@@ -13,19 +12,18 @@ import (
 // switch within a second.
 func perSwitchProp(t *testing.T) *property.Property {
 	t.Helper()
-	b := property.New("per-switch-delivery", "test: dpid-scoped delivery")
-	b.OnArrival("syn").
-		Where(property.Eq(packet.FieldTCPSyn, 1)).
-		Bind("sw", packet.FieldSwitchID).
-		Bind("src", packet.FieldIPSrc)
-	b.OnEgress("fwd").
-		Where(property.EqVar(packet.FieldSwitchID, "sw"), property.EqVar(packet.FieldIPSrc, "src")).
-		Within(time.Second)
-	p, err := b.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	return p
+	return mustParse(`property "per-switch-delivery" {
+  description "test: dpid-scoped delivery"
+  on arrival "syn" {
+    match tcp.syn == 1
+    bind $sw = switch.id
+    bind $src = ip.src
+  }
+  on egress "fwd" within 1s {
+    match switch.id == $sw
+    match ip.src == $src
+  }
+}`)
 }
 
 // crossSwitchProp correlates events across switches: no switch.id in
@@ -33,19 +31,18 @@ func perSwitchProp(t *testing.T) *property.Property {
 // evidence across collectors.
 func crossSwitchProp(t *testing.T) *property.Property {
 	t.Helper()
-	b := property.New("cross-switch-delivery", "test: fabric-wide delivery")
-	b.OnArrival("in").
-		Where(property.Eq(packet.FieldTCPSyn, 1)).
-		Bind("src", packet.FieldIPSrc).
-		Bind("dst", packet.FieldIPDst)
-	b.OnEgress("out").
-		Where(property.EqVar(packet.FieldIPSrc, "src"), property.EqVar(packet.FieldIPDst, "dst")).
-		Within(time.Second)
-	p, err := b.Build()
-	if err != nil {
-		t.Fatalf("build: %v", err)
-	}
-	return p
+	return mustParse(`property "cross-switch-delivery" {
+  description "test: fabric-wide delivery"
+  on arrival "in" {
+    match tcp.syn == 1
+    bind $src = ip.src
+    bind $dst = ip.dst
+  }
+  on egress "out" within 1s {
+    match ip.src == $src
+    match ip.dst == $dst
+  }
+}`)
 }
 
 func TestDPIDPartitionable(t *testing.T) {

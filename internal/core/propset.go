@@ -181,6 +181,9 @@ func (ps *propSet) Apply(epoch uint64, props []*property.Property) error {
 
 // AddProperty is Apply at the engine's epoch with p added to its set. The
 // installed properties keep running, neither recompiled nor reformatted.
+// It is not part of Engine, where a set enters by one Apply; it serves
+// the benchmarks, the examples and internal/backend's approaches, which
+// hand one property at a time to an engine of their own.
 func (ps *propSet) AddProperty(p *property.Property) error {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()

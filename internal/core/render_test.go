@@ -136,10 +136,11 @@ func TestVerdictRenderingMatchesFmt(t *testing.T) {
 		}
 	}
 	for _, label := range []string{"no-reply", "say \"hi\"\t\\"} {
-		b := property.New("neg", "timeout trigger")
-		b.OnArrival("request").Bind("X", packet.FieldIPSrc)
-		b.UnlessWithin(label, property.Egress, time.Second).Where(property.EqVar(packet.FieldIPDst, "X"))
-		cp, err := compile(b.MustBuild())
+		cp, err := compile(mustParse(fmt.Sprintf(`property "neg" {
+  description "timeout trigger"
+  on arrival "request" { bind $X = ip.src }
+  unless egress %q within 1s { match ip.dst == $X }
+}`, label)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -98,9 +98,7 @@ func driveDifferential(t *testing.T, shards int, seed int64, props []*property.P
 			}
 		}
 	}
-	for _, p := range props {
-		onEngines(func(eng Engine) error { return eng.AddProperty(p) })
-	}
+	onEngines(func(eng Engine) error { return eng.Apply(0, props) })
 	sets := lifecycleSets(t, props)
 
 	rng := sim.NewRand(seed)

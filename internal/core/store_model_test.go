@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -31,18 +32,24 @@ const (
 )
 
 func modelProperty() *property.Property {
-	b := property.New("store-model", "A then a reply within a window, then no ack within another")
-	b.OnArrival("open").
-		Bind("A", packet.FieldIPSrc).
-		Bind("B", packet.FieldIPDst)
-	b.OnEgress("reply").
-		Where(property.EqVar(packet.FieldIPSrc, "B"), property.EqVar(packet.FieldIPDst, "A")).
-		Within(modelWindow1).
-		// Keyed on A alone: instances of one source share this key's chain.
-		Until(property.Arrival, property.EqVar(packet.FieldIPSrc, "A"), property.Eq(packet.FieldTCPFin, 1))
-	b.UnlessWithin("ack", property.Egress, modelWindow2).
-		Where(property.EqVar(packet.FieldIPSrc, "A"), property.EqVar(packet.FieldIPDst, "B"))
-	return b.MustBuild()
+	// The guard is keyed on A alone: instances of one source share this
+	// key's chain.
+	return mustParse(fmt.Sprintf(`property "store-model" {
+  description "A then a reply within a window, then no ack within another"
+  on arrival "open" {
+    bind $A = ip.src
+    bind $B = ip.dst
+  }
+  on egress "reply" within %s {
+    match ip.src == $B
+    match ip.dst == $A
+    until arrival { ip.src == $A; tcp.fin == 1 }
+  }
+  unless egress "ack" within %s {
+    match ip.src == $A
+    match ip.dst == $B
+  }
+}`, modelWindow1, modelWindow2))
 }
 
 type refInst struct {
@@ -427,23 +434,23 @@ func TestTableAgainstMap(t *testing.T) {
 // guards than a row has key slots still compiles, its extra guards
 // scanning.
 func TestCompileRowGeometryLimits(t *testing.T) {
-	wide := property.New("too-wide", "binds more variables than a row holds")
-	sb := wide.OnArrival("first")
-	for i := 0; i <= rowWords; i++ {
-		sb.Bind(property.Var(fmt.Sprintf("V%d", i)), packet.FieldIPSrc)
-	}
-	wide.OnEgress("second").Where(property.EqVar(packet.FieldIPDst, "V0"))
-	if _, err := compile(wide.MustBuild()); err == nil {
+	if _, err := compile(tooWide("too-wide")); err == nil {
 		t.Fatalf("a property with %d variables compiled into a %d-word row", rowWords+1, rowWords)
 	}
 
-	guarded := property.New("many-guards", "more keyed guards than key slots")
-	guarded.OnArrival("first").Bind("A", packet.FieldIPSrc)
-	st := guarded.OnEgress("second").Where(property.EqVar(packet.FieldIPDst, "A"))
-	for port := uint64(1); port <= rowKeys+2; port++ {
-		st.Until(property.Arrival, property.EqVar(packet.FieldIPSrc, "A"), property.Eq(packet.FieldDstPort, port))
+	var guards strings.Builder
+	for port := 1; port <= rowKeys+2; port++ {
+		fmt.Fprintf(&guards, "until arrival { ip.src == $A; l4.dst_port == %d }\n", port)
 	}
-	cp, err := compile(guarded.MustBuild())
+	guarded := mustParse(fmt.Sprintf(`property "many-guards" {
+  description "more keyed guards than key slots"
+  on arrival "first" { bind $A = ip.src }
+  on egress "second" {
+    match ip.dst == $A
+    %s
+  }
+}`, guards.String()))
+	cp, err := compile(guarded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +464,7 @@ func TestCompileRowGeometryLimits(t *testing.T) {
 		t.Fatalf("stage files an instance under %d keys, a row holds %d", keyed, rowKeys)
 	}
 	// The demoted guards still discharge.
-	h := newHarness(t, Config{}, guarded.MustBuild())
+	h := newHarness(t, Config{}, guarded)
 	src, dst := packet.IPv4FromUint32(0x0a000001), packet.IPv4FromUint32(0xcb007101)
 	h.arrival(packet.NewTCP(macA, macB, src, dst, 1000, 80, packet.FlagSYN, nil), 1)
 	h.arrival(packet.NewTCP(macA, macB, src, dst, 1000, rowKeys+2, packet.FlagSYN, nil), 1)

@@ -179,7 +179,7 @@ func wantPingQuarantined(t *testing.T, eng contractEngine) {
 }
 
 // A panic inside a timer callback — here the user violation callback,
-// fired by ping-reply-within's UnlessWithin deadline expiring with no
+// fired by ping-reply-within's "unless ... within" deadline expiring with no
 // reply — is recovered where the deadline fires and attributed to the
 // right property. This exercises the timer path (advanceByTimeout),
 // which runs under Scheduler.RunUntil rather than event application.

@@ -6,10 +6,12 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"switchmon/internal/core"
+	"switchmon/internal/federation"
 	"switchmon/internal/obs"
 	"switchmon/internal/packet"
 	"switchmon/internal/property"
@@ -71,23 +73,95 @@ func TestLoadProperties(t *testing.T) {
 	if err := os.WriteFile(file, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var order []string
-	install := func(p *property.Property) error {
-		order = append(order, p.Name)
-		return nil
-	}
-	props, err := parse(t, "-catalog", "firewall-basic, nat-reverse", "-props", file).LoadProperties(install)
+	props, err := parse(t, "-catalog", "firewall-basic, nat-reverse", "-props", file).LoadProperties()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(order, ","); got != "firewall-basic,nat-reverse,from-file" || len(props) != 3 {
-		t.Errorf("installed %q (%d returned), want the catalogue names then the file's", got, len(props))
+	var order []string
+	for _, p := range props {
+		order = append(order, p.Name)
 	}
-	if _, err := parse(t, "-catalog", "no-such").LoadProperties(install); err == nil {
+	if got := strings.Join(order, ","); got != "firewall-basic,nat-reverse,from-file" {
+		t.Errorf("loaded %q, want the catalogue names then the file's", got)
+	}
+	if _, err := parse(t, "-catalog", "no-such").LoadProperties(); err == nil {
 		t.Error("unknown catalogue name accepted")
 	}
-	if props, err := parse(t).LoadProperties(install); err != nil || len(props) != 0 {
-		t.Errorf("no flags: %v, %v; want nothing installed", props, err)
+	if props, err := parse(t).LoadProperties(); err != nil || len(props) != 0 {
+		t.Errorf("no flags: %v, %v; want nothing loaded", props, err)
+	}
+}
+
+// TestStartupSetIsOneApply: a daemon applies its -catalog set with one
+// Apply (federation.NewPropertySet), and the engine ends where installing
+// the set one property at a time left it: the same running names, epoch
+// 0 and ledger install records, and the document holds the set in name
+// order. A set the engine refuses installs nothing.
+func TestStartupSetIsOneApply(t *testing.T) {
+	names := []string{"nat-reverse", "firewall-basic", "dhcp-no-reuse"}
+	props, err := parse(t, "-catalog", strings.Join(names, ",")).LoadProperties()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var byName []*property.Property
+	for _, name := range []string{"dhcp-no-reuse", "firewall-basic", "nat-reverse"} {
+		byName = append(byName, property.CatalogByName(property.DefaultParams(), name))
+	}
+	// Both engines also install one property at a time.
+	type engine interface {
+		core.Engine
+		AddProperty(*property.Property) error
+	}
+	engines := map[string]func() (applied, added engine){
+		"Monitor": func() (engine, engine) {
+			return core.NewMonitor(sim.NewScheduler(), core.Config{}), core.NewMonitor(sim.NewScheduler(), core.Config{})
+		},
+		"ShardedMonitor": func() (engine, engine) {
+			a, b := core.NewShardedMonitor(2, core.Config{}), core.NewShardedMonitor(2, core.Config{})
+			t.Cleanup(a.Close)
+			t.Cleanup(b.Close)
+			return a, b
+		},
+	}
+	for kind, build := range engines {
+		applied, added := build()
+		set, err := federation.NewPropertySet(applied, props, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		for _, p := range props {
+			if err := added.AddProperty(p); err != nil {
+				t.Fatalf("%s: %v", kind, err)
+			}
+		}
+		doc := set.Doc()
+		var docNames []string
+		for _, m := range doc.Props {
+			docNames = append(docNames, m.Name)
+		}
+		if got := strings.Join(docNames, ","); doc.Epoch != 0 || got != "dhcp-no-reuse,firewall-basic,nat-reverse" ||
+			doc.Source != property.FormatAll(byName) || len(doc.Members) != 0 {
+			t.Errorf("%s: document at epoch %d names %s, want the set in name order at epoch 0", kind, doc.Epoch, got)
+		}
+		if got, want := strings.Join(applied.Properties(), ","), strings.Join(names, ","); got != want {
+			t.Errorf("%s: engine runs %s, want %s", kind, got, want)
+		}
+		if applied.Epoch() != 0 || applied.Stats().LifecycleEpoch != 0 {
+			t.Errorf("%s: Epoch %d, LifecycleEpoch %d; want 0", kind, applied.Epoch(), applied.Stats().LifecycleEpoch)
+		}
+		got, want := applied.Ledger().InstallSnapshot(), added.Ledger().InstallSnapshot()
+		if !reflect.DeepEqual(got, want) || len(got) != len(names) {
+			t.Errorf("%s: install records %+v, one at a time %+v", kind, got, want)
+		}
+	}
+
+	dup, err := parse(t, "-catalog", "firewall-basic,nat-reverse,firewall-basic").LoadProperties()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon := core.NewMonitor(sim.NewScheduler(), core.Config{})
+	if _, err := federation.NewPropertySet(mon, dup, nil); err == nil || len(mon.Properties()) != 0 {
+		t.Errorf("a startup set naming a property twice: %v, engine runs %v; want refused, nothing installed", err, mon.Properties())
 	}
 }
 

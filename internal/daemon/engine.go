@@ -66,9 +66,10 @@ func (f *Flags) EngineConfig(out io.Writer) (core.Config, error) {
 	return cfg, nil
 }
 
-// LoadProperties installs the -catalog names, then the -props file's
-// definitions, through install, and returns what it installed in order.
-func (f *Flags) LoadProperties(install func(*property.Property) error) ([]*property.Property, error) {
+// LoadProperties parses the startup set: the -catalog names, then the
+// -props file's definitions, in that order. The daemon applies it whole
+// (federation.NewPropertySet).
+func (f *Flags) LoadProperties() ([]*property.Property, error) {
 	var props []*property.Property
 	if f.Catalog != "" {
 		for _, name := range strings.Split(f.Catalog, ",") {
@@ -90,11 +91,6 @@ func (f *Flags) LoadProperties(install func(*property.Property) error) ([]*prope
 			return nil, err
 		}
 		props = append(props, parsed...)
-	}
-	for _, p := range props {
-		if err := install(p); err != nil {
-			return nil, err
-		}
 	}
 	return props, nil
 }

@@ -45,7 +45,11 @@ property "p" { on arrival "a" { match tcp.syn == 1 } }`,
 	}
 	f.Fuzz(func(t *testing.T, body string) {
 		mon := core.NewMonitor(sim.NewScheduler(), core.Config{})
-		h := export.PropertiesHandler(federation.NewPropertySet(mon, nil).Edits())
+		set, err := federation.NewPropertySet(mon, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := export.PropertiesHandler(set.Edits())
 		rec := httptest.NewRecorder()
 		h(rec, httptest.NewRequest(http.MethodPost, "/properties?tenant=t", strings.NewReader(body)))
 

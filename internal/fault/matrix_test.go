@@ -96,11 +96,13 @@ func matrixPanicShard(t *testing.T, seed int64) {
 	defer sm.Close()
 	mon := core.NewMonitor(sim.NewScheduler(), core.Config{OnViolation: count(inlineCounts)})
 	props := []string{"firewall-basic", "firewall-until-close"}
-	for _, name := range props {
-		for _, eng := range []core.Engine{sm, mon} {
-			if err := eng.AddProperty(property.CatalogByName(property.DefaultParams(), name)); err != nil {
-				t.Fatal(err)
-			}
+	for _, eng := range []core.Engine{sm, mon} {
+		var set []*property.Property
+		for _, name := range props {
+			set = append(set, property.CatalogByName(property.DefaultParams(), name))
+		}
+		if err := eng.Apply(0, set); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := ArmShardFaults(sm, spec); err != nil {

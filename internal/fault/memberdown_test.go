@@ -38,11 +38,13 @@ func startDownMember(t *testing.T, addr, adminAddr string, startup []string) *do
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := federation.NewPropertySet(sm, col.Broadcast)
+	var props []*property.Property
 	for _, name := range startup {
-		if err := set.Add(property.CatalogByName(property.DefaultParams(), name)); err != nil {
-			t.Fatal(err)
-		}
+		props = append(props, property.CatalogByName(property.DefaultParams(), name))
+	}
+	set, err := federation.NewPropertySet(sm, props, col.Broadcast)
+	if err != nil {
+		t.Fatal(err)
 	}
 	col.Serve()
 	if err := set.Publish(); err != nil {

@@ -18,6 +18,7 @@ import (
 	"switchmon/internal/core"
 	"switchmon/internal/obs"
 	"switchmon/internal/obs/export"
+	"switchmon/internal/property"
 	"switchmon/internal/wire"
 )
 
@@ -54,7 +55,7 @@ func (m *fleetMember) aggMember() AggMember {
 	return AggMember{Addr: m.col.Addr().String(), Admin: m.admin.URL}
 }
 
-func startFleetMember(t *testing.T) *fleetMember {
+func startFleetMember(t *testing.T, startup ...*property.Property) *fleetMember {
 	t.Helper()
 	reg := obs.NewRegistry()
 	sm := core.NewShardedMonitor(2, core.Config{Metrics: reg})
@@ -65,7 +66,7 @@ func startFleetMember(t *testing.T) *fleetMember {
 	}
 	col.Serve()
 	t.Cleanup(col.Close)
-	set := NewPropertySet(sm, col.Broadcast)
+	set := newSet(t, sm, col.Broadcast, startup...)
 
 	mc := export.MuxConfig{
 		Registry: reg,
@@ -325,7 +326,7 @@ func TestApplyMembershipWeightMillis(t *testing.T) {
 	var pushed []*wire.Config
 	sm := core.NewShardedMonitor(1, core.Config{})
 	t.Cleanup(sm.Close)
-	set := NewPropertySet(sm, func(u *wire.Config) error {
+	set := newSet(t, sm, func(u *wire.Config) error {
 		pushed = append(pushed, u)
 		return nil
 	})

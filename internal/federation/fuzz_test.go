@@ -60,7 +60,7 @@ bind $G = ip.src bind $H = ip.src bind $I = ip.src bind $J = ip.src bind $K = ip
 	f.Fuzz(func(t *testing.T, body string) {
 		mon := core.NewMonitor(sim.NewScheduler(), core.Config{})
 		var pushed []*wire.Config
-		set := NewPropertySet(mon, func(u *wire.Config) error {
+		set := newSet(t, mon, func(u *wire.Config) error {
 			pushed = append(pushed, u)
 			return nil
 		})

@@ -155,26 +155,17 @@ type PropertySet struct {
 	doc PropertySetDoc // the set the engine runs: the last applied
 }
 
-// NewPropertySet keeps the set of eng, an engine with none installed yet;
-// push, when non-nil, receives the set as a config after every applied
-// change (collector.Broadcast).
-func NewPropertySet(eng core.Engine, push func(*wire.Config) error) *PropertySet {
-	return &PropertySet{eng: eng, push: push, doc: setDoc(0, nil, nil)}
-}
-
-// Add installs p into the startup set (-catalog, -props): no epoch, no
-// push.
-func (s *PropertySet) Add(p *property.Property) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	props, err := s.doc.parse()
-	if err == nil {
-		err = s.eng.AddProperty(p)
+// NewPropertySet applies props, the startup set (-catalog, -props), to
+// eng, an engine with none installed yet, as one Apply at epoch 0 (no
+// push), and keeps the set from then on; push, when non-nil, receives
+// the set as a config after every later applied change
+// (collector.Broadcast). A startup set eng refuses is returned as the
+// error.
+func NewPropertySet(eng core.Engine, props []*property.Property, push func(*wire.Config) error) (*PropertySet, error) {
+	if err := eng.Apply(0, props); err != nil {
+		return nil, err
 	}
-	if err == nil {
-		s.doc = setDoc(s.doc.Epoch, append(props, p), s.doc.Members)
-	}
-	return err
+	return &PropertySet{eng: eng, push: push, doc: setDoc(0, slices.Clone(props), nil)}, nil
 }
 
 // Publish pushes the set as it stands: a collector's startup set, once

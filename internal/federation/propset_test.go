@@ -36,6 +36,16 @@ property "syn-gets-reply" {
 }
 `
 
+// newSet is NewPropertySet over eng with the startup set props.
+func newSet(t testing.TB, eng core.Engine, push func(*wire.Config) error, props ...*property.Property) *PropertySet {
+	t.Helper()
+	set, err := NewPropertySet(eng, props, push)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
 // holds fails the test unless m's applied document is at epoch and
 // names exactly the given properties, and its engine runs exactly them.
 func holds(t *testing.T, m *fleetMember, epoch uint64, names ...string) {
@@ -189,12 +199,8 @@ func TestRestartedAggregatorOutranksMembers(t *testing.T) {
 // first fleet edit, which builds on it: the members' common startup set
 // survives the first install.
 func TestStartupSetStandsUntilFirstFleetEdit(t *testing.T) {
-	m1, m2 := startFleetMember(t), startFleetMember(t)
-	for _, m := range []*fleetMember{m1, m2} {
-		if err := m.set.Add(property.CatalogByName(property.DefaultParams(), "firewall-basic")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	fw := property.CatalogByName(property.DefaultParams(), "firewall-basic")
+	m1, m2 := startFleetMember(t, fw), startFleetMember(t, fw)
 	a, srv := startAgg(t, m1, m2)
 	rounds(a, 3)
 	holds(t, m1, 0, "firewall-basic")
@@ -215,10 +221,7 @@ func TestStartupSetStandsUntilFirstFleetEdit(t *testing.T) {
 // refused (503). One member's own edit makes its set the fleet's, and
 // the next fleet edit builds on it.
 func TestDifferentStartupSetsRefuseFirstEdit(t *testing.T) {
-	m1, m2 := startFleetMember(t), startFleetMember(t)
-	if err := m1.set.Add(property.CatalogByName(property.DefaultParams(), "firewall-basic")); err != nil {
-		t.Fatal(err)
-	}
+	m1, m2 := startFleetMember(t, property.CatalogByName(property.DefaultParams(), "firewall-basic")), startFleetMember(t)
 	_, srv := startAgg(t, m1, m2)
 	if code, body := httpDo(t, http.MethodPost, srv.URL+"/properties", testPropDSL); code != http.StatusConflict {
 		t.Fatalf("install over different startup sets: %d %s", code, body)
@@ -479,7 +482,7 @@ func TestConcurrentFleetEdits(t *testing.T) {
 func TestRefusedApplyChangesNothing(t *testing.T) {
 	var pushed []*wire.Config
 	sm := core.NewShardedMonitor(2, core.Config{})
-	set := NewPropertySet(sm, func(u *wire.Config) error { pushed = append(pushed, u); return nil })
+	set := newSet(t, sm, func(u *wire.Config) error { pushed = append(pushed, u); return nil })
 	if _, err := set.Edits().Install(testPropDSL, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +545,7 @@ func TestApplyNeverMixesSets(t *testing.T) {
 		judged[v.Time.UnixNano()] = append(judged[v.Time.UnixNano()], v.Property)
 		mu.Unlock()
 	}})
-	set := NewPropertySet(mon, nil)
+	set := newSet(t, mon, nil)
 	apply := func(epoch uint64) {
 		d := docs[epoch%2]
 		d.Epoch = epoch
@@ -610,7 +613,7 @@ func TestLivePropertyCapIsTheEngines(t *testing.T) {
 		{"switchmon", core.NewMonitor(sim.NewScheduler(), core.Config{}), http.StatusCreated, 65},
 		{"collector", core.NewShardedMonitor(2, core.Config{}), http.StatusBadRequest, 64},
 	} {
-		h := export.PropertiesHandler(NewPropertySet(c.eng, nil).Edits())
+		h := export.PropertiesHandler(newSet(t, c.eng, nil).Edits())
 		if code := post(h, manyProps(64)); code != http.StatusCreated {
 			t.Fatalf("%s: installing 64 properties answered %d", c.name, code)
 		}
@@ -639,7 +642,7 @@ func TestLivePropertyCapIsTheEngines(t *testing.T) {
 func TestLedgerInstallEpochIsTheDocuments(t *testing.T) {
 	m := startFleetMember(t)
 	mon := core.NewMonitor(sim.NewScheduler(), core.Config{})
-	inline := httptest.NewServer(export.PropertiesHandler(NewPropertySet(mon, nil).Edits()))
+	inline := httptest.NewServer(export.PropertiesHandler(newSet(t, mon, nil).Edits()))
 	t.Cleanup(inline.Close)
 	for _, c := range []struct {
 		name string

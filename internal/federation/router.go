@@ -35,10 +35,6 @@ type Config struct {
 	// route's unacked tail is then replayed to the new owners; a
 	// surviving route's stays in its own queue). Default 5s.
 	DrainTimeout time.Duration
-	// HeldMax bounds the events buffered while a re-route fence is up
-	// (default 1<<17). Overflow is shed into the router's ledger — loss
-	// with a mark, never silent.
-	HeldMax int
 	// Exporter is the per-route template: every collector endpoint gets
 	// its own exporter built from this config — its own sequence space
 	// from 1, bounded queue, reconnect+replay — so the collector-side
@@ -54,6 +50,11 @@ type Config struct {
 	Dial func(addr string) (net.Conn, error)
 }
 
+// heldMax bounds the events buffered while a re-route fence is up.
+// Overflow is shed into the router's ledger — loss with a mark, never
+// silent.
+const heldMax = 1 << 17
+
 // Stats is an aggregate snapshot across the router's routes.
 type Stats struct {
 	// Epoch is the applied fleet-config epoch; Reroutes counts applied
@@ -65,7 +66,7 @@ type Stats struct {
 	// Published counts events accepted by Publish; Held counts events
 	// buffered behind a fence (cumulative); Replayed counts events
 	// re-published during handoff (held + extracted from removed
-	// routes); HeldShed counts events lost to HeldMax overflow.
+	// routes); HeldShed counts events lost to heldMax overflow.
 	Published uint64
 	Held      uint64
 	Replayed  uint64
@@ -131,9 +132,6 @@ func NewRouter(cfg Config) (*Router, error) {
 	}
 	if cfg.DrainTimeout <= 0 {
 		cfg.DrainTimeout = 5 * time.Second
-	}
-	if cfg.HeldMax <= 0 {
-		cfg.HeldMax = 1 << 17
 	}
 	r := &Router{
 		cfg:    cfg,
@@ -214,7 +212,7 @@ func (r *Router) Publish(e core.Event) {
 	}
 	r.stats.Published++
 	if r.fence {
-		if len(r.held) >= r.cfg.HeldMax {
+		if len(r.held) >= heldMax {
 			r.stats.HeldShed++
 			r.ledger.Mark("*", core.UnsoundWireLoss, r.stats.Published, time.Now(), 1, "re-route fence buffer full")
 			r.ledger.RecordLost(core.UnsoundWireLoss, 1)

@@ -338,6 +338,102 @@ func TestRouterSameRingNoFence(t *testing.T) {
 	}
 }
 
+// TestRouterFenceBufferFullSheds: while a re-route fence is up, Publish
+// holds events for replay, at most heldMax of them; past that each event
+// is shed, counted in HeldShed and on the router ledger's one "re-route
+// fence buffer full" mark. The fence is held by a drain that gets no
+// acknowledgement until the test has published heldMax events and more.
+func TestRouterFenceBufferFullSheds(t *testing.T) {
+	release := make(chan struct{})
+	old, joiner := ackAfter(t, release), ackAfter(t, release)
+	r := newTestRouter(t, []Member{{Addr: old}}, func(c *Config) { c.DrainTimeout = time.Minute })
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(free) // before the router's Close, which waits out the re-route
+	r.Publish(ev(1))
+	r.Flush()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		r.ApplyFleetConfig(&wire.Config{Kind: wire.ConfigFleet, Epoch: 1, Members: []wire.FleetMember{{Addr: old}, {Addr: joiner}}})
+	}()
+	waitFor(t, "the re-route fence", func() bool {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.fence
+	})
+	const over = 5
+	for i := 0; i < heldMax+over; i++ {
+		r.Publish(ev(2 + i))
+	}
+	st := r.Stats()
+	var marks []core.UnsoundMark
+	for _, m := range r.Ledger() {
+		if m.Detail == "router: re-route fence buffer full" {
+			marks = append(marks, m)
+		}
+	}
+	free()
+	<-done
+	if st.Held != heldMax || st.HeldShed != over {
+		t.Fatalf("with the fence up: held %d, shed %d; want %d and %d", st.Held, st.HeldShed, heldMax, over)
+	}
+	if len(marks) != 1 || marks[0].Reason != core.UnsoundWireLoss || marks[0].Events != over {
+		t.Fatalf("fence buffer marks %+v, want one wire-loss mark of %d events", marks, over)
+	}
+	if st := r.Stats(); st.Reroutes != 1 || st.Replayed < heldMax {
+		t.Fatalf("after the drain: %+v, want the re-route done and the held events replayed", st)
+	}
+}
+
+// ackAfter is a collector stand-in that takes batches and acknowledges
+// none until release is closed, then every one.
+func ackAfter(t *testing.T, release <-chan struct{}) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	serve := func(conn net.Conn) {
+		defer conn.Close()
+		r := wire.NewPooledReader(conn)
+		if f, err := r.Next(); err != nil {
+			return
+		} else if _, ok := f.(wire.Hello); !ok {
+			return
+		}
+		now := time.Now().UnixNano()
+		if _, err := conn.Write(wire.AppendHelloAck(nil, wire.HelloAck{RecvNs: now, SentNs: now})); err != nil {
+			return
+		}
+		for {
+			f, err := r.Next()
+			if err != nil {
+				return
+			}
+			if b, ok := f.(*wire.Batch); ok {
+				<-release
+				ack := wire.Ack{AckSeq: b.LastSeq(), SentNs: time.Now().UnixNano()}
+				b.Release()
+				if _, err := conn.Write(wire.AppendAck(nil, ack)); err != nil {
+					return
+				}
+			}
+		}
+	}
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go serve(conn)
+		}
+	}()
+	return ln.Addr().String()
+}
+
 // refusingAddr returns an address that actively refuses connections.
 func refusingAddr(t *testing.T) string {
 	t.Helper()

@@ -49,13 +49,11 @@ func TestFabricLifecycleChurnDifferential(t *testing.T) {
 	}
 	// The set as cmd/collector keeps it: every change is pushed to the
 	// property-kind exporters, one epoch on.
-	set := federation.NewPropertySet(sm, col.Broadcast)
 	churnName := "firewall-basic"
 	churned := property.CatalogByName(property.DefaultParams(), churnName)
-	for _, p := range []*property.Property{parseLeasedMAC(t), churned} {
-		if err := set.Add(p); err != nil {
-			t.Fatal(err)
-		}
+	set, err := federation.NewPropertySet(sm, []*property.Property{parseLeasedMAC(t), churned}, col.Broadcast)
+	if err != nil {
+		t.Fatal(err)
 	}
 	col.Serve()
 	defer col.Close()

@@ -226,36 +226,11 @@ func (db *DB) tickRegistry(now time.Time) {
 	for _, tr := range db.tracks {
 		switch {
 		case tr.ctr != nil:
-			cur := tr.ctr.Value()
-			v := math.NaN()
-			if tr.hasLast && dt > 0 {
-				v = float64(cur-tr.last) / dt
-			}
-			tr.last, tr.hasLast = cur, true
-			tr.vals[0][slot] = v
+			tr.recordCounter(slot, dt, tr.ctr.Value())
 		case tr.g != nil:
-			tr.vals[0][slot] = float64(tr.g.Value())
+			tr.recordGauge(slot, float64(tr.g.Value()))
 		case tr.h != nil:
-			cur := tr.h.Buckets()
-			var delta [65]uint64
-			nonEmpty := false
-			for i := range cur {
-				d := cur[i] - tr.lastB[i]
-				delta[i] = d
-				if d != 0 {
-					nonEmpty = true
-				}
-			}
-			if !tr.hasLast || !nonEmpty {
-				tr.vals[0][slot] = math.NaN()
-				tr.vals[1][slot] = math.NaN()
-				tr.vals[2][slot] = math.NaN()
-			} else {
-				tr.vals[0][slot] = float64(obs.HistQuantile(delta[:], 0.50))
-				tr.vals[1][slot] = float64(obs.HistQuantile(delta[:], 0.99))
-				tr.vals[2][slot] = float64(obs.HistMaxBound(delta[:]))
-			}
-			tr.lastB, tr.hasLast = cur, true
+			tr.recordHistogram(slot, tr.h.Buckets())
 		}
 	}
 	db.advance(nowNS)
@@ -270,23 +245,36 @@ func (db *DB) rescanRegistry() {
 		if _, ok := db.byKey[key]; ok {
 			return
 		}
-		tr := &track{ctr: ctr, g: g, h: h}
+		kind := "histogram"
 		switch {
 		case ctr != nil:
-			tr.keys = []string{key}
-			tr.kinds = []string{kindRate}
+			kind = "counter"
 		case g != nil:
-			tr.keys = []string{key}
-			tr.kinds = []string{kindGauge}
-		case h != nil:
-			tr.keys = make([]string, 3)
-			tr.kinds = histKinds[:]
-			for i, suf := range histSuffixes {
-				tr.keys[i] = obs.SeriesKey(name+suf, labels)
-			}
+			kind = "gauge"
 		}
+		tr := newTrack(kind, name, labels)
+		tr.ctr, tr.g, tr.h = ctr, g, h
 		db.addTrack(key, tr)
 	})
+}
+
+// newTrack builds the track of a series of the given instrument kind —
+// "counter", "gauge" or "histogram", as obs.Snapshot names them — with
+// its stored keys; nil for any other kind.
+func newTrack(kind, name string, labels []obs.Label) *track {
+	switch kind {
+	case "counter":
+		return &track{keys: []string{obs.SeriesKey(name, labels)}, kinds: []string{kindRate}}
+	case "gauge":
+		return &track{keys: []string{obs.SeriesKey(name, labels)}, kinds: []string{kindGauge}}
+	case "histogram":
+		tr := &track{keys: make([]string, len(histSuffixes)), kinds: histKinds[:]}
+		for i, suf := range histSuffixes {
+			tr.keys[i] = obs.SeriesKey(name+suf, labels)
+		}
+		return tr
+	}
+	return nil
 }
 
 // addTrack registers a new track and NaN-backfills its rings. Called
@@ -326,73 +314,71 @@ func (db *DB) tickSnapshot(now time.Time, snap obs.Snapshot) {
 			key := obs.SeriesKey(f.Name, ser.Labels)
 			tr := db.byKey[key]
 			if tr == nil {
-				tr = &track{}
-				switch f.Kind {
-				case "counter":
-					tr.keys = []string{key}
-					tr.kinds = []string{kindRate}
-				case "gauge":
-					tr.keys = []string{key}
-					tr.kinds = []string{kindGauge}
-				case "histogram":
-					tr.keys = make([]string, 3)
-					tr.kinds = histKinds[:]
-					for i, suf := range histSuffixes {
-						tr.keys[i] = obs.SeriesKey(f.Name+suf, ser.Labels)
-					}
-				default:
+				if tr = newTrack(f.Kind, f.Name, ser.Labels); tr == nil {
 					continue
 				}
 				db.addTrack(key, tr)
 			}
 			switch f.Kind {
 			case "counter":
-				cur := uint64(ser.Value)
-				v := math.NaN()
-				// Snapshot totals can regress — a member restarts, or a
-				// merged fleet snapshot misses a member for one scrape.
-				// A regressed total is a reset, not a wrapped uint64
-				// delta: record no rate for this tick.
-				if tr.hasLast && dt > 0 && cur >= tr.last {
-					v = float64(cur-tr.last) / dt
-				}
-				tr.last, tr.hasLast = cur, true
-				tr.vals[0][slot] = v
+				tr.recordCounter(slot, dt, uint64(ser.Value))
 			case "gauge":
-				tr.vals[0][slot] = float64(ser.Value)
+				tr.recordGauge(slot, float64(ser.Value))
 			case "histogram":
-				var delta [65]uint64
-				nonEmpty := false
-				reset := false
-				for i, n := range ser.Buckets {
-					if i >= len(delta) {
-						break
-					}
-					// A regressed bucket count means the source reset
-					// (same as the counter case above): the deltas are
-					// meaningless this tick, so record no quantiles.
-					if n < tr.lastB[i] {
-						reset = true
-						break
-					}
-					d := n - tr.lastB[i]
-					delta[i] = d
-					if d != 0 {
-						nonEmpty = true
-					}
-				}
-				if tr.hasLast && nonEmpty && !reset {
-					tr.vals[0][slot] = float64(obs.HistQuantile(delta[:], 0.50))
-					tr.vals[1][slot] = float64(obs.HistQuantile(delta[:], 0.99))
-					tr.vals[2][slot] = float64(obs.HistMaxBound(delta[:]))
-				}
 				var cur [65]uint64
 				copy(cur[:], ser.Buckets)
-				tr.lastB, tr.hasLast = cur, true
+				tr.recordHistogram(slot, cur)
 			}
 		}
 	}
 	db.advance(nowNS)
+}
+
+// The recording rules, one per instrument kind, written once for both
+// sources: each stores one tick's value of tr's series at slot.
+
+// recordCounter stores the counter's per-second rate over the dt
+// seconds since the previous tick, NaN on its first tick. A total below
+// the previous one — a snapshot source's member restarted, or a merged
+// fleet snapshot missed a member for one scrape — is a reset, not a
+// wrapped uint64 delta: it records no rate.
+func (tr *track) recordCounter(slot int, dt float64, cur uint64) {
+	v := math.NaN()
+	if tr.hasLast && dt > 0 && cur >= tr.last {
+		v = float64(cur-tr.last) / dt
+	}
+	tr.last, tr.hasLast = cur, true
+	tr.vals[0][slot] = v
+}
+
+// recordGauge stores the gauge raw.
+func (tr *track) recordGauge(slot int, v float64) { tr.vals[0][slot] = v }
+
+// recordHistogram stores the p50, p99 and max of the observations that
+// arrived since the previous tick, read from the bucket deltas; NaN on
+// the first tick and when none arrived. A bucket count below the
+// previous one is a reset, as for a counter: the deltas mean nothing
+// this tick, so it records no quantiles.
+func (tr *track) recordHistogram(slot int, cur [65]uint64) {
+	var delta [65]uint64
+	nonEmpty, reset := false, false
+	for i := range cur {
+		reset = reset || cur[i] < tr.lastB[i]
+		delta[i] = cur[i] - tr.lastB[i]
+		nonEmpty = nonEmpty || delta[i] != 0
+	}
+	q := [3]float64{math.NaN(), math.NaN(), math.NaN()}
+	if tr.hasLast && nonEmpty && !reset {
+		q = [3]float64{
+			float64(obs.HistQuantile(delta[:], 0.50)),
+			float64(obs.HistQuantile(delta[:], 0.99)),
+			float64(obs.HistMaxBound(delta[:])),
+		}
+	}
+	for i, v := range q {
+		tr.vals[i][slot] = v
+	}
+	tr.lastB, tr.hasLast = cur, true
 }
 
 // advance commits the slot just written. Called with db.mu held.

@@ -296,6 +296,16 @@ func TestEncodeRefusesWhatDecodeCannotReadBack(t *testing.T) {
 		p.FTP = &f
 		return p
 	}
+	dnsRCode := func(rcode uint8) *Packet {
+		p := NewDNSResponse(macB, macA, ipB, ipA, 5353, 1, "example.com", ipA)
+		p.DNS.RCode = rcode
+		return p
+	}
+	ipv4 := func(set func(*IPv4Header)) *Packet {
+		p := NewTCP(macA, macB, ipA, ipB, 40000, 80, FlagSYN, nil)
+		set(p.IPv4)
+		return p
+	}
 	refused := map[string]*Packet{
 		"dns empty label":           NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, "a..b"),
 		"dns trailing dot":          NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, "example.com."),
@@ -310,6 +320,14 @@ func TestEncodeRefusesWhatDecodeCannotReadBack(t *testing.T) {
 		"ftp command line break":    ftp(FTPControl{Command: "US\r\nER", Arg: "a"}),
 		"ftp argument line break":   ftp(FTPControl{Command: "USER", Arg: "a\nb"}),
 		"ftp reply text line break": ftp(FTPControl{ReplyCode: 220, ReplyText: "hello\rworld"}),
+		"ftp lower-case verb":       ftp(FTPControl{Command: "retr", Arg: "f"}),
+		"ftp reply code 42":         ftp(FTPControl{ReplyCode: 42, ReplyText: "hi"}),
+		"ftp reply code 600":        ftp(FTPControl{ReplyCode: 600, ReplyText: "hi"}),
+		"dns rcode 16":              dnsRCode(16),
+		"dns rcode 17":              dnsRCode(17),
+		"ipv4 flags 8":              ipv4(func(h *IPv4Header) { h.Flags = 8 }),
+		"ipv4 flags 9":              ipv4(func(h *IPv4Header) { h.Flags = 9 }),
+		"ipv4 fragment offset 2^13": ipv4(func(h *IPv4Header) { h.FragOff = 1 << 13 }),
 	}
 	for name, p := range refused {
 		if b, err := p.Encode(); err == nil {
@@ -320,11 +338,16 @@ func TestEncodeRefusesWhatDecodeCannotReadBack(t *testing.T) {
 		"dns 63-byte label":    NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, label(63)),
 		"dns 255-byte name":    NewDNSQuery(macA, macB, ipA, ipB, 5353, 1, strings.Repeat(label(63)+".", 3)+label(61)),
 		"dhcp 255-byte option": dhcp(DHCPOption{Code: 12, Value: bytes.Repeat([]byte{7}, 255)}),
+		"dns rcode 15":         dnsRCode(15),
+		"ipv4 flags 7":         ipv4(func(h *IPv4Header) { h.Flags, h.FragOff = 7, 1<<13-1 }),
+		"ftp reply code 599":   ftp(FTPControl{ReplyCode: 599, ReplyText: "hi"}),
+		"ftp upper-case verb":  ftp(FTPControl{Command: "RETR", Arg: "f"}),
 	}
 	for name, p := range longest {
 		q := roundTrip(t, p)
-		if !reflect.DeepEqual(q.DNS, p.DNS) || !reflect.DeepEqual(q.DHCP, p.DHCP) {
-			t.Errorf("%s: decoded %+v %+v", name, q.DNS, q.DHCP)
+		if !reflect.DeepEqual(q.DNS, p.DNS) || !reflect.DeepEqual(q.DHCP, p.DHCP) || !reflect.DeepEqual(q.FTP, p.FTP) ||
+			q.IPv4.Flags != p.IPv4.Flags || q.IPv4.FragOff != p.IPv4.FragOff {
+			t.Errorf("%s: decoded %+v %+v %+v %+v", name, q.DNS, q.DHCP, q.FTP, q.IPv4)
 		}
 	}
 }

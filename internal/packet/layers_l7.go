@@ -221,6 +221,9 @@ type DNSAnswer struct {
 // walk lays out the message: the header in place, then the question and
 // the answers.
 func (d *DNS) walk(c *cursor) {
+	if c.enc && d.RCode > 0xf {
+		c.failf("packet: DNS RCode %d wider than 4 bits", d.RCode)
+	}
 	an := uint16(len(d.Answers))
 	c.check(d.layout(c.take(12), &an, c.enc))
 	c.name(&d.QName)
@@ -328,12 +331,19 @@ type FTPControl struct {
 	DataPort uint16
 }
 
-// appendLine appends the control line f stands for. It refuses a line
-// break in any of f's texts: decode would read the frame as more than
-// one line and leave the payload raw.
+// appendLine appends the control line f stands for. It refuses what
+// decode would read back as another line: a line break in any of f's
+// texts (decode would read the frame as more than one line and leave the
+// payload raw), a reply code outside 100-599 (read as a command) and a
+// command with a lower-case letter (read in upper case).
 func (f *FTPControl) appendLine(b []byte) ([]byte, error) {
-	if strings.ContainsAny(f.Command, "\r\n") || strings.ContainsAny(f.Arg, "\r\n") || strings.ContainsAny(f.ReplyText, "\r\n") {
+	switch {
+	case strings.ContainsAny(f.Command, "\r\n") || strings.ContainsAny(f.Arg, "\r\n") || strings.ContainsAny(f.ReplyText, "\r\n"):
 		return nil, fmt.Errorf("packet: FTP control text contains a line break")
+	case f.ReplyCode != 0 && (f.ReplyCode < 100 || f.ReplyCode > 599):
+		return nil, fmt.Errorf("packet: FTP reply code %d outside 100-599", f.ReplyCode)
+	case f.ReplyCode == 0 && f.Command != strings.ToUpper(f.Command):
+		return nil, fmt.Errorf("packet: FTP command %q is not in upper case", f.Command)
 	}
 	switch {
 	case f.ReplyCode != 0:

@@ -110,18 +110,33 @@ type cursor struct {
 	err error
 }
 
+// zeros are the bytes take appends on encode and hands out past the end
+// on decode. No walk takes more than a DHCP option's value, 255 bytes.
+var zeros [256]byte
+
+// take calls no function, so it inlines into the walks (a call alone
+// costs most of the inliner's budget): encode appends from zeros rather
+// than through extend, and a decode past the end records a
+// truncatedError, formatted only if it is read.
 func (c *cursor) take(n int) []byte {
 	switch {
 	case c.enc:
-		var h []byte
-		c.b, h = extend(c.b, n)
-		return h
+		c.b = append(c.b, zeros[:n]...)
+		return c.b[len(c.b)-n:]
 	case c.off+n > len(c.b):
-		c.failf("packet: truncated L7 layer (want %d bytes at offset %d of %d)", n, c.off, len(c.b))
-		return make([]byte, n)
+		c.check(&truncatedError{n, c.off, len(c.b)})
+		return zeros[:n:n]
 	}
 	c.off += n
 	return c.b[c.off-n : c.off]
+}
+
+// truncatedError is a decode that wanted n bytes at off of an L7 layer
+// of length len.
+type truncatedError struct{ n, off, len int }
+
+func (e *truncatedError) Error() string {
+	return fmt.Sprintf("packet: truncated L7 layer (want %d bytes at offset %d of %d)", e.n, e.off, e.len)
 }
 
 func (c *cursor) failf(format string, args ...any) { c.check(fmt.Errorf(format, args...)) }

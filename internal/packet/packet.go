@@ -77,9 +77,12 @@ func (p *Packet) Encode() ([]byte, error) {
 // innermost first. Encoding performs no heap allocation once b has
 // capacity; the wire exporter's hot path leans on this — one reusable
 // buffer per connection, zero garbage per event. It refuses what Decode
-// would read back differently or not at all: a DNS name outside RFC
-// 1035's limits, a DHCP Extra option decode would not keep in Extra, an
-// FTP text with a line break, an IPv4 datagram over 65535 bytes. A
+// would read back differently or not at all: IPv4 flags or a fragment
+// offset wider than their 3 and 13 bits, a DNS name outside RFC 1035's
+// limits or an RCode wider than 4 bits, a DHCP Extra option decode would
+// not keep in Extra, an FTP text with a line break, a command not in
+// upper case or a reply code outside 100-599, an IPv4 datagram over
+// 65535 bytes. A
 // layout writes its constants rather than checks them, so on encode
 // neither a layout nor a checksum can fail: their errors are decode's.
 func (p *Packet) AppendEncode(b []byte) ([]byte, error) {
@@ -95,6 +98,8 @@ func (p *Packet) AppendEncode(b []byte) ([]byte, error) {
 		return b, p.ARP.layout(h, true)
 	case p.IPv4 == nil:
 		return append(b, p.Payload...), nil
+	case p.IPv4.Flags > 7 || p.IPv4.FragOff > 0x1fff:
+		return nil, fmt.Errorf("packet: IPv4 flags %d or fragment offset %d wider than 3 and 13 bits", p.IPv4.Flags, p.IPv4.FragOff)
 	}
 	ip := len(b)
 	b, h = extend(b, ipv4HeaderLen)

@@ -133,9 +133,10 @@ func TestAnalyzeCatalog(t *testing.T) {
 }
 
 func TestAnalyzeSingleStageNoHistory(t *testing.T) {
-	b := New("single", "one observation needs no history")
-	b.OnArrival("only").Where(Eq(packet.FieldIPProto, 6))
-	ft := Analyze(b.MustBuild())
+	ft := Analyze(mustParse(t, `property "single" {
+  description "one observation needs no history"
+  on arrival "only" { match ip.proto == 6 }
+}`))
 	if ft.History {
 		t.Error("single-stage property reports History")
 	}
@@ -169,10 +170,10 @@ func TestInstanceIDStrings(t *testing.T) {
 
 func TestAnalyzeBindOnlyLayerCounts(t *testing.T) {
 	// Binding from an L7 field must raise MaxLayer even with no L7 preds.
-	b := New("bindlayer", "")
-	b.OnArrival("a").Bind("X", packet.FieldDHCPXid)
-	b.OnArrival("b").Where(EqVar(packet.FieldDHCPXid, "X"))
-	ft := Analyze(b.MustBuild())
+	ft := Analyze(mustParse(t, `property "bindlayer" {
+  on arrival "a" { bind $X = dhcp.xid }
+  on arrival "b" { match dhcp.xid == $X }
+}`))
 	if ft.MaxLayer != packet.Layer7 {
 		t.Errorf("MaxLayer = %v, want L7", ft.MaxLayer)
 	}

@@ -303,11 +303,6 @@ type Stage struct {
 	Until []Guard
 }
 
-// NewStage returns a positive stage with SamePacketAs unset.
-func NewStage(label string, class EventClass) Stage {
-	return Stage{Label: label, Class: class, SamePacketAs: -1}
-}
-
 // Property is a named violation pattern. Completing Stages[len-1]
 // witnesses one violation of the monitored correctness property.
 type Property struct {

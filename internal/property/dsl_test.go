@@ -29,6 +29,16 @@ property "firewall-until-close" {
 }
 `
 
+// mustParse parses one property or fails the test.
+func mustParse(t *testing.T, src string) *Property {
+	t.Helper()
+	p, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
 func TestParseFirewall(t *testing.T) {
 	p, err := Parse(firewallSrc)
 	if err != nil {
@@ -259,7 +269,7 @@ func TestParseAllEmpty(t *testing.T) {
 // Go does not know is an error rather than a silently different string.
 func TestStringEscapesRoundTrip(t *testing.T) {
 	for _, name := range []string{"a\tb", "nul\x00", "line\nbreak", `q"uote`, `back\slash`, "bad\xffutf8", "µs"} {
-		p := &Property{Name: name, Description: name, Stages: []Stage{NewStage(name, Arrival)}}
+		p := &Property{Name: name, Description: name, Stages: []Stage{{Label: name, Class: Arrival, SamePacketAs: -1}}}
 		back, err := Parse(Format(p))
 		if err != nil {
 			t.Errorf("%q: %v", name, err)

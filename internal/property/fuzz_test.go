@@ -73,7 +73,7 @@ func genProperty(rng *rand.Rand, idx int) *Property {
 	nStages := 1 + rng.Intn(4)
 	stages := make([]Stage, 0, nStages)
 	for si := 0; si < nStages; si++ {
-		st := NewStage(fmt.Sprintf("stage-%d", si), sim.Choice(rng, classes))
+		st := Stage{Label: fmt.Sprintf("stage-%d", si), Class: sim.Choice(rng, classes), SamePacketAs: -1}
 		st.Preds = genPreds(3)
 		// Negative observations: only after stage 0, sometimes.
 		if si > 0 && rng.Intn(4) == 0 {

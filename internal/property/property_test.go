@@ -74,7 +74,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 			"unbound variable",
 			&Property{Name: "x", Stages: []Stage{{
 				Label: "s", SamePacketAs: -1,
-				Preds: []Pred{EqVar(packet.FieldIPSrc, "A")},
+				Preds: []Pred{{Field: packet.FieldIPSrc, Op: OpEq, Arg: Ref("A")}},
 			}}},
 			"before binding",
 		},
@@ -192,7 +192,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 			"unbound guard variable",
 			&Property{Name: "x", Stages: []Stage{{
 				Label: "a", SamePacketAs: -1,
-				Until: []Guard{{Class: Arrival, Preds: []Pred{EqVar(packet.FieldIPSrc, "Z")}}},
+				Until: []Guard{{Class: Arrival, Preds: []Pred{{Field: packet.FieldIPSrc, Op: OpEq, Arg: Ref("Z")}}}},
 			}}},
 			"before binding",
 		},
@@ -258,25 +258,8 @@ func TestVars(t *testing.T) {
 	}
 }
 
-func TestBuilderErrors(t *testing.T) {
-	b := New("bad", "uses unbound var")
-	b.OnArrival("a").Where(EqVar(packet.FieldIPSrc, "NOPE"))
-	if _, err := b.Build(); err == nil {
-		t.Fatal("Build accepted an unbound variable")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustBuild did not panic")
-		}
-	}()
-	New("bad2", "").OnArrival("a").Where(EqVar(packet.FieldIPSrc, "NOPE"))
-	bb := New("bad2", "")
-	bb.OnArrival("a").Where(EqVar(packet.FieldIPSrc, "NOPE"))
-	bb.MustBuild()
-}
-
 func TestStageAndPredStrings(t *testing.T) {
-	pr := EqVar(packet.FieldIPSrc, "A")
+	pr := Pred{Field: packet.FieldIPSrc, Op: OpEq, Arg: Ref("A")}
 	if pr.String() != "ip.src == $A" {
 		t.Errorf("Pred.String = %q", pr.String())
 	}

@@ -1,11 +1,14 @@
-// Package sim provides the deterministic simulation substrate used by the
-// entire repository: a virtual clock, an ordered event queue, and seeded
-// randomness helpers.
+// Package sim provides the deterministic simulation substrate: a
+// Scheduler, which runs an ordered task queue and deadline sources on a
+// virtual clock, and seeded randomness helpers.
 //
-// Every component that needs time (monitor timeouts, rule expirations,
-// traffic generators) takes a Clock rather than calling time.Now, so tests
-// and benchmarks are exactly reproducible and timeout semantics can be
-// exercised without real sleeping.
+// The monitor's windows and timeouts, the dataplane's rule expirations
+// and the simulated network run on a Scheduler. Virtual time moves only
+// when the scheduler runs (Run, RunUntil, RunFor), so simulations, tests
+// and benchmarks are reproducible and a timeout fires without sleeping.
+// A live engine moves its schedulers to each event's timestamp rather
+// than reading the wall clock; the wire, exporter and telemetry code
+// outside the engine reads time.Now.
 package sim
 
 import (
@@ -14,16 +17,8 @@ import (
 	"time"
 )
 
-// Clock supplies the current virtual time.
-//
-// Implementations must be safe for concurrent use.
-type Clock interface {
-	// Now returns the current time on this clock.
-	Now() time.Time
-}
-
-// VirtualClock is a manually advanced Clock. The zero value is not usable;
-// create one with NewVirtualClock.
+// VirtualClock is a manually advanced clock, safe for concurrent use. The
+// zero value is not usable; create one with NewVirtualClock.
 type VirtualClock struct {
 	mu  sync.Mutex
 	now time.Time
@@ -37,11 +32,6 @@ var Epoch = time.Date(2016, time.November, 9, 0, 0, 0, 0, time.UTC)
 // NewVirtualClock returns a VirtualClock starting at Epoch.
 func NewVirtualClock() *VirtualClock {
 	return &VirtualClock{now: Epoch}
-}
-
-// NewVirtualClockAt returns a VirtualClock starting at the given time.
-func NewVirtualClockAt(t time.Time) *VirtualClock {
-	return &VirtualClock{now: t}
 }
 
 // Now returns the current virtual time.
@@ -72,13 +62,3 @@ func (c *VirtualClock) Set(t time.Time) {
 	}
 	c.now = t
 }
-
-// WallClock is a Clock backed by the real time.Now. It exists so the same
-// engine code can run against live traffic sources.
-type WallClock struct{}
-
-// Now returns the current wall-clock time.
-func (WallClock) Now() time.Time { return time.Now() }
-
-var _ Clock = (*VirtualClock)(nil)
-var _ Clock = WallClock{}

@@ -92,9 +92,6 @@ func NewScheduler() *Scheduler {
 	return &Scheduler{clock: NewVirtualClock()}
 }
 
-// Clock returns the scheduler's virtual clock.
-func (s *Scheduler) Clock() *VirtualClock { return s.clock }
-
 // Now returns the scheduler's current virtual time.
 func (s *Scheduler) Now() time.Time { return s.clock.Now() }
 

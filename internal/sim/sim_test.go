@@ -150,7 +150,7 @@ func TestSchedulerRunUntil(t *testing.T) {
 
 func TestSchedulerPastDeadlineClamped(t *testing.T) {
 	s := NewScheduler()
-	s.Clock().Advance(10 * time.Second)
+	s.RunFor(10 * time.Second)
 	ran := false
 	s.At(Epoch, func() { ran = true }) // in the past
 	s.Run(10)
