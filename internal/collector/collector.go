@@ -30,6 +30,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"switchmon/internal/core"
@@ -95,17 +96,12 @@ type Stats struct {
 
 // dpState is one datapath's demux state, shared across its reconnects.
 type dpState struct {
-	nextSeq  uint64 // next event sequence expected
-	acked    uint64 // highest cumulative ack issued (mirrors ackedC)
-	conns    uint64 // connections ever accepted for this dpid
-	batchesC *obs.Counter
-	eventsC  *obs.Counter
-	bytesC   *obs.Counter
-	gapsC    *obs.Counter
-	dedupC   *obs.Counter
-	ackedC   *obs.Counter
-	reconnC  *obs.Counter
-	windowG  *obs.Gauge
+	nextSeq uint64 // next event sequence expected
+	conns   uint64 // connections ever accepted for this dpid
+	windowG *obs.Gauge
+	// Counters written under the collector's mu, atomic so their series
+	// read them without it. acked is the highest cumulative ack issued.
+	batches, events, bytes, gaps, deduped, acked, reconnects atomic.Uint64
 }
 
 // advanceAckedLocked folds the datapath's current cumulative ack into
@@ -114,9 +110,8 @@ type dpState struct {
 // counter exists to expose — acked minus applied equals lost. Caller
 // holds mu.
 func (dp *dpState) advanceAckedLocked() {
-	if ack := dp.nextSeq - 1; ack > dp.acked {
-		dp.ackedC.Add(ack - dp.acked)
-		dp.acked = ack
+	if ack := dp.nextSeq - 1; ack > dp.acked.Load() {
+		dp.acked.Store(ack)
 	}
 }
 
@@ -148,8 +143,9 @@ type Collector struct {
 	dps      map[uint64]*dpState
 	conns    map[net.Conn]*connState
 	lastTick time.Time
-	stats    Stats
-	closed   bool
+	// configs is the retained config's high-water mark per kind.
+	configs [wire.NumConfigKinds]wire.HighWater
+	closed  bool
 	// retained is the encoded frame of the newest config broadcast per
 	// kind (nil until the first); a connection negotiating the kind
 	// receives it right after the handshake.
@@ -207,7 +203,6 @@ func (c *Collector) Serve() {
 			}
 			cs := &connState{conn: conn}
 			c.conns[conn] = cs
-			c.stats.Conns++
 			c.connsG.Add(1)
 			c.mu.Unlock()
 			c.wg.Add(1)
@@ -216,7 +211,6 @@ func (c *Collector) Serve() {
 				c.serveConn(conn, cs)
 				c.mu.Lock()
 				delete(c.conns, conn)
-				c.stats.Conns--
 				c.connsG.Add(-1)
 				c.mu.Unlock()
 			}()
@@ -237,12 +231,19 @@ func (c *Collector) Close() {
 	c.wg.Wait()
 }
 
-// Stats snapshots the collector's counters.
+// Stats snapshots the collector's counters, summed over datapaths.
 func (c *Collector) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s := c.stats
-	s.Datapaths = len(c.dps)
+	s := Stats{Conns: len(c.conns), Datapaths: len(c.dps), Configs: c.configs}
+	for _, dp := range c.dps {
+		s.Batches += dp.batches.Load()
+		s.Events += dp.events.Load()
+		s.Bytes += dp.bytes.Load()
+		s.Deduped += dp.deduped.Load()
+		s.GapEvents += dp.gaps.Load()
+		s.Reconnects += dp.reconnects.Load()
+	}
 	return s
 }
 
@@ -256,13 +257,13 @@ func (c *Collector) dpStateFor(dpid uint64) *dpState {
 	dp = &dpState{nextSeq: 1}
 	if reg := c.cfg.Metrics; reg != nil {
 		l := obs.L("dpid", fmt.Sprintf("%d", dpid))
-		dp.batchesC = reg.Counter("switchmon_collector_batches_total", "wire batches applied", l)
-		dp.eventsC = reg.Counter("switchmon_collector_events_total", "events applied to the engine", l)
-		dp.bytesC = reg.Counter("switchmon_collector_bytes_total", "frame bytes received", l)
-		dp.gapsC = reg.Counter("switchmon_collector_gap_events_total", "events declared lost by sequence gaps", l)
-		dp.dedupC = reg.Counter("switchmon_collector_deduped_events_total", "replayed events skipped by dedup", l)
-		dp.ackedC = reg.Counter("switchmon_collector_acked_events_total", "cumulative event sequence acknowledged (applied plus declared-lost)", l)
-		dp.reconnC = reg.Counter("switchmon_collector_reconnects_total", "connections beyond the first", l)
+		reg.CounterFunc("switchmon_collector_batches_total", "wire batches applied", dp.batches.Load, l)
+		reg.CounterFunc("switchmon_collector_events_total", "events applied to the engine", dp.events.Load, l)
+		reg.CounterFunc("switchmon_collector_bytes_total", "frame bytes received", dp.bytes.Load, l)
+		reg.CounterFunc("switchmon_collector_gap_events_total", "events declared lost by sequence gaps", dp.gaps.Load, l)
+		reg.CounterFunc("switchmon_collector_deduped_events_total", "replayed events skipped by dedup", dp.deduped.Load, l)
+		reg.CounterFunc("switchmon_collector_acked_events_total", "cumulative event sequence acknowledged (applied plus declared-lost)", dp.acked.Load, l)
+		reg.CounterFunc("switchmon_collector_reconnects_total", "connections beyond the first", dp.reconnects.Load, l)
 		dp.windowG = reg.Gauge("switchmon_collector_window_events", "events received but not yet acknowledged", l)
 	}
 	c.dps[dpid] = dp
@@ -293,7 +294,7 @@ func (c *Collector) Broadcast(cfg *wire.Config) error {
 		return err
 	}
 	c.mu.Lock()
-	if !c.stats.Configs[cfg.Kind].Admit(cfg.Epoch) {
+	if !c.configs[cfg.Kind].Admit(cfg.Epoch) {
 		c.mu.Unlock()
 		return nil
 	}
@@ -350,8 +351,7 @@ func (c *Collector) serveConn(conn net.Conn, cs *connState) {
 	dp := c.dpStateFor(hello.DPID)
 	dp.conns++
 	if dp.conns > 1 {
-		c.stats.Reconnects++
-		dp.reconnC.Inc()
+		dp.reconnects.Add(1)
 	}
 	// An exporter resuming beyond our expectation has already given up
 	// on the intervening events (shed, or consumed by NoteLoss): account
@@ -441,18 +441,14 @@ func (c *Collector) applyBatch(dpid uint64, dp *dpState, b *wire.Batch, frameByt
 		if skip > len(b.Events) {
 			skip = len(b.Events)
 		}
-		c.stats.Deduped += uint64(skip)
-		dp.dedupC.Add(uint64(skip))
+		dp.deduped.Add(uint64(skip))
 	}
 	evs := b.Events[skip:]
 	dp.nextSeq += uint64(len(evs))
 	dp.advanceAckedLocked()
-	c.stats.Batches++
-	c.stats.Events += uint64(len(evs))
-	c.stats.Bytes += frameBytes
-	dp.batchesC.Inc()
-	dp.bytesC.Add(frameBytes)
-	dp.eventsC.Add(uint64(len(evs)))
+	dp.batches.Add(1)
+	dp.events.Add(uint64(len(evs)))
+	dp.bytes.Add(frameBytes)
 	ackSeq := dp.nextSeq - 1
 	c.mu.Unlock()
 
@@ -497,8 +493,7 @@ func (c *Collector) applyBatch(dpid uint64, dp *dpState, b *wire.Batch, frameByt
 // the expectation. Caller holds mu.
 func (c *Collector) markGapLocked(dpid uint64, dp *dpState, upTo uint64, at time.Time) {
 	lost := upTo - dp.nextSeq
-	c.stats.GapEvents += lost
-	dp.gapsC.Add(lost)
+	dp.gaps.Add(lost)
 	detail := fmt.Sprintf("dpid %d lost events seq [%d,%d)", dpid, dp.nextSeq, upTo)
 	dp.nextSeq = upTo
 	// MarkLoss takes the engine's locks; drop ours around the call.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"switchmon/internal/obs"
@@ -109,18 +110,14 @@ type Ledger struct {
 	marks     map[string]*UnsoundMark
 	quarProps map[string]bool
 	installs  map[string]*InstallRecord
-	loss      uint64
-	overflow  uint64
-	wire      uint64
-	quota     uint64
+	// The per-reason loss totals (atomic: their series read them).
+	loss     atomic.Uint64
+	overflow atomic.Uint64
+	wire     atomic.Uint64
+	quota    atomic.Uint64
 
-	// Telemetry handles (nil-safe no-ops when uninstrumented).
+	// unsoundG mirrors len(marks) (nil-safe no-op when uninstrumented).
 	unsoundG *obs.Gauge
-	quarC    *obs.Counter
-	lossC    *obs.Counter
-	ovflC    *obs.Counter
-	wireC    *obs.Counter
-	quotaC   *obs.Counter
 }
 
 // InstallRecord is one property's install-point watermark: when (and in
@@ -159,23 +156,23 @@ func newLedger() *Ledger {
 func NewLedger() *Ledger { return newLedger() }
 
 // instrument registers the ledger's series. Registration happens once at
-// engine construction; the mark paths then record through atomic handles.
+// engine construction; the counters read the ledger's own counts.
 func (l *Ledger) instrument(reg *obs.Registry, labels []obs.Label) {
 	if reg == nil {
 		return
 	}
 	l.unsoundG = reg.Gauge("switchmon_monitor_unsound_properties",
 		"Properties whose verdicts are degraded (shed, quarantined, or lossy feed).", labels...)
-	l.quarC = reg.Counter("switchmon_ledger_quarantined_properties_total",
-		"Properties quarantined after a panic in their step.", labels...)
-	l.lossC = reg.Counter("switchmon_ledger_injected_loss_events_total",
-		"Feed events reported lost upstream of the monitor.", labels...)
-	l.ovflC = reg.Counter("switchmon_ledger_overflow_events_total",
-		"Events dropped by split-mode queue overflow.", labels...)
-	l.wireC = reg.Counter("switchmon_ledger_wire_loss_events_total",
-		"Events lost between exporter and collector (gaps, shed batches, unacked disconnects).", labels...)
-	l.quotaC = reg.Counter("switchmon_ledger_quota_events_total",
-		"Events and instances rejected by per-tenant quotas.", labels...)
+	reg.CounterFunc("switchmon_ledger_quarantined_properties_total",
+		"Properties quarantined after a panic in their step.", l.quarantined, labels...)
+	reg.CounterFunc("switchmon_ledger_injected_loss_events_total",
+		"Feed events reported lost upstream of the monitor.", l.loss.Load, labels...)
+	reg.CounterFunc("switchmon_ledger_overflow_events_total",
+		"Events dropped by split-mode queue overflow.", l.overflow.Load, labels...)
+	reg.CounterFunc("switchmon_ledger_wire_loss_events_total",
+		"Events lost between exporter and collector (gaps, shed batches, unacked disconnects).", l.wire.Load, labels...)
+	reg.CounterFunc("switchmon_ledger_quota_events_total",
+		"Events and instances rejected by per-tenant quotas.", l.quota.Load, labels...)
 }
 
 // Mark records that prop became (or stays) unsound for reason. The first
@@ -221,9 +218,8 @@ func (l *Ledger) markLocked(prop string, reason UnsoundReason, seq uint64, at ti
 		l.unsoundG.Set(int64(len(l.marks)))
 	}
 	m.Events += n
-	if reason == UnsoundQuarantine && !l.quarProps[prop] {
+	if reason == UnsoundQuarantine {
 		l.quarProps[prop] = true
-		l.quarC.Inc()
 	}
 }
 
@@ -300,22 +296,16 @@ func (l *Ledger) InstallSnapshot() []InstallRecord {
 // once per loss occurrence, regardless of how many properties the lost
 // events could have affected (Mark handles per-property attribution).
 func (l *Ledger) recordLost(reason UnsoundReason, n uint64) {
-	l.mu.Lock()
 	switch reason {
 	case UnsoundInjectedLoss:
-		l.loss += n
-		l.lossC.Add(n)
+		l.loss.Add(n)
 	case UnsoundSplitOverflow:
-		l.overflow += n
-		l.ovflC.Add(n)
+		l.overflow.Add(n)
 	case UnsoundWireLoss:
-		l.wire += n
-		l.wireC.Add(n)
+		l.wire.Add(n)
 	case UnsoundQuota:
-		l.quota += n
-		l.quotaC.Add(n)
+		l.quota.Add(n)
 	}
-	l.mu.Unlock()
 }
 
 // RecordLost adds n lost events to the reason's aggregate counter
@@ -351,12 +341,4 @@ func (l *Ledger) quarantined() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return uint64(len(l.quarProps))
-}
-
-// lostEvents reports the injected-loss and overflow aggregates (used by
-// tests and the CLI exit report).
-func (l *Ledger) lostEvents() (loss, overflow uint64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.loss, l.overflow
 }

@@ -153,3 +153,8 @@ func TestLedgerInstrumentation(t *testing.T) {
 		t.Fatal("uninstrumented ledger lost its mark")
 	}
 }
+
+// lostEvents reports the injected-loss and overflow aggregates.
+func (l *Ledger) lostEvents() (loss, overflow uint64) {
+	return l.loss.Load(), l.overflow.Load()
+}

@@ -7,10 +7,11 @@ import (
 )
 
 // statsCell is the monitor's live counter storage: one atomic word per
-// Stats field. The engine mutates it from its single driving goroutine;
-// Stats() assembles a snapshot with atomic loads, so observers (a
-// metrics scrape, an operator polling a split-mode worker) can read
-// concurrently without a lock and without racing the hot path.
+// Stats field, the only store of each. The engine mutates it from its
+// single driving goroutine; Stats() and the registry's series read it
+// with atomic loads, so observers (a metrics scrape, an operator polling
+// a split-mode worker) read concurrently without a lock and without
+// racing the hot path.
 type statsCell struct {
 	events        atomic.Uint64
 	created       atomic.Uint64
@@ -25,70 +26,34 @@ type statsCell struct {
 	droppedEvents atomic.Uint64
 }
 
-// snapshot reads every counter atomically into a plain Stats value.
-// Fields are loaded independently: the snapshot is per-counter atomic,
-// not a cross-counter transaction — sufficient for monitoring, and the
+// addTo adds every counter to s, each read atomically. Fields are
+// loaded independently: the sum is per-counter atomic, not a
+// cross-counter transaction — sufficient for monitoring, and the
 // strongest guarantee available without stalling the event path.
-func (c *statsCell) snapshot() Stats {
-	return Stats{
-		Events:        c.events.Load(),
-		Created:       c.created.Load(),
-		Advanced:      c.advanced.Load(),
-		Violations:    c.violations.Load(),
-		Discharged:    c.discharged.Load(),
-		Expired:       c.expired.Load(),
-		Deduped:       c.deduped.Load(),
-		Refreshed:     c.refreshed.Load(),
-		Suppressed:    c.suppressed.Load(),
-		Evicted:       c.evicted.Load(),
-		DroppedEvents: c.droppedEvents.Load(),
-	}
+func (c *statsCell) addTo(s *Stats) {
+	s.Events += c.events.Load()
+	s.Created += c.created.Load()
+	s.Advanced += c.advanced.Load()
+	s.Violations += c.violations.Load()
+	s.Discharged += c.discharged.Load()
+	s.Expired += c.expired.Load()
+	s.Deduped += c.deduped.Load()
+	s.Refreshed += c.refreshed.Load()
+	s.Suppressed += c.suppressed.Load()
+	s.Evicted += c.evicted.Load()
+	s.DroppedEvents += c.droppedEvents.Load()
 }
 
-// monitorMetrics holds the engine-level telemetry handles, resolved
-// once at construction so the event path never touches the registry.
-// All handles are nil-safe no-ops when telemetry is disabled, but the
-// struct pointer itself is nil in that case and the hot path checks it
-// once per event, keeping every clock read off the free path.
-type monitorMetrics struct {
-	// events counts applied events; eventNs is the apply latency
-	// histogram, a weighted one-in-timeGapMean sample of them.
-	events  *obs.Counter
-	eventNs *obs.Histogram
-	// occupancy tracks the live instance population (the instance-table
-	// occupancy the Sec. 3.3 scalability argument is about); pending
-	// tracks the split-mode queue depth.
-	occupancy *obs.Gauge
-	pending   *obs.Gauge
-	dropped   *obs.Counter
-}
-
-// propMetrics holds one property's counter handles. The series carry
-// only the property label — deliberately not the monitor's extra
-// labels — so every shard of a ShardedMonitor resolves to the same
-// atomic counters and the registry's view is the cross-shard aggregate.
-type propMetrics struct {
-	// events counts events examined by this property's matcher. Under
-	// sharding this is an execution-strategy metric (the router skips
-	// deliveries a single engine would have scanned); the remaining
-	// counters are routing-invariant and must agree with an inline run.
-	events     *obs.Counter
-	matches    *obs.Counter
-	violations *obs.Counter
-	timeouts   *obs.Counter
-	discharged *obs.Counter
-	expired    *obs.Counter
-}
-
-// newMonitorMetrics registers the engine-level series.
-func newMonitorMetrics(reg *obs.Registry, labels []obs.Label) *monitorMetrics {
-	return &monitorMetrics{
-		events:    reg.Counter("switchmon_monitor_events_total", "Events applied to monitor state.", labels...),
-		eventNs:   reg.Histogram("switchmon_monitor_event_ns", "Per-event monitor processing latency in nanoseconds, from a weighted sample of events.", labels...),
-		occupancy: reg.Gauge("switchmon_monitor_instances", "Live (filed) monitor instances.", labels...),
-		pending:   reg.Gauge("switchmon_monitor_pending_events", "Split-mode queued events awaiting Flush.", labels...),
-		dropped:   reg.Counter("switchmon_monitor_dropped_events_total", "Split-mode queue overflow drops.", labels...),
-	}
+// instrument registers the monitor's engine-level series: read-through
+// ones over the counts the monitor keeps anyway, so an applied event
+// pays for its accounting once, and eventNs, the weighted
+// one-in-timeGapMean sample of apply latency.
+func (m *Monitor) instrument(reg *obs.Registry, labels []obs.Label) {
+	reg.CounterFunc("switchmon_monitor_events_total", "Events applied to monitor state.", m.stats.events.Load, labels...)
+	m.eventNs = reg.Histogram("switchmon_monitor_event_ns", "Per-event monitor processing latency in nanoseconds, from a weighted sample of events.", labels...)
+	reg.GaugeFunc("switchmon_monitor_instances", "Live (filed) monitor instances.", m.live.Load, labels...)
+	reg.GaugeFunc("switchmon_monitor_pending_events", "Split-mode queued events awaiting Flush.", m.pendingN.Load, labels...)
+	reg.CounterFunc("switchmon_monitor_dropped_events_total", "Split-mode queue overflow drops.", m.stats.droppedEvents.Load, labels...)
 }
 
 // shardedMetrics holds the ShardedMonitor router's telemetry handles:
@@ -121,15 +86,69 @@ func newShardedMetrics(reg *obs.Registry, labels []obs.Label) *shardedMetrics {
 	}
 }
 
-// newPropMetrics registers one property's counter series.
-func newPropMetrics(reg *obs.Registry, name string) propMetrics {
-	l := obs.L("property", name)
-	return propMetrics{
-		events:     reg.Counter("switchmon_property_events_total", "Events examined by the property's matcher.", l),
-		matches:    reg.Counter("switchmon_property_matches_total", "Pattern matches that created or advanced an instance.", l),
-		violations: reg.Counter("switchmon_property_violations_total", "Completed violation patterns.", l),
-		timeouts:   reg.Counter("switchmon_property_timeouts_total", "Deadline firings: negative-observation advances plus window expiries.", l),
-		discharged: reg.Counter("switchmon_property_discharged_total", "Instances discharged by guards or awaited events.", l),
-		expired:    reg.Counter("switchmon_property_expired_total", "Instances whose positive-stage window lapsed.", l),
+// propCounter names one per-property count: an index into propCell.
+type propCounter int
+
+const (
+	// propEvents counts events the property's matcher examined: under
+	// sharding an execution-strategy metric (the router skips deliveries
+	// an inline engine scans), unlike the routing-invariant rest.
+	propEvents propCounter = iota
+	propMatches
+	propViolations
+	propTimeouts
+	propDischarged
+	propExpired
+	numPropCounters
+)
+
+// propSeries names and describes each propCounter's series.
+var propSeries = [numPropCounters]struct{ name, help string }{
+	propEvents:     {"switchmon_property_events_total", "Events examined by the property's matcher."},
+	propMatches:    {"switchmon_property_matches_total", "Pattern matches that created or advanced an instance."},
+	propViolations: {"switchmon_property_violations_total", "Completed violation patterns."},
+	propTimeouts:   {"switchmon_property_timeouts_total", "Deadline firings: negative-observation advances plus window expiries."},
+	propDischarged: {"switchmon_property_discharged_total", "Instances discharged by guards or awaited events."},
+	propExpired:    {"switchmon_property_expired_total", "Instances whose positive-stage window lapsed."},
+}
+
+// propCell is one property's counters on one shard, written only by
+// that shard's monitor and padded to its own cache line. A nil cell — an
+// engine with no registry — counts nothing.
+type propCell struct {
+	n [numPropCounters]atomic.Uint64
+	_ [64 - numPropCounters*8]byte
+}
+
+// inc counts one for c's counter i.
+func (c *propCell) inc(i propCounter) {
+	if c != nil {
+		c.n[i].Add(1)
+	}
+}
+
+// newPropCounts registers a property's counter series and returns their
+// cells, one per shard (nil without a registry), and the series' retire.
+// The series sum the cells when read and carry only the property label
+// — not the monitor's extra labels — so shards and engines sharing a
+// registry read one aggregate per property.
+func newPropCounts(reg *obs.Registry, name string, shards int) (cells []propCell, retire func()) {
+	if reg == nil {
+		return nil, func() {}
+	}
+	cells = make([]propCell, shards)
+	var retires [numPropCounters]func()
+	for i, s := range propSeries {
+		retires[i] = reg.CounterFunc(s.name, s.help, func() (n uint64) {
+			for c := range cells {
+				n += cells[c].n[i].Load()
+			}
+			return n
+		}, obs.L("property", name))
+	}
+	return cells, func() {
+		for _, r := range retires {
+			r()
+		}
 	}
 }

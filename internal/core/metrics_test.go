@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -155,5 +156,152 @@ func TestSteadyStateAllocationBudgetWithTelemetry(t *testing.T) {
 	}
 	if reg.Snapshot().CounterValue("switchmon_monitor_events_total") == 0 {
 		t.Fatal("telemetry was not actually recording")
+	}
+}
+
+// levels flattens a snapshot's counter and gauge series to key -> value.
+func levels(s obs.Snapshot) map[string]int64 {
+	out := map[string]int64{}
+	for _, f := range s.Families {
+		if f.Kind == "histogram" {
+			continue
+		}
+		for _, ser := range f.Series {
+			out[obs.SeriesKey(f.Name, ser.Labels)] = ser.Value
+		}
+	}
+	return out
+}
+
+// feedSeeded feeds each monitor the same seeded stream of n arrival and
+// egress pairs, 10 ms apart from start: outgoing connections, some of
+// their replies dropped (violations of the firewall properties), port
+// scans and flow assignments.
+func feedSeeded(ms []*Monitor, seed int64, start time.Time, n int) {
+	rng := rand.New(rand.NewSource(seed))
+	var pid PacketID
+	feed := func(e Event) {
+		for _, m := range ms {
+			m.Feed(e)
+		}
+	}
+	for i := 0; i < n; i++ {
+		now := start.Add(time.Duration(i) * 10 * time.Millisecond)
+		src := packet.IPv4FromUint32(0x0a000000 + uint32(rng.Intn(32)))
+		dst := packet.IPv4FromUint32(0xcb007100 + uint32(rng.Intn(8)))
+		p := packet.NewTCP(macA, macB, src, dst, uint16(1000+rng.Intn(64)), uint16(rng.Intn(1000)),
+			packet.TCPFlags(rng.Intn(64)), nil)
+		pid++
+		in := uint64(rng.Intn(3) + 1)
+		feed(Event{Kind: KindArrival, Time: now, PacketID: pid, Packet: p, InPort: in})
+		feed(Event{Kind: KindEgress, Time: now, PacketID: pid, Packet: p, InPort: in, OutPort: uint64(rng.Intn(3) + 1)})
+		if rng.Intn(4) == 0 {
+			ret := packet.NewTCP(macB, macA, dst, src, 80, 1000, packet.FlagACK, nil)
+			pid++
+			feed(Event{Kind: KindEgress, Time: now, PacketID: pid, Packet: ret, InPort: 2, Dropped: true})
+		}
+	}
+}
+
+// The registry's two promises to engines that share it. Two inline
+// monitors on one registry report, on every counter and gauge series,
+// the sum of what each reports on a registry of its own. And a property
+// removed and installed again keeps its series honest: every
+// switchmon_property_*_total and switchmon_state_* counter never goes
+// back, and every switchmon_state_* gauge of the property leaves with
+// its instances and returns to its level when the same stream is fed
+// again. (switchmon_state_pressure and switchmon_monitor_unsound_properties
+// are flags each engine sets, not counts; they are left out of the sum.)
+func TestSharedRegistrySumsEnginesAcrossReinstall(t *testing.T) {
+	pm := property.Params{FirewallWindow: 2 * time.Second, ReplyWindow: time.Second}
+	var props []*property.Property
+	for _, name := range []string{"firewall-timeout", "portscan-detect", "lb-sticky"} {
+		props = append(props, property.CatalogByName(pm, name))
+	}
+	const moved = "firewall-timeout"
+	shared := obs.NewRegistry()
+	alone := []*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	build := func(reg *obs.Registry) *Monitor {
+		m := NewMonitor(sim.NewScheduler(), Config{Metrics: reg, StateWatermark: 8})
+		if err := m.Apply(0, props); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	a, b := build(shared), build(shared)
+	a1, b1 := build(alone[0]), build(alone[1])
+	feedSeeded([]*Monitor{a, a1}, 1, sim.Epoch, 400)
+	feedSeeded([]*Monitor{b, b1}, 2, sim.Epoch, 400)
+
+	sumLaw := func(when string) {
+		t.Helper()
+		got, x, y := levels(shared.Snapshot()), levels(alone[0].Snapshot()), levels(alone[1].Snapshot())
+		for key, v := range got {
+			if strings.HasPrefix(key, "switchmon_state_pressure{") || key == "switchmon_monitor_unsound_properties" {
+				continue
+			}
+			if v != x[key]+y[key] {
+				t.Errorf("%s: %s reads %d on the shared registry, %d + %d apart", when, key, v, x[key], y[key])
+			}
+		}
+	}
+	sumLaw("before the reinstall")
+	s1 := shared.Snapshot()
+	if s1.CounterValue("switchmon_property_violations_total", obs.L("property", moved)) == 0 ||
+		s1.CounterValue("switchmon_property_timeouts_total", obs.L("property", moved)) == 0 ||
+		s1.CounterValue("switchmon_state_pressure_crossings_total", obs.L("property", moved)) == 0 {
+		t.Fatalf("the stream exercises too little: %v", levels(s1))
+	}
+
+	var rest []*property.Property
+	for _, p := range props {
+		if p.Name != moved {
+			rest = append(rest, p)
+		}
+	}
+	for _, m := range []*Monitor{a, a1} {
+		if err := m.Apply(1, rest); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2 := shared.Snapshot()
+	for _, m := range []*Monitor{a, a1} {
+		if err := m.Apply(2, props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s3 := shared.Snapshot()
+	// The same stream again, an hour on: every instance of the first pass
+	// has expired, so the moved property's state is that pass's again.
+	again := a.sched.Now().Add(time.Hour)
+	feedSeeded([]*Monitor{a, a1}, 1, again, 400)
+	s4 := shared.Snapshot()
+	sumLaw("after the reinstall")
+
+	snaps := []map[string]int64{levels(s1), levels(s2), levels(s3), levels(s4)}
+	bOnly := levels(alone[1].Snapshot())
+	for _, f := range s1.Families {
+		state := strings.HasPrefix(f.Name, "switchmon_state_")
+		if !state && !strings.HasPrefix(f.Name, "switchmon_property_") {
+			continue
+		}
+		for _, ser := range f.Series {
+			key := obs.SeriesKey(f.Name, ser.Labels)
+			switch {
+			case f.Kind == "counter":
+				for i := 1; i < len(snaps); i++ {
+					if snaps[i][key] < snaps[i-1][key] {
+						t.Errorf("%s went back across the reinstall: %d -> %d", key, snaps[i-1][key], snaps[i][key])
+					}
+				}
+			case state && ser.Labels[0].Value == moved:
+				if f.Name != "switchmon_state_pressure" && (snaps[1][key] != bOnly[key] || snaps[2][key] != bOnly[key]) {
+					t.Errorf("%s reads %d removed and %d reinstalled, want the other engine's %d", key, snaps[1][key], snaps[2][key], bOnly[key])
+				}
+				if snaps[3][key] != snaps[0][key] {
+					t.Errorf("%s reads %d after the stream again, want its level %d", key, snaps[3][key], snaps[0][key])
+				}
+			}
+		}
 	}
 }

@@ -246,21 +246,23 @@ type Monitor struct {
 	seq     uint64
 	pending []Event
 	// pendingN mirrors len(pending) atomically so PendingEvents (and
-	// the queue-depth gauge) can be read while a worker goroutine
+	// the queue-depth series) can be read while a worker goroutine
 	// drives the monitor.
 	pendingN atomic.Int64
 	stats    statsCell
-	// mx and pmx are the telemetry handles (nil / empty-handled when
-	// Config.Metrics is nil); pmx is indexed by propIdx.
-	mx  *monitorMetrics
-	pmx []propMetrics
+	// eventNs is the sampled apply-latency histogram (nil without a
+	// registry, keeping the clock off the event path); pmx holds this
+	// shard's per-property counter cells, indexed by propIdx.
+	eventNs *obs.Histogram
+	pmx     []*propCell
 	// timeIn counts applied events down to the next timed one, timeGap is
 	// the gap that event closes and timeRng draws the one after (applyTimed).
 	timeIn, timeGap, timeRng uint64
 	// evictQueue holds instances in creation order for MaxInstances
 	// eviction; entries may be stale (already removed or recycled).
 	evictQueue []evictRef
-	live       int
+	// live counts filed instances (atomic: scrapes read it).
+	live atomic.Int64
 	// instScratch and keyScratch are per-monitor scratch buffers for
 	// matchStage's candidate collection; taken and restored around use so
 	// re-entrant HandleEvent calls from an OnViolation callback fall back
@@ -318,7 +320,7 @@ func newMonitor(sched *sim.Scheduler, cfg Config, engine *propSet, shardIdx int)
 	m.dl.m = m
 	sched.AddSource(&m.dl)
 	if cfg.Metrics != nil {
-		m.mx = newMonitorMetrics(cfg.Metrics, cfg.MetricsLabels)
+		m.instrument(cfg.Metrics, cfg.MetricsLabels)
 	}
 	if engine == nil {
 		m.propSet.setup(m, cfg, 1, maxInlineProperties)
@@ -352,16 +354,16 @@ func (m *Monitor) position() (seq uint64, live bool, now time.Time) {
 }
 
 // place makes cp resident at slot — a tombstone left by evict, or the
-// next fresh slot — wiring its buckets, deadline queues, metrics and
-// accounting handles. The engine's propSet chose the slot, compiled cp
-// and registered the slot with the state tracker, and runs place on each
-// of its monitors; it owns the ledger's install record too, so N shards
-// sharing one ledger record one install.
-func (m *Monitor) place(slot int, cp *compiledProp) {
+// next fresh slot — wiring its buckets, deadline queues, counter cell
+// (its shard's of cells) and accounting handles. The engine's propSet
+// chose the slot, compiled cp and registered the slot with the state
+// tracker, and runs place on each of its monitors; it owns the ledger's
+// install record too, so N shards sharing one ledger record one install.
+func (m *Monitor) place(slot int, cp *compiledProp, cells []propCell) {
 	if slot == len(m.props) {
 		m.props = append(m.props, nil)
 		m.buckets = append(m.buckets, nil)
-		m.pmx = append(m.pmx, propMetrics{})
+		m.pmx = append(m.pmx, nil)
 		m.sx = append(m.sx, nil)
 		m.tcell = append(m.tcell, nil)
 		m.tcap = append(m.tcap, 0)
@@ -376,8 +378,8 @@ func (m *Monitor) place(slot int, cp *compiledProp) {
 		}
 	}
 	m.buckets[slot] = bs
-	if m.cfg.Metrics != nil {
-		m.pmx[slot] = newPropMetrics(m.cfg.Metrics, p.Name)
+	if cells != nil {
+		m.pmx[slot] = &cells[m.shardIdx]
 	}
 	if m.state != nil {
 		m.sx[slot] = m.state.Handle(slot, m.shardIdx)
@@ -398,7 +400,7 @@ func (m *Monitor) evict(slot int) {
 	m.props[slot] = nil
 	m.dl.drop(m.buckets[slot])
 	m.buckets[slot] = nil
-	m.pmx[slot] = propMetrics{}
+	m.pmx[slot] = nil
 	m.sx[slot] = nil
 	m.tcell[slot] = nil
 	m.tcap[slot] = 0
@@ -409,7 +411,8 @@ func (m *Monitor) evict(slot int) {
 // including while a split-mode worker owns the monitor and is applying
 // events — without a lock and without racing the hot path.
 func (m *Monitor) Stats() Stats {
-	s := m.stats.snapshot()
+	var s Stats
+	m.stats.addTo(&s)
 	s.QuarantinedProperties = m.ledger.quarantined()
 	s.LifecycleEpoch = m.epoch.Load()
 	return s
@@ -417,29 +420,12 @@ func (m *Monitor) Stats() Stats {
 
 // ActiveInstances reports the number of live instances — the quantity
 // that determines Varanus's pipeline depth (Sec. 3.3) and this engine's
-// memory footprint.
-func (m *Monitor) ActiveInstances() int {
-	n := 0
-	for _, bs := range m.buckets {
-		for i := range bs {
-			n += bs[i].n
-		}
-	}
-	return n
-}
+// memory footprint. Like Stats, it is safe to call from any goroutine.
+func (m *Monitor) ActiveInstances() int { return int(m.live.Load()) }
 
 // PendingEvents reports the split-mode queue length. Like Stats, it is
 // safe to call from any goroutine.
 func (m *Monitor) PendingEvents() int { return int(m.pendingN.Load()) }
-
-// setPending records the queue length for PendingEvents and the
-// queue-depth gauge.
-func (m *Monitor) setPending(n int) {
-	m.pendingN.Store(int64(n))
-	if m.mx != nil {
-		m.mx.pending.Set(int64(n))
-	}
-}
 
 // HandleEvent feeds one event to the monitor. In Inline mode the event is
 // applied immediately; in Split mode it is queued for Flush.
@@ -457,9 +443,6 @@ func (m *Monitor) HandleEvent(e Event) {
 				drop = len(m.pending)
 			}
 			m.stats.droppedEvents.Add(uint64(drop))
-			if m.mx != nil {
-				m.mx.dropped.Add(uint64(drop))
-			}
 			// The dropped events never reach monitor state, so every
 			// property's verdicts are incomplete from here on: record the
 			// loss in the soundness ledger (overflow is off the steady-state
@@ -468,7 +451,7 @@ func (m *Monitor) HandleEvent(e Event) {
 			m.pending = append(m.pending[:0], m.pending[drop:]...)
 		}
 		m.pending = append(m.pending, e)
-		m.setPending(len(m.pending))
+		m.pendingN.Store(int64(len(m.pending)))
 		return
 	}
 	m.apply(&e, allProps, allProps)
@@ -504,7 +487,7 @@ func (m *Monitor) Flush() int {
 	}
 	m.pending = m.pending[:0]
 	if n > 0 {
-		m.setPending(0)
+		m.pendingN.Store(0)
 	}
 	return n
 }
@@ -528,15 +511,12 @@ func (m *Monitor) apply(e *Event, matchMask, createMask uint64) {
 	}
 	m.stats.events.Add(1)
 	m.seq++
-	if m.mx == nil {
+	if m.eventNs == nil {
 		m.stepProps(0, e, m.seq, matchMask, createMask)
+	} else if m.timeIn--; m.timeIn == 0 {
+		m.applyTimed(e, matchMask, createMask)
 	} else {
-		if m.timeIn--; m.timeIn == 0 {
-			m.applyTimed(e, matchMask, createMask)
-		} else {
-			m.stepProps(0, e, m.seq, matchMask, createMask)
-		}
-		m.mx.events.Inc()
+		m.stepProps(0, e, m.seq, matchMask, createMask)
 	}
 	if tr := m.cfg.Tracer; tr != nil && e.Trace != nil {
 		e.Trace.Stamp(tracer.StageVerdict)
@@ -560,7 +540,7 @@ func (m *Monitor) applyTimed(e *Event, matchMask, createMask uint64) {
 	m.timeIn = m.timeGap
 	start := time.Now()
 	m.stepProps(0, e, m.seq, matchMask, createMask)
-	m.mx.eventNs.ObserveN(uint64(time.Since(start)), weight)
+	m.eventNs.ObserveN(uint64(time.Since(start)), weight)
 }
 
 // stepProps is the engine's one per-property loop: it steps slots
@@ -605,7 +585,7 @@ func (m *Monitor) stepProps(from int, e *Event, seq, matchMask, createMask uint6
 // is set. It is the unit of blast radius for supervision — a panic in
 // here quarantines only pi.
 func (m *Monitor) stepProp(pi int, cp *compiledProp, e *Event, seq uint64, match, create bool) {
-	m.pmx[pi].events.Inc()
+	m.pmx[pi].inc(propEvents)
 	bs := m.buckets[pi]
 	if match {
 		m.seedSuppressions(cp, bs, e)
@@ -691,7 +671,7 @@ func (m *Monitor) purgeProp(pi int) {
 			m.release(id, r)
 		}
 	}
-	if int(m.st.n)-m.st.nfree == m.live {
+	if int64(int(m.st.n)-m.st.nfree) == m.live.Load() {
 		return // no row in flight: every row is filed or free
 	}
 	for id := uint32(1); id <= m.st.n; id++ {
@@ -817,7 +797,7 @@ func (m *Monitor) matchStage(pi int, cs *compiledStage, b *bucket, e *Event, seq
 func (m *Monitor) discharge(pi int, id uint32, r *row) {
 	m.remove(id, r)
 	m.stats.discharged.Add(1)
-	m.pmx[pi].discharged.Inc()
+	m.pmx[pi].inc(propDischarged)
 	m.release(id, r)
 }
 
@@ -852,7 +832,7 @@ func (m *Monitor) release(id uint32, r *row) {
 func (m *Monitor) advance(id uint32, r *row, e *Event, seq uint64) {
 	cp := m.props[r.prop]
 	cs := &cp.stages[r.stage]
-	m.pmx[r.prop].matches.Inc()
+	m.pmx[r.prop].inc(propMatches)
 	if r.stage > 0 {
 		m.remove(id, r) // leaves deadlines canceled and indexes clean
 		m.stats.advanced.Add(1)
@@ -916,7 +896,7 @@ func (m *Monitor) advanceByTimeout(id uint32, r *row) {
 	cs := &cp.stages[r.stage]
 	m.remove(id, r)
 	m.stats.advanced.Add(1)
-	m.pmx[r.prop].timeouts.Inc()
+	m.pmx[r.prop].inc(propTimeouts)
 	now := m.sched.Now()
 	if m.cfg.Provenance == ProvFull {
 		h := m.st.hist.at(id)
@@ -986,7 +966,7 @@ func (m *Monitor) enter(id uint32, r *row, cp *compiledProp) {
 		c.FileInstance()
 	}
 	if m.cfg.MaxInstances > 0 {
-		if m.live >= m.cfg.MaxInstances {
+		if m.live.Load() >= int64(m.cfg.MaxInstances) {
 			m.evictOldest()
 		}
 		// The FIFO is only maintained under a cap; an unbounded monitor
@@ -995,10 +975,7 @@ func (m *Monitor) enter(id uint32, r *row, cp *compiledProp) {
 	}
 	var kb [rowKeys]uint64
 	b.file(&m.st, id, sig, instanceIndexKeys(cs, en, kb[:0]))
-	m.live++
-	if m.mx != nil {
-		m.mx.occupancy.Add(1)
-	}
+	m.live.Add(1)
 	if h := m.sx[r.prop]; h != nil {
 		var fk uint64
 		if h.Sketching() {
@@ -1018,8 +995,8 @@ func (m *Monitor) expire(id uint32, r *row) {
 	pi := r.prop
 	m.remove(id, r)
 	m.stats.expired.Add(1)
-	m.pmx[pi].expired.Inc()
-	m.pmx[pi].timeouts.Inc()
+	m.pmx[pi].inc(propExpired)
+	m.pmx[pi].inc(propTimeouts)
 	m.release(id, r)
 }
 
@@ -1037,10 +1014,7 @@ func (m *Monitor) remove(id uint32, r *row) {
 	}
 	bytes := m.filedBytes(id, r, &m.props[r.prop].stages[r.stage])
 	b.unfile(&m.st, id)
-	m.live--
-	if m.mx != nil {
-		m.mx.occupancy.Add(-1)
-	}
+	m.live.Add(-1)
 	m.sx[r.prop].Unfile(bytes)
 	if c := m.tcell[r.prop]; c != nil {
 		c.UnfileInstance()
@@ -1123,7 +1097,7 @@ func (m *Monitor) evictOldest() {
 // event may have reused it.
 func (m *Monitor) violate(id uint32, r *row, cp *compiledProp, at time.Time, e *Event, seq uint64) (owned bool) {
 	m.stats.violations.Add(1)
-	m.pmx[r.prop].violations.Inc()
+	m.pmx[r.prop].inc(propViolations)
 	if m.cfg.OnViolation == nil && m.cfg.Violations == nil {
 		return true
 	}

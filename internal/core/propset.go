@@ -53,6 +53,8 @@ type propSet struct {
 	// removal, reused by the next install. limit caps the table.
 	slots []*property.Property
 	limit int
+	// retire retires each slot's counter series (nil for a tombstone).
+	retire []func()
 	// epoch is the epoch of the set the engine runs: the last Apply's, 0
 	// for the startup set. Atomic so Stats, /healthz and /state read it
 	// without the lock.
@@ -79,7 +81,7 @@ func (ps *propSet) setup(host propHost, cfg Config, shards, limit int) {
 	// Tenant quotas are enforced through the tracker's tenant cells, so
 	// configuring quotas forces accounting on even when benchmarking asked
 	// for it off. Per-property accounting series carry the engine-level
-	// labels only (like propMetrics), never a shard label.
+	// labels only, never a shard label.
 	if !cfg.DisableStateAccounting || len(cfg.TenantQuotas) > 0 {
 		ps.state = statesize.NewTracker(statesize.Config{
 			Shards:    shards,
@@ -267,8 +269,9 @@ func (ps *propSet) apply(epoch uint64, props []*property.Property) error {
 		// the events queued ahead of the fence; the slot is reused clean.
 		updateMask(ps.quar, 0, uint64(1)<<uint(slot))
 		ps.state.Uninstall(slot)
+		ps.retire[slot]()
 		ps.ledger.RecordRemove(ps.slots[slot].Name)
-		ps.slots[slot] = nil
+		ps.slots[slot], ps.retire[slot] = nil, nil
 	}
 	seq, live, now := ps.host.position()
 	var at time.Time
@@ -288,13 +291,15 @@ func (ps *propSet) apply(epoch uint64, props []*property.Property) error {
 		}
 		if slot == len(ps.slots) {
 			ps.slots = append(ps.slots, nil)
+			ps.retire = append(ps.retire, nil)
 		}
 		p := cp.prop
 		ps.state.InstallTenant(slot, p.Name, p.Tenant)
+		cells, retire := newPropCounts(mons[0].cfg.Metrics, p.Name, len(mons))
 		for _, m := range mons {
-			m.place(slot, cp)
+			m.place(slot, cp, cells)
 		}
-		ps.slots[slot] = p
+		ps.slots[slot], ps.retire[slot] = p, retire
 		ps.ledger.RecordInstall(p.Name, p.Tenant, epoch, seq, at)
 	}
 	ps.host.routed()

@@ -23,8 +23,8 @@ func (m *Monitor) SelfCheck() error {
 			filed += n
 		}
 	}
-	if filed != m.live {
-		return fmt.Errorf("core: live counter %d != filed instances %d", m.live, filed)
+	if live := m.live.Load(); int64(filed) != live {
+		return fmt.Errorf("core: live counter %d != filed instances %d", live, filed)
 	}
 	free := 0
 	for id := s.free; id != 0; id = s.at(id).pop.next {

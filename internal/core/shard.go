@@ -315,7 +315,7 @@ func NewShardedMonitor(shards int, cfg Config) *ShardedMonitor {
 		cfgI := shardCfg
 		if cfg.Metrics != nil {
 			// Engine-level series get a shard label; the per-property
-			// counters omit it (see propMetrics), so all shards share
+			// counters omit it (see propCounts), so all shards read into
 			// one aggregated series per property.
 			lbl := obs.L("shard", strconv.Itoa(i))
 			cfgI.MetricsLabels = append(append([]obs.Label(nil), cfg.MetricsLabels...), lbl)
@@ -897,17 +897,7 @@ func (sm *ShardedMonitor) Stats() Stats {
 	defer sm.mu.Unlock()
 	var agg Stats
 	for _, s := range sm.shards {
-		st := s.mon.stats.snapshot()
-		agg.Created += st.Created
-		agg.Advanced += st.Advanced
-		agg.Violations += st.Violations
-		agg.Discharged += st.Discharged
-		agg.Expired += st.Expired
-		agg.Deduped += st.Deduped
-		agg.Refreshed += st.Refreshed
-		agg.Suppressed += st.Suppressed
-		agg.Evicted += st.Evicted
-		agg.DroppedEvents += st.DroppedEvents
+		s.mon.stats.addTo(&agg)
 	}
 	agg.Events = sm.submitted
 	agg.QuarantinedProperties = sm.ledger.quarantined()
@@ -922,7 +912,7 @@ func (sm *ShardedMonitor) ShardStats() []Stats {
 	defer sm.mu.Unlock()
 	out := make([]Stats, len(sm.shards))
 	for i, s := range sm.shards {
-		out[i] = s.mon.stats.snapshot()
+		s.mon.stats.addTo(&out[i])
 	}
 	return out
 }

@@ -230,9 +230,9 @@ func (sm *storeModel) keysOf(stage int, a, b uint64) []uint64 {
 // enter files (or dedups) one instance on both sides and compares the
 // decision.
 func (sm *storeModel) enter(id uint32, r *row, in *refInst) error {
-	before := sm.mon.stats.snapshot()
+	before := sm.mon.Stats()
 	sm.mon.enter(id, r, sm.cp)
-	after := sm.mon.stats.snapshot()
+	after := sm.mon.Stats()
 	in.id, in.keys = id, sm.keysOf(in.stage, in.a, in.b)
 	deduped, refreshed := sm.ref.enter(in, sm.sched.Now())
 	if got := after.Deduped > before.Deduped; got != deduped {
@@ -324,13 +324,13 @@ func (sm *storeModel) compare() error {
 			}
 		}
 	}
-	if m.live != sm.ref.live || m.ActiveInstances() != sm.ref.live {
-		return fmt.Errorf("live %d (ActiveInstances %d), reference %d", m.live, m.ActiveInstances(), sm.ref.live)
+	if live := int(m.live.Load()); live != sm.ref.live || m.ActiveInstances() != sm.ref.live {
+		return fmt.Errorf("live %d (ActiveInstances %d), reference %d", live, m.ActiveInstances(), sm.ref.live)
 	}
 	if got := sm.sched.Pending(); got != armed {
 		return fmt.Errorf("%d pending deadlines, reference %d", got, armed)
 	}
-	s := m.stats.snapshot()
+	s := m.Stats()
 	got := [5]uint64{s.Deduped, s.Refreshed, s.Expired, s.Evicted, s.Violations}
 	want := [5]uint64{sm.ref.deduped, sm.ref.refreshed, sm.ref.expired, sm.ref.evicted, sm.ref.violations}
 	if got != want {

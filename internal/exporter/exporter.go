@@ -43,6 +43,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"switchmon/internal/core"
@@ -179,6 +180,8 @@ type Exporter struct {
 	closed       bool
 	connected    uint64
 	stats        Stats
+	// Counters the registry reads, atomic so it reads them without mu.
+	published, shed, batchesSent, bytesSent, reconnects atomic.Uint64
 
 	kick    chan struct{} // unsent work available
 	closeCh chan struct{}
@@ -203,15 +206,10 @@ type Exporter struct {
 	// two slabs (one filling, one in flight) cover the common case.
 	freeEvs [][]core.Event
 
-	eventsC     *obs.Counter
-	shedC       *obs.Counter
-	batchesC    *obs.Counter
-	bytesC      *obs.Counter
-	reconnectsC *obs.Counter
-	depthG      *obs.Gauge
-	targetG     *obs.Gauge
-	rateG       *obs.Gauge
-	sealsC      [sealReasons]*obs.Counter
+	depthG  *obs.Gauge
+	targetG *obs.Gauge
+	rateG   *obs.Gauge
+	sealsC  [sealReasons]*obs.Counter
 }
 
 // configState is one config kind's apply state: configs awaiting the
@@ -253,11 +251,11 @@ func New(cfg Config) (*Exporter, error) {
 			"estimated collector clock minus switch clock", dp, col)
 		dspG = reg.Gauge("switchmon_exporter_clock_dispersion_ns",
 			"clock-offset estimate dispersion (half RTT, smoothed)", dp, col)
-		x.eventsC = reg.Counter("switchmon_exporter_events_total", "events accepted for export", dp, col)
-		x.shedC = reg.Counter("switchmon_exporter_shed_events_total", "events lost to send-queue overflow", dp, col)
-		x.batchesC = reg.Counter("switchmon_exporter_batches_sent_total", "wire batches written (resends recount)", dp, col)
-		x.bytesC = reg.Counter("switchmon_exporter_bytes_sent_total", "encoded frame bytes written", dp, col)
-		x.reconnectsC = reg.Counter("switchmon_exporter_reconnects_total", "connections established after the first", dp, col)
+		reg.CounterFunc("switchmon_exporter_events_total", "events accepted for export", x.published.Load, dp, col)
+		reg.CounterFunc("switchmon_exporter_shed_events_total", "events lost to send-queue overflow", x.shed.Load, dp, col)
+		reg.CounterFunc("switchmon_exporter_batches_sent_total", "wire batches written (resends recount)", x.batchesSent.Load, dp, col)
+		reg.CounterFunc("switchmon_exporter_bytes_sent_total", "encoded frame bytes written", x.bytesSent.Load, dp, col)
+		reg.CounterFunc("switchmon_exporter_reconnects_total", "connections established after the first", x.reconnects.Load, dp, col)
 		x.depthG = reg.Gauge("switchmon_exporter_queue_depth", "queued batches (sent-unacked plus unsent)", dp, col)
 		x.targetG = reg.Gauge("switchmon_exporter_batch_target", "current batch-size target (EWMA pick, or BatchSizeMax)", dp, col)
 		x.rateG = reg.Gauge("switchmon_exporter_arrival_rate_eps", "estimated event arrival rate, events/sec (EWMA)", dp, col)
@@ -322,8 +320,7 @@ func (x *Exporter) Publish(e core.Event) {
 		x.kickIdleLocked() // an idle sender seals the batch this event opens
 	}
 	x.nextSeq++
-	x.stats.Published++
-	x.eventsC.Inc()
+	x.published.Add(1)
 	e.Trace.Stamp(tracer.StageEnqueue)
 	x.pending = append(x.pending, e)
 	if len(x.pending) >= x.batchTargetLocked() {
@@ -419,8 +416,7 @@ func (x *Exporter) sealLocked(reason sealReason) {
 // real batch, or via the advance marker queued here if nothing follows.
 func (x *Exporter) shedLocked(b *wire.Batch, detail string) {
 	n := uint64(len(b.Events))
-	x.stats.ShedEvents += n
-	x.shedC.Add(n)
+	x.shed.Add(n)
 	x.ledger.Mark("*", core.UnsoundWireLoss, b.FirstSeq, time.Now(), n, detail)
 	x.ledger.RecordLost(core.UnsoundWireLoss, n)
 	x.advanceLocked(b.LastSeq() + 1)
@@ -453,6 +449,8 @@ func (x *Exporter) Stats() Stats {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	s := x.stats
+	s.Published, s.ShedEvents, s.Reconnects = x.published.Load(), x.shed.Load(), x.reconnects.Load()
+	s.BatchesSent, s.BytesSent = x.batchesSent.Load(), x.bytesSent.Load()
 	s.QueueDepth = len(x.queue)
 	s.BatchTarget = x.batchTargetLocked()
 	return s
@@ -632,10 +630,7 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 	}
 	x.mu.Unlock()
 	if !first {
-		x.mu.Lock()
-		x.stats.Reconnects++
-		x.mu.Unlock()
-		x.reconnectsC.Inc()
+		x.reconnects.Add(1)
 	}
 
 	var features uint64
@@ -787,12 +782,8 @@ func (x *Exporter) runConn(conn net.Conn, encBuf *[]byte) bool {
 			<-connDead
 			return true
 		}
-		x.mu.Lock()
-		x.stats.BatchesSent++
-		x.stats.BytesSent += uint64(len(enc))
-		x.mu.Unlock()
-		x.batchesC.Inc()
-		x.bytesC.Add(uint64(len(enc)))
+		x.batchesSent.Add(1)
+		x.bytesSent.Add(uint64(len(enc)))
 	}
 }
 

@@ -228,8 +228,8 @@ func status(err error, code int) int {
 // by ReadPage.
 type MuxConfig struct {
 	// Registry backs /metrics; when non-nil the mux also registers the
-	// switchmon_build_info series and refreshes Go runtime health gauges
-	// (goroutines, heap, GC pauses) before every snapshot.
+	// switchmon_build_info series and Go runtime health series (the GC
+	// pause histogram is refreshed before every /metrics snapshot).
 	Registry *obs.Registry
 	// Ring backs /violations (seqs from 0).
 	Ring *obs.Ring

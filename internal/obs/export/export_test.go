@@ -516,31 +516,36 @@ func TestBuildInfoEndpointAndMetric(t *testing.T) {
 	}
 }
 
-// TestRuntimeMetricsRefreshed checks the runtime collector actually
-// collects: after a scrape, the goroutine gauge is positive and the GC
-// cycle counter matches a forced collection.
+// TestRuntimeMetricsRefreshed checks the runtime series read the
+// runtime: the goroutine and heap gauges are positive, the GC cycle
+// counter has seen a forced collection, and a /metrics collect observes
+// its pause once.
 func TestRuntimeMetricsRefreshed(t *testing.T) {
 	reg := obs.NewRegistry()
 	rc := newRuntimeCollector(reg)
 	runtime.GC()
 	rc.collect()
-	if v := rc.goroutines.Value(); v < 1 {
+	if v := reg.Gauge("switchmon_go_goroutines", "").Value(); v < 1 {
 		t.Fatalf("goroutines = %d, want >= 1", v)
 	}
-	if v := rc.heapAlloc.Value(); v <= 0 {
+	if v := reg.Gauge("switchmon_go_heap_alloc_bytes", "").Value(); v <= 0 {
 		t.Fatalf("heap alloc = %d, want positive", v)
 	}
-	if rc.gcCycles.Value() == 0 {
+	if v, alloc := reg.Gauge("switchmon_go_heap_sys_bytes", "").Value(), reg.Gauge("switchmon_go_heap_alloc_bytes", "").Value(); v < alloc {
+		t.Fatalf("heap sys = %d, below heap alloc %d", v, alloc)
+	}
+	cycles := reg.Counter("switchmon_go_gc_cycles_total", "")
+	if cycles.Value() == 0 {
 		t.Fatal("gc cycles = 0 after a forced GC")
 	}
 	if rc.gcPauseNs.Count() == 0 {
 		t.Fatal("no GC pauses observed after a forced GC")
 	}
 	// A second collect must not double-count old cycles.
-	before := rc.gcCycles.Value()
+	before := cycles.Value()
 	pauses := rc.gcPauseNs.Count()
 	rc.collect()
-	if rc.gcCycles.Value() != before || rc.gcPauseNs.Count() != pauses {
+	if cycles.Value() != before || rc.gcPauseNs.Count() != pauses {
 		t.Fatal("idle collect re-observed old GC cycles")
 	}
 	var nilRC *runtimeCollector

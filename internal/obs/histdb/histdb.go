@@ -240,17 +240,10 @@ func (db *DB) tickRegistry(now time.Time) {
 // with db.mu held; allocation here is fine — it runs only when a new
 // series registers, not in steady state.
 func (db *DB) rescanRegistry() {
-	db.cfg.Registry.ForEachSeries(func(name, _ string, labels []obs.Label, ctr *obs.Counter, g *obs.Gauge, h *obs.Histogram) {
+	db.cfg.Registry.ForEachSeries(func(name, _, kind string, labels []obs.Label, ctr *obs.Counter, g *obs.Gauge, h *obs.Histogram) {
 		key := obs.SeriesKey(name, labels)
 		if _, ok := db.byKey[key]; ok {
 			return
-		}
-		kind := "histogram"
-		switch {
-		case ctr != nil:
-			kind = "counter"
-		case g != nil:
-			kind = "gauge"
 		}
 		tr := newTrack(kind, name, labels)
 		tr.ctr, tr.g, tr.h = ctr, g, h

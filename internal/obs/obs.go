@@ -12,10 +12,11 @@
 // the event path never touches the registry, its lock, or a map.
 //
 // The registry is get-or-create on (name, labels): registering the same
-// series twice returns the same instrument. Shards exploit this to
-// share one per-property counter family — every shard increments the
-// same atomic word, so the registry's view is the cross-shard aggregate
-// with no merge step.
+// series twice returns the same instrument. A read-through series
+// (CounterFunc, GaugeFunc) keeps no copy: it reads a count its component
+// already keeps, when read, summed over every function registered under
+// its name and labels — so shards and engines sharing a registry
+// aggregate per property with no shared word on the event path.
 //
 // Export formats (Prometheus text, JSON, HTTP) live in obs/export so
 // engines that only record never link the encoders.
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -40,17 +42,63 @@ type Label struct {
 // L is shorthand for constructing a Label.
 func L(key, value string) Label { return Label{Key: key, Value: value} }
 
-// Counter is a monotonically increasing atomic counter.
-type Counter struct {
-	v atomic.Uint64
+// word is a counter's or gauge's value: its own word (a gauge's int64 in
+// two's complement) plus what its read functions read now. reads.mu
+// makes a read and a retire one step each, so a retiring function's last
+// value, folded into the own word, is counted once.
+type word struct {
+	v     atomic.Uint64
+	reads atomic.Pointer[reads]
 }
+
+type reads struct {
+	mu  sync.Mutex
+	fns []*func() uint64
+}
+
+func (w *word) load() uint64 {
+	rs := w.reads.Load()
+	if rs == nil {
+		return w.v.Load()
+	}
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	n := w.v.Load()
+	for _, f := range rs.fns {
+		n += (*f)()
+	}
+	return n
+}
+
+// attach adds read to w and returns its retire, which removes it —
+// folding its last value into w's own word first when fold is set.
+func (w *word) attach(read func() uint64, fold bool) (retire func()) {
+	w.reads.CompareAndSwap(nil, &reads{})
+	rs, f := w.reads.Load(), &read
+	rs.mu.Lock()
+	rs.fns = append(rs.fns, f)
+	rs.mu.Unlock()
+	return func() {
+		rs.mu.Lock()
+		defer rs.mu.Unlock()
+		if i := slices.Index(rs.fns, f); i >= 0 {
+			if fold {
+				w.v.Add(read())
+			}
+			rs.fns = slices.Delete(rs.fns, i, i+1)
+		}
+	}
+}
+
+// Counter is a monotonically increasing atomic counter.
+type Counter struct{ w word }
 
 // Inc adds one.
 func (c *Counter) Inc() {
 	if c == nil {
 		return
 	}
-	c.v.Add(1)
+	c.w.v.Add(1)
 }
 
 // Add adds n.
@@ -58,7 +106,7 @@ func (c *Counter) Add(n uint64) {
 	if c == nil {
 		return
 	}
-	c.v.Add(n)
+	c.w.v.Add(n)
 }
 
 // Value reads the current count.
@@ -66,22 +114,20 @@ func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.w.load()
 }
 
 // Gauge is an atomically settable instantaneous value (occupancy, queue
 // depth). Negative values are representable: deltas may transiently
 // undershoot.
-type Gauge struct {
-	v atomic.Int64
-}
+type Gauge struct{ w word }
 
 // Set stores the value.
 func (g *Gauge) Set(n int64) {
 	if g == nil {
 		return
 	}
-	g.v.Store(n)
+	g.w.v.Store(uint64(n))
 }
 
 // Add applies a delta.
@@ -89,7 +135,7 @@ func (g *Gauge) Add(n int64) {
 	if g == nil {
 		return
 	}
-	g.v.Add(n)
+	g.w.v.Add(uint64(n))
 }
 
 // Value reads the current value.
@@ -97,7 +143,7 @@ func (g *Gauge) Value() int64 {
 	if g == nil {
 		return 0
 	}
-	return g.v.Load()
+	return int64(g.w.load())
 }
 
 // histBuckets is the bucket count of a Histogram: bucket i holds
@@ -258,12 +304,11 @@ type family struct {
 	series map[string]*series
 }
 
-// Registry holds named metric families. Registration (Counter, Gauge,
-// Histogram) is get-or-create keyed on (name, labels) and safe for
-// concurrent use; it is intended for construction time, not the event
-// path. Snapshot may be called concurrently with recording — values are
-// read atomically, so a scrape sees a consistent-enough live view
-// without stopping the engine.
+// Registry holds named metric families. Registration is get-or-create
+// keyed on (name, labels) and safe for concurrent use; it is intended
+// for construction time, not the event path. Snapshot may be called
+// concurrently with recording — values are read atomically, so a scrape
+// sees a consistent-enough live view without stopping the engine.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -335,11 +380,11 @@ func (r *Registry) Gen() uint64 {
 	return r.gen.Load()
 }
 
-// SeriesVisitor receives one live series during ForEachSeries. Exactly
-// one of ctr, gauge, hist is non-nil, matching the family kind. The
-// labels slice is the registry's canonical (sorted) copy and must not
-// be mutated.
-type SeriesVisitor func(name, help string, labels []Label, ctr *Counter, gauge *Gauge, hist *Histogram)
+// SeriesVisitor receives one live series during ForEachSeries. kind is
+// "counter", "gauge" or "histogram", and exactly one of ctr, gauge, hist
+// is non-nil, matching it. The labels slice is the registry's canonical
+// (sorted) copy and must not be mutated.
+type SeriesVisitor func(name, help, kind string, labels []Label, ctr *Counter, gauge *Gauge, hist *Histogram)
 
 // ForEachSeries visits every registered series in deterministic order
 // (families by registration order, series by canonical label key),
@@ -366,7 +411,7 @@ func (r *Registry) ForEachSeries(visit SeriesVisitor) {
 		sort.Strings(keys)
 		for _, k := range keys {
 			s := f.series[k]
-			visit(f.name, f.help, s.labels, s.ctr, s.gauge, s.hist)
+			visit(f.name, f.help, f.kind.kindName(), s.labels, s.ctr, s.gauge, s.hist)
 		}
 	}
 }
@@ -385,6 +430,28 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 		return nil
 	}
 	return r.lookup(name, help, kindGauge, labels).gauge
+}
+
+// CounterFunc adds read to the counter series (name, labels), which
+// reads its own count plus its functions' sum when read. read runs under
+// the registry's lock: it may only load atomics, or take a lock of its
+// own that nothing holds while registering a series. retire removes read
+// and folds its last value into the series' own count, so the series
+// stays monotone and keeps its pointer (and Gen).
+func (r *Registry) CounterFunc(name, help string, read func() uint64, labels ...Label) (retire func()) {
+	if r == nil {
+		return func() {}
+	}
+	return r.lookup(name, help, kindCounter, labels).ctr.w.attach(read, true)
+}
+
+// GaugeFunc is CounterFunc for a gauge series. Its retire drops read
+// without folding: a level leaves with its source.
+func (r *Registry) GaugeFunc(name, help string, read func() int64, labels ...Label) (retire func()) {
+	if r == nil {
+		return func() {}
+	}
+	return r.lookup(name, help, kindGauge, labels).gauge.w.attach(func() uint64 { return uint64(read()) }, false)
 }
 
 // Histogram registers (or finds) a histogram series.

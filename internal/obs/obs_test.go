@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -263,4 +264,59 @@ func TestConcurrentRecordAndSnapshot(t *testing.T) {
 	if got := r.Snapshot().CounterValue("shared_total"); got != workers*perWorker {
 		t.Fatalf("shared counter = %d, want %d", got, workers*perWorker)
 	}
+}
+
+// TestReadThroughSeries pins what CounterFunc and GaugeFunc promise: a
+// series reads the sum of its functions when read, a second function
+// under the same name and labels joins the sum without a new series
+// (Gen stays put), and retiring a counter's function folds its last
+// value into the series' base so the series never goes back.
+func TestReadThroughSeries(t *testing.T) {
+	r := NewRegistry()
+	var a, b atomic.Uint64
+	var la, lb atomic.Int64
+	retireA := r.CounterFunc("c_total", "help", a.Load, L("p", "x"))
+	gen := r.Gen()
+	retireB := r.CounterFunc("c_total", "help", b.Load, L("p", "x"))
+	if r.Gen() != gen {
+		t.Fatalf("Gen moved when a function joined an existing series: %d -> %d", gen, r.Gen())
+	}
+	gretA := r.GaugeFunc("g", "help", la.Load)
+	r.GaugeFunc("g", "help", lb.Load)
+
+	a.Store(5)
+	b.Store(7)
+	la.Store(3)
+	lb.Store(-1)
+	snap := r.Snapshot()
+	if got := snap.CounterValue("c_total", L("p", "x")); got != 12 {
+		t.Fatalf("counter reads %d, want 12 (5+7)", got)
+	}
+	c := r.Counter("c_total", "help", L("p", "x"))
+	if got := r.Gauge("g", "help").Value(); got != 2 {
+		t.Fatalf("gauge reads %d, want 2 (3-1)", got)
+	}
+
+	retireA()
+	retireA() // a second retire is a no-op
+	a.Store(100)
+	if got := c.Value(); got != 12 {
+		t.Fatalf("after retire counter reads %d, want 12 (5 folded + 7)", got)
+	}
+	c.Inc() // the base is an ordinary counter too
+	if got := c.Value(); got != 13 {
+		t.Fatalf("base Inc: counter reads %d, want 13", got)
+	}
+	retireB()
+	if got := c.Value(); got != 13 {
+		t.Fatalf("all retired: counter reads %d, want 13", got)
+	}
+	gretA()
+	if got := r.Gauge("g", "help").Value(); got != -1 {
+		t.Fatalf("gauge after retire reads %d, want -1 (its level left with it)", got)
+	}
+
+	var nilReg *Registry
+	nilReg.CounterFunc("x", "", a.Load)()
+	nilReg.GaugeFunc("y", "", la.Load)()
 }

@@ -103,7 +103,7 @@ func TestRegistryGen(t *testing.T) {
 	}
 
 	var names []string
-	r.ForEachSeries(func(name, _ string, labels []Label, ctr *Counter, gauge *Gauge, hist *Histogram) {
+	r.ForEachSeries(func(name, _, _ string, labels []Label, ctr *Counter, gauge *Gauge, hist *Histogram) {
 		names = append(names, SeriesKey(name, labels))
 		switch name {
 		case "a_total":

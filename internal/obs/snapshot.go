@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"sort"
-	"strings"
-)
+import "strings"
 
 // SeriesSnapshot is one labeled series captured by Snapshot.
 type SeriesSnapshot struct {
@@ -44,53 +41,34 @@ func (k metricKind) kindName() string {
 	}
 }
 
-// Snapshot captures every registered series. Safe to call while other
-// goroutines record; each value is read atomically.
+// Snapshot captures every registered series, in ForEachSeries order.
+// Safe to call while other goroutines record; each value is read
+// atomically, and read-through series read their sources.
 func (r *Registry) Snapshot() Snapshot {
-	if r == nil {
-		return Snapshot{}
-	}
-	r.mu.Lock()
-	fams := make([]*family, 0, len(r.families))
-	for _, f := range r.families {
-		fams = append(fams, f)
-	}
-	r.mu.Unlock()
-	sort.Slice(fams, func(i, j int) bool { return fams[i].order < fams[j].order })
-
 	var snap Snapshot
-	for _, f := range fams {
-		fs := FamilySnapshot{Name: f.name, Help: f.help, Kind: f.kind.kindName()}
-		keys := make([]string, 0, len(f.series))
-		r.mu.Lock()
-		for k := range f.series {
-			keys = append(keys, k)
+	r.ForEachSeries(func(name, help, kind string, labels []Label, ctr *Counter, gauge *Gauge, hist *Histogram) {
+		if n := len(snap.Families); n == 0 || snap.Families[n-1].Name != name {
+			snap.Families = append(snap.Families, FamilySnapshot{Name: name, Help: help, Kind: kind})
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			s := f.series[k]
-			ss := SeriesSnapshot{Labels: s.labels}
-			switch f.kind {
-			case kindCounter:
-				ss.Value = int64(s.ctr.Value())
-			case kindGauge:
-				ss.Value = s.gauge.Value()
-			case kindHistogram:
-				b := s.hist.Buckets()
-				ss.Count = s.hist.Count()
-				ss.Sum = s.hist.Sum()
-				// Trim trailing empty buckets; exporters re-derive bounds.
-				hi := len(b)
-				for hi > 0 && b[hi-1] == 0 {
-					hi--
-				}
-				ss.Buckets = append([]uint64(nil), b[:hi]...)
+		ss := SeriesSnapshot{Labels: labels}
+		switch {
+		case ctr != nil:
+			ss.Value = int64(ctr.Value())
+		case gauge != nil:
+			ss.Value = gauge.Value()
+		default:
+			b := hist.Buckets()
+			ss.Count, ss.Sum = hist.Count(), hist.Sum()
+			// Trim trailing empty buckets; exporters re-derive bounds.
+			hi := len(b)
+			for hi > 0 && b[hi-1] == 0 {
+				hi--
 			}
-			fs.Series = append(fs.Series, ss)
+			ss.Buckets = append([]uint64(nil), b[:hi]...)
 		}
-		r.mu.Unlock()
-		snap.Families = append(snap.Families, fs)
-	}
+		f := &snap.Families[len(snap.Families)-1]
+		f.Series = append(f.Series, ss)
+	})
 	return snap
 }
 

@@ -10,7 +10,10 @@
 // filed, instance removed, timer armed, pool recycle) pays a few
 // uncontended atomic adds and allocates nothing; snapshots (Report) are
 // assembled from atomic loads on the observer's goroutine, so a /state
-// poll never stops the engine. Heavy-hitter attribution uses a per-shard
+// poll never stops the engine. Each quantity is stored once, in a cell
+// per (property, shard) only that shard writes; a property's totals
+// (Report, the watermark, the read-through series) are sums of its cells
+// taken when read. Heavy-hitter attribution uses a per-shard
 // space-saving sketch over fixed atomic slots — single-writer per shard,
 // lock-free readers — fed by the same deterministic 1-in-N identity-hash
 // sampling idiom the tracer uses (murmur-finalized fastrange), so the
@@ -46,40 +49,49 @@ type Config struct {
 	Watermark int64
 	// Metrics, when non-nil, registers the tracker's gauge/counter
 	// series; per-property series carry only the property label (plus
-	// Labels), so shards sharing a registry aggregate per property.
+	// Labels), so trackers sharing a registry aggregate per property.
 	Metrics *obs.Registry
 	// Labels are attached to every series the tracker registers.
 	Labels []obs.Label
 }
 
-// counters is one accounting cell: the live/bytes/timers triple plus the
-// cumulative filing count. All fields are atomically updated, so a cell
-// can be read while its owning shard is mid-event.
+// counters is one (property, shard) accounting cell: the
+// live/bytes/timers triple plus the cumulative filing count, atomic so a
+// cell can be read while its shard is mid-event, and padded to its own
+// cache line.
 type counters struct {
-	live    atomic.Int64
-	bytes   atomic.Int64
-	timers  atomic.Int64
-	filings atomic.Uint64
+	n [numCells]atomic.Int64
+	_ [64 - numCells*8]byte
 }
 
-// prop is one property's accounting: engine-wide totals (every shard
-// adds here too, so watermarks see the aggregate), per-shard cells for
-// the breakdown, and per-shard sketches for heavy-hitter keys.
+// The counts a cell holds, indexes into counters.n.
+const (
+	cellLive = iota
+	cellBytes
+	cellTimers
+	cellFilings
+	numCells
+)
+
+// prop is one property's accounting: per-shard cells, whose sums are the
+// property's totals, and per-shard sketches for heavy-hitter keys.
 type prop struct {
 	name      string
 	tenant    string
-	total     counters
 	shards    []counters
 	sketch    []sketch
 	pressure  atomic.Uint32 // 0 = below watermark, 1 = over
 	crossings atomic.Uint64 // lifetime 0->1 transitions
+	// retire drops the property's read-through series (Uninstall).
+	retire []func()
+}
 
-	// Telemetry handles (nil-safe no-ops when uninstrumented).
-	liveG     *obs.Gauge
-	bytesG    *obs.Gauge
-	timersG   *obs.Gauge
-	pressureG *obs.Gauge
-	pressureC *obs.Counter
+// sum adds count i over the property's cells: its engine-wide total.
+func (p *prop) sum(i int) (n int64) {
+	for s := range p.shards {
+		n += p.shards[s].n[i].Load()
+	}
+	return n
 }
 
 // Tracker is the engine-wide accounting store. One Tracker is shared by
@@ -136,16 +148,18 @@ func (t *Tracker) InstallTenant(idx int, name, tenant string) {
 	}
 	if reg := t.cfg.Metrics; reg != nil {
 		l := append(append([]obs.Label(nil), t.cfg.Labels...), obs.L("property", name))
-		p.liveG = reg.Gauge("switchmon_state_live_instances",
-			"Live (filed) monitor instances held by the property.", l...)
-		p.bytesG = reg.Gauge("switchmon_state_approx_bytes",
-			"Approximate bytes of instance state (bindings, provenance, index keys) held by the property.", l...)
-		p.timersG = reg.Gauge("switchmon_state_pending_timers",
-			"Armed deadline timers (windows, negative-observation deadlines) held by the property.", l...)
-		p.pressureG = reg.Gauge("switchmon_state_pressure",
-			"1 while the property's live instance count exceeds the configured watermark.", l...)
-		p.pressureC = reg.Counter("switchmon_state_pressure_crossings_total",
-			"Watermark crossings: transitions from below to above the state watermark.", l...)
+		p.retire = []func(){
+			reg.GaugeFunc("switchmon_state_live_instances", "Live (filed) monitor instances held by the property.",
+				func() int64 { return p.sum(cellLive) }, l...),
+			reg.GaugeFunc("switchmon_state_approx_bytes", "Approximate bytes of instance state (bindings, provenance, index keys) held by the property.",
+				func() int64 { return p.sum(cellBytes) }, l...),
+			reg.GaugeFunc("switchmon_state_pending_timers", "Armed deadline timers (windows, negative-observation deadlines) held by the property.",
+				func() int64 { return p.sum(cellTimers) }, l...),
+			reg.GaugeFunc("switchmon_state_pressure", "1 while the property's live instance count exceeds the configured watermark.",
+				func() int64 { return int64(p.pressure.Load()) }, l...),
+			reg.CounterFunc("switchmon_state_pressure_crossings_total", "Watermark crossings: transitions from below to above the state watermark.",
+				p.crossings.Load, l...),
+		}
 	}
 	t.props[idx] = p
 }
@@ -160,20 +174,20 @@ func (t *Tracker) Handle(idx, shard int) *Handle {
 	t.mu.Lock()
 	p := t.props[idx]
 	t.mu.Unlock()
-	h := &Handle{p: p, local: &p.shards[shard], sampleN: t.cfg.SampleN, watermark: t.cfg.Watermark}
+	h := &Handle{p: p, local: &p.shards[shard].n, sampleN: t.cfg.SampleN, watermark: t.cfg.Watermark}
 	if p.sketch != nil {
 		h.sk = &p.sketch[shard]
 	}
 	return h
 }
 
-// Uninstall retires property idx: whatever the slot's gauges still hold
-// is returned (so a later reinstall under the same series name starts
-// from zero — the registry is get-or-create by name+labels), pressure is
-// cleared, and the slot is tombstoned for reuse by the next
-// InstallTenant. Callers must have purged the property's instances
-// first; under a sharded engine only the router calls this, once, after
-// every shard has acked its purge. Nil-safe.
+// Uninstall retires property idx: its series stop reading its cells
+// (the gauges leave with them, so a later reinstall under the same
+// series name starts from zero; the crossings counter keeps its count),
+// and the slot is tombstoned for reuse by the next InstallTenant.
+// Callers must have purged the property's instances first; under a
+// sharded engine only the router calls this, once, after every shard has
+// acked its purge. Nil-safe.
 func (t *Tracker) Uninstall(idx int) {
 	if t == nil {
 		return
@@ -183,28 +197,22 @@ func (t *Tracker) Uninstall(idx int) {
 	if idx >= len(t.props) || t.props[idx] == nil {
 		return
 	}
-	p := t.props[idx]
-	p.liveG.Add(-p.total.live.Load())
-	p.bytesG.Add(-p.total.bytes.Load())
-	p.timersG.Add(-p.total.timers.Load())
-	if p.pressure.Load() == 1 {
-		p.pressureG.Set(0)
+	for _, retire := range t.props[idx].retire {
+		retire()
 	}
 	t.props[idx] = nil
 }
 
 // TenantCell is one tenant's shared accounting: live instances across
-// all the tenant's properties (every shard adds here, like a property's
-// total cell) and the cumulative count of instances or events its
-// quotas rejected. All methods are nil-receiver safe — a nil cell is
-// the untenanted case and costs callers one pointer test.
+// all the tenant's properties (every shard adds here: a quota is checked
+// against this one word) and the cumulative count of instances or
+// events its quotas rejected; the tenant series read both. All methods
+// are nil-receiver safe — a nil cell is the untenanted case and costs
+// callers one pointer test.
 type TenantCell struct {
 	name      string
 	instances atomic.Int64
 	shed      atomic.Uint64
-
-	instG *obs.Gauge
-	shedC *obs.Counter
 }
 
 // Instances reports the tenant's live instance population.
@@ -229,7 +237,6 @@ func (c *TenantCell) FileInstance() {
 		return
 	}
 	c.instances.Add(1)
-	c.instG.Add(1)
 }
 
 // UnfileInstance records one tenant instance unfiled.
@@ -238,7 +245,6 @@ func (c *TenantCell) UnfileInstance() {
 		return
 	}
 	c.instances.Add(-1)
-	c.instG.Add(-1)
 }
 
 // Shed records n instances or routed events rejected by the tenant's
@@ -248,7 +254,6 @@ func (c *TenantCell) Shed(n uint64) {
 		return
 	}
 	c.shed.Add(n)
-	c.shedC.Add(n)
 }
 
 // Tenant returns the named tenant's accounting cell, creating it (and
@@ -271,10 +276,10 @@ func (t *Tracker) Tenant(name string) *TenantCell {
 	c := &TenantCell{name: name}
 	if reg := t.cfg.Metrics; reg != nil {
 		l := append(append([]obs.Label(nil), t.cfg.Labels...), obs.L("tenant", name))
-		c.instG = reg.Gauge("switchmon_tenant_instances",
-			"Live monitor instances held by the tenant's properties.", l...)
-		c.shedC = reg.Counter("switchmon_tenant_shed_total",
-			"Instances and routed events rejected by the tenant's quotas.", l...)
+		reg.GaugeFunc("switchmon_tenant_instances",
+			"Live monitor instances held by the tenant's properties.", c.instances.Load, l...)
+		reg.CounterFunc("switchmon_tenant_shed_total",
+			"Instances and routed events rejected by the tenant's quotas.", c.shed.Load, l...)
 	}
 	t.tenants[name] = c
 	return c
@@ -302,36 +307,30 @@ func (t *Tracker) PoolPut(shard int) {
 // allocation-free.
 type Handle struct {
 	p         *prop
-	local     *counters
+	local     *[numCells]atomic.Int64
 	sk        *sketch
 	sampleN   uint64
 	watermark int64
 }
 
 // File records an instance being filed: live population, approximate
-// byte cost, the filing counter, the watermark check, and — when the
-// filing key lands in the sampled 1-in-N class — the heavy-hitter
-// sketch. key is the order-invariant hash of the instance's bindings
-// (stable as the flow advances stages); bytes is the caller's estimate
-// of the instance's resident cost, which the matching Unfile must
-// return exactly.
+// byte cost, the filing counter (three adds to the shard's own cell),
+// the watermark check (the property's live total, summed by loads), and
+// — when the filing key lands in the sampled 1-in-N class — the
+// heavy-hitter sketch. key is the order-invariant hash of the instance's
+// bindings (stable as the flow advances stages); bytes is the caller's
+// estimate of the instance's resident cost, which the matching Unfile
+// must return exactly.
 func (h *Handle) File(key uint64, bytes int64) {
 	if h == nil {
 		return
 	}
-	h.local.live.Add(1)
-	h.local.bytes.Add(bytes)
-	h.local.filings.Add(1)
+	h.local[cellLive].Add(1)
+	h.local[cellBytes].Add(bytes)
+	h.local[cellFilings].Add(1)
 	p := h.p
-	live := p.total.live.Add(1)
-	p.total.bytes.Add(bytes)
-	p.total.filings.Add(1)
-	p.liveG.Add(1)
-	p.bytesG.Add(bytes)
-	if w := h.watermark; w > 0 && live > w && p.pressure.CompareAndSwap(0, 1) {
+	if w := h.watermark; w > 0 && p.pressure.Load() == 0 && p.sum(cellLive) > w && p.pressure.CompareAndSwap(0, 1) {
 		p.crossings.Add(1)
-		p.pressureC.Inc()
-		p.pressureG.Set(1)
 	}
 	if h.sk != nil && (h.sampleN <= 1 || obs.InSample(key, h.sampleN)) {
 		h.sk.observe(key)
@@ -347,15 +346,11 @@ func (h *Handle) Unfile(bytes int64) {
 	if h == nil {
 		return
 	}
-	h.local.live.Add(-1)
-	h.local.bytes.Add(-bytes)
+	h.local[cellLive].Add(-1)
+	h.local[cellBytes].Add(-bytes)
 	p := h.p
-	live := p.total.live.Add(-1)
-	p.total.bytes.Add(-bytes)
-	p.liveG.Add(-1)
-	p.bytesG.Add(-bytes)
-	if w := h.watermark; w > 0 && live <= w-(w>>2) && p.pressure.CompareAndSwap(1, 0) {
-		p.pressureG.Set(0)
+	if w := h.watermark; w > 0 && p.pressure.Load() == 1 && p.sum(cellLive) <= w-(w>>2) {
+		p.pressure.CompareAndSwap(1, 0)
 	}
 }
 
@@ -364,9 +359,7 @@ func (h *Handle) ArmTimer() {
 	if h == nil {
 		return
 	}
-	h.local.timers.Add(1)
-	h.p.total.timers.Add(1)
-	h.p.timersG.Add(1)
+	h.local[cellTimers].Add(1)
 }
 
 // DisarmTimer records a deadline timer being stopped or fired.
@@ -374,9 +367,7 @@ func (h *Handle) DisarmTimer() {
 	if h == nil {
 		return
 	}
-	h.local.timers.Add(-1)
-	h.p.total.timers.Add(-1)
-	h.p.timersG.Add(-1)
+	h.local[cellTimers].Add(-1)
 }
 
 // Sketching reports whether filings feed a heavy-hitter sketch (lets
@@ -565,19 +556,19 @@ func (t *Tracker) Report() Report {
 			Property:  p.name,
 			Slot:      idx,
 			Tenant:    p.tenant,
-			Live:      p.total.live.Load(),
-			Bytes:     p.total.bytes.Load(),
-			Timers:    p.total.timers.Load(),
-			Filings:   p.total.filings.Load(),
+			Live:      p.sum(cellLive),
+			Bytes:     p.sum(cellBytes),
+			Timers:    p.sum(cellTimers),
+			Filings:   uint64(p.sum(cellFilings)),
 			Pressure:  p.pressure.Load() == 1,
 			Crossings: p.crossings.Load(),
 		}
 		if t.cfg.Shards > 1 {
 			for si := range p.shards {
-				c := &p.shards[si]
+				c := &p.shards[si].n
 				ps.Shards = append(ps.Shards, ShardState{
-					Shard: si, Live: c.live.Load(), Bytes: c.bytes.Load(),
-					Timers: c.timers.Load(), Filings: c.filings.Load(),
+					Shard: si, Live: c[cellLive].Load(), Bytes: c[cellBytes].Load(),
+					Timers: c[cellTimers].Load(), Filings: uint64(c[cellFilings].Load()),
 				})
 			}
 		}

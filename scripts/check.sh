@@ -6,7 +6,9 @@
 # while others use the admin surface, so -race on internal/core is the
 # check that matters most after touching it; -race on internal/obs
 # covers the shared violation log, spans finished from many shards, and
-# HTTP readers paging the SLO engine's log while its tick records).
+# HTTP readers paging the SLO engine's log while its tick records; -race
+# on internal/daemon covers scrapes and the history tick reading
+# read-through series while the engine they read runs and changes its set).
 #
 # Usage: ./scripts/check.sh
 set -eu
@@ -30,8 +32,8 @@ go build ./...
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/... ./internal/obs/..."
-go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/... ./internal/obs/...
+echo "==> go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/... ./internal/obs/... ./internal/daemon/..."
+go test -race ./internal/core/... ./internal/backend/... ./internal/integration/... ./internal/federation/... ./internal/collector/... ./internal/exporter/... ./internal/wire/... ./internal/sim/... ./internal/obs/... ./internal/daemon/...
 
 # The exporter's idle seal shares its sender-idle flag between Publish,
 # the send loop and the ack reader, and races parked seals for queue
